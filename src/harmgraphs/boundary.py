@@ -23,8 +23,8 @@ from math import factorial
 
 import mpmath
 
-from .exact import as_rational, pochhammer, to_bigfloat
-from .graphs import dim_closed_form
+from .exact import RationalMatrix, as_rational, det, pochhammer, to_bigfloat
+from .graphs import dim_closed_form, level
 from .harmonic import (
     GammaShaped,
     HarmonicFamily,
@@ -33,7 +33,7 @@ from .harmonic import (
     TruncYoung,
     level_measure,
 )
-from .interp import _distinct_perms, monomial_eval, schur_eval
+from .interp import _distinct_perms, _vandermonde, monomial_eval, schur_eval
 from .partitions import Partition
 from .series import (
     Poly,
@@ -163,8 +163,6 @@ def _gamma_int(n: int) -> int:
 
 
 def _det_gamma_matrix(lam: Partition, l: int) -> Fraction:
-    from .exact import RationalMatrix, det
-
     delta = [l - i for i in range(1, l + 1)]
     rows = [
         [Fraction(_gamma_int(lam.part(i + 1) + delta[i] + delta[j] + 1)) for j in range(l)]
@@ -178,18 +176,7 @@ def young_density_constant(lam: Partition) -> Fraction:
     return Fraction(_gamma_int(lam.size + l * l)) / _det_gamma_matrix(lam, l)
 
 
-def _vandermonde(values) -> Fraction:
-    out = Fraction(1)
-    vals = list(values)
-    for i in range(len(vals)):
-        for j in range(i + 1, len(vals)):
-            out *= vals[i] - vals[j]
-    return out
-
-
 def _alternant(values, exponents) -> Fraction:
-    from .exact import RationalMatrix, det
-
     rows = [[as_rational(v) ** e for e in exponents] for v in values]
     return det(RationalMatrix(rows))
 
@@ -228,8 +215,6 @@ def kingman_density_constant(lam: Partition) -> Fraction:
 
 
 def gamma_density_constant(lam: Partition) -> Fraction:
-    from .exact import RationalMatrix, det
-
     fc = lam.frobenius()
     d = fc.depth
     if d < 1:
@@ -303,8 +288,6 @@ def density_value(spec: DensitySpec, point) -> Fraction:
         d = fc.depth
         if len(alpha) != d or len(beta) != d:
             raise ValueError("wrong face dimension")
-        from .exact import RationalMatrix, det
-
         cauchy = det(
             RationalMatrix([[1 / (alpha[i] + beta[j]) for j in range(d)] for i in range(d)])
         )
@@ -545,8 +528,6 @@ def young_kernel(mu: Partition, omega: ThomaPoint) -> Fraction:
     m = mu.length
     if m == 0:
         return Fraction(1)
-    from .exact import RationalMatrix, det
-
     rows = [[h(mu.part(i + 1) - (i + 1) + (j + 1)) for j in range(m)] for i in range(m)]
     return det(RationalMatrix(rows))
 
@@ -722,27 +703,16 @@ def _rows_separated(blocks, gap) -> bool:
 
 def _fast_level_weights(family: HarmonicFamily, n: int) -> list[tuple[Partition, Fraction]]:
     """Level measure restricted to the support, with the shared Pochhammer
-    denominator factored out of the per-vertex work."""
-    from .graphs import level
-    from .interp import factorial_monomial_eval, pstar_eval, shifted_schur_eval
-
-    if isinstance(family, (TruncYoung, TruncKingman, TruncSchur)):
-        width = family.width
-        poch = pochhammer(family.t, n)
-        sign = -1 if n % 2 else 1
-        out = []
-        for nu in level(n, family.kind, max_length=width):
-            if isinstance(family, TruncYoung):
-                val = shifted_schur_eval(nu, family.point(), route="determinant")
-            elif isinstance(family, TruncKingman):
-                val = factorial_monomial_eval(nu, family.point())
-            else:
-                val = pstar_eval(nu, family._cached_functional(nu.part(1) + nu.part(2) + 2))
-            out.append((nu, dim_closed_form(nu, family.kind) * sign * val / poch))
-        return out
-    if isinstance(family, GammaShaped) and n > family.degree_cap:
-        raise ValueError(
-            f"level {n} exceeds the family degree cap {family.degree_cap}; raise degree_cap"
-        )
-    measure = level_measure(family, n)
-    return [(p, w) for p, w in measure.weights]
+    denominator and closed-form dimensions factored out of the per-vertex
+    work."""
+    if isinstance(family, GammaShaped):
+        if n > family.degree_cap:
+            raise ValueError(
+                f"level {n} exceeds the family degree cap {family.degree_cap}; raise degree_cap"
+            )
+        return list(level_measure(family, n).weights)
+    scale = (-1) ** n / pochhammer(family.t, n)
+    return [
+        (nu, dim_closed_form(nu, family.kind) * family.value(nu) * scale)
+        for nu in level(n, family.kind, max_length=family.width)
+    ]

@@ -14,7 +14,6 @@ import io
 import json
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -33,17 +32,17 @@ from .graphs import (
     SCHUR,
     YOUNG,
     covers_up,
-    dim,
     dim_closed_form,
     dims_csv,
     edge_multiplicity,
     jack_multiplicity_poly,
-    level,
     parse_kind,
+    sweep,
 )
 from .harmonic import (
     FamilyError,
     HarmonicFamily,
+    JackZZ,
     YoungZZ,
     check_harmonicity,
     lattice_bound_approx,
@@ -195,24 +194,21 @@ def cmd_check_harmonic(args) -> int:
 
 def _harmonicity_report(family: HarmonicFamily, levels: int) -> Report:
     report = Report(command="check-harmonic")
+    spec = family.spec_string()
     hc = check_harmonicity(family, levels)
     bad = {v.mu: v for v in hc.violations}
-    for n in range(levels):
-        for mu in level(n, family.kind):
-            v = bad.get(mu)
-            if v is None:
-                report.add("harmonicity", f"{family.spec_string()} mu={mu}", None, None, True)
-            else:
-                report.add("harmonicity", f"{family.spec_string()} mu={mu}", v.lhs, v.rhs, False)
-    for n in range(1, levels + 1):
-        total = level_measure(family, n).total()
-        report.add("normalization", f"{family.spec_string()} n={n}", total, Fraction(1), total == 1)
-    for n in range(levels + 1):
-        for mu in level(n, family.kind):
-            val = family.phi(mu)
-            report.add(
-                "positivity", f"{family.spec_string()} phi({mu})", val, None, val >= 0
-            )
+    for mu, _ in hc.phi_values:
+        if mu.size == levels:
+            break
+        v = bad.get(mu)
+        if v is None:
+            report.add("harmonicity", f"{spec} mu={mu}", None, None, True)
+        else:
+            report.add("harmonicity", f"{spec} mu={mu}", v.lhs, v.rhs, False)
+    for n, total in enumerate(hc.level_masses[1:], start=1):
+        report.add("normalization", f"{spec} n={n}", total, Fraction(1), total == 1)
+    for mu, val in hc.phi_values:
+        report.add("positivity", f"{spec} phi({mu})", val, None, val >= 0)
     return report
 
 
@@ -400,29 +396,28 @@ def _suite_pieri(args, report: Report) -> None:
 
 
 def _suite_dimensions(args, report: Report) -> None:
-    for n in range(args.max_size + 1):
-        for lam in partitions_of(n):
-            rec = dim(Partition(), lam, YOUNG)
-            closed = dim_closed_form(lam, YOUNG)
-            report.add("dimension-oracle", f"young {lam}", rec, closed, rec == closed)
-            rec = dim(Partition(), lam, KINGMAN)
-            closed = dim_closed_form(lam, KINGMAN)
-            report.add("dimension-oracle", f"kingman {lam}", rec, closed, rec == closed)
-    for n in range(args.strict_max_size + 1):
-        for lam in partitions_of(n, strict=True):
-            rec = dim(Partition(), lam, SCHUR)
-            closed = dim_closed_form(lam, SCHUR)
-            report.add("dimension-oracle", f"schur {lam}", rec, closed, rec == closed)
+    def check(kind, lam, rec):
+        closed = dim_closed_form(lam, kind)
+        report.add("dimension-oracle", f"{kind} {lam}", rec, closed, rec == closed)
+
+    levels = zip(sweep(YOUNG, args.max_size), sweep(KINGMAN, args.max_size))
+    for (_, young_rows), (_, kingman_rows) in levels:
+        for (lam, young_dim, _), (_, kingman_dim, _) in zip(young_rows, kingman_rows):
+            check(YOUNG, lam, young_dim)
+            check(KINGMAN, lam, kingman_dim)
+    for _, rows in sweep(SCHUR, args.strict_max_size):
+        for lam, rec, _ in rows:
+            check(SCHUR, lam, rec)
 
 
 def _suite_dimension_ratio(args, report: Report) -> None:
+    d0 = {lam: d for _, rows in sweep(YOUNG, args.lam_max) for lam, d, _ in rows}
     for nn in range(args.mu_max + 1):
         for mu in partitions_of(nn):
-            for n_lam in range(nn, args.lam_max + 1):
+            for n_lam, rows in sweep(YOUNG, args.lam_max, start=mu):
+                dims = {lam: d for lam, d, _ in rows}
                 for lam in partitions_of(n_lam):
-                    d = dim(mu, lam, YOUNG)
-                    d0 = dim(Partition(), lam, YOUNG)
-                    lhs = d / d0
+                    lhs = dims.get(lam, Fraction(0)) / d0[lam]
                     rhs = (
                         (-1) ** nn
                         * shifted_schur_at_diagram(mu, lam)
@@ -434,20 +429,12 @@ def _suite_dimension_ratio(args, report: Report) -> None:
 
 
 def _suite_selberg(args, report: Report) -> None:
-    work = []
     if getattr(args, "lam", None):
-        work.append((args.graph, _partition(args.lam), _partition(args.mu or "0")))
+        work = [(args.graph, _partition(args.lam), _partition(args.mu or "0"))]
     else:
         work = _selberg_sweep(args.graph, args.max_size)
-    def run(item):
-        graph, lam, mu = item
-        return selberg_verify(graph, lam, mu)
-    if args.workers > 1:
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            results = list(pool.map(run, work))
-    else:
-        results = [run(item) for item in work]
-    for res in results:
+    for graph, lam, mu in work:
+        res = selberg_verify(graph, lam, mu)
         report.add(
             f"selberg-{res.graph}",
             f"lambda={res.lam} mu={res.mu}",
@@ -592,8 +579,6 @@ def _suite_gauss(args, report: Report) -> None:
 
 
 def _suite_degeneration(args, report: Report) -> None:
-    from .harmonic import JackZZ
-
     y = YoungZZ(Fraction(3), Fraction(2))
     j = JackZZ(Fraction(3), Fraction(2), Fraction(1))
     for mu in partitions_up_to(args.levels):
@@ -748,7 +733,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=20240801)
     p.add_argument("--tol", type=float, default=1e-20)
     p.add_argument("--precision", type=int, default=128)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument(
+        "--workers", type=int, default=1, help="accepted for compatibility; suites run serially"
+    )
     _add_output_options(p)
     p.set_defaults(func=cmd_verify)
 

@@ -4,22 +4,23 @@ Vertices are partitions graded by size; edges add one box.  Edge
 multiplicities: Young and Schur carry weight 1, Kingman carries the row
 multiplicity of the grown row, and the Jack deformation carries a
 rational function of its positive parameter evaluated over the column
-of the new box.  Weighted path dimensions are computed by the cover
-recursion with a shared memo, with closed forms as oracles where they
-exist.
+of the new box.  Weighted path dimensions come from one level sweep that
+pushes dim(start, .) up the covers, holding two levels at a time; the
+closed forms serve as oracles where they exist.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import threading
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from typing import Iterator
 
 from .exact import as_rational
-from .partitions import Partition, partitions_of
+from .partitions import EMPTY, Partition, partitions_of
 from .series import Poly, poly_eval, poly_mul, poly_trim
 
 
@@ -152,36 +153,57 @@ def edge_multiplicity(mu: Partition, lam: Partition, kind: GraphKind) -> Fractio
 # weighted path dimensions
 # ---------------------------------------------------------------------------
 
-_dim_cache: dict[tuple, Fraction] = {}
-_dim_lock = threading.Lock()
+def sweep(
+    kind: GraphKind,
+    top: int,
+    start: Partition = EMPTY,
+    within: Partition | None = None,
+    max_length: int | None = None,
+) -> Iterator[tuple[int, list]]:
+    """Push dim(start, .) up the graph one level at a time, holding two levels.
+
+    Yields (n, rows) for n = |start| .. top: each level-n vertex lam
+    reachable from start, in decreasing lexicographic order, as
+    (lam, dim(start, lam), edges), where edges lists the up-edges
+    (nu, weight) into level n + 1, each weight evaluated once.  Vertices
+    stay inside `within` and at most `max_length` rows long.
+    """
+    frontier = {start: Fraction(1)}
+    for n in range(start.size, top + 1):
+        ahead: dict[Partition, Fraction] = {}
+        rows = []
+        for lam in sorted(frontier, reverse=True):
+            d = frontier[lam]
+            edges = []
+            for nu in covers_up(lam, kind) if n < top else ():
+                if max_length is not None and nu.length > max_length:
+                    continue
+                if within is not None and not within.contains(nu):
+                    continue
+                w = edge_multiplicity(lam, nu, kind)
+                edges.append((nu, w))
+                ahead[nu] = ahead.get(nu, 0) + d * w
+            rows.append((lam, d, edges))
+        yield n, rows
+        frontier = ahead
 
 
-def _kind_key(kind: GraphKind):
-    return (kind.name, kind.theta)
+def top_level(kind: GraphKind, top: int, start: Partition = EMPTY, **restrict) -> list:
+    """The rows of the last level of `sweep(kind, top, start, **restrict)`."""
+    if top < start.size:
+        raise ValueError("the top level lies below the start vertex")
+    ((_, rows),) = deque(sweep(kind, top, start, **restrict), maxlen=1)
+    return rows
 
 
 def dim(mu: Partition, lam: Partition, kind: GraphKind) -> Fraction:
     """Sum of edge-weight products over all increasing paths mu -> lam."""
-    if mu == lam:
-        return Fraction(1)
-    if lam.size <= mu.size or not lam.contains(mu):
+    if kind.strict and not (mu.is_strict and lam.is_strict):
+        raise ValueError("schur graph vertices must be strict partitions")
+    if not lam.contains(mu):
         return Fraction(0)
-    key = (_kind_key(kind), mu.parts, lam.parts)
-    with _dim_lock:
-        hit = _dim_cache.get(key)
-    if hit is not None:
-        return hit
-    total = Fraction(0)
-    for nu in covers_down(lam, kind):
-        if nu.contains(mu):
-            total += dim(mu, nu, kind) * edge_multiplicity(nu, lam, kind)
-    with _dim_lock:
-        _dim_cache[key] = total
-    return total
-
-
-def dim_from_empty(lam: Partition, kind: GraphKind) -> Fraction:
-    return dim(Partition(), lam, kind)
+    ((_, d, _),) = top_level(kind, lam.size, start=mu, within=lam)
+    return d
 
 
 def dim_closed_form(lam: Partition, kind: GraphKind) -> Fraction:
@@ -222,6 +244,6 @@ def dims_csv(n: int, kind: GraphKind, max_length: int | None = None) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["level", "partition", "dim"])
-    for lam in level(n, kind, max_length=max_length):
-        writer.writerow([n, str(lam), str(dim_from_empty(lam, kind))])
+    for lam, d, _ in top_level(kind, n, max_length=max_length):
+        writer.writerow([n, str(lam), str(d)])
     return buf.getvalue()

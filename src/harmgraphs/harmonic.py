@@ -16,17 +16,19 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exact import as_rational, pochhammer
-from .graphs import GraphKind, KINGMAN, SCHUR, YOUNG, covers_up, dim, edge_multiplicity, jack, level
+from .graphs import GraphKind, KINGMAN, SCHUR, YOUNG, jack, level, sweep, top_level
 from .interp import (
     FunctionalSpec,
     factorial_monomial_eval,
     functional_on_shifted_schur,
+    pstar_closed_form,
     pstar_eval,
     schur_point_functional,
     shifted_schur_eval,
     super_evaluation_functional,
+    young_zz_closed_form,
 )
-from .partitions import FrobeniusCoords, Partition
+from .partitions import EMPTY, FrobeniusCoords, Partition
 
 
 class FamilyError(ValueError):
@@ -88,11 +90,8 @@ class YoungZZ(HarmonicFamily):
         _reject_nonpositive_integer_t(self.t)
 
     def phi(self, mu: Partition) -> Fraction:
-        out = Fraction(1)
-        for (i, j) in mu.boxes():
-            c = j - i
-            out *= Fraction(self.t + c * self.e + c * c, mu.hook(i, j))
-        return out / pochhammer(self.t, mu.size)
+        value = young_zz_closed_form(self.e, self.t, mu)
+        return value * (-1) ** mu.size / pochhammer(self.t, mu.size)
 
     @staticmethod
     def params_admissible(e, t) -> AdmissibleReport:
@@ -178,34 +177,23 @@ class KingmanTA(HarmonicFamily):
         _reject_nonpositive_integer_t(self.t, allow_zero=True)
 
     def phi(self, mu: Partition) -> Fraction:
-        n = mu.size
-        l = mu.length
-        if n == 0:
-            return Fraction(1)
-        num = Fraction(1)
+        out = Fraction(1)
         for p in mu.parts:
             for v in range(1, p):
-                num *= v
+                out *= v
         for r in mu.multiplicities().values():
             for v in range(1, r + 1):
-                num /= v
-        scal = Fraction(1)
-        for i in range(l):
-            scal *= self.t + i * self.alpha
-        # the leading t of the scalar cancels the leading t of (t)_n,
-        # which is what makes t = 0 legal here
-        tail = Fraction(1)
-        for k in range(1, n):
-            tail *= self.t + k
-        if l >= 1:
-            scal_over_poch = (scal / self.t if self.t != 0 else _cancel_t_at_zero(self.alpha, l)) / tail
-        else:
-            scal_over_poch = Fraction(1)
-        box_prod = Fraction(1)
+                out /= v
+        # the scalar t (t + alpha) ... (t + (l-1) alpha) over (t)_n: the
+        # common leading t cancels, which is what makes t = 0 legal here
+        for i in range(1, mu.length):
+            out *= self.t + i * self.alpha
+        for k in range(1, mu.size):
+            out /= self.t + k
         for (i, j) in mu.boxes():
             if j >= 2:
-                box_prod *= 1 - self.alpha / (j - 1)
-        return num * scal_over_poch * box_prod
+                out *= 1 - self.alpha / (j - 1)
+        return out
 
     @staticmethod
     def params_admissible(t, alpha) -> AdmissibleReport:
@@ -222,14 +210,6 @@ class KingmanTA(HarmonicFamily):
         return f"kingman:t={self.t},alpha={self.alpha}"
 
 
-def _cancel_t_at_zero(alpha: Fraction, l: int) -> Fraction:
-    """(t (t+a)...(t+(l-1)a))/t at t = 0, i.e. the product over 1..l-1."""
-    out = Fraction(1)
-    for i in range(1, l):
-        out *= i * alpha
-    return out
-
-
 @dataclass(frozen=True)
 class SchurT(HarmonicFamily):
     """One-parameter family on the graph of strict partitions."""
@@ -244,17 +224,8 @@ class SchurT(HarmonicFamily):
     def phi(self, mu: Partition) -> Fraction:
         if not mu.is_strict:
             raise FamilyError("strict-graph family evaluated at a non-strict partition")
-        out = Fraction(1)
-        for (i, j) in mu.boxes():
-            out *= 2 * self.t + (j - 1) * j
-        out /= Fraction(2) ** mu.length
-        for p in mu.parts:
-            for v in range(1, p + 1):
-                out /= v
-        for i in range(1, mu.length + 1):
-            for j in range(i + 1, mu.length + 1):
-                out *= Fraction(mu.part(i) - mu.part(j), mu.part(i) + mu.part(j))
-        return out / pochhammer(self.t, mu.size)
+        value = pstar_closed_form(self.t, mu)
+        return value * (-1) ** mu.size / pochhammer(self.t, mu.size)
 
     @staticmethod
     def params_admissible(t) -> AdmissibleReport:
@@ -297,11 +268,14 @@ class TruncYoung(HarmonicFamily):
         l = self.width
         return tuple(Fraction(-self.lam.part(i) - 2 * (l - i) - 1) for i in range(1, l + 1))
 
+    def value(self, mu: Partition) -> Fraction:
+        """s*_mu at the point; phi is (-1)^|mu| value / (t)_|mu| on the support."""
+        return shifted_schur_eval(mu, self.point(), route="determinant")
+
     def phi(self, mu: Partition) -> Fraction:
         if mu.length > self.width:
             return Fraction(0)
-        val = shifted_schur_eval(mu, self.point(), route="determinant")
-        return val * (-1) ** mu.size / pochhammer(self.t, mu.size)
+        return self.value(mu) * (-1) ** mu.size / pochhammer(self.t, mu.size)
 
     def admissible(self, surrogate_level: int = 6) -> AdmissibleReport:
         return self._surrogate_nonnegative(surrogate_level)
@@ -391,11 +365,14 @@ class TruncKingman(HarmonicFamily):
     def point(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(-p - 1) for p in self.lam.parts)
 
+    def value(self, mu: Partition) -> Fraction:
+        """m*_mu at the point; phi is (-1)^|mu| value / (t)_|mu| on the support."""
+        return factorial_monomial_eval(mu, self.point())
+
     def phi(self, mu: Partition) -> Fraction:
         if mu.length > self.width:
             return Fraction(0)
-        val = factorial_monomial_eval(mu, self.point())
-        return val * (-1) ** mu.size / pochhammer(self.t, mu.size)
+        return self.value(mu) * (-1) ** mu.size / pochhammer(self.t, mu.size)
 
     def admissible(self, surrogate_level: int = 6) -> AdmissibleReport:
         return self._surrogate_nonnegative(surrogate_level)
@@ -431,9 +408,11 @@ class TruncSchur(HarmonicFamily):
             raise FamilyError("strict-graph family evaluated at a non-strict partition")
         if mu.length > self.width:
             return Fraction(0)
-        need = mu.part(1) + mu.part(2) + 2
-        val = pstar_eval(mu, self._cached_functional(need))
-        return val * (-1) ** mu.size / pochhammer(self.t, mu.size)
+        return self.value(mu) * (-1) ** mu.size / pochhammer(self.t, mu.size)
+
+    def value(self, mu: Partition) -> Fraction:
+        """P*_mu under the point functional; phi is (-1)^|mu| value / (t)_|mu|."""
+        return pstar_eval(mu, self._cached_functional(mu.part(1) + mu.part(2) + 2))
 
     def _cached_functional(self, need: int) -> FunctionalSpec:
         # round the cap up in blocks so the cache stays small
@@ -506,10 +485,15 @@ class HarmonicityViolation:
 
 @dataclass(frozen=True)
 class HarmonicityReport:
+    """Harmonicity below max_level; phi_values (level by level, dec-lex)
+    and level_masses (total of dim * phi per level) run through max_level."""
+
     family: str
     max_level: int
     checked: int
     violations: tuple[HarmonicityViolation, ...]
+    phi_values: tuple[tuple[Partition, Fraction], ...]
+    level_masses: tuple[Fraction, ...]
 
     @property
     def ok(self) -> bool:
@@ -517,21 +501,39 @@ class HarmonicityReport:
 
 
 def check_harmonicity(family: HarmonicFamily, max_level: int) -> HarmonicityReport:
-    """Verify the cover-sum identity exactly for all vertices below max_level."""
+    """Verify the cover-sum identity exactly for all vertices below max_level.
+
+    One sweep up the graph: phi is evaluated once per vertex, one level
+    ahead of the vertices whose cover sums need it, and each edge weight
+    once.
+    """
     if max_level < 1:
         raise ValueError("max_level must be >= 1")
-    violations = []
     checked = 0
-    for n in range(max_level):
-        for mu in level(n, family.kind):
-            lhs = family.phi(mu)
+    violations = []
+    values = []
+    masses = []
+    ahead = {EMPTY: family.phi(EMPTY)}
+    for n, rows in sweep(family.kind, max_level):
+        here, ahead = ahead, {}
+        mass = Fraction(0)
+        for mu, d, edges in rows:
+            lhs = here[mu]
             rhs = Fraction(0)
-            for lam in covers_up(mu, family.kind):
-                rhs += edge_multiplicity(mu, lam, family.kind) * family.phi(lam)
-            checked += 1
-            if lhs != rhs:
-                violations.append(HarmonicityViolation(mu, lhs, rhs))
-    return HarmonicityReport(family.spec_string(), max_level, checked, tuple(violations))
+            for lam, w in edges:
+                if lam not in ahead:
+                    ahead[lam] = family.phi(lam)
+                rhs += w * ahead[lam]
+            if n < max_level:
+                checked += 1
+                if lhs != rhs:
+                    violations.append(HarmonicityViolation(mu, lhs, rhs))
+            values.append((mu, lhs))
+            mass += d * lhs
+        masses.append(mass)
+    return HarmonicityReport(
+        family.spec_string(), max_level, checked, tuple(violations), tuple(values), tuple(masses)
+    )
 
 
 @dataclass(frozen=True)
@@ -552,10 +554,8 @@ class LevelMeasure:
 
 
 def level_measure(family: HarmonicFamily, n: int, max_length: int | None = None) -> LevelMeasure:
-    entries = []
-    for lam in level(n, family.kind, max_length=max_length):
-        entries.append((lam, dim(Partition(), lam, family.kind) * family.phi(lam)))
-    return LevelMeasure(n, tuple(entries))
+    rows = top_level(family.kind, n, max_length=max_length)
+    return LevelMeasure(n, tuple((lam, d * family.phi(lam)) for lam, d, _ in rows))
 
 
 def lattice_bound_approx(
@@ -574,8 +574,6 @@ def lattice_bound_approx(
         raise ValueError("need |mu| < n")
     pick = max if mode == "join" else min
     total = Fraction(0)
-    for lam in level(n, phi_fam.kind):
-        d = dim(mu, lam, phi_fam.kind)
-        if d != 0:
-            total += d * pick(phi_fam.phi(lam), psi_fam.phi(lam))
+    for lam, d, _ in top_level(phi_fam.kind, n, start=mu):
+        total += d * pick(phi_fam.phi(lam), psi_fam.phi(lam))
     return total

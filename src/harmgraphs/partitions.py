@@ -8,7 +8,6 @@ decreasing lexicographic order so goldens stay deterministic.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterator
 
 from .exact import as_rational
@@ -120,7 +119,11 @@ class Partition:
         return self.parts[i - 1] - j
 
     def leg(self, i: int, j: int) -> int:
-        return self.conjugate().parts[j - 1] - i
+        """Number of rows below row i whose length is at least j."""
+        k = i
+        while k < len(self.parts) and self.parts[k] >= j:
+            k += 1
+        return k - i
 
     @staticmethod
     def content(i: int, j: int) -> int:
@@ -272,26 +275,25 @@ class FrobeniusCoords:
 EMPTY = Partition()
 
 
-@lru_cache(maxsize=None)
-def _partitions_cached(n: int, max_part: int, max_length: int, strict: bool) -> tuple[tuple[int, ...], ...]:
-    if n == 0:
-        return ((),)
-    if max_length == 0 or max_part == 0:
-        return ()
-    out = []
-    for first in range(min(n, max_part), 0, -1):
-        cap = first - 1 if strict else first
-        for rest in _partitions_cached(n - first, min(cap, n - first), max_length - 1, strict):
-            out.append((first,) + rest)
-    return tuple(out)
-
-
 def partitions_of(n: int, max_length: int | None = None, strict: bool = False) -> list[Partition]:
     """All partitions of n (strict if requested), decreasing lexicographic."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    cap = n if max_length is None else min(max_length, n)
-    return [Partition(t) for t in _partitions_cached(n, n, cap, strict)]
+    slots = n if max_length is None else min(max_length, n)
+    return [Partition(p) for p in _fill(n, n, slots, strict)]
+
+
+def _fill(rest: int, cap: int, slots: int, strict: bool) -> Iterator[tuple[int, ...]]:
+    """Part tuples summing to rest, decreasing lexicographic: parts at most
+    cap, at most `slots` of them, strictly decreasing if `strict`."""
+    if rest == 0:
+        yield ()
+        return
+    for first in range(min(rest, cap), 0, -1):
+        if first * slots < rest:  # no smaller first part can fill the rows left
+            return
+        for tail in _fill(rest - first, first - 1 if strict else first, slots - 1, strict):
+            yield (first,) + tail
 
 
 def partitions_up_to(n: int, strict: bool = False) -> list[Partition]:

@@ -1,0 +1,55 @@
+"""Byte-identity of small CLI reports.
+
+Each digest is the sha256 of a known-good text report; any change to a
+value, a row order or the formatting shows up here.
+"""
+
+import hashlib
+
+import pytest
+
+from harmgraphs.cli import EXIT_CHECK_FAILED, EXIT_OK, main
+
+GOLDEN = [
+    ("check-harmonic --family young-zz:e=1,t=5/4 --levels 6", EXIT_OK,
+     "10141fd45ef360c65ca059c42cd4c97a0727e034ba1bb58fdc3c57db62020037"),
+    ("check-harmonic --family jack:e=1,t=5/4,theta=1/2 --levels 5", EXIT_OK,
+     "50f8de380a023b0ccdccec1f5c6f683e119e87f8de61139cd298d82b4b89593e"),
+    ("check-harmonic --family kingman:t=1,alpha=1/2 --levels 6", EXIT_OK,
+     "75fcab8a62396171f79a1c1b0fa73628abe3311579721072cbf28311a4ef4569"),
+    ("check-harmonic --family schur:t=2 --levels 7", EXIT_OK,
+     "1f34eed90469e4046e3e6b929270eacc1c3140b76108606fdb111884b68843e2"),
+    # inadmissible parameter: the positivity stage flags negative values
+    ("check-harmonic --family schur:t=-1/2 --levels 4", EXIT_CHECK_FAILED,
+     "119f2c92ce5db7f2f44f56a24d6c079f68f810618c3f12ad889513b31373c0c9"),
+    ("check-harmonic --family trunc-young:lambda=2+1 --levels 6", EXIT_OK,
+     "ef11353199df0653820cde11a5ebb52812cd1ac8d94d9d499a5da26beec91ffd"),
+    ("check-harmonic --family gamma:lambda=2+1,cap=5 --levels 5", EXIT_OK,
+     "072e9203e8af2ee7dddea439760af63fd53ae90b3e26bb2dbb142c6f0e52f47f"),
+    ("check-harmonic --family trunc-kingman:lambda=2+1 --levels 6", EXIT_OK,
+     "fa8da0884152b759a69735e0360ab2f7982c58ec661abdff6befb5369c8ade65"),
+    ("check-harmonic --family trunc-schur:lambda=3+1 --levels 6", EXIT_OK,
+     "834c354a1c9fcfc3d91a10389e5688eac434af6f1f6be264b6c8d2dae23e2ec9"),
+    ("measure --family young-zz:e=1,t=5/4 --n 7", EXIT_OK,
+     "9a9e17b0363402dd6fd62a992e0c741eba6b62dbfafe52516868c04a12d69973"),
+    ("dims --kind jack(1/2) --level 6", EXIT_OK,
+     "eb8f0087342c8eb5536499f6a0a09533c05812766d3a75143a4eda85628b6535"),
+    ("dims --kind kingman --level 7 --max-length 3", EXIT_OK,
+     "5d9cfff3af4e4a1ab76070abef40174b5ed60c169aa304eb6564730246ad9d09"),
+    ("verify dimensions", EXIT_OK,
+     "6f3ca4b936e97affeea66730100fa537921274f48583ea518642903c69092d35"),
+    ("verify dimension-ratio", EXIT_OK,
+     "a819d79410b621496e8b6839eb49bfbab6b964fadd8db2e0a5c354aecf0b4877"),
+    ("verify lattice --levels 6", EXIT_OK,
+     "8f15f250cbb9ff395609f441d63485af052c6a6e3b95cafc6b6a34a25886df0e"),
+    # the pointwise ratio at n = 50 is still outside its 0.05 tolerance
+    ("converge --family trunc-young:lambda=2+1 --n 50,100", EXIT_CHECK_FAILED,
+     "9b3f940e1fcdbe418d21444889334a324db65b32dbc5fffe135a6e5962c6ca72"),
+]
+
+
+@pytest.mark.parametrize("command,code,digest", GOLDEN, ids=[g[0] for g in GOLDEN])
+def test_report_digest(capsys, command, code, digest):
+    assert main(command.split()) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 
@@ -17,6 +18,7 @@ from harmgraphs.graphs import (
     jack_multiplicity_poly,
     level,
     parse_kind,
+    sweep,
 )
 from harmgraphs.partitions import Partition, partitions_of
 from harmgraphs.series import poly_eval
@@ -101,6 +103,45 @@ def test_dim_examples():
     assert dim(P(), P([2, 1]), SCHUR) == 1
     assert dim(P([1]), P([1]), YOUNG) == 1
     assert dim(P([2]), P([1, 1]), YOUNG) == 0
+
+
+def test_dim_deep_paths():
+    # a single 1200-step path: deeper than any recursion limit
+    assert dim(P(), P([1200]), YOUNG) == 1
+    # two-row standard tableaux are counted by the Catalan numbers
+    assert dim(P(), P([100, 100]), YOUNG) == comb(200, 100) // 101
+
+
+def test_dim_rejects_non_strict_schur_vertices():
+    with pytest.raises(ValueError):
+        dim(P(), P([2, 2]), SCHUR)
+
+
+def test_sweep_levels_match_level_enumeration():
+    for kind in (YOUNG, SCHUR, jack(F(1, 2))):
+        seen = [n for n, _ in sweep(kind, 7)]
+        assert seen == list(range(8))
+        for n, rows in sweep(kind, 7):
+            assert [lam for lam, _, _ in rows] == level(n, kind)
+    for n, rows in sweep(KINGMAN, 8, max_length=2):
+        assert [lam for lam, _, _ in rows] == level(n, KINGMAN, max_length=2)
+
+
+def test_sweep_edges_carry_the_edge_weights():
+    kind = jack(F(2, 3))
+    for n, rows in sweep(kind, 5):
+        for mu, _, edges in rows:
+            expected = [] if n == 5 else covers_up(mu, kind)
+            assert [nu for nu, _ in edges] == expected
+            for nu, w in edges:
+                assert w == edge_multiplicity(mu, nu, kind)
+
+
+def test_sweep_from_a_vertex_within_a_bound():
+    rows = dict(sweep(YOUNG, 5, start=P([2, 1]), within=P([3, 2])))
+    assert sorted(rows) == [3, 4, 5]
+    assert [(lam, d) for lam, d, _ in rows[4]] == [(P([3, 1]), 1), (P([2, 2]), 1)]
+    assert [(lam, d) for lam, d, _ in rows[5]] == [(P([3, 2]), 2)]
 
 
 def test_dim_closed_form_examples():

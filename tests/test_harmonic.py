@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from harmgraphs import cli
 from harmgraphs.exact import pochhammer
 from harmgraphs.harmonic import (
     FamilyError,
@@ -141,6 +142,41 @@ def test_harmonicity_detector_catches_corruption():
     # the corrupted vertex shows up at its parents
     assert P([1]) in violating
     assert check_harmonicity(fam, 4).ok
+
+
+class CountingYoungZZ(YoungZZ):
+    """Counts phi evaluations per vertex."""
+
+    def phi(self, mu):
+        self.calls.append(mu)
+        return YoungZZ.phi(self, mu)
+
+
+def counting_family():
+    fam = CountingYoungZZ(F(1), F(5, 4))
+    object.__setattr__(fam, "calls", [])
+    return fam
+
+
+# levels 0..8 of the Young graph hold 67 vertices
+VERTICES_THROUGH_8 = sum(len(partitions_of(n)) for n in range(9))
+
+
+def test_check_harmonicity_evaluates_phi_once_per_vertex():
+    fam = counting_family()
+    report = check_harmonicity(fam, 8)
+    assert report.ok and report.checked == VERTICES_THROUGH_8 - len(partitions_of(8))
+    assert len(fam.calls) == len(set(fam.calls)) == VERTICES_THROUGH_8 == 67
+    assert [mu for mu, _ in report.phi_values] == list(partitions_up_to(8))
+    assert report.level_masses == (F(1),) * 9
+
+
+def test_check_harmonic_command_evaluates_phi_once_per_vertex(monkeypatch, capsys):
+    fam = counting_family()
+    monkeypatch.setattr(cli, "parse_family", lambda spec: fam)
+    assert cli.main(["check-harmonic", "--family", "young-zz:e=1,t=5/4", "--levels", "8"]) == 0
+    assert "summary: 120 passed, 0 failed" in capsys.readouterr().out
+    assert len(fam.calls) == len(set(fam.calls)) == 67
 
 
 def test_level_measures_normalize():

@@ -88,6 +88,10 @@ def test_level_counts():
     assert partitions_of(0) == [P()]
     assert len(partitions_of(9)) == 30
     assert len(partitions_of(6, max_length=2)) == 4
+    assert len(partitions_of(10, max_length=2, strict=True)) == 5
+    assert partitions_of(5, max_length=0) == []
+    wide = [p.parts for p in partitions_of(2000, max_length=2)]
+    assert wide == [(2000,)] + [(2000 - k, k) for k in range(1, 1001)]
 
 
 def test_levels_decreasing_lexicographic():
