@@ -234,6 +234,12 @@ def cmd_density(args) -> int:
         )
     else:
         point = tuple(as_rational(s) for s in args.at.split(","))
+        # checked here rather than in density_value, which the convergence
+        # experiments call once per interior vertex
+        if len(point) != spec.face_dim:
+            raise ValueError(f"the {args.graph} face has {spec.face_dim} coordinates, got {len(point)}")
+        if any(a < 0 for a in point) or sum(point) > 1:
+            raise ValueError("a face point needs nonnegative coordinates with sum <= 1")
     print(format_rational(spec.density(point)))
     return EXIT_OK
 

@@ -145,7 +145,7 @@ class RationalMatrix:
         vec = [as_rational(x) for x in v]
         if len(vec) != self.ncols:
             raise ShapeError("vector length does not match column count")
-        return [sum((row[j] * vec[j] for j in range(self.ncols)), Fraction(0)) for row in self.rows]
+        return [sum((x * v for x, v in zip(row, vec) if x and v), Fraction(0)) for row in self.rows]
 
 
 def det(m: RationalMatrix) -> Fraction:
@@ -153,8 +153,6 @@ def det(m: RationalMatrix) -> Fraction:
     if not m.is_square:
         raise ShapeError("determinant needs a square matrix")
     n = m.nrows
-    if n == 0:
-        return Fraction(1)
     a = [list(row) for row in m.rows]
     sign = 1
     out = Fraction(1)
@@ -246,41 +244,41 @@ def _swap_symmetric(a: list[list[Fraction]], i: int, j: int) -> None:
         row[i], row[j] = row[j], row[i]
 
 
-def solve_linear(a: RationalMatrix, b: Sequence) -> list[Fraction]:
-    """Exact solution of a x = b; SingularMatrixError on rank deficiency."""
-    if not a.is_square:
-        raise ShapeError("solve_linear needs a square matrix")
-    n = a.nrows
-    rhs = [as_rational(x) for x in b]
-    if len(rhs) != n:
-        raise ShapeError("right-hand side length does not match")
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(a.rows)]
+def _gauss_jordan(aug: list[list[Fraction]], n: int) -> None:
+    """Reduce [A | B] in place to [I | A^-1 B], A being the leading n x n block."""
     for col in range(n):
         pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
         if pivot is None:
             raise SingularMatrixError("singular system")
-        if pivot != col:
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-        p = aug[col][col]
-        for r in range(n):
-            if r == col or aug[r][col] == 0:
-                continue
-            f = aug[r][col] / p
-            for c in range(col, n + 1):
-                aug[r][c] -= f * aug[col][c]
-    return [aug[i][n] / aug[i][i] for i in range(n)]
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        scale = aug[col][col]
+        top = aug[col] = [x / scale for x in aug[col]]
+        cols = [c for c, x in enumerate(top) if x != 0]
+        for row in aug:
+            f = row[col]
+            if f != 0 and row is not top:
+                for c in cols:
+                    row[c] -= f * top[c]
+
+
+def solve_linear(a: RationalMatrix, b: Sequence) -> list[Fraction]:
+    """Exact solution of a x = b; SingularMatrixError on rank deficiency."""
+    if not a.is_square:
+        raise ShapeError("solve_linear needs a square matrix")
+    if len(b) != a.nrows:
+        raise ShapeError("right-hand side length does not match")
+    aug = [list(row) + [as_rational(x)] for row, x in zip(a.rows, b)]
+    _gauss_jordan(aug, a.nrows)
+    return [row[-1] for row in aug]
 
 
 def invert_matrix(m: RationalMatrix) -> RationalMatrix:
-    """Exact inverse (column-by-column solve); SingularMatrixError if singular."""
+    """Exact inverse by one Gauss-Jordan pass on [m | I]; SingularMatrixError if singular."""
     if not m.is_square:
         raise ShapeError("inverse needs a square matrix")
-    n = m.nrows
-    cols = []
-    for j in range(n):
-        e = [Fraction(i == j) for i in range(n)]
-        cols.append(solve_linear(m, e))
-    return RationalMatrix([[cols[j][i] for j in range(n)] for i in range(n)])
+    aug = [list(row) + list(e) for row, e in zip(m.rows, RationalMatrix.identity(m.nrows).rows)]
+    _gauss_jordan(aug, m.nrows)
+    return RationalMatrix([row[m.nrows:] for row in aug])
 
 
 # ---------------------------------------------------------------------------

@@ -495,8 +495,9 @@ def _h_star_at_diagram_cached(m: int, lam_parts: tuple[int, ...]) -> Fraction:
 
 @lru_cache(maxsize=None)
 def _basis_inverse(n: int) -> tuple[tuple[Partition, ...], tuple[Partition, ...], RationalMatrix]:
-    diagrams = tuple(partitions_up_to(n))
-    basis = tuple(partitions_up_to(n))
+    # an element of degree <= n is fixed by its values on the diagrams of
+    # size <= n, and the h*-products indexed by the same set span that space
+    diagrams = basis = tuple(partitions_up_to(n))
     rows = []
     for lam in diagrams:
         row = []

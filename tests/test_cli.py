@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from harmgraphs.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
 
 
@@ -189,3 +191,28 @@ def test_output_file(tmp_path, capsys):
     assert path.exists()
     assert "wrote" in out
     assert path.read_text().startswith("check,instance")
+
+
+def test_density_inside_the_face(capsys):
+    code, out, _ = run(capsys, "density", "--graph", "schur", "--lambda", "3+1", "--at", "2/3,1/3")
+    assert code == EXIT_OK
+    assert out.strip() == "40/27"
+
+
+@pytest.mark.parametrize("graph,lam", [("young", "2+1"), ("kingman", "2+1"), ("schur", "3+1")])
+@pytest.mark.parametrize(
+    "point,message",
+    [
+        ("1/2", "2 coordinates, got 1"),
+        ("1/2,1/4,1/8", "2 coordinates, got 3"),
+        ("1/2,-1/4", "nonnegative"),
+        ("3,4", "sum <= 1"),
+        ("2/3,1/2", "sum <= 1"),
+    ],
+    ids=["too-few", "too-many", "negative", "far-outside", "sum-above-one"],
+)
+def test_density_rejects_points_outside_the_face(capsys, graph, lam, point, message):
+    code, out, err = run(capsys, "density", "--graph", graph, "--lambda", lam, "--at", point)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert message in err

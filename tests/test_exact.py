@@ -186,6 +186,82 @@ def test_invert_matrix_round_trip():
     assert got == ident
 
 
+def _sparse_matrices(seed, count):
+    """Seeded random rational matrices of sizes 1-12, about half zeros.
+
+    Every other matrix has a zero diagonal in its leading half, so the
+    elimination must swap rows to find a pivot.
+    """
+    rng = random.Random(seed)
+    out = []
+    for k in range(count):
+        size = rng.randint(1, 12)
+        rows = [
+            [F(rng.randint(-9, 9), rng.randint(1, 5)) if rng.random() < 0.5 else F(0) for _ in range(size)]
+            for _ in range(size)
+        ]
+        if k % 2:
+            for i in range(size // 2 + 1):
+                rows[i][i] = F(0)
+        out.append(RationalMatrix(rows))
+    return out
+
+
+def _inverse_by_columns(m):
+    n = m.nrows
+    cols = [solve_linear(m, [F(i == j) for i in range(n)]) for j in range(n)]
+    return RationalMatrix([[cols[j][i] for j in range(n)] for i in range(n)])
+
+
+def _product(a, b):
+    n = a.nrows
+    return RationalMatrix(
+        [[sum((a.rows[i][k] * b.rows[k][j] for k in range(n)), F(0)) for j in range(n)] for i in range(n)]
+    )
+
+
+def test_invert_matrix_matches_column_solves():
+    invertible = [m for m in _sparse_matrices(2024, 42) if det(m) != 0]
+    assert len(invertible) >= 30
+    assert any(m.rows[0][0] == 0 for m in invertible)
+    for m in invertible:
+        inv = invert_matrix(m)
+        assert inv == _inverse_by_columns(m)
+        assert _product(m, inv) == RationalMatrix.identity(m.nrows)
+
+
+def test_singular_detected_exactly_when_det_vanishes():
+    rng = random.Random(17)
+    singular = [m for m in _sparse_matrices(31, 100) if det(m) == 0]
+    # a repeated row is singular whatever the entries
+    rows = [[F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(5)] for _ in range(4)]
+    singular.append(RationalMatrix(rows + [rows[2]]))
+    assert len(singular) >= 5
+    for m in singular:
+        with pytest.raises(SingularMatrixError, match="singular system"):
+            invert_matrix(m)
+        with pytest.raises(SingularMatrixError, match="singular system"):
+            solve_linear(m, [F(1)] * m.nrows)
+
+
+def test_non_square_rejected_by_inverse_and_solve():
+    wide = RationalMatrix([[1, 2, 3], [4, 5, 6]])
+    with pytest.raises(ShapeError):
+        invert_matrix(wide)
+    with pytest.raises(ShapeError):
+        solve_linear(wide, [1, 2])
+
+
+def test_solve_linear_on_sparse_matrices():
+    rng = random.Random(8)
+    for m in _sparse_matrices(2024, 42):
+        if det(m) == 0:
+            continue
+        b = [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(m.nrows)]
+        x = solve_linear(m, b)
+        assert m.mul_vector(x) == b
+
+
 def test_bigfloat_round_trip():
     x = to_bigfloat(F(1, 3), precision=160)
     text = format_bigfloat(x, precision=160)

@@ -42,6 +42,9 @@ GOLDEN = [
      "a819d79410b621496e8b6839eb49bfbab6b964fadd8db2e0a5c354aecf0b4877"),
     ("verify lattice --levels 6", EXIT_OK,
      "8f15f250cbb9ff395609f441d63485af052c6a6e3b95cafc6b6a34a25886df0e"),
+    # shifted Schur functions expanded over h* products, degrees 0 to 5
+    ("verify selberg --graph gamma --max-size 5", EXIT_OK,
+     "c059fc702a2b664ec21449b5d946eb2ffe285f6857e2b323bc0e2e793e6bc96a"),
     # the pointwise ratio at n = 50 is still outside its 0.05 tolerance
     ("converge --family trunc-young:lambda=2+1 --n 50,100", EXIT_CHECK_FAILED,
      "9b3f940e1fcdbe418d21444889334a324db65b32dbc5fffe135a6e5962c6ca72"),

@@ -380,7 +380,7 @@ def test_express_unit_vector_for_generators():
 
 
 def test_express_round_trip_on_shifted_schur():
-    for n in range(1, 6):
+    for n in range(1, 8):
         for mu in partitions_of(n):
             target = {
                 lam: shifted_schur_at_diagram(mu, lam) for lam in partitions_up_to(n)
