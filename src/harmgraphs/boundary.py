@@ -623,16 +623,9 @@ def convergence_experiment(
     density degenerates (squared Vandermonde) and the pointwise ratio
     has no limit, so those vertices are excluded from the ratio check.
     """
-    if isinstance(family, TruncYoung):
-        spec = density_spec("young", family.lam)
-    elif isinstance(family, TruncKingman):
-        spec = density_spec("kingman", family.lam)
-    elif isinstance(family, TruncSchur):
-        spec = density_spec("schur", family.lam)
-    elif isinstance(family, GammaShaped):
-        spec = density_spec("gamma", family.fc.to_partition())
-    else:
+    if family.face is None:
         raise ValueError("convergence experiments need a truncated family")
+    spec = density_spec(family.face, family.lam)
     l = spec.face_dim
     rows = []
     for n in sorted(int(n) for n in n_values):
@@ -705,7 +698,7 @@ def _fast_level_weights(family: HarmonicFamily, n: int) -> list[tuple[Partition,
     """Level measure restricted to the support, with the shared Pochhammer
     denominator and closed-form dimensions factored out of the per-vertex
     work."""
-    if isinstance(family, GammaShaped):
+    if family.face == "gamma":
         if n > family.degree_cap:
             raise ValueError(
                 f"level {n} exceeds the family degree cap {family.degree_cap}; raise degree_cap"

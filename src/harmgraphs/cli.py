@@ -35,7 +35,7 @@ from .graphs import (
     dim_closed_form,
     dims_csv,
     edge_multiplicity,
-    jack_multiplicity_poly,
+    jack_weight,
     parse_kind,
     sweep,
 )
@@ -68,7 +68,6 @@ from .boundary import (
     young_kernel,
 )
 from .partitions import Partition, partitions_of, partitions_up_to
-from .series import poly_eval
 
 REPORT_SCHEMA = "harmgraphs-report/1"
 
@@ -150,8 +149,11 @@ def _emit(report: Report, args) -> int:
         payload = report.to_text()
     output = getattr(args, "output", None)
     if output:
-        with open(output, "w") as handle:
-            handle.write(payload)
+        try:
+            with open(output, "w") as handle:
+                handle.write(payload)
+        except OSError as exc:
+            raise ValueError(f"cannot write --output {output}: {exc.strerror}") from exc
         print(f"wrote {output}")
         if fmt == "text":
             print(f"summary: {report.passed} passed, {report.failed} failed")
@@ -260,6 +262,8 @@ def cmd_integral_verify(args) -> int:
 def cmd_converge(args) -> int:
     family = parse_family(args.family)
     n_values = [int(s) for s in args.n.split(",")]
+    if min(n_values) < 1:
+        raise ValueError("every --n value must be at least 1")
     rep = convergence_experiment(
         family,
         n_values,
@@ -517,6 +521,8 @@ def _suite_staircase(args, report: Report) -> None:
 
 
 def _suite_pfaffian(args, report: Report) -> None:
+    if args.max_size < 2:
+        raise ValueError("the pfaffian suite needs --max-size >= 2")
     rng = random.Random(args.seed)
     for trial in range(args.points):
         size = 2 * rng.randint(1, args.max_size // 2)
@@ -594,8 +600,7 @@ def _suite_degeneration(args, report: Report) -> None:
     for n in range(args.levels + 1):
         for mu in partitions_of(n):
             for lam in covers_up(mu, YOUNG):
-                num, den = jack_multiplicity_poly(mu, lam)
-                at_zero = poly_eval(num, 0) / poly_eval(den, 0)
+                at_zero = jack_weight(mu, lam, 0)
                 kappa0 = edge_multiplicity(mu, lam, KINGMAN)
                 report.add(
                     "jack-kingman-degeneration",

@@ -3,10 +3,10 @@
 Vertices are partitions graded by size; edges add one box.  Edge
 multiplicities: Young and Schur carry weight 1, Kingman carries the row
 multiplicity of the grown row, and the Jack deformation carries a
-rational function of its positive parameter evaluated over the column
-of the new box.  Weighted path dimensions come from one level sweep that
-pushes dim(start, .) up the covers, holding two levels at a time; the
-closed forms serve as oracles where they exist.
+product over the column of the new box, rational in its parameter and
+exact down to parameter 0.  Weighted path dimensions come from one level
+sweep that pushes dim(start, .) up the covers, holding two levels at a
+time; the closed forms serve as oracles where they exist.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from typing import Iterator
 
 from .exact import as_rational
 from .partitions import EMPTY, Partition, partitions_of
-from .series import Poly, poly_eval, poly_mul, poly_trim
 
 
 @dataclass(frozen=True)
@@ -106,47 +105,39 @@ def _new_box(mu: Partition, lam: Partition) -> tuple[int, int]:
     raise ValueError("unreachable")
 
 
-def jack_multiplicity_poly(mu: Partition, lam: Partition) -> tuple[Poly, Poly]:
-    """Jack edge weight as a reduced rational function of theta.
+def jack_weight(mu: Partition, lam: Partition, theta) -> Fraction:
+    """Jack edge weight kappa_theta(mu -> lam), exact for every theta >= 0.
 
-    Numerator/denominator share no power of theta, so substituting
-    theta = 0 evaluates the degeneration limit directly.
+    A product over the boxes of mu in the column of the new box, with
+    a = arm and l = leg, of (a + theta(l+2))(a + 1 + theta l) over
+    (a + theta(l+1))(a + 1 + theta(l+1)); an arm-0 box has the common
+    factor theta cancelled, so theta = 0 gives the Kingman multiplicity.
     """
-    i0, j0 = _new_box(mu, lam)
-    num: Poly = [Fraction(1)]
-    den: Poly = [Fraction(1)]
-    col_height = mu.conjugate().part(j0)
-    for i in range(1, col_height + 1):
-        a = Fraction(mu.arm(i, j0))
-        l = Fraction(mu.leg(i, j0))
-        num = poly_mul(num, poly_mul([a, l + 2], [a + 1, l]))
-        den = poly_mul(den, poly_mul([a, l + 1], [a + 1, l + 1]))
-    num, den = _strip_common_theta_power(num, den)
-    return num, den
-
-
-def _strip_common_theta_power(num: Poly, den: Poly) -> tuple[Poly, Poly]:
-    def valuation(p: Poly) -> int:
-        for k, c in enumerate(p):
-            if c != 0:
-                return k
-        return 0
-
-    v = min(valuation(num), valuation(den))
-    return poly_trim(num[v:]), poly_trim(den[v:])
+    i0, j = _new_box(mu, lam)
+    theta = as_rational(theta)
+    if theta < 0:
+        raise ValueError("jack weight needs theta >= 0")
+    # every factor times the denominator q of theta = p/q keeps the product
+    # in integers; column j of mu is rows 1 .. i0 - 1
+    p, q = theta.numerator, theta.denominator
+    num = den = 1
+    for i in range(1, i0):
+        a, l = mu.part(i) - j, i0 - 1 - i
+        num *= (a * q + p * (l + 2) if a else l + 2) * ((a + 1) * q + p * l)
+        den *= (a * q + p * (l + 1) if a else l + 1) * ((a + 1) * q + p * (l + 1))
+    return Fraction(num, den)
 
 
 def edge_multiplicity(mu: Partition, lam: Partition, kind: GraphKind) -> Fraction:
     """Weight of the edge mu -> lam; rejects non-edges."""
-    i0, j0 = _new_box(mu, lam)
-    if kind.name in ("young", "schur"):
-        if kind.strict and not (mu.is_strict and lam.is_strict):
-            raise ValueError("schur edges join strict partitions")
-        return Fraction(1)
+    if kind.name == "jack":
+        return jack_weight(mu, lam, kind.theta)
+    i0, _ = _new_box(mu, lam)
     if kind.name == "kingman":
         return Fraction(lam.multiplicity(lam.part(i0)))
-    num, den = jack_multiplicity_poly(mu, lam)
-    return poly_eval(num, kind.theta) / poly_eval(den, kind.theta)
+    if kind.strict and not (mu.is_strict and lam.is_strict):
+        raise ValueError("schur edges join strict partitions")
+    return Fraction(1)
 
 
 # ---------------------------------------------------------------------------

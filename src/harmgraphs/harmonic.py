@@ -51,6 +51,7 @@ class HarmonicFamily:
     """Interface: a graph kind, an exact phi, and an admissibility verdict."""
 
     kind: GraphKind
+    face: str | None = None  # the boundary face of a truncated family
 
     def phi(self, mu: Partition) -> Fraction:
         raise NotImplementedError
@@ -251,6 +252,7 @@ class TruncYoung(HarmonicFamily):
 
     lam: Partition
     kind: GraphKind = field(default=YOUNG, init=False, repr=False, compare=False)
+    face = "young"
 
     def __post_init__(self):
         if self.lam.length < 2:
@@ -296,8 +298,11 @@ class GammaShaped(HarmonicFamily):
     fc: FrobeniusCoords
     degree_cap: int = 8
     kind: GraphKind = field(default=YOUNG, init=False, repr=False, compare=False)
+    lam: Partition = field(init=False, repr=False, compare=False)  # the face partition
+    face = "gamma"
 
     def __post_init__(self):
+        object.__setattr__(self, "lam", self.fc.to_partition())
         if self.fc.depth < 1:
             raise FamilyError("gamma-shaped family needs depth >= 1")
         if self.degree_cap < 1:
@@ -332,7 +337,7 @@ class GammaShaped(HarmonicFamily):
         return self._surrogate_nonnegative(min(surrogate_level, self.degree_cap))
 
     def spec_string(self) -> str:
-        return f"gamma:lambda={self.fc.to_partition()},cap={self.degree_cap}"
+        return f"gamma:lambda={self.lam},cap={self.degree_cap}"
 
 
 @lru_cache(maxsize=None)
@@ -349,6 +354,7 @@ class TruncKingman(HarmonicFamily):
 
     lam: Partition
     kind: GraphKind = field(default=KINGMAN, init=False, repr=False, compare=False)
+    face = "kingman"
 
     def __post_init__(self):
         if self.lam.length < 1:
@@ -387,6 +393,7 @@ class TruncSchur(HarmonicFamily):
 
     lam: Partition
     kind: GraphKind = field(default=SCHUR, init=False, repr=False, compare=False)
+    face = "schur"
 
     def __post_init__(self):
         if not self.lam.is_strict or self.lam.length < 1:

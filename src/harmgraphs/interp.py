@@ -532,15 +532,17 @@ def express_in_generator_basis(
     return {rho: c for rho, c in zip(basis, coeffs) if c != 0}
 
 
-@lru_cache(maxsize=None)
 def shifted_schur_h_coeffs(mu_parts: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
-    """Cached h*-product expansion of a shifted Schur element."""
+    """h*-product expansion of s*_mu: H(mu) times column mu of the inverse, since s*_mu
+    vanishes on the other diagrams of size <= |mu| and equals the hook product H(mu) at mu."""
     mu = Partition(mu_parts)
-    n = mu.size
-    diagrams = partitions_up_to(n)
-    targets = {lam: shifted_schur_at_diagram(mu, lam) for lam in diagrams}
-    coeffs = express_in_generator_basis(targets, n)
-    return tuple(sorted(((rho.parts, c) for rho, c in coeffs.items()), reverse=True))
+    diagrams, basis, inverse = _basis_inverse(mu.size)
+    col = diagrams.index(mu)
+    hooks = 1
+    for i, j in mu.boxes():
+        hooks *= mu.hook(i, j)
+    coeffs = ((rho.parts, hooks * row[col]) for rho, row in zip(basis, inverse.rows) if row[col])
+    return tuple(sorted(coeffs, reverse=True))
 
 
 def apply_functional(coeffs, spec: FunctionalSpec) -> Fraction:

@@ -216,3 +216,33 @@ def test_density_rejects_points_outside_the_face(capsys, graph, lam, point, mess
     assert code == EXIT_USAGE
     assert out == ""
     assert message in err
+
+
+def test_unwritable_output_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.txt"
+    code, out, err = run(
+        capsys, "measure", "--family", "young-zz:e=1,t=1", "--n", "3", "--output", str(target)
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.count("\n") == 1 and "--output" in err
+    assert not target.exists()
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("verify", "pfaffian", "--max-size", "1"), "--max-size >= 2"),
+        (("converge", "--family", "trunc-young:lambda=2+1", "--n", "-5"), "--n"),
+        (("converge", "--family", "trunc-young:lambda=2+1", "--n", "0"), "--n"),
+        (("converge", "--family", "trunc-young:lambda=2+1", "--n", "10,0"), "--n"),
+        (("converge", "--family", "young-zz:e=1,t=1", "--n", "5"), "truncated family"),
+    ],
+    ids=["pfaffian-size-1", "converge-negative-n", "converge-zero-n", "converge-zero-in-list",
+         "converge-untruncated"],
+)
+def test_out_of_domain_arguments_are_usage_errors(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert message in err

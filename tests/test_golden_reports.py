@@ -45,6 +45,9 @@ GOLDEN = [
     # shifted Schur functions expanded over h* products, degrees 0 to 5
     ("verify selberg --graph gamma --max-size 5", EXIT_OK,
      "c059fc702a2b664ec21449b5d946eb2ffe285f6857e2b323bc0e2e793e6bc96a"),
+    # Jack weights at theta = 0 against the Young and Kingman graphs
+    ("verify degeneration --levels 6", EXIT_OK,
+     "9ec9ee099fb1ba7e6dff435b8db599221b937610e41f8e83925e5b1bb314b376"),
     # the pointwise ratio at n = 50 is still outside its 0.05 tolerance
     ("converge --family trunc-young:lambda=2+1 --n 50,100", EXIT_CHECK_FAILED,
      "9b3f940e1fcdbe418d21444889334a324db65b32dbc5fffe135a6e5962c6ca72"),

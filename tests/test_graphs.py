@@ -15,13 +15,12 @@ from harmgraphs.graphs import (
     dims_csv,
     edge_multiplicity,
     jack,
-    jack_multiplicity_poly,
+    jack_weight,
     level,
     parse_kind,
     sweep,
 )
 from harmgraphs.partitions import Partition, partitions_of
-from harmgraphs.series import poly_eval
 
 P = Partition
 
@@ -64,6 +63,8 @@ def test_edge_multiplicity_examples():
     assert edge_multiplicity(P([3]), P([3, 1]), YOUNG) == 1
     with pytest.raises(ValueError):
         edge_multiplicity(P([1]), P([3]), YOUNG)
+    with pytest.raises(ValueError):
+        jack_weight(P([1]), P([1, 1]), F(-1))
 
 
 def test_jack_multiplicities_at_one_are_unit():
@@ -75,26 +76,11 @@ def test_jack_multiplicities_at_one_are_unit():
 
 
 def test_jack_degenerates_to_kingman_at_zero():
-    # substitute theta = 0 into the reduced rational function of theta
+    # the weight is exact at theta = 0, where it is the Kingman multiplicity
     for n in range(9):
         for mu in partitions_of(n):
             for lam in covers_up(mu, YOUNG):
-                num, den = jack_multiplicity_poly(mu, lam)
-                assert poly_eval(den, 0) != 0
-                limit = poly_eval(num, 0) / poly_eval(den, 0)
-                assert limit == edge_multiplicity(mu, lam, KINGMAN)
-
-
-def test_jack_poly_matches_direct_evaluation():
-    theta = F(3, 7)
-    kind = jack(theta)
-    for n in range(6):
-        for mu in partitions_of(n):
-            for lam in covers_up(mu, kind):
-                num, den = jack_multiplicity_poly(mu, lam)
-                assert poly_eval(num, theta) / poly_eval(den, theta) == edge_multiplicity(
-                    mu, lam, kind
-                )
+                assert jack_weight(mu, lam, 0) == edge_multiplicity(mu, lam, KINGMAN)
 
 
 def test_dim_examples():

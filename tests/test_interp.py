@@ -26,6 +26,7 @@ from harmgraphs.interp import (
     schur_t_functional,
     shifted_schur_at_diagram,
     shifted_schur_eval,
+    shifted_schur_h_coeffs,
     super_evaluation_functional,
     super_h_star_values,
     young_zz_closed_form,
@@ -391,6 +392,17 @@ def test_express_round_trip_on_shifted_schur():
                 spec = evaluation_functional(tuple(F(p) for p in lam.parts), n)
                 val = apply_functional(coeffs, spec)
                 assert val == target[lam]
+
+
+def test_h_coeffs_match_the_solve_over_evaluated_targets():
+    # the column read against the old route: evaluate s*_mu on every
+    # diagram of size <= |mu| and solve for the coefficients
+    for n in range(7):
+        for mu in partitions_of(n):
+            target = {lam: shifted_schur_at_diagram(mu, lam) for lam in partitions_up_to(n)}
+            expected = express_in_generator_basis(target, n)
+            got = shifted_schur_h_coeffs(mu.parts)
+            assert dict(got) == {rho.parts: c for rho, c in expected.items()}
 
 
 def test_apply_functional_zero_spec():

@@ -1,12 +1,14 @@
-"""Property-based checks of the level sweep on random admissible inputs."""
+"""Property-based checks of the level sweep and the Jack weights on random
+admissible inputs."""
 
 from fractions import Fraction as F
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from harmgraphs.exact import pochhammer
 from harmgraphs.graphs import KINGMAN, SCHUR, YOUNG, dim, dim_closed_form, sweep
+from harmgraphs.harmonic import JackZZ, check_harmonicity
 from harmgraphs.interp import shifted_schur_at_diagram
 from harmgraphs.partitions import Partition, partitions_of
 
@@ -16,6 +18,8 @@ rows = st.lists(st.integers(1, 8), max_size=4).map(lambda xs: Partition(sorted(x
 strict_rows = st.sets(st.integers(1, 8), max_size=4).map(
     lambda xs: Partition(sorted(xs, reverse=True))
 )
+rationals = st.builds(F, st.integers(-20, 20), st.integers(1, 9))
+positive = st.builds(F, st.integers(1, 20), st.integers(1, 9))
 small = st.integers(0, 9).flatmap(lambda n: st.sampled_from(partitions_of(n)))
 
 
@@ -56,3 +60,13 @@ def test_dimension_ratio_identity(pair):
     lhs = dim(mu, lam, YOUNG) / dim(Partition(), lam, YOUNG)
     rhs = (-1) ** k * shifted_schur_at_diagram(mu, lam) / pochhammer(F(-n), k)
     assert lhs == rhs
+
+
+@PROPERTY
+@given(rationals, rationals, positive)
+def test_jack_family_is_harmonic(e, zz, theta):
+    # JackZZ's phi is a closed product independent of the edge weights, so
+    # the cover sums pin every Jack weight through level 6
+    t = zz / theta
+    assume(not (t.denominator == 1 and t <= 0))
+    assert check_harmonicity(JackZZ(e, zz, theta), 6).ok
