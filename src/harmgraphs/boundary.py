@@ -567,11 +567,9 @@ class ConvergenceReport:
     rows: tuple[ConvergenceRow, ...]
     ratio_tolerance: float
 
-    @property
-    def ratios_ok(self) -> bool:
-        return all(
-            row.max_ratio_error <= self.ratio_tolerance for row in self.rows if row.interior_points
-        )
+    def ratio_ok(self, row: ConvergenceRow) -> bool:
+        """The pointwise ratio is within tolerance, or the row has no interior point."""
+        return row.max_ratio_error <= self.ratio_tolerance or row.interior_points == 0
 
     @property
     def distances_decreasing(self) -> bool:

@@ -6,8 +6,9 @@ factorial monomial (Kingman side) and factorial Schur P (strict side).
 Each is evaluated through at least two independent routes so every
 value used downstream can be cross-checked exactly:
 
-* shifted Schur: falling-factorial bialternant, reverse-tableau sum,
-  and generating-series extraction;
+* shifted Schur: falling-factorial bialternant and reverse-tableau sum;
+  the one-row generators h* by a running tableau sum, cross-checked
+  against generating-series extraction;
 * factorial monomial: direct distinct-permutation sum;
 * factorial Schur P: one-row series -> two-row recurrences -> Pfaffian.
 
@@ -120,15 +121,7 @@ def monomial_eval(mu: Partition, x) -> Fraction:
     x = as_point(x)
     if mu.length > len(x):
         return Fraction(0)
-    padded = mu.parts + (0,) * (len(x) - mu.length)
-    total = Fraction(0)
-    for perm in _distinct_perms(padded):
-        term = Fraction(1)
-        for xi, e in zip(x, perm):
-            if e:
-                term *= xi**e
-        total += term
-    return total
+    return _permutation_sum(mu, x, lambda xi, e: xi**e)
 
 
 def factorial_monomial_eval(mu: Partition, x) -> Fraction:
@@ -136,13 +129,20 @@ def factorial_monomial_eval(mu: Partition, x) -> Fraction:
     x = as_point(x)
     if mu.length > len(x):
         return Fraction(0)
+    return _permutation_sum(mu, x, falling_factorial)
+
+
+def _permutation_sum(mu: Partition, x: Point, power) -> Fraction:
+    """Sum over the distinct arrangements of mu's parts on the coordinates of
+    the product of power(x_i, part); each power is computed once per call."""
     padded = mu.parts + (0,) * (len(x) - mu.length)
+    powers = [{e: power(xi, e) for e in set(mu.parts)} for xi in x]
     total = Fraction(0)
     for perm in _distinct_perms(padded):
         term = Fraction(1)
-        for xi, e in zip(x, perm):
+        for pw, e in zip(powers, perm):
             if e:
-                term *= falling_factorial(xi, e)
+                term *= pw[e]
         total += term
     return total
 
@@ -177,8 +177,8 @@ def shifted_schur_eval(mu: Partition, x, route: str = "auto") -> Fraction:
 def _shifted_schur_det(mu: Partition, x: Point) -> Fraction:
     k = len(x)
     shifted = [x[i] + (k - 1 - i) for i in range(k)]
-    denom_rows = [[falling_factorial(shifted[i], k - 1 - j) for j in range(k)] for i in range(k)]
-    denom = det(RationalMatrix(denom_rows))
+    # falling factorials are monic, so det[(a_i) falling (k-1-j)] is the Vandermonde product
+    denom = _vandermonde(shifted)
     if denom == 0:
         raise SingularMatrixError("shifted coordinates collide; bialternant denominator vanishes")
     num_rows = [
@@ -222,15 +222,22 @@ def _balanced_product(num_shifts: Sequence[Fraction], den_shifts: Sequence[Fract
 def h_star_values(x, count: int) -> list[Fraction]:
     """Values of the one-row shifted Schur generators h*_1..h*_count at x.
 
-    Extracted from the product form of their generating series down the
-    inverse falling-factorial basis; exact for any rational point.
+    The one-row reverse-tableau sum: h*_m(x) sums, over the indices
+    k >= T_1 >= ... >= T_m >= 1, the product of (x_{T_j} - j + 1).  It is
+    accumulated over the last index, in O(count * k) exact operations at
+    any rational point; the product form of the generating series is the
+    test oracle.
     """
     x = as_point(x)
-    num, den = _balanced_product(
-        [Fraction(i) for i in range(1, len(x) + 1)],
-        [Fraction(i) - x[i - 1] for i in range(1, len(x) + 1)],
-    )
-    return factorial_series_from_rational(num, den, count)
+    values = []
+    ending = [Fraction(0)] * len(x)  # ending[t]: the sum over T_1..T_j with T_j = t
+    for j in range(count):
+        tail = Fraction(1) if j == 0 else Fraction(0)
+        for t in reversed(range(len(x))):
+            tail += ending[t]
+            ending[t] = (x[t] - j) * tail
+        values.append(sum(ending, Fraction(0)))
+    return values
 
 
 def h_star_eval(m: int, x) -> Fraction:
@@ -488,23 +495,18 @@ class SingularBasisError(SingularMatrixError):
 
 
 @lru_cache(maxsize=None)
-def _h_star_at_diagram_cached(m: int, lam_parts: tuple[int, ...]) -> Fraction:
-    lam = Partition(lam_parts)
-    return shifted_schur_at_diagram(Partition([m] if m else []), lam)
-
-
-@lru_cache(maxsize=None)
 def _basis_inverse(n: int) -> tuple[tuple[Partition, ...], tuple[Partition, ...], RationalMatrix]:
     # an element of degree <= n is fixed by its values on the diagrams of
     # size <= n, and the h*-products indexed by the same set span that space
     diagrams = basis = tuple(partitions_up_to(n))
     rows = []
     for lam in diagrams:
+        h = h_star_values(diagram_point(lam, max(1, lam.length)), n)
         row = []
         for rho in basis:
             val = Fraction(1)
             for part in rho.parts:
-                val *= _h_star_at_diagram_cached(part, lam.parts)
+                val *= h[part - 1]
             row.append(val)
         rows.append(row)
     matrix = RationalMatrix(rows)

@@ -81,9 +81,11 @@ def poly_eval(p: Sequence[Fraction], x) -> Fraction:
 def poly_shift(p: Sequence[Fraction], c) -> Poly:
     """Compose with a translation: returns q with q(u) = p(u + c)."""
     c = as_rational(c)
-    out: Poly = []
-    for coeff in reversed(list(p)):
-        out = poly_add(poly_mul(out, [c, Fraction(1)]), [coeff])
+    out = poly_trim([as_rational(a) for a in p])
+    # Horner's rule run in place on the coefficient list (Taylor shift)
+    for i in range(len(out) - 1):
+        for j in range(len(out) - 2, i - 1, -1):
+            out[j] += c * out[j + 1]
     return out
 
 

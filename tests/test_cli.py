@@ -237,12 +237,34 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys):
         (("converge", "--family", "trunc-young:lambda=2+1", "--n", "0"), "--n"),
         (("converge", "--family", "trunc-young:lambda=2+1", "--n", "10,0"), "--n"),
         (("converge", "--family", "young-zz:e=1,t=1", "--n", "5"), "truncated family"),
+        (("verify", "pieri", "--max-size", "-1"), "--max-size >= 0"),
+        (("verify", "pieri", "--points", "0"), "--points >= 1"),
+        (("verify", "kernels", "--levels", "0"), "--levels >= 1"),
+        (("verify", "kernels", "--levels", "-3"), "--levels >= 1"),
+        (("verify", "kernels", "--points", "0"), "--points >= 1"),
     ],
     ids=["pfaffian-size-1", "converge-negative-n", "converge-zero-n", "converge-zero-in-list",
-         "converge-untruncated"],
+         "converge-untruncated", "pieri-negative-size", "pieri-no-points", "kernels-zero-levels",
+         "kernels-negative-levels", "kernels-no-points"],
 )
 def test_out_of_domain_arguments_are_usage_errors(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == EXIT_USAGE
     assert out == ""
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "argv,rows",
+    [
+        # mu = () at one point: s, m, s*, m* and P*
+        (("verify", "pieri", "--max-size", "0", "--points", "1"), 5),
+        # mu = () at one point, on the Young and the Kingman graph
+        (("verify", "kernels", "--levels", "1", "--points", "1"), 2),
+    ],
+    ids=["pieri-smallest", "kernels-smallest"],
+)
+def test_smallest_accepted_suites_run_checks(capsys, argv, rows):
+    code, out, _ = run(capsys, *argv, "--out", "json")
+    assert code == EXIT_OK
+    assert len(json.loads(out)["rows"]) == rows

@@ -48,6 +48,14 @@ GOLDEN = [
     # Jack weights at theta = 0 against the Young and Kingman graphs
     ("verify degeneration --levels 6", EXIT_OK,
      "9ec9ee099fb1ba7e6dff435b8db599221b937610e41f8e83925e5b1bb314b376"),
+    # Pieri-type relations for s, s*, m*, P* and the h/e generators
+    ("verify pieri --seed 7", EXIT_OK,
+     "9525ec0a8aadb671d56bf4f5ea5ca4195f065634c37c399c41a0ee2f7bd7cba7"),
+    # Young and Kingman kernels: harmonicity and unit mass at random points
+    ("verify kernels --seed 7", EXIT_OK,
+     "d0c7089e39603d0df392eaeb51000c71d7bf0741bc56e63f386f08871cd5382f"),
+    ("verify interpolation", EXIT_OK,
+     "6652505517467b52dd240b62e144f3bc77127737fa5cbcfb550e25074924b513"),
     # the pointwise ratio at n = 50 is still outside its 0.05 tolerance
     ("converge --family trunc-young:lambda=2+1 --n 50,100", EXIT_CHECK_FAILED,
      "9b3f940e1fcdbe418d21444889334a324db65b32dbc5fffe135a6e5962c6ca72"),

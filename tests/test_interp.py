@@ -8,6 +8,7 @@ from harmgraphs.graphs import KINGMAN, SCHUR, YOUNG, covers_up, dim, edge_multip
 from harmgraphs.interp import (
     FunctionalSpec,
     apply_functional,
+    diagram_point,
     evaluation_functional,
     express_in_generator_basis,
     factorial_monomial_eval,
@@ -197,10 +198,11 @@ def test_h_star_equals_one_row_shifted_schur():
         vals = h_star_values(x, 5)
         for m in range(1, 6):
             assert vals[m - 1] == shifted_schur_eval(P([m]), x, route="tableau")
-    # and on diagrams against the determinant route
-    for n in range(6):
+    # and on diagrams against the determinant route, at the points whose
+    # values fill the rows of the generator matrix
+    for n in range(7):
         for lam in partitions_of(n):
-            vals = h_star_values(tuple(F(p) for p in lam.parts), 6)
+            vals = h_star_values(diagram_point(lam, max(1, lam.length)), 6)
             for m in range(1, 7):
                 assert vals[m - 1] == shifted_schur_at_diagram(P([m]), lam)
 

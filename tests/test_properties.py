@@ -1,15 +1,22 @@
-"""Property-based checks of the level sweep and the Jack weights on random
-admissible inputs."""
+"""Property-based checks of the level sweep, the Jack weights and the
+interpolation-polynomial evaluators on random admissible inputs."""
 
 from fractions import Fraction as F
+from itertools import permutations
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from harmgraphs.exact import pochhammer
+from harmgraphs.exact import SingularMatrixError, pochhammer
 from harmgraphs.graphs import KINGMAN, SCHUR, YOUNG, dim, dim_closed_form, sweep
 from harmgraphs.harmonic import JackZZ, check_harmonicity
-from harmgraphs.interp import shifted_schur_at_diagram
+from harmgraphs.interp import (
+    factorial_monomial_eval,
+    monomial_eval,
+    shifted_schur_at_diagram,
+    shifted_schur_eval,
+)
 from harmgraphs.partitions import Partition, partitions_of
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
@@ -70,3 +77,63 @@ def test_jack_family_is_harmonic(e, zz, theta):
     t = zz / theta
     assume(not (t.denominator == 1 and t <= 0))
     assert check_harmonicity(JackZZ(e, zz, theta), 6).ok
+
+
+@st.composite
+def points_and_shapes(draw):
+    """A rational point with 1 to 4 coordinates and a mu with |mu| <= 5 that fits in it."""
+    x = tuple(draw(st.lists(rationals, min_size=1, max_size=4)))
+    mu = draw(st.integers(0, 5).flatmap(lambda n: st.sampled_from(partitions_of(n))))
+    assume(mu.length <= len(x))
+    return mu, x
+
+
+def _shifted(x):
+    return [xi + (len(x) - 1 - i) for i, xi in enumerate(x)]
+
+
+@PROPERTY
+@given(points_and_shapes())
+def test_shifted_schur_determinant_matches_tableau_sum(case):
+    mu, x = case
+    assume(len(set(_shifted(x))) == len(x))
+    assert shifted_schur_eval(mu, x, "determinant") == shifted_schur_eval(mu, x, "tableau")
+
+
+@PROPERTY
+@given(points_and_shapes(), st.data())
+def test_shifted_schur_determinant_rejects_colliding_coordinates(case, data):
+    mu, x = case
+    assume(len(x) >= 2)
+    i = data.draw(st.integers(0, len(x) - 2))
+    j = data.draw(st.integers(i + 1, len(x) - 1))
+    # x_j + (k-1-j) = x_i + (k-1-i)
+    x = x[:j] + (x[i] + (j - i),) + x[j + 1 :]
+    with pytest.raises(SingularMatrixError):
+        shifted_schur_eval(mu, x, "determinant")
+
+
+def _arrangement_sum(mu, x, power):
+    padded = mu.parts + (0,) * (len(x) - mu.length)
+    total = F(0)
+    for exponents in set(permutations(padded)):
+        term = F(1)
+        for xi, e in zip(x, exponents):
+            term *= power(xi, e)
+        total += term
+    return total
+
+
+def _falling(a, e):
+    out = F(1)
+    for j in range(e):
+        out *= a - j
+    return out
+
+
+@PROPERTY
+@given(points_and_shapes())
+def test_monomials_match_the_arrangement_sum(case):
+    mu, x = case
+    assert monomial_eval(mu, x) == _arrangement_sum(mu, x, lambda a, e: a**e)
+    assert factorial_monomial_eval(mu, x) == _arrangement_sum(mu, x, _falling)
