@@ -511,25 +511,30 @@ def _selberg_gamma(lam: Partition, mu: Partition) -> SelbergResult:
 # boundary kernels
 # ---------------------------------------------------------------------------
 
-def young_kernel(mu: Partition, omega: ThomaPoint) -> Fraction:
-    """Extreme-point kernel on the Young graph at a finite-support point.
-
-    Complete homogeneous values come from the truncated expansion of
-    exp(gamma*u) * prod(1 + beta_i u) / prod(1 - alpha_i u); the Schur
-    value is the Jacobi-Trudi determinant in those.
-    """
-    order = mu.size + 1
+def young_h_series(omega: ThomaPoint, order: int) -> Poly:
+    """h_0 .. h_{order-1} at a finite-support point, from exp(gamma*u) *
+    prod(1 + beta_i u) / prod(1 - alpha_i u); truncation leaves the lower
+    coefficients unchanged, so order N + 1 serves every |mu| <= N."""
     series: Poly = exp_series(omega.gamma, order)
     for b in omega.beta:
         series = series_mul(series, [Fraction(1), b], order)
     for a in omega.alpha:
         series = series_mul(series, geometric_series(a, order), order)
-    h = lambda k: series[k] if 0 <= k < order else Fraction(0)
+    return series
+
+
+def jacobi_trudi(mu: Partition, h: Poly) -> Fraction:
+    """The Schur value det[h_{mu_i - i + j}] from h_0 .. h_k, k >= |mu|."""
     m = mu.length
-    if m == 0:
-        return Fraction(1)
-    rows = [[h(mu.part(i + 1) - (i + 1) + (j + 1)) for j in range(m)] for i in range(m)]
+    at = lambda k: h[k] if k >= 0 else Fraction(0)
+    rows = [[at(mu.part(i + 1) - (i + 1) + (j + 1)) for j in range(m)] for i in range(m)]
     return det(RationalMatrix(rows))
+
+
+def young_kernel(mu: Partition, omega: ThomaPoint) -> Fraction:
+    """Extreme-point kernel on the Young graph at a finite-support point:
+    the Jacobi-Trudi determinant in the point's complete homogeneous values."""
+    return jacobi_trudi(mu, young_h_series(omega, mu.size + 1))
 
 
 def kingman_kernel(mu: Partition, omega: ThomaPoint) -> Fraction:

@@ -569,18 +569,23 @@ def lattice_bound_approx(
     phi_fam: HarmonicFamily,
     psi_fam: HarmonicFamily,
     mu: Partition,
-    n: int,
-    mode: str,
-) -> Fraction:
-    """Level-n approximation of the join/meet of two harmonic functions."""
-    if mode not in ("join", "meet"):
-        raise ValueError("mode must be 'join' or 'meet'")
+    top: int,
+) -> list[tuple[int, Fraction, Fraction]]:
+    """Join and meet approximations at mu, one row (n, join, meet) per level
+    |mu| < n <= top: the sums over level-n lam of dim(mu, lam) times the max
+    and the min of phi(lam), psi(lam), from one sweep up from mu."""
     if phi_fam.kind != psi_fam.kind:
         raise ValueError("families must live on the same graph")
-    if mu.size >= n:
-        raise ValueError("need |mu| < n")
-    pick = max if mode == "join" else min
-    total = Fraction(0)
-    for lam, d, _ in top_level(phi_fam.kind, n, start=mu):
-        total += d * pick(phi_fam.phi(lam), psi_fam.phi(lam))
-    return total
+    if mu.size >= top:
+        raise ValueError("need |mu| < top")
+    out = []
+    for n, rows in sweep(phi_fam.kind, top, start=mu):
+        if n == mu.size:
+            continue
+        join = meet = Fraction(0)
+        for lam, d, _ in rows:
+            a, b = phi_fam.phi(lam), psi_fam.phi(lam)
+            join += d * max(a, b)
+            meet += d * min(a, b)
+        out.append((n, join, meet))
+    return out

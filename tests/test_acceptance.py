@@ -332,8 +332,11 @@ def test_criterion_13_lattice_approximations():
     f1 = YoungZZ(F(1), F(5, 4))
     f2 = YoungZZ(F(5, 6), F(1, 6))
     for mu in (P(), P([1]), P([2])):
-        joins = [lattice_bound_approx(f1, f2, mu, n, "join") for n in range(mu.size + 1, 9)]
-        meets = [lattice_bound_approx(f1, f2, mu, n, "meet") for n in range(mu.size + 1, 9)]
+        rows = lattice_bound_approx(f1, f2, mu, 8)
+        if [n for n, _, _ in rows] != list(range(mu.size + 1, 9)):
+            ok = False
+        joins = [join for _, join, _ in rows]
+        meets = [meet for _, _, meet in rows]
         bound = f1.phi(mu) + f2.phi(mu)
         if not all(joins[i] <= joins[i + 1] for i in range(len(joins) - 1)):
             ok = False
@@ -341,9 +344,8 @@ def test_criterion_13_lattice_approximations():
             ok = False
         if not all(0 <= m and j <= bound for j, m in zip(joins, meets)):
             ok = False
-        for n in range(mu.size + 1, 9):
-            if lattice_bound_approx(f1, f1, mu, n, "join") != f1.phi(mu):
-                ok = False
-            if lattice_bound_approx(f2, f2, mu, n, "meet") != f2.phi(mu):
-                ok = False
+        if any(join != f1.phi(mu) for _, join, _ in lattice_bound_approx(f1, f1, mu, 8)):
+            ok = False
+        if any(meet != f2.phi(mu) for _, _, meet in lattice_bound_approx(f2, f2, mu, 8)):
+            ok = False
     _report(13, "join/meet approximations are monotone, bounded, idempotent", ok)

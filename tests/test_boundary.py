@@ -10,15 +10,17 @@ from harmgraphs.boundary import (
     dirichlet_integral,
     embed_frobenius,
     embed_rows,
+    jacobi_trudi,
     kingman_kernel,
     selberg_verify,
     simplex_monomial_integral,
     simplex_pair_integral,
+    young_h_series,
     young_kernel,
 )
 from harmgraphs.graphs import KINGMAN, YOUNG, covers_up, edge_multiplicity
 from harmgraphs.harmonic import TruncKingman, TruncYoung
-from harmgraphs.partitions import Partition, partitions_of
+from harmgraphs.partitions import Partition, partitions_of, partitions_up_to
 
 P = Partition
 
@@ -241,6 +243,14 @@ def test_young_kernel_harmonicity(om):
             lhs = young_kernel(mu, om)
             rhs = sum((young_kernel(lam, om) for lam in covers_up(mu, YOUNG)), F(0))
             assert lhs == rhs, mu
+
+
+def test_one_series_per_point_serves_every_mu():
+    # young_kernel builds its own series of order |mu| + 1
+    for om in BOUNDARY_POINTS:
+        h = young_h_series(om, 7)
+        for mu in partitions_up_to(6):
+            assert jacobi_trudi(mu, h) == young_kernel(mu, om), (om, mu)
 
 
 @pytest.mark.parametrize(

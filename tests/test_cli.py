@@ -242,10 +242,26 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys):
         (("verify", "kernels", "--levels", "0"), "--levels >= 1"),
         (("verify", "kernels", "--levels", "-3"), "--levels >= 1"),
         (("verify", "kernels", "--points", "0"), "--points >= 1"),
+        (("verify", "selberg", "--graph", "nope"), "--graph"),
+        (("verify", "selberg", "--graph", "nope", "--lam", "2+1"), "--graph"),
+        # ranges that admit no check
+        (("verify", "pfaffian", "--points", "0"), "the pfaffian suite"),
+        (("verify", "interpolation", "--max-size", "-2"), "the interpolation suite"),
+        (("verify", "interpolation", "--max-size", "0"), "the interpolation suite"),
+        (("verify", "staircase", "--k-max", "0"), "the staircase suite"),
+        (("verify", "lattice", "--levels", "0"), "the lattice suite"),
+        (("verify", "dimension-ratio", "--mu-max", "-1"), "the dimension-ratio suite"),
+        (("verify", "degeneration", "--levels", "-1"), "the degeneration suite"),
+        (("verify", "dimensions", "--max-size", "-1", "--strict-max-size", "-1"),
+         "the dimensions suite"),
     ],
     ids=["pfaffian-size-1", "converge-negative-n", "converge-zero-n", "converge-zero-in-list",
          "converge-untruncated", "pieri-negative-size", "pieri-no-points", "kernels-zero-levels",
-         "kernels-negative-levels", "kernels-no-points"],
+         "kernels-negative-levels", "kernels-no-points", "selberg-unknown-graph",
+         "selberg-unknown-graph-single",
+         "pfaffian-no-points", "interpolation-negative-size", "interpolation-zero-size",
+         "staircase-zero-k", "lattice-zero-levels", "dimension-ratio-negative-mu",
+         "degeneration-negative-levels", "dimensions-negative-sizes"],
 )
 def test_out_of_domain_arguments_are_usage_errors(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -261,8 +277,10 @@ def test_out_of_domain_arguments_are_usage_errors(capsys, argv, message):
         (("verify", "pieri", "--max-size", "0", "--points", "1"), 5),
         # mu = () at one point, on the Young and the Kingman graph
         (("verify", "kernels", "--levels", "1", "--points", "1"), 2),
+        # mu = () at n = 1, bounds and idempotent; mu = (1) has no level above it
+        (("verify", "lattice", "--levels", "1"), 2),
     ],
-    ids=["pieri-smallest", "kernels-smallest"],
+    ids=["pieri-smallest", "kernels-smallest", "lattice-smallest"],
 )
 def test_smallest_accepted_suites_run_checks(capsys, argv, rows):
     code, out, _ = run(capsys, *argv, "--out", "json")

@@ -56,6 +56,11 @@ GOLDEN = [
      "d0c7089e39603d0df392eaeb51000c71d7bf0741bc56e63f386f08871cd5382f"),
     ("verify interpolation", EXIT_OK,
      "6652505517467b52dd240b62e144f3bc77127737fa5cbcfb550e25074924b513"),
+    ("verify lattice --levels 9", EXIT_OK,
+     "6e2bad7be0efecc1e44d6b656695c4aec294b0fcbffa7080bd4dd5df8f9073ea"),
+    # the four faces in order: young, kingman, schur, gamma
+    ("verify selberg --graph all --max-size 4", EXIT_OK,
+     "963c9de7a6d4b3fdee82f8e49695047d1ad255bef5164e5ad9efb38eaad28611"),
     # the pointwise ratio at n = 50 is still outside its 0.05 tolerance
     ("converge --family trunc-young:lambda=2+1 --n 50,100", EXIT_CHECK_FAILED,
      "9b3f940e1fcdbe418d21444889334a324db65b32dbc5fffe135a6e5962c6ca72"),

@@ -4,6 +4,7 @@ import pytest
 
 from harmgraphs import cli
 from harmgraphs.exact import pochhammer
+from harmgraphs.graphs import YOUNG, dim
 from harmgraphs.harmonic import (
     FamilyError,
     GammaShaped,
@@ -152,8 +153,8 @@ class CountingYoungZZ(YoungZZ):
         return YoungZZ.phi(self, mu)
 
 
-def counting_family():
-    fam = CountingYoungZZ(F(1), F(5, 4))
+def counting_family(e=F(1), t=F(5, 4)):
+    fam = CountingYoungZZ(e, t)
     object.__setattr__(fam, "calls", [])
     return fam
 
@@ -324,8 +325,10 @@ def test_lattice_bounds_monotone():
     f1 = YoungZZ(F(1), F(5, 4))
     f2 = YoungZZ(F(5, 6), F(1, 6))
     for mu in (P(), P([1])):
-        joins = [lattice_bound_approx(f1, f2, mu, n, "join") for n in range(mu.size + 1, 9)]
-        meets = [lattice_bound_approx(f1, f2, mu, n, "meet") for n in range(mu.size + 1, 9)]
+        rows = lattice_bound_approx(f1, f2, mu, 8)
+        assert [n for n, _, _ in rows] == list(range(mu.size + 1, 9))
+        joins = [join for _, join, _ in rows]
+        meets = [meet for _, _, meet in rows]
         bound = f1.phi(mu) + f2.phi(mu)
         assert all(joins[i] <= joins[i + 1] for i in range(len(joins) - 1))
         assert all(meets[i] >= meets[i + 1] for i in range(len(meets) - 1))
@@ -336,16 +339,33 @@ def test_lattice_bounds_monotone():
 def test_lattice_same_family_is_identity():
     fam = YoungZZ(F(1), F(5, 4))
     for mu in (P(), P([1]), P([2, 1])):
-        for n in range(mu.size + 1, 8):
-            assert lattice_bound_approx(fam, fam, mu, n, "join") == fam.phi(mu)
-            assert lattice_bound_approx(fam, fam, mu, n, "meet") == fam.phi(mu)
+        rows = lattice_bound_approx(fam, fam, mu, 7)
+        assert [n for n, _, _ in rows] == list(range(mu.size + 1, 8))
+        for _, join, meet in rows:
+            assert join == meet == fam.phi(mu)
+
+
+def test_lattice_evaluates_phi_once_per_family_per_vertex():
+    phi_fam = counting_family()
+    psi_fam = counting_family(F(5, 6), F(1, 6))
+    mu = P([2, 1])
+    rows = lattice_bound_approx(phi_fam, psi_fam, mu, 7)
+    above = [lam for n in range(4, 8) for lam in partitions_of(n) if lam.contains(mu)]
+    assert phi_fam.calls == psi_fam.calls == above
+    assert [n for n, _, _ in rows] == [4, 5, 6, 7]
+    for n, join, meet in rows:
+        level = [lam for lam in above if lam.size == n]
+        pairs = [(dim(mu, lam, YOUNG), YoungZZ.phi(phi_fam, lam), YoungZZ.phi(psi_fam, lam))
+                 for lam in level]
+        assert join == sum((d * max(a, b) for d, a, b in pairs), F(0))
+        assert meet == sum((d * min(a, b) for d, a, b in pairs), F(0))
 
 
 def test_lattice_rejects_bad_input():
     f1 = YoungZZ(F(1), F(5, 4))
     with pytest.raises(ValueError):
-        lattice_bound_approx(f1, f1, P([1]), 1, "join")
+        lattice_bound_approx(f1, f1, P([1]), 1)
     with pytest.raises(ValueError):
-        lattice_bound_approx(f1, f1, P(), 3, "sup")
+        lattice_bound_approx(f1, f1, P([2, 1]), 2)
     with pytest.raises(ValueError):
-        lattice_bound_approx(f1, SchurT(F(3)), P(), 3, "join")
+        lattice_bound_approx(f1, SchurT(F(3)), P(), 3)

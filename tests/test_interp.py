@@ -317,42 +317,36 @@ def test_staircase_two_row_consistency():
 
 def test_pieri_relations_at_random_points():
     rng = random.Random(71)
+    shapes = partitions_up_to(6)
     for _ in range(20):
         x = rand_point(rng, 6)
         p1 = sum(x, F(0))
+        # each value is read as a left side and again under every down-cover
+        s = {lam: schur_eval(lam, x) for lam in shapes}
+        m = {lam: monomial_eval(lam, x) for lam in shapes}
+        s_star = {lam: shifted_schur_eval(lam, x) for lam in shapes}
+        m_star = {lam: factorial_monomial_eval(lam, x) for lam in shapes}
+        p_star = {lam: pstar_eval(lam, x) for lam in shapes if lam.is_strict}
         for n in range(6):
             for mu in partitions_of(n):
-                lhs = schur_eval(mu, x) * p1
-                rhs = sum((schur_eval(lam, x) for lam in covers_up(mu, YOUNG)), F(0))
+                kingman_covers = [
+                    (edge_multiplicity(mu, lam, KINGMAN), lam) for lam in covers_up(mu, KINGMAN)
+                ]
+                lhs = s[mu] * p1
+                rhs = sum((s[lam] for lam in covers_up(mu, YOUNG)), F(0))
                 assert lhs == rhs
-                lhs = monomial_eval(mu, x) * p1
-                rhs = sum(
-                    (
-                        edge_multiplicity(mu, lam, KINGMAN) * monomial_eval(lam, x)
-                        for lam in covers_up(mu, KINGMAN)
-                    ),
-                    F(0),
-                )
+                lhs = m[mu] * p1
+                rhs = sum((k * m[lam] for k, lam in kingman_covers), F(0))
                 assert lhs == rhs
-                lhs = shifted_schur_eval(mu, x) * p1
-                rhs = n * shifted_schur_eval(mu, x) + sum(
-                    (shifted_schur_eval(lam, x) for lam in covers_up(mu, YOUNG)), F(0)
-                )
+                lhs = s_star[mu] * p1
+                rhs = n * s_star[mu] + sum((s_star[lam] for lam in covers_up(mu, YOUNG)), F(0))
                 assert lhs == rhs
-                lhs = factorial_monomial_eval(mu, x) * p1
-                rhs = n * factorial_monomial_eval(mu, x) + sum(
-                    (
-                        edge_multiplicity(mu, lam, KINGMAN) * factorial_monomial_eval(lam, x)
-                        for lam in covers_up(mu, KINGMAN)
-                    ),
-                    F(0),
-                )
+                lhs = m_star[mu] * p1
+                rhs = n * m_star[mu] + sum((k * m_star[lam] for k, lam in kingman_covers), F(0))
                 assert lhs == rhs
             for mu in partitions_of(n, strict=True):
-                lhs = pstar_eval(mu, x) * p1
-                rhs = n * pstar_eval(mu, x) + sum(
-                    (pstar_eval(lam, x) for lam in covers_up(mu, SCHUR)), F(0)
-                )
+                lhs = p_star[mu] * p1
+                rhs = n * p_star[mu] + sum((p_star[lam] for lam in covers_up(mu, SCHUR)), F(0))
                 assert lhs == rhs
 
 
