@@ -19,11 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from math import factorial
+from math import comb, factorial, prod
 
 import mpmath
 
-from .exact import RationalMatrix, as_rational, det, pochhammer, to_bigfloat
+from .exact import RationalMatrix, as_rational, det, integer_det, pochhammer, to_bigfloat
 from .graphs import dim_closed_form, level
 from .harmonic import (
     GammaShaped,
@@ -698,17 +698,56 @@ def _rows_separated(blocks, gap) -> bool:
 
 
 def _fast_level_weights(family: HarmonicFamily, n: int) -> list[tuple[Partition, Fraction]]:
-    """Level measure restricted to the support, with the shared Pochhammer
-    denominator and closed-form dimensions factored out of the per-vertex
-    work."""
+    """Level measure M_n of a truncated family, restricted to its support.
+
+    Write (x)_k for the rising factorial, V(x) = prod_{i<j} (x_i - x_j),
+    l for the face width, and pad nu with zeros to length l.  On the
+    young and kingman faces t is a positive integer, so the per-level
+    constant c_n = n!/(t)_n = (t-1)!/(n+1)_(t-1) is a small fraction and
+    every weight is c_n times a small integer; no factorial of n forms.
+
+    * young, with A_i = lam_i + l - i and B_j = nu_j + l - j:
+      M_n(nu) = c_n V(B) det[(B_j + 1)_(A_i)] / (V(A) prod_i A_i!),
+      the falling-factorial bialternant of s* at the reflected point
+      times dim(nu), column j divided by B_j!; the signs cancel to +1.
+      The matrix entries over A_i! are the binomials C(A_i + B_j, A_i).
+    * kingman: M_n(nu) = c_n sum_sigma prod_i (nu_sigma(i) + 1)_(lam_i) / lam_i!,
+      over the distinct arrangements sigma of nu; each factor is the
+      binomial C(lam_i + nu_sigma(i), lam_i).
+    * schur: dim_closed_form(nu) value(nu) (-1)^n / (t)_n.
+    * gamma: the level measure, up to the family's degree cap.
+    """
     if family.face == "gamma":
         if n > family.degree_cap:
             raise ValueError(
                 f"level {n} exceeds the family degree cap {family.degree_cap}; raise degree_cap"
             )
         return list(level_measure(family, n).weights)
-    scale = (-1) ** n / pochhammer(family.t, n)
-    return [
-        (nu, dim_closed_form(nu, family.kind) * family.value(nu) * scale)
-        for nu in level(n, family.kind, max_length=family.width)
-    ]
+    vertices = level(n, family.kind, max_length=family.width)
+    if family.face == "schur":
+        scale = (-1) ** n / pochhammer(family.t, n)
+        return [(nu, dim_closed_form(nu, family.kind) * family.value(nu) * scale) for nu in vertices]
+    t = int(family.t)
+    c_n = factorial(t - 1) / pochhammer(n + 1, t - 1)
+    lam = family.lam
+    if family.face == "kingman":
+        return [(nu, c_n * _kingman_face_weight(lam, nu)) for nu in vertices]
+    l = lam.length
+    a = [lam.part(i) + l - i for i in range(1, l + 1)]
+    scale = c_n / _vandermonde(a)
+    return [(nu, scale * _young_face_weight(a, nu)) for nu in vertices]
+
+
+def _young_face_weight(a: list[int], nu: Partition) -> int:
+    """V(B) det[C(A_i + B_j, A_i)]: the young-face weight over c_n / V(A)."""
+    l = len(a)
+    b = [nu.part(j) + l - j for j in range(1, l + 1)]
+    return _vandermonde(b) * integer_det([[comb(ai + bj, ai) for bj in b] for ai in a])
+
+
+def _kingman_face_weight(lam: Partition, nu: Partition) -> int:
+    """sum_sigma prod_i C(lam_i + nu_sigma(i), lam_i): the kingman-face weight over c_n."""
+    padded = nu.parts + (0,) * (lam.length - nu.length)
+    return sum(
+        prod(comb(p + e, p) for p, e in zip(lam.parts, perm)) for perm in _distinct_perms(padded)
+    )

@@ -454,10 +454,12 @@ _SELBERG_FACES = {
 
 
 def _suite_selberg(args, report: Report) -> None:
+    faces = ", ".join(_SELBERG_FACES)
     if args.graph != "all" and args.graph not in _SELBERG_FACES:
-        faces = ", ".join(_SELBERG_FACES)
         raise ValueError(f"unknown --graph {args.graph!r}; choose all or one of {faces}")
     if getattr(args, "lam", None):
+        if args.graph == "all":
+            raise ValueError(f"a single identity (--lam) needs one face: pass --graph as one of {faces}")
         work = [(args.graph, _partition(args.lam), _partition(args.mu or "0"))]
     else:
         work = _selberg_sweep(args.graph, args.max_size)

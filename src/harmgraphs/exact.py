@@ -12,7 +12,6 @@ experiments and the hypergeometric summation check.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
 from typing import Sequence
 
 import mpmath
@@ -67,31 +66,19 @@ def pochhammer(t, n: int) -> Fraction:
 
 
 def falling_factorial(a, k: int) -> Fraction:
-    """Falling factorial a (a-1) ... (a-k+1), with the empty product 1."""
+    """Falling factorial a (a-1) ... (a-k+1), with the empty product 1.
+
+    For a = p/q this is the integer product of p - jq over j < k, divided
+    by q^k once.
+    """
     if k < 0:
         raise ValueError("falling_factorial needs k >= 0")
     a = as_rational(a)
-    if a.denominator == 1:
-        return _falling_factorial_int(a.numerator, k)
-    out = Fraction(1)
+    p, q = a.numerator, a.denominator
+    num = 1
     for j in range(k):
-        out *= a - j
-    return out
-
-
-def _falling_factorial_int(n: int, k: int) -> Fraction:
-    # Integer arguments route through math.factorial; the convergence
-    # experiments hit this with 4-digit arguments thousands of times.
-    if k == 0:
-        return Fraction(1)
-    if n >= 0:
-        if k > n:
-            return Fraction(0)
-        return Fraction(factorial(n) // factorial(n - k))
-    # (-m)(-m-1)...(-m-k+1) = (-1)^k (m+k-1)! / (m-1)!
-    m = -n
-    val = factorial(m + k - 1) // factorial(m - 1)
-    return Fraction(-val if k % 2 else val)
+        num *= p - j * q
+    return Fraction(num, q**k)
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +161,28 @@ def det(m: RationalMatrix) -> Fraction:
             for c in range(col, n):
                 row[c] -= f * top[c]
     return out if sign == 1 else -out
+
+
+def integer_det(rows: Sequence[Sequence[int]]) -> int:
+    """Exact determinant of a square integer matrix by fraction-free
+    (Bareiss) elimination: every division is exact, so no Fraction forms."""
+    a = [list(row) for row in rows]
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise ShapeError("determinant needs a square matrix")
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            pivot = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
+            if pivot is None:
+                return 0
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1] if n else 1
 
 
 _PFAFFIAN_EXPANSION_LIMIT = 8

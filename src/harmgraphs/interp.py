@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 from typing import Mapping, Sequence
 
 import mpmath
@@ -86,12 +86,10 @@ def _schur_tableau(mu: Partition, x: Point) -> Fraction:
     return total
 
 
-def _vandermonde(values: Sequence[Fraction]) -> Fraction:
-    out = Fraction(1)
-    for i in range(len(values)):
-        for j in range(i + 1, len(values)):
-            out *= values[i] - values[j]
-    return out
+def _vandermonde(values: Sequence) -> Fraction | int:
+    """prod_{i<j} (v_i - v_j); an integer when every v_i is one."""
+    n = len(values)
+    return prod(values[i] - values[j] for i in range(n) for j in range(i + 1, n))
 
 
 def _schur_bialternant(mu: Partition, x: Point) -> Fraction:

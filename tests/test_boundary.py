@@ -312,19 +312,20 @@ def test_convergence_smoke_strict_and_hook_faces():
 
 def test_convergence_trunc_young():
     rep = convergence_experiment(
-        TruncYoung(P([2, 1])), [200, 400], interior_fraction=F(1, 5)
+        TruncYoung(P([2, 1])), [200, 400, 4000], interior_fraction=F(1, 5)
     )
     errs = [row.max_ratio_error for row in rep.rows]
-    assert errs[1] < errs[0]
+    assert errs[2] < errs[1] < errs[0]
     assert rep.distances_decreasing
     assert all(row.mass_is_one for row in rep.rows)
 
 
 def test_convergence_trunc_kingman():
     rep = convergence_experiment(
-        TruncKingman(P([1, 1])), [200, 400], interior_fraction=F(1, 5)
+        TruncKingman(P([1, 1])), [200, 400, 4000], interior_fraction=F(1, 5)
     )
     assert rep.rows[-1].max_ratio_error < 0.01
+    assert all(row.mass_is_one for row in rep.rows)
     assert rep.distances_decreasing
 
 

@@ -244,6 +244,7 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys):
         (("verify", "kernels", "--points", "0"), "--points >= 1"),
         (("verify", "selberg", "--graph", "nope"), "--graph"),
         (("verify", "selberg", "--graph", "nope", "--lam", "2+1"), "--graph"),
+        (("verify", "selberg", "--lam", "2+1"), "needs one face: pass --graph"),
         # ranges that admit no check
         (("verify", "pfaffian", "--points", "0"), "the pfaffian suite"),
         (("verify", "interpolation", "--max-size", "-2"), "the interpolation suite"),
@@ -258,7 +259,7 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys):
     ids=["pfaffian-size-1", "converge-negative-n", "converge-zero-n", "converge-zero-in-list",
          "converge-untruncated", "pieri-negative-size", "pieri-no-points", "kernels-zero-levels",
          "kernels-negative-levels", "kernels-no-points", "selberg-unknown-graph",
-         "selberg-unknown-graph-single",
+         "selberg-unknown-graph-single", "selberg-single-without-graph",
          "pfaffian-no-points", "interpolation-negative-size", "interpolation-zero-size",
          "staircase-zero-k", "lattice-zero-levels", "dimension-ratio-negative-mu",
          "degeneration-negative-levels", "dimensions-negative-sizes"],

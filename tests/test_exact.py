@@ -12,6 +12,7 @@ from harmgraphs.exact import (
     falling_factorial,
     format_bigfloat,
     format_rational,
+    integer_det,
     invert_matrix,
     parse_bigfloat,
     parse_rational,
@@ -46,6 +47,38 @@ def test_falling_factorial_cases():
     assert falling_factorial(F(1, 2), 0) == 1
     assert falling_factorial(F(5, 2), 2) == F(15, 4)
     assert falling_factorial(3, 5) == 0
+    assert isinstance(falling_factorial(7, 3), F)
+
+    def product(a, k):
+        out = F(1)
+        for j in range(k):
+            out *= a - j
+        return out
+
+    rng = random.Random(11)
+    cases = [(-rng.randint(1, 100), rng.randint(0, 12)) for _ in range(20)]
+    cases += [(0, k) for k in range(4)]
+    cases += [(a, rng.randint(a + 1, a + 6)) for a in (rng.randint(0, 30) for _ in range(10))]
+    cases += [(rng.randint(0, 40), rng.randint(0, 12)) for _ in range(10)]
+    cases += [(F(rng.randint(-50, 50), rng.randint(2, 9)), rng.randint(0, 12)) for _ in range(30)]
+    for a, k in cases:
+        assert falling_factorial(a, k) == product(F(a), k), (a, k)
+
+
+def test_integer_det_matches_fraction_det():
+    rng = random.Random(13)
+    for size in range(0, 6):
+        for _ in range(10):
+            rows = [[rng.randint(-9, 9) for _ in range(size)] for _ in range(size)]
+            if size >= 2 and rng.random() < 0.3:
+                rows[0][0] = 0  # the first pivot needs a row swap
+            assert integer_det(rows) == det(RationalMatrix(rows))
+    assert integer_det([[0, 1], [1, 0]]) == -1
+    assert integer_det([[1, 2, 3], [2, 4, 6], [0, 1, 5]]) == 0
+    assert integer_det([[0, 2], [0, 5]]) == 0
+    assert integer_det([]) == 1
+    with pytest.raises(ShapeError):
+        integer_det([[1, 2]])
 
 
 def test_pochhammer_composition_property():

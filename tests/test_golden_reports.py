@@ -64,6 +64,19 @@ GOLDEN = [
     # the pointwise ratio at n = 50 is still outside its 0.05 tolerance
     ("converge --family trunc-young:lambda=2+1 --n 50,100", EXIT_CHECK_FAILED,
      "9b3f940e1fcdbe418d21444889334a324db65b32dbc5fffe135a6e5962c6ca72"),
+    # level weights at n in the thousands on the young and kingman faces
+    ("converge --family trunc-young:lambda=3+2 --n 500,1000,2000", EXIT_OK,
+     "2482a4d0ac2a40af751637f46b624a8e03cb00de8cf1548c849642f2ea662bcd"),
+    ("converge --family trunc-kingman:lambda=3+2 --n 500,1000,2000", EXIT_OK,
+     "eaafdc254fed2c407dc06c71104f4326ec43ba382bb6b5cd259a71463735c756"),
+    # faces wider than 2 carry no binned distance, so the monotone row fails
+    ("converge --family trunc-young:lambda=3+2+1 --n 24,48", EXIT_CHECK_FAILED,
+     "e4820891846667055ba520750d99c00bea84fbf1ced06fc766f46f9d8e9b0749"),
+    ("converge --family trunc-kingman:lambda=2+1+1 --n 30,60,120", EXIT_CHECK_FAILED,
+     "c867907948a53432162d170cc74b6c3522570786a280b485eec245c8f6df8b83"),
+    # the schur face keeps the dim_closed_form * value route
+    ("converge --family trunc-schur:lambda=3+1 --n 20,40", EXIT_CHECK_FAILED,
+     "166e4dff1272441de93a32c81a9ada560d2cdf1e1df149eced24dff49f3ce7ce"),
 ]
 
 

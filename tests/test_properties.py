@@ -1,5 +1,6 @@
-"""Property-based checks of the level sweep, the Jack weights and the
-interpolation-polynomial evaluators on random admissible inputs."""
+"""Property-based checks of the level sweep, the Jack weights, the
+interpolation-polynomial evaluators and the truncated level weights on
+random admissible inputs."""
 
 from fractions import Fraction as F
 from itertools import permutations
@@ -8,9 +9,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from harmgraphs.boundary import _fast_level_weights
 from harmgraphs.exact import SingularMatrixError, pochhammer
-from harmgraphs.graphs import KINGMAN, SCHUR, YOUNG, dim, dim_closed_form, sweep
-from harmgraphs.harmonic import JackZZ, check_harmonicity
+from harmgraphs.graphs import KINGMAN, SCHUR, YOUNG, dim, dim_closed_form, level, sweep
+from harmgraphs.harmonic import JackZZ, TruncKingman, TruncYoung, check_harmonicity
 from harmgraphs.interp import (
     factorial_monomial_eval,
     monomial_eval,
@@ -137,3 +139,23 @@ def test_monomials_match_the_arrangement_sum(case):
     mu, x = case
     assert monomial_eval(mu, x) == _arrangement_sum(mu, x, lambda a, e: a**e)
     assert factorial_monomial_eval(mu, x) == _arrangement_sum(mu, x, _falling)
+
+
+narrow = st.integers(1, 8).flatmap(
+    lambda n: st.sampled_from([p for p in partitions_of(n) if p.length <= 4])
+)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.sampled_from([TruncYoung, TruncKingman]), narrow, st.integers(1, 60))
+def test_level_weights_match_dimension_times_value(family_type, lam, n):
+    # the young and kingman faces build each weight from small binomials
+    # and one constant per level; dim * value / (t)_n is the oracle
+    assume(family_type is TruncKingman or lam.length >= 2)
+    family = family_type(lam)
+    scale = (-1) ** n / pochhammer(family.t, n)
+    expected = [
+        (nu, dim_closed_form(nu, family.kind) * family.value(nu) * scale)
+        for nu in level(n, family.kind, max_length=family.width)
+    ]
+    assert _fast_level_weights(family, n) == expected
