@@ -4,8 +4,14 @@ The probability densities attached to the truncated families live on
 finite-dimensional faces of the boundary simplex.  Every integral
 needed here reduces to closed form on the standard simplex:
 
-* monomials integrate by the Dirichlet formula;
-* one leftover Cauchy determinant or quotient Pfaffian expands over
+* a monomial x^e integrates by the Dirichlet formula
+  I(e) = prod(e_i!) / (N + sum(e) - 1)!, which is symmetric in e and
+  whose denominator depends only on sum(e);
+* so in a product of two antisymmetric factors one factor may be fixed
+  to its identity term: the rest of the signed sum is l! times one
+  term, and two alternants integrate to Andreief's determinant
+  l! det[(a_i + b_j)!] / (l + sum(a) + sum(b) - 1)!;
+* a leftover Cauchy determinant or quotient Pfaffian expands over
   permutations/perfect matchings into terms whose denominators are
   sums over *disjoint* variable pairs, and each such term integrates
   exactly by a per-pair radial (Beta) reduction.
@@ -33,7 +39,7 @@ from .harmonic import (
     TruncYoung,
     level_measure,
 )
-from .interp import _distinct_perms, _vandermonde, monomial_eval, schur_eval
+from .interp import _distinct_perms, _vandermonde, monomial_eval
 from .partitions import Partition
 from .series import (
     Poly,
@@ -158,22 +164,23 @@ def simplex_pair_integral(exponents, pairs) -> Fraction:
 # densities on the faces
 # ---------------------------------------------------------------------------
 
-def _gamma_int(n: int) -> int:
-    return factorial(n - 1)
+def _factorial_det(a, b) -> int:
+    """det[(a_i + b_j)!]: the simplex integral of two alternants in exponents
+    a and b, times (l + sum(a) + sum(b) - 1)! / l!."""
+    return integer_det([[factorial(x + y) for y in b] for x in a])
 
 
-def _det_gamma_matrix(lam: Partition, l: int) -> Fraction:
-    delta = [l - i for i in range(1, l + 1)]
-    rows = [
-        [Fraction(_gamma_int(lam.part(i + 1) + delta[i] + delta[j] + 1)) for j in range(l)]
-        for i in range(l)
-    ]
-    return det(RationalMatrix(rows))
+def _plus_staircase(mu: Partition, l: int) -> list[int]:
+    """mu + delta with delta = (l - 1, ..., 1, 0), mu padded to length l."""
+    return [mu.part(i) + l - i for i in range(1, l + 1)]
 
 
 def young_density_constant(lam: Partition) -> Fraction:
     l = lam.length
-    return Fraction(_gamma_int(lam.size + l * l)) / _det_gamma_matrix(lam, l)
+    return Fraction(
+        factorial(lam.size + l * l - 1),
+        _factorial_det(_plus_staircase(lam, l), _plus_staircase(Partition(), l)),
+    )
 
 
 def _alternant(values, exponents) -> Fraction:
@@ -201,12 +208,12 @@ def schur_density_constant(lam: Partition) -> Fraction:
         denom *= factorial(p)
     shifted = [Fraction(p + 1) for p in lam.parts]
     pf = _quotient_pfaffian(shifted)  # (lam_i - lam_j)/(lam_i + lam_j + 2)
-    return Fraction(_gamma_int(lam.size + l)) / (denom * pf)
+    return Fraction(factorial(lam.size + l - 1)) / (denom * pf)
 
 
 def kingman_density_constant(lam: Partition) -> Fraction:
     l = lam.length
-    out = Fraction(_gamma_int(lam.size + l))
+    out = Fraction(factorial(lam.size + l - 1))
     for r in lam.multiplicities().values():
         out *= factorial(r)
     for p in lam.parts:
@@ -225,7 +232,7 @@ def gamma_density_constant(lam: Partition) -> Fraction:
     denom = cauchy
     for p, q in zip(fc.p, fc.q):
         denom *= factorial(p) * factorial(q)
-    return Fraction(_gamma_int(lam.size)) / denom
+    return Fraction(factorial(lam.size - 1)) / denom
 
 
 @dataclass(frozen=True)
@@ -259,8 +266,8 @@ def density_value(spec: DensitySpec, point) -> Fraction:
     """Exact density at a rational face point.
 
     Young/Kingman points are alpha tuples of the face length; the gamma
-    face takes (alpha_tuple, beta_tuple).  Determinant and Pfaffian
-    forms reject coordinate collisions.
+    face takes (alpha_tuple, beta_tuple).  Only the schur face's Pfaffian
+    form rejects coordinate collisions.
     """
     lam = spec.lam
     if spec.graph == "young":
@@ -268,7 +275,8 @@ def density_value(spec: DensitySpec, point) -> Fraction:
         l = lam.length
         if len(alpha) != l:
             raise ValueError("wrong face dimension")
-        return spec.constant * schur_eval(lam, alpha) * _vandermonde(alpha) ** 2
+        # s_lam * V^2 = alternant * V, which also holds at coordinate collisions
+        return spec.constant * _alternant(alpha, _plus_staircase(lam, l)) * _vandermonde(alpha)
     if spec.graph == "kingman":
         alpha = tuple(as_rational(a) for a in point)
         return spec.constant * monomial_eval(lam, alpha)
@@ -327,18 +335,6 @@ def _check_cap(l: int) -> None:
         )
 
 
-def _alternant_terms(values_count: int, exponents) -> list[tuple[int, list[int]]]:
-    """det[x_i^(exponents_j)] expanded: (sign, exponent-per-variable) terms."""
-    terms = []
-    for perm in permutations(range(values_count)):
-        sign = _perm_sign(perm)
-        exps = [0] * values_count
-        for i, p in enumerate(perm):
-            exps[i] = exponents[p]
-        terms.append((sign, exps))
-    return terms
-
-
 def _perm_sign(perm) -> int:
     sign = 1
     seen = [False] * len(perm)
@@ -369,8 +365,8 @@ def _matchings(indices: list[int]):
             yield sign * (-1) ** (k - 1), [(first, partner)] + pairs
 
 
-def _integrate_alternant_times_pfaffian(l: int, base_terms) -> Fraction:
-    """Unordered integral of (sum of monomial terms) * quotient Pfaffian.
+def _integrate_monomial_times_pfaffian(l: int, exponents) -> Fraction:
+    """Unordered integral of x^exponents times the quotient Pfaffian.
 
     The Pfaffian of [(x_i - x_j)/(x_i + x_j)] (1-bordered if l is odd)
     expands over matchings into disjoint-pair denominators; each term
@@ -381,20 +377,34 @@ def _integrate_alternant_times_pfaffian(l: int, base_terms) -> Fraction:
     for msign, pairs in _matchings(list(range(size))):
         real_pairs = [(a, b) for a, b in pairs if a < l and b < l]
         # border pairs carry entry 1 and leave their real index unpaired
-        for sign0, exps0 in base_terms:
-            stack = [(Fraction(sign0 * msign), list(exps0), 0)]
-            while stack:
-                coef, exps, idx = stack.pop()
-                if idx == len(real_pairs):
-                    total += coef * simplex_pair_integral(exps, real_pairs)
-                    continue
-                a, b = real_pairs[idx]
-                up = list(exps)
-                up[a] += 1
-                down = list(exps)
-                down[b] += 1
-                stack.append((coef, up, idx + 1))
-                stack.append((-coef, down, idx + 1))
+        stack = [(Fraction(msign), list(exponents), 0)]
+        while stack:
+            coef, exps, idx = stack.pop()
+            if idx == len(real_pairs):
+                total += coef * simplex_pair_integral(exps, real_pairs)
+                continue
+            a, b = real_pairs[idx]
+            up = list(exps)
+            up[a] += 1
+            down = list(exps)
+            down[b] += 1
+            stack.append((coef, up, idx + 1))
+            stack.append((-coef, down, idx + 1))
+    return total
+
+
+def _integrate_monomial_times_cauchy(p, q) -> Fraction:
+    """Unordered integral of x^p y^q times det[1/(x_i + y_j)] over 2d variables.
+
+    The Cauchy determinant expands over permutations into disjoint-pair
+    denominators; each term then integrates in closed form.
+    """
+    d = len(p)
+    exps = list(p) + list(q)
+    total = Fraction(0)
+    for perm in permutations(range(d)):
+        pairs = [(i, d + perm[i]) for i in range(d)]
+        total += _perm_sign(perm) * simplex_pair_integral(exps, pairs)
     return total
 
 
@@ -402,8 +412,10 @@ def selberg_verify(graph: str, lam: Partition, mu: Partition) -> SelbergResult:
     """Exact both-sides evaluation of the finite-face integral identity.
 
     The left side is the truncated-family harmonic value; the right side
-    is the normalized face integral computed exactly by alternant and
-    Pfaffian/Cauchy expansion against Dirichlet-style closed forms.
+    is the normalized face integral, computed exactly: two alternants
+    integrate to one determinant of factorials, and an alternant against
+    a Pfaffian or Cauchy factor keeps only its identity term, since the
+    Dirichlet closed form is symmetric in the variables.
     Shape combinations without an exact route are rejected.
     """
     if graph == "young":
@@ -417,20 +429,19 @@ def selberg_verify(graph: str, lam: Partition, mu: Partition) -> SelbergResult:
     raise ValueError(f"unknown graph {graph!r}")
 
 
+def _alternant_integral(a, b) -> Fraction:
+    """Unordered simplex integral of alt_a * alt_b over l!, alt_e = det[x_i^e_j]."""
+    return Fraction(_factorial_det(a, b), factorial(len(a) + sum(a) + sum(b) - 1))
+
+
 def _selberg_young(lam: Partition, mu: Partition) -> SelbergResult:
     l = lam.length
     _check_cap(l)
     if mu.length > l:
         raise ValueError("need length(mu) <= length(lam)")
     lhs = TruncYoung(lam).phi(mu)
-    delta = [l - i for i in range(1, l + 1)]
-    mu_exp = [mu.part(j + 1) + delta[j] for j in range(l)]
-    lam_exp = [lam.part(j + 1) + delta[j] for j in range(l)]
-    total = Fraction(0)
-    for s1, e1 in _alternant_terms(l, mu_exp):
-        for s2, e2 in _alternant_terms(l, lam_exp):
-            total += s1 * s2 * simplex_monomial_integral([a + b for a, b in zip(e1, e2)])
-    rhs = young_density_constant(lam) * total / factorial(l)
+    total = _alternant_integral(_plus_staircase(mu, l), _plus_staircase(lam, l))
+    rhs = young_density_constant(lam) * total
     return SelbergResult("young", lam, mu, lhs, rhs)
 
 
@@ -441,12 +452,13 @@ def _selberg_kingman(lam: Partition, mu: Partition) -> SelbergResult:
         raise ValueError("need length(mu) <= length(lam)")
     lhs = TruncKingman(lam).phi(mu)
     mu_pad = mu.parts + (0,) * (l - mu.length)
-    lam_pad = lam.parts
+    # m_mu sums x^e over the l!/prod(r_v!) arrangements e of mu_pad; by
+    # symmetry each integrates against m_lam to the value mu_pad gives
     total = Fraction(0)
-    for e1 in _distinct_perms(mu_pad):
-        for e2 in _distinct_perms(lam_pad):
-            total += simplex_monomial_integral([a + b for a, b in zip(e1, e2)])
-    rhs = kingman_density_constant(lam) * total / factorial(l)
+    for e in _distinct_perms(lam.parts):
+        total += simplex_monomial_integral([a + b for a, b in zip(mu_pad, e)])
+    repeats = prod(factorial(mu_pad.count(v)) for v in set(mu_pad))
+    rhs = kingman_density_constant(lam) * total / repeats
     return SelbergResult("kingman", lam, mu, lhs, rhs)
 
 
@@ -458,20 +470,16 @@ def _selberg_schur(lam: Partition, mu: Partition) -> SelbergResult:
     lhs = TruncSchur(lam).phi(mu)
     if mu.length == l:
         # both alternants of full length; the squared Pfaffian cancels
-        total = Fraction(0)
-        for s1, e1 in _alternant_terms(l, list(mu.parts)):
-            for s2, e2 in _alternant_terms(l, list(lam.parts)):
-                total += s1 * s2 * simplex_monomial_integral([a + b for a, b in zip(e1, e2)])
-        rhs = schur_density_constant(lam) * total / factorial(l)
-        return SelbergResult("schur", lam, mu, lhs, rhs)
-    if mu.size == 0:
-        base = _alternant_terms(l, list(lam.parts))
-        total = _integrate_alternant_times_pfaffian(l, base)
-        rhs = schur_density_constant(lam) * total / factorial(l)
-        return SelbergResult("schur", lam, mu, lhs, rhs)
-    raise ValueError(
-        "no exact route for 0 < length(mu) < length(lam) on the strict face"
-    )
+        total = _alternant_integral(mu.parts, lam.parts)
+    elif mu.size == 0:
+        # each term of alt_lam integrates against the Pfaffian like the first
+        total = _integrate_monomial_times_pfaffian(l, lam.parts)
+    else:
+        raise ValueError(
+            "no exact route for 0 < length(mu) < length(lam) on the strict face"
+        )
+    rhs = schur_density_constant(lam) * total
+    return SelbergResult("schur", lam, mu, lhs, rhs)
 
 
 def _selberg_gamma(lam: Partition, mu: Partition) -> SelbergResult:
@@ -480,31 +488,20 @@ def _selberg_gamma(lam: Partition, mu: Partition) -> SelbergResult:
     _check_cap(d)
     family = GammaShaped(fc, degree_cap=max(8, mu.size))
     lhs = family.phi(mu)
-    const = gamma_density_constant(lam)
     if mu.depth == d:
+        # the Cauchy factors cancel; one alternant pair per coordinate block
         mf = mu.frobenius()
-        total = Fraction(0)
-        for s1, a1 in _alternant_terms(d, list(mf.p)):
-            for s2, b1 in _alternant_terms(d, list(mf.q)):
-                for s3, a2 in _alternant_terms(d, list(fc.p)):
-                    for s4, b2 in _alternant_terms(d, list(fc.q)):
-                        exps = [x + y for x, y in zip(a1, a2)] + [x + y for x, y in zip(b1, b2)]
-                        total += s1 * s2 * s3 * s4 * simplex_monomial_integral(exps)
-        rhs = const * total / factorial(d) ** 2
-        return SelbergResult("gamma", lam, mu, lhs, rhs)
-    if mu.size == 0:
-        # one Cauchy determinant survives; expand it over permutations
-        total = Fraction(0)
-        for s1, a2 in _alternant_terms(d, list(fc.p)):
-            for s2, b2 in _alternant_terms(d, list(fc.q)):
-                for perm in permutations(range(d)):
-                    psign = _perm_sign(perm)
-                    exps = list(a2) + list(b2)
-                    pairs = [(i, d + perm[i]) for i in range(d)]
-                    total += s1 * s2 * psign * simplex_pair_integral(exps, pairs)
-        rhs = const * total / factorial(d) ** 2
-        return SelbergResult("gamma", lam, mu, lhs, rhs)
-    raise ValueError("no exact route for 0 < depth(mu) < depth(lam) on the hook face")
+        size = sum(mf.p) + sum(mf.q) + sum(fc.p) + sum(fc.q)
+        total = Fraction(
+            _factorial_det(mf.p, fc.p) * _factorial_det(mf.q, fc.q), factorial(2 * d + size - 1)
+        )
+    elif mu.size == 0:
+        # each term of either alternant integrates against the Cauchy factor like the first
+        total = _integrate_monomial_times_cauchy(fc.p, fc.q)
+    else:
+        raise ValueError("no exact route for 0 < depth(mu) < depth(lam) on the hook face")
+    rhs = gamma_density_constant(lam) * total
+    return SelbergResult("gamma", lam, mu, lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -732,16 +729,14 @@ def _fast_level_weights(family: HarmonicFamily, n: int) -> list[tuple[Partition,
     lam = family.lam
     if family.face == "kingman":
         return [(nu, c_n * _kingman_face_weight(lam, nu)) for nu in vertices]
-    l = lam.length
-    a = [lam.part(i) + l - i for i in range(1, l + 1)]
+    a = _plus_staircase(lam, lam.length)
     scale = c_n / _vandermonde(a)
     return [(nu, scale * _young_face_weight(a, nu)) for nu in vertices]
 
 
 def _young_face_weight(a: list[int], nu: Partition) -> int:
     """V(B) det[C(A_i + B_j, A_i)]: the young-face weight over c_n / V(A)."""
-    l = len(a)
-    b = [nu.part(j) + l - j for j in range(1, l + 1)]
+    b = _plus_staircase(nu, len(a))
     return _vandermonde(b) * integer_det([[comb(ai + bj, ai) for bj in b] for ai in a])
 
 

@@ -249,15 +249,8 @@ def cmd_density(args) -> int:
 
 
 def cmd_integral_verify(args) -> int:
-    result = selberg_verify(args.graph, _partition(getattr(args, "lambda")), _partition(args.mu))
     report = Report(command="integral-verify")
-    report.add(
-        f"selberg-{args.graph}",
-        f"lambda={result.lam} mu={result.mu}",
-        result.lhs,
-        result.rhs,
-        result.equal,
-    )
+    _add_selberg_row(report, args.graph, _partition(getattr(args, "lambda")), _partition(args.mu))
     return _emit(report, args)
 
 
@@ -464,14 +457,12 @@ def _suite_selberg(args, report: Report) -> None:
     else:
         work = _selberg_sweep(args.graph, args.max_size)
     for graph, lam, mu in work:
-        res = selberg_verify(graph, lam, mu)
-        report.add(
-            f"selberg-{res.graph}",
-            f"lambda={res.lam} mu={res.mu}",
-            res.lhs,
-            res.rhs,
-            res.equal,
-        )
+        _add_selberg_row(report, graph, lam, mu)
+
+
+def _add_selberg_row(report: Report, graph: str, lam: Partition, mu: Partition) -> None:
+    res = selberg_verify(graph, lam, mu)
+    report.add(f"selberg-{res.graph}", f"lambda={res.lam} mu={res.mu}", res.lhs, res.rhs, res.equal)
 
 
 def _selberg_sweep(graph: str, max_size: int) -> list[tuple[str, Partition, Partition]]:

@@ -415,16 +415,6 @@ def pstar_two_row_table(one_row: Sequence[Fraction], bound: int) -> dict[tuple[i
     return table
 
 
-def pstar_two_row(one_row: Sequence[Fraction], p: int, q: int) -> Fraction:
-    """Single two-row value; indices extend antisymmetrically."""
-    if p == q:
-        return Fraction(0)
-    hi, lo = max(p, q), min(p, q)
-    table = pstar_two_row_table(one_row, hi + lo)
-    val = table[(hi, lo)]
-    return val if p > q else -val
-
-
 def pstar_eval(mu: Partition, source) -> Fraction:
     """Factorial Schur P value of a strict partition under a point/functional.
 

@@ -89,14 +89,6 @@ def poly_shift(p: Sequence[Fraction], c) -> Poly:
     return out
 
 
-def poly_from_linear_factors(constants: Iterable) -> Poly:
-    """Product of (u + a) over the given constants a."""
-    out: Poly = [Fraction(1)]
-    for a in constants:
-        out = poly_mul(out, [as_rational(a), Fraction(1)])
-    return out
-
-
 def poly_integral(p: Sequence[Fraction]) -> Poly:
     """Antiderivative with zero constant term."""
     return [Fraction(0)] + [c / (i + 1) for i, c in enumerate(p)]

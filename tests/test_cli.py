@@ -121,6 +121,15 @@ def test_density_command(capsys):
     assert out.strip() == "45/16"
 
 
+def test_young_density_at_repeated_coordinates(capsys):
+    # the squared Vandermonde vanishes there, whatever the size of lambda
+    code, out, _ = run(
+        capsys, "density", "--graph", "young", "--lambda", "13+1", "--at", "1/2,1/2"
+    )
+    assert code == EXIT_OK
+    assert out.strip() == "0"
+
+
 def test_dims_command(capsys):
     code, out, _ = run(capsys, "dims", "--kind", "schur", "--level", "4")
     assert code == EXIT_OK

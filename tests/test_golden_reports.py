@@ -61,6 +61,17 @@ GOLDEN = [
     # the four faces in order: young, kingman, schur, gamma
     ("verify selberg --graph all --max-size 4", EXIT_OK,
      "963c9de7a6d4b3fdee82f8e49695047d1ad255bef5164e5ad9efb38eaad28611"),
+    ("verify selberg --graph all --max-size 6", EXIT_OK,
+     "f105b6f7c22bb1beb6e3e8152928ae3c87213e7f485a6779cbd248d5c809a5ce"),
+    # single identities at the face-dimension cap of 5 and at depth 2
+    ("integral-verify --graph young --lambda 5+4+3+2+1 --mu 3+2+1", EXIT_OK,
+     "9096c06d3011a234c29cc3c5d6f993a9f78b2c157148b1fe3009fe9dae6203c2"),
+    ("integral-verify --graph schur --lambda 5+4+3+2+1", EXIT_OK,
+     "419f8ec9385464c9acb34109eba5f6fe00edc922f624ac051cfb5796e6b283a7"),
+    ("integral-verify --graph kingman --lambda 3+2+2+1+1 --mu 2+2+1", EXIT_OK,
+     "b067e98e9ee60351db9903beca7302d2710ab7a8a552b85af4ee1b6c6af2e46f"),
+    ("integral-verify --graph gamma --lambda 3+2 --mu 2+2", EXIT_OK,
+     "6cbe39a4d54c9d6624b65502ad0e053880da1e7255d9f8112509bd1ebee0b4d9"),
     # the pointwise ratio at n = 50 is still outside its 0.05 tolerance
     ("converge --family trunc-young:lambda=2+1 --n 50,100", EXIT_CHECK_FAILED,
      "9b3f940e1fcdbe418d21444889334a324db65b32dbc5fffe135a6e5962c6ca72"),

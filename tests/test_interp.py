@@ -21,7 +21,7 @@ from harmgraphs.interp import (
     pstar_eval,
     pstar_one_row_values,
     pstar_one_row_values_from_point,
-    pstar_two_row,
+    pstar_two_row_table,
     q_one_row_values,
     schur_eval,
     schur_t_functional,
@@ -260,9 +260,11 @@ def test_pstar_interpolation_vanishing():
 
 
 def test_pstar_antisymmetry_convention():
-    one_row = pstar_one_row_values_from_point((F(3), F(1)), 8)
-    assert pstar_two_row(one_row, 3, 3) == 0
-    assert pstar_two_row(one_row, 3, 1) == -pstar_two_row(one_row, 1, 3)
+    # the table holds p > q only; pstar_eval extends it antisymmetrically
+    point = (F(3), F(1))
+    table = pstar_two_row_table(pstar_one_row_values_from_point(point, 8), 8)
+    assert table and all(p > q for p, q in table)
+    assert pstar_eval(P([3, 1]), point) == table[(3, 1)] != 0
 
 
 def test_pstar_pipeline_matches_closed_form():
@@ -306,9 +308,7 @@ def test_staircase_two_row_consistency():
         point = tuple(F(p) for p in range(k, 0, -1))
         fun_rows = pstar_one_row_values(spec, 12)
         pt_rows = pstar_one_row_values(point, 12)
-        for p in range(2, 6):
-            for q in range(1, p):
-                assert pstar_two_row(fun_rows, p, q) == pstar_two_row(pt_rows, p, q)
+        assert pstar_two_row_table(fun_rows, 12) == pstar_two_row_table(pt_rows, 12)
 
 
 # ---------------------------------------------------------------------------

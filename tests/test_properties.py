@@ -1,15 +1,25 @@
 """Property-based checks of the level sweep, the Jack weights, the
-interpolation-polynomial evaluators and the truncated level weights on
-random admissible inputs."""
+interpolation-polynomial evaluators, the truncated level weights and the
+exact Selberg integrals on random admissible inputs."""
 
 from fractions import Fraction as F
 from itertools import permutations
+from math import factorial
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from harmgraphs.boundary import _fast_level_weights
+from harmgraphs.boundary import (
+    _factorial_det,
+    _fast_level_weights,
+    _integrate_monomial_times_cauchy,
+    _integrate_monomial_times_pfaffian,
+    kingman_density_constant,
+    selberg_verify,
+    simplex_monomial_integral,
+    young_density_constant,
+)
 from harmgraphs.exact import SingularMatrixError, pochhammer
 from harmgraphs.graphs import KINGMAN, SCHUR, YOUNG, dim, dim_closed_form, level, sweep
 from harmgraphs.harmonic import JackZZ, TruncKingman, TruncYoung, check_harmonicity
@@ -159,3 +169,102 @@ def test_level_weights_match_dimension_times_value(family_type, lam, n):
         for nu in level(n, family.kind, max_length=family.width)
     ]
     assert _fast_level_weights(family, n) == expected
+
+
+# ---------------------------------------------------------------------------
+# Selberg integrals: each reduction against the full signed expansion
+# ---------------------------------------------------------------------------
+
+def _sign(perm):
+    return (-1) ** sum(perm[i] > perm[j] for i in range(len(perm)) for j in range(i + 1, len(perm)))
+
+
+def _signed_sum(a, integral):
+    """sum over sigma of sgn(sigma) integral(a permuted by sigma): one alternant expanded."""
+    return sum(
+        (_sign(s) * integral([a[i] for i in s]) for s in permutations(range(len(a)))), F(0)
+    )
+
+
+def _monomial_integral(a, b):
+    return simplex_monomial_integral([x + y for x, y in zip(a, b)])
+
+
+@st.composite
+def exponent_pairs(draw, max_length=4):
+    l = draw(st.integers(1, max_length))
+    block = st.lists(st.integers(0, 6), min_size=l, max_size=l)
+    return draw(block), draw(block)
+
+
+@PROPERTY
+@given(exponent_pairs())
+def test_factorial_det_is_the_expanded_alternant_pair(pair):
+    # sum over sigma, tau of sgn sgn I(a_sigma + b_tau) = l! det[(a_i + b_j)!] / (l + sum - 1)!
+    a, b = pair
+    l = len(a)
+    expanded = _signed_sum(a, lambda x: _signed_sum(b, lambda y: _monomial_integral(x, y)))
+    assert expanded == factorial(l) * F(_factorial_det(a, b), factorial(l + sum(a) + sum(b) - 1))
+
+
+@PROPERTY
+@given(exponent_pairs())
+def test_pfaffian_integral_keeps_one_alternant_term(pair):
+    a, _ = pair
+    l = len(a)
+    expanded = _signed_sum(a, lambda x: _integrate_monomial_times_pfaffian(l, x))
+    assert expanded == factorial(l) * _integrate_monomial_times_pfaffian(l, a)
+
+
+@PROPERTY
+@given(exponent_pairs(max_length=3))
+def test_cauchy_integral_keeps_one_term_per_alternant(pair):
+    p, q = pair
+    d = len(p)
+    expanded = _signed_sum(
+        p, lambda x: _signed_sum(q, lambda y: _integrate_monomial_times_cauchy(x, y))
+    )
+    assert expanded == factorial(d) ** 2 * _integrate_monomial_times_cauchy(p, q)
+
+
+def _inside(lam):
+    """A partition with length(mu) <= length(lam) and parts at most 4, possibly empty."""
+    return st.lists(st.integers(1, 4), max_size=lam.length).map(
+        lambda xs: Partition(sorted(xs, reverse=True))
+    )
+
+
+narrow_small = st.lists(st.integers(1, 4), min_size=1, max_size=4).map(
+    lambda xs: Partition(sorted(xs, reverse=True))
+)
+
+
+@PROPERTY
+@given(narrow_small, st.data())
+def test_young_selberg_matches_the_double_expansion(lam, data):
+    # at mu = 0 this pins young_density_constant: the expansion has mass 1
+    assume(lam.length >= 2)
+    mu = data.draw(_inside(lam))
+    l = lam.length
+    a = [mu.part(i) + l - i for i in range(1, l + 1)]
+    b = [lam.part(i) + l - i for i in range(1, l + 1)]
+    expanded = _signed_sum(a, lambda x: _signed_sum(b, lambda y: _monomial_integral(x, y)))
+    res = selberg_verify("young", lam, mu)
+    assert res.rhs == young_density_constant(lam) * expanded / factorial(l)
+    assert res.equal
+
+
+@PROPERTY
+@given(narrow_small, st.data())
+def test_kingman_selberg_matches_the_double_expansion(lam, data):
+    mu = data.draw(_inside(lam))
+    l = lam.length
+    padded = mu.parts + (0,) * (l - mu.length)
+    arrangements = lambda parts: set(permutations(parts))
+    expanded = sum(
+        (_monomial_integral(x, y) for x in arrangements(padded) for y in arrangements(lam.parts)),
+        F(0),
+    )
+    res = selberg_verify("kingman", lam, mu)
+    assert res.rhs == kingman_density_constant(lam) * expanded / factorial(l)
+    assert res.equal

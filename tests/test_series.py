@@ -11,7 +11,6 @@ from harmgraphs.series import (
     geometric_series,
     poly_add,
     poly_eval,
-    poly_from_linear_factors,
     poly_integral,
     poly_mul,
     poly_shift,
@@ -27,7 +26,8 @@ def test_poly_basic_ops():
     assert poly_sub(a, a) == []
     assert poly_mul(a, a) == [F(1), F(4), F(4)]
     assert poly_eval(poly_mul(a, b), F(2)) == (1 + 4) * 12
-    assert poly_from_linear_factors([1, 2]) == [F(2), F(3), F(1)]
+    # (u + 1)(u + 2)
+    assert poly_mul([F(1), F(1)], [F(2), F(1)]) == [F(2), F(3), F(1)]
 
 
 def test_poly_shift():
