@@ -39,7 +39,7 @@ from .harmonic import (
     TruncYoung,
     level_measure,
 )
-from .interp import _distinct_perms, _vandermonde, monomial_eval
+from .interp import _distinct_perms, _vandermonde, jacobi_trudi, monomial_eval
 from .partitions import Partition
 from .series import (
     Poly,
@@ -329,6 +329,7 @@ class SelbergResult:
 
 
 def _check_cap(l: int) -> None:
+    """Bound the routes that expand permutations or perfect matchings."""
     if l > _EXPANSION_CAP:
         raise ValueError(
             f"face dimension {l} exceeds the permutation-expansion cap {_EXPANSION_CAP}"
@@ -436,7 +437,6 @@ def _alternant_integral(a, b) -> Fraction:
 
 def _selberg_young(lam: Partition, mu: Partition) -> SelbergResult:
     l = lam.length
-    _check_cap(l)
     if mu.length > l:
         raise ValueError("need length(mu) <= length(lam)")
     lhs = TruncYoung(lam).phi(mu)
@@ -466,13 +466,13 @@ def _selberg_schur(lam: Partition, mu: Partition) -> SelbergResult:
     if not lam.is_strict or not mu.is_strict:
         raise ValueError("strict partitions required")
     l = lam.length
-    _check_cap(l)
     lhs = TruncSchur(lam).phi(mu)
     if mu.length == l:
         # both alternants of full length; the squared Pfaffian cancels
         total = _alternant_integral(mu.parts, lam.parts)
     elif mu.size == 0:
         # each term of alt_lam integrates against the Pfaffian like the first
+        _check_cap(l)
         total = _integrate_monomial_times_pfaffian(l, lam.parts)
     else:
         raise ValueError(
@@ -485,8 +485,7 @@ def _selberg_schur(lam: Partition, mu: Partition) -> SelbergResult:
 def _selberg_gamma(lam: Partition, mu: Partition) -> SelbergResult:
     fc = lam.frobenius()
     d = fc.depth
-    _check_cap(d)
-    family = GammaShaped(fc, degree_cap=max(8, mu.size))
+    family = GammaShaped(fc, degree_cap=max(1, mu.size))
     lhs = family.phi(mu)
     if mu.depth == d:
         # the Cauchy factors cancel; one alternant pair per coordinate block
@@ -497,6 +496,7 @@ def _selberg_gamma(lam: Partition, mu: Partition) -> SelbergResult:
         )
     elif mu.size == 0:
         # each term of either alternant integrates against the Cauchy factor like the first
+        _check_cap(d)
         total = _integrate_monomial_times_cauchy(fc.p, fc.q)
     else:
         raise ValueError("no exact route for 0 < depth(mu) < depth(lam) on the hook face")
@@ -518,14 +518,6 @@ def young_h_series(omega: ThomaPoint, order: int) -> Poly:
     for a in omega.alpha:
         series = series_mul(series, geometric_series(a, order), order)
     return series
-
-
-def jacobi_trudi(mu: Partition, h: Poly) -> Fraction:
-    """The Schur value det[h_{mu_i - i + j}] from h_0 .. h_k, k >= |mu|."""
-    m = mu.length
-    at = lambda k: h[k] if k >= 0 else Fraction(0)
-    rows = [[at(mu.part(i + 1) - (i + 1) + (j + 1)) for j in range(m)] for i in range(m)]
-    return det(RationalMatrix(rows))
 
 
 def young_kernel(mu: Partition, omega: ThomaPoint) -> Fraction:

@@ -52,6 +52,7 @@ from .harmonic import (
 from .interp import (
     factorial_monomial_eval,
     gauss_2f1_check,
+    jacobi_trudi,
     monomial_eval,
     pstar_eval,
     schur_eval,
@@ -64,7 +65,6 @@ from .boundary import (
     ThomaPoint,
     convergence_experiment,
     density_spec,
-    jacobi_trudi,
     kingman_kernel,
     selberg_verify,
     young_h_series,
@@ -224,6 +224,8 @@ def cmd_eval(args) -> int:
 
 def cmd_dims(args) -> int:
     kind = parse_kind(args.kind)
+    if args.max_length is not None and args.max_length < 0:
+        raise ValueError("--max-length must be >= 0")
     sys.stdout.write(dims_csv(args.level, kind, max_length=args.max_length))
     return EXIT_OK
 
@@ -259,6 +261,8 @@ def cmd_converge(args) -> int:
     n_values = [int(s) for s in args.n.split(",")]
     if min(n_values) < 1:
         raise ValueError("every --n value must be at least 1")
+    if args.resolution < 1:
+        raise ValueError("--resolution must be at least 1")
     rep = convergence_experiment(
         family,
         n_values,

@@ -19,12 +19,12 @@ from .exact import as_rational, pochhammer
 from .graphs import GraphKind, KINGMAN, SCHUR, YOUNG, jack, level, sweep, top_level
 from .interp import (
     FunctionalSpec,
+    _shifted_schur_det,
     factorial_monomial_eval,
     functional_on_shifted_schur,
     pstar_closed_form,
     pstar_eval,
     schur_point_functional,
-    shifted_schur_eval,
     super_evaluation_functional,
     young_zz_closed_form,
 )
@@ -271,8 +271,9 @@ class TruncYoung(HarmonicFamily):
         return tuple(Fraction(-self.lam.part(i) - 2 * (l - i) - 1) for i in range(1, l + 1))
 
     def value(self, mu: Partition) -> Fraction:
-        """s*_mu at the point; phi is (-1)^|mu| value / (t)_|mu| on the support."""
-        return shifted_schur_eval(mu, self.point(), route="determinant")
+        """s*_mu at the point by the bialternant, whose shifted coordinates
+        -lam_i - (l - i) - 1 are distinct; phi is (-1)^|mu| value / (t)_|mu|."""
+        return _shifted_schur_det(mu, self.point())
 
     def phi(self, mu: Partition) -> Fraction:
         if mu.length > self.width:
@@ -292,13 +293,15 @@ class GammaShaped(HarmonicFamily):
 
     Supported on diagrams whose diagonal has at most depth(fc) boxes;
     generator values are taken at the reflected split-diagonal point
-    (-p - 1/2; -q - 1/2) and targets expand through the basis engine.
+    (-p - 1/2; -q - 1/2), once per family, and phi reads the shifted
+    Jacobi-Trudi determinant in them.
     """
 
     fc: FrobeniusCoords
     degree_cap: int = 8
     kind: GraphKind = field(default=YOUNG, init=False, repr=False, compare=False)
     lam: Partition = field(init=False, repr=False, compare=False)  # the face partition
+    functional: FunctionalSpec = field(init=False, repr=False, compare=False)
     face = "gamma"
 
     def __post_init__(self):
@@ -307,6 +310,10 @@ class GammaShaped(HarmonicFamily):
             raise FamilyError("gamma-shaped family needs depth >= 1")
         if self.degree_cap < 1:
             raise FamilyError("degree cap must be >= 1")
+        half = Fraction(1, 2)
+        xs = [-p - half for p in self.fc.p]
+        ys = [-q - half for q in self.fc.q]
+        object.__setattr__(self, "functional", super_evaluation_functional(xs, ys, self.degree_cap))
 
     @staticmethod
     def from_partition(lam: Partition, degree_cap: int = 8) -> "GammaShaped":
@@ -327,25 +334,14 @@ class GammaShaped(HarmonicFamily):
             raise FamilyError(
                 f"degree cap {self.degree_cap} exceeded at |mu| = {mu.size}; raise degree_cap"
             )
-        val = functional_on_shifted_schur(mu, self._cached_functional())
+        val = functional_on_shifted_schur(mu, self.functional)
         return val * (-1) ** mu.size / pochhammer(self.t, mu.size)
-
-    def _cached_functional(self) -> FunctionalSpec:
-        return _gamma_functional(self.fc.p, self.fc.q, self.degree_cap)
 
     def admissible(self, surrogate_level: int = 6) -> AdmissibleReport:
         return self._surrogate_nonnegative(min(surrogate_level, self.degree_cap))
 
     def spec_string(self) -> str:
         return f"gamma:lambda={self.lam},cap={self.degree_cap}"
-
-
-@lru_cache(maxsize=None)
-def _gamma_functional(p: tuple[int, ...], q: tuple[int, ...], cap: int) -> FunctionalSpec:
-    half = Fraction(1, 2)
-    xs = [-pi - half for pi in p]
-    ys = [-qi - half for qi in q]
-    return super_evaluation_functional(xs, ys, cap)
 
 
 @dataclass(frozen=True)

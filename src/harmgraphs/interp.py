@@ -2,19 +2,20 @@
 
 Three families of inhomogeneous interpolation polynomials drive the
 harmonic-function constructions: shifted Schur (Young/Jack side),
-factorial monomial (Kingman side) and factorial Schur P (strict side).
-Each is evaluated through at least two independent routes so every
-value used downstream can be cross-checked exactly:
+factorial monomial (Kingman side) and factorial Schur P (strict side):
 
-* shifted Schur: falling-factorial bialternant and reverse-tableau sum;
-  the one-row generators h* by a running tableau sum, cross-checked
-  against generating-series extraction;
+* Schur and shifted Schur: one Jacobi-Trudi determinant in the one-row
+  values, at a point or under a multiplicative functional; the one-row
+  generators h* by a running tableau sum, cross-checked against
+  generating-series extraction.  At integer diagram points the
+  falling-factorial bialternant is used; it and the reverse-tableau sums
+  are the test oracles;
 * factorial monomial: direct distinct-permutation sum;
 * factorial Schur P: one-row series -> two-row recurrences -> Pfaffian.
 
-A multiplicative functional is a list of generator values; the engine
-expands targets over products of one-row generators (degree-capped,
-cached) and evaluates functionals by multiplicativity.
+A multiplicative functional is a list of generator values.  The
+generator-basis engine, which expands a target over products of h*
+generators by one exact inverse per degree, is kept as a test oracle.
 """
 
 from __future__ import annotations
@@ -53,26 +54,40 @@ def diagram_point(lam: Partition, length: int | None = None) -> Point:
 
 
 # ---------------------------------------------------------------------------
-# classical Schur and monomial evaluation
+# Jacobi-Trudi, classical Schur and monomial evaluation
 # ---------------------------------------------------------------------------
 
-_TABLEAU_BOX_LIMIT = 12
+def jacobi_trudi(mu: Partition, h: Sequence[Fraction], shifted: bool = False) -> Fraction:
+    """det[c_j(mu_i - i + j)] over h_0 = 1, h_1, ..., h_k with k >= |mu|.
+
+    Classical: every column c_j is h, giving s_mu.  Shifted: c_j = S^(j-1) h
+    with (Sg)_n = g_n + (n - 1) g_(n-1), from 1/((u-1) falling m) =
+    1/(u falling m) + m/(u falling (m+1)); with h_m = pi(h*_m) this gives
+    pi(s*_mu) (Okounkov-Olshanski, Shifted Schur functions, 1997).
+    """
+    m = mu.length
+    columns = [list(h)]
+    for _ in range(1, m):
+        g = columns[-1]
+        if shifted:
+            g = g[:1] + [g[n] + (n - 1) * g[n - 1] for n in range(1, len(g))]
+        columns.append(g)
+    at = lambda j, k: columns[j][k] if k >= 0 else Fraction(0)
+    rows = [[at(j, mu.part(i + 1) - i + j) for j in range(m)] for i in range(m)]
+    return det(RationalMatrix(rows))
 
 
-def schur_eval(mu: Partition, x, route: str = "auto") -> Fraction:
-    """Classical Schur polynomial s_mu at a finite point."""
+def schur_eval(mu: Partition, x) -> Fraction:
+    """Classical Schur polynomial s_mu at a finite point: Jacobi-Trudi in
+    the complete homogeneous h_k(x), accumulated one coordinate at a time."""
     x = as_point(x)
     if mu.length > len(x):
         return Fraction(0)
-    if route == "tableau":
-        return _schur_tableau(mu, x)
-    if route == "bialternant":
-        return _schur_bialternant(mu, x)
-    if len(set(x)) == len(x):
-        return _schur_bialternant(mu, x)
-    if mu.size > _TABLEAU_BOX_LIMIT:
-        raise ValueError("repeated coordinates and the diagram is too large for the tableau route")
-    return _schur_tableau(mu, x)
+    h = [Fraction(1)] + [Fraction(0)] * mu.size
+    for xi in x:
+        for k in range(1, len(h)):
+            h[k] += xi * h[k - 1]
+    return jacobi_trudi(mu, h)
 
 
 def _schur_tableau(mu: Partition, x: Point) -> Fraction:
@@ -149,31 +164,20 @@ def _permutation_sum(mu: Partition, x: Point, power) -> Fraction:
 # shifted Schur evaluation
 # ---------------------------------------------------------------------------
 
-def shifted_schur_eval(mu: Partition, x, route: str = "auto") -> Fraction:
-    """Shifted Schur polynomial s*_mu at a finite point.
-
-    The falling-factorial bialternant needs the shifted coordinates
-    x_i + (k - i) pairwise distinct; the reverse-tableau sum works
-    everywhere but only scales to small diagrams.
-    """
+def shifted_schur_eval(mu: Partition, x) -> Fraction:
+    """Shifted Schur polynomial s*_mu at a finite point: the shifted
+    Jacobi-Trudi determinant in h*(x), valid at every rational point."""
     x = as_point(x)
     if mu.length > len(x):
         return Fraction(0)
-    if route == "tableau":
-        return _shifted_schur_tableau(mu, x)
-    if route == "determinant":
-        return _shifted_schur_det(mu, x)
-    k = len(x)
-    shifted = [x[i] + (k - 1 - i) for i in range(k)]
-    if len(set(shifted)) == k:
-        return _shifted_schur_det(mu, x)
-    if mu.size > _TABLEAU_BOX_LIMIT:
-        raise SingularMatrixError("singular denominator and diagram too large for the tableau route")
-    return _shifted_schur_tableau(mu, x)
+    return jacobi_trudi(mu, [Fraction(1)] + h_star_values(x, mu.size), shifted=True)
 
 
 def _shifted_schur_det(mu: Partition, x: Point) -> Fraction:
+    """The falling-factorial bialternant; needs x_i + (k - i) pairwise distinct."""
     k = len(x)
+    if mu.length > k:
+        return Fraction(0)
     shifted = [x[i] + (k - 1 - i) for i in range(k)]
     # falling factorials are monic, so det[(a_i) falling (k-1-j)] is the Vandermonde product
     denom = _vandermonde(shifted)
@@ -370,6 +374,13 @@ def schur_point_functional(x, cap: int) -> FunctionalSpec:
     return FunctionalSpec(P_STAR, tuple(pstar_one_row_values_from_point(x, cap)))
 
 
+def functional_on_shifted_schur(mu: Partition, spec: FunctionalSpec) -> Fraction:
+    """pi(s*_mu): the shifted Jacobi-Trudi determinant in pi's generator values."""
+    if spec.family != H_STAR:
+        raise ValueError("shifted Schur values need an h-star functional")
+    return jacobi_trudi(mu, [spec.g(m) for m in range(mu.size + 1)], shifted=True)
+
+
 # ---------------------------------------------------------------------------
 # factorial Schur P pipeline: one-row -> two-row -> Pfaffian
 # ---------------------------------------------------------------------------
@@ -475,14 +486,14 @@ def pstar_closed_form(t, mu: Partition) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# generator-basis expansion and functional application
+# generator-basis expansion and functional application (test oracle)
 # ---------------------------------------------------------------------------
 
 class SingularBasisError(SingularMatrixError):
     """The degree-capped evaluation system degenerated (should not happen)."""
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4)
 def _basis_inverse(n: int) -> tuple[tuple[Partition, ...], tuple[Partition, ...], RationalMatrix]:
     # an element of degree <= n is fixed by its values on the diagrams of
     # size <= n, and the h*-products indexed by the same set span that space
@@ -548,11 +559,6 @@ def apply_functional(coeffs, spec: FunctionalSpec) -> Fraction:
             val *= spec.g(m)
         total += val
     return total
-
-
-def functional_on_shifted_schur(mu: Partition, spec: FunctionalSpec) -> Fraction:
-    """pi(s*_mu) through the basis-change engine."""
-    return apply_functional(shifted_schur_h_coeffs(mu.parts), spec)
 
 
 def young_zz_closed_form(e, t, mu: Partition) -> Fraction:

@@ -19,7 +19,8 @@ class Partition:
     __slots__ = ("parts",)
 
     def __init__(self, parts=()):
-        cleaned = tuple(int(p) for p in parts if int(p) != 0)
+        parts = tuple(int(p) for p in parts)
+        cleaned = tuple(p for p in parts if p != 0)
         if any(p < 0 for p in cleaned):
             raise ValueError(f"negative part in {parts!r}")
         if any(cleaned[i] < cleaned[i + 1] for i in range(len(cleaned) - 1)):

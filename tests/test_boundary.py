@@ -10,7 +10,6 @@ from harmgraphs.boundary import (
     dirichlet_integral,
     embed_frobenius,
     embed_rows,
-    jacobi_trudi,
     kingman_kernel,
     selberg_verify,
     simplex_monomial_integral,
@@ -20,6 +19,7 @@ from harmgraphs.boundary import (
 )
 from harmgraphs.graphs import KINGMAN, YOUNG, covers_up, edge_multiplicity
 from harmgraphs.harmonic import TruncKingman, TruncYoung
+from harmgraphs.interp import jacobi_trudi
 from harmgraphs.partitions import Partition, partitions_of, partitions_up_to
 
 P = Partition
@@ -195,8 +195,14 @@ def test_selberg_rejects_unsupported_shapes():
         selberg_verify("gamma", P([3, 3, 2]), P([2]))  # 0 < depth < 2
     with pytest.raises(ValueError):
         selberg_verify("young", P([2, 1]), P([1, 1, 1]))  # mu too long
-    with pytest.raises(ValueError):
-        selberg_verify("young", P([6, 5, 4, 3, 2, 1]), P([1]))  # above the cap
+    # only the kingman arrangements and the Pfaffian/Cauchy expansions are capped
+    with pytest.raises(ValueError, match="permutation-expansion cap"):
+        selberg_verify("kingman", P([1] * 6), P([1]))
+    with pytest.raises(ValueError, match="permutation-expansion cap"):
+        selberg_verify("schur", P([6, 5, 4, 3, 2, 1]), P())
+    with pytest.raises(ValueError, match="permutation-expansion cap"):
+        selberg_verify("gamma", P([6] * 6), P())
+    assert selberg_verify("young", P([6, 5, 4, 3, 2, 1]), P([1])).equal
 
 
 # ---------------------------------------------------------------------------

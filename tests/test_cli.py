@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from harmgraphs import interp
 from harmgraphs.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
 
 
@@ -264,6 +265,16 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys):
         (("verify", "degeneration", "--levels", "-1"), "the degeneration suite"),
         (("verify", "dimensions", "--max-size", "-1", "--strict-max-size", "-1"),
          "the dimensions suite"),
+        (("converge", "--family", "trunc-young:lambda=2+1", "--n", "10", "--resolution", "0"),
+         "--resolution"),
+        (("converge", "--family", "trunc-young:lambda=2+1", "--n", "10", "--resolution", "-2"),
+         "--resolution"),
+        (("dims", "--kind", "young", "--level", "3", "--max-length", "-1"), "--max-length"),
+        (("phi", "--family", "young-zz:e=1,t=2", "--mu", "2+3"),
+         "parts must be nonincreasing: (2, 3)"),
+        # the kingman arrangements still expand l!/prod(r_v!) terms
+        (("integral-verify", "--graph", "kingman", "--lambda", "1+1+1+1+1+1"),
+         "face dimension 6 exceeds the permutation-expansion cap 5"),
     ],
     ids=["pfaffian-size-1", "converge-negative-n", "converge-zero-n", "converge-zero-in-list",
          "converge-untruncated", "pieri-negative-size", "pieri-no-points", "kernels-zero-levels",
@@ -271,7 +282,9 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys):
          "selberg-unknown-graph-single", "selberg-single-without-graph",
          "pfaffian-no-points", "interpolation-negative-size", "interpolation-zero-size",
          "staircase-zero-k", "lattice-zero-levels", "dimension-ratio-negative-mu",
-         "degeneration-negative-levels", "dimensions-negative-sizes"],
+         "degeneration-negative-levels", "dimensions-negative-sizes", "converge-zero-resolution",
+         "converge-negative-resolution", "dims-negative-max-length", "phi-increasing-mu",
+         "integral-verify-kingman-above-cap"],
 )
 def test_out_of_domain_arguments_are_usage_errors(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -296,3 +309,31 @@ def test_smallest_accepted_suites_run_checks(capsys, argv, rows):
     code, out, _ = run(capsys, *argv, "--out", "json")
     assert code == EXIT_OK
     assert len(json.loads(out)["rows"]) == rows
+
+
+@pytest.mark.parametrize(
+    "graph,lam,mu",
+    [
+        ("young", "1+1+1+1+1+1", "1+1"),
+        ("young", "7+6+5+4+3+2+1", "3+2+1"),
+        ("schur", "7+5+4+3+2+1", "6+5+4+3+2+1"),
+        ("gamma", "6+6+6+6+6+6", "7+6+6+6+6+6"),
+    ],
+)
+def test_integral_verify_on_faces_wider_than_the_expansion_cap(capsys, graph, lam, mu):
+    # determinant routes: no permutation or matching is expanded
+    code, out, _ = run(capsys, "integral-verify", "--graph", graph, "--lambda", lam, "--mu", mu)
+    assert code == EXIT_OK
+    assert out.endswith("summary: 1 passed, 0 failed\n")
+
+
+def test_gamma_family_never_calls_the_generator_basis_engine(monkeypatch, capsys):
+    def refuse(n):
+        raise AssertionError("the generator-basis engine is a test oracle")
+
+    monkeypatch.setattr(interp, "_basis_inverse", refuse)
+    code, out, _ = run(
+        capsys, "check-harmonic", "--family", "gamma:lambda=2+1,cap=14", "--levels", "14"
+    )
+    assert code == EXIT_OK
+    assert "0 failed" in out

@@ -26,6 +26,11 @@ GOLDEN = [
      "ef11353199df0653820cde11a5ebb52812cd1ac8d94d9d499a5da26beec91ffd"),
     ("check-harmonic --family gamma:lambda=2+1,cap=5 --levels 5", EXIT_OK,
      "072e9203e8af2ee7dddea439760af63fd53ae90b3e26bb2dbb142c6f0e52f47f"),
+    # the gamma face at degree 10, and at depth 3
+    ("check-harmonic --family gamma:lambda=2+1,cap=10 --levels 10", EXIT_OK,
+     "c9de96e8240b0399bb5a5204f4abd1fd87aa2920a2e82bdbf4d1a899c150589a"),
+    ("check-harmonic --family gamma:lambda=3+2+2,cap=9 --levels 9", EXIT_OK,
+     "c336cb197fa94eb6482d798c3ac75f733c7fba6031665db7df7c3ad0bc1a0b79"),
     ("check-harmonic --family trunc-kingman:lambda=2+1 --levels 6", EXIT_OK,
      "fa8da0884152b759a69735e0360ab2f7982c58ec661abdff6befb5369c8ade65"),
     ("check-harmonic --family trunc-schur:lambda=3+1 --levels 6", EXIT_OK,
@@ -52,6 +57,9 @@ GOLDEN = [
     ("verify pieri --seed 7", EXIT_OK,
      "9525ec0a8aadb671d56bf4f5ea5ca4195f065634c37c399c41a0ee2f7bd7cba7"),
     # Young and Kingman kernels: harmonicity and unit mass at random points
+    # seven coordinates, so the random points are denser in collisions
+    ("verify pieri --seed 7 --max-size 7 --points 2", EXIT_OK,
+     "190880bef743f30cd5c62aeb257a417633293e6a97b18d89d1f5f6e3434a5204"),
     ("verify kernels --seed 7", EXIT_OK,
      "d0c7089e39603d0df392eaeb51000c71d7bf0741bc56e63f386f08871cd5382f"),
     ("verify interpolation", EXIT_OK,

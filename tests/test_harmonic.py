@@ -248,7 +248,7 @@ def test_jack_at_one_equals_young():
 
 
 def test_young_engine_cross_check():
-    # closed product equals the generator-basis functional route
+    # closed product equals the shifted Jacobi-Trudi value of the functional
     for e, t in YOUNG_PARAMS:
         fam = YoungZZ(e, t)
         spec = young_zz_functional(e, t, 6)

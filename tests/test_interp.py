@@ -7,6 +7,10 @@ from harmgraphs.exact import falling_factorial, pochhammer, SingularMatrixError
 from harmgraphs.graphs import KINGMAN, SCHUR, YOUNG, covers_up, dim, edge_multiplicity
 from harmgraphs.interp import (
     FunctionalSpec,
+    _schur_bialternant,
+    _schur_tableau,
+    _shifted_schur_det,
+    _shifted_schur_tableau,
     apply_functional,
     diagram_point,
     evaluation_functional,
@@ -65,7 +69,8 @@ def test_schur_principal_specialization():
                 expected = F(1)
                 for (i, j) in mu.boxes():
                     expected *= F(k + mu.content(i, j), mu.hook(i, j))
-                assert schur_eval(mu, ones, route="tableau") == expected
+                assert schur_eval(mu, ones) == expected
+                assert _schur_tableau(mu, ones) == expected
 
 
 def test_schur_routes_agree():
@@ -76,14 +81,12 @@ def test_schur_routes_agree():
             continue
         for n in range(5):
             for mu in partitions_of(n):
-                assert schur_eval(mu, x, route="tableau") == schur_eval(
-                    mu, x, route="bialternant"
-                )
+                assert schur_eval(mu, x) == _schur_tableau(mu, x) == _schur_bialternant(mu, x)
 
 
 def test_schur_bialternant_rejects_collisions():
     with pytest.raises(ValueError):
-        schur_eval(P([2]), (F(1), F(1)), route="bialternant")
+        _schur_bialternant(P([2]), (F(1), F(1)))
 
 
 def test_monomial_padding_and_short_points():
@@ -115,7 +118,8 @@ def test_shifted_schur_specialization_at_repeated_point():
                         c = mu.content(i, j)
                         expected *= F(k + c) * (w + c) / mu.hook(i, j)
                     expected *= (-1) ** n
-                    assert shifted_schur_eval(mu, x, route="tableau") == expected
+                    assert shifted_schur_eval(mu, x) == expected
+                    assert _shifted_schur_tableau(mu, x) == expected
 
 
 def test_shifted_schur_routes_agree():
@@ -129,9 +133,8 @@ def test_shifted_schur_routes_agree():
         count += 1
         for n in range(6):
             for mu in partitions_of(n):
-                assert shifted_schur_eval(mu, x, route="determinant") == shifted_schur_eval(
-                    mu, x, route="tableau"
-                )
+                expected = _shifted_schur_tableau(mu, x)
+                assert shifted_schur_eval(mu, x) == _shifted_schur_det(mu, x) == expected
 
 
 def test_shifted_schur_interpolation_vanishing():
@@ -147,10 +150,10 @@ def test_shifted_schur_interpolation_vanishing():
 def test_shifted_schur_collision_reported():
     # the shifted coordinates (0+1, 1+0) collide
     with pytest.raises(SingularMatrixError):
-        shifted_schur_eval(P([2]), (F(0), F(1)), route="determinant")
-    # auto route falls back to the tableau sum at the same point
-    assert shifted_schur_eval(P([2]), (F(0), F(1))) == shifted_schur_eval(
-        P([2]), (F(0), F(1)), route="tableau"
+        _shifted_schur_det(P([2]), (F(0), F(1)))
+    # the Jacobi-Trudi determinant has no denominator at the same point
+    assert shifted_schur_eval(P([2]), (F(0), F(1))) == _shifted_schur_tableau(
+        P([2]), (F(0), F(1))
     )
 
 
@@ -197,7 +200,7 @@ def test_h_star_equals_one_row_shifted_schur():
         x = rand_point(rng, 3)
         vals = h_star_values(x, 5)
         for m in range(1, 6):
-            assert vals[m - 1] == shifted_schur_eval(P([m]), x, route="tableau")
+            assert vals[m - 1] == _shifted_schur_tableau(P([m]), x)
     # and on diagrams against the determinant route, at the points whose
     # values fill the rows of the generator matrix
     for n in range(7):
@@ -364,7 +367,7 @@ def test_dimension_ratio_identity():
 
 
 # ---------------------------------------------------------------------------
-# generator-basis engine
+# generator-basis engine (the test oracle) and functional values
 # ---------------------------------------------------------------------------
 
 def test_express_unit_vector_for_generators():
@@ -437,7 +440,7 @@ def test_functional_spec_validation():
 
 
 def test_super_functional_drives_engine():
-    # engine value under the split-diagonal functional of a diagram equals
+    # the value under the split-diagonal functional of a diagram equals
     # the plain evaluation at that diagram
     lam = P([3, 2])
     fc = lam.frobenius()

@@ -24,10 +24,19 @@ from harmgraphs.exact import SingularMatrixError, pochhammer
 from harmgraphs.graphs import KINGMAN, SCHUR, YOUNG, dim, dim_closed_form, level, sweep
 from harmgraphs.harmonic import JackZZ, TruncKingman, TruncYoung, check_harmonicity
 from harmgraphs.interp import (
+    H_STAR,
+    FunctionalSpec,
+    _schur_tableau,
+    _shifted_schur_det,
+    _shifted_schur_tableau,
+    apply_functional,
     factorial_monomial_eval,
+    functional_on_shifted_schur,
     monomial_eval,
+    schur_eval,
     shifted_schur_at_diagram,
     shifted_schur_eval,
+    shifted_schur_h_coeffs,
 )
 from harmgraphs.partitions import Partition, partitions_of
 
@@ -109,7 +118,7 @@ def _shifted(x):
 def test_shifted_schur_determinant_matches_tableau_sum(case):
     mu, x = case
     assume(len(set(_shifted(x))) == len(x))
-    assert shifted_schur_eval(mu, x, "determinant") == shifted_schur_eval(mu, x, "tableau")
+    assert _shifted_schur_det(mu, x) == _shifted_schur_tableau(mu, x)
 
 
 @PROPERTY
@@ -122,7 +131,45 @@ def test_shifted_schur_determinant_rejects_colliding_coordinates(case, data):
     # x_j + (k-1-j) = x_i + (k-1-i)
     x = x[:j] + (x[i] + (j - i),) + x[j + 1 :]
     with pytest.raises(SingularMatrixError):
-        shifted_schur_eval(mu, x, "determinant")
+        _shifted_schur_det(mu, x)
+
+
+@PROPERTY
+@given(st.integers(0, 6).flatmap(lambda n: st.sampled_from(partitions_of(n))),
+       st.lists(rationals, min_size=6, max_size=6))
+def test_shifted_jacobi_trudi_matches_the_engine(mu, values):
+    spec = FunctionalSpec(H_STAR, tuple(values))
+    expected = apply_functional(shifted_schur_h_coeffs(mu.parts), spec)
+    assert functional_on_shifted_schur(mu, spec) == expected
+
+
+@PROPERTY
+@given(points_and_shapes(), st.data())
+def test_jacobi_trudi_matches_tableau_sums_at_colliding_points(case, data):
+    # x_j = x_i collides the bialternant of s, x_j = x_i + (j - i) that of s*
+    mu, x = case
+    assume(len(x) >= 2)
+    i = data.draw(st.integers(0, len(x) - 2))
+    j = data.draw(st.integers(i + 1, len(x) - 1))
+    shift = data.draw(st.sampled_from([0, j - i]))
+    x = x[:j] + (x[i] + shift,) + x[j + 1 :]
+    assert schur_eval(mu, x) == _schur_tableau(mu, x)
+    assert shifted_schur_eval(mu, x) == _shifted_schur_tableau(mu, x)
+
+
+@PROPERTY
+@given(st.integers(2, 3), rationals, st.data())
+def test_jacobi_trudi_at_thirteen_boxes_and_a_repeated_point(k, w, data):
+    # both values at k equal coordinates are closed content/hook products
+    mu = data.draw(st.sampled_from(partitions_of(13, max_length=k)))
+    classical = F(1)
+    shifted = F(1)
+    for (i, j) in mu.boxes():
+        c = mu.content(i, j)
+        classical *= w * (k + c) / mu.hook(i, j)
+        shifted *= -(k + c) * (w + c) / mu.hook(i, j)
+    assert schur_eval(mu, (w,) * k) == classical
+    assert shifted_schur_eval(mu, (-w,) * k) == shifted
 
 
 def _arrangement_sum(mu, x, power):
