@@ -17,7 +17,8 @@ needed here reduces to closed form on the standard simplex:
   exactly by a per-pair radial (Beta) reduction.
 
 That makes the μ = ∅ mass-one checks exact as well, not just the
-full-length alternant cases.
+full-length alternant cases.  The truncated family and the density
+constant depend on λ alone, so `selberg_rows` builds them once per λ.
 """
 
 from __future__ import annotations
@@ -409,25 +410,25 @@ def _integrate_monomial_times_cauchy(p, q) -> Fraction:
     return total
 
 
-def selberg_verify(graph: str, lam: Partition, mu: Partition) -> SelbergResult:
-    """Exact both-sides evaluation of the finite-face integral identity.
+def selberg_rows(graph: str, lam: Partition, mus: list[Partition]) -> list[SelbergResult]:
+    """Both sides, exactly, of the finite-face integral identity at lam, for each mu.
 
     The left side is the truncated-family harmonic value; the right side
     is the normalized face integral, computed exactly: two alternants
     integrate to one determinant of factorials, and an alternant against
     a Pfaffian or Cauchy factor keeps only its identity term, since the
-    Dirichlet closed form is symmetric in the variables.
-    Shape combinations without an exact route are rejected.
+    Dirichlet closed form is symmetric in the variables.  The family and
+    the density constant are built once.  Shapes without an exact route are rejected.
     """
-    if graph == "young":
-        return _selberg_young(lam, mu)
-    if graph == "kingman":
-        return _selberg_kingman(lam, mu)
-    if graph == "schur":
-        return _selberg_schur(lam, mu)
-    if graph == "gamma":
-        return _selberg_gamma(lam, mu)
-    raise ValueError(f"unknown graph {graph!r}")
+    if graph not in _SELBERG_SETUP:
+        raise ValueError(f"unknown graph {graph!r}")
+    family, constant, integral = _SELBERG_SETUP[graph](lam, mus)
+    return [SelbergResult(graph, lam, mu, family.phi(mu), constant * integral(mu)) for mu in mus]
+
+
+def selberg_verify(graph: str, lam: Partition, mu: Partition) -> SelbergResult:
+    """The identity of `selberg_rows` at one mu."""
+    return selberg_rows(graph, lam, [mu])[0]
 
 
 def _alternant_integral(a, b) -> Fraction:
@@ -435,73 +436,75 @@ def _alternant_integral(a, b) -> Fraction:
     return Fraction(_factorial_det(a, b), factorial(len(a) + sum(a) + sum(b) - 1))
 
 
-def _selberg_young(lam: Partition, mu: Partition) -> SelbergResult:
+def _young_face(lam: Partition, mus: list[Partition]):
     l = lam.length
-    if mu.length > l:
+    if any(mu.length > l for mu in mus):
         raise ValueError("need length(mu) <= length(lam)")
-    lhs = TruncYoung(lam).phi(mu)
-    total = _alternant_integral(_plus_staircase(mu, l), _plus_staircase(lam, l))
-    rhs = young_density_constant(lam) * total
-    return SelbergResult("young", lam, mu, lhs, rhs)
+    a = _plus_staircase(lam, l)
+    integral = lambda mu: _alternant_integral(_plus_staircase(mu, l), a)
+    return TruncYoung(lam), young_density_constant(lam), integral
 
 
-def _selberg_kingman(lam: Partition, mu: Partition) -> SelbergResult:
+def _kingman_face(lam: Partition, mus: list[Partition]):
     l = lam.length
     _check_cap(l)
-    if mu.length > l:
+    if any(mu.length > l for mu in mus):
         raise ValueError("need length(mu) <= length(lam)")
-    lhs = TruncKingman(lam).phi(mu)
-    mu_pad = mu.parts + (0,) * (l - mu.length)
-    # m_mu sums x^e over the l!/prod(r_v!) arrangements e of mu_pad; by
-    # symmetry each integrates against m_lam to the value mu_pad gives
-    total = Fraction(0)
-    for e in _distinct_perms(lam.parts):
-        total += simplex_monomial_integral([a + b for a, b in zip(mu_pad, e)])
-    repeats = prod(factorial(mu_pad.count(v)) for v in set(mu_pad))
-    rhs = kingman_density_constant(lam) * total / repeats
-    return SelbergResult("kingman", lam, mu, lhs, rhs)
+    arrangements = list(_distinct_perms(lam.parts))
+
+    def integral(mu: Partition) -> Fraction:
+        mu_pad = mu.parts + (0,) * (l - mu.length)
+        # m_mu sums x^e over the l!/prod(r_v!) arrangements e of mu_pad; by
+        # symmetry each integrates against m_lam to the value mu_pad gives
+        arranged = ([a + b for a, b in zip(mu_pad, e)] for e in arrangements)
+        total = sum(map(simplex_monomial_integral, arranged))
+        return total / prod(factorial(mu_pad.count(v)) for v in set(mu_pad))
+
+    return TruncKingman(lam), kingman_density_constant(lam), integral
 
 
-def _selberg_schur(lam: Partition, mu: Partition) -> SelbergResult:
-    if not lam.is_strict or not mu.is_strict:
+def _schur_face(lam: Partition, mus: list[Partition]):
+    if not lam.is_strict or not all(mu.is_strict for mu in mus):
         raise ValueError("strict partitions required")
     l = lam.length
-    lhs = TruncSchur(lam).phi(mu)
-    if mu.length == l:
-        # both alternants of full length; the squared Pfaffian cancels
-        total = _alternant_integral(mu.parts, lam.parts)
-    elif mu.size == 0:
-        # each term of alt_lam integrates against the Pfaffian like the first
-        _check_cap(l)
-        total = _integrate_monomial_times_pfaffian(l, lam.parts)
-    else:
-        raise ValueError(
-            "no exact route for 0 < length(mu) < length(lam) on the strict face"
-        )
-    rhs = schur_density_constant(lam) * total
-    return SelbergResult("schur", lam, mu, lhs, rhs)
+
+    def integral(mu: Partition) -> Fraction:
+        if mu.length == l:
+            # both alternants of full length; the squared Pfaffian cancels
+            return _alternant_integral(mu.parts, lam.parts)
+        if mu.size == 0:
+            # each term of alt_lam integrates against the Pfaffian like the first
+            _check_cap(l)
+            return _integrate_monomial_times_pfaffian(l, lam.parts)
+        raise ValueError("no exact route for 0 < length(mu) < length(lam) on the strict face")
+
+    return TruncSchur(lam), schur_density_constant(lam), integral
 
 
-def _selberg_gamma(lam: Partition, mu: Partition) -> SelbergResult:
+def _gamma_face(lam: Partition, mus: list[Partition]):
     fc = lam.frobenius()
     d = fc.depth
-    family = GammaShaped(fc, degree_cap=max(1, mu.size))
-    lhs = family.phi(mu)
-    if mu.depth == d:
-        # the Cauchy factors cancel; one alternant pair per coordinate block
-        mf = mu.frobenius()
-        size = sum(mf.p) + sum(mf.q) + sum(fc.p) + sum(fc.q)
-        total = Fraction(
-            _factorial_det(mf.p, fc.p) * _factorial_det(mf.q, fc.q), factorial(2 * d + size - 1)
-        )
-    elif mu.size == 0:
-        # each term of either alternant integrates against the Cauchy factor like the first
-        _check_cap(d)
-        total = _integrate_monomial_times_cauchy(fc.p, fc.q)
-    else:
+    # the generator values up to degree |mu| do not depend on the cap
+    family = GammaShaped(fc, degree_cap=max([1, *(mu.size for mu in mus)]))
+
+    def integral(mu: Partition) -> Fraction:
+        if mu.depth == d:
+            # the Cauchy factors cancel; one alternant pair per coordinate block
+            mf = mu.frobenius()
+            size = sum(mf.p) + sum(mf.q) + sum(fc.p) + sum(fc.q)
+            dets = _factorial_det(mf.p, fc.p) * _factorial_det(mf.q, fc.q)
+            return Fraction(dets, factorial(2 * d + size - 1))
+        if mu.size == 0:
+            # each term of either alternant integrates against the Cauchy factor like the first
+            _check_cap(d)
+            return _integrate_monomial_times_cauchy(fc.p, fc.q)
         raise ValueError("no exact route for 0 < depth(mu) < depth(lam) on the hook face")
-    rhs = gamma_density_constant(lam) * total
-    return SelbergResult("gamma", lam, mu, lhs, rhs)
+
+    return family, gamma_density_constant(lam), integral
+
+
+# face -> (family, density constant, normalized integral of each mu), built once per lam
+_SELBERG_SETUP = dict(young=_young_face, kingman=_kingman_face, schur=_schur_face, gamma=_gamma_face)
 
 
 # ---------------------------------------------------------------------------

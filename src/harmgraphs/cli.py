@@ -45,7 +45,7 @@ from .harmonic import (
     JackZZ,
     YoungZZ,
     check_harmonicity,
-    lattice_bound_approx,
+    lattice_level_sums,
     level_measure,
     parse_family,
 )
@@ -66,7 +66,7 @@ from .boundary import (
     convergence_experiment,
     density_spec,
     kingman_kernel,
-    selberg_verify,
+    selberg_rows,
     young_h_series,
 )
 from .partitions import Partition, partitions_of, partitions_up_to
@@ -252,7 +252,7 @@ def cmd_density(args) -> int:
 
 def cmd_integral_verify(args) -> int:
     report = Report(command="integral-verify")
-    _add_selberg_row(report, args.graph, _partition(getattr(args, "lambda")), _partition(args.mu))
+    _add_selberg_rows(report, args.graph, _partition(getattr(args, "lambda")), [_partition(args.mu)])
     return _emit(report, args)
 
 
@@ -263,11 +263,14 @@ def cmd_converge(args) -> int:
         raise ValueError("every --n value must be at least 1")
     if args.resolution < 1:
         raise ValueError("--resolution must be at least 1")
+    interior = as_rational(args.interior)
+    if not 0 < interior < 1:
+        raise ValueError("--interior must lie strictly between 0 and 1")
     rep = convergence_experiment(
         family,
         n_values,
         resolution=args.resolution,
-        interior_fraction=as_rational(args.interior),
+        interior_fraction=interior,
         ratio_tolerance=args.ratio_tol,
     )
     report = Report(command="converge")
@@ -457,20 +460,20 @@ def _suite_selberg(args, report: Report) -> None:
     if getattr(args, "lam", None):
         if args.graph == "all":
             raise ValueError(f"a single identity (--lam) needs one face: pass --graph as one of {faces}")
-        work = [(args.graph, _partition(args.lam), _partition(args.mu or "0"))]
+        work = [(args.graph, _partition(args.lam), [_partition(args.mu or "0")])]
     else:
         work = _selberg_sweep(args.graph, args.max_size)
-    for graph, lam, mu in work:
-        _add_selberg_row(report, graph, lam, mu)
+    for graph, lam, mus in work:
+        _add_selberg_rows(report, graph, lam, mus)
 
 
-def _add_selberg_row(report: Report, graph: str, lam: Partition, mu: Partition) -> None:
-    res = selberg_verify(graph, lam, mu)
-    report.add(f"selberg-{res.graph}", f"lambda={res.lam} mu={res.mu}", res.lhs, res.rhs, res.equal)
+def _add_selberg_rows(report: Report, graph: str, lam: Partition, mus: list[Partition]) -> None:
+    for res in selberg_rows(graph, lam, mus):
+        report.add(f"selberg-{res.graph}", f"lambda={res.lam} mu={res.mu}", res.lhs, res.rhs, res.equal)
 
 
-def _selberg_sweep(graph: str, max_size: int) -> list[tuple[str, Partition, Partition]]:
-    work: list[tuple[str, Partition, Partition]] = []
+def _selberg_sweep(graph: str, max_size: int) -> list[tuple[str, Partition, list[Partition]]]:
+    work: list[tuple[str, Partition, list[Partition]]] = []
     for face, (values, stat, strict, admits) in _SELBERG_FACES.items():
         if graph not in ("all", face):
             continue
@@ -479,11 +482,10 @@ def _selberg_sweep(graph: str, max_size: int) -> list[tuple[str, Partition, Part
                 for lam in partitions_of(ln, strict=strict):
                     if getattr(lam, stat) != s:
                         continue
-                    work.append((face, lam, Partition()))
+                    mus = [Partition()]
                     for mn in range(1, max_size + 1):
-                        for mu in partitions_of(mn, strict=strict):
-                            if admits(mu, s):
-                                work.append((face, lam, mu))
+                        mus += [mu for mu in partitions_of(mn, strict=strict) if admits(mu, s)]
+                    work.append((face, lam, mus))
     return work
 
 
@@ -611,14 +613,16 @@ def _suite_lattice(args, report: Report) -> None:
             continue
         here = f1.phi(mu)
         bound = here + f2.phi(mu)
+        rows = lattice_level_sums(f1, f2, mu, args.levels)
         prev_join = prev_meet = None
-        for n, join, meet in lattice_bound_approx(f1, f2, mu, args.levels):
+        for n, join, meet, _ in rows:
             ok = join <= bound and meet >= 0
             if prev_join is not None:
                 ok = ok and join >= prev_join and meet <= prev_meet
             report.add("lattice-bounds", f"mu={mu} n={n}", join, meet, ok)
             prev_join, prev_meet = join, meet
-        for n, same, _ in lattice_bound_approx(f1, f1, mu, args.levels):
+        # the join of f1 with itself is its own level sum
+        for n, _, _, same in rows:
             report.add("lattice-idempotent", f"mu={mu} n={n}", same, here, same == here)
 
 

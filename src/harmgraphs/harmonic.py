@@ -561,15 +561,16 @@ def level_measure(family: HarmonicFamily, n: int, max_length: int | None = None)
     return LevelMeasure(n, tuple((lam, d * family.phi(lam)) for lam, d, _ in rows))
 
 
-def lattice_bound_approx(
+def lattice_level_sums(
     phi_fam: HarmonicFamily,
     psi_fam: HarmonicFamily,
     mu: Partition,
     top: int,
-) -> list[tuple[int, Fraction, Fraction]]:
-    """Join and meet approximations at mu, one row (n, join, meet) per level
-    |mu| < n <= top: the sums over level-n lam of dim(mu, lam) times the max
-    and the min of phi(lam), psi(lam), from one sweep up from mu."""
+) -> list[tuple[int, Fraction, Fraction, Fraction]]:
+    """One row (n, join, meet, phi_sum) per level |mu| < n <= top, from one
+    sweep up from mu: the sums over level-n lam of dim(mu, lam) times the
+    max, the min and the first of phi(lam), psi(lam).  By harmonicity the
+    last is phi(mu) at every level."""
     if phi_fam.kind != psi_fam.kind:
         raise ValueError("families must live on the same graph")
     if mu.size >= top:
@@ -578,10 +579,22 @@ def lattice_bound_approx(
     for n, rows in sweep(phi_fam.kind, top, start=mu):
         if n == mu.size:
             continue
-        join = meet = Fraction(0)
+        join = meet = phi_sum = Fraction(0)
         for lam, d, _ in rows:
             a, b = phi_fam.phi(lam), psi_fam.phi(lam)
             join += d * max(a, b)
             meet += d * min(a, b)
-        out.append((n, join, meet))
+            phi_sum += d * a
+        out.append((n, join, meet, phi_sum))
     return out
+
+
+def lattice_bound_approx(
+    phi_fam: HarmonicFamily,
+    psi_fam: HarmonicFamily,
+    mu: Partition,
+    top: int,
+) -> list[tuple[int, Fraction, Fraction]]:
+    """Join and meet approximations at mu, one row (n, join, meet) per level
+    |mu| < n <= top; see `lattice_level_sums`."""
+    return [(n, join, meet) for n, join, meet, _ in lattice_level_sums(phi_fam, psi_fam, mu, top)]

@@ -6,8 +6,8 @@ factorial monomial (Kingman side) and factorial Schur P (strict side):
 
 * Schur and shifted Schur: one Jacobi-Trudi determinant in the one-row
   values, at a point or under a multiplicative functional; the one-row
-  generators h* by a running tableau sum, cross-checked against
-  generating-series extraction.  At integer diagram points the
+  generators h* by a running tableau sum, the product-form ones by one
+  O(count) recurrence per factor.  At integer diagram points the
   falling-factorial bialternant is used; it and the reverse-tableau sums
   are the test oracles;
 * factorial monomial: direct distinct-permutation sum;
@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 from math import factorial, prod
 from typing import Mapping, Sequence
 
@@ -38,7 +39,6 @@ from .exact import (
     pfaffian,
 )
 from .partitions import Partition, partitions_up_to, reverse_tableaux
-from .series import factorial_series_from_rational, poly_mul
 
 Point = tuple[Fraction, ...]
 
@@ -211,14 +211,19 @@ def shifted_schur_at_diagram(mu: Partition, lam: Partition) -> Fraction:
 # one-row generating series
 # ---------------------------------------------------------------------------
 
-def _balanced_product(num_shifts: Sequence[Fraction], den_shifts: Sequence[Fraction]):
-    num = [Fraction(1)]
-    den = [Fraction(1)]
-    for a in num_shifts:
-        num = poly_mul(num, [a, Fraction(1)])
-    for a in den_shifts:
-        den = poly_mul(den, [a, Fraction(1)])
-    return num, den
+def _product_series(factors: Sequence[tuple[Fraction, Fraction]], count: int) -> list[Fraction]:
+    """g_1..g_count of prod (u + a)/(u - b) = 1 + sum g_m/(u falling m) over (a, b).
+
+    From 1/((u falling m)(u - b)) = sum_k (b - m) falling k / (u falling (m + k + 1)),
+    one factor is O(count): g'_n = g_n + (a + b) T_n, T_1 = 1, T_(n+1) = (b - n + 1) T_n + g_n.
+    """
+    g = [Fraction(0)] * count
+    for a, b in factors:
+        t = Fraction(1)
+        for i, gi in enumerate(g):
+            g[i] = gi + (a + b) * t
+            t = (b - i) * t + gi
+    return g
 
 
 def h_star_values(x, count: int) -> list[Fraction]:
@@ -252,30 +257,23 @@ def super_h_star_values(xs, ys, count: int) -> list[Fraction]:
     """Generator values under the two-alphabet (super) realization.
 
     The series is the product of (u + 1/2 + y_i)/(u + 1/2 - x_i) over the
-    combined support; at the split-diagonal point of a diagram it must
-    reproduce the ordinary h* values of that diagram, which is the oracle
-    pinning the 1/2 shift.
+    zero-padded support, expanded by `_product_series`; at the split-diagonal
+    point of a diagram it must reproduce the ordinary h* values of that
+    diagram, which is the oracle pinning the 1/2 shift.
     """
-    xs = as_point(xs)
-    ys = as_point(ys)
-    width = max(len(xs), len(ys))
     half = Fraction(1, 2)
-    num_shifts = [half + (ys[i] if i < len(ys) else Fraction(0)) for i in range(width)]
-    den_shifts = [half - (xs[i] if i < len(xs) else Fraction(0)) for i in range(width)]
-    num, den = _balanced_product(num_shifts, den_shifts)
-    return factorial_series_from_rational(num, den, count)
+    pairs = zip_longest(as_point(xs), as_point(ys), fillvalue=Fraction(0))
+    return _product_series([(half + y, x - half) for x, y in pairs], count)
 
 
 def q_one_row_values(x, count: int) -> list[Fraction]:
     """Doubled one-row values from the odd-power-sum generating product.
 
-    The product of (u + 1 + x_i)/(u + 1 - x_i) expands with coefficients
-    equal to twice the factorial Schur P one-row values (the doubled
-    normalization carries the 2^length factor of the P/Q pair).
+    The product of (u + 1 + x_i)/(u + 1 - x_i), expanded by `_product_series`,
+    has coefficients equal to twice the factorial Schur P one-row values
+    (the doubled normalization carries the 2^length factor of the P/Q pair).
     """
-    x = as_point(x)
-    num, den = _balanced_product([1 + xi for xi in x], [1 - xi for xi in x])
-    return factorial_series_from_rational(num, den, count)
+    return _product_series([(1 + xi, xi - 1) for xi in as_point(x)], count)
 
 
 def pstar_one_row_values_from_point(x, count: int) -> list[Fraction]:

@@ -11,12 +11,14 @@ from harmgraphs.boundary import (
     embed_frobenius,
     embed_rows,
     kingman_kernel,
+    selberg_rows,
     selberg_verify,
     simplex_monomial_integral,
     simplex_pair_integral,
     young_h_series,
     young_kernel,
 )
+from harmgraphs.cli import _selberg_sweep
 from harmgraphs.graphs import KINGMAN, YOUNG, covers_up, edge_multiplicity
 from harmgraphs.harmonic import TruncKingman, TruncYoung
 from harmgraphs.interp import jacobi_trudi
@@ -186,6 +188,15 @@ def test_selberg_sweep_gamma():
                 for mn in range(1, 7):
                     for mu in (p for p in partitions_of(mn) if p.depth == d):
                         assert selberg_verify("gamma", lam, mu).equal, (lam, mu)
+
+
+def test_selberg_rows_per_lambda_match_one_row_at_a_time():
+    # one family per lambda (for gamma with the cap of the largest mu)
+    # gives the values of one family per row
+    groups = _selberg_sweep("all", 5)
+    assert {face for face, _, _ in groups} == {"young", "kingman", "schur", "gamma"}
+    for face, lam, mus in groups:
+        assert selberg_rows(face, lam, mus) == [selberg_verify(face, lam, mu) for mu in mus]
 
 
 def test_selberg_rejects_unsupported_shapes():

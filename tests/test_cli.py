@@ -269,6 +269,9 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys):
          "--resolution"),
         (("converge", "--family", "trunc-young:lambda=2+1", "--n", "10", "--resolution", "-2"),
          "--resolution"),
+        # a separation fraction outside (0, 1) selects no vertex or every vertex
+        *[(("converge", "--family", "trunc-young:lambda=2+1", "--n", "10", "--interior", f),
+           "--interior") for f in ("3", "0", "-1", "1")],
         (("dims", "--kind", "young", "--level", "3", "--max-length", "-1"), "--max-length"),
         (("phi", "--family", "young-zz:e=1,t=2", "--mu", "2+3"),
          "parts must be nonincreasing: (2, 3)"),
@@ -283,8 +286,9 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys):
          "pfaffian-no-points", "interpolation-negative-size", "interpolation-zero-size",
          "staircase-zero-k", "lattice-zero-levels", "dimension-ratio-negative-mu",
          "degeneration-negative-levels", "dimensions-negative-sizes", "converge-zero-resolution",
-         "converge-negative-resolution", "dims-negative-max-length", "phi-increasing-mu",
-         "integral-verify-kingman-above-cap"],
+         "converge-negative-resolution", "converge-interior-3", "converge-interior-0",
+         "converge-interior-negative", "converge-interior-1", "dims-negative-max-length",
+         "phi-increasing-mu", "integral-verify-kingman-above-cap"],
 )
 def test_out_of_domain_arguments_are_usage_errors(capsys, argv, message):
     code, out, err = run(capsys, *argv)

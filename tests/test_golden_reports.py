@@ -66,6 +66,11 @@ GOLDEN = [
      "6652505517467b52dd240b62e144f3bc77127737fa5cbcfb550e25074924b513"),
     ("verify lattice --levels 9", EXIT_OK,
      "6e2bad7be0efecc1e44d6b656695c4aec294b0fcbffa7080bd4dd5df8f9073ea"),
+    # the closed-form-sweep lattice step, and the generator-engine Selberg step
+    ("verify lattice --levels 12", EXIT_OK,
+     "0dad420173ea5c238ae1f8910464893d1fbff69fefd9281a8caf54463ae78e21"),
+    ("verify selberg --graph gamma --max-size 6", EXIT_OK,
+     "0cc492431483188ed81efc0ab225ab6330aa61b5f46428a9812b9e0f1630231a"),
     # the four faces in order: young, kingman, schur, gamma
     ("verify selberg --graph all --max-size 4", EXIT_OK,
      "963c9de7a6d4b3fdee82f8e49695047d1ad255bef5164e5ad9efb38eaad28611"),

@@ -1,13 +1,14 @@
 """Property-based checks of the level sweep, the Jack weights, the
-interpolation-polynomial evaluators, the truncated level weights and the
-exact Selberg integrals on random admissible inputs."""
+interpolation-polynomial evaluators, the product-form one-row series, the
+truncated level weights and the exact Selberg integrals on random
+admissible inputs."""
 
 from fractions import Fraction as F
 from itertools import permutations
 from math import factorial
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from harmgraphs.boundary import (
@@ -26,6 +27,7 @@ from harmgraphs.harmonic import JackZZ, TruncKingman, TruncYoung, check_harmonic
 from harmgraphs.interp import (
     H_STAR,
     FunctionalSpec,
+    _product_series,
     _schur_tableau,
     _shifted_schur_det,
     _shifted_schur_tableau,
@@ -39,6 +41,7 @@ from harmgraphs.interp import (
     shifted_schur_h_coeffs,
 )
 from harmgraphs.partitions import Partition, partitions_of
+from harmgraphs.series import factorial_series_from_rational, poly_mul
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
 
@@ -315,3 +318,22 @@ def test_kingman_selberg_matches_the_double_expansion(lam, data):
     res = selberg_verify("kingman", lam, mu)
     assert res.rhs == kingman_density_constant(lam) * expanded / factorial(l)
     assert res.equal
+
+
+# a small pool, so that repeated poles, repeated zeros and a zero u + a
+# meeting a pole u - b (a = -b) are all common
+shifts = st.sampled_from([F(-2), F(-1, 2), F(0), F(1, 3), F(1), F(2)])
+
+
+@PROPERTY
+@given(st.lists(st.tuples(shifts, shifts), max_size=6), st.integers(0, 12))
+@example([(F(1), F(2)), (F(3), F(2)), (F(0), F(2))], 12)  # a triple pole
+@example([(F(1), F(2)), (F(1), F(-1)), (F(1), F(0))], 12)  # a triple zero
+@example([(F(1), F(3)), (F(-3), F(1, 2))], 12)  # the second zero cancels the first pole
+@example([(F(-5, 2), F(5, 2))], 12)  # one factor equal to 1
+def test_product_series_matches_the_rational_expansion(factors, count):
+    num, den = [F(1)], [F(1)]
+    for a, b in factors:
+        num = poly_mul(num, [a, F(1)])
+        den = poly_mul(den, [-b, F(1)])
+    assert _product_series(factors, count) == factorial_series_from_rational(num, den, count)
