@@ -12,6 +12,7 @@ experiments and the hypergeometric summation check.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 from typing import Sequence
 
 import mpmath
@@ -55,14 +56,16 @@ def format_rational(value: Fraction) -> str:
 
 
 def pochhammer(t, n: int) -> Fraction:
-    """Rising factorial (t)_n = t (t+1) ... (t+n-1), with (t)_0 = 1."""
+    """Rising factorial (t)_n = t (t+1) ... (t+n-1), with (t)_0 = 1.
+
+    For t = p/q this is the integer product of p + kq over k < n, divided
+    by q^n once.
+    """
     if n < 0:
         raise ValueError("pochhammer needs n >= 0")
     t = as_rational(t)
-    out = Fraction(1)
-    for k in range(n):
-        out *= t + k
-    return out
+    p, q = t.numerator, t.denominator
+    return Fraction(prod(range(p, p + n * q, q)), q**n)
 
 
 def falling_factorial(a, k: int) -> Fraction:
@@ -75,10 +78,7 @@ def falling_factorial(a, k: int) -> Fraction:
         raise ValueError("falling_factorial needs k >= 0")
     a = as_rational(a)
     p, q = a.numerator, a.denominator
-    num = 1
-    for j in range(k):
-        num *= p - j * q
-    return Fraction(num, q**k)
+    return Fraction(prod(range(p, p - k * q, -q)), q**k)
 
 
 # ---------------------------------------------------------------------------

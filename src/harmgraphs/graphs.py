@@ -97,12 +97,14 @@ def level(n: int, kind: GraphKind, max_length: int | None = None) -> list[Partit
 # ---------------------------------------------------------------------------
 
 def _new_box(mu: Partition, lam: Partition) -> tuple[int, int]:
-    if lam.size != mu.size + 1 or not lam.contains(mu):
-        raise ValueError(f"{lam} does not cover {mu}")
-    for i in range(1, lam.length + 1):
-        if lam.part(i) != mu.part(i):
-            return (i, lam.part(i))
-    raise ValueError("unreachable")
+    """The (row, column) of the one box lam adds to mu, 1-based, read in one
+    pass: the first row where the parts differ grows by one, the rest agree."""
+    a, b = mu.parts, lam.parts
+    if 0 <= len(b) - len(a) <= 1:
+        i = next((k for k, p in enumerate(a) if p != b[k]), len(a))
+        if i < len(b) and b[i] == (a[i] if i < len(a) else 0) + 1 and a[i + 1 :] == b[i + 1 :]:
+            return (i + 1, b[i])
+    raise ValueError(f"{lam} does not cover {mu}")
 
 
 def jack_weight(mu: Partition, lam: Partition, theta) -> Fraction:

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial, prod
 
 from .exact import as_rational, pochhammer
 from .graphs import GraphKind, KINGMAN, SCHUR, YOUNG, jack, level, sweep, top_level
@@ -149,13 +150,22 @@ class JackZZ(HarmonicFamily):
         return jack(self.theta)
 
     def phi(self, mu: Partition) -> Fraction:
-        out = Fraction(1)
-        for (i, j) in mu.boxes():
-            c = Fraction(j - 1) - self.theta * (i - 1)
-            num = self.zz + c * self.e + c * c
-            den = mu.arm(i, j) + self.theta * mu.leg(i, j) + self.theta
-            out *= num / den
-        return out / pochhammer(self.t, mu.size)
+        """The product over the boxes of (zz + c e + c^2)/(arm + theta leg + theta),
+        c = (j - 1) - theta (i - 1), over (t)_|mu|.  With theta = p/q a box's
+        content is C/q for an integer C, so its factor is the integer
+        zp eq q^2 + C ep zq q + C^2 zq eq over (arm q + p (leg + 1)) zq eq q."""
+        p, q = self.theta.numerator, self.theta.denominator
+        zp, zq = self.zz.numerator, self.zz.denominator
+        ep, eq = self.e.numerator, self.e.denominator
+        a, b, d = zp * eq * q * q, ep * zq * q, zq * eq
+        cols = mu.conjugate().parts
+        num = den = 1
+        for i, row in enumerate(mu.parts):
+            for j in range(row):
+                c = j * q - p * i
+                num *= a + c * (b + c * d)
+                den *= (row - j - 1) * q + p * (cols[j] - i)
+        return Fraction(num, den * (d * q) ** mu.size) / pochhammer(self.t, mu.size)
 
     def admissible(self, surrogate_level: int = 6) -> AdmissibleReport:
         return self._surrogate_nonnegative(surrogate_level)
@@ -178,23 +188,20 @@ class KingmanTA(HarmonicFamily):
         _reject_nonpositive_integer_t(self.t, allow_zero=True)
 
     def phi(self, mu: Partition) -> Fraction:
-        out = Fraction(1)
-        for p in mu.parts:
-            for v in range(1, p):
-                out *= v
-        for r in mu.multiplicities().values():
-            for v in range(1, r + 1):
-                out /= v
-        # the scalar t (t + alpha) ... (t + (l-1) alpha) over (t)_n: the
-        # common leading t cancels, which is what makes t = 0 legal here
-        for i in range(1, mu.length):
-            out *= self.t + i * self.alpha
-        for k in range(1, mu.size):
-            out /= self.t + k
-        for (i, j) in mu.boxes():
-            if j >= 2:
-                out *= 1 - self.alpha / (j - 1)
-        return out
+        """prod over parts of (1 - alpha)_(p-1) over prod r_k! (r_k the
+        multiplicities), times (t + alpha) ... (t + (l-1) alpha) over
+        (t + 1) ... (t + n - 1): the common leading t of the scalar and of
+        (t)_n cancels, which is what makes t = 0 legal here.  With t = tp/tq
+        and alpha = ap/aq every factor is an integer over tq, aq or tq aq."""
+        if not mu.parts:
+            return Fraction(1)
+        tp, tq = self.t.numerator, self.t.denominator
+        ap, aq = self.alpha.numerator, self.alpha.denominator
+        n, l = mu.size, mu.length
+        num = prod(v * aq - ap for p in mu.parts for v in range(1, p))
+        num *= prod(tp * aq + i * ap * tq for i in range(1, l)) * tq ** (n - l)
+        den = prod(map(factorial, mu.multiplicities().values())) * aq ** (n - 1)
+        return Fraction(num, den * prod(range(tp + tq, tp + n * tq, tq)))
 
     @staticmethod
     def params_admissible(t, alpha) -> AdmissibleReport:

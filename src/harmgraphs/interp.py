@@ -7,10 +7,10 @@ factorial monomial (Kingman side) and factorial Schur P (strict side):
 * Schur and shifted Schur: one Jacobi-Trudi determinant in the one-row
   values, at a point or under a multiplicative functional; the one-row
   generators h* by a running tableau sum, the product-form ones by one
-  O(count) recurrence per factor.  At integer diagram points the
-  falling-factorial bialternant is used; it and the reverse-tableau sums
-  are the test oracles;
-* factorial monomial: direct distinct-permutation sum;
+  O(count) recurrence per factor.  The falling-factorial bialternant, one
+  integer determinant wherever the shifted coordinates are distinct, serves
+  diagram points and, with the reverse-tableau sums, is a test oracle;
+* monomial and factorial monomial: one pass over the coordinates;
 * factorial Schur P: one-row series -> two-row recurrences -> Pfaffian.
 
 A multiplicative functional is a list of generator values.  The
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
-from math import factorial, prod
+from math import factorial, lcm, prod
 from typing import Mapping, Sequence
 
 import mpmath
@@ -35,6 +35,7 @@ from .exact import (
     as_rational,
     det,
     falling_factorial,
+    integer_det,
     invert_matrix,
     pfaffian,
 )
@@ -146,18 +147,27 @@ def factorial_monomial_eval(mu: Partition, x) -> Fraction:
 
 
 def _permutation_sum(mu: Partition, x: Point, power) -> Fraction:
-    """Sum over the distinct arrangements of mu's parts on the coordinates of
-    the product of power(x_i, part); each power is computed once per call."""
-    padded = mu.parts + (0,) * (len(x) - mu.length)
-    powers = [{e: power(xi, e) for e in set(mu.parts)} for xi in x]
-    total = Fraction(0)
-    for perm in _distinct_perms(padded):
-        term = Fraction(1)
-        for pw, e in zip(powers, perm):
-            if e:
-                term *= pw[e]
-        total += term
-    return total
+    """Sum over the distinct arrangements of mu's parts on the coordinates
+    (zeros on the rest) of the product of power(x_i, part).
+
+    One pass over the coordinates: the state is the tuple of multiplicities
+    of mu's distinct parts still to place, and each coordinate either takes
+    none of them or one, times power(x_i, part).  The sum is the value at
+    the all-zero state; each power is computed once per call.
+    """
+    mult = mu.multiplicities()
+    values = tuple(mult)
+    sums = {tuple(mult.values()): Fraction(1)}
+    for xi in x:
+        pw = [power(xi, v) for v in values]
+        ahead = dict(sums)
+        for state, s in sums.items():
+            for k, r in enumerate(state):
+                if r:
+                    key = state[:k] + (r - 1,) + state[k + 1 :]
+                    ahead[key] = ahead.get(key, 0) + s * pw[k]
+        sums = ahead
+    return sums.get((0,) * len(values), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -174,20 +184,25 @@ def shifted_schur_eval(mu: Partition, x) -> Fraction:
 
 
 def _shifted_schur_det(mu: Partition, x: Point) -> Fraction:
-    """The falling-factorial bialternant; needs x_i + (k - i) pairwise distinct."""
+    """The falling-factorial bialternant; needs x_i + (k - i) pairwise distinct.
+
+    With Q the common denominator of x, the shifted coordinates are A_i / Q
+    for integers A_i.  Column j of the numerator is an integer column over
+    Q^(m_j), m_j = mu_j + k - j, and the Vandermonde an integer over
+    Q^(k(k-1)/2), so the value is one integer determinant over V(A) Q^|mu|.
+    """
     k = len(x)
     if mu.length > k:
         return Fraction(0)
-    shifted = [x[i] + (k - 1 - i) for i in range(k)]
+    q = lcm(*(xi.denominator for xi in x))
+    shifted = [xi.numerator * (q // xi.denominator) + (k - 1 - i) * q for i, xi in enumerate(x)]
     # falling factorials are monic, so det[(a_i) falling (k-1-j)] is the Vandermonde product
     denom = _vandermonde(shifted)
     if denom == 0:
         raise SingularMatrixError("shifted coordinates collide; bialternant denominator vanishes")
-    num_rows = [
-        [falling_factorial(shifted[i], mu.part(j + 1) + (k - 1 - j)) for j in range(k)]
-        for i in range(k)
-    ]
-    return det(RationalMatrix(num_rows)) / denom
+    exponents = [mu.part(j + 1) + (k - 1 - j) for j in range(k)]
+    rows = [[prod(range(a, a - m * q, -q)) for m in exponents] for a in shifted]
+    return Fraction(integer_det(rows), denom * q**mu.size)
 
 
 def _shifted_schur_tableau(mu: Partition, x: Point) -> Fraction:
@@ -469,18 +484,17 @@ def pstar_closed_form(t, mu: Partition) -> Fraction:
     if not mu.is_strict:
         raise ValueError("needs a strict partition")
     t = as_rational(t)
-    n = mu.size
-    out = Fraction(1)
-    for (i, j) in mu.boxes():
-        out *= 2 * t + (j - 1) * j
-    denom = Fraction(2) ** mu.length
-    for p in mu.parts:
-        denom *= factorial(p)
-    out /= denom
-    for i in range(1, mu.length + 1):
-        for j in range(i + 1, mu.length + 1):
-            out *= Fraction(mu.part(i) - mu.part(j), mu.part(i) + mu.part(j))
-    return out * (-1) ** n
+    tp, tq = t.numerator, t.denominator
+    parts = mu.parts
+    # (-1)^|mu| prod over boxes of (2t + (j-1)j) / (2^l prod mu_i!), times the
+    # prod over i < j of (mu_i - mu_j)/(mu_i + mu_j); each box is 2tp + (j-1)j tq over tq
+    num = prod(2 * tp + (j - 1) * j * tq for p in parts for j in range(1, p + 1))
+    den = 2 ** len(parts) * tq**mu.size * prod(map(factorial, parts))
+    for i, p in enumerate(parts):
+        for r in parts[i + 1 :]:
+            num *= p - r
+            den *= p + r
+    return Fraction((-1) ** mu.size * num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -537,9 +551,7 @@ def shifted_schur_h_coeffs(mu_parts: tuple[int, ...]) -> tuple[tuple[tuple[int, 
     mu = Partition(mu_parts)
     diagrams, basis, inverse = _basis_inverse(mu.size)
     col = diagrams.index(mu)
-    hooks = 1
-    for i, j in mu.boxes():
-        hooks *= mu.hook(i, j)
+    hooks = mu.hook_product()
     coeffs = ((rho.parts, hooks * row[col]) for rho, row in zip(basis, inverse.rows) if row[col])
     return tuple(sorted(coeffs, reverse=True))
 
@@ -560,14 +572,16 @@ def apply_functional(coeffs, spec: FunctionalSpec) -> Fraction:
 
 
 def young_zz_closed_form(e, t, mu: Partition) -> Fraction:
-    """Closed product for the two-parameter functional on shifted Schur."""
+    """Closed product for the two-parameter functional on shifted Schur:
+    (-1)^|mu| times the product over the boxes of (t + c e + c^2)/hook, c the
+    content.  With t = tp/tq and e = ep/eq a box contributes the integer
+    tp eq + c ep tq + c^2 tq eq, and (tq eq)^|mu| is divided out once."""
     e = as_rational(e)
     t = as_rational(t)
-    out = Fraction(1)
-    for (i, j) in mu.boxes():
-        c = j - i
-        out *= Fraction(t + c * e + c * c, mu.hook(i, j))
-    return out * (-1) ** mu.size
+    tp, tq, ep, eq = t.numerator, t.denominator, e.numerator, e.denominator
+    a, b, d = tp * eq, ep * tq, tq * eq
+    num = prod(a + c * (b + c * d) for i, p in enumerate(mu.parts) for c in range(-i, p - i))
+    return Fraction((-1) ** mu.size * num, mu.hook_product() * d**mu.size)
 
 
 # ---------------------------------------------------------------------------

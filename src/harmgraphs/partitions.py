@@ -8,6 +8,7 @@ decreasing lexicographic order so goldens stay deterministic.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 from typing import Iterator
 
 from .exact import as_rational
@@ -26,6 +27,13 @@ class Partition:
         if any(cleaned[i] < cleaned[i + 1] for i in range(len(cleaned) - 1)):
             raise ValueError(f"parts must be nonincreasing: {parts!r}")
         object.__setattr__(self, "parts", cleaned)
+
+    @classmethod
+    def _trusted(cls, parts: tuple[int, ...]) -> "Partition":
+        """A partition from a tuple already known to be positive and nonincreasing."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "parts", parts)
+        return out
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("Partition is immutable")
@@ -84,9 +92,9 @@ class Partition:
 
     def conjugate(self) -> "Partition":
         if not self.parts:
-            return Partition()
-        return Partition(
-            sum(1 for p in self.parts if p >= j) for j in range(1, self.parts[0] + 1)
+            return EMPTY
+        return Partition._trusted(
+            tuple(sum(1 for p in self.parts if p >= j) for j in range(1, self.parts[0] + 1))
         )
 
     def multiplicity(self, k: int) -> int:
@@ -101,7 +109,7 @@ class Partition:
 
     @property
     def is_strict(self) -> bool:
-        return all(self.parts[i] > self.parts[i + 1] for i in range(len(self.parts) - 1))
+        return _is_strict(self.parts)
 
     def contains(self, other: "Partition") -> bool:
         return other.length <= self.length and all(
@@ -138,6 +146,11 @@ class Partition:
     def hook(self, i: int, j: int) -> int:
         return self.arm(i, j) + self.leg(i, j) + 1
 
+    def hook_product(self) -> int:
+        """The product of all hook lengths, the columns read from the conjugate once."""
+        cols = self.conjugate().parts
+        return prod(p - j + cols[j] - i - 1 for i, p in enumerate(self.parts) for j in range(p))
+
     def shifted_boxes(self) -> Iterator[tuple[int, int]]:
         """Cells of the shifted diagram (row i shifted right by i-1 columns).
 
@@ -153,39 +166,25 @@ class Partition:
 
     def up_covers(self, strict: bool = False) -> list["Partition"]:
         """All partitions one box above, in decreasing lexicographic order."""
-        out = []
-        for i in range(len(self.parts) + 1):
-            here = self.part(i + 1)
-            above = self.parts[i - 1] if i > 0 else None
-            if above is not None and here + 1 > above:
-                continue
-            grown = list(self.parts)
-            if i == len(self.parts):
-                grown.append(1)
-            else:
-                grown[i] += 1
-            cand = Partition(grown)
-            if strict and not cand.is_strict:
-                continue
-            out.append(cand)
-        out.sort(key=lambda p: p.parts, reverse=True)
-        return out
+        parts = self.parts
+        grown = [
+            parts[:i] + (p + 1,) + parts[i + 1 :]
+            for i, p in enumerate(parts)
+            if i == 0 or parts[i - 1] > p
+        ]
+        grown.append(parts + (1,))
+        return [Partition._trusted(g) for g in grown if not strict or _is_strict(g)]
 
     def down_covers(self, strict: bool = False) -> list["Partition"]:
         """All partitions one box below, in decreasing lexicographic order."""
-        out = []
-        for i in range(len(self.parts)):
-            below = self.part(i + 2)
-            if self.parts[i] - 1 < below:
-                continue
-            shrunk = list(self.parts)
-            shrunk[i] -= 1
-            cand = Partition(shrunk)
-            if strict and not cand.is_strict:
-                continue
-            out.append(cand)
-        out.sort(key=lambda p: p.parts, reverse=True)
-        return out
+        parts = self.parts
+        last = len(parts) - 1
+        shrunk = [
+            parts[:i] + (p - 1,) + parts[i + 1 :] if p > 1 else parts[:i]
+            for i, p in reversed(list(enumerate(parts)))
+            if i == last or parts[i + 1] < p
+        ]
+        return [Partition._trusted(g) for g in shrunk if not strict or _is_strict(g)]
 
     # -- Frobenius coordinates --
 
@@ -276,12 +275,16 @@ class FrobeniusCoords:
 EMPTY = Partition()
 
 
+def _is_strict(parts: tuple[int, ...]) -> bool:
+    return all(a > b for a, b in zip(parts, parts[1:]))
+
+
 def partitions_of(n: int, max_length: int | None = None, strict: bool = False) -> list[Partition]:
     """All partitions of n (strict if requested), decreasing lexicographic."""
     if n < 0:
         raise ValueError("n must be >= 0")
     slots = n if max_length is None else min(max_length, n)
-    return [Partition(p) for p in _fill(n, n, slots, strict)]
+    return [Partition._trusted(p) for p in _fill(n, n, slots, strict)]
 
 
 def _fill(rest: int, cap: int, slots: int, strict: bool) -> Iterator[tuple[int, ...]]:

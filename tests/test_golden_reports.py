@@ -101,6 +101,19 @@ GOLDEN = [
     # the schur face keeps the dim_closed_form * value route
     ("converge --family trunc-schur:lambda=3+1 --n 20,40", EXIT_CHECK_FAILED,
      "166e4dff1272441de93a32c81a9ada560d2cdf1e1df149eced24dff49f3ce7ce"),
+    # closed forms at negative e, non-integer theta and t = 0
+    ("check-harmonic --family young-zz:e=-3/2,t=7/3 --levels 12", EXIT_OK,
+     "a09ac69355ce25a9e30d3a23995557e6c2612a61e943498a6a574c76a3b71f90"),
+    ("check-harmonic --family jack:e=1/2,t=3,theta=3/2 --levels 10", EXIT_OK,
+     "70a3f63ceaf44589bd101454bf2f414a77c029f2316a44c82bc7606da403bb2f"),
+    ("check-harmonic --family kingman:t=0,alpha=1/2 --levels 10", EXIT_OK,
+     "783362e73e319f620e70fbf222df3c787f873467f38baa7063c017d1d8846b9e"),
+    ("check-harmonic --family schur:t=7/3 --levels 14", EXIT_OK,
+     "261ea65764de4546fcbc444bf8a73a84286b8beea563919a34cca29662089161"),
+    ("measure --family kingman:t=0,alpha=1/2 --n 12", EXIT_OK,
+     "780682396b8b0e61f10f5c0794b4f3080be90d6aae67bce51d647725c2e53823"),
+    ("dims --kind jack(3/2) --level 12", EXIT_OK,
+     "26212a5fff1f80bfc4d9e89fd042b2deb617499c1ffa5758c308306ce6834c17"),
 ]
 
 

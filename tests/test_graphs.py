@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction as F
 from math import comb
 
@@ -20,7 +21,7 @@ from harmgraphs.graphs import (
     parse_kind,
     sweep,
 )
-from harmgraphs.partitions import Partition, partitions_of
+from harmgraphs.partitions import Partition, partitions_of, partitions_up_to
 
 P = Partition
 
@@ -65,6 +66,27 @@ def test_edge_multiplicity_examples():
         edge_multiplicity(P([1]), P([3]), YOUNG)
     with pytest.raises(ValueError):
         jack_weight(P([1]), P([1, 1]), F(-1))
+
+
+def test_edge_multiplicity_rejects_exactly_the_non_edges():
+    # every ordered pair of partitions of size <= 8, on each kind: a ValueError
+    # exactly when lam does not cover mu in that graph, and on the covers the
+    # weights whose sha256 the two-pass cover check (size, then containment) gave
+    pool = partitions_up_to(8)
+    digest = hashlib.sha256()
+    for kind in (YOUNG, KINGMAN, SCHUR, jack(1), jack(F(1, 2)), jack(3), jack(F(2, 3))):
+        for mu in pool:
+            for lam in pool:
+                edge = lam.size == mu.size + 1 and lam.contains(mu)
+                if kind.strict:
+                    edge = edge and mu.is_strict and lam.is_strict
+                if not edge:
+                    with pytest.raises(ValueError):
+                        edge_multiplicity(mu, lam, kind)
+                    continue
+                w = edge_multiplicity(mu, lam, kind)
+                digest.update(f"{kind}|{mu}|{lam}|{w}\n".encode())
+    assert digest.hexdigest() == "f22972f289fdc3ef0f253c3ab5230c6a4a3945f4417207de15b225defd0e36a3"
 
 
 def test_jack_multiplicities_at_one_are_unit():

@@ -7,6 +7,7 @@ from harmgraphs.exact import falling_factorial, pochhammer, SingularMatrixError
 from harmgraphs.graphs import KINGMAN, SCHUR, YOUNG, covers_up, dim, edge_multiplicity
 from harmgraphs.interp import (
     FunctionalSpec,
+    _distinct_perms,
     _schur_bialternant,
     _schur_tableau,
     _shifted_schur_det,
@@ -92,6 +93,25 @@ def test_schur_bialternant_rejects_collisions():
 def test_monomial_padding_and_short_points():
     assert monomial_eval(P([2, 1, 1]), (F(1), F(2))) == 0
     assert monomial_eval(P([2]), (F(2), F(3))) == 4 + 9
+
+
+def test_monomials_match_the_distinct_arrangements_at_seven_points():
+    # one pass over the coordinates against the sum over the distinct
+    # arrangements of the zero-padded parts, every mu with |mu| <= 7
+    x = (F(3, 2), F(-2), F(1, 3), F(5), F(-7, 4), F(0), F(2, 5))
+    for mu in partitions_up_to(7):
+        padded = mu.parts + (0,) * (len(x) - mu.length)
+        for value, power in (
+            (monomial_eval, lambda a, e: a**e),
+            (factorial_monomial_eval, falling_factorial),
+        ):
+            expected = F(0)
+            for perm in _distinct_perms(padded):
+                term = F(1)
+                for xi, e in zip(x, perm):
+                    term *= power(xi, e)
+                expected += term
+            assert value(mu, x) == expected, mu
 
 
 # ---------------------------------------------------------------------------

@@ -82,6 +82,34 @@ def test_covers_adjoint():
                 assert lam in mu.up_covers()
 
 
+def _validated_covers(mu, delta, strict):
+    """One box added (delta = 1) or removed (delta = -1) in each row where
+    the rows stay nonincreasing, built by the validating constructor."""
+    out = []
+    for i in range(mu.length + (delta > 0)):
+        parts = list(mu.parts) + [0]
+        parts[i] += delta
+        if all(a >= b for a, b in zip(parts, parts[1:])):
+            cand = P(parts)
+            if not strict or cand.is_strict:
+                out.append(cand)
+    return sorted(out, reverse=True)
+
+
+def test_trusted_covers_match_validated_construction():
+    for n in range(11):
+        for strict in (False, True):
+            for mu in partitions_of(n, strict=strict):
+                assert P(mu.parts).parts == mu.parts
+                for delta, covers in ((1, mu.up_covers(strict)), (-1, mu.down_covers(strict))):
+                    assert covers == _validated_covers(mu, delta, strict)
+                    for nu in covers:
+                        assert P(nu.parts).parts == nu.parts
+    # the strict filter also applies above a non-strict vertex
+    assert P([1, 1]).up_covers(strict=True) == [P([2, 1])]
+    assert P([2, 2]).down_covers(strict=True) == [P([2, 1])]
+
+
 def test_level_counts():
     assert len(partitions_of(4)) == 5
     assert [p.parts for p in partitions_of(4, strict=True)] == [(4,), (3, 1)]

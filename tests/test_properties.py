@@ -1,7 +1,7 @@
 """Property-based checks of the level sweep, the Jack weights, the
 interpolation-polynomial evaluators, the product-form one-row series, the
-truncated level weights and the exact Selberg integrals on random
-admissible inputs."""
+truncated level weights, the exact Selberg integrals and the closed-form
+families on random admissible inputs."""
 
 from fractions import Fraction as F
 from itertools import permutations
@@ -23,7 +23,15 @@ from harmgraphs.boundary import (
 )
 from harmgraphs.exact import SingularMatrixError, pochhammer
 from harmgraphs.graphs import KINGMAN, SCHUR, YOUNG, dim, dim_closed_form, level, sweep
-from harmgraphs.harmonic import JackZZ, TruncKingman, TruncYoung, check_harmonicity
+from harmgraphs.harmonic import (
+    JackZZ,
+    KingmanTA,
+    SchurT,
+    TruncKingman,
+    TruncYoung,
+    YoungZZ,
+    check_harmonicity,
+)
 from harmgraphs.interp import (
     H_STAR,
     FunctionalSpec,
@@ -35,10 +43,12 @@ from harmgraphs.interp import (
     factorial_monomial_eval,
     functional_on_shifted_schur,
     monomial_eval,
+    pstar_closed_form,
     schur_eval,
     shifted_schur_at_diagram,
     shifted_schur_eval,
     shifted_schur_h_coeffs,
+    young_zz_closed_form,
 )
 from harmgraphs.partitions import Partition, partitions_of
 from harmgraphs.series import factorial_series_from_rational, poly_mul
@@ -337,3 +347,162 @@ def test_product_series_matches_the_rational_expansion(factors, count):
         num = poly_mul(num, [a, F(1)])
         den = poly_mul(den, [-b, F(1)])
     assert _product_series(factors, count) == factorial_series_from_rational(num, den, count)
+
+
+# ---------------------------------------------------------------------------
+# closed-form families: the integer products against the products box by box
+# ---------------------------------------------------------------------------
+
+def _box_pochhammer(t, n):
+    out = F(1)
+    for k in range(n):
+        out *= t + k
+    return out
+
+
+def _box_young_zz(e, t, mu):
+    out = F(1)
+    for (i, j) in mu.boxes():
+        c = j - i
+        out *= F(t + c * e + c * c, mu.hook(i, j))
+    return out * (-1) ** mu.size
+
+
+def _box_pstar(t, mu):
+    out = F(1)
+    for (i, j) in mu.boxes():
+        out *= 2 * t + (j - 1) * j
+    denom = F(2) ** mu.length
+    for p in mu.parts:
+        denom *= factorial(p)
+    out /= denom
+    for i in range(1, mu.length + 1):
+        for j in range(i + 1, mu.length + 1):
+            out *= F(mu.part(i) - mu.part(j), mu.part(i) + mu.part(j))
+    return out * (-1) ** mu.size
+
+
+def _box_jack_phi(e, zz, theta, mu):
+    out = F(1)
+    for (i, j) in mu.boxes():
+        c = F(j - 1) - theta * (i - 1)
+        out *= (zz + c * e + c * c) / (mu.arm(i, j) + theta * mu.leg(i, j) + theta)
+    return out / _box_pochhammer(zz / theta, mu.size)
+
+
+def _box_kingman_phi(t, alpha, mu):
+    out = F(1)
+    for p in mu.parts:
+        out *= factorial(p - 1)
+    for r in mu.multiplicities().values():
+        out /= factorial(r)
+    for i in range(1, mu.length):
+        out *= t + i * alpha
+    for k in range(1, mu.size):
+        out /= t + k
+    for (i, j) in mu.boxes():
+        if j >= 2:
+            out *= 1 - alpha / (j - 1)
+    return out
+
+
+def _legal_t(t, allow_zero=False):
+    return not (t.denominator == 1 and (t < 0 or (t == 0 and not allow_zero)))
+
+
+thetas = st.one_of(st.integers(1, 4).map(F), positive)
+
+
+@PROPERTY
+@given(rationals, st.integers(0, 12))
+@example(F(-3), 5)  # a factor t + k = 0
+@example(F(-7, 2), 9)
+def test_pochhammer_matches_the_product(t, n):
+    assert pochhammer(t, n) == _box_pochhammer(t, n)
+
+
+@PROPERTY
+@given(rationals, rationals, small)
+@example(F(-3, 2), F(7, 3), Partition([4, 2, 1]))
+@example(F(5), F(0), Partition([3, 3]))
+def test_young_zz_closed_form_matches_the_box_product(e, t, mu):
+    assert young_zz_closed_form(e, t, mu) == _box_young_zz(e, t, mu)
+    if _legal_t(t):
+        expected = _box_young_zz(e, t, mu) * (-1) ** mu.size / _box_pochhammer(t, mu.size)
+        assert YoungZZ(e, t).phi(mu) == expected
+
+
+@PROPERTY
+@given(rationals, strict_rows)
+@example(F(0), Partition([5, 3, 1]))
+def test_pstar_closed_form_matches_the_box_product(t, mu):
+    assert pstar_closed_form(t, mu) == _box_pstar(t, mu)
+    if _legal_t(t):
+        expected = _box_pstar(t, mu) * (-1) ** mu.size / _box_pochhammer(t, mu.size)
+        assert SchurT(t).phi(mu) == expected
+
+
+@PROPERTY
+@given(rationals, rationals, thetas, small)
+@example(F(1, 2), F(9, 2), F(3, 2), Partition([3, 2, 2, 1]))
+@example(F(-2), F(3), F(2), Partition([4, 1, 1]))
+def test_jack_phi_matches_the_box_product(e, zz, theta, mu):
+    assume(_legal_t(zz / theta))
+    assert JackZZ(e, zz, theta).phi(mu) == _box_jack_phi(e, zz, theta, mu)
+
+
+@PROPERTY
+@given(st.one_of(st.just(F(0)), rationals), st.one_of(st.just(F(0)), rationals), small)
+@example(F(0), F(1, 2), Partition([3, 3, 2, 1, 1]))
+@example(F(3, 4), F(0), Partition([4, 2, 2]))
+@example(F(0), F(0), Partition([1]))
+def test_kingman_phi_matches_the_box_product(t, alpha, mu):
+    assume(_legal_t(t, allow_zero=True))
+    assert KingmanTA(t, alpha).phi(mu) == _box_kingman_phi(t, alpha, mu)
+
+
+# admissible parameters by construction: a conjugate pair (e^2 < 4t), and
+# 0 <= alpha < 1 with t > -alpha
+@st.composite
+def young_zz_params(draw):
+    e = draw(rationals)
+    return e, e * e / 4 + draw(positive)
+
+
+@st.composite
+def kingman_params(draw):
+    b = draw(st.integers(1, 9))
+    alpha = F(draw(st.integers(0, b - 1)), b)
+    # t = 0 is admissible exactly when alpha > 0
+    offset = draw(st.one_of(st.just(alpha), positive) if alpha else positive)
+    return offset - alpha, alpha
+
+
+@PROPERTY
+@given(young_zz_params())
+def test_young_zz_family_is_harmonic_with_unit_mass(params):
+    family = YoungZZ(*params)
+    assert family.admissible().ok
+    report = check_harmonicity(family, 7)
+    assert report.ok
+    assert set(report.level_masses) == {1}
+
+
+@PROPERTY
+@given(kingman_params())
+def test_kingman_family_is_harmonic_with_unit_mass(params):
+    family = KingmanTA(*params)
+    assert family.admissible().ok
+    report = check_harmonicity(family, 7)
+    assert report.ok
+    assert set(report.level_masses) == {1}
+
+
+@PROPERTY
+@given(positive)
+def test_schur_family_is_harmonic_with_unit_mass(t):
+    family = SchurT(t)
+    assert family.admissible().ok
+    report = check_harmonicity(family, 9)
+    assert report.ok
+    assert set(report.level_masses) == {1}
