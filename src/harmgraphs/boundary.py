@@ -26,11 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from math import comb, factorial, prod
+from math import comb, factorial, perm, prod
 
 import mpmath
 
-from .exact import RationalMatrix, as_rational, det, integer_det, pochhammer, to_bigfloat
+from .exact import RationalMatrix, as_rational, det, integer_det, integer_point, pochhammer, to_bigfloat
 from .graphs import dim_closed_form, level
 from .harmonic import (
     GammaShaped,
@@ -40,7 +40,7 @@ from .harmonic import (
     TruncYoung,
     level_measure,
 )
-from .interp import _distinct_perms, _vandermonde, jacobi_trudi, monomial_eval
+from .interp import _distinct_perms, _permutation_sum, _vandermonde, jacobi_trudi, monomial_eval
 from .partitions import Partition
 from .series import (
     Poly,
@@ -185,8 +185,10 @@ def young_density_constant(lam: Partition) -> Fraction:
 
 
 def _alternant(values, exponents) -> Fraction:
-    rows = [[as_rational(v) ** e for e in exponents] for v in values]
-    return det(RationalMatrix(rows))
+    """det[v_i^(e_j)]: at v = X/Q column j is an integer column over Q^(e_j),
+    so the value is one integer determinant over Q^(sum e)."""
+    xs, q = integer_point(values)
+    return Fraction(integer_det([[x**e for e in exponents] for x in xs]), q ** sum(exponents))
 
 
 def _quotient_pfaffian(values) -> Fraction:
@@ -530,18 +532,19 @@ def young_kernel(mu: Partition, omega: ThomaPoint) -> Fraction:
 
 
 def kingman_kernel(mu: Partition, omega: ThomaPoint) -> Fraction:
-    """Extended monomial kernel on the Kingman graph."""
+    """Extended monomial kernel on the Kingman graph, the sum over k <= r_1(mu) of
+    gamma^k/k! m_nu(alpha), nu = mu less k parts 1: at (alpha, gamma) = (X, G)/Q
+    each term has degree |mu|, so it is sum G^k (r_1!/k!) m_nu(X) over r_1! Q^|mu|."""
     if omega.beta:
         raise ValueError("kingman boundary points carry no beta coordinates")
     r1 = mu.multiplicity(1)
     rest = [p for p in mu.parts if p != 1]
-    total = Fraction(0)
-    gamma_pow = Fraction(1)
+    (*xs, g), q = integer_point((*omega.alpha, omega.gamma))
+    total = 0
     for k in range(r1 + 1):
-        nu = Partition(sorted(rest + [1] * (r1 - k), reverse=True))
-        total += gamma_pow / factorial(k) * monomial_eval(nu, omega.alpha)
-        gamma_pow *= omega.gamma
-    return total
+        nu = Partition(rest + [1] * (r1 - k))
+        total += g**k * perm(r1, r1 - k) * _permutation_sum(nu, xs, pow)
+    return Fraction(total, factorial(r1) * q**mu.size)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 Reports are deterministic (fixed ordering, seeded randomness, no
 timestamps): identical invocations produce byte-identical output.
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 usage or
-parameter error.
+parameter error, 3 internal error (a singular or misshapen matrix).
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ from fractions import Fraction
 from . import __version__
 from .exact import (
     RationalMatrix,
+    ShapeError,
+    SingularMatrixError,
     as_rational,
     det,
     format_bigfloat,
@@ -76,6 +78,7 @@ REPORT_SCHEMA = "harmgraphs-report/1"
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 @dataclass
@@ -751,6 +754,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except (SingularMatrixError, ShapeError) as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (FamilyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -2,17 +2,19 @@
 
 Everything downstream (partitions, graphs, interpolation polynomials,
 harmonic families, boundary integrals) reduces to arithmetic over Q.
-This module holds the shared primitives: rational parsing/formatting,
-Pochhammer and falling-factorial products, exact dense linear algebra
-(determinant, Pfaffian, linear solve) over `fractions.Fraction`, and a
-thin high-precision float layer (mpmath) used only by the convergence
+This module holds the shared primitives: rational parsing/formatting, a
+rational point as integer numerators over one denominator (`integer_point`),
+Pochhammer and falling-factorial products, exact dense linear algebra (one
+determinant algorithm, fraction-free Bareiss elimination on integers; the
+Pfaffian, linear solve and inverse over `fractions.Fraction`), and a thin
+high-precision float layer (mpmath) used only by the convergence
 experiments and the hypergeometric summation check.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 from typing import Sequence
 
 import mpmath
@@ -53,6 +55,15 @@ def parse_rational(text: str) -> Fraction:
 def format_rational(value: Fraction) -> str:
     """Serialize as 'p/q', or 'p' when the denominator is 1."""
     return str(Fraction(value))
+
+
+def integer_point(values) -> tuple[list[int], int]:
+    """(X, Q): Q the lcm of the denominators, x_i = X_i / Q.  A value homogeneous of
+    degree d is its value at X over Q^d; in one graded by degree, such as a falling
+    factorial, each integer shift c becomes c Q."""
+    point = [as_rational(v) for v in values]
+    q = lcm(*(x.denominator for x in point))
+    return [x.numerator * (q // x.denominator) for x in point], q
 
 
 def pochhammer(t, n: int) -> Fraction:
@@ -136,31 +147,12 @@ class RationalMatrix:
 
 
 def det(m: RationalMatrix) -> Fraction:
-    """Exact determinant by fraction Gaussian elimination."""
+    """Exact determinant: `integer_det` of the rows cleared of their denominators,
+    over the product of the lcms that cleared them."""
     if not m.is_square:
         raise ShapeError("determinant needs a square matrix")
-    n = m.nrows
-    a = [list(row) for row in m.rows]
-    sign = 1
-    out = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            sign = -sign
-        p = a[col][col]
-        out *= p
-        for r in range(col + 1, n):
-            if a[r][col] == 0:
-                continue
-            f = a[r][col] / p
-            row = a[r]
-            top = a[col]
-            for c in range(col, n):
-                row[c] -= f * top[c]
-    return out if sign == 1 else -out
+    rows = [integer_point(row) for row in m.rows]
+    return Fraction(integer_det([x for x, _ in rows]), prod(q for _, q in rows))
 
 
 def integer_det(rows: Sequence[Sequence[int]]) -> int:

@@ -22,10 +22,11 @@ from .interp import (
     FunctionalSpec,
     _shifted_schur_det,
     factorial_monomial_eval,
-    functional_on_shifted_schur,
+    jacobi_trudi_det,
     pstar_closed_form,
     pstar_eval,
     schur_point_functional,
+    shifted_columns,
     super_evaluation_functional,
     young_zz_closed_form,
 )
@@ -300,8 +301,8 @@ class GammaShaped(HarmonicFamily):
 
     Supported on diagrams whose diagonal has at most depth(fc) boxes;
     generator values are taken at the reflected split-diagonal point
-    (-p - 1/2; -q - 1/2), once per family, and phi reads the shifted
-    Jacobi-Trudi determinant in them.
+    (-p - 1/2; -q - 1/2) with the shifted Jacobi-Trudi columns S^(j-1) g,
+    once per family, and phi reads one determinant in those columns.
     """
 
     fc: FrobeniusCoords
@@ -309,6 +310,7 @@ class GammaShaped(HarmonicFamily):
     kind: GraphKind = field(default=YOUNG, init=False, repr=False, compare=False)
     lam: Partition = field(init=False, repr=False, compare=False)  # the face partition
     functional: FunctionalSpec = field(init=False, repr=False, compare=False)
+    columns: list = field(init=False, repr=False, compare=False)
     face = "gamma"
 
     def __post_init__(self):
@@ -321,6 +323,7 @@ class GammaShaped(HarmonicFamily):
         xs = [-p - half for p in self.fc.p]
         ys = [-q - half for q in self.fc.q]
         object.__setattr__(self, "functional", super_evaluation_functional(xs, ys, self.degree_cap))
+        object.__setattr__(self, "columns", shifted_columns([1, *self.functional.values], self.degree_cap))
 
     @staticmethod
     def from_partition(lam: Partition, degree_cap: int = 8) -> "GammaShaped":
@@ -341,7 +344,7 @@ class GammaShaped(HarmonicFamily):
             raise FamilyError(
                 f"degree cap {self.degree_cap} exceeded at |mu| = {mu.size}; raise degree_cap"
             )
-        val = functional_on_shifted_schur(mu, self.functional)
+        val = jacobi_trudi_det(mu, self.columns)
         return val * (-1) ** mu.size / pochhammer(self.t, mu.size)
 
     def admissible(self, surrogate_level: int = 6) -> AdmissibleReport:

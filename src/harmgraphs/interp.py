@@ -13,6 +13,9 @@ factorial monomial (Kingman side) and factorial Schur P (strict side):
 * monomial and factorial monomial: one pass over the coordinates;
 * factorial Schur P: one-row series -> two-row recurrences -> Pfaffian.
 
+At a point x = X/Q (`exact.integer_point`) s, s*, m, m* and h* are graded
+values of the integer numerators X, with one Fraction formed per value.
+
 A multiplicative functional is a list of generator values.  The
 generator-basis engine, which expands a target over products of h*
 generators by one exact inverse per degree, is kept as a test oracle.
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
-from math import factorial, lcm, prod
+from math import factorial, prod
 from typing import Mapping, Sequence
 
 import mpmath
@@ -34,12 +37,12 @@ from .exact import (
     SingularMatrixError,
     as_rational,
     det,
-    falling_factorial,
     integer_det,
+    integer_point,
     invert_matrix,
     pfaffian,
 )
-from .partitions import Partition, partitions_up_to, reverse_tableaux
+from .partitions import Partition, partitions_up_to
 
 Point = tuple[Fraction, ...]
 
@@ -58,63 +61,55 @@ def diagram_point(lam: Partition, length: int | None = None) -> Point:
 # Jacobi-Trudi, classical Schur and monomial evaluation
 # ---------------------------------------------------------------------------
 
-def jacobi_trudi(mu: Partition, h: Sequence[Fraction], shifted: bool = False) -> Fraction:
-    """det[c_j(mu_i - i + j)] over h_0 = 1, h_1, ..., h_k with k >= |mu|.
-
-    Classical: every column c_j is h, giving s_mu.  Shifted: c_j = S^(j-1) h
-    with (Sg)_n = g_n + (n - 1) g_(n-1), from 1/((u-1) falling m) =
-    1/(u falling m) + m/(u falling (m+1)); with h_m = pi(h*_m) this gives
-    pi(s*_mu) (Okounkov-Olshanski, Shifted Schur functions, 1997).
-    """
-    m = mu.length
+def shifted_columns(h: Sequence, count: int, scale: int = 1) -> list[list]:
+    """S^0 h, ..., S^(count-1) h with (Sg)_n = g_n + (n - 1) g_(n-1), from 1/((u-1) falling m)
+    = 1/(u falling m) + m/(u falling (m+1)).  On numerators G_n over scale^n the shift
+    reads G_n + (n - 1) scale G_(n-1)."""
     columns = [list(h)]
-    for _ in range(1, m):
+    for _ in range(1, count):
         g = columns[-1]
-        if shifted:
-            g = g[:1] + [g[n] + (n - 1) * g[n - 1] for n in range(1, len(g))]
-        columns.append(g)
-    at = lambda j, k: columns[j][k] if k >= 0 else Fraction(0)
+        columns.append(g[:1] + [g[n] + (n - 1) * scale * g[n - 1] for n in range(1, len(g))])
+    return columns
+
+
+def jacobi_trudi_det(mu: Partition, columns: Sequence[Sequence], scale: int = 1) -> Fraction:
+    """det[c_j(mu_i - i + j)] over columns that reach index |mu|; entry (i, j) has degree
+    mu_i - i + j, so on numerators c_j(n) over scale^n the value is their det over scale^|mu|."""
+    m = mu.length
+    at = lambda j, k: columns[j][k] if k >= 0 else 0
     rows = [[at(j, mu.part(i + 1) - i + j) for j in range(m)] for i in range(m)]
-    return det(RationalMatrix(rows))
+    return det(RationalMatrix(rows)) / scale**mu.size
+
+
+def jacobi_trudi(mu: Partition, h: Sequence, shifted: bool = False, scale: int = 1) -> Fraction:
+    """det[c_j(mu_i - i + j)] over h_0 = 1, h_1, ..., h_k with k >= |mu|, each h_n
+    given as itself or, graded, as a numerator over scale^n.
+
+    Classical: every column c_j is h, giving s_mu.  Shifted: c_j = S^(j-1) h,
+    giving pi(s*_mu) when h_m = pi(h*_m) (Okounkov-Olshanski 1997).
+    """
+    columns = shifted_columns(h, mu.length, scale) if shifted else [h] * mu.length
+    return jacobi_trudi_det(mu, columns, scale)
 
 
 def schur_eval(mu: Partition, x) -> Fraction:
     """Classical Schur polynomial s_mu at a finite point: Jacobi-Trudi in
-    the complete homogeneous h_k(x), accumulated one coordinate at a time."""
-    x = as_point(x)
-    if mu.length > len(x):
+    the complete homogeneous h_k, accumulated one coordinate at a time on the
+    integer numerators X of x = X/Q, so s_mu(x) = s_mu(X)/Q^|mu|."""
+    xs, q = integer_point(x)
+    if mu.length > len(xs):
         return Fraction(0)
-    h = [Fraction(1)] + [Fraction(0)] * mu.size
-    for xi in x:
+    h = [1] + [0] * mu.size
+    for xi in xs:
         for k in range(1, len(h)):
             h[k] += xi * h[k - 1]
-    return jacobi_trudi(mu, h)
-
-
-def _schur_tableau(mu: Partition, x: Point) -> Fraction:
-    total = Fraction(0)
-    boxes = list(mu.boxes())
-    for filling in reverse_tableaux(mu, len(x)):
-        term = Fraction(1)
-        for (i, j) in boxes:
-            term *= x[filling[i - 1][j - 1] - 1]
-        total += term
-    return total
+    return jacobi_trudi(mu, h, scale=q)
 
 
 def _vandermonde(values: Sequence) -> Fraction | int:
     """prod_{i<j} (v_i - v_j); an integer when every v_i is one."""
     n = len(values)
     return prod(values[i] - values[j] for i in range(n) for j in range(i + 1, n))
-
-
-def _schur_bialternant(mu: Partition, x: Point) -> Fraction:
-    k = len(x)
-    if len(set(x)) != k:
-        raise ValueError("bialternant route needs pairwise-distinct coordinates")
-    v = _vandermonde(x)
-    rows = [[x[i] ** (mu.part(j + 1) + (k - 1 - j)) for j in range(k)] for i in range(k)]
-    return det(RationalMatrix(rows)) / v
 
 
 def _distinct_perms(pool: tuple[int, ...]):
@@ -131,24 +126,30 @@ def _distinct_perms(pool: tuple[int, ...]):
 
 
 def monomial_eval(mu: Partition, x) -> Fraction:
-    """Monomial symmetric polynomial m_mu at a finite point."""
-    x = as_point(x)
-    if mu.length > len(x):
+    """Monomial symmetric polynomial m_mu at a finite point x = X/Q:
+    m_mu(X)/Q^|mu| on the integer numerators."""
+    xs, q = integer_point(x)
+    if mu.length > len(xs):
         return Fraction(0)
-    return _permutation_sum(mu, x, lambda xi, e: xi**e)
+    return Fraction(_permutation_sum(mu, xs, pow), q**mu.size)
 
 
 def factorial_monomial_eval(mu: Partition, x) -> Fraction:
-    """Factorial monomial m*_mu: ordinary powers replaced by falling powers."""
-    x = as_point(x)
-    if mu.length > len(x):
+    """Factorial monomial m*_mu: ordinary powers replaced by falling powers.
+
+    At x = X/Q a falling power x (x-1) ... (x-k+1) is the integer product of
+    X - jQ over j < k, over Q^k, so the value is one integer over Q^|mu|.
+    """
+    xs, q = integer_point(x)
+    if mu.length > len(xs):
         return Fraction(0)
-    return _permutation_sum(mu, x, falling_factorial)
+    falling = lambda a, k: prod(range(a, a - k * q, -q))
+    return Fraction(_permutation_sum(mu, xs, falling), q**mu.size)
 
 
-def _permutation_sum(mu: Partition, x: Point, power) -> Fraction:
-    """Sum over the distinct arrangements of mu's parts on the coordinates
-    (zeros on the rest) of the product of power(x_i, part).
+def _permutation_sum(mu: Partition, x: Sequence[int], power) -> int:
+    """Sum over the distinct arrangements of mu's parts on the integer
+    coordinates (zeros on the rest) of the product of power(x_i, part).
 
     One pass over the coordinates: the state is the tuple of multiplicities
     of mu's distinct parts still to place, and each coordinate either takes
@@ -157,7 +158,7 @@ def _permutation_sum(mu: Partition, x: Point, power) -> Fraction:
     """
     mult = mu.multiplicities()
     values = tuple(mult)
-    sums = {tuple(mult.values()): Fraction(1)}
+    sums = {tuple(mult.values()): 1}
     for xi in x:
         pw = [power(xi, v) for v in values]
         ahead = dict(sums)
@@ -167,7 +168,7 @@ def _permutation_sum(mu: Partition, x: Point, power) -> Fraction:
                     key = state[:k] + (r - 1,) + state[k + 1 :]
                     ahead[key] = ahead.get(key, 0) + s * pw[k]
         sums = ahead
-    return sums.get((0,) * len(values), Fraction(0))
+    return sums.get((0,) * len(values), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -176,11 +177,12 @@ def _permutation_sum(mu: Partition, x: Point, power) -> Fraction:
 
 def shifted_schur_eval(mu: Partition, x) -> Fraction:
     """Shifted Schur polynomial s*_mu at a finite point: the shifted
-    Jacobi-Trudi determinant in h*(x), valid at every rational point."""
-    x = as_point(x)
-    if mu.length > len(x):
+    Jacobi-Trudi determinant in h*(x), valid at every rational point, in
+    its graded form on the numerators of h*(x) over powers of Q."""
+    xs, q = integer_point(x)
+    if mu.length > len(xs):
         return Fraction(0)
-    return jacobi_trudi(mu, [Fraction(1)] + h_star_values(x, mu.size), shifted=True)
+    return jacobi_trudi(mu, [1] + _h_star_numerators(xs, q, mu.size), shifted=True, scale=q)
 
 
 def _shifted_schur_det(mu: Partition, x: Point) -> Fraction:
@@ -194,8 +196,8 @@ def _shifted_schur_det(mu: Partition, x: Point) -> Fraction:
     k = len(x)
     if mu.length > k:
         return Fraction(0)
-    q = lcm(*(xi.denominator for xi in x))
-    shifted = [xi.numerator * (q // xi.denominator) + (k - 1 - i) * q for i, xi in enumerate(x)]
+    xs, q = integer_point(x)
+    shifted = [a + (k - 1 - i) * q for i, a in enumerate(xs)]
     # falling factorials are monic, so det[(a_i) falling (k-1-j)] is the Vandermonde product
     denom = _vandermonde(shifted)
     if denom == 0:
@@ -203,17 +205,6 @@ def _shifted_schur_det(mu: Partition, x: Point) -> Fraction:
     exponents = [mu.part(j + 1) + (k - 1 - j) for j in range(k)]
     rows = [[prod(range(a, a - m * q, -q)) for m in exponents] for a in shifted]
     return Fraction(integer_det(rows), denom * q**mu.size)
-
-
-def _shifted_schur_tableau(mu: Partition, x: Point) -> Fraction:
-    total = Fraction(0)
-    boxes = list(mu.boxes())
-    for filling in reverse_tableaux(mu, len(x)):
-        term = Fraction(1)
-        for (i, j) in boxes:
-            term *= x[filling[i - 1][j - 1] - 1] - (j - i)
-        total += term
-    return total
 
 
 def shifted_schur_at_diagram(mu: Partition, lam: Partition) -> Fraction:
@@ -246,19 +237,24 @@ def h_star_values(x, count: int) -> list[Fraction]:
 
     The one-row reverse-tableau sum: h*_m(x) sums, over the indices
     k >= T_1 >= ... >= T_m >= 1, the product of (x_{T_j} - j + 1).  It is
-    accumulated over the last index, in O(count * k) exact operations at
-    any rational point; the product form of the generating series is the
-    test oracle.
+    accumulated over the last index on the numerators of x = X/Q, in
+    O(count * k) integer operations; the product form of the generating
+    series is the test oracle.
     """
-    x = as_point(x)
+    xs, q = integer_point(x)
+    return [Fraction(v, q**m) for m, v in enumerate(_h_star_numerators(xs, q, count), 1)]
+
+
+def _h_star_numerators(xs: Sequence[int], q: int, count: int) -> list[int]:
+    """Q^m h*_m(X/Q) for m = 1..count: each factor x_t - j becomes X_t - jQ."""
     values = []
-    ending = [Fraction(0)] * len(x)  # ending[t]: the sum over T_1..T_j with T_j = t
+    ending = [0] * len(xs)  # ending[t]: the sum over T_1..T_j with T_j = t
     for j in range(count):
-        tail = Fraction(1) if j == 0 else Fraction(0)
-        for t in reversed(range(len(x))):
+        tail = 1 if j == 0 else 0
+        for t in reversed(range(len(xs))):
             tail += ending[t]
-            ending[t] = (x[t] - j) * tail
-        values.append(sum(ending, Fraction(0)))
+            ending[t] = (xs[t] - j * q) * tail
+        values.append(sum(ending))
     return values
 
 

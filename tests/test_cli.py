@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from harmgraphs import interp
-from harmgraphs.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
+from harmgraphs import cli, interp
+from harmgraphs.cli import EXIT_CHECK_FAILED, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
+from harmgraphs.exact import ShapeError, SingularMatrixError
 
 
 def run(capsys, *argv):
@@ -341,3 +342,32 @@ def test_gamma_family_never_calls_the_generator_basis_engine(monkeypatch, capsys
     )
     assert code == EXIT_OK
     assert "0 failed" in out
+
+
+@pytest.mark.parametrize(
+    "error,code",
+    [
+        (SingularMatrixError("singular system"), EXIT_INTERNAL),
+        (ShapeError("ragged rows"), EXIT_INTERNAL),
+        (ValueError("a domain error"), EXIT_USAGE),
+    ],
+)
+def test_internal_errors_exit_apart_from_usage_errors(monkeypatch, capsys, error, code):
+    def broken(m):
+        raise error
+
+    monkeypatch.setattr(cli, "det", broken)
+    got, out, err = run(capsys, "verify", "pfaffian")
+    assert got == code
+    assert out == ""
+    assert str(error) in err
+    assert err.startswith("internal error:" if code == EXIT_INTERNAL else "error:")
+
+
+def test_zero_division_escapes_main(monkeypatch):
+    def broken(m):
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setattr(cli, "det", broken)
+    with pytest.raises(ZeroDivisionError):
+        main(["verify", "pfaffian"])

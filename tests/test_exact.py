@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from harmgraphs.exact import (
     RationalMatrix,
@@ -21,6 +23,9 @@ from harmgraphs.exact import (
     solve_linear,
     to_bigfloat,
 )
+from oracles import fraction_det
+
+PROPERTY = settings(derandomize=True, max_examples=80, deadline=None)
 
 
 def test_rational_wire_format():
@@ -72,7 +77,7 @@ def test_integer_det_matches_fraction_det():
             rows = [[rng.randint(-9, 9) for _ in range(size)] for _ in range(size)]
             if size >= 2 and rng.random() < 0.3:
                 rows[0][0] = 0  # the first pivot needs a row swap
-            assert integer_det(rows) == det(RationalMatrix(rows))
+            assert integer_det(rows) == fraction_det(rows)
     assert integer_det([[0, 1], [1, 0]]) == -1
     assert integer_det([[1, 2, 3], [2, 4, 6], [0, 1, 5]]) == 0
     assert integer_det([[0, 2], [0, 5]]) == 0
@@ -115,6 +120,56 @@ def test_det_alternating_and_multilinear():
         )
         alone = RationalMatrix([extra, rows[1], rows[2]])
         assert det(combo) == c * det(m) + det(alone)
+
+
+# entries with mixed denominators, about a third of them zero
+entries = st.one_of(
+    st.just(F(0)),
+    st.builds(F, st.integers(-9, 9), st.sampled_from([1, 2, 3, 4, 5, 6, 7, 12])),
+)
+
+
+@st.composite
+def square_matrices(draw, max_size=6):
+    n = draw(st.integers(0, max_size))
+    return [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(n)]
+
+
+@PROPERTY
+@given(square_matrices())
+@example([])
+@example([[F(-5, 7)]])
+@example([[F(0), F(1, 2)], [F(3, 4), F(5, 6)]])  # the leading pivot is zero
+@example([[F(1, 2), F(1, 3), F(1)], [F(1), F(2, 3), F(2)], [F(5), F(0), F(1, 7)]])  # singular
+@example([[F(1, 2), F(2, 3), F(3, 4)], [F(5, 6), F(7, 12), F(1, 5)], [F(-1, 7), F(4), F(9, 10)]])
+def test_det_matches_fraction_elimination(rows):
+    assert det(RationalMatrix(rows)) == fraction_det(rows)
+
+
+def test_det_explicit_cases():
+    assert det(RationalMatrix([])) == 1
+    assert det(RationalMatrix([[F(-5, 7)]])) == F(-5, 7)
+    assert det(RationalMatrix([[0, F(1, 2)], [F(3, 4), F(5, 6)]])) == F(-3, 8)
+    assert det(RationalMatrix([[F(1, 2), F(1, 3)], [F(3, 2), 1]])) == 0
+    assert det(RationalMatrix([[F(1, 2), F(1, 3)], [F(1, 5), F(1, 7)]])) == F(1, 14) - F(1, 15)
+    assert isinstance(det(RationalMatrix([[2, 1], [1, 1]])), F)
+
+
+@st.composite
+def skew_matrices(draw, max_half=4):
+    n = 2 * draw(st.integers(0, max_half))
+    rows = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            v = draw(entries)
+            rows[i][j], rows[j][i] = v, -v
+    return RationalMatrix(rows)
+
+
+@PROPERTY
+@given(skew_matrices(max_half=5))
+def test_pfaffian_squares_to_det_at_random_skew_matrices(m):
+    assert pfaffian(m) ** 2 == det(m) == fraction_det(m.rows)
 
 
 def test_pfaffian_two_by_two():

@@ -62,6 +62,19 @@ GOLDEN = [
      "190880bef743f30cd5c62aeb257a417633293e6a97b18d89d1f5f6e3434a5204"),
     ("verify kernels --seed 7", EXIT_OK,
      "d0c7089e39603d0df392eaeb51000c71d7bf0741bc56e63f386f08871cd5382f"),
+    # the other seeds of the identity-suites pools
+    ("verify pieri --seed 11", EXIT_OK,
+     "952d5beffabe908432ea5dff870f6676e92ee7bfe0b4e11d19532a730d519cdf"),
+    ("verify pieri --seed 29", EXIT_OK,
+     "36c5f0be8c9ab556547e2f1d01795fa82197aadbbde3abbf8cb6f2dddbefef2c"),
+    ("verify pieri --seed 31", EXIT_OK,
+     "ba59c476b724ebc47196042304975498aeda145b95ca03132be3a5dd146791e1"),
+    ("verify kernels --seed 11", EXIT_OK,
+     "f071fd1a79af0c73419c9f043a9a823eb9b710d9db9db5adea358b47a150c865"),
+    ("verify kernels --seed 19", EXIT_OK,
+     "eda6095664aebbf5f9fc178db9d86a533c0254ffd5613594127d2346d92e6f30"),
+    ("verify kernels --seed 23", EXIT_OK,
+     "7077663705be45ab9566cb0b533cf0d7333781a1ce1828ce3837b95546b21a29"),
     ("verify interpolation", EXIT_OK,
      "6652505517467b52dd240b62e144f3bc77127737fa5cbcfb550e25074924b513"),
     ("verify lattice --levels 9", EXIT_OK,
