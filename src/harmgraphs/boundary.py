@@ -19,14 +19,21 @@ needed here reduces to closed form on the standard simplex:
 That makes the μ = ∅ mass-one checks exact as well, not just the
 full-length alternant cases.  The truncated family and the density
 constant depend on λ alone, so `selberg_rows` builds them once per λ.
+
+Each face (young, kingman, schur, gamma) is one `Face` record in the
+`FACES` table, keyed by the `face` string of its truncated family: its
+λ check, width, density, vertex embedding, level weights, Selberg setup
+and sweep, and width-2 density polynomial.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import permutations
 from math import comb, factorial, perm, prod
+from typing import Callable
 
 import mpmath
 
@@ -203,8 +210,6 @@ def _quotient_pfaffian(values) -> Fraction:
 
 
 def schur_density_constant(lam: Partition) -> Fraction:
-    if not lam.is_strict:
-        raise ValueError("needs a strict partition")
     l = lam.length
     denom = Fraction(1)
     for p in lam.parts:
@@ -227,8 +232,6 @@ def kingman_density_constant(lam: Partition) -> Fraction:
 def gamma_density_constant(lam: Partition) -> Fraction:
     fc = lam.frobenius()
     d = fc.depth
-    if d < 1:
-        raise ValueError("needs depth >= 1")
     cauchy = det(
         RationalMatrix([[Fraction(1, fc.p[i] + fc.q[j] + 1) for j in range(d)] for i in range(d)])
     )
@@ -252,63 +255,41 @@ class DensitySpec:
 
 
 def density_spec(graph: str, lam: Partition) -> DensitySpec:
-    if graph == "young":
-        if lam.length < 2:
-            raise ValueError("young face needs length >= 2")
-        return DensitySpec(graph, lam, young_density_constant(lam), lam.length)
-    if graph == "kingman":
-        return DensitySpec(graph, lam, kingman_density_constant(lam), lam.length)
-    if graph == "schur":
-        return DensitySpec(graph, lam, schur_density_constant(lam), lam.length)
-    if graph == "gamma":
-        return DensitySpec(graph, lam, gamma_density_constant(lam), 2 * lam.depth)
-    raise ValueError(f"unknown graph {graph!r}")
+    if graph not in FACES:
+        raise ValueError(f"unknown graph {graph!r}")
+    face = FACES[graph]
+    if not face.accepts(lam):
+        raise ValueError(f"{graph} face needs {face.needs}")
+    return DensitySpec(graph, lam, face.constant(lam), face.blocks * getattr(lam, face.stat))
 
 
 def density_value(spec: DensitySpec, point) -> Fraction:
     """Exact density at a rational face point.
 
-    Young/Kingman points are alpha tuples of the face length; the gamma
-    face takes (alpha_tuple, beta_tuple).  Only the schur face's Pfaffian
-    form rejects coordinate collisions.
+    A point is an alpha tuple of the face width, or on a two-block face
+    (gamma) an (alpha_tuple, beta_tuple) pair.  Only the schur face's
+    Pfaffian form rejects coordinate collisions.
     """
-    lam = spec.lam
-    if spec.graph == "young":
-        alpha = tuple(as_rational(a) for a in point)
-        l = lam.length
-        if len(alpha) != l:
-            raise ValueError("wrong face dimension")
-        # s_lam * V^2 = alternant * V, which also holds at coordinate collisions
-        return spec.constant * _alternant(alpha, _plus_staircase(lam, l)) * _vandermonde(alpha)
-    if spec.graph == "kingman":
-        alpha = tuple(as_rational(a) for a in point)
-        return spec.constant * monomial_eval(lam, alpha)
-    if spec.graph == "schur":
-        alpha = tuple(as_rational(a) for a in point)
-        l = lam.length
-        if len(alpha) != l:
-            raise ValueError("wrong face dimension")
-        if len(set(alpha)) != l:
-            raise ValueError("coordinate collision in a Pfaffian form")
-        # P_lam * Pf^2 = alternant * Pf since length(lam) = face length
-        return spec.constant * _alternant(alpha, lam.parts) * _quotient_pfaffian(alpha)
-    if spec.graph == "gamma":
-        alpha = tuple(as_rational(a) for a in point[0])
-        beta = tuple(as_rational(b) for b in point[1])
-        fc = lam.frobenius()
-        d = fc.depth
-        if len(alpha) != d or len(beta) != d:
-            raise ValueError("wrong face dimension")
-        cauchy = det(
-            RationalMatrix([[1 / (alpha[i] + beta[j]) for j in range(d)] for i in range(d)])
-        )
-        return (
-            spec.constant
-            * _alternant(alpha, fc.p)
-            * _alternant(beta, fc.q)
-            * cauchy
-        )
-    raise ValueError(f"unknown graph {spec.graph!r}")
+    face = FACES[spec.graph]
+    blocks = [tuple(map(as_rational, b)) for b in ((point,) if face.blocks == 1 else point)]
+    want, got = [getattr(spec.lam, face.stat)] * face.blocks, [len(b) for b in blocks]
+    if got != want:
+        shape, given = (";".join(map(str, counts)) for counts in (want, got))
+        raise ValueError(f"the {spec.graph} face has {shape} coordinates, got {given}")
+    return spec.constant * face.density(spec.lam, *blocks)
+
+
+def _schur_density(lam: Partition, alpha) -> Fraction:
+    if len(set(alpha)) != len(alpha):
+        raise ValueError("coordinate collision in a Pfaffian form")
+    # P_lam * Pf^2 = alternant * Pf since length(lam) = face length
+    return _alternant(alpha, lam.parts) * _quotient_pfaffian(alpha)
+
+
+def _gamma_density(lam: Partition, alpha, beta) -> Fraction:
+    fc = lam.frobenius()
+    cauchy = det(RationalMatrix([[1 / (a + b) for b in beta] for a in alpha]))
+    return _alternant(alpha, fc.p) * _alternant(beta, fc.q) * cauchy
 
 
 # ---------------------------------------------------------------------------
@@ -422,10 +403,13 @@ def selberg_rows(graph: str, lam: Partition, mus: list[Partition]) -> list[Selbe
     Dirichlet closed form is symmetric in the variables.  The family and
     the density constant are built once.  Shapes without an exact route are rejected.
     """
-    if graph not in _SELBERG_SETUP:
-        raise ValueError(f"unknown graph {graph!r}")
-    family, constant, integral = _SELBERG_SETUP[graph](lam, mus)
-    return [SelbergResult(graph, lam, mu, family.phi(mu), constant * integral(mu)) for mu in mus]
+    spec, face = density_spec(graph, lam), FACES[graph]
+    s = getattr(lam, face.stat)
+    for mu in mus:
+        if mu.size and not face.admits(mu, s):
+            raise ValueError(f"no exact route for mu = {mu} at lambda = {lam} on the {graph} face")
+    family, integral = face.selberg(lam, mus)
+    return [SelbergResult(graph, lam, mu, family.phi(mu), spec.constant * integral(mu)) for mu in mus]
 
 
 def selberg_verify(graph: str, lam: Partition, mu: Partition) -> SelbergResult:
@@ -438,20 +422,16 @@ def _alternant_integral(a, b) -> Fraction:
     return Fraction(_factorial_det(a, b), factorial(len(a) + sum(a) + sum(b) - 1))
 
 
-def _young_face(lam: Partition, mus: list[Partition]):
+def _young_selberg(lam: Partition, mus: list[Partition]):
     l = lam.length
-    if any(mu.length > l for mu in mus):
-        raise ValueError("need length(mu) <= length(lam)")
     a = _plus_staircase(lam, l)
     integral = lambda mu: _alternant_integral(_plus_staircase(mu, l), a)
-    return TruncYoung(lam), young_density_constant(lam), integral
+    return TruncYoung(lam), integral
 
 
-def _kingman_face(lam: Partition, mus: list[Partition]):
+def _kingman_selberg(lam: Partition, mus: list[Partition]):
     l = lam.length
     _check_cap(l)
-    if any(mu.length > l for mu in mus):
-        raise ValueError("need length(mu) <= length(lam)")
     arrangements = list(_distinct_perms(lam.parts))
 
     def integral(mu: Partition) -> Fraction:
@@ -462,28 +442,24 @@ def _kingman_face(lam: Partition, mus: list[Partition]):
         total = sum(map(simplex_monomial_integral, arranged))
         return total / prod(factorial(mu_pad.count(v)) for v in set(mu_pad))
 
-    return TruncKingman(lam), kingman_density_constant(lam), integral
+    return TruncKingman(lam), integral
 
 
-def _schur_face(lam: Partition, mus: list[Partition]):
-    if not lam.is_strict or not all(mu.is_strict for mu in mus):
-        raise ValueError("strict partitions required")
+def _schur_selberg(lam: Partition, mus: list[Partition]):
     l = lam.length
 
     def integral(mu: Partition) -> Fraction:
         if mu.length == l:
             # both alternants of full length; the squared Pfaffian cancels
             return _alternant_integral(mu.parts, lam.parts)
-        if mu.size == 0:
-            # each term of alt_lam integrates against the Pfaffian like the first
-            _check_cap(l)
-            return _integrate_monomial_times_pfaffian(l, lam.parts)
-        raise ValueError("no exact route for 0 < length(mu) < length(lam) on the strict face")
+        # mu = (): each term of alt_lam integrates against the Pfaffian like the first
+        _check_cap(l)
+        return _integrate_monomial_times_pfaffian(l, lam.parts)
 
-    return TruncSchur(lam), schur_density_constant(lam), integral
+    return TruncSchur(lam), integral
 
 
-def _gamma_face(lam: Partition, mus: list[Partition]):
+def _gamma_selberg(lam: Partition, mus: list[Partition]):
     fc = lam.frobenius()
     d = fc.depth
     # the generator values up to degree |mu| do not depend on the cap
@@ -496,17 +472,11 @@ def _gamma_face(lam: Partition, mus: list[Partition]):
             size = sum(mf.p) + sum(mf.q) + sum(fc.p) + sum(fc.q)
             dets = _factorial_det(mf.p, fc.p) * _factorial_det(mf.q, fc.q)
             return Fraction(dets, factorial(2 * d + size - 1))
-        if mu.size == 0:
-            # each term of either alternant integrates against the Cauchy factor like the first
-            _check_cap(d)
-            return _integrate_monomial_times_cauchy(fc.p, fc.q)
-        raise ValueError("no exact route for 0 < depth(mu) < depth(lam) on the hook face")
+        # mu = (): each term of either alternant integrates against the Cauchy factor like the first
+        _check_cap(d)
+        return _integrate_monomial_times_cauchy(fc.p, fc.q)
 
-    return family, gamma_density_constant(lam), integral
-
-
-# face -> (family, density constant, normalized integral of each mu), built once per lam
-_SELBERG_SETUP = dict(young=_young_face, kingman=_kingman_face, schur=_schur_face, gamma=_gamma_face)
+    return family, integral
 
 
 # ---------------------------------------------------------------------------
@@ -577,32 +547,6 @@ class ConvergenceReport:
         return all(ds[i + 1] < ds[i] for i in range(len(ds) - 1))
 
 
-def _face_density_polynomial(spec: DensitySpec) -> Poly:
-    """Density restricted to the width-2 face as a polynomial in alpha_1."""
-    if spec.face_dim != 2 or spec.graph not in ("young", "kingman"):
-        raise ValueError("face polynomial only implemented for width-2 row faces")
-    lam = spec.lam
-    a = [Fraction(0), Fraction(1)]  # alpha_1
-    b = poly_sub([Fraction(1)], a)  # alpha_2 = 1 - alpha_1
-
-    def power(p: Poly, e: int) -> Poly:
-        out = [Fraction(1)]
-        for _ in range(e):
-            out = poly_mul(out, p)
-        return out
-
-    if spec.graph == "young":
-        e1, e2 = lam.part(1) + 1, lam.part(2)
-        alt = poly_sub(poly_mul(power(a, e1), power(b, e2)), poly_mul(power(a, e2), power(b, e1)))
-        dens = poly_mul(alt, poly_sub(a, b))
-    else:
-        e1, e2 = lam.part(1), lam.part(2)
-        dens = poly_mul(power(a, e1), power(b, e2))
-        if e1 != e2:
-            dens = poly_add(dens, poly_mul(power(a, e2), power(b, e1)))
-    return poly_scale(dens, spec.constant)
-
-
 def convergence_experiment(
     family: HarmonicFamily,
     n_values,
@@ -623,8 +567,12 @@ def convergence_experiment(
     """
     if family.face is None:
         raise ValueError("convergence experiments need a truncated family")
+    face = FACES[family.face]
     spec = density_spec(family.face, family.lam)
     l = spec.face_dim
+    # the binned distance integrates the density polynomial of a width-2 face
+    binned = l == 2 and face.polynomial is not None
+    anti = poly_integral(poly_scale(face.polynomial(spec.lam), spec.constant)) if binned else None
     rows = []
     for n in sorted(int(n) for n in n_values):
         weights = _fast_level_weights(family, n)
@@ -636,20 +584,10 @@ def convergence_experiment(
         lo, width = Fraction(1, 2), Fraction(1, 2 * resolution)
         gap = interior_fraction * n
         for nu, w in support:
-            if spec.graph == "gamma":
-                fc = nu.frobenius()
-                if 2 * fc.depth != l:
-                    continue
-                point = embed_frobenius(nu, n)
-                blocks = [fc.p, fc.q]
-            else:
-                alpha = embed_rows(nu, n) + (Fraction(0),) * (l - nu.length)
-                point = alpha
-                blocks = [nu.parts + (0,) * (l - nu.length)]
-                if l == 2:
-                    idx = min(int((alpha[0] - lo) / width), resolution - 1)
-                    bins[idx] += w
-            if _rows_separated(blocks, gap):
+            point, blocks = face.embed(nu, n)
+            if binned:
+                bins[min(int((point[0] - lo) / width), resolution - 1)] += w
+            if sum(map(len, blocks)) == l and _rows_separated(blocks, gap):
                 dens = spec.density(point)
                 if dens > 0:
                     ratio = w * n ** (l - 1) / dens
@@ -657,9 +595,7 @@ def convergence_experiment(
                     max_err = max(max_err, err)
                     interior += 1
         distance = to_bigfloat(0, precision)
-        if l == 2 and spec.graph in ("young", "kingman"):
-            poly = _face_density_polynomial(spec)
-            anti = poly_integral(poly)
+        if binned:
             acc = Fraction(0)
             for i in range(resolution):
                 left = lo + i * width
@@ -681,9 +617,9 @@ def convergence_experiment(
 
 
 def _rows_separated(blocks, gap) -> bool:
-    """Interior test: every coordinate block ends above the gap and has
-    consecutive differences above the gap (the density degenerates at
-    coordinate collisions, so those vertices carry no pointwise limit)."""
+    """Interior test for blocks that fill the face: every coordinate block ends
+    above the gap and has consecutive differences above the gap (the density
+    degenerates at coordinate collisions, so those carry no pointwise limit)."""
     for block in blocks:
         if not block or block[-1] < gap:
             return False
@@ -693,54 +629,134 @@ def _rows_separated(blocks, gap) -> bool:
 
 
 def _fast_level_weights(family: HarmonicFamily, n: int) -> list[tuple[Partition, Fraction]]:
-    """Level measure M_n of a truncated family, restricted to its support.
+    """Level measure M_n of a truncated family, restricted to its support:
+    the face's `level_weights`.  Their docstrings write (x)_k for the rising
+    factorial, V(x) = prod_{i<j} (x_i - x_j), l for the face width, and pad
+    nu with zeros to length l."""
+    return FACES[family.face].level_weights(family, n)
 
-    Write (x)_k for the rising factorial, V(x) = prod_{i<j} (x_i - x_j),
-    l for the face width, and pad nu with zeros to length l.  On the
-    young and kingman faces t is a positive integer, so the per-level
-    constant c_n = n!/(t)_n = (t-1)!/(n+1)_(t-1) is a small fraction and
-    every weight is c_n times a small integer; no factorial of n forms.
 
-    * young, with A_i = lam_i + l - i and B_j = nu_j + l - j:
-      M_n(nu) = c_n V(B) det[(B_j + 1)_(A_i)] / (V(A) prod_i A_i!),
-      the falling-factorial bialternant of s* at the reflected point
-      times dim(nu), column j divided by B_j!; the signs cancel to +1.
-      The matrix entries over A_i! are the binomials C(A_i + B_j, A_i).
-    * kingman: M_n(nu) = c_n sum_sigma prod_i (nu_sigma(i) + 1)_(lam_i) / lam_i!,
-      over the distinct arrangements sigma of nu; each factor is the
-      binomial C(lam_i + nu_sigma(i), lam_i).
-    * schur: dim_closed_form(nu) value(nu) (-1)^n / (t)_n.
-    * gamma: the level measure, up to the family's degree cap.
-    """
-    if family.face == "gamma":
-        if n > family.degree_cap:
-            raise ValueError(
-                f"level {n} exceeds the family degree cap {family.degree_cap}; raise degree_cap"
-            )
-        return list(level_measure(family, n).weights)
-    vertices = level(n, family.kind, max_length=family.width)
-    if family.face == "schur":
-        scale = (-1) ** n / pochhammer(family.t, n)
-        return [(nu, dim_closed_form(nu, family.kind) * family.value(nu) * scale) for nu in vertices]
+def _level_constant(family: HarmonicFamily, n: int) -> Fraction:
+    """On the young and kingman faces t is a positive integer, so the
+    per-level constant c_n = n!/(t)_n = (t-1)!/(n+1)_(t-1) is a small
+    fraction and every weight is c_n times a small integer; no factorial
+    of n forms."""
     t = int(family.t)
-    c_n = factorial(t - 1) / pochhammer(n + 1, t - 1)
-    lam = family.lam
-    if family.face == "kingman":
-        return [(nu, c_n * _kingman_face_weight(lam, nu)) for nu in vertices]
-    a = _plus_staircase(lam, lam.length)
-    scale = c_n / _vandermonde(a)
-    return [(nu, scale * _young_face_weight(a, nu)) for nu in vertices]
+    return factorial(t - 1) / pochhammer(n + 1, t - 1)
 
 
-def _young_face_weight(a: list[int], nu: Partition) -> int:
-    """V(B) det[C(A_i + B_j, A_i)]: the young-face weight over c_n / V(A)."""
-    b = _plus_staircase(nu, len(a))
-    return _vandermonde(b) * integer_det([[comb(ai + bj, ai) for bj in b] for ai in a])
+def _young_weights(family: TruncYoung, n: int) -> list[tuple[Partition, Fraction]]:
+    """With A_i = lam_i + l - i and B_j = nu_j + l - j,
+    M_n(nu) = c_n V(B) det[(B_j + 1)_(A_i)] / (V(A) prod_i A_i!),
+    the falling-factorial bialternant of s* at the reflected point
+    times dim(nu), column j divided by B_j!; the signs cancel to +1.
+    The matrix entries over A_i! are the binomials C(A_i + B_j, A_i)."""
+    a = _plus_staircase(family.lam, family.width)
+    scale = _level_constant(family, n) / _vandermonde(a)
+    out = []
+    for nu in level(n, family.kind, max_length=family.width):
+        b = _plus_staircase(nu, len(a))
+        weight = _vandermonde(b) * integer_det([[comb(ai + bj, ai) for bj in b] for ai in a])
+        out.append((nu, scale * weight))
+    return out
 
 
-def _kingman_face_weight(lam: Partition, nu: Partition) -> int:
-    """sum_sigma prod_i C(lam_i + nu_sigma(i), lam_i): the kingman-face weight over c_n."""
-    padded = nu.parts + (0,) * (lam.length - nu.length)
-    return sum(
-        prod(comb(p + e, p) for p, e in zip(lam.parts, perm)) for perm in _distinct_perms(padded)
-    )
+def _kingman_weights(family: TruncKingman, n: int) -> list[tuple[Partition, Fraction]]:
+    """M_n(nu) = c_n sum_sigma prod_i (nu_sigma(i) + 1)_(lam_i) / lam_i!, over the
+    distinct arrangements sigma of nu; each factor is the binomial C(lam_i + nu_sigma(i), lam_i)."""
+    c_n = _level_constant(family, n)
+    lam, out = family.lam, []
+    for nu in level(n, family.kind, max_length=family.width):
+        padded = nu.parts + (0,) * (lam.length - nu.length)
+        arranged = (zip(lam.parts, e) for e in _distinct_perms(padded))
+        out.append((nu, c_n * sum(prod(comb(p + e, p) for p, e in pairs) for pairs in arranged)))
+    return out
+
+
+def _schur_weights(family: TruncSchur, n: int) -> list[tuple[Partition, Fraction]]:
+    """M_n(nu) = dim_closed_form(nu) value(nu) (-1)^n / (t)_n."""
+    scale = (-1) ** n / pochhammer(family.t, n)
+    vertices = level(n, family.kind, max_length=family.width)
+    return [(nu, dim_closed_form(nu, family.kind) * family.value(nu) * scale) for nu in vertices]
+
+
+def _gamma_weights(family: GammaShaped, n: int) -> list[tuple[Partition, Fraction]]:
+    """The level measure, up to the family's degree cap."""
+    if n > family.degree_cap:
+        raise ValueError(
+            f"level {n} exceeds the family degree cap {family.degree_cap}; raise degree_cap"
+        )
+    return list(level_measure(family, n).weights)
+
+
+def _embed_hooks(nu: Partition, n: int):
+    """The split-diagonal point, and the Frobenius coordinates as its blocks."""
+    fc = nu.frobenius()
+    return embed_frobenius(nu, n), [fc.p, fc.q]
+
+
+def _width2_monomial(e1: int, e2: int) -> Poly:
+    """alpha_1^e1 alpha_2^e2 on the width-2 face, alpha_2 = 1 - alpha_1, in alpha_1."""
+    return [Fraction(0)] * e1 + [Fraction((-1) ** k * comb(e2, k)) for k in range(e2 + 1)]
+
+
+def _young_polynomial(lam: Partition) -> Poly:
+    e1, e2 = lam.part(1) + 1, lam.part(2)
+    alternant = poly_sub(_width2_monomial(e1, e2), _width2_monomial(e2, e1))
+    return poly_mul(alternant, [Fraction(-1), Fraction(2)])  # times alpha_1 - alpha_2
+
+
+# ---------------------------------------------------------------------------
+# the face table
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Face:
+    """One boundary face, each per-face quantity a plain function.  A point has
+    `blocks` coordinate tuples (alpha; or alpha, beta) of stat(lam) each, so the
+    width is blocks * stat(lam).  The defaults describe a face of rows."""
+
+    accepts: Callable[[Partition], bool]  # lam has a density on the face; if not, ...
+    needs: str  # ... the error says the face needs this
+    constant: Callable[[Partition], Fraction]
+    density: Callable[..., Fraction]  # (lam, *blocks) -> the density over its constant
+    level_weights: Callable  # (family, n) -> M_n on the face's vertices
+    selberg: Callable  # (lam, mus) -> (family, normalized face integral of each mu)
+    sweep: tuple[int, ...]  # the Selberg sweep's values of stat(lam), ...
+    admits: Callable[[Partition, int], bool]  # ... and each mu != () with an exact route at stat(lam)
+    blocks: int = 1
+    stat: str = "length"  # a Partition attribute
+    # (nu, n) -> (point, coordinate blocks) of a level-n vertex, here nu's rows scaled by n
+    embed: Callable = lambda nu, n: (embed_rows(nu, n), [nu.parts])
+    polynomial: Callable[[Partition], Poly] | None = None  # width-2 density over its constant
+
+
+FACES: dict[str, Face] = {
+    "young": Face(
+        accepts=lambda lam: lam.length >= 2, needs="length >= 2", constant=young_density_constant,
+        # s_lam * V^2 = alternant * V, which also holds at coordinate collisions
+        density=lambda lam, alpha: _alternant(alpha, _plus_staircase(lam, len(alpha))) * _vandermonde(alpha),
+        level_weights=_young_weights, selberg=_young_selberg,
+        sweep=(2, 3), admits=lambda mu, s: mu.length <= s, polynomial=_young_polynomial,
+    ),
+    "kingman": Face(
+        accepts=lambda lam: lam.length >= 1, needs="a nonempty partition",
+        constant=kingman_density_constant, density=monomial_eval,
+        level_weights=_kingman_weights, selberg=_kingman_selberg,
+        sweep=(1, 2, 3), admits=lambda mu, s: mu.length <= s,
+        # m_lam at (alpha_1, 1 - alpha_1)
+        polynomial=lambda lam: reduce(poly_add, (_width2_monomial(*e) for e in _distinct_perms(lam.parts))),
+    ),
+    "schur": Face(
+        accepts=lambda lam: lam.is_strict and lam.length >= 1, needs="a nonempty strict partition",
+        constant=schur_density_constant, density=_schur_density,
+        level_weights=_schur_weights, selberg=_schur_selberg,
+        sweep=(2, 3), admits=lambda mu, s: mu.is_strict and mu.length == s,
+    ),
+    "gamma": Face(
+        accepts=lambda lam: lam.depth >= 1, needs="depth >= 1",
+        constant=gamma_density_constant, density=_gamma_density,
+        level_weights=_gamma_weights, selberg=_gamma_selberg,
+        sweep=(1, 2), admits=lambda mu, s: mu.depth == s, blocks=2, stat="depth", embed=_embed_hooks,
+    ),
+}

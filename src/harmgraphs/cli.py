@@ -64,6 +64,7 @@ from .interp import (
     shifted_schur_eval,
 )
 from .boundary import (
+    FACES,
     ThomaPoint,
     convergence_experiment,
     density_spec,
@@ -235,18 +236,12 @@ def cmd_dims(args) -> int:
 
 def cmd_density(args) -> int:
     spec = density_spec(args.graph, _partition(getattr(args, "lambda")))
-    if args.graph == "gamma":
-        alpha_text, _, beta_text = args.at.partition(";")
-        point = (
-            tuple(as_rational(s) for s in alpha_text.split(",")),
-            tuple(as_rational(s) for s in beta_text.split(",")),
-        )
-    else:
-        point = tuple(as_rational(s) for s in args.at.split(","))
-        # checked here rather than in density_value, which the convergence
-        # experiments call once per interior vertex
-        if len(point) != spec.face_dim:
-            raise ValueError(f"the {args.graph} face has {spec.face_dim} coordinates, got {len(point)}")
+    blocks, texts = FACES[args.graph].blocks, args.at.split(";")
+    if len(texts) != blocks:
+        raise ValueError(f"a {args.graph} point is {';'.join(('alpha', 'beta')[:blocks])}, got {args.at!r}")
+    point = tuple(tuple(as_rational(s) for s in text.split(",")) for text in texts)
+    if len(point) == 1:  # the alpha;beta points of the gamma face have no range check yet
+        point = point[0]
         if any(a < 0 for a in point) or sum(point) > 1:
             raise ValueError("a face point needs nonnegative coordinates with sum <= 1")
     print(format_rational(spec.density(point)))
@@ -447,18 +442,9 @@ def _suite_dimension_ratio(args, report: Report) -> None:
                     )
 
 
-# face -> (shape statistic values, the statistic, strict shapes, mu admitted at value s)
-_SELBERG_FACES = {
-    "young": ((2, 3), "length", False, lambda mu, s: mu.length <= s),
-    "kingman": ((1, 2, 3), "length", False, lambda mu, s: mu.length <= s),
-    "schur": ((2, 3), "length", True, lambda mu, s: mu.length == s),
-    "gamma": ((1, 2), "depth", False, lambda mu, s: mu.depth == s),
-}
-
-
 def _suite_selberg(args, report: Report) -> None:
-    faces = ", ".join(_SELBERG_FACES)
-    if args.graph != "all" and args.graph not in _SELBERG_FACES:
+    faces = ", ".join(FACES)
+    if args.graph != "all" and args.graph not in FACES:
         raise ValueError(f"unknown --graph {args.graph!r}; choose all or one of {faces}")
     if getattr(args, "lam", None):
         if args.graph == "all":
@@ -477,18 +463,13 @@ def _add_selberg_rows(report: Report, graph: str, lam: Partition, mus: list[Part
 
 def _selberg_sweep(graph: str, max_size: int) -> list[tuple[str, Partition, list[Partition]]]:
     work: list[tuple[str, Partition, list[Partition]]] = []
-    for face, (values, stat, strict, admits) in _SELBERG_FACES.items():
-        if graph not in ("all", face):
+    shapes = [p for size in range(1, max_size + 1) for p in partitions_of(size)]
+    for name, face in FACES.items():
+        if graph not in ("all", name):
             continue
-        for s in values:
-            for ln in range(1, max_size + 1):
-                for lam in partitions_of(ln, strict=strict):
-                    if getattr(lam, stat) != s:
-                        continue
-                    mus = [Partition()]
-                    for mn in range(1, max_size + 1):
-                        mus += [mu for mu in partitions_of(mn, strict=strict) if admits(mu, s)]
-                    work.append((face, lam, mus))
+        for s in face.sweep:
+            mus = [Partition(), *(mu for mu in shapes if face.admits(mu, s))]
+            work += [(name, lam, mus) for lam in shapes if face.accepts(lam) and getattr(lam, face.stat) == s]
     return work
 
 
@@ -703,13 +684,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_dims)
 
     p = sub.add_parser("density", help="evaluate a face density at a rational point")
-    p.add_argument("--graph", required=True, choices=["young", "kingman", "schur", "gamma"])
+    p.add_argument("--graph", required=True, choices=list(FACES))
     p.add_argument("--lambda", required=True)
     p.add_argument("--at", required=True, help="comma-separated coordinates; gamma: alpha;beta")
     p.set_defaults(func=cmd_density)
 
     p = sub.add_parser("integral-verify", help="one exact integral identity, both sides")
-    p.add_argument("--graph", required=True, choices=["young", "kingman", "schur", "gamma"])
+    p.add_argument("--graph", required=True, choices=list(FACES))
     p.add_argument("--lambda", required=True)
     p.add_argument("--mu", default="0")
     _add_output_options(p)

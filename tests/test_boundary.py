@@ -119,6 +119,27 @@ def test_schur_density_collision_rejected():
     assert spec.density((F(3, 4), F(1, 4))) > 0
 
 
+@pytest.mark.parametrize(
+    "graph,lam,point",
+    [
+        ("young", P([2, 1]), (F(1, 2),)),
+        ("young", P([2, 1]), (F(1, 2), F(1, 4), F(1, 8))),
+        ("kingman", P([2, 1]), (F(1, 2),)),
+        ("kingman", P([2, 1]), (F(1, 2), F(1, 4), F(1, 8))),
+        ("schur", P([3, 1]), (F(1, 2),)),
+        ("schur", P([3, 1]), (F(1, 2), F(1, 4), F(1, 8))),
+        # depth 2: each of alpha and beta has two coordinates
+        ("gamma", P([3, 2]), ((F(1, 2), F(1, 8)), (F(1, 4),))),
+        ("gamma", P([3, 2]), ((F(1, 2), F(1, 8)), (F(1, 4), F(1, 16), F(1, 32)))),
+    ],
+    ids=["young-short", "young-long", "kingman-short", "kingman-long", "schur-short", "schur-long",
+         "gamma-short-beta", "gamma-long-beta"],
+)
+def test_density_rejects_points_of_the_wrong_dimension(graph, lam, point):
+    with pytest.raises(ValueError, match="face has"):
+        density_spec(graph, lam).density(point)
+
+
 def test_density_masses_are_one():
     # mass-1 is the empty-mu case of the matching integral identity
     for graph, lam in [
@@ -206,6 +227,8 @@ def test_selberg_rejects_unsupported_shapes():
         selberg_verify("gamma", P([3, 3, 2]), P([2]))  # 0 < depth < 2
     with pytest.raises(ValueError):
         selberg_verify("young", P([2, 1]), P([1, 1, 1]))  # mu too long
+    with pytest.raises(ValueError, match="no exact route"):
+        selberg_verify("schur", P([3, 1]), P([1, 1]))  # mu not strict
     # only the kingman arrangements and the Pfaffian/Cauchy expansions are capped
     with pytest.raises(ValueError, match="permutation-expansion cap"):
         selberg_verify("kingman", P([1] * 6), P([1]))

@@ -210,6 +210,30 @@ def test_density_inside_the_face(capsys):
     assert out.strip() == "40/27"
 
 
+@pytest.mark.parametrize(
+    "graph,lam,point,value",
+    [
+        # 12 * m_21(3/4, 1/4)
+        ("kingman", "2+1", "3/4,1/4", "9/4"),
+        ("kingman", "3+1+1", "1/2,1/4,1/8", "2205/256"),
+        # 6 * alpha beta / (alpha + beta) at the hook (1|1)
+        ("gamma", "2+1", "1/2;1/4", "1"),
+        ("gamma", "3+2", "1/2,1/8;1/4,1/16", "15"),
+    ],
+)
+def test_density_values_on_the_kingman_and_gamma_faces(capsys, graph, lam, point, value):
+    code, out, _ = run(capsys, "density", "--graph", graph, "--lambda", lam, "--at", point)
+    assert code == EXIT_OK
+    assert out.strip() == value
+
+
+def test_gamma_density_point_needs_two_blocks(capsys):
+    code, out, err = run(capsys, "density", "--graph", "gamma", "--lambda", "2+1", "--at", "1/2")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "alpha;beta" in err
+
+
 @pytest.mark.parametrize("graph,lam", [("young", "2+1"), ("kingman", "2+1"), ("schur", "3+1")])
 @pytest.mark.parametrize(
     "point,message",
@@ -276,6 +300,11 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys):
         (("dims", "--kind", "young", "--level", "3", "--max-length", "-1"), "--max-length"),
         (("phi", "--family", "young-zz:e=1,t=2", "--mu", "2+3"),
          "parts must be nonincreasing: (2, 3)"),
+        # the face checks lambda as its truncated family does
+        (("density", "--graph", "kingman", "--lambda", "0", "--at", "1/2"),
+         "kingman face needs a nonempty partition"),
+        (("density", "--graph", "schur", "--lambda", "0", "--at", "1/2"),
+         "schur face needs a nonempty strict partition"),
         # the kingman arrangements still expand l!/prod(r_v!) terms
         (("integral-verify", "--graph", "kingman", "--lambda", "1+1+1+1+1+1"),
          "face dimension 6 exceeds the permutation-expansion cap 5"),
@@ -289,7 +318,8 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys):
          "degeneration-negative-levels", "dimensions-negative-sizes", "converge-zero-resolution",
          "converge-negative-resolution", "converge-interior-3", "converge-interior-0",
          "converge-interior-negative", "converge-interior-1", "dims-negative-max-length",
-         "phi-increasing-mu", "integral-verify-kingman-above-cap"],
+         "phi-increasing-mu", "density-kingman-empty-lambda", "density-schur-empty-lambda",
+         "integral-verify-kingman-above-cap"],
 )
 def test_out_of_domain_arguments_are_usage_errors(capsys, argv, message):
     code, out, err = run(capsys, *argv)

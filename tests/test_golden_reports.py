@@ -111,6 +111,10 @@ GOLDEN = [
      "e4820891846667055ba520750d99c00bea84fbf1ced06fc766f46f9d8e9b0749"),
     ("converge --family trunc-kingman:lambda=2+1+1 --n 30,60,120", EXIT_CHECK_FAILED,
      "c867907948a53432162d170cc74b6c3522570786a280b485eec245c8f6df8b83"),
+    # the gamma face embeds each vertex by its Frobenius coordinates; no
+    # binned distance there, so the monotone row fails
+    ("converge --family gamma:lambda=2+1,cap=8 --n 4,6,8", EXIT_CHECK_FAILED,
+     "8747741d1a96d96d3a87f23682876bd23198fdf4325fc15b6d57c6af159a0422"),
     # the schur face keeps the dim_closed_form * value route
     ("converge --family trunc-schur:lambda=3+1 --n 20,40", EXIT_CHECK_FAILED,
      "166e4dff1272441de93a32c81a9ada560d2cdf1e1df149eced24dff49f3ce7ce"),

@@ -1,0 +1,39 @@
+"""The benchmark tracer wraps harmgraphs functions by `module:qualname`.
+
+A refactor that unbinds one of those names would otherwise show only in a
+traced benchmark run; this resolves every target the way `Tracer.install`
+does, without installing anything.
+"""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _tracing_module():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up while the class is built
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+WHERE = [where for target in _tracing_module().TARGETS for where in target.attrs]
+
+
+@pytest.mark.parametrize("where", WHERE)
+def test_every_traced_name_resolves(where):
+    module_name, _, qualname = where.partition(":")
+    *path, attr = qualname.split(".")
+    owner = importlib.import_module(module_name)
+    for part in path:
+        owner = getattr(owner, part)
+    assert callable(vars(owner)[attr])
