@@ -57,8 +57,10 @@ from .interp import (
     jacobi_trudi,
     monomial_eval,
     pstar_eval,
+    pstar_one_row_values,
+    pstar_pfaffian,
+    pstar_two_row_table,
     schur_eval,
-    schur_point_functional,
     schur_t_functional,
     shifted_schur_at_diagram,
     shifted_schur_eval,
@@ -172,6 +174,14 @@ def _partition(text: str) -> Partition:
     return Partition.parse(text)
 
 
+def _number(flag: str, text: str, parse=as_rational):
+    """One numeric field of a flag; a malformed field is a usage error naming the flag."""
+    try:
+        return parse(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{flag}: malformed number {text!r}") from None
+
+
 # ---------------------------------------------------------------------------
 # plain evaluation commands
 # ---------------------------------------------------------------------------
@@ -220,12 +230,6 @@ def _harmonicity_report(family: HarmonicFamily, levels: int) -> Report:
     return report
 
 
-def cmd_eval(args) -> int:
-    if args.what != "phi":
-        raise FamilyError(f"unknown eval target {args.what!r}")
-    return cmd_phi(args)
-
-
 def cmd_dims(args) -> int:
     kind = parse_kind(args.kind)
     if args.max_length is not None and args.max_length < 0:
@@ -239,7 +243,7 @@ def cmd_density(args) -> int:
     blocks, texts = FACES[args.graph].blocks, args.at.split(";")
     if len(texts) != blocks:
         raise ValueError(f"a {args.graph} point is {';'.join(('alpha', 'beta')[:blocks])}, got {args.at!r}")
-    point = tuple(tuple(as_rational(s) for s in text.split(",")) for text in texts)
+    point = tuple(tuple(_number("--at", s) for s in text.split(",")) for text in texts)
     if len(point) == 1:  # the alpha;beta points of the gamma face have no range check yet
         point = point[0]
         if any(a < 0 for a in point) or sum(point) > 1:
@@ -256,12 +260,12 @@ def cmd_integral_verify(args) -> int:
 
 def cmd_converge(args) -> int:
     family = parse_family(args.family)
-    n_values = [int(s) for s in args.n.split(",")]
+    n_values = [_number("--n", s, int) for s in args.n.split(",")]
     if min(n_values) < 1:
         raise ValueError("every --n value must be at least 1")
     if args.resolution < 1:
         raise ValueError("--resolution must be at least 1")
-    interior = as_rational(args.interior)
+    interior = _number("--interior", args.interior)
     if not 0 < interior < 1:
         raise ValueError("--interior must lie strictly between 0 and 1")
     rep = convergence_experiment(
@@ -367,10 +371,7 @@ def _suite_pieri(args, report: Report) -> None:
         m = {lam: monomial_eval(lam, x) for lam in shapes}
         s_star = {lam: shifted_schur_eval(lam, x) for lam in shapes}
         m_star = {lam: factorial_monomial_eval(lam, x) for lam in shapes}
-        # the one-row series is expanded once per point; P*_lam reads its
-        # degrees up to parts[0] + parts[1] + 1 <= cap + 2
-        one_row = schur_point_functional(x, cap + 2)
-        p_star = {lam: pstar_eval(lam, one_row) for lam in strict_shapes}
+        p_star = _pstar_values(strict_shapes, x)
         for n in range(cap + 1):
             for mu in partitions_of(n):
                 young_covers = covers_up(mu, YOUNG)
@@ -473,23 +474,26 @@ def _selberg_sweep(graph: str, max_size: int) -> list[tuple[str, Partition, list
     return work
 
 
+def _pstar_values(shapes: list[Partition], source) -> dict[Partition, Fraction]:
+    """P* of each strict shape under one source, read from one one-row list and one table."""
+    bound = max((mu.part(1) + mu.part(2) for mu in shapes), default=0)
+    one_row = pstar_one_row_values(source, bound)
+    table = pstar_two_row_table(one_row, bound)
+    return {mu: pstar_pfaffian(mu, one_row, table) for mu in shapes}
+
+
 def _suite_staircase(args, report: Report) -> None:
+    shapes = [mu for n in range(args.max_size + 1) for mu in partitions_of(n, strict=True)]
     for k in range(1, args.k_max + 1):
         stair = Partition(range(k, 0, -1))
         t = Fraction(-k * (k + 1), 2)
         spec = schur_t_functional(t, 2 * args.max_size + 4)
         point = tuple(Fraction(p) for p in stair.parts)
-        for n in range(args.max_size + 1):
-            for mu in partitions_of(n, strict=True):
-                lhs = pstar_eval(mu, spec)
-                rhs = pstar_eval(mu, point)
-                report.add(
-                    "staircase",
-                    f"t={t} staircase={stair} mu={mu}",
-                    lhs,
-                    rhs,
-                    lhs == rhs,
-                )
+        lhs_values = _pstar_values(shapes, spec)
+        rhs_values = _pstar_values(shapes, point)
+        for mu in shapes:
+            lhs, rhs = lhs_values[mu], rhs_values[mu]
+            report.add("staircase", f"t={t} staircase={stair} mu={mu}", lhs, rhs, lhs == rhs)
 
 
 def _suite_pfaffian(args, report: Report) -> None:
@@ -663,7 +667,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("what", choices=["phi"])
     p.add_argument("--family", required=True)
     p.add_argument("--mu", required=True)
-    p.set_defaults(func=cmd_eval)
+    p.set_defaults(func=cmd_phi)
 
     p = sub.add_parser("measure", help="level measure of a family")
     p.add_argument("--family", required=True)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial, prod
 
 from .exact import as_rational, pochhammer
@@ -24,8 +23,9 @@ from .interp import (
     factorial_monomial_eval,
     jacobi_trudi_det,
     pstar_closed_form,
-    pstar_eval,
-    schur_point_functional,
+    pstar_one_row_values,
+    pstar_pfaffian,
+    pstar_two_row_table,
     shifted_columns,
     super_evaluation_functional,
     young_zz_closed_form,
@@ -395,10 +395,13 @@ class TruncKingman(HarmonicFamily):
 
 @dataclass(frozen=True)
 class TruncSchur(HarmonicFamily):
-    """Finite-width strict family via the one-row/two-row/Pfaffian pipeline."""
+    """Finite-width strict family: factorial Schur P at -lam - 1, each mu's Pfaffian read
+    from one one-row list and one two-row table for the point.  A mu past the bound rebuilds
+    both at max(twice the bound, mu_1 + mu_2); table entries do not depend on the bound."""
 
     lam: Partition
     kind: GraphKind = field(default=SCHUR, init=False, repr=False, compare=False)
+    pstar: tuple = field(default=((), {}), init=False, repr=False, compare=False)  # (one_row, table)
     face = "schur"
 
     def __post_init__(self):
@@ -424,25 +427,21 @@ class TruncSchur(HarmonicFamily):
         return self.value(mu) * (-1) ** mu.size / pochhammer(self.t, mu.size)
 
     def value(self, mu: Partition) -> Fraction:
-        """P*_mu under the point functional; phi is (-1)^|mu| value / (t)_|mu|."""
-        return pstar_eval(mu, self._cached_functional(mu.part(1) + mu.part(2) + 2))
-
-    def _cached_functional(self, need: int) -> FunctionalSpec:
-        # round the cap up in blocks so the cache stays small
-        cap = 40 * (1 + (need - 1) // 40)
-        return _trunc_schur_functional(self.lam.parts, cap)
+        """P*_mu at the point; phi is (-1)^|mu| value / (t)_|mu|."""
+        need = mu.part(1) + mu.part(2)
+        one_row, table = self.pstar
+        if need > len(one_row):
+            bound = max(2 * len(one_row), need)
+            one_row = pstar_one_row_values(self.point(), bound)
+            table = pstar_two_row_table(one_row, bound)
+            object.__setattr__(self, "pstar", (one_row, table))
+        return pstar_pfaffian(mu, one_row, table)
 
     def admissible(self, surrogate_level: int = 6) -> AdmissibleReport:
         return self._surrogate_nonnegative(surrogate_level)
 
     def spec_string(self) -> str:
         return f"trunc-schur:lambda={self.lam}"
-
-
-@lru_cache(maxsize=None)
-def _trunc_schur_functional(lam_parts: tuple[int, ...], cap: int) -> FunctionalSpec:
-    point = [Fraction(-p - 1) for p in lam_parts]
-    return schur_point_functional(point, cap)
 
 
 # ---------------------------------------------------------------------------

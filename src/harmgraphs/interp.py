@@ -11,7 +11,10 @@ factorial monomial (Kingman side) and factorial Schur P (strict side):
   integer determinant wherever the shifted coordinates are distinct, serves
   diagram points and, with the reverse-tableau sums, is a test oracle;
 * monomial and factorial monomial: one pass over the coordinates;
-* factorial Schur P: one-row series -> two-row recurrences -> Pfaffian.
+* factorial Schur P: one-row series -> two-row table -> Pfaffian.  The
+  one-row list and the table depend only on the source, so a caller that
+  evaluates many mu at one point or functional builds them once and reads
+  each mu's Pfaffian from them (`pstar_pfaffian`).
 
 At a point x = X/Q (`exact.integer_point`) s, s*, m, m* and h* are graded
 values of the integer numerators X, with one Fraction formed per value.
@@ -379,10 +382,6 @@ def schur_t_functional(t, cap: int) -> FunctionalSpec:
     return FunctionalSpec(P_STAR, tuple(vals))
 
 
-def schur_point_functional(x, cap: int) -> FunctionalSpec:
-    return FunctionalSpec(P_STAR, tuple(pstar_one_row_values_from_point(x, cap)))
-
-
 def functional_on_shifted_schur(mu: Partition, spec: FunctionalSpec) -> Fraction:
     """pi(s*_mu): the shifted Jacobi-Trudi determinant in pi's generator values."""
     if spec.family != H_STAR:
@@ -410,20 +409,14 @@ def pstar_two_row_table(one_row: Sequence[Fraction], bound: int) -> dict[tuple[i
 
     Built by double induction from the one-row values: the q = 1 row
     comes from the degree-lowering relation, higher q from the four-term
-    relation; antisymmetry fills the rest.
+    relation; `_two_row` extends the table antisymmetrically.  An entry
+    reads only entries of the same or lower p + q, so it does not depend
+    on the bound: a larger table extends a smaller one.
     """
     if len(one_row) < bound:
         raise ValueError(f"need one-row values up to degree {bound}")
     r = lambda m: one_row[m - 1]
     table: dict[tuple[int, int], Fraction] = {}
-
-    def get(p: int, q: int) -> Fraction:
-        if p == q:
-            return Fraction(0)
-        if p < q:
-            return -table[(q, p)]
-        return table[(p, q)]
-
     # seed: the degree-lowering relation, fixed by interpolation vanishing
     # at the one-row diagram of size p+1 (which forces the r(p+1) term)
     for p in range(2, bound):
@@ -431,48 +424,46 @@ def pstar_two_row_table(one_row: Sequence[Fraction], bound: int) -> dict[tuple[i
     for q in range(2, bound):
         for p in range(q + 1, bound - q + 1):
             rhs = r(p) * r(q) - r(p + 1) * r(q - 1) - (p - q + 1) * r(p) * r(q - 1)
-            table[(p, q)] = rhs - get(p + 1, q - 1) - (p + q - 1) * get(p, q - 1)
+            lower = _two_row(table, p + 1, q - 1) + (p + q - 1) * _two_row(table, p, q - 1)
+            table[(p, q)] = rhs - lower
     return table
 
 
-def pstar_eval(mu: Partition, source) -> Fraction:
-    """Factorial Schur P value of a strict partition under a point/functional.
+def _two_row(table: Mapping[tuple[int, int], Fraction], p: int, q: int) -> Fraction:
+    """The two-row value at (p, q) from a table holding p > q only."""
+    if p == q:
+        return Fraction(0)
+    return table[(p, q)] if p > q else -table[(q, p)]
 
-    Assembled as the Pfaffian of the two-row values; odd lengths are
-    bordered by the one-row values with a zero corner, the classical
-    padding convention validated against the closed product form.
+
+def pstar_pfaffian(mu: Partition, one_row: Sequence[Fraction], table) -> Fraction:
+    """Factorial Schur P value of a strict partition from one-row values up to
+    degree mu_1 and a two-row table up to mu_1 + mu_2.
+
+    The Pfaffian of the two-row values; odd lengths are bordered by the
+    one-row values with a zero corner, the classical padding convention
+    validated against the closed product form.
     """
     if not mu.is_strict:
         raise ValueError("factorial Schur P needs a strict partition")
-    if mu.length == 0:
-        return Fraction(1)
     parts = mu.parts
-    bound = parts[0] + (parts[1] if len(parts) > 1 else 0) + 1
-    one_row = pstar_one_row_values(source, bound)
-    if mu.length == 1:
-        return one_row[parts[0] - 1]
-    table = pstar_two_row_table(one_row, parts[0] + parts[1])
-
-    def two_row(p: int, q: int) -> Fraction:
-        if p == q:
-            return Fraction(0)
-        return table[(p, q)] if p > q else -table[(q, p)]
-
-    size = mu.length + (mu.length % 2)
-    rows = []
-    for i in range(size):
-        row = []
-        for j in range(size):
-            if i == j:
-                row.append(Fraction(0))
-            elif i < mu.length and j < mu.length:
-                row.append(two_row(parts[i], parts[j]))
-            elif i < mu.length:
-                row.append(one_row[parts[i] - 1])
-            else:
-                row.append(-one_row[parts[j] - 1])
-        rows.append(row)
+    if mu.length <= 1:
+        return one_row[parts[0] - 1] if parts else Fraction(1)
+    rows = [[_two_row(table, p, q) for q in parts] for p in parts]
+    if mu.length % 2:
+        rows = [row + [one_row[p - 1]] for row, p in zip(rows, parts)]
+        rows.append([-one_row[p - 1] for p in parts] + [Fraction(0)])
     return pfaffian(RationalMatrix(rows))
+
+
+def pstar_eval(mu: Partition, source) -> Fraction:
+    """Factorial Schur P value of a strict partition under a point/functional:
+    the one-row values and the two-row table this mu needs, then the Pfaffian.
+    Callers that evaluate many mu at one source build the table once and call
+    `pstar_pfaffian`."""
+    bound = mu.part(1) + mu.part(2)
+    one_row = pstar_one_row_values(source, bound)
+    return pstar_pfaffian(mu, one_row, pstar_two_row_table(one_row, bound))
 
 
 def pstar_closed_form(t, mu: Partition) -> Fraction:

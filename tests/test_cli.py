@@ -308,6 +308,12 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys):
         # the kingman arrangements still expand l!/prod(r_v!) terms
         (("integral-verify", "--graph", "kingman", "--lambda", "1+1+1+1+1+1"),
          "face dimension 6 exceeds the permutation-expansion cap 5"),
+        # a malformed number names its flag
+        (("density", "--graph", "kingman", "--lambda", "2+1", "--at", "1/2,"), "--at"),
+        (("density", "--graph", "kingman", "--lambda", "2+1", "--at", "1/0,1/2"), "--at"),
+        (("converge", "--family", "trunc-young:lambda=2+1", "--n", "10,x"), "--n"),
+        (("converge", "--family", "trunc-young:lambda=2+1", "--n", "10", "--interior", "x"),
+         "--interior"),
     ],
     ids=["pfaffian-size-1", "converge-negative-n", "converge-zero-n", "converge-zero-in-list",
          "converge-untruncated", "pieri-negative-size", "pieri-no-points", "kernels-zero-levels",
@@ -319,7 +325,8 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys):
          "converge-negative-resolution", "converge-interior-3", "converge-interior-0",
          "converge-interior-negative", "converge-interior-1", "dims-negative-max-length",
          "phi-increasing-mu", "density-kingman-empty-lambda", "density-schur-empty-lambda",
-         "integral-verify-kingman-above-cap"],
+         "integral-verify-kingman-above-cap", "density-malformed-at", "density-zero-denominator",
+         "converge-malformed-n", "converge-malformed-interior"],
 )
 def test_out_of_domain_arguments_are_usage_errors(capsys, argv, message):
     code, out, err = run(capsys, *argv)

@@ -118,6 +118,16 @@ GOLDEN = [
     # the schur face keeps the dim_closed_form * value route
     ("converge --family trunc-schur:lambda=3+1 --n 20,40", EXIT_CHECK_FAILED,
      "166e4dff1272441de93a32c81a9ada560d2cdf1e1df149eced24dff49f3ce7ce"),
+    # a width-3 strict face
+    ("converge --family trunc-schur:lambda=4+2+1 --n 12,24", EXIT_CHECK_FAILED,
+     "a2d7af4baa88aff949cc237332872a1abaa487a3b836c5a07b6eaa0bb7d98f92"),
+    # P* values read from one two-row table per point, family and functional
+    ("check-harmonic --family trunc-schur:lambda=7+4+2 --levels 16", EXIT_OK,
+     "91e5c744d2529913a099e3b478226d8a64145b398c9b277409eeb6e65d7c685b"),
+    ("verify staircase --k-max 4 --max-size 7", EXIT_OK,
+     "78980761bc250adf39954b644de5e4057036ffad2261651331d1a0c969dd8c8b"),
+    ("verify selberg --graph schur --max-size 6", EXIT_OK,
+     "190beb090655377ac8efa250d5594f532c2d2979a5d2e857489372bc11feebb3"),
     # closed forms at negative e, non-integer theta and t = 0
     ("check-harmonic --family young-zz:e=-3/2,t=7/3 --levels 12", EXIT_OK,
      "a09ac69355ce25a9e30d3a23995557e6c2612a61e943498a6a574c76a3b71f90"),

@@ -288,6 +288,19 @@ def test_pstar_antisymmetry_convention():
     assert pstar_eval(P([3, 1]), point) == table[(3, 1)] != 0
 
 
+def test_pstar_two_row_table_extends_to_a_larger_bound():
+    # an entry reads only entries of the same or lower p + q, so rebuilding
+    # at a larger bound keeps every value already read
+    rng = random.Random(17)
+    sources = [schur_t_functional(F(7, 3), 24), (F(-4), F(-2)), (F(5, 2), F(-1, 3), F(3))]
+    sources += [tuple(F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(3)) for _ in range(3)]
+    for source in sources:
+        one_row = pstar_one_row_values(source, 24)
+        for b in range(13):
+            wide = pstar_two_row_table(one_row, 2 * b)
+            assert pstar_two_row_table(one_row, b) == {k: v for k, v in wide.items() if sum(k) <= b}
+
+
 def test_pstar_pipeline_matches_closed_form():
     rng = random.Random(61)
     for _ in range(4):

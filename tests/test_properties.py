@@ -1,7 +1,7 @@
 """Property-based checks of the level sweep, the Jack weights, the
 interpolation-polynomial evaluators, the product-form one-row series, the
-truncated level weights, the exact Selberg integrals and the closed-form
-families on random admissible inputs."""
+truncated level weights, the exact Selberg integrals, the closed-form and
+the finite-width families on random admissible inputs."""
 
 from fractions import Fraction as F
 from itertools import permutations
@@ -24,10 +24,12 @@ from harmgraphs.boundary import (
 from harmgraphs.exact import SingularMatrixError, pochhammer
 from harmgraphs.graphs import KINGMAN, SCHUR, YOUNG, dim, dim_closed_form, level, sweep
 from harmgraphs.harmonic import (
+    GammaShaped,
     JackZZ,
     KingmanTA,
     SchurT,
     TruncKingman,
+    TruncSchur,
     TruncYoung,
     YoungZZ,
     check_harmonicity,
@@ -42,6 +44,7 @@ from harmgraphs.interp import (
     functional_on_shifted_schur,
     monomial_eval,
     pstar_closed_form,
+    pstar_eval,
     schur_eval,
     shifted_schur_at_diagram,
     shifted_schur_eval,
@@ -505,3 +508,41 @@ def test_schur_family_is_harmonic_with_unit_mass(t):
     report = check_harmonicity(family, 9)
     assert report.ok
     assert set(report.level_masses) == {1}
+
+
+# the finite-width families at random admissible lambda: phi is harmonic and
+# every level carries mass 1 (the gamma face's cap covers every level checked)
+FINITE_LEVELS = 6
+nonempty = st.integers(1, 7).flatmap(lambda n: st.sampled_from(partitions_of(n)))
+finite_families = st.one_of(
+    nonempty.filter(lambda lam: lam.length >= 2).map(TruncYoung),
+    nonempty.map(TruncKingman),
+    nonempty.filter(lambda lam: lam.is_strict).map(TruncSchur),
+    nonempty.map(lambda lam: GammaShaped.from_partition(lam, FINITE_LEVELS)),
+)
+
+
+@PROPERTY
+@given(finite_families)
+def test_finite_family_is_harmonic_with_unit_mass(family):
+    report = check_harmonicity(family, FINITE_LEVELS)
+    assert report.violations == ()
+    assert set(report.level_masses) == {1}
+
+
+@PROPERTY
+@given(
+    st.integers(1, 8).flatmap(lambda n: st.sampled_from(partitions_of(n, strict=True))),
+    st.lists(st.sets(st.integers(1, 20), max_size=4), min_size=1, max_size=8),
+    st.sampled_from(["drawn", "largest first", "smallest first"]),
+)
+def test_trunc_schur_table_serves_mu_in_any_order(lam, part_sets, order):
+    # one family rebuilds its table as the bound grows; each value must match
+    # a table built for that mu alone, and the table stays out of == and hash
+    mus = [Partition(sorted(parts, reverse=True)) for parts in part_sets]
+    if order != "drawn":
+        mus.sort(key=lambda mu: mu.part(1) + mu.part(2), reverse=order == "largest first")
+    family = TruncSchur(lam)
+    for mu in mus:
+        assert family.value(mu) == pstar_eval(mu, family.point())
+    assert family == TruncSchur(lam) and hash(family) == hash(TruncSchur(lam))
