@@ -141,6 +141,11 @@ GOLDEN = [
      "780682396b8b0e61f10f5c0794b4f3080be90d6aae67bce51d647725c2e53823"),
     ("dims --kind jack(3/2) --level 12", EXIT_OK,
      "26212a5fff1f80bfc4d9e89fd042b2deb617499c1ffa5758c308306ce6834c17"),
+    # Gauss's 2F1(a, b; c; 1) summed in mpmath, the one float path left
+    ("verify gauss", EXIT_OK,
+     "98babc224a7a8544535bb5402ffe3ede0aed19a64b5f87251025f44bb55e0574"),
+    ("verify gauss --precision 64 --tol 1e-15", EXIT_OK,
+     "4b14e928ae47bff6b22e9984fd4d082794562e33319245e68f93c63df50f9b25"),
 ]
 
 
