@@ -32,12 +32,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import permutations
-from math import comb, factorial, perm, prod
+from math import comb, factorial, lcm, perm, prod
 from typing import Callable
 
-import mpmath
-
-from .exact import RationalMatrix, as_rational, det, integer_det, integer_point, pochhammer, to_bigfloat
+from .exact import RationalMatrix, as_rational, det, integer_det, integer_point, pochhammer, round_bits
 from .graphs import dim_closed_form, level
 from .harmonic import (
     GammaShaped,
@@ -527,8 +525,8 @@ class ConvergenceRow:
     support_size: int
     mass_is_one: bool
     interior_points: int
-    max_ratio_error: mpmath.mpf
-    binned_distance: mpmath.mpf
+    max_ratio_error: Fraction  # binary floats, as dyadic rationals
+    binned_distance: Fraction
 
 
 @dataclass(frozen=True)
@@ -571,46 +569,54 @@ def convergence_experiment(
     spec = density_spec(family.face, family.lam)
     l = spec.face_dim
     # the binned distance integrates the density polynomial of a width-2 face
+    # over the bins [(r + i)/2r, (r + i + 1)/2r) of alpha_1 in [1/2, 1]
     binned = l == 2 and face.polynomial is not None
-    anti = poly_integral(poly_scale(face.polynomial(spec.lam), spec.constant)) if binned else None
+    if binned:
+        anti = poly_integral(poly_scale(face.polynomial(spec.lam), spec.constant))
+        edges = [poly_eval(anti, Fraction(resolution + i, 2 * resolution)) for i in range(resolution + 1)]
+        exact_bins = [right - left for left, right in zip(edges, edges[1:])]
     rows = []
     for n in sorted(int(n) for n in n_values):
-        weights = _fast_level_weights(family, n)
-        mass = sum((w for _, w in weights), Fraction(0))
-        support = [(nu, w) for nu, w in weights if w != 0]
+        scale, values = face.level_weights(family, n)
+        # M_n = unit * w on the support, each w an integer over one denominator
+        den = lcm(*(v.denominator for _, v in values))
+        support = [(nu, v.numerator * (den // v.denominator)) for nu, v in values if v]
+        unit = scale / den
+        # with k = unit n^(l-1), |ratio - 1| = |k w / density - 1|, kept as an
+        # integer numerator and denominator: the maximum is exact
+        k = unit * n ** (l - 1)
+        err, err_den = 0, 1
         interior = 0
-        max_err = to_bigfloat(0, precision)
-        bins = [Fraction(0)] * resolution
-        lo, width = Fraction(1, 2), Fraction(1, 2 * resolution)
+        bins = [0] * resolution
         gap = interior_fraction * n
         for nu, w in support:
             point, blocks = face.embed(nu, n)
             if binned:
-                bins[min(int((point[0] - lo) / width), resolution - 1)] += w
+                x = point[0]
+                i = 2 * resolution * x.numerator // x.denominator - resolution
+                bins[min(i, resolution - 1)] += w
             if sum(map(len, blocks)) == l and _rows_separated(blocks, gap):
                 dens = spec.density(point)
                 if dens > 0:
-                    ratio = w * n ** (l - 1) / dens
-                    err = abs(to_bigfloat(ratio - 1, precision))
-                    max_err = max(max_err, err)
+                    a = k.denominator * dens.numerator
+                    e = abs(k.numerator * w * dens.denominator - a)
+                    if e * err_den > err * a:
+                        err, err_den = e, a
                     interior += 1
-        distance = to_bigfloat(0, precision)
+        distance = Fraction(0)
         if binned:
-            acc = Fraction(0)
-            for i in range(resolution):
-                left = lo + i * width
-                right = lo + (i + 1) * width
-                exact_bin = poly_eval(anti, right) - poly_eval(anti, left)
-                acc += abs(bins[i] - exact_bin)
-            distance = to_bigfloat(acc, precision)
+            distance = sum((abs(unit * c - b) for c, b in zip(bins, exact_bins)), Fraction(0))
         rows.append(
             ConvergenceRow(
                 n=n,
                 support_size=len(support),
-                mass_is_one=(mass == 1),
+                mass_is_one=unit * sum(w for _, w in support) == 1,
                 interior_points=interior,
-                max_ratio_error=max_err,
-                binned_distance=distance,
+                # the ratio error is its `precision`-bit float rounded again to
+                # 53 bits: the value every recorded converge report prints,
+                # since the mpmath route took abs() outside its working precision
+                max_ratio_error=round_bits(round_bits(Fraction(err, err_den), precision), 53),
+                binned_distance=round_bits(distance, precision),
             )
         )
     return ConvergenceReport(family.spec_string(), tuple(rows), ratio_tolerance)
@@ -629,11 +635,12 @@ def _rows_separated(blocks, gap) -> bool:
 
 
 def _fast_level_weights(family: HarmonicFamily, n: int) -> list[tuple[Partition, Fraction]]:
-    """Level measure M_n of a truncated family, restricted to its support:
-    the face's `level_weights`.  Their docstrings write (x)_k for the rising
-    factorial, V(x) = prod_{i<j} (x_i - x_j), l for the face width, and pad
-    nu with zeros to length l."""
-    return FACES[family.face].level_weights(family, n)
+    """Level measure M_n of a truncated family, restricted to its support: each
+    value of the face's `level_weights` times its scale.  Their docstrings write
+    (x)_k for the rising factorial, V(x) = prod_{i<j} (x_i - x_j), l for the
+    face width, and pad nu with zeros to length l."""
+    scale, values = FACES[family.face].level_weights(family, n)
+    return [(nu, scale * v) for nu, v in values]
 
 
 def _level_constant(family: HarmonicFamily, n: int) -> Fraction:
@@ -645,48 +652,47 @@ def _level_constant(family: HarmonicFamily, n: int) -> Fraction:
     return factorial(t - 1) / pochhammer(n + 1, t - 1)
 
 
-def _young_weights(family: TruncYoung, n: int) -> list[tuple[Partition, Fraction]]:
+def _young_weights(family: TruncYoung, n: int) -> tuple[Fraction, list[tuple[Partition, int]]]:
     """With A_i = lam_i + l - i and B_j = nu_j + l - j,
     M_n(nu) = c_n V(B) det[(B_j + 1)_(A_i)] / (V(A) prod_i A_i!),
     the falling-factorial bialternant of s* at the reflected point
     times dim(nu), column j divided by B_j!; the signs cancel to +1.
-    The matrix entries over A_i! are the binomials C(A_i + B_j, A_i)."""
+    The matrix entries over A_i! are the binomials C(A_i + B_j, A_i), so
+    the scale is c_n / V(A) and each value an integer."""
     a = _plus_staircase(family.lam, family.width)
-    scale = _level_constant(family, n) / _vandermonde(a)
-    out = []
+    values = []
     for nu in level(n, family.kind, max_length=family.width):
         b = _plus_staircase(nu, len(a))
-        weight = _vandermonde(b) * integer_det([[comb(ai + bj, ai) for bj in b] for ai in a])
-        out.append((nu, scale * weight))
-    return out
+        values.append((nu, _vandermonde(b) * integer_det([[comb(ai + bj, ai) for bj in b] for ai in a])))
+    return _level_constant(family, n) / _vandermonde(a), values
 
 
-def _kingman_weights(family: TruncKingman, n: int) -> list[tuple[Partition, Fraction]]:
+def _kingman_weights(family: TruncKingman, n: int) -> tuple[Fraction, list[tuple[Partition, int]]]:
     """M_n(nu) = c_n sum_sigma prod_i (nu_sigma(i) + 1)_(lam_i) / lam_i!, over the
-    distinct arrangements sigma of nu; each factor is the binomial C(lam_i + nu_sigma(i), lam_i)."""
-    c_n = _level_constant(family, n)
-    lam, out = family.lam, []
+    distinct arrangements sigma of nu; each factor is the binomial C(lam_i + nu_sigma(i), lam_i),
+    so the scale is c_n and each value an integer."""
+    lam, values = family.lam, []
     for nu in level(n, family.kind, max_length=family.width):
         padded = nu.parts + (0,) * (lam.length - nu.length)
         arranged = (zip(lam.parts, e) for e in _distinct_perms(padded))
-        out.append((nu, c_n * sum(prod(comb(p + e, p) for p, e in pairs) for pairs in arranged)))
-    return out
+        values.append((nu, sum(prod(comb(p + e, p) for p, e in pairs) for pairs in arranged)))
+    return _level_constant(family, n), values
 
 
-def _schur_weights(family: TruncSchur, n: int) -> list[tuple[Partition, Fraction]]:
+def _schur_weights(family: TruncSchur, n: int) -> tuple[Fraction, list[tuple[Partition, Fraction]]]:
     """M_n(nu) = dim_closed_form(nu) value(nu) (-1)^n / (t)_n."""
-    scale = (-1) ** n / pochhammer(family.t, n)
     vertices = level(n, family.kind, max_length=family.width)
-    return [(nu, dim_closed_form(nu, family.kind) * family.value(nu) * scale) for nu in vertices]
+    values = [(nu, dim_closed_form(nu, family.kind) * family.value(nu)) for nu in vertices]
+    return (-1) ** n / pochhammer(family.t, n), values
 
 
-def _gamma_weights(family: GammaShaped, n: int) -> list[tuple[Partition, Fraction]]:
+def _gamma_weights(family: GammaShaped, n: int) -> tuple[Fraction, list[tuple[Partition, Fraction]]]:
     """The level measure, up to the family's degree cap."""
     if n > family.degree_cap:
         raise ValueError(
             f"level {n} exceeds the family degree cap {family.degree_cap}; raise degree_cap"
         )
-    return list(level_measure(family, n).weights)
+    return Fraction(1), list(level_measure(family, n).weights)
 
 
 def _embed_hooks(nu: Partition, n: int):
@@ -720,7 +726,7 @@ class Face:
     needs: str  # ... the error says the face needs this
     constant: Callable[[Partition], Fraction]
     density: Callable[..., Fraction]  # (lam, *blocks) -> the density over its constant
-    level_weights: Callable  # (family, n) -> M_n on the face's vertices
+    level_weights: Callable  # (family, n) -> (scale, [(nu, value)]), M_n(nu) = scale * value
     selberg: Callable  # (lam, mus) -> (family, normalized face integral of each mu)
     sweep: tuple[int, ...]  # the Selberg sweep's values of stat(lam), ...
     admits: Callable[[Partition, int], bool]  # ... and each mu != () with an exact route at stat(lam)

@@ -56,7 +56,6 @@ from .interp import (
     gauss_2f1_check,
     jacobi_trudi,
     monomial_eval,
-    pstar_eval,
     pstar_one_row_values,
     pstar_pfaffian,
     pstar_two_row_table,
@@ -316,6 +315,12 @@ def _suite_harmonicity(args, report: Report) -> None:
 
 def _suite_interpolation(args, report: Report) -> None:
     cap = args.max_size
+    strict = partitions_up_to(cap, strict=True)
+    # P* at each strict diagram point, for every strict mu at least as large
+    p_star = {
+        lam: _pstar_values([mu for mu in strict if mu.size >= lam.size], lam.parts)
+        for lam in strict
+    }
     for n in range(1, cap + 1):
         for mu in partitions_of(n):
             for m in range(n + 1):
@@ -338,7 +343,7 @@ def _suite_interpolation(args, report: Report) -> None:
                 for lam in partitions_of(m, strict=True):
                     if lam == mu:
                         continue
-                    val = pstar_eval(mu, tuple(Fraction(x) for x in lam.parts))
+                    val = p_star[lam][mu]
                     report.add(
                         "interpolation-vanishing",
                         f"P* mu={mu} lambda={lam}",
@@ -432,7 +437,7 @@ def _suite_dimension_ratio(args, report: Report) -> None:
             for n_lam, rows in sweep(YOUNG, args.lam_max, start=mu):
                 dims = {lam: d for lam, d, _ in rows}
                 for lam in partitions_of(n_lam):
-                    lhs = dims.get(lam, Fraction(0)) / d0[lam]
+                    lhs = Fraction(dims.get(lam, 0), d0[lam])
                     rhs = (
                         (-1) ** nn
                         * shifted_schur_at_diagram(mu, lam)

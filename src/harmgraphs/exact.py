@@ -6,18 +6,17 @@ This module holds the shared primitives: rational parsing/formatting, a
 rational point as integer numerators over one denominator (`integer_point`),
 Pochhammer and falling-factorial products, exact dense linear algebra (one
 determinant algorithm, fraction-free Bareiss elimination on integers; the
-Pfaffian, linear solve and inverse over `fractions.Fraction`), and a thin
-high-precision float layer (mpmath) used only by the convergence
-experiments and the hypergeometric summation check.
-"""
+Pfaffian, linear solve and inverse over `fractions.Fraction`), and the
+binary floats of the convergence reports as dyadic rationals: a rational
+rounded once to a bit precision (`round_bits`) and printed in mpmath's
+decimal layout from integers (`format_bigfloat`).  mpmath is loaded only
+by the Gauss summation check (`interp.gauss_2f1_check`)."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, prod
+from math import lcm, log, prod
 from typing import Sequence
-
-import mpmath
 
 DEFAULT_PRECISION = 128
 
@@ -283,27 +282,86 @@ def invert_matrix(m: RationalMatrix) -> RationalMatrix:
 
 
 # ---------------------------------------------------------------------------
-# high-precision floats (experiments only; never used in exact identities)
+# binary floats as dyadic rationals (experiments only; never in exact identities)
 # ---------------------------------------------------------------------------
 
-def to_bigfloat(value, precision: int = DEFAULT_PRECISION) -> mpmath.mpf:
-    """Correctly rounded conversion of a rational to a binary float."""
+_LOG2_10 = log(10, 2)
+
+
+def round_bits(value, precision: int = DEFAULT_PRECISION) -> Fraction:
+    """value rounded to `precision` significant bits, ties to even, as a dyadic
+    Fraction: the binary float mpmath.fdiv gives at that working precision."""
     q = as_rational(value)
-    with mpmath.workprec(precision):
-        return mpmath.fdiv(q.numerator, q.denominator)
+    n, d = abs(q.numerator), q.denominator
+    if not n:
+        return Fraction(0)
+
+    def scaled(s: int) -> tuple[int, int, int]:
+        den = d if s >= 0 else d << -s
+        return (*divmod(n << max(s, 0), den), den)
+
+    # n 2^s / d lies in [2^(p-1), 2^(p+1)), and in [2^(p-1), 2^p) one scale lower
+    s = precision - n.bit_length() + d.bit_length()
+    m, r, den = scaled(s)
+    if m >> precision:
+        s -= 1
+        m, r, den = scaled(s)
+    if 2 * r > den or (2 * r == den and m & 1):
+        m += 1
+    m = -m if q < 0 else m
+    return Fraction(m, 1 << s) if s >= 0 else Fraction(m << -s)
 
 
-def format_bigfloat(x, precision: int = DEFAULT_PRECISION) -> str:
-    """Decimal serialization with an explicit precision tag, 'digits@bits'."""
+def format_bigfloat(value, precision: int = DEFAULT_PRECISION) -> str:
+    """Decimal serialization with an explicit precision tag, 'digits@bits'.
+
+    The value is rounded to `precision` bits and printed with
+    int(0.30103 precision) + 2 digits exactly as mpmath.nstr(x, digits,
+    strip_zeros=False) prints it (`to_digits_exp` and `to_str` in
+    mpmath.libmp.libmpf), in integers.
+    """
     digits = max(1, int(precision * 0.30103) + 2)
-    with mpmath.workprec(precision):
-        body = mpmath.nstr(mpmath.mpf(x), digits, strip_zeros=False)
-    return f"{body}@{precision}"
+    return f"{_decimal_string(round_bits(value, precision), digits)}@{precision}"
 
 
-def parse_bigfloat(text: str) -> tuple[mpmath.mpf, int]:
-    """Inverse of format_bigfloat; returns (value, precision_bits)."""
-    body, _, tag = text.partition("@")
-    precision = int(tag) if tag else DEFAULT_PRECISION
-    with mpmath.workprec(precision):
-        return mpmath.mpf(body), precision
+def _decimal_string(x: Fraction, dps: int) -> str:
+    if not x:
+        return "0.0"
+    sign = "-" if x < 0 else ""
+    # x = man 2^exp, man odd, with bc bits
+    man, den = abs(x.numerator), x.denominator
+    exp = 1 - den.bit_length()
+    if den == 1:
+        exp = (man & -man).bit_length() - 1
+        man >>= exp
+    bc = man.bit_length()
+    if abs(exp + bc) > 3500:
+        raise ValueError("binary exponent out of the range this printer reproduces")
+    # dps + 3 digits rounded toward zero: |x| in binary fixed point, then decimal
+    bitprec = int((dps + 3) * _LOG2_10) + 10
+    fixprec = max(bitprec - exp - bc, 0)
+    fixdps = int(fixprec / _LOG2_10 + 0.5)
+    shift = exp + fixprec
+    fixed = man << shift if shift >= 0 else man >> -shift
+    text = str(fixed * 10**fixdps >> fixprec)
+    exponent = len(text) - fixdps - 1
+    # round half up on the first digit dropped
+    if len(text) > dps and text[dps] in "56789":
+        text = str(int(text[:dps]) + 1)
+        if len(text) > dps:
+            text, exponent = text[:dps], exponent + 1
+    else:
+        text = text[:dps]
+    # fixed layout for leading digits near the unit
+    split = 1
+    if min(-(dps // 3), -5) < exponent < dps:
+        if exponent < 0:
+            text = "0" * -exponent + text
+        else:
+            split = exponent + 1
+            text += "0" * (split - dps)
+        exponent = 0
+    body = sign + text[:split] + "." + text[split:]
+    if exponent == 0:
+        return body
+    return f"{body}e{exponent:+d}"

@@ -130,16 +130,16 @@ def jack_weight(mu: Partition, lam: Partition, theta) -> Fraction:
     return Fraction(num, den)
 
 
-def edge_multiplicity(mu: Partition, lam: Partition, kind: GraphKind) -> Fraction:
-    """Weight of the edge mu -> lam; rejects non-edges."""
+def edge_multiplicity(mu: Partition, lam: Partition, kind: GraphKind) -> int | Fraction:
+    """Weight of the edge mu -> lam, an int except on the Jack graph; rejects non-edges."""
     if kind.name == "jack":
         return jack_weight(mu, lam, kind.theta)
     i0, _ = _new_box(mu, lam)
     if kind.name == "kingman":
-        return Fraction(lam.multiplicity(lam.part(i0)))
+        return lam.multiplicity(lam.part(i0))
     if kind.strict and not (mu.is_strict and lam.is_strict):
         raise ValueError("schur edges join strict partitions")
-    return Fraction(1)
+    return 1
 
 
 # ---------------------------------------------------------------------------
@@ -159,11 +159,12 @@ def sweep(
     reachable from start, in decreasing lexicographic order, as
     (lam, dim(start, lam), edges), where edges lists the up-edges
     (nu, weight) into level n + 1, each weight evaluated once.  Vertices
-    stay inside `within` and at most `max_length` rows long.
+    stay inside `within` and at most `max_length` rows long.  Dimensions
+    are ints where the weights are (every graph but Jack).
     """
-    frontier = {start: Fraction(1)}
+    frontier: dict[Partition, int | Fraction] = {start: 1}
     for n in range(start.size, top + 1):
-        ahead: dict[Partition, Fraction] = {}
+        ahead: dict[Partition, int | Fraction] = {}
         rows = []
         for lam in sorted(frontier, reverse=True):
             d = frontier[lam]
@@ -189,12 +190,12 @@ def top_level(kind: GraphKind, top: int, start: Partition = EMPTY, **restrict) -
     return rows
 
 
-def dim(mu: Partition, lam: Partition, kind: GraphKind) -> Fraction:
+def dim(mu: Partition, lam: Partition, kind: GraphKind) -> int | Fraction:
     """Sum of edge-weight products over all increasing paths mu -> lam."""
     if kind.strict and not (mu.is_strict and lam.is_strict):
         raise ValueError("schur graph vertices must be strict partitions")
     if not lam.contains(mu):
-        return Fraction(0)
+        return 0
     ((_, d, _),) = top_level(kind, lam.size, start=mu, within=lam)
     return d
 

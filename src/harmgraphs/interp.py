@@ -33,8 +33,6 @@ from itertools import zip_longest
 from math import factorial, prod
 from typing import Mapping, Sequence
 
-import mpmath
-
 from .exact import (
     RationalMatrix,
     SingularMatrixError,
@@ -589,6 +587,13 @@ def gauss_2f1_check(
     Terms are accumulated at the requested binary precision until they
     fall three orders below the tolerance or the series terminates.
     """
+    # the closed form needs the Gamma function at rationals, the one float
+    # the package computes; importing mpmath here spares every other start
+    import mpmath
+
+    def to_mpf(q: Fraction) -> mpmath.mpf:
+        return mpmath.mpf(q.numerator) / mpmath.mpf(q.denominator)
+
     a = as_rational(a)
     b = as_rational(b)
     c = as_rational(c)
@@ -613,13 +618,9 @@ def gauss_2f1_check(
             if abs(term) < cutoff:
                 break
         closed = (
-            mpmath.gamma(_to_mpf(c))
-            * mpmath.gamma(_to_mpf(c - a - b))
-            / mpmath.gamma(_to_mpf(c - a))
-            / mpmath.gamma(_to_mpf(c - b))
+            mpmath.gamma(to_mpf(c))
+            * mpmath.gamma(to_mpf(c - a - b))
+            / mpmath.gamma(to_mpf(c - a))
+            / mpmath.gamma(to_mpf(c - b))
         )
         return bool(abs(total - closed) < mpmath.mpf(tol))
-
-
-def _to_mpf(q: Fraction) -> mpmath.mpf:
-    return mpmath.mpf(q.numerator) / mpmath.mpf(q.denominator)

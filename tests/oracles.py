@@ -4,10 +4,14 @@ The library evaluates on integer numerators over one common denominator and
 takes every determinant by fraction-free (Bareiss) elimination. These are
 the straightforward routes it replaced, and the reverse-tableau sums and the
 bialternant for s and s*, kept here so the tests compare the library against
-an independent computation rather than against itself.
+an independent computation rather than against itself. The mpmath
+conversions are the float layer `exact.round_bits` and
+`exact.format_bigfloat` reproduce in integers.
 """
 
 from fractions import Fraction
+
+import mpmath
 
 from harmgraphs.partitions import reverse_tableaux
 
@@ -150,3 +154,32 @@ def schur_bialternant(mu, x) -> Fraction:
         raise ValueError("bialternant route needs pairwise-distinct coordinates")
     rows = [[Fraction(x[i]) ** (mu.part(j + 1) + (k - 1 - j)) for j in range(k)] for i in range(k)]
     return fraction_det(rows) / fraction_vandermonde(x)
+
+
+def to_bigfloat(value, precision: int) -> mpmath.mpf:
+    """Correctly rounded conversion of a rational to a binary float."""
+    q = Fraction(value)
+    with mpmath.workprec(precision):
+        return mpmath.fdiv(q.numerator, q.denominator)
+
+
+def format_mpf(x, precision: int) -> str:
+    """mpmath's decimal serialization with a precision tag, 'digits@bits'."""
+    digits = max(1, int(precision * 0.30103) + 2)
+    with mpmath.workprec(precision):
+        body = mpmath.nstr(mpmath.mpf(x), digits, strip_zeros=False)
+    return f"{body}@{precision}"
+
+
+def parse_bigfloat(text: str) -> tuple[mpmath.mpf, int]:
+    """Inverse of `format_mpf`; returns (value, precision_bits)."""
+    body, _, tag = text.partition("@")
+    precision = int(tag)
+    with mpmath.workprec(precision):
+        return mpmath.mpf(body), precision
+
+
+def mpf_fraction(x: mpmath.mpf) -> Fraction:
+    """The exact value of a binary float."""
+    sign, man, exp, _ = x._mpf_
+    return (-1) ** sign * Fraction(int(man)) * Fraction(2) ** int(exp)

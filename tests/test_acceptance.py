@@ -236,7 +236,7 @@ def test_criterion_08_dimension_ratio_identity():
         for mu in partitions_of(n):
             for big in range(n, 9):
                 for lam in partitions_of(big):
-                    lhs = dim(mu, lam, YOUNG) / dim(P(), lam, YOUNG)
+                    lhs = F(dim(mu, lam, YOUNG), dim(P(), lam, YOUNG))
                     rhs = (-1) ** n * shifted_schur_at_diagram(mu, lam) / pochhammer(
                         F(-big), n
                     )

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -408,3 +412,19 @@ def test_zero_division_escapes_main(monkeypatch):
     monkeypatch.setattr(cli, "det", broken)
     with pytest.raises(ZeroDivisionError):
         main(["verify", "pfaffian"])
+
+
+def test_converge_runs_without_loading_mpmath():
+    # only `verify gauss` computes in floats; every other start skips the import
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    code = (
+        "import contextlib, io, sys\n"
+        "import harmgraphs.cli as cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rc = cli.main(['converge', '--family', 'trunc-young:lambda=2+1', '--n', '50,100'])\n"
+        "print(rc, 'mpmath' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == [str(EXIT_CHECK_FAILED), "False"]

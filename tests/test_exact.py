@@ -16,14 +16,13 @@ from harmgraphs.exact import (
     format_rational,
     integer_det,
     invert_matrix,
-    parse_bigfloat,
     parse_rational,
     pfaffian,
     pochhammer,
+    round_bits,
     solve_linear,
-    to_bigfloat,
 )
-from oracles import fraction_det
+from oracles import format_mpf, fraction_det, mpf_fraction, parse_bigfloat, to_bigfloat
 
 PROPERTY = settings(derandomize=True, max_examples=80, deadline=None)
 
@@ -351,9 +350,55 @@ def test_solve_linear_on_sparse_matrices():
 
 
 def test_bigfloat_round_trip():
-    x = to_bigfloat(F(1, 3), precision=160)
+    x = round_bits(F(1, 3), 160)
     text = format_bigfloat(x, precision=160)
     assert text.endswith("@160")
+    assert text == format_mpf(to_bigfloat(F(1, 3), 160), 160)
     back, prec = parse_bigfloat(text)
     assert prec == 160
-    assert abs(back - x) < 1e-40
+    assert abs(mpf_fraction(back) - x) < F(1, 10**40)
+
+
+@st.composite
+def bigfloat_cases(draw):
+    """(precision, q): a rational, a signed dyadic up to 2^+-200, or a tie, a
+    dyadic with p + 1 significant bits that lies halfway between two p-bit floats."""
+    precision = draw(st.sampled_from((53, 128, 160)))
+    kind = draw(st.sampled_from(("rational", "dyadic", "tie")))
+    if kind == "rational":
+        return precision, draw(st.fractions())
+    sign = draw(st.sampled_from((1, -1)))
+    if kind == "tie":
+        mantissa = 2 * draw(st.integers(2 ** (precision - 1), 2**precision - 1)) + 1
+    else:
+        mantissa = draw(st.integers(1, 2 ** (precision + 12)))
+    return precision, sign * mantissa * F(2) ** draw(st.integers(-200, 200))
+
+
+@PROPERTY
+@given(bigfloat_cases())
+@example((53, F(0)))
+@example((128, F(0)))
+@example((53, F(2**53 + 1)))  # a tie that rounds down to the even mantissa
+@example((53, -F(2**53 + 3)))  # a tie that rounds up to it
+@example((128, F(2**129 + 3, 2**300)))
+@example((160, F(2) ** 200))
+@example((160, -F(2) ** -200))
+@example((128, F(-1, 3)))
+def test_format_bigfloat_matches_mpmath(case):
+    precision, q = case
+    x = round_bits(q, precision)
+    reference = to_bigfloat(q, precision)
+    assert x == mpf_fraction(reference)
+    assert format_bigfloat(x, precision) == format_mpf(reference, precision)
+
+
+def test_round_bits_twice_is_the_float_of_an_abs_outside_the_working_precision():
+    # the convergence ratio error: an mpf made at 128 bits, then abs() at mpmath's default 53
+    for q in (F(1, 3), F(-2, 7), F(10**40 + 1, 10**40), F(2**60 + 2**7 + 1, 2**61)):
+        assert round_bits(round_bits(abs(q), 128), 53) == mpf_fraction(abs(to_bigfloat(q, 128)))
+
+
+def test_format_bigfloat_rejects_an_exponent_beyond_the_printed_range():
+    with pytest.raises(ValueError):
+        format_bigfloat(F(2) ** 4000)

@@ -100,7 +100,7 @@ def test_full_sweep_matches_closed_form(kind, top):
 def test_dimension_ratio_identity(pair):
     mu, lam = pair
     k, n = mu.size, lam.size
-    lhs = dim(mu, lam, YOUNG) / dim(Partition(), lam, YOUNG)
+    lhs = F(dim(mu, lam, YOUNG), dim(Partition(), lam, YOUNG))
     rhs = (-1) ** k * shifted_schur_at_diagram(mu, lam) / pochhammer(F(-n), k)
     assert lhs == rhs
 
@@ -109,10 +109,13 @@ def test_dimension_ratio_identity(pair):
 @given(rationals, rationals, positive)
 def test_jack_family_is_harmonic(e, zz, theta):
     # JackZZ's phi is a closed product independent of the edge weights, so
-    # the cover sums pin every Jack weight through level 6
+    # the cover sums pin every Jack weight through level 6, and the unit
+    # level masses check the swept Jack dimensions
     t = zz / theta
     assume(not (t.denominator == 1 and t <= 0))
-    assert check_harmonicity(JackZZ(e, zz, theta), 6).ok
+    report = check_harmonicity(JackZZ(e, zz, theta), 6)
+    assert report.ok
+    assert report.level_masses == (1,) * 7
 
 
 @st.composite
