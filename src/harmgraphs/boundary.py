@@ -634,14 +634,10 @@ def _rows_separated(blocks, gap) -> bool:
     return True
 
 
-def _fast_level_weights(family: HarmonicFamily, n: int) -> list[tuple[Partition, Fraction]]:
-    """Level measure M_n of a truncated family, restricted to its support: each
-    value of the face's `level_weights` times its scale.  Their docstrings write
-    (x)_k for the rising factorial, V(x) = prod_{i<j} (x_i - x_j), l for the
-    face width, and pad nu with zeros to length l."""
-    scale, values = FACES[family.face].level_weights(family, n)
-    return [(nu, scale * v) for nu, v in values]
-
+# The level measure of a truncated family on its face, as a scale and one value per
+# level-n vertex of width at most l: M_n(nu) = scale * value.  Docstrings write (x)_k for
+# the rising factorial, V(x) = prod_{i<j} (x_i - x_j), l for the face width, and pad
+# nu with zeros to length l.
 
 def _level_constant(family: HarmonicFamily, n: int) -> Fraction:
     """On the young and kingman faces t is a positive integer, so the

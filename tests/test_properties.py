@@ -12,8 +12,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from harmgraphs.boundary import (
+    FACES,
     _factorial_det,
-    _fast_level_weights,
     _integrate_monomial_times_cauchy,
     _integrate_monomial_times_pfaffian,
     kingman_density_constant,
@@ -233,7 +233,8 @@ def test_level_weights_match_dimension_times_value(family_type, lam, n):
         (nu, dim_closed_form(nu, family.kind) * family.value(nu) * scale)
         for nu in level(n, family.kind, max_length=family.width)
     ]
-    assert _fast_level_weights(family, n) == expected
+    scale, values = FACES[family.face].level_weights(family, n)
+    assert [(nu, scale * v) for nu, v in values] == expected
 
 
 # ---------------------------------------------------------------------------
