@@ -6,14 +6,17 @@ the straightforward routes it replaced, and the reverse-tableau sums and the
 bialternant for s and s*, kept here so the tests compare the library against
 an independent computation rather than against itself. The mpmath
 conversions are the float layer `exact.round_bits` and
-`exact.format_bigfloat` reproduce in integers.
+`exact.format_bigfloat` reproduce in integers, and the convergence loop is
+the one `boundary.convergence_experiment` runs on integers.
 """
 
 from fractions import Fraction
 
 import mpmath
 
+from harmgraphs.boundary import FACES, _rows_separated, density_spec
 from harmgraphs.partitions import reverse_tableaux
+from harmgraphs.series import poly_eval, poly_integral, poly_scale
 
 
 def fraction_det(rows) -> Fraction:
@@ -183,3 +186,34 @@ def mpf_fraction(x: mpmath.mpf) -> Fraction:
     """The exact value of a binary float."""
     sign, man, exp, _ = x._mpf_
     return (-1) ** sign * Fraction(int(man)) * Fraction(2) ** int(exp)
+
+
+def fraction_convergence_row(family, n, resolution, interior_fraction):
+    """(mass, interior points, max |ratio - 1|, binned distance) at level n, one
+    Fraction operation per term."""
+    face, spec = FACES[family.face], density_spec(family.face, family.lam)
+    l = spec.face_dim
+    scale, values = face.level_weights(family, n)
+    weights = [(nu, scale * v) for nu, v in values]
+    binned = l == 2 and face.polynomial is not None
+    lo, width = Fraction(1, 2), Fraction(1, 2 * resolution)
+    bins = [Fraction(0)] * resolution
+    interior, max_err = 0, Fraction(0)
+    for nu, w in weights:
+        if w == 0:
+            continue
+        point, blocks = face.embed(nu, n)
+        if binned:
+            bins[min(int((point[0] - lo) / width), resolution - 1)] += w
+        if sum(map(len, blocks)) == l and _rows_separated(blocks, interior_fraction * n):
+            dens = spec.density(point)
+            if dens > 0:
+                max_err = max(max_err, abs(w * n ** (l - 1) / dens - 1))
+                interior += 1
+    distance = Fraction(0)
+    if binned:
+        anti = poly_integral(poly_scale(face.polynomial(spec.lam), spec.constant))
+        for i in range(resolution):
+            exact = poly_eval(anti, lo + (i + 1) * width) - poly_eval(anti, lo + i * width)
+            distance += abs(bins[i] - exact)
+    return sum(w for _, w in weights), interior, max_err, distance

@@ -19,10 +19,12 @@ from harmgraphs.boundary import (
     young_kernel,
 )
 from harmgraphs.cli import _selberg_sweep
+from harmgraphs.exact import round_bits
 from harmgraphs.graphs import KINGMAN, YOUNG, covers_up, edge_multiplicity
-from harmgraphs.harmonic import TruncKingman, TruncYoung
+from harmgraphs.harmonic import GammaShaped, TruncKingman, TruncSchur, TruncYoung
 from harmgraphs.interp import jacobi_trudi
 from harmgraphs.partitions import Partition, partitions_of, partitions_up_to
+from oracles import fraction_convergence_row
 
 P = Partition
 
@@ -342,8 +344,6 @@ def test_convergence_smoke_small():
 def test_convergence_smoke_strict_and_hook_faces():
     # the experiment must run (exact masses, ratio bookkeeping) on the
     # faces without a polynomial bin integral as well
-    from harmgraphs.harmonic import GammaShaped, TruncSchur
-
     rep = convergence_experiment(TruncSchur(P([2, 1])), [6, 10])
     assert all(row.mass_is_one for row in rep.rows)
     rep = convergence_experiment(GammaShaped.from_partition(P([2, 1])), [5, 7])
@@ -367,6 +367,29 @@ def test_convergence_trunc_kingman():
     assert rep.rows[-1].max_ratio_error < 0.01
     assert all(row.mass_is_one for row in rep.rows)
     assert rep.distances_decreasing
+
+
+@pytest.mark.parametrize(
+    "family,ns",
+    [
+        (TruncYoung(P([2, 1])), [4, 30]),
+        (TruncYoung(P([3, 2, 1])), [24]),
+        (TruncKingman(P([2, 1])), [40, 41]),
+        (TruncKingman(P([2, 1, 1])), [30]),
+        (TruncSchur(P([3, 1])), [20]),
+        (GammaShaped.from_partition(P([2, 1])), [5, 7]),
+    ],
+    ids=str,
+)
+def test_convergence_rows_match_the_fraction_loop(family, ns):
+    # each row is the exact level quantity, rounded once (the ratio error again to 53 bits)
+    rep = convergence_experiment(family, ns, resolution=7, interior_fraction=F(1, 5))
+    for row in rep.rows:
+        mass, interior, err, distance = fraction_convergence_row(family, row.n, 7, F(1, 5))
+        assert row.mass_is_one == (mass == 1)
+        assert row.interior_points == interior
+        assert row.max_ratio_error == round_bits(round_bits(err, 128), 53)
+        assert row.binned_distance == round_bits(distance, 128)
 
 
 def test_convergence_rejects_infinite_families():

@@ -361,12 +361,15 @@ def test_bigfloat_round_trip():
 
 @st.composite
 def bigfloat_cases(draw):
-    """(precision, q): a rational, a signed dyadic up to 2^+-200, or a tie, a
+    """(precision, q): a rational, a rational times a power of ten (either side
+    of the fixed layout's bounds), a signed dyadic up to 2^+-200, or a tie, a
     dyadic with p + 1 significant bits that lies halfway between two p-bit floats."""
     precision = draw(st.sampled_from((53, 128, 160)))
-    kind = draw(st.sampled_from(("rational", "dyadic", "tie")))
+    kind = draw(st.sampled_from(("rational", "decimal", "dyadic", "tie")))
     if kind == "rational":
         return precision, draw(st.fractions())
+    if kind == "decimal":
+        return precision, draw(st.fractions(-10, 10)) * F(10) ** draw(st.integers(-20, 60))
     sign = draw(st.sampled_from((1, -1)))
     if kind == "tie":
         mantissa = 2 * draw(st.integers(2 ** (precision - 1), 2**precision - 1)) + 1
@@ -385,6 +388,10 @@ def bigfloat_cases(draw):
 @example((160, F(2) ** 200))
 @example((160, -F(2) ** -200))
 @example((128, F(-1, 3)))
+@example((53, F(3, 10**4)))  # the last exponent printed in fixed layout at 17 digits ...
+@example((53, F(3, 10**5)))  # ... and the first in exponent layout
+@example((53, F(10**16 + 7)))
+@example((53, F(10**17 + 3)))
 def test_format_bigfloat_matches_mpmath(case):
     precision, q = case
     x = round_bits(q, precision)
