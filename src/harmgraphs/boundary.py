@@ -612,9 +612,10 @@ def convergence_experiment(
                 support_size=len(support),
                 mass_is_one=unit * sum(w for _, w in support) == 1,
                 interior_points=interior,
-                # the ratio error is its `precision`-bit float rounded again to
-                # 53 bits: the value every recorded converge report prints,
-                # since the mpmath route took abs() outside its working precision
+                # rounded to `precision` bits and then to 53: the ratio error the
+                # recorded converge reports print (an mpf made at `precision` bits
+                # whose abs() ran at mpmath's default 53); the distance is a true
+                # `precision`-bit float
                 max_ratio_error=round_bits(round_bits(Fraction(err, err_den), precision), 53),
                 binned_distance=round_bits(distance, precision),
             )
@@ -659,7 +660,8 @@ def _young_weights(family: TruncYoung, n: int) -> tuple[Fraction, list[tuple[Par
     values = []
     for nu in level(n, family.kind, max_length=family.width):
         b = _plus_staircase(nu, len(a))
-        values.append((nu, _vandermonde(b) * integer_det([[comb(ai + bj, ai) for bj in b] for ai in a])))
+        weight = _vandermonde(b) * integer_det([[comb(ai + bj, ai) for bj in b] for ai in a])
+        values.append((nu, weight))
     return _level_constant(family, n) / _vandermonde(a), values
 
 

@@ -10,7 +10,8 @@ Pfaffian, linear solve and inverse over `fractions.Fraction`), and the
 binary floats of the convergence reports as dyadic rationals: a rational
 rounded once to a bit precision (`round_bits`) and printed in mpmath's
 decimal layout from integers (`format_bigfloat`).  mpmath is loaded only
-by the Gauss summation check (`interp.gauss_2f1_check`)."""
+by the Gauss summation check (`interp.gauss_2f1_check`).
+"""
 
 from __future__ import annotations
 
@@ -296,16 +297,12 @@ def round_bits(value, precision: int = DEFAULT_PRECISION) -> Fraction:
     if not n:
         return Fraction(0)
 
-    def scaled(s: int) -> tuple[int, int, int]:
-        den = d if s >= 0 else d << -s
-        return (*divmod(n << max(s, 0), den), den)
-
-    # n 2^s / d lies in [2^(p-1), 2^(p+1)), and in [2^(p-1), 2^p) one scale lower
+    # the scale s puts n 2^s / d in [2^(p-1), 2^(p+1)); one lower if it is past 2^p
     s = precision - n.bit_length() + d.bit_length()
-    m, r, den = scaled(s)
-    if m >> precision:
+    if n << max(s, 0) >= d << (precision - min(s, 0)):
         s -= 1
-        m, r, den = scaled(s)
+    num, den = (n << s, d) if s >= 0 else (n, d << -s)
+    m, r = divmod(num, den)
     if 2 * r > den or (2 * r == den and m & 1):
         m += 1
     m = -m if q < 0 else m
