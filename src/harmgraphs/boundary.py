@@ -129,13 +129,7 @@ def dirichlet_integral(kappas) -> Fraction:
 
 def simplex_monomial_integral(exponents) -> Fraction:
     """Unordered-simplex integral of a monomial over sum(x) = 1."""
-    es = [int(e) for e in exponents]
-    if any(e < 0 for e in es):
-        raise ValueError("exponents must be >= 0")
-    num = 1
-    for e in es:
-        num *= factorial(e)
-    return Fraction(num, factorial(len(es) + sum(es) - 1))
+    return simplex_pair_integral(exponents, ())
 
 
 def simplex_pair_integral(exponents, pairs) -> Fraction:
@@ -147,23 +141,20 @@ def simplex_pair_integral(exponents, pairs) -> Fraction:
 
         prod(e_i!) / ( prod(e_a + e_b + 1) * (N + sum(e) - P - 1)! )
 
-    with N variables and P pairs.
+    with N variables and P pairs; with no pairs, the Dirichlet monomial integral.
     """
     es = [int(e) for e in exponents]
     if any(e < 0 for e in es):
         raise ValueError("exponents must be >= 0")
     seen: set[int] = set()
-    denom = 1
+    denom, order = 1, len(es) + sum(es) - 1
     for a, b in pairs:
         if a in seen or b in seen or a == b:
             raise ValueError("pairs must be disjoint")
         seen.update((a, b))
         denom *= es[a] + es[b] + 1
-    num = 1
-    for e in es:
-        num *= factorial(e)
-    order = len(es) + sum(es) - len(list(pairs)) - 1
-    return Fraction(num, denom * factorial(order))
+        order -= 1
+    return Fraction(prod(map(factorial, es)), denom * factorial(order))
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +542,6 @@ def convergence_experiment(
     resolution: int = 20,
     interior_fraction: Fraction = Fraction(1, 4),
     ratio_tolerance: float = 0.05,
-    precision: int = 128,
 ) -> ConvergenceReport:
     """Compare exact level measures against the limiting face density.
 
@@ -612,12 +602,12 @@ def convergence_experiment(
                 support_size=len(support),
                 mass_is_one=unit * sum(w for _, w in support) == 1,
                 interior_points=interior,
-                # rounded to `precision` bits and then to 53: the ratio error the
-                # recorded converge reports print (an mpf made at `precision` bits
-                # whose abs() ran at mpmath's default 53); the distance is a true
-                # `precision`-bit float
-                max_ratio_error=round_bits(round_bits(Fraction(err, err_den), precision), 53),
-                binned_distance=round_bits(distance, precision),
+                # rounded to exact.DEFAULT_PRECISION bits (round_bits' default, the
+                # precision format_bigfloat tags) and then to 53: the ratio error the
+                # recorded converge reports print (an mpf made at 128 bits whose abs()
+                # ran at mpmath's default 53); the distance is a true 128-bit float
+                max_ratio_error=round_bits(round_bits(Fraction(err, err_den)), 53),
+                binned_distance=round_bits(distance),
             )
         )
     return ConvergenceReport(family.spec_string(), tuple(rows), ratio_tolerance)

@@ -5,12 +5,13 @@ harmonic families, boundary integrals) reduces to arithmetic over Q.
 This module holds the shared primitives: rational parsing/formatting, a
 rational point as integer numerators over one denominator (`integer_point`),
 Pochhammer and falling-factorial products, exact dense linear algebra (one
-determinant algorithm, fraction-free Bareiss elimination on integers; the
-Pfaffian, linear solve and inverse over `fractions.Fraction`), and the
-binary floats of the convergence reports as dyadic rationals: a rational
-rounded once to a bit precision (`round_bits`) and printed in mpmath's
-decimal layout from integers (`format_bigfloat`).  mpmath is loaded only
-by the Gauss summation check (`interp.gauss_2f1_check`).
+determinant algorithm, fraction-free Bareiss elimination on integers; one
+Pfaffian algorithm, fraction-free skew elimination on integers; linear solve
+and inverse over `fractions.Fraction`), and the binary floats of the
+convergence reports as dyadic rationals: a rational rounded once to a bit
+precision (`round_bits`) and printed in mpmath's decimal layout from
+integers (`format_bigfloat`).  mpmath is loaded only by the Gauss summation
+check (`interp.gauss_2f1_check`).
 """
 
 from __future__ import annotations
@@ -177,72 +178,50 @@ def integer_det(rows: Sequence[Sequence[int]]) -> int:
     return sign * a[-1][-1] if n else 1
 
 
-_PFAFFIAN_EXPANSION_LIMIT = 8
-
-
 def pfaffian(m: RationalMatrix) -> Fraction:
-    """Exact Pfaffian of an even-dimensional skew-symmetric matrix.
-
-    Recursive first-row expansion up to 8x8; symmetric skew elimination
-    above that. pfaffian(m)**2 == det(m) always.
-    """
+    """Exact Pfaffian of an even-dimensional skew-symmetric matrix: `integer_pfaffian`
+    of D m D, D the diagonal of the row lcms, over their product (Pf(D m D) = det(D) Pf(m))."""
     if not m.is_square:
         raise ShapeError("pfaffian needs a square matrix")
     if m.nrows % 2 != 0:
         raise ShapeError("pfaffian needs even dimension")
     if not m.is_skew_symmetric():
         raise ValueError("pfaffian needs a skew-symmetric matrix")
-    if m.nrows <= _PFAFFIAN_EXPANSION_LIMIT:
-        return _pfaffian_expand([list(row) for row in m.rows])
-    return _pfaffian_eliminate([list(row) for row in m.rows])
+    rows = [integer_point(row) for row in m.rows]
+    scales = [q for _, q in rows]
+    cleared = [[x * q for x, q in zip(xs, scales)] for xs, _ in rows]
+    return Fraction(integer_pfaffian(cleared), prod(scales))
 
 
-def _pfaffian_expand(a: list[list[Fraction]]) -> Fraction:
+def integer_pfaffian(rows: Sequence[Sequence[int]]) -> int:
+    """Exact Pfaffian of an even-dimensional skew-symmetric integer matrix by
+    fraction-free skew elimination, one pivot pair (p, p + 1) at a time.  After a
+    pair, entry (i, j) is the Pfaffian of the principal minor on the pivot rows and
+    {i, j}, and the Pfaffian analogue of Desnanot-Jacobi (Knuth, "Overlapping
+    Pfaffians", 1996) divides it exactly by the previous pivot: no Fraction forms."""
+    a = [list(row) for row in rows]
     n = len(a)
-    if n == 0:
-        return Fraction(1)
-    if n == 2:
-        return a[0][1]
-    total = Fraction(0)
-    for j in range(1, n):
-        coef = a[0][j]
-        if coef == 0:
-            continue
-        keep = [r for r in range(1, n) if r != j]
-        minor = [[a[r][c] for c in keep] for r in keep]
-        term = coef * _pfaffian_expand(minor)
-        total += term if j % 2 == 1 else -term
-    return total
-
-
-def _pfaffian_eliminate(a: list[list[Fraction]]) -> Fraction:
-    n = len(a)
-    sign = 1
-    out = Fraction(1)
-    for k in range(0, n, 2):
-        pivot = next((j for j in range(k + 1, n) if a[k][j] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != k + 1:
-            _swap_symmetric(a, pivot, k + 1)
+    if any(len(row) != n for row in a) or n % 2:
+        raise ShapeError("pfaffian needs an even-dimensional square matrix")
+    sign, prev = 1, 1
+    for p in range(0, n - 2, 2):
+        q = p + 1
+        if a[p][q] == 0:
+            pivot = next((j for j in range(q + 1, n) if a[p][j] != 0), None)
+            if pivot is None:
+                return 0
+            a[q], a[pivot] = a[pivot], a[q]
+            for row in a:
+                row[q], row[pivot] = row[pivot], row[q]
             sign = -sign
-        p = a[k][k + 1]
-        out *= p
-        for i in range(k + 2, n):
-            if a[k][i] == 0:
-                continue
-            f = a[k][i] / p
-            for c in range(n):
-                a[i][c] -= f * a[k + 1][c]
-            for r in range(n):
-                a[r][i] -= f * a[r][k + 1]
-    return out if sign == 1 else -out
-
-
-def _swap_symmetric(a: list[list[Fraction]], i: int, j: int) -> None:
-    a[i], a[j] = a[j], a[i]
-    for row in a:
-        row[i], row[j] = row[j], row[i]
+        top, second, pq = a[p], a[q], a[p][q]
+        for i in range(q + 1, n):
+            row, pi, qi = a[i], top[i], second[i]
+            for j in range(i + 1, n):
+                row[j] = (pq * row[j] - pi * second[j] + top[j] * qi) // prev
+                a[j][i] = -row[j]
+        prev = pq
+    return sign * a[-2][-1] if n else 1
 
 
 def _gauss_jordan(aug: list[list[Fraction]], n: int) -> None:

@@ -395,9 +395,10 @@ class TruncKingman(HarmonicFamily):
 
 @dataclass(frozen=True)
 class TruncSchur(HarmonicFamily):
-    """Finite-width strict family: factorial Schur P at -lam - 1, each mu's Pfaffian read
-    from one one-row list and one two-row table for the point.  A mu past the bound rebuilds
-    both at max(twice the bound, mu_1 + mu_2); table entries do not depend on the bound."""
+    """Finite-width strict family: factorial Schur P at -lam - 1, each mu read (past length 2
+    as a Pfaffian) from one one-row list and one two-row table for the point.  A mu past the
+    bound rebuilds both at max(twice the bound, mu_1 + mu_2); table entries do not depend on
+    the bound."""
 
     lam: Partition
     kind: GraphKind = field(default=SCHUR, init=False, repr=False, compare=False)
@@ -449,39 +450,49 @@ class TruncSchur(HarmonicFamily):
 # ---------------------------------------------------------------------------
 
 def parse_family(spec: str) -> HarmonicFamily:
-    """Parse compact family strings like 'young-zz:e=3,t=2' or 'schur:t=3'."""
+    """Parse compact family strings like 'young-zz:e=3,t=2' or 'schur:t=3'.  An unknown
+    or repeated parameter is a FamilyError."""
     name, _, body = spec.strip().partition(":")
     name = name.strip().lower()
     kv: dict[str, str] = {}
     if body:
         for item in body.split(","):
             key, _, value = item.partition("=")
+            key = key.strip().lower()
             if not value:
                 raise FamilyError(f"malformed family parameter {item!r}")
-            kv[key.strip().lower()] = value.strip()
+            if key in kv:
+                raise FamilyError(f"family parameter {key!r} is given twice")
+            kv[key] = value.strip()
     try:
         if name == "young-zz":
-            return YoungZZ(as_rational(kv.pop("e")), as_rational(kv.pop("t")))
-        if name == "jack":
-            return JackZZ(
+            family = YoungZZ(as_rational(kv.pop("e")), as_rational(kv.pop("t")))
+        elif name == "jack":
+            family = JackZZ(
                 as_rational(kv.pop("e")), as_rational(kv.pop("t")), as_rational(kv.pop("theta"))
             )
-        if name == "kingman":
-            return KingmanTA(as_rational(kv.pop("t")), as_rational(kv.pop("alpha")))
-        if name == "schur":
-            return SchurT(as_rational(kv.pop("t")))
-        if name == "trunc-young":
-            return TruncYoung(Partition.parse(kv.pop("lambda")))
-        if name == "gamma":
-            cap = int(kv.pop("cap", "8"))
-            return GammaShaped.from_partition(Partition.parse(kv.pop("lambda")), cap)
-        if name == "trunc-kingman":
-            return TruncKingman(Partition.parse(kv.pop("lambda")))
-        if name == "trunc-schur":
-            return TruncSchur(Partition.parse(kv.pop("lambda")))
+        elif name == "kingman":
+            family = KingmanTA(as_rational(kv.pop("t")), as_rational(kv.pop("alpha")))
+        elif name == "schur":
+            family = SchurT(as_rational(kv.pop("t")))
+        elif name == "trunc-young":
+            family = TruncYoung(Partition.parse(kv.pop("lambda")))
+        elif name == "gamma":
+            cap = kv.pop("cap", "8")
+            if not cap.isdecimal():
+                raise FamilyError(f"gamma parameter 'cap' must be a positive integer, not {cap!r}")
+            family = GammaShaped.from_partition(Partition.parse(kv.pop("lambda")), int(cap))
+        elif name == "trunc-kingman":
+            family = TruncKingman(Partition.parse(kv.pop("lambda")))
+        elif name == "trunc-schur":
+            family = TruncSchur(Partition.parse(kv.pop("lambda")))
+        else:
+            raise FamilyError(f"unknown family {name!r}")
     except KeyError as exc:
         raise FamilyError(f"family {name!r} is missing parameter {exc}") from None
-    raise FamilyError(f"unknown family {name!r}")
+    if kv:
+        raise FamilyError(f"family {name!r} has no parameter {', '.join(map(repr, kv))}")
+    return family
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ factorial monomial (Kingman side) and factorial Schur P (strict side):
 * factorial Schur P: one-row series -> two-row table -> Pfaffian.  The
   one-row list and the table depend only on the source, so a caller that
   evaluates many mu at one point or functional builds them once and reads
-  each mu's Pfaffian from them (`pstar_pfaffian`).
+  each mu from them (`pstar_pfaffian`): lengths up to 2 directly, longer mu
+  as a Pfaffian.
 
 At a point x = X/Q (`exact.integer_point`) s, s*, m, m* and h* are graded
 values of the integer numerators X, with one Fraction formed per value.
@@ -438,15 +439,18 @@ def pstar_pfaffian(mu: Partition, one_row: Sequence[Fraction], table) -> Fractio
     """Factorial Schur P value of a strict partition from one-row values up to
     degree mu_1 and a two-row table up to mu_1 + mu_2.
 
-    The Pfaffian of the two-row values; odd lengths are bordered by the
-    one-row values with a zero corner, the classical padding convention
-    validated against the closed product form.
+    Lengths up to 2 are read from the list and the table, which hold those
+    values by definition.  Longer mu take the Pfaffian of the two-row values;
+    odd lengths are bordered by the one-row values with a zero corner, the
+    classical padding convention validated against the closed product form.
     """
     if not mu.is_strict:
         raise ValueError("factorial Schur P needs a strict partition")
     parts = mu.parts
     if mu.length <= 1:
         return one_row[parts[0] - 1] if parts else Fraction(1)
+    if mu.length == 2:
+        return table[parts]
     rows = [[_two_row(table, p, q) for q in parts] for p in parts]
     if mu.length % 2:
         rows = [row + [one_row[p - 1]] for row, p in zip(rows, parts)]

@@ -1,10 +1,11 @@
 """Reference routes in plain `Fraction` arithmetic, one operation per term.
 
 The library evaluates on integer numerators over one common denominator and
-takes every determinant by fraction-free (Bareiss) elimination. These are
-the straightforward routes it replaced, and the reverse-tableau sums and the
-bialternant for s and s*, kept here so the tests compare the library against
-an independent computation rather than against itself. The mpmath
+takes every determinant and Pfaffian by fraction-free elimination. These are
+the straightforward routes it replaced (the Pfaffian's first-row expansion
+among them), and the reverse-tableau sums and the bialternant for s and s*,
+kept here so the tests compare the library against an independent
+computation rather than against itself. The mpmath
 conversions are the float layer `exact.round_bits` and
 `exact.format_bigfloat` reproduce in integers, and the convergence loop is
 the one `boundary.convergence_experiment` runs on integers.
@@ -39,6 +40,21 @@ def fraction_det(rows) -> Fraction:
             for c in range(col, n):
                 a[r][c] -= f * a[col][c]
     return out if sign == 1 else -out
+
+
+def fraction_pfaffian(rows) -> Fraction:
+    """Pfaffian by recursive expansion along the first row over Fraction."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    n = len(a)
+    if n == 0:
+        return Fraction(1)
+    total = Fraction(0)
+    for j in range(1, n):
+        if a[0][j] != 0:
+            keep = [r for r in range(1, n) if r != j]
+            minor = [[a[r][c] for c in keep] for r in keep]
+            total += (-1) ** (j - 1) * a[0][j] * fraction_pfaffian(minor)
+    return total
 
 
 def fraction_jacobi_trudi(mu, h, shifted=False) -> Fraction:

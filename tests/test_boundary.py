@@ -82,10 +82,17 @@ def test_simplex_pair_integral_cases():
     assert simplex_pair_integral([1, 0], [(0, 1)]) == F(1, 2)
     # int x y z/(x+y) over the 2-simplex: radial reduction gives 1/72
     assert simplex_pair_integral([1, 1, 1], [(0, 1)]) == F(1, 72)
-    # no pairs reduces to the plain Dirichlet value
-    assert simplex_pair_integral([2, 1], []) == simplex_monomial_integral([2, 1])
+    # no pairs is the plain Dirichlet value: int x^2 (1 - x) = 1/12
+    assert simplex_pair_integral([2, 1], []) == simplex_monomial_integral([2, 1]) == F(1, 12)
     with pytest.raises(ValueError):
         simplex_pair_integral([1, 1, 1], [(0, 1), (1, 2)])
+
+
+def test_simplex_pair_integral_reads_pairs_once():
+    # the pairs are counted as they are read, so an iterator gives the list's value
+    pairs = [(0, 1), (2, 3)]
+    assert simplex_pair_integral([1, 2, 0, 3], iter(pairs)) == F(1, 6720)
+    assert simplex_pair_integral([1, 2, 0, 3], pairs) == F(1, 6720)
 
 
 def test_simplex_pair_integral_against_iterated_quadrature():

@@ -318,6 +318,14 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys):
         (("converge", "--family", "trunc-young:lambda=2+1", "--n", "10,x"), "--n"),
         (("converge", "--family", "trunc-young:lambda=2+1", "--n", "10", "--interior", "x"),
          "--interior"),
+        # a family parameter the family does not read, or reads twice, is named
+        (("phi", "--family", "young-zz:e=1,t=2,foo=3", "--mu", "1"),
+         "family 'young-zz' has no parameter 'foo'"),
+        (("phi", "--family", "trunc-young:lambda=2+1,theta=2", "--mu", "1"),
+         "family 'trunc-young' has no parameter 'theta'"),
+        (("phi", "--family", "schur:t=2,t=3", "--mu", "1"), "family parameter 't' is given twice"),
+        (("phi", "--family", "gamma:lambda=2+1,cap=x", "--mu", "1"),
+         "gamma parameter 'cap' must be a positive integer, not 'x'"),
     ],
     ids=["pfaffian-size-1", "converge-negative-n", "converge-zero-n", "converge-zero-in-list",
          "converge-untruncated", "pieri-negative-size", "pieri-no-points", "kernels-zero-levels",
@@ -330,7 +338,8 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys):
          "converge-interior-negative", "converge-interior-1", "dims-negative-max-length",
          "phi-increasing-mu", "density-kingman-empty-lambda", "density-schur-empty-lambda",
          "integral-verify-kingman-above-cap", "density-malformed-at", "density-zero-denominator",
-         "converge-malformed-n", "converge-malformed-interior"],
+         "converge-malformed-n", "converge-malformed-interior", "family-unknown-key",
+         "family-key-of-another-family", "family-repeated-key", "family-malformed-cap"],
 )
 def test_out_of_domain_arguments_are_usage_errors(capsys, argv, message):
     code, out, err = run(capsys, *argv)

@@ -15,6 +15,7 @@ from harmgraphs.exact import (
     format_bigfloat,
     format_rational,
     integer_det,
+    integer_pfaffian,
     invert_matrix,
     parse_rational,
     pfaffian,
@@ -22,7 +23,14 @@ from harmgraphs.exact import (
     round_bits,
     solve_linear,
 )
-from oracles import format_mpf, fraction_det, mpf_fraction, parse_bigfloat, to_bigfloat
+from oracles import (
+    format_mpf,
+    fraction_det,
+    fraction_pfaffian,
+    mpf_fraction,
+    parse_bigfloat,
+    to_bigfloat,
+)
 
 PROPERTY = settings(derandomize=True, max_examples=80, deadline=None)
 
@@ -171,6 +179,34 @@ def test_pfaffian_squares_to_det_at_random_skew_matrices(m):
     assert pfaffian(m) ** 2 == det(m) == fraction_det(m.rows)
 
 
+@PROPERTY
+@given(skew_matrices(max_half=5))
+@example(RationalMatrix([]))
+@example(RationalMatrix([[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]]))  # swap: Pf = -1
+@example(RationalMatrix([[0, 0, 0, 0], [0, 0, 1, 2], [0, -1, 0, 3], [0, -2, -3, 0]]))  # zero row
+def test_pfaffian_matches_signed_expansion(m):
+    # the zero-heavy entries make pivot swaps and singular matrices common
+    assert pfaffian(m) == fraction_pfaffian(m.rows)
+
+
+def test_integer_pfaffian_cases():
+    assert integer_pfaffian([]) == 1
+    assert integer_pfaffian([[0, -5], [5, 0]]) == -5
+    # a[0][1] = 0: row and column 1 swap with 2, and the sign flips
+    swap = [[0, 0, 2, 3], [0, 0, 5, 7], [-2, -5, 0, 11], [-3, -7, -11, 0]]
+    assert integer_pfaffian(swap) == 0 * 11 - 2 * 7 + 3 * 5 == 1
+    # a zero pivot inside the elimination, after the first pair
+    later = [[0, 1, 1, 1, 1, 1], [-1, 0, 1, 1, 1, 1], [-1, -1, 0, 0, 2, 3],
+             [-1, -1, 0, 0, 4, 5], [-1, -1, -2, -4, 0, 6], [-1, -1, -3, -5, -6, 0]]
+    assert integer_pfaffian(later) == fraction_pfaffian(later) == 2
+    zero_row = [[0, 0, 0, 0], [0, 0, 4, 1], [0, -4, 0, 9], [0, -1, -9, 0]]
+    assert integer_pfaffian(zero_row) == 0
+    with pytest.raises(ShapeError):
+        integer_pfaffian([[0, 1, 2], [-1, 0, 3], [-2, -3, 0]])
+    with pytest.raises(ShapeError):
+        integer_pfaffian([[0, 1], [-1]])
+
+
 def test_pfaffian_two_by_two():
     a = F(7, 3)
     assert pfaffian(RationalMatrix([[0, a], [-a, 0]])) == a
@@ -227,8 +263,7 @@ def test_pfaffian_squares_to_det(size):
         assert pfaffian(m) ** 2 == det(m)
 
 
-def test_pfaffian_elimination_route_matches_expansion():
-    # force the elimination path with a 10x10 and compare against det
+def test_pfaffian_ten_by_ten_matches_signed_expansion():
     rng = random.Random(99)
     size = 10
     rows = [[F(0)] * size for _ in range(size)]
@@ -238,6 +273,7 @@ def test_pfaffian_elimination_route_matches_expansion():
             rows[i][j] = v
             rows[j][i] = -v
     m = RationalMatrix(rows)
+    assert pfaffian(m) == fraction_pfaffian(rows)
     assert pfaffian(m) ** 2 == det(m)
 
 

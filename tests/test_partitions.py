@@ -122,6 +122,29 @@ def test_level_counts():
     assert wide == [(2000,)] + [(2000 - k, k) for k in range(1, 1001)]
 
 
+def _product_coefficients(parts, order, strict=False):
+    """Coefficients of q^0..q^order in prod 1/(1 - q^k) over k in parts, or in
+    prod (1 + q^k) if strict, multiplied in one factor at a time."""
+    c = [1] + [0] * order
+    for k in parts:
+        steps = range(order, k - 1, -1) if strict else range(k, order + 1)
+        for m in steps:
+            c[m] += c[m - k]
+    return c
+
+
+def test_level_counts_match_generating_functions():
+    order = 40
+    every = range(1, order + 1)
+    assert [len(partitions_of(n)) for n in every] == _product_coefficients(every, order)[1:]
+    strict = _product_coefficients(every, order, strict=True)
+    assert [len(partitions_of(n, strict=True)) for n in every] == strict[1:]
+    # at most k parts is, by conjugation, parts at most k
+    for k in range(1, 7):
+        bounded = _product_coefficients(range(1, k + 1), order)
+        assert [len(partitions_of(n, max_length=k)) for n in range(order + 1)] == bounded
+
+
 def test_levels_decreasing_lexicographic():
     for n in range(1, 10):
         for strict in (False, True):
