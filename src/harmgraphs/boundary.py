@@ -23,7 +23,9 @@ constant depend on λ alone, so `selberg_rows` builds them once per λ.
 Each face (young, kingman, schur, gamma) is one `Face` record in the
 `FACES` table, keyed by the `face` string of its truncated family: its
 λ check, width, density, vertex embedding, level weights, Selberg setup
-and sweep, and width-2 density polynomial.
+and sweep, and width-2 density polynomial.  A density is the constant times
+F(X) / Q^degree(λ) at a point X/Q, F one form on the integer numerators, so
+`convergence_experiment` needs one rational scale per level.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from itertools import permutations
 from math import comb, factorial, lcm, perm, prod
 from typing import Callable
 
-from .exact import RationalMatrix, as_rational, det, integer_det, integer_point, pochhammer, round_bits
+from .exact import as_rational, integer_det, integer_point, pochhammer, round_bits
 from .graphs import dim_closed_form, level
 from .harmonic import (
     GammaShaped,
@@ -45,7 +47,7 @@ from .harmonic import (
     TruncYoung,
     level_measure,
 )
-from .interp import _distinct_perms, _permutation_sum, _vandermonde, jacobi_trudi, monomial_eval
+from .interp import _distinct_perms, _permutation_sum, _vandermonde, jacobi_trudi
 from .partitions import Partition
 from .series import (
     Poly,
@@ -180,54 +182,38 @@ def young_density_constant(lam: Partition) -> Fraction:
     )
 
 
-def _alternant(values, exponents) -> Fraction:
-    """det[v_i^(e_j)]: at v = X/Q column j is an integer column over Q^(e_j),
-    so the value is one integer determinant over Q^(sum e)."""
-    xs, q = integer_point(values)
-    return Fraction(integer_det([[x**e for e in exponents] for x in xs]), q ** sum(exponents))
+def _alternant(xs, exponents) -> int:
+    """det[x_i^(e_j)] on integer coordinates, homogeneous of degree sum(e)."""
+    return integer_det([[x**e for e in exponents] for x in xs])
 
 
 def _quotient_pfaffian(values) -> Fraction:
     """prod_{i<j} (v_i - v_j)/(v_i + v_j), the Pfaffian of the quotient matrix
-    bordered by ones when the size is odd."""
-    vals = list(values)
-    out = Fraction(1)
-    for i in range(len(vals)):
-        for j in range(i + 1, len(vals)):
-            out *= (vals[i] - vals[j]) / (vals[i] + vals[j])
-    return out
+    bordered by ones when the size is odd: one Fraction, homogeneous of degree 0."""
+    pairs = [(a, b) for i, a in enumerate(values) for b in values[i + 1 :]]
+    return Fraction(prod(a - b for a, b in pairs), prod(a + b for a, b in pairs))
+
+
+def _cauchy(xs, ys) -> Fraction:
+    """det[1/(x_i + y_j)] = V(x) V(y) / prod(x_i + y_j) by Cauchy's evaluation,
+    homogeneous of degree -len(x); x_i + y_j = 0 raises ZeroDivisionError."""
+    return Fraction(_vandermonde(xs) * _vandermonde(ys), prod(x + y for x in xs for y in ys))
 
 
 def schur_density_constant(lam: Partition) -> Fraction:
-    l = lam.length
-    denom = Fraction(1)
-    for p in lam.parts:
-        denom *= factorial(p)
-    shifted = [Fraction(p + 1) for p in lam.parts]
-    pf = _quotient_pfaffian(shifted)  # (lam_i - lam_j)/(lam_i + lam_j + 2)
-    return Fraction(factorial(lam.size + l - 1)) / (denom * pf)
+    pf = _quotient_pfaffian([p + 1 for p in lam.parts])  # (lam_i - lam_j)/(lam_i + lam_j + 2)
+    return factorial(lam.size + lam.length - 1) / (prod(map(factorial, lam.parts)) * pf)
 
 
 def kingman_density_constant(lam: Partition) -> Fraction:
-    l = lam.length
-    out = Fraction(factorial(lam.size + l - 1))
-    for r in lam.multiplicities().values():
-        out *= factorial(r)
-    for p in lam.parts:
-        out /= factorial(p)
-    return out
+    orders = prod(map(factorial, lam.multiplicities().values()))
+    return Fraction(factorial(lam.size + lam.length - 1) * orders, prod(map(factorial, lam.parts)))
 
 
 def gamma_density_constant(lam: Partition) -> Fraction:
     fc = lam.frobenius()
-    d = fc.depth
-    cauchy = det(
-        RationalMatrix([[Fraction(1, fc.p[i] + fc.q[j] + 1) for j in range(d)] for i in range(d)])
-    )
-    denom = cauchy
-    for p, q in zip(fc.p, fc.q):
-        denom *= factorial(p) * factorial(q)
-    return Fraction(factorial(lam.size - 1)) / denom
+    hooks = prod(factorial(p) * factorial(q) for p, q in zip(fc.p, fc.q))
+    return factorial(lam.size - 1) / (_cauchy([p + 1 for p in fc.p], fc.q) * hooks)
 
 
 @dataclass(frozen=True)
@@ -256,29 +242,33 @@ def density_value(spec: DensitySpec, point) -> Fraction:
     """Exact density at a rational face point.
 
     A point is an alpha tuple of the face width, or on a two-block face
-    (gamma) an (alpha_tuple, beta_tuple) pair.  Only the schur face's
-    Pfaffian form rejects coordinate collisions.
+    (gamma) an (alpha_tuple, beta_tuple) pair.  Its blocks are cleared to
+    integer numerators over one Q, and the density is the constant times the
+    face's form F, homogeneous of degree d, at the numerators over Q^d.  Only
+    the schur face's Pfaffian form rejects coordinate collisions.
     """
     face = FACES[spec.graph]
-    blocks = [tuple(map(as_rational, b)) for b in ((point,) if face.blocks == 1 else point)]
-    want, got = [getattr(spec.lam, face.stat)] * face.blocks, [len(b) for b in blocks]
+    blocks = [tuple(b) for b in ((point,) if face.blocks == 1 else point)]
+    s = getattr(spec.lam, face.stat)
+    want, got = [s] * face.blocks, [len(b) for b in blocks]
     if got != want:
         shape, given = (";".join(map(str, counts)) for counts in (want, got))
         raise ValueError(f"the {spec.graph} face has {shape} coordinates, got {given}")
-    return spec.constant * face.density(spec.lam, *blocks)
+    xs, q = integer_point(sum(blocks, ()))
+    form = face.density(spec.lam, *(xs[i : i + s] for i in range(0, len(xs), s)))
+    return spec.constant * form / Fraction(q) ** face.degree(spec.lam)
 
 
-def _schur_density(lam: Partition, alpha) -> Fraction:
-    if len(set(alpha)) != len(alpha):
+def _schur_density(lam: Partition, xs) -> Fraction:
+    if len(set(xs)) != len(xs):
         raise ValueError("coordinate collision in a Pfaffian form")
     # P_lam * Pf^2 = alternant * Pf since length(lam) = face length
-    return _alternant(alpha, lam.parts) * _quotient_pfaffian(alpha)
+    return _alternant(xs, lam.parts) * _quotient_pfaffian(xs)
 
 
-def _gamma_density(lam: Partition, alpha, beta) -> Fraction:
+def _gamma_density(lam: Partition, xs, ys) -> Fraction:
     fc = lam.frobenius()
-    cauchy = det(RationalMatrix([[1 / (a + b) for b in beta] for a in alpha]))
-    return _alternant(alpha, fc.p) * _alternant(beta, fc.q) * cauchy
+    return _alternant(xs, fc.p) * _alternant(ys, fc.q) * _cauchy(xs, ys)
 
 
 # ---------------------------------------------------------------------------
@@ -557,7 +547,7 @@ def convergence_experiment(
         raise ValueError("convergence experiments need a truncated family")
     face = FACES[family.face]
     spec = density_spec(family.face, family.lam)
-    l = spec.face_dim
+    l, interior_fraction = spec.face_dim, as_rational(interior_fraction)
     # the binned distance integrates the density polynomial of a width-2 face
     # over the bins [(r + i)/2r, (r + i + 1)/2r) of alpha_1 in [1/2, 1]
     binned = l == 2 and face.polynomial is not None
@@ -572,24 +562,24 @@ def convergence_experiment(
         den = lcm(*(v.denominator for _, v in values))
         support = [(nu, v.numerator * (den // v.denominator)) for nu, v in values if v]
         unit = scale / den
-        # with k = unit n^(l-1), |ratio - 1| = |k w / density - 1|, kept as an
-        # integer numerator and denominator: the maximum is exact
-        k = unit * n ** (l - 1)
+        # every vertex embeds over one q, so M_n n^(l-1) / density at X/q is k w / F(X);
+        # |ratio - 1| is kept as an integer numerator and denominator: the maximum is exact
+        q = face.embed(support[0][0], n)[1]
+        k = unit * n ** (l - 1) * Fraction(q) ** face.degree(spec.lam) / spec.constant
         err, err_den = 0, 1
         interior = 0
         bins = [0] * resolution
-        gap = interior_fraction * n
+        gap = interior_fraction.numerator * n
         for nu, w in support:
-            point, blocks = face.embed(nu, n)
+            xs, _, blocks = face.embed(nu, n)
             if binned:
-                x = point[0]
-                i = 2 * resolution * x.numerator // x.denominator - resolution
+                i = 2 * resolution * xs[0][0] // q - resolution
                 bins[min(i, resolution - 1)] += w
-            if sum(map(len, blocks)) == l and _rows_separated(blocks, gap):
-                dens = spec.density(point)
-                if dens > 0:
-                    a = k.denominator * dens.numerator
-                    e = abs(k.numerator * w * dens.denominator - a)
+            if sum(map(len, blocks)) == l and _rows_separated(blocks, gap, interior_fraction.denominator):
+                form = face.density(spec.lam, *xs)
+                if form > 0:
+                    a = k.denominator * form.numerator
+                    e = abs(k.numerator * w * form.denominator - a)
                     if e * err_den > err * a:
                         err, err_den = e, a
                     interior += 1
@@ -613,16 +603,14 @@ def convergence_experiment(
     return ConvergenceReport(family.spec_string(), tuple(rows), ratio_tolerance)
 
 
-def _rows_separated(blocks, gap) -> bool:
-    """Interior test for blocks that fill the face: every coordinate block ends
-    above the gap and has consecutive differences above the gap (the density
-    degenerates at coordinate collisions, so those carry no pointwise limit)."""
-    for block in blocks:
-        if not block or block[-1] < gap:
-            return False
-        if any(block[i] - block[i + 1] < gap for i in range(len(block) - 1)):
-            return False
-    return True
+def _rows_separated(blocks, gap: int, q: int) -> bool:
+    """Interior test for blocks that fill the face, at gap = p n for the fraction p/q:
+    each block ends at an x with q x >= gap and has consecutive differences d with q d >= gap
+    (the density degenerates at coordinate collisions, so those carry no pointwise limit)."""
+    return all(
+        block and q * block[-1] >= gap and all(q * (a - b) >= gap for a, b in zip(block, block[1:]))
+        for block in blocks
+    )
 
 
 # The level measure of a truncated family on its face, as a scale and one value per
@@ -684,9 +672,10 @@ def _gamma_weights(family: GammaShaped, n: int) -> tuple[Fraction, list[tuple[Pa
 
 
 def _embed_hooks(nu: Partition, n: int):
-    """The split-diagonal point, and the Frobenius coordinates as its blocks."""
+    """The split-diagonal point ((2P + 1; 2Q + 1) over 2n), and the Frobenius
+    coordinates as its blocks."""
     fc = nu.frobenius()
-    return embed_frobenius(nu, n), [fc.p, fc.q]
+    return [[2 * p + 1 for p in fc.p], [2 * q + 1 for q in fc.q]], 2 * n, [fc.p, fc.q]
 
 
 def _width2_monomial(e1: int, e2: int) -> Poly:
@@ -713,15 +702,17 @@ class Face:
     accepts: Callable[[Partition], bool]  # lam has a density on the face; if not, ...
     needs: str  # ... the error says the face needs this
     constant: Callable[[Partition], Fraction]
-    density: Callable[..., Fraction]  # (lam, *blocks) -> the density over its constant
+    # (lam, *integer blocks X) -> F(X), the density over its constant at X/Q times Q^degree(lam)
+    density: Callable[..., int | Fraction]
+    degree: Callable[[Partition], int]  # F is homogeneous of this degree
     level_weights: Callable  # (family, n) -> (scale, [(nu, value)]), M_n(nu) = scale * value
     selberg: Callable  # (lam, mus) -> (family, normalized face integral of each mu)
     sweep: tuple[int, ...]  # the Selberg sweep's values of stat(lam), ...
     admits: Callable[[Partition, int], bool]  # ... and each mu != () with an exact route at stat(lam)
     blocks: int = 1
     stat: str = "length"  # a Partition attribute
-    # (nu, n) -> (point, coordinate blocks) of a level-n vertex, here nu's rows scaled by n
-    embed: Callable = lambda nu, n: (embed_rows(nu, n), [nu.parts])
+    # (nu, n) -> (blocks X, level denominator Q, interior-test blocks), nu at X/Q; here nu/n
+    embed: Callable = lambda nu, n: ([nu.parts], n, [nu.parts])
     polynomial: Callable[[Partition], Poly] | None = None  # width-2 density over its constant
 
 
@@ -729,13 +720,15 @@ FACES: dict[str, Face] = {
     "young": Face(
         accepts=lambda lam: lam.length >= 2, needs="length >= 2", constant=young_density_constant,
         # s_lam * V^2 = alternant * V, which also holds at coordinate collisions
-        density=lambda lam, alpha: _alternant(alpha, _plus_staircase(lam, len(alpha))) * _vandermonde(alpha),
+        density=lambda lam, xs: _alternant(xs, _plus_staircase(lam, len(xs))) * _vandermonde(xs),
+        degree=lambda lam: lam.size + lam.length * (lam.length - 1),
         level_weights=_young_weights, selberg=_young_selberg,
         sweep=(2, 3), admits=lambda mu, s: mu.length <= s, polynomial=_young_polynomial,
     ),
     "kingman": Face(
         accepts=lambda lam: lam.length >= 1, needs="a nonempty partition",
-        constant=kingman_density_constant, density=monomial_eval,
+        constant=kingman_density_constant, degree=lambda lam: lam.size,
+        density=lambda lam, xs: _permutation_sum(lam, xs, pow),  # m_lam
         level_weights=_kingman_weights, selberg=_kingman_selberg,
         sweep=(1, 2, 3), admits=lambda mu, s: mu.length <= s,
         # m_lam at (alpha_1, 1 - alpha_1)
@@ -743,13 +736,14 @@ FACES: dict[str, Face] = {
     ),
     "schur": Face(
         accepts=lambda lam: lam.is_strict and lam.length >= 1, needs="a nonempty strict partition",
-        constant=schur_density_constant, density=_schur_density,
+        constant=schur_density_constant, density=_schur_density, degree=lambda lam: lam.size,
         level_weights=_schur_weights, selberg=_schur_selberg,
         sweep=(2, 3), admits=lambda mu, s: mu.is_strict and mu.length == s,
     ),
     "gamma": Face(
         accepts=lambda lam: lam.depth >= 1, needs="depth >= 1",
-        constant=gamma_density_constant, density=_gamma_density,
+        # sum(p) + sum(q) - depth
+        constant=gamma_density_constant, density=_gamma_density, degree=lambda lam: lam.size - 2 * lam.depth,
         level_weights=_gamma_weights, selberg=_gamma_selberg,
         sweep=(1, 2), admits=lambda mu, s: mu.depth == s, blocks=2, stat="depth", embed=_embed_hooks,
     ),

@@ -450,8 +450,8 @@ class TruncSchur(HarmonicFamily):
 # ---------------------------------------------------------------------------
 
 def parse_family(spec: str) -> HarmonicFamily:
-    """Parse compact family strings like 'young-zz:e=3,t=2' or 'schur:t=3'.  An unknown
-    or repeated parameter is a FamilyError."""
+    """Parse compact family strings like 'young-zz:e=3,t=2' or 'schur:t=3'.  An unknown,
+    repeated or malformed parameter is a FamilyError."""
     name, _, body = spec.strip().partition(":")
     name = name.strip().lower()
     kv: dict[str, str] = {}
@@ -464,28 +464,34 @@ def parse_family(spec: str) -> HarmonicFamily:
             if key in kv:
                 raise FamilyError(f"family parameter {key!r} is given twice")
             kv[key] = value.strip()
+
+    def value(key: str, parse=as_rational):
+        text = kv.pop(key)
+        try:
+            return parse(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise FamilyError(f"family parameter {key!r}: malformed value {text!r} ({exc})") from None
+
     try:
         if name == "young-zz":
-            family = YoungZZ(as_rational(kv.pop("e")), as_rational(kv.pop("t")))
+            family = YoungZZ(value("e"), value("t"))
         elif name == "jack":
-            family = JackZZ(
-                as_rational(kv.pop("e")), as_rational(kv.pop("t")), as_rational(kv.pop("theta"))
-            )
+            family = JackZZ(value("e"), value("t"), value("theta"))
         elif name == "kingman":
-            family = KingmanTA(as_rational(kv.pop("t")), as_rational(kv.pop("alpha")))
+            family = KingmanTA(value("t"), value("alpha"))
         elif name == "schur":
-            family = SchurT(as_rational(kv.pop("t")))
+            family = SchurT(value("t"))
         elif name == "trunc-young":
-            family = TruncYoung(Partition.parse(kv.pop("lambda")))
+            family = TruncYoung(value("lambda", Partition.parse))
         elif name == "gamma":
             cap = kv.pop("cap", "8")
             if not cap.isdecimal():
                 raise FamilyError(f"gamma parameter 'cap' must be a positive integer, not {cap!r}")
-            family = GammaShaped.from_partition(Partition.parse(kv.pop("lambda")), int(cap))
+            family = GammaShaped.from_partition(value("lambda", Partition.parse), int(cap))
         elif name == "trunc-kingman":
-            family = TruncKingman(Partition.parse(kv.pop("lambda")))
+            family = TruncKingman(value("lambda", Partition.parse))
         elif name == "trunc-schur":
-            family = TruncSchur(Partition.parse(kv.pop("lambda")))
+            family = TruncSchur(value("lambda", Partition.parse))
         else:
             raise FamilyError(f"unknown family {name!r}")
     except KeyError as exc:

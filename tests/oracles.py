@@ -7,15 +7,18 @@ among them), and the reverse-tableau sums and the bialternant for s and s*,
 kept here so the tests compare the library against an independent
 computation rather than against itself. The mpmath
 conversions are the float layer `exact.round_bits` and
-`exact.format_bigfloat` reproduce in integers, and the convergence loop is
-the one `boundary.convergence_experiment` runs on integers.
+`exact.format_bigfloat` reproduce in integers. The face densities are the
+rational formulas at the point itself, where `boundary` evaluates one
+homogeneous integer form on the point's numerators, and the convergence loop
+is the one `boundary.convergence_experiment` runs on integers, at the points
+`embed_rows` and `embed_frobenius` give.
 """
 
 from fractions import Fraction
 
 import mpmath
 
-from harmgraphs.boundary import FACES, _rows_separated, density_spec
+from harmgraphs.boundary import FACES, embed_frobenius, embed_rows
 from harmgraphs.partitions import reverse_tableaux
 from harmgraphs.series import poly_eval, poly_integral, poly_scale
 
@@ -204,11 +207,52 @@ def mpf_fraction(x: mpmath.mpf) -> Fraction:
     return (-1) ** sign * Fraction(int(man)) * Fraction(2) ** int(exp)
 
 
+def fraction_alternant(x, exponents) -> Fraction:
+    return fraction_det([[Fraction(xi) ** e for e in exponents] for xi in x])
+
+
+def fraction_quotient_pfaffian(x) -> Fraction:
+    out = Fraction(1)
+    for i in range(len(x)):
+        for j in range(i + 1, len(x)):
+            out *= Fraction(x[i] - x[j]) / (x[i] + x[j])
+    return out
+
+
+def fraction_density(graph, lam, point) -> Fraction:
+    """The face density at a rational point, each face formula in Fraction at the
+    point itself: s_lam V^2 as alternant times V (young), m_lam (kingman),
+    alternant times the quotient Pfaffian (schur), and on gamma two alternants
+    times the Cauchy determinant det[1/(a_i + b_j)] by elimination."""
+    constant = FACES[graph].constant(lam)
+    if graph == "young":
+        staircase = [lam.part(i) + len(point) - i for i in range(1, len(point) + 1)]
+        return constant * fraction_alternant(point, staircase) * fraction_vandermonde(point)
+    if graph == "kingman":
+        return constant * fraction_permutation_sum(lam, point, fraction_power)
+    if graph == "schur":
+        return constant * fraction_alternant(point, lam.parts) * fraction_quotient_pfaffian(point)
+    alpha, beta = point
+    fc = lam.frobenius()
+    cauchy = fraction_det([[1 / (Fraction(a) + b) for b in beta] for a in alpha])
+    return constant * fraction_alternant(alpha, fc.p) * fraction_alternant(beta, fc.q) * cauchy
+
+
+def fraction_interior(blocks, gap) -> bool:
+    """Every block nonempty, ending at or above the gap, with consecutive
+    differences at or above it."""
+    return all(
+        block and block[-1] >= gap and all(a - b >= gap for a, b in zip(block, block[1:]))
+        for block in blocks
+    )
+
+
 def fraction_convergence_row(family, n, resolution, interior_fraction):
     """(mass, interior points, max |ratio - 1|, binned distance) at level n, one
-    Fraction operation per term."""
-    face, spec = FACES[family.face], density_spec(family.face, family.lam)
-    l = spec.face_dim
+    Fraction operation per term, each vertex at the point embed_rows or
+    embed_frobenius gives."""
+    face, lam = FACES[family.face], family.lam
+    l = face.blocks * getattr(lam, face.stat)
     scale, values = face.level_weights(family, n)
     weights = [(nu, scale * v) for nu, v in values]
     binned = l == 2 and face.polynomial is not None
@@ -218,17 +262,21 @@ def fraction_convergence_row(family, n, resolution, interior_fraction):
     for nu, w in weights:
         if w == 0:
             continue
-        point, blocks = face.embed(nu, n)
+        if face.blocks == 1:
+            point, blocks = embed_rows(nu, n), [nu.parts]
+        else:
+            fc = nu.frobenius()
+            point, blocks = embed_frobenius(nu, n), [fc.p, fc.q]
         if binned:
             bins[min(int((point[0] - lo) / width), resolution - 1)] += w
-        if sum(map(len, blocks)) == l and _rows_separated(blocks, interior_fraction * n):
-            dens = spec.density(point)
+        if sum(map(len, blocks)) == l and fraction_interior(blocks, interior_fraction * n):
+            dens = fraction_density(family.face, lam, point)
             if dens > 0:
                 max_err = max(max_err, abs(w * n ** (l - 1) / dens - 1))
                 interior += 1
     distance = Fraction(0)
     if binned:
-        anti = poly_integral(poly_scale(face.polynomial(spec.lam), spec.constant))
+        anti = poly_integral(poly_scale(face.polynomial(lam), face.constant(lam)))
         for i in range(resolution):
             exact = poly_eval(anti, lo + (i + 1) * width) - poly_eval(anti, lo + i * width)
             distance += abs(bins[i] - exact)

@@ -17,6 +17,7 @@ from harmgraphs.boundary import (
     simplex_pair_integral,
     young_h_series,
     young_kernel,
+    _quotient_pfaffian,
 )
 from harmgraphs.cli import _selberg_sweep
 from harmgraphs.exact import round_bits
@@ -119,6 +120,13 @@ def test_kingman_density_example():
     spec = density_spec("kingman", P([1, 1]))
     assert spec.constant == 12
     assert spec.density((F(3, 4), F(1, 4))) == 12 * F(3, 16)
+
+
+def test_quotient_pfaffian_is_exact_on_integers():
+    # (3 - 2)/(3 + 2) * (3 - 1)/(3 + 1) * (2 - 1)/(2 + 1)
+    for values, expected in [([], F(1)), ([3, 1], F(1, 2)), ([3, 2, 1], F(1, 30))]:
+        got = _quotient_pfaffian(values)
+        assert type(got) is F and got == expected
 
 
 def test_schur_density_collision_rejected():

@@ -326,6 +326,13 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys):
         (("phi", "--family", "schur:t=2,t=3", "--mu", "1"), "family parameter 't' is given twice"),
         (("phi", "--family", "gamma:lambda=2+1,cap=x", "--mu", "1"),
          "gamma parameter 'cap' must be a positive integer, not 'x'"),
+        # a malformed family value names its key
+        (("phi", "--family", "jack:e=1,t=1,theta=1/0", "--mu", "1"),
+         "family parameter 'theta': malformed value '1/0'"),
+        (("phi", "--family", "young-zz:e=x,t=2", "--mu", "1"),
+         "family parameter 'e': malformed value 'x'"),
+        (("phi", "--family", "trunc-young:lambda=2+x", "--mu", "1"),
+         "family parameter 'lambda': malformed value '2+x'"),
     ],
     ids=["pfaffian-size-1", "converge-negative-n", "converge-zero-n", "converge-zero-in-list",
          "converge-untruncated", "pieri-negative-size", "pieri-no-points", "kernels-zero-levels",
@@ -339,7 +346,8 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys):
          "phi-increasing-mu", "density-kingman-empty-lambda", "density-schur-empty-lambda",
          "integral-verify-kingman-above-cap", "density-malformed-at", "density-zero-denominator",
          "converge-malformed-n", "converge-malformed-interior", "family-unknown-key",
-         "family-key-of-another-family", "family-repeated-key", "family-malformed-cap"],
+         "family-key-of-another-family", "family-repeated-key", "family-malformed-cap",
+         "family-zero-denominator", "family-malformed-rational", "family-malformed-partition"],
 )
 def test_out_of_domain_arguments_are_usage_errors(capsys, argv, message):
     code, out, err = run(capsys, *argv)

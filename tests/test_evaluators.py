@@ -5,7 +5,8 @@ denominator; each is checked here against the one-operation-per-term
 `Fraction` route and, for s and s*, the reverse-tableau sum, at random
 rational points with mixed denominators and zero, negative and repeated
 coordinates.  The face densities at the embedded points nu/n are checked
-against s_lam V^2 and m_lam in Fraction.
+against s_lam V^2 and m_lam in Fraction, and on all four faces against the
+rational face formulas of the oracle.
 """
 
 from fractions import Fraction as F
@@ -13,7 +14,7 @@ from fractions import Fraction as F
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from harmgraphs.boundary import ThomaPoint, density_spec, kingman_kernel
+from harmgraphs.boundary import ThomaPoint, density_spec, density_value, kingman_kernel
 from harmgraphs.harmonic import GammaShaped
 from harmgraphs.interp import (
     H_STAR,
@@ -28,6 +29,7 @@ from harmgraphs.interp import (
 )
 from harmgraphs.partitions import Partition, partitions_of
 from oracles import (
+    fraction_density,
     fraction_falling,
     fraction_h_star_values,
     fraction_jacobi_trudi,
@@ -181,6 +183,47 @@ def test_kingman_face_density_is_m_lambda(lam, data):
     alpha = data.draw(st.one_of(embedded_points(lam.length), points(lam.length, lam.length)))
     expected = spec.constant * fraction_permutation_sum(lam, alpha, fraction_power)
     assert spec.density(alpha) == expected
+
+
+FACE_LAMBDAS = {
+    "young": [P([1, 1]), P([2, 1]), P([3, 2]), P([2, 1, 1]), P([3, 2, 1])],
+    "kingman": [P([1]), P([2, 1]), P([2, 2]), P([3, 1, 1])],
+    "schur": [P([1]), P([2, 1]), P([3, 1]), P([4, 2, 1])],
+    "gamma": [P([1]), P([2, 1]), P([3, 1, 1]), P([3, 2]), P([3, 3, 2])],  # depth 1 or 2
+}
+
+
+def over(denominators):
+    return st.builds(F, st.integers(1, 24), st.sampled_from(denominators))
+
+
+@st.composite
+def face_cases(draw):
+    """(graph, lam, point): any coordinates on the young and kingman faces; distinct
+    positive ones on the schur face (its Pfaffian form rejects collisions); on the
+    gamma face, positive alpha and beta over disjoint sets of denominators."""
+    graph = draw(st.sampled_from(sorted(FACE_LAMBDAS)))
+    lam = draw(st.sampled_from(FACE_LAMBDAS[graph]))
+    if graph == "gamma":
+        d = lam.depth
+        alpha = draw(st.lists(over([2, 4, 8]), min_size=d, max_size=d))
+        point = tuple(alpha), tuple(draw(st.lists(over([3, 5, 7, 9]), min_size=d, max_size=d)))
+    elif graph == "schur":
+        point = tuple(draw(st.lists(over([1, 2, 3, 5, 12]), min_size=lam.length, max_size=lam.length,
+                                    unique=True)))
+    else:
+        point = draw(points(lam.length, lam.length))
+    return graph, lam, point
+
+
+@PROPERTY
+@given(face_cases())
+@example(("gamma", P([3, 2]), ((F(3, 4), F(1, 8)), (F(2, 5), F(1, 15)))))
+@example(("schur", P([4, 2, 1]), (F(1, 2), F(1, 3), F(1, 12))))
+def test_density_value_matches_the_fraction_formulas(case):
+    # the integer form over Q^degree against the face formula in Fraction at the point
+    graph, lam, point = case
+    assert density_value(density_spec(graph, lam), point) == fraction_density(graph, lam, point)
 
 
 @st.composite
