@@ -47,7 +47,7 @@ from .harmonic import (
     TruncYoung,
     level_measure,
 )
-from .interp import _distinct_perms, _permutation_sum, _vandermonde, jacobi_trudi
+from .interp import _permutation_sum, jacobi_trudi
 from .partitions import Partition
 from .series import (
     Poly,
@@ -64,7 +64,7 @@ from .series import (
 
 
 # ---------------------------------------------------------------------------
-# boundary points and embeddings
+# boundary points
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -92,42 +92,9 @@ class ThomaPoint:
         return 1 - sum(self.alpha, Fraction(0)) - sum(self.beta, Fraction(0))
 
 
-def embed_rows(nu: Partition, n: int) -> tuple[Fraction, ...]:
-    """Row-scaling embedding of a level-n vertex: coordinates nu_i / n."""
-    if nu.size != n or n < 1:
-        raise ValueError("need |nu| = n >= 1")
-    return tuple(Fraction(p, n) for p in nu.parts)
-
-
-def embed_frobenius(nu: Partition, n: int) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    """Split-diagonal embedding: ((P_i + 1/2)/n ; (Q_i + 1/2)/n)."""
-    if nu.size != n or n < 1:
-        raise ValueError("need |nu| = n >= 1")
-    fc = nu.frobenius()
-    half = Fraction(1, 2)
-    return (
-        tuple((p + half) / n for p in fc.p),
-        tuple((q + half) / n for q in fc.q),
-    )
-
-
 # ---------------------------------------------------------------------------
 # exact simplex integration
 # ---------------------------------------------------------------------------
-
-def dirichlet_integral(kappas) -> Fraction:
-    """Ordered-simplex Dirichlet value (1/l!)*prod((k_i-1)!)/(sum(k)-1)!.
-
-    Valid termwise for symmetric integrands expanded into monomials.
-    """
-    ks = [int(k) for k in kappas]
-    if any(k < 1 for k in ks):
-        raise ValueError("parameters must be >= 1")
-    num = 1
-    for k in ks:
-        num *= factorial(k - 1)
-    return Fraction(num, factorial(len(ks)) * factorial(sum(ks) - 1))
-
 
 def simplex_monomial_integral(exponents) -> Fraction:
     """Unordered-simplex integral of a monomial over sum(x) = 1."""
@@ -180,6 +147,12 @@ def young_density_constant(lam: Partition) -> Fraction:
         factorial(lam.size + l * l - 1),
         _factorial_det(_plus_staircase(lam, l), _plus_staircase(Partition(), l)),
     )
+
+
+def _vandermonde(values) -> int:
+    """prod_{i<j} (v_i - v_j) on integers."""
+    n = len(values)
+    return prod(values[i] - values[j] for i in range(n) for j in range(i + 1, n))
 
 
 def _alternant(xs, exponents) -> int:
@@ -411,7 +384,7 @@ def _young_selberg(lam: Partition, mus: list[Partition]):
 def _kingman_selberg(lam: Partition, mus: list[Partition]):
     l = lam.length
     _check_cap(l)
-    arrangements = list(_distinct_perms(lam.parts))
+    arrangements = set(permutations(lam.parts))
 
     def integral(mu: Partition) -> Fraction:
         mu_pad = mu.parts + (0,) * (l - mu.length)
@@ -650,7 +623,7 @@ def _kingman_weights(family: TruncKingman, n: int) -> tuple[Fraction, list[tuple
     lam, values = family.lam, []
     for nu in level(n, family.kind, max_length=family.width):
         padded = nu.parts + (0,) * (lam.length - nu.length)
-        arranged = (zip(lam.parts, e) for e in _distinct_perms(padded))
+        arranged = (zip(lam.parts, e) for e in set(permutations(padded)))
         values.append((nu, sum(prod(comb(p + e, p) for p, e in pairs) for pairs in arranged)))
     return _level_constant(family, n), values
 
@@ -732,7 +705,7 @@ FACES: dict[str, Face] = {
         level_weights=_kingman_weights, selberg=_kingman_selberg,
         sweep=(1, 2, 3), admits=lambda mu, s: mu.length <= s,
         # m_lam at (alpha_1, 1 - alpha_1)
-        polynomial=lambda lam: reduce(poly_add, (_width2_monomial(*e) for e in _distinct_perms(lam.parts))),
+        polynomial=lambda lam: reduce(poly_add, (_width2_monomial(*e) for e in set(permutations(lam.parts)))),
     ),
     "schur": Face(
         accepts=lambda lam: lam.is_strict and lam.length >= 1, needs="a nonempty strict partition",

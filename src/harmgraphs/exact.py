@@ -4,7 +4,7 @@ Everything downstream (partitions, graphs, interpolation polynomials,
 harmonic families, boundary integrals) reduces to arithmetic over Q.
 This module holds the shared primitives: rational parsing/formatting, a
 rational point as integer numerators over one denominator (`integer_point`),
-Pochhammer and falling-factorial products, exact dense linear algebra (one
+Pochhammer products, exact dense linear algebra (one
 determinant algorithm, fraction-free Bareiss elimination on integers; one
 Pfaffian algorithm, fraction-free skew elimination on integers; linear solve
 and inverse over `fractions.Fraction`), and the binary floats of the
@@ -78,19 +78,6 @@ def pochhammer(t, n: int) -> Fraction:
     t = as_rational(t)
     p, q = t.numerator, t.denominator
     return Fraction(prod(range(p, p + n * q, q)), q**n)
-
-
-def falling_factorial(a, k: int) -> Fraction:
-    """Falling factorial a (a-1) ... (a-k+1), with the empty product 1.
-
-    For a = p/q this is the integer product of p - jq over j < k, divided
-    by q^k once.
-    """
-    if k < 0:
-        raise ValueError("falling_factorial needs k >= 0")
-    a = as_rational(a)
-    p, q = a.numerator, a.denominator
-    return Fraction(prod(range(p, p - k * q, -q)), q**k)
 
 
 # ---------------------------------------------------------------------------

@@ -80,13 +80,6 @@ def covers_up(mu: Partition, kind: GraphKind) -> list[Partition]:
     return mu.up_covers(strict=kind.strict)
 
 
-def covers_down(lam: Partition, kind: GraphKind) -> list[Partition]:
-    """All one-box-smaller vertices of the graph, decreasing lexicographic."""
-    if kind.strict and not lam.is_strict:
-        raise ValueError("schur graph vertices must be strict partitions")
-    return lam.down_covers(strict=kind.strict)
-
-
 def level(n: int, kind: GraphKind, max_length: int | None = None) -> list[Partition]:
     """All vertices of size n, optionally truncated by length."""
     return partitions_of(n, max_length=max_length, strict=kind.strict)

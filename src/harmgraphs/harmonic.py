@@ -19,7 +19,6 @@ from .exact import as_rational, pochhammer
 from .graphs import GraphKind, KINGMAN, SCHUR, YOUNG, jack, level, sweep, top_level
 from .interp import (
     FunctionalSpec,
-    _shifted_schur_det,
     factorial_monomial_eval,
     jacobi_trudi_det,
     pstar_closed_form,
@@ -27,6 +26,7 @@ from .interp import (
     pstar_pfaffian,
     pstar_two_row_table,
     shifted_columns,
+    shifted_schur_eval,
     super_evaluation_functional,
     young_zz_closed_form,
 )
@@ -279,9 +279,9 @@ class TruncYoung(HarmonicFamily):
         return tuple(Fraction(-self.lam.part(i) - 2 * (l - i) - 1) for i in range(1, l + 1))
 
     def value(self, mu: Partition) -> Fraction:
-        """s*_mu at the point by the bialternant, whose shifted coordinates
-        -lam_i - (l - i) - 1 are distinct; phi is (-1)^|mu| value / (t)_|mu|."""
-        return _shifted_schur_det(mu, self.point())
+        """s*_mu at the point by the shifted Jacobi-Trudi determinant, the one s*
+        route; phi is (-1)^|mu| value / (t)_|mu|."""
+        return shifted_schur_eval(mu, self.point())
 
     def phi(self, mu: Partition) -> Fraction:
         if mu.length > self.width:

@@ -7,9 +7,11 @@ factorial monomial (Kingman side) and factorial Schur P (strict side):
 * Schur and shifted Schur: one Jacobi-Trudi determinant in the one-row
   values, at a point or under a multiplicative functional; the one-row
   generators h* by a running tableau sum, the product-form ones by one
-  O(count) recurrence per factor.  The falling-factorial bialternant, one
-  integer determinant wherever the shifted coordinates are distinct, serves
-  diagram points and, with the reverse-tableau sums, is a test oracle;
+  O(count) recurrence per factor.  The determinant is one integer
+  determinant when its entries are integer numerators, and it serves every
+  s* value: diagram points, the reflected points of the truncated Young
+  family and the functionals.  The falling-factorial bialternant and the
+  reverse-tableau sums are test oracles;
 * monomial and factorial monomial: one pass over the coordinates;
 * factorial Schur P: one-row series -> two-row table -> Pfaffian.  The
   one-row list and the table depend only on the source, so a caller that
@@ -80,6 +82,8 @@ def jacobi_trudi_det(mu: Partition, columns: Sequence[Sequence], scale: int = 1)
     m = mu.length
     at = lambda j, k: columns[j][k] if k >= 0 else 0
     rows = [[at(j, mu.part(i + 1) - i + j) for j in range(m)] for i in range(m)]
+    if all(type(v) is int for row in rows for v in row):
+        return Fraction(integer_det(rows), scale**mu.size)
     return det(RationalMatrix(rows)) / scale**mu.size
 
 
@@ -106,25 +110,6 @@ def schur_eval(mu: Partition, x) -> Fraction:
         for k in range(1, len(h)):
             h[k] += xi * h[k - 1]
     return jacobi_trudi(mu, h, scale=q)
-
-
-def _vandermonde(values: Sequence) -> Fraction | int:
-    """prod_{i<j} (v_i - v_j); an integer when every v_i is one."""
-    n = len(values)
-    return prod(values[i] - values[j] for i in range(n) for j in range(i + 1, n))
-
-
-def _distinct_perms(pool: tuple[int, ...]):
-    if not pool:
-        yield ()
-        return
-    seen = set()
-    for i, v in enumerate(pool):
-        if v in seen:
-            continue
-        seen.add(v)
-        for rest in _distinct_perms(pool[:i] + pool[i + 1 :]):
-            yield (v,) + rest
 
 
 def monomial_eval(mu: Partition, x) -> Fraction:
@@ -187,32 +172,9 @@ def shifted_schur_eval(mu: Partition, x) -> Fraction:
     return jacobi_trudi(mu, [1] + _h_star_numerators(xs, q, mu.size), shifted=True, scale=q)
 
 
-def _shifted_schur_det(mu: Partition, x: Point) -> Fraction:
-    """The falling-factorial bialternant; needs x_i + (k - i) pairwise distinct.
-
-    With Q the common denominator of x, the shifted coordinates are A_i / Q
-    for integers A_i.  Column j of the numerator is an integer column over
-    Q^(m_j), m_j = mu_j + k - j, and the Vandermonde an integer over
-    Q^(k(k-1)/2), so the value is one integer determinant over V(A) Q^|mu|.
-    """
-    k = len(x)
-    if mu.length > k:
-        return Fraction(0)
-    xs, q = integer_point(x)
-    shifted = [a + (k - 1 - i) * q for i, a in enumerate(xs)]
-    # falling factorials are monic, so det[(a_i) falling (k-1-j)] is the Vandermonde product
-    denom = _vandermonde(shifted)
-    if denom == 0:
-        raise SingularMatrixError("shifted coordinates collide; bialternant denominator vanishes")
-    exponents = [mu.part(j + 1) + (k - 1 - j) for j in range(k)]
-    rows = [[prod(range(a, a - m * q, -q)) for m in exponents] for a in shifted]
-    return Fraction(integer_det(rows), denom * q**mu.size)
-
-
 def shifted_schur_at_diagram(mu: Partition, lam: Partition) -> Fraction:
     """s*_mu evaluated at the coordinate sequence of a diagram."""
-    length = max(1, lam.length, mu.length)
-    return _shifted_schur_det(mu, diagram_point(lam, length))
+    return shifted_schur_eval(mu, diagram_point(lam, max(1, lam.length, mu.length)))
 
 
 # ---------------------------------------------------------------------------
@@ -258,12 +220,6 @@ def _h_star_numerators(xs: Sequence[int], q: int, count: int) -> list[int]:
             ending[t] = (xs[t] - j * q) * tail
         values.append(sum(ending))
     return values
-
-
-def h_star_eval(m: int, x) -> Fraction:
-    if m == 0:
-        return Fraction(1)
-    return h_star_values(x, m)[m - 1]
 
 
 def super_h_star_values(xs, ys, count: int) -> list[Fraction]:
@@ -337,29 +293,6 @@ class FunctionalSpec:
         return self.values[m - 1]
 
 
-def young_zz_functional(e, t, cap: int) -> FunctionalSpec:
-    """The two-parameter multiplicative functional on the shifted algebra.
-
-    Parameters enter through the symmetric combinations e = z + z' and
-    t = z z'; the m-th generator value is (-1)^m / m! times the product
-    of (t + c e + c^2) over c = 0..m-1.
-    """
-    e = as_rational(e)
-    t = as_rational(t)
-    vals = []
-    prod = Fraction(1)
-    for m in range(1, cap + 1):
-        c = m - 1
-        prod *= t + c * e + c * c
-        vals.append(prod * (-1) ** m / factorial(m))
-    return FunctionalSpec(H_STAR, tuple(vals))
-
-
-def evaluation_functional(x, cap: int) -> FunctionalSpec:
-    """Evaluation at a point, packaged as h*-generator values."""
-    return FunctionalSpec(H_STAR, tuple(h_star_values(x, cap)))
-
-
 def super_evaluation_functional(xs, ys, cap: int) -> FunctionalSpec:
     return FunctionalSpec(H_STAR, tuple(super_h_star_values(xs, ys, cap)))
 
@@ -379,13 +312,6 @@ def schur_t_functional(t, cap: int) -> FunctionalSpec:
         prod *= 2 * t + c * (c + 1)
         vals.append(prod * (-1) ** m / (2 * factorial(m)))
     return FunctionalSpec(P_STAR, tuple(vals))
-
-
-def functional_on_shifted_schur(mu: Partition, spec: FunctionalSpec) -> Fraction:
-    """pi(s*_mu): the shifted Jacobi-Trudi determinant in pi's generator values."""
-    if spec.family != H_STAR:
-        raise ValueError("shifted Schur values need an h-star functional")
-    return jacobi_trudi(mu, [spec.g(m) for m in range(mu.size + 1)], shifted=True)
 
 
 # ---------------------------------------------------------------------------

@@ -306,39 +306,3 @@ def partitions_up_to(n: int, strict: bool = False) -> list[Partition]:
     for m in range(n + 1):
         out.extend(partitions_of(m, strict=strict))
     return out
-
-
-def reverse_tableaux(mu: Partition, k: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Fillings of mu with entries in {1..k} decreasing weakly along rows
-    and strictly down columns, emitted as row tuples."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    shape = mu.parts
-    if not shape:
-        yield ()
-        return
-
-    rows: list[list[int]] = [[] for _ in shape]
-
-    def fill(cell: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-        if cell == mu.size:
-            yield tuple(tuple(r) for r in rows)
-            return
-        # row-major position of the next cell
-        i = 0
-        consumed = cell
-        while consumed >= shape[i]:
-            consumed -= shape[i]
-            i += 1
-        j = consumed
-        hi = k
-        if j > 0:
-            hi = min(hi, rows[i][j - 1])
-        if i > 0:
-            hi = min(hi, rows[i - 1][j] - 1)
-        for v in range(hi, 0, -1):
-            rows[i].append(v)
-            yield from fill(cell + 1)
-            rows[i].pop()
-
-    yield from fill(0)

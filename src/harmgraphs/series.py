@@ -4,28 +4,18 @@ The generating series used by the interpolation machinery live in the
 inverse falling-factorial basis 1/(u(u-1)...(u-m+1)).  Their sources are
 explicit rational functions of u, so coefficients are extracted exactly
 by algebraic expansion (multiply by u, read off the value at infinity,
-shift u -> u+1, repeat).  A sampling-based extraction at integer points
-is kept as an independent cross-check; it is only valid when the
-coefficient sequence terminates, which holds for evaluations at diagrams.
+shift u -> u+1, repeat).  The sampling-based extraction at integer points
+is a test oracle.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
-from .exact import (
-    RationalMatrix,
-    as_rational,
-    falling_factorial,
-    solve_linear,
-)
+from .exact import as_rational
 
 Poly = list[Fraction]  # coefficients, index = power of u
-
-
-class SeriesPoleError(ValueError):
-    """A sample point hit a pole and no valid shifted window exists."""
 
 
 # ---------------------------------------------------------------------------
@@ -153,60 +143,3 @@ def factorial_series_from_rational(num: Sequence[Fraction], den: Sequence[Fracti
         rem = poly_shift(poly_sub(u_rem, poly_scale(den, g)), 1)
         den = poly_shift(den, 1)
     return coeffs
-
-
-def evaluate_factorial_series(coeffs: Sequence[Fraction], u) -> Fraction:
-    """1 + sum g_m/(u falling m) for a finite coefficient list."""
-    u = as_rational(u)
-    out = Fraction(1)
-    basis = Fraction(1)
-    for m, g in enumerate(coeffs, start=1):
-        basis *= u - (m - 1)
-        if basis == 0:
-            if any(c != 0 for c in coeffs[m - 1 :]):
-                raise ZeroDivisionError("series hit a vanishing basis element")
-            break
-        out += g / basis
-    return out
-
-
-def extract_series_coeffs(
-    values: Callable[[int], Fraction],
-    degree: int,
-    poles: Iterable[int] = (),
-    truncation: int | None = None,
-) -> list[Fraction]:
-    """Recover g_1..g_degree of 1 + sum g_m/(u falling m) from samples.
-
-    Samples at u = 1..degree give a triangular system because the basis
-    elements with m > u vanish there.  That shortcut is valid only when
-    the sampled function *is* the finite sum, i.e. the coefficients
-    terminate; `truncation` states the last possibly-nonzero index.
-    When a pole sits in the triangular window the window shifts past
-    max(pole, truncation) and the square system is solved exactly.
-    """
-    pole_set = {int(p) for p in poles}
-    if degree < 0:
-        raise ValueError("degree must be >= 0")
-    if degree == 0:
-        return []
-    if not (pole_set & set(range(1, degree + 1))):
-        coeffs: list[Fraction] = []
-        for n in range(1, degree + 1):
-            rhs = as_rational(values(n)) - 1
-            for m, g in enumerate(coeffs, start=1):
-                rhs -= g / falling_factorial(n, m)
-            coeffs.append(rhs * falling_factorial(n, n))
-        return coeffs
-    if truncation is None:
-        raise SeriesPoleError(
-            "pole at an integer sample and no truncation bound; cannot shift the window"
-        )
-    top = max(truncation, 1)
-    start = max(max(pole_set, default=0) + 1, top, degree + 1)
-    samples = list(range(start, start + top))
-    rows = [[Fraction(1) / falling_factorial(n, m) for m in range(1, top + 1)] for n in samples]
-    rhs = [as_rational(values(n)) - 1 for n in samples]
-    sol = solve_linear(RationalMatrix(rows), rhs)
-    sol += [Fraction(0)] * max(0, degree - top)
-    return sol[:degree]

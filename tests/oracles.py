@@ -1,11 +1,15 @@
-"""Reference routes in plain `Fraction` arithmetic, one operation per term.
+"""Reference routes, kept here so the tests compare the library against an
+independent computation rather than against itself.
 
 The library evaluates on integer numerators over one common denominator and
-takes every determinant and Pfaffian by fraction-free elimination. These are
-the straightforward routes it replaced (the Pfaffian's first-row expansion
-among them), and the reverse-tableau sums and the bialternant for s and s*,
-kept here so the tests compare the library against an independent
-computation rather than against itself. The mpmath
+takes every determinant and Pfaffian by fraction-free elimination. Most routes
+here are the straightforward ones it replaced, in plain `Fraction` arithmetic
+with one operation per term (the Pfaffian's first-row expansion among them).
+The reverse-tableau sums and the bialternants for s and s* are the other
+classical formulas for the values the library takes by Jacobi-Trudi. The
+sampling extraction of factorial-series coefficients cross-checks the
+algebraic one, and the functionals packaged as h* values drive the shifted
+Jacobi-Trudi determinant and the generator-basis engine. The mpmath
 conversions are the float layer `exact.round_bits` and
 `exact.format_bigfloat` reproduce in integers. The face densities are the
 rational formulas at the point itself, where `boundary` evaluates one
@@ -15,12 +19,34 @@ is the one `boundary.convergence_experiment` runs on integers, at the points
 """
 
 from fractions import Fraction
+from math import factorial, prod
 
 import mpmath
 
-from harmgraphs.boundary import FACES, embed_frobenius, embed_rows
-from harmgraphs.partitions import reverse_tableaux
+from harmgraphs.boundary import FACES
+from harmgraphs.exact import (
+    RationalMatrix,
+    SingularMatrixError,
+    as_rational,
+    integer_det,
+    integer_point,
+    solve_linear,
+)
+from harmgraphs.interp import H_STAR, FunctionalSpec, h_star_values, jacobi_trudi
 from harmgraphs.series import poly_eval, poly_integral, poly_scale
+
+
+def falling_factorial(a, k: int) -> Fraction:
+    """Falling factorial a (a-1) ... (a-k+1), with the empty product 1.
+
+    For a = p/q this is the integer product of p - jq over j < k, divided
+    by q^k once.
+    """
+    if k < 0:
+        raise ValueError("falling_factorial needs k >= 0")
+    a = as_rational(a)
+    p, q = a.numerator, a.denominator
+    return Fraction(prod(range(p, p - k * q, -q)), q**k)
 
 
 def fraction_det(rows) -> Fraction:
@@ -147,6 +173,42 @@ def fraction_vandermonde(x) -> Fraction:
     return out
 
 
+def reverse_tableaux(mu, k: int):
+    """Fillings of mu with entries in {1..k} decreasing weakly along rows
+    and strictly down columns, emitted as row tuples."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    shape = mu.parts
+    if not shape:
+        yield ()
+        return
+
+    rows: list[list[int]] = [[] for _ in shape]
+
+    def fill(cell: int):
+        if cell == mu.size:
+            yield tuple(tuple(r) for r in rows)
+            return
+        # row-major position of the next cell
+        i = 0
+        consumed = cell
+        while consumed >= shape[i]:
+            consumed -= shape[i]
+            i += 1
+        j = consumed
+        hi = k
+        if j > 0:
+            hi = min(hi, rows[i][j - 1])
+        if i > 0:
+            hi = min(hi, rows[i - 1][j] - 1)
+        for v in range(hi, 0, -1):
+            rows[i].append(v)
+            yield from fill(cell + 1)
+            rows[i].pop()
+
+    yield from fill(0)
+
+
 def schur_tableau(mu, x) -> Fraction:
     """s_mu(x) as the sum over reverse tableaux with entries <= len(x)."""
     total = Fraction(0)
@@ -176,6 +238,160 @@ def schur_bialternant(mu, x) -> Fraction:
         raise ValueError("bialternant route needs pairwise-distinct coordinates")
     rows = [[Fraction(x[i]) ** (mu.part(j + 1) + (k - 1 - j)) for j in range(k)] for i in range(k)]
     return fraction_det(rows) / fraction_vandermonde(x)
+
+
+def shifted_schur_bialternant(mu, x) -> Fraction:
+    """s*_mu(x) as the falling-factorial bialternant; needs x_i + (k - i) pairwise distinct.
+
+    With Q the common denominator of x, the shifted coordinates are A_i / Q
+    for integers A_i.  Column j of the numerator is an integer column over
+    Q^(m_j), m_j = mu_j + k - j, and the Vandermonde an integer over
+    Q^(k(k-1)/2), so the value is one integer determinant over V(A) Q^|mu|.
+    """
+    k = len(x)
+    if mu.length > k:
+        return Fraction(0)
+    xs, q = integer_point(x)
+    shifted = [a + (k - 1 - i) * q for i, a in enumerate(xs)]
+    # falling factorials are monic, so det[(a_i) falling (k-1-j)] is the Vandermonde product
+    denom = prod(a - b for i, a in enumerate(shifted) for b in shifted[i + 1 :])
+    if denom == 0:
+        raise SingularMatrixError("shifted coordinates collide; bialternant denominator vanishes")
+    exponents = [mu.part(j + 1) + (k - 1 - j) for j in range(k)]
+    rows = [[prod(range(a, a - m * q, -q)) for m in exponents] for a in shifted]
+    return Fraction(integer_det(rows), denom * q**mu.size)
+
+
+def h_star_eval(m: int, x) -> Fraction:
+    if m == 0:
+        return Fraction(1)
+    return h_star_values(x, m)[m - 1]
+
+
+def young_zz_functional(e, t, cap: int) -> FunctionalSpec:
+    """The two-parameter multiplicative functional on the shifted algebra.
+
+    Parameters enter through the symmetric combinations e = z + z' and
+    t = z z'; the m-th generator value is (-1)^m / m! times the product
+    of (t + c e + c^2) over c = 0..m-1.
+    """
+    e = as_rational(e)
+    t = as_rational(t)
+    vals = []
+    value = Fraction(1)
+    for m in range(1, cap + 1):
+        c = m - 1
+        value *= t + c * e + c * c
+        vals.append(value * (-1) ** m / factorial(m))
+    return FunctionalSpec(H_STAR, tuple(vals))
+
+
+def evaluation_functional(x, cap: int) -> FunctionalSpec:
+    """Evaluation at a point, packaged as h*-generator values."""
+    return FunctionalSpec(H_STAR, tuple(h_star_values(x, cap)))
+
+
+def functional_on_shifted_schur(mu, spec: FunctionalSpec) -> Fraction:
+    """pi(s*_mu): the library's shifted Jacobi-Trudi determinant in pi's generator values."""
+    if spec.family != H_STAR:
+        raise ValueError("shifted Schur values need an h-star functional")
+    return jacobi_trudi(mu, [spec.g(m) for m in range(mu.size + 1)], shifted=True)
+
+
+class SeriesPoleError(ValueError):
+    """A sample point hit a pole and no valid shifted window exists."""
+
+
+def evaluate_factorial_series(coeffs, u) -> Fraction:
+    """1 + sum g_m/(u falling m) for a finite coefficient list."""
+    u = as_rational(u)
+    out = Fraction(1)
+    basis = Fraction(1)
+    for m, g in enumerate(coeffs, start=1):
+        basis *= u - (m - 1)
+        if basis == 0:
+            if any(c != 0 for c in coeffs[m - 1 :]):
+                raise ZeroDivisionError("series hit a vanishing basis element")
+            break
+        out += g / basis
+    return out
+
+
+def extract_series_coeffs(values, degree: int, poles=(), truncation=None) -> list[Fraction]:
+    """Recover g_1..g_degree of 1 + sum g_m/(u falling m) from samples.
+
+    Samples at u = 1..degree give a triangular system because the basis
+    elements with m > u vanish there.  That shortcut is valid only when
+    the sampled function *is* the finite sum, i.e. the coefficients
+    terminate; `truncation` states the last possibly-nonzero index.
+    When a pole sits in the triangular window the window shifts past
+    max(pole, truncation) and the square system is solved exactly.
+    """
+    pole_set = {int(p) for p in poles}
+    if degree < 0:
+        raise ValueError("degree must be >= 0")
+    if degree == 0:
+        return []
+    if not (pole_set & set(range(1, degree + 1))):
+        coeffs: list[Fraction] = []
+        for n in range(1, degree + 1):
+            rhs = as_rational(values(n)) - 1
+            for m, g in enumerate(coeffs, start=1):
+                rhs -= g / falling_factorial(n, m)
+            coeffs.append(rhs * falling_factorial(n, n))
+        return coeffs
+    if truncation is None:
+        raise SeriesPoleError(
+            "pole at an integer sample and no truncation bound; cannot shift the window"
+        )
+    top = max(truncation, 1)
+    start = max(max(pole_set, default=0) + 1, top, degree + 1)
+    samples = list(range(start, start + top))
+    rows = [[Fraction(1) / falling_factorial(n, m) for m in range(1, top + 1)] for n in samples]
+    rhs = [as_rational(values(n)) - 1 for n in samples]
+    sol = solve_linear(RationalMatrix(rows), rhs)
+    sol += [Fraction(0)] * max(0, degree - top)
+    return sol[:degree]
+
+
+def covers_down(lam, kind):
+    """All one-box-smaller vertices of the graph, decreasing lexicographic."""
+    if kind.strict and not lam.is_strict:
+        raise ValueError("schur graph vertices must be strict partitions")
+    return lam.down_covers(strict=kind.strict)
+
+
+def embed_rows(nu, n: int) -> tuple[Fraction, ...]:
+    """Row-scaling embedding of a level-n vertex: coordinates nu_i / n."""
+    if nu.size != n or n < 1:
+        raise ValueError("need |nu| = n >= 1")
+    return tuple(Fraction(p, n) for p in nu.parts)
+
+
+def embed_frobenius(nu, n: int) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """Split-diagonal embedding: ((P_i + 1/2)/n ; (Q_i + 1/2)/n)."""
+    if nu.size != n or n < 1:
+        raise ValueError("need |nu| = n >= 1")
+    fc = nu.frobenius()
+    half = Fraction(1, 2)
+    return (
+        tuple((p + half) / n for p in fc.p),
+        tuple((q + half) / n for q in fc.q),
+    )
+
+
+def dirichlet_integral(kappas) -> Fraction:
+    """Ordered-simplex Dirichlet value (1/l!)*prod((k_i-1)!)/(sum(k)-1)!.
+
+    Valid termwise for symmetric integrands expanded into monomials.
+    """
+    ks = [int(k) for k in kappas]
+    if any(k < 1 for k in ks):
+        raise ValueError("parameters must be >= 1")
+    num = 1
+    for k in ks:
+        num *= factorial(k - 1)
+    return Fraction(num, factorial(len(ks)) * factorial(sum(ks) - 1))
 
 
 def to_bigfloat(value, precision: int) -> mpmath.mpf:

@@ -7,9 +7,6 @@ from harmgraphs.boundary import (
     ThomaPoint,
     convergence_experiment,
     density_spec,
-    dirichlet_integral,
-    embed_frobenius,
-    embed_rows,
     kingman_kernel,
     selberg_rows,
     selberg_verify,
@@ -25,7 +22,7 @@ from harmgraphs.graphs import KINGMAN, YOUNG, covers_up, edge_multiplicity
 from harmgraphs.harmonic import GammaShaped, TruncKingman, TruncSchur, TruncYoung
 from harmgraphs.interp import jacobi_trudi
 from harmgraphs.partitions import Partition, partitions_of, partitions_up_to
-from oracles import fraction_convergence_row
+from oracles import dirichlet_integral, embed_frobenius, embed_rows, fraction_convergence_row
 
 P = Partition
 
@@ -385,22 +382,23 @@ def test_convergence_trunc_kingman():
 
 
 @pytest.mark.parametrize(
-    "family,ns",
+    "family,ns,gap",
     [
-        (TruncYoung(P([2, 1])), [4, 30]),
-        (TruncYoung(P([3, 2, 1])), [24]),
-        (TruncKingman(P([2, 1])), [40, 41]),
-        (TruncKingman(P([2, 1, 1])), [30]),
-        (TruncSchur(P([3, 1])), [20]),
-        (GammaShaped.from_partition(P([2, 1])), [5, 7]),
+        (TruncYoung(P([2, 1])), [4, 30], F(1, 5)),
+        (TruncYoung(P([3, 2, 1])), [24], F(1, 5)),
+        (TruncKingman(P([2, 1])), [40, 41], F(1, 5)),
+        (TruncKingman(P([2, 1, 1])), [30], F(1, 5)),
+        (TruncKingman(P([2, 1, 1])), [100], F(1, 8)),
+        (TruncSchur(P([3, 1])), [20], F(1, 5)),
+        (GammaShaped.from_partition(P([2, 1])), [5, 7], F(1, 5)),
     ],
     ids=str,
 )
-def test_convergence_rows_match_the_fraction_loop(family, ns):
+def test_convergence_rows_match_the_fraction_loop(family, ns, gap):
     # each row is the exact level quantity, rounded once (the ratio error again to 53 bits)
-    rep = convergence_experiment(family, ns, resolution=7, interior_fraction=F(1, 5))
+    rep = convergence_experiment(family, ns, resolution=7, interior_fraction=gap)
     for row in rep.rows:
-        mass, interior, err, distance = fraction_convergence_row(family, row.n, 7, F(1, 5))
+        mass, interior, err, distance = fraction_convergence_row(family, row.n, 7, gap)
         assert row.mass_is_one == (mass == 1)
         assert row.interior_points == interior
         assert row.max_ratio_error == round_bits(round_bits(err, 128), 53)

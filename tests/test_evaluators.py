@@ -20,7 +20,6 @@ from harmgraphs.interp import (
     H_STAR,
     FunctionalSpec,
     factorial_monomial_eval,
-    functional_on_shifted_schur,
     h_star_values,
     jacobi_trudi,
     monomial_eval,
@@ -29,6 +28,7 @@ from harmgraphs.interp import (
 )
 from harmgraphs.partitions import Partition, partitions_of
 from oracles import (
+    functional_on_shifted_schur,
     fraction_density,
     fraction_falling,
     fraction_h_star_values,

@@ -11,7 +11,6 @@ from harmgraphs.exact import (
     SingularMatrixError,
     as_rational,
     det,
-    falling_factorial,
     format_bigfloat,
     format_rational,
     integer_det,
@@ -24,6 +23,7 @@ from harmgraphs.exact import (
     solve_linear,
 )
 from oracles import (
+    falling_factorial,
     format_mpf,
     fraction_det,
     fraction_pfaffian,

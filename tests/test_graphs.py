@@ -9,7 +9,6 @@ from harmgraphs.graphs import (
     KINGMAN,
     SCHUR,
     YOUNG,
-    covers_down,
     covers_up,
     dim,
     dim_closed_form,
@@ -22,6 +21,7 @@ from harmgraphs.graphs import (
     sweep,
 )
 from harmgraphs.partitions import Partition, partitions_of, partitions_up_to
+from oracles import covers_down
 
 P = Partition
 

@@ -20,12 +20,9 @@ from harmgraphs.harmonic import (
     level_measure,
     parse_family,
 )
-from harmgraphs.interp import (
-    functional_on_shifted_schur,
-    pstar_closed_form,
-    young_zz_functional,
-)
+from harmgraphs.interp import pstar_closed_form
 from harmgraphs.partitions import Partition, partitions_of, partitions_up_to
+from oracles import functional_on_shifted_schur, young_zz_functional
 
 P = Partition
 

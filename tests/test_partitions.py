@@ -8,8 +8,8 @@ from harmgraphs.partitions import (
     Partition,
     partitions_of,
     partitions_up_to,
-    reverse_tableaux,
 )
+from oracles import reverse_tableaux
 
 P = Partition
 

@@ -38,10 +38,8 @@ from harmgraphs.interp import (
     H_STAR,
     FunctionalSpec,
     _product_series,
-    _shifted_schur_det,
     apply_functional,
     factorial_monomial_eval,
-    functional_on_shifted_schur,
     monomial_eval,
     pstar_closed_form,
     pstar_eval,
@@ -52,7 +50,12 @@ from harmgraphs.interp import (
     young_zz_closed_form,
 )
 from harmgraphs.partitions import Partition, partitions_of
-from oracles import schur_tableau, shifted_schur_tableau
+from oracles import (
+    functional_on_shifted_schur,
+    schur_tableau,
+    shifted_schur_bialternant,
+    shifted_schur_tableau,
+)
 from harmgraphs.series import factorial_series_from_rational, poly_mul
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
@@ -136,7 +139,24 @@ def _shifted(x):
 def test_shifted_schur_determinant_matches_tableau_sum(case):
     mu, x = case
     assume(len(set(_shifted(x))) == len(x))
-    assert _shifted_schur_det(mu, x) == shifted_schur_tableau(mu, x)
+    assert shifted_schur_bialternant(mu, x) == shifted_schur_tableau(mu, x)
+
+
+@st.composite
+def truncated_young_shapes(draw):
+    """A lam of length 2 to 4 and a mu with |mu| <= 8 and no more rows."""
+    lam = Partition(sorted(draw(st.lists(st.integers(1, 6), min_size=2, max_size=4)), reverse=True))
+    n = draw(st.integers(0, 8))
+    return lam, draw(st.sampled_from(partitions_of(n, max_length=lam.length)))
+
+
+@PROPERTY
+@given(truncated_young_shapes())
+def test_truncated_young_value_matches_the_bialternant(case):
+    # the reflected point's shifted coordinates -lam_i - (l - i) - 1 are distinct
+    lam, mu = case
+    family = TruncYoung(lam)
+    assert family.value(mu) == shifted_schur_bialternant(mu, family.point())
 
 
 @PROPERTY
@@ -149,7 +169,7 @@ def test_shifted_schur_determinant_rejects_colliding_coordinates(case, data):
     # x_j + (k-1-j) = x_i + (k-1-i)
     x = x[:j] + (x[i] + (j - i),) + x[j + 1 :]
     with pytest.raises(SingularMatrixError):
-        _shifted_schur_det(mu, x)
+        shifted_schur_bialternant(mu, x)
 
 
 @PROPERTY

