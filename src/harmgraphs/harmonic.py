@@ -26,7 +26,7 @@ from .interp import (
     pstar_pfaffian,
     pstar_two_row_table,
     shifted_columns,
-    shifted_schur_eval,
+    shifted_schur_columns,
     super_evaluation_functional,
     young_zz_closed_form,
 )
@@ -255,11 +255,14 @@ class TruncYoung(HarmonicFamily):
     """Finite-width family: shifted Schur evaluation at a reflected point.
 
     Supported on diagrams with at most length(lam) rows; the evaluation
-    point has coordinates -lam_i - 2(l - i) - 1.
+    point has coordinates -lam_i - 2(l - i) - 1.  Its shifted Jacobi-Trudi
+    columns are built once per family, and rebuilt to twice the reach when
+    some mu reads past them.
     """
 
     lam: Partition
     kind: GraphKind = field(default=YOUNG, init=False, repr=False, compare=False)
+    columns: list = field(default_factory=list, init=False, repr=False, compare=False)
     face = "young"
 
     def __post_init__(self):
@@ -280,8 +283,16 @@ class TruncYoung(HarmonicFamily):
 
     def value(self, mu: Partition) -> Fraction:
         """s*_mu at the point by the shifted Jacobi-Trudi determinant, the one s*
-        route; phi is (-1)^|mu| value / (t)_|mu|."""
-        return shifted_schur_eval(mu, self.point())
+        route, over the family's columns; phi is (-1)^|mu| value / (t)_|mu|."""
+        if mu.length > self.width:
+            return Fraction(0)
+        reach = mu.part(1) + mu.length - 1
+        columns = self.columns
+        if not columns or len(columns[0]) <= reach:
+            xs = [int(x) for x in self.point()]
+            columns = shifted_schur_columns(xs, 1, self.width, max(2 * reach, 8))
+            object.__setattr__(self, "columns", columns)
+        return jacobi_trudi_det(mu, columns)
 
     def phi(self, mu: Partition) -> Fraction:
         if mu.length > self.width:

@@ -77,11 +77,14 @@ def shifted_columns(h: Sequence, count: int, scale: int = 1) -> list[list]:
 
 
 def jacobi_trudi_det(mu: Partition, columns: Sequence[Sequence], scale: int = 1) -> Fraction:
-    """det[c_j(mu_i - i + j)] over columns that reach index |mu|; entry (i, j) has degree
-    mu_i - i + j, so on numerators c_j(n) over scale^n the value is their det over scale^|mu|."""
+    """det[c_j(mu_i - i + j)] over columns that reach index mu_1 + l(mu) - 1; entry (i, j) has
+    degree mu_i - i + j, so on numerators c_j(n) over scale^n the value is their det over
+    scale^|mu|."""
     m = mu.length
-    at = lambda j, k: columns[j][k] if k >= 0 else 0
-    rows = [[at(j, mu.part(i + 1) - i + j) for j in range(m)] for i in range(m)]
+    rows = [
+        [columns[j][k] if (k := p - i + j) >= 0 else 0 for j in range(m)]
+        for i, p in enumerate(mu.parts)
+    ]
     if all(type(v) is int for row in rows for v in row):
         return Fraction(integer_det(rows), scale**mu.size)
     return det(RationalMatrix(rows)) / scale**mu.size
@@ -169,7 +172,15 @@ def shifted_schur_eval(mu: Partition, x) -> Fraction:
     xs, q = integer_point(x)
     if mu.length > len(xs):
         return Fraction(0)
-    return jacobi_trudi(mu, [1] + _h_star_numerators(xs, q, mu.size), shifted=True, scale=q)
+    columns = shifted_schur_columns(xs, q, mu.length, mu.part(1) + mu.length - 1)
+    return jacobi_trudi_det(mu, columns, q)
+
+
+def shifted_schur_columns(xs: Sequence[int], q: int, length: int, count: int) -> list[list[int]]:
+    """S^0 h*, ..., S^(length-1) h* through h*_count at X/Q, on numerators over Q^n:
+    s*_mu(X/Q) is `jacobi_trudi_det(mu, columns, Q)` for every mu with l(mu) <= length
+    and mu_1 + l(mu) - 1 <= count, the highest index the determinant reads."""
+    return shifted_columns([1] + _h_star_numerators(xs, q, count), length, q)
 
 
 def shifted_schur_at_diagram(mu: Partition, lam: Partition) -> Fraction:

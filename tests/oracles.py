@@ -262,12 +262,6 @@ def shifted_schur_bialternant(mu, x) -> Fraction:
     return Fraction(integer_det(rows), denom * q**mu.size)
 
 
-def h_star_eval(m: int, x) -> Fraction:
-    if m == 0:
-        return Fraction(1)
-    return h_star_values(x, m)[m - 1]
-
-
 def young_zz_functional(e, t, cap: int) -> FunctionalSpec:
     """The two-parameter multiplicative functional on the shifted algebra.
 
@@ -352,13 +346,6 @@ def extract_series_coeffs(values, degree: int, poles=(), truncation=None) -> lis
     sol = solve_linear(RationalMatrix(rows), rhs)
     sol += [Fraction(0)] * max(0, degree - top)
     return sol[:degree]
-
-
-def covers_down(lam, kind):
-    """All one-box-smaller vertices of the graph, decreasing lexicographic."""
-    if kind.strict and not lam.is_strict:
-        raise ValueError("schur graph vertices must be strict partitions")
-    return lam.down_covers(strict=kind.strict)
 
 
 def embed_rows(nu, n: int) -> tuple[Fraction, ...]:

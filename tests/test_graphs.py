@@ -21,7 +21,6 @@ from harmgraphs.graphs import (
     sweep,
 )
 from harmgraphs.partitions import Partition, partitions_of, partitions_up_to
-from oracles import covers_down
 
 P = Partition
 
@@ -42,8 +41,6 @@ def test_covers_by_kind():
     assert covers_up(P(), SCHUR) == [P([1])]
     assert covers_up(P([1]), YOUNG) == [P([2]), P([1, 1])]
     assert covers_up(P([1]), SCHUR) == [P([2])]
-    assert covers_down(P([2, 1]), YOUNG) == [P([2]), P([1, 1])]
-    assert covers_down(P([2]), SCHUR) == [P([1])]
     with pytest.raises(ValueError):
         covers_up(P([2, 2]), SCHUR)
 

@@ -35,7 +35,6 @@ from oracles import (
     evaluation_functional,
     falling_factorial,
     functional_on_shifted_schur,
-    h_star_eval,
     schur_bialternant,
     schur_tableau,
     shifted_schur_bialternant,
@@ -231,11 +230,6 @@ def test_h_star_equals_one_row_shifted_schur():
             vals = h_star_values(diagram_point(lam, max(1, lam.length)), 6)
             for m in range(1, 7):
                 assert vals[m - 1] == shifted_schur_at_diagram(P([m]), lam)
-
-
-def test_h_star_eval_wrapper():
-    assert h_star_eval(0, (F(5),)) == 1
-    assert h_star_eval(2, (F(2),)) == 2
 
 
 def test_super_values_match_diagram_values():
