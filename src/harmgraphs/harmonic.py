@@ -18,7 +18,7 @@ from math import factorial, prod
 from .exact import as_rational, pochhammer
 from .graphs import GraphKind, KINGMAN, SCHUR, YOUNG, jack, level, sweep, top_level
 from .interp import (
-    FunctionalSpec,
+    _product_series,
     factorial_monomial_eval,
     jacobi_trudi_det,
     pstar_closed_form,
@@ -27,7 +27,6 @@ from .interp import (
     pstar_two_row_table,
     shifted_columns,
     shifted_schur_columns,
-    super_evaluation_functional,
     young_zz_closed_form,
 )
 from .partitions import EMPTY, FrobeniusCoords, Partition
@@ -310,17 +309,17 @@ class TruncYoung(HarmonicFamily):
 class GammaShaped(HarmonicFamily):
     """Hook-bounded family driven by the two-alphabet generator values.
 
-    Supported on diagrams whose diagonal has at most depth(fc) boxes;
-    generator values are taken at the reflected split-diagonal point
-    (-p - 1/2; -q - 1/2) with the shifted Jacobi-Trudi columns S^(j-1) g,
-    once per family, and phi reads one determinant in those columns.
+    Supported on diagrams whose diagonal has at most depth(fc) boxes.  At the
+    reflected split-diagonal point (-p - 1/2; -q - 1/2) each factor of the
+    two-alphabet series is (u - q_i)/(u + p_i + 1), so the generator values g
+    and the shifted Jacobi-Trudi columns S^(j-1) g are integers, built once per
+    family; phi(mu) is (-1)^|mu| D / (t)_|mu| for their integer determinant D.
     """
 
     fc: FrobeniusCoords
     degree_cap: int = 8
     kind: GraphKind = field(default=YOUNG, init=False, repr=False, compare=False)
     lam: Partition = field(init=False, repr=False, compare=False)  # the face partition
-    functional: FunctionalSpec = field(init=False, repr=False, compare=False)
     columns: list = field(init=False, repr=False, compare=False)
     face = "gamma"
 
@@ -330,11 +329,8 @@ class GammaShaped(HarmonicFamily):
             raise FamilyError("gamma-shaped family needs depth >= 1")
         if self.degree_cap < 1:
             raise FamilyError("degree cap must be >= 1")
-        half = Fraction(1, 2)
-        xs = [-p - half for p in self.fc.p]
-        ys = [-q - half for q in self.fc.q]
-        object.__setattr__(self, "functional", super_evaluation_functional(xs, ys, self.degree_cap))
-        object.__setattr__(self, "columns", shifted_columns([1, *self.functional.values], self.degree_cap))
+        g = _product_series([(-q, -p - 1) for p, q in zip(self.fc.p, self.fc.q)], self.degree_cap)
+        object.__setattr__(self, "columns", shifted_columns([1, *g], self.degree_cap))
 
     @staticmethod
     def from_partition(lam: Partition, degree_cap: int = 8) -> "GammaShaped":
@@ -355,8 +351,9 @@ class GammaShaped(HarmonicFamily):
             raise FamilyError(
                 f"degree cap {self.degree_cap} exceeded at |mu| = {mu.size}; raise degree_cap"
             )
-        val = jacobi_trudi_det(mu, self.columns)
-        return val * (-1) ** mu.size / pochhammer(self.t, mu.size)
+        n, t = mu.size, self.fc.size
+        d = jacobi_trudi_det(mu, self.columns).numerator  # integer columns: D over 1
+        return Fraction((-1) ** n * d, prod(range(t, t + n)))
 
     def admissible(self, surrogate_level: int = 6) -> AdmissibleReport:
         return self._surrogate_nonnegative(min(surrogate_level, self.degree_cap))

@@ -7,11 +7,12 @@ factorial monomial (Kingman side) and factorial Schur P (strict side):
 * Schur and shifted Schur: one Jacobi-Trudi determinant in the one-row
   values, at a point or under a multiplicative functional; the one-row
   generators h* by a running tableau sum, the product-form ones by one
-  O(count) recurrence per factor.  The determinant is one integer
-  determinant when its entries are integer numerators, and it serves every
-  s* value: diagram points, the reflected points of the truncated Young
-  family and the functionals.  The falling-factorial bialternant and the
-  reverse-tableau sums are test oracles;
+  O(count) recurrence per factor, on integers when the factors are.  The
+  determinant is one integer determinant when its entries are integer
+  numerators, and it serves every s* value: diagram points, the reflected
+  points of the truncated Young family, the integer gamma columns and the
+  functionals.  The falling-factorial bialternant and the reverse-tableau
+  sums are test oracles;
 * monomial and factorial monomial: one pass over the coordinates;
 * factorial Schur P: one-row series -> two-row table -> Pfaffian.  The
   one-row list and the table depend only on the source, so a caller that
@@ -192,15 +193,16 @@ def shifted_schur_at_diagram(mu: Partition, lam: Partition) -> Fraction:
 # one-row generating series
 # ---------------------------------------------------------------------------
 
-def _product_series(factors: Sequence[tuple[Fraction, Fraction]], count: int) -> list[Fraction]:
+def _product_series(factors: Sequence[tuple], count: int) -> list:
     """g_1..g_count of prod (u + a)/(u - b) = 1 + sum g_m/(u falling m) over (a, b).
 
     From 1/((u falling m)(u - b)) = sum_k (b - m) falling k / (u falling (m + k + 1)),
     one factor is O(count): g'_n = g_n + (a + b) T_n, T_1 = 1, T_(n+1) = (b - n + 1) T_n + g_n.
+    The values are ints when every a and b is, and int zeros when there is no factor.
     """
-    g = [Fraction(0)] * count
+    g = [0] * count
     for a, b in factors:
-        t = Fraction(1)
+        t = 1
         for i, gi in enumerate(g):
             g[i] = gi + (a + b) * t
             t = (b - i) * t + gi
@@ -237,9 +239,9 @@ def super_h_star_values(xs, ys, count: int) -> list[Fraction]:
     """Generator values under the two-alphabet (super) realization.
 
     The series is the product of (u + 1/2 + y_i)/(u + 1/2 - x_i) over the
-    zero-padded support, expanded by `_product_series`; at the split-diagonal
-    point of a diagram it must reproduce the ordinary h* values of that
-    diagram, which is the oracle pinning the 1/2 shift.
+    zero-padded support, expanded by `_product_series`.  At the split-diagonal
+    point of a diagram it reproduces the diagram's h* values, pinning the 1/2
+    shift; at the reflected point it is the reference for `GammaShaped`.
     """
     half = Fraction(1, 2)
     pairs = zip_longest(as_point(xs), as_point(ys), fillvalue=Fraction(0))
@@ -253,7 +255,7 @@ def q_one_row_values(x, count: int) -> list[Fraction]:
     has coefficients equal to twice the factorial Schur P one-row values
     (the doubled normalization carries the 2^length factor of the P/Q pair).
     """
-    return _product_series([(1 + xi, xi - 1) for xi in as_point(x)], count)
+    return [Fraction(v) for v in _product_series([(1 + xi, xi - 1) for xi in as_point(x)], count)]
 
 
 def pstar_one_row_values_from_point(x, count: int) -> list[Fraction]:
@@ -302,10 +304,6 @@ class FunctionalSpec:
         if m > len(self.values):
             raise ValueError(f"functional only carries generator values up to degree {len(self.values)}")
         return self.values[m - 1]
-
-
-def super_evaluation_functional(xs, ys, cap: int) -> FunctionalSpec:
-    return FunctionalSpec(H_STAR, tuple(super_h_star_values(xs, ys, cap)))
 
 
 def schur_t_functional(t, cap: int) -> FunctionalSpec:

@@ -189,13 +189,10 @@ class Partition:
     # -- Frobenius coordinates --
 
     def frobenius(self) -> "FrobeniusCoords":
-        conj = self.conjugate()
-        d = 0
-        while self.part(d + 1) >= d + 1:
-            d += 1
-        p = tuple(self.parts[i] - (i + 1) for i in range(d))
-        q = tuple(conj.parts[i] - (i + 1) for i in range(d))
-        return FrobeniusCoords(p, q)
+        d, conj = self.depth, self.conjugate().parts
+        arms = tuple(part - i for i, part in enumerate(self.parts[:d], 1))
+        legs = tuple(c - i for i, c in enumerate(conj[:d], 1))
+        return FrobeniusCoords._trusted(arms, legs)
 
     @property
     def depth(self) -> int:
@@ -223,6 +220,14 @@ class FrobeniusCoords:
                 raise ValueError("coordinates must strictly decrease")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
+
+    @classmethod
+    def _trusted(cls, p: tuple[int, ...], q: tuple[int, ...]) -> "FrobeniusCoords":
+        """Coordinates from tuples already known to be equal-length, nonnegative, decreasing."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "p", p)
+        object.__setattr__(out, "q", q)
+        return out
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("FrobeniusCoords is immutable")

@@ -15,7 +15,8 @@ conversions are the float layer `exact.round_bits` and
 rational formulas at the point itself, where `boundary` evaluates one
 homogeneous integer form on the point's numerators, and the convergence loop
 is the one `boundary.convergence_experiment` runs on integers, at the points
-`embed_rows` and `embed_frobenius` give.
+`embed_rows` and `embed_frobenius` give, with each level weight dim times phi
+rather than the face's own weight formula.
 """
 
 from fractions import Fraction
@@ -32,7 +33,8 @@ from harmgraphs.exact import (
     integer_point,
     solve_linear,
 )
-from harmgraphs.interp import H_STAR, FunctionalSpec, h_star_values, jacobi_trudi
+from harmgraphs.graphs import top_level
+from harmgraphs.interp import H_STAR, FunctionalSpec, h_star_values, jacobi_trudi, super_h_star_values
 from harmgraphs.series import poly_eval, poly_integral, poly_scale
 
 
@@ -285,6 +287,11 @@ def evaluation_functional(x, cap: int) -> FunctionalSpec:
     return FunctionalSpec(H_STAR, tuple(h_star_values(x, cap)))
 
 
+def super_evaluation_functional(xs, ys, cap: int) -> FunctionalSpec:
+    """The two-alphabet series at (xs; ys), packaged as h*-generator values."""
+    return FunctionalSpec(H_STAR, tuple(super_h_star_values(xs, ys, cap)))
+
+
 def functional_on_shifted_schur(mu, spec: FunctionalSpec) -> Fraction:
     """pi(s*_mu): the library's shifted Jacobi-Trudi determinant in pi's generator values."""
     if spec.family != H_STAR:
@@ -453,11 +460,12 @@ def fraction_interior(blocks, gap) -> bool:
 def fraction_convergence_row(family, n, resolution, interior_fraction):
     """(mass, interior points, max |ratio - 1|, binned distance) at level n, one
     Fraction operation per term, each vertex at the point embed_rows or
-    embed_frobenius gives."""
+    embed_frobenius gives.  The level weights are dim(nu) phi(nu), the dimensions
+    from the sweep up the family's graph (within its width: a path only adds rows)."""
     face, lam = FACES[family.face], family.lam
     l = face.blocks * getattr(lam, face.stat)
-    scale, values = face.level_weights(family, n)
-    weights = [(nu, scale * v) for nu, v in values]
+    rows = top_level(family.kind, n, max_length=getattr(family, "width", None))
+    weights = [(nu, d * family.phi(nu)) for nu, d, _ in rows]
     binned = l == 2 and face.polynomial is not None
     lo, width = Fraction(1, 2), Fraction(1, 2 * resolution)
     bins = [Fraction(0)] * resolution

@@ -391,6 +391,7 @@ def test_convergence_trunc_kingman():
         (TruncKingman(P([2, 1, 1])), [100], F(1, 8)),
         (TruncSchur(P([3, 1])), [20], F(1, 5)),
         (GammaShaped.from_partition(P([2, 1])), [5, 7], F(1, 5)),
+        (GammaShaped.from_partition(P([3, 2, 2]), degree_cap=9), [8, 9], F(1, 5)),
     ],
     ids=str,
 )

@@ -25,8 +25,9 @@ from harmgraphs.interp import (
     monomial_eval,
     schur_eval,
     shifted_schur_eval,
+    super_h_star_values,
 )
-from harmgraphs.partitions import Partition, partitions_of
+from harmgraphs.partitions import FrobeniusCoords, Partition, partitions_of
 from oracles import (
     functional_on_shifted_schur,
     fraction_density,
@@ -139,10 +140,16 @@ def test_functional_on_shifted_schur_matches_the_fraction_route(mu, values):
     assert functional_on_shifted_schur(mu, spec) == expected
 
 
+def split_diagonal_values(fc, cap):
+    """The two-alphabet series at the reflected split-diagonal point (-p - 1/2; -q - 1/2)."""
+    half = F(1, 2)
+    return super_h_star_values([-p - half for p in fc.p], [-q - half for q in fc.q], cap)
+
+
 def test_gamma_shaped_phi_matches_the_fraction_route():
-    for lam in (P([2, 1]), P([3, 2, 2]), P([1, 1])):
+    for lam in (P([2, 1]), P([3, 2, 2]), P([1, 1]), P([4, 3, 3, 1])):
         family = GammaShaped.from_partition(lam, degree_cap=8)
-        g = (F(1),) + family.functional.values
+        g = [F(1), *split_diagonal_values(lam.frobenius(), 8)]
         for n in range(9):
             for mu in partitions_of(n):
                 if mu.depth > family.depth:
@@ -151,6 +158,19 @@ def test_gamma_shaped_phi_matches_the_fraction_route():
                 for k in range(n):
                     value /= family.t + k
                 assert family.phi(mu) == value, (lam, mu)
+
+
+frobenius_coords = st.integers(1, 3).flatmap(
+    lambda d: st.tuples(*[st.sets(st.integers(0, 6), min_size=d, max_size=d)] * 2)
+).map(lambda pq: FrobeniusCoords(sorted(pq[0], reverse=True), sorted(pq[1], reverse=True)))
+
+
+@PROPERTY
+@given(frobenius_coords, st.integers(1, 10))
+def test_gamma_shaped_columns_are_the_integer_series(fc, cap):
+    family = GammaShaped(fc, cap)
+    assert family.columns[0] == [1, *split_diagonal_values(fc, cap)]
+    assert all(type(v) is int for column in family.columns for v in column)
 
 
 @st.composite

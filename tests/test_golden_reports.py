@@ -31,6 +31,8 @@ GOLDEN = [
      "c9de96e8240b0399bb5a5204f4abd1fd87aa2920a2e82bdbf4d1a899c150589a"),
     ("check-harmonic --family gamma:lambda=3+2+2,cap=9 --levels 9", EXIT_OK,
      "c336cb197fa94eb6482d798c3ac75f733c7fba6031665db7df7c3ad0bc1a0b79"),
+    ("check-harmonic --family gamma:lambda=4+3+3+1,cap=12 --levels 12", EXIT_OK,
+     "848870f7106f9363222ae6a92c17cc071d12f7e7da0362fea96cfa14b53e6511"),
     ("check-harmonic --family trunc-kingman:lambda=2+1 --levels 6", EXIT_OK,
      "fa8da0884152b759a69735e0360ab2f7982c58ec661abdff6befb5369c8ade65"),
     ("check-harmonic --family trunc-schur:lambda=3+1 --levels 6", EXIT_OK,
@@ -84,6 +86,9 @@ GOLDEN = [
      "0dad420173ea5c238ae1f8910464893d1fbff69fefd9281a8caf54463ae78e21"),
     ("verify selberg --graph gamma --max-size 6", EXIT_OK,
      "0cc492431483188ed81efc0ab225ab6330aa61b5f46428a9812b9e0f1630231a"),
+    # depth-2 mu beyond the benchmark's size 6
+    ("verify selberg --graph gamma --max-size 8", EXIT_OK,
+     "5be3676a6031e3f780a64162e4950ff7f87388a968fc93c160ea1987563e7ad5"),
     # the four faces in order: young, kingman, schur, gamma
     ("verify selberg --graph all --max-size 4", EXIT_OK,
      "963c9de7a6d4b3fdee82f8e49695047d1ad255bef5164e5ad9efb38eaad28611"),

@@ -26,7 +26,6 @@ from harmgraphs.interp import (
     shifted_schur_at_diagram,
     shifted_schur_eval,
     shifted_schur_h_coeffs,
-    super_evaluation_functional,
     super_h_star_values,
     young_zz_closed_form,
 )
@@ -39,6 +38,7 @@ from oracles import (
     schur_tableau,
     shifted_schur_bialternant,
     shifted_schur_tableau,
+    super_evaluation_functional,
     young_zz_functional,
 )
 
@@ -254,6 +254,13 @@ def test_q_one_row_doubling():
     x = (F(2), F(1))
     assert q_one_row_values(x, 5) == [F(6), F(12), F(0), F(0), F(0)]
     assert pstar_one_row_values_from_point(x, 5) == [F(3), F(6), F(0), F(0), F(0)]
+
+
+def test_one_row_p_values_are_fractions():
+    # the one-row series is int-valued on int factors; halving an int 0 would give the float 0.0
+    for x in ((), (2, 1), (F(2, 3), F(-1), F(0))):
+        for values in (q_one_row_values(x, 5), pstar_one_row_values_from_point(x, 5)):
+            assert len(values) == 5 and all(type(v) is F for v in values), (x, values)
 
 
 # ---------------------------------------------------------------------------

@@ -169,6 +169,19 @@ def test_frobenius_round_trip():
             assert fc.depth == mu.depth
 
 
+def test_trusted_frobenius_matches_validated_construction():
+    # arms and legs from the parts and the column lengths, through the validating constructor
+    for n in range(11):
+        for mu in partitions_of(n):
+            d = sum(1 for i, part in enumerate(mu.parts, 1) if part >= i)
+            columns = [sum(1 for part in mu.parts if part >= j) for j in range(1, d + 1)]
+            want = FrobeniusCoords(
+                [mu.parts[i] - i - 1 for i in range(d)], [c - i - 1 for i, c in enumerate(columns)]
+            )
+            fc = mu.frobenius()
+            assert fc == want and type(fc.p) is tuple and type(fc.q) is tuple
+
+
 def test_frobenius_parse_and_validation():
     assert FrobeniusCoords.parse("(2,1|2,0)") == P([3, 3, 1]).frobenius()
     with pytest.raises(ValueError):
