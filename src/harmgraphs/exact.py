@@ -62,7 +62,7 @@ def integer_point(values) -> tuple[list[int], int]:
     """(X, Q): Q the lcm of the denominators, x_i = X_i / Q.  A value homogeneous of
     degree d is its value at X over Q^d; in one graded by degree, such as a falling
     factorial, each integer shift c becomes c Q."""
-    point = [as_rational(v) for v in values]
+    point = [v if isinstance(v, int) else as_rational(v) for v in values]
     q = lcm(*(x.denominator for x in point))
     return [x.numerator * (q // x.denominator) for x in point], q
 

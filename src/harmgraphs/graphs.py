@@ -6,7 +6,8 @@ multiplicity of the grown row, and the Jack deformation carries a
 product over the column of the new box, rational in its parameter and
 exact down to parameter 0.  Weighted path dimensions come from one level
 sweep that pushes dim(start, .) up the covers, holding two levels at a
-time; the closed forms serve as oracles where they exist.
+time and reading each weight from the row it grows; the closed forms
+serve as oracles where they exist.
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .exact import as_rational
-from .partitions import EMPTY, Partition, partitions_of
+from .partitions import EMPTY, Partition, _grown_rows, partitions_of
 
 
 @dataclass(frozen=True)
@@ -89,15 +90,27 @@ def level(n: int, kind: GraphKind, max_length: int | None = None) -> list[Partit
 # edge multiplicities
 # ---------------------------------------------------------------------------
 
-def _new_box(mu: Partition, lam: Partition) -> tuple[int, int]:
-    """The (row, column) of the one box lam adds to mu, 1-based, read in one
-    pass: the first row where the parts differ grows by one, the rest agree."""
+def _new_box(mu: Partition, lam: Partition) -> int:
+    """The row (0-based) of the one box lam adds to mu, read in one pass: the
+    first row where the parts differ grows by one, the rest agree."""
     a, b = mu.parts, lam.parts
     if 0 <= len(b) - len(a) <= 1:
         i = next((k for k, p in enumerate(a) if p != b[k]), len(a))
         if i < len(b) and b[i] == (a[i] if i < len(a) else 0) + 1 and a[i + 1 :] == b[i + 1 :]:
-            return (i + 1, b[i])
+            return i
     raise ValueError(f"{lam} does not cover {mu}")
+
+
+def _jack_row_weight(parts: tuple[int, ...], i: int, p: int, q: int) -> Fraction:
+    """The Jack weight at theta = p/q of the edge into `parts` that grows row i: every
+    factor times q is an integer, over rows 0 .. i - 1 of the new box's column."""
+    j = parts[i]
+    num = den = 1
+    for k in range(i):
+        a, l = parts[k] - j, i - 1 - k
+        num *= (a * q + p * (l + 2) if a else l + 2) * ((a + 1) * q + p * l)
+        den *= (a * q + p * (l + 1) if a else l + 1) * ((a + 1) * q + p * (l + 1))
+    return Fraction(num, den)
 
 
 def jack_weight(mu: Partition, lam: Partition, theta) -> Fraction:
@@ -108,31 +121,30 @@ def jack_weight(mu: Partition, lam: Partition, theta) -> Fraction:
     (a + theta(l+1))(a + 1 + theta(l+1)); an arm-0 box has the common
     factor theta cancelled, so theta = 0 gives the Kingman multiplicity.
     """
-    i0, j = _new_box(mu, lam)
+    i = _new_box(mu, lam)
     theta = as_rational(theta)
     if theta < 0:
         raise ValueError("jack weight needs theta >= 0")
-    # every factor times the denominator q of theta = p/q keeps the product
-    # in integers; column j of mu is rows 1 .. i0 - 1
-    p, q = theta.numerator, theta.denominator
-    num = den = 1
-    for i in range(1, i0):
-        a, l = mu.part(i) - j, i0 - 1 - i
-        num *= (a * q + p * (l + 2) if a else l + 2) * ((a + 1) * q + p * l)
-        den *= (a * q + p * (l + 1) if a else l + 1) * ((a + 1) * q + p * (l + 1))
-    return Fraction(num, den)
+    return _jack_row_weight(lam.parts, i, theta.numerator, theta.denominator)
+
+
+def _row_weight(kind: GraphKind) -> Callable[[tuple[int, ...], int], int | Fraction]:
+    """The weight of the edge into `parts` that grows row i (0-based), as a function of
+    (parts, i): 1, the count of the new part on Kingman, `jack_weight`'s product on Jack."""
+    if kind.name == "jack":
+        p, q = kind.theta.numerator, kind.theta.denominator
+        return lambda parts, i: _jack_row_weight(parts, i, p, q)
+    if kind.name == "kingman":
+        return lambda parts, i: parts.count(parts[i])
+    return lambda parts, i: 1
 
 
 def edge_multiplicity(mu: Partition, lam: Partition, kind: GraphKind) -> int | Fraction:
     """Weight of the edge mu -> lam, an int except on the Jack graph; rejects non-edges."""
-    if kind.name == "jack":
-        return jack_weight(mu, lam, kind.theta)
-    i0, _ = _new_box(mu, lam)
-    if kind.name == "kingman":
-        return lam.multiplicity(lam.part(i0))
+    i = _new_box(mu, lam)
     if kind.strict and not (mu.is_strict and lam.is_strict):
         raise ValueError("schur edges join strict partitions")
-    return 1
+    return _row_weight(kind)(lam.parts, i)
 
 
 # ---------------------------------------------------------------------------
@@ -151,25 +163,33 @@ def sweep(
     Yields (n, rows) for n = |start| .. top: each level-n vertex lam
     reachable from start, in decreasing lexicographic order, as
     (lam, dim(start, lam), edges), where edges lists the up-edges
-    (nu, weight) into level n + 1, each weight evaluated once.  Vertices
-    stay inside `within` and at most `max_length` rows long.  Dimensions
-    are ints where the weights are (every graph but Jack).
+    (nu, weight) into level n + 1, each weight read from the row nu grows.
+    Vertices stay inside `within`, which must contain start, and at most
+    `max_length` rows long; on the strict graph start must be strict.
+    Dimensions are ints where the weights are (every graph but Jack).
     """
-    frontier: dict[Partition, int | Fraction] = {start: 1}
+    if kind.strict and not start.is_strict:
+        raise ValueError("schur graph vertices must be strict partitions")
+    if within is not None and not within.contains(start):
+        raise ValueError(f"the start vertex {start} lies outside {within}")
+    weight = _row_weight(kind)
+    length_cap = top if max_length is None else max_length
+    frontier = {start.parts: [start, 1]}  # parts -> [vertex, dim]
     for n in range(start.size, top + 1):
-        ahead: dict[Partition, int | Fraction] = {}
+        ahead: dict[tuple[int, ...], list] = {}
         rows = []
-        for lam in sorted(frontier, reverse=True):
-            d = frontier[lam]
+        for parts in sorted(frontier, reverse=True):
+            lam, d = frontier[parts]
             edges = []
-            for nu in covers_up(lam, kind) if n < top else ():
-                if max_length is not None and nu.length > max_length:
+            for i, nu in _grown_rows(parts) if n < top else ():
+                if len(nu) > length_cap or (within is not None and nu[i] > within.part(i + 1)):
+                    continue  # lam lies inside `within`, so only the grown row can leave it
+                if kind.strict and i and nu[i - 1] == nu[i]:
                     continue
-                if within is not None and not within.contains(nu):
-                    continue
-                w = edge_multiplicity(lam, nu, kind)
-                edges.append((nu, w))
-                ahead[nu] = ahead.get(nu, 0) + d * w
+                w = weight(nu, i)
+                slot = ahead.get(nu) or ahead.setdefault(nu, [Partition._trusted(nu), 0])
+                slot[1] += d * w
+                edges.append((slot[0], w))
             rows.append((lam, d, edges))
         yield n, rows
         frontier = ahead

@@ -14,8 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, prod
+from operator import mul
 
-from .exact import as_rational, pochhammer
+from .exact import as_rational, integer_point, pochhammer
 from .graphs import GraphKind, KINGMAN, SCHUR, YOUNG, jack, level, sweep, top_level
 from .interp import (
     _product_series,
@@ -34,6 +35,13 @@ from .partitions import EMPTY, FrobeniusCoords, Partition
 
 class FamilyError(ValueError):
     """Invalid family parameters (forbidden scalar, wrong shape, ...)."""
+
+
+def _over_rising(num: int, den: int, t: Fraction, n: int) -> Fraction:
+    """num / (den (t)_n) as one Fraction, (t)_n being the integer product of
+    tp + k tq over k < n, over tq^n."""
+    tp, tq = t.numerator, t.denominator
+    return Fraction(num * tq**n, den * prod(range(tp, tp + n * tq, tq)))
 
 
 def _reject_nonpositive_integer_t(t: Fraction, allow_zero: bool = False) -> None:
@@ -93,7 +101,7 @@ class YoungZZ(HarmonicFamily):
 
     def phi(self, mu: Partition) -> Fraction:
         value = young_zz_closed_form(self.e, self.t, mu)
-        return value * (-1) ** mu.size / pochhammer(self.t, mu.size)
+        return _over_rising((-1) ** mu.size * value.numerator, value.denominator, self.t, mu.size)
 
     @staticmethod
     def params_admissible(e, t) -> AdmissibleReport:
@@ -165,7 +173,7 @@ class JackZZ(HarmonicFamily):
                 c = j * q - p * i
                 num *= a + c * (b + c * d)
                 den *= (row - j - 1) * q + p * (cols[j] - i)
-        return Fraction(num, den * (d * q) ** mu.size) / pochhammer(self.t, mu.size)
+        return _over_rising(num, den * (d * q) ** mu.size, self.t, mu.size)
 
     def admissible(self, surrogate_level: int = 6) -> AdmissibleReport:
         return self._surrogate_nonnegative(surrogate_level)
@@ -233,7 +241,7 @@ class SchurT(HarmonicFamily):
         if not mu.is_strict:
             raise FamilyError("strict-graph family evaluated at a non-strict partition")
         value = pstar_closed_form(self.t, mu)
-        return value * (-1) ** mu.size / pochhammer(self.t, mu.size)
+        return _over_rising((-1) ** mu.size * value.numerator, value.denominator, self.t, mu.size)
 
     @staticmethod
     def params_admissible(t) -> AdmissibleReport:
@@ -249,8 +257,27 @@ class SchurT(HarmonicFamily):
         return f"schur:t={self.t}"
 
 
+class _FiniteWidth(HarmonicFamily):
+    """A truncated family, supported on the diagrams of at most width = l(lam) rows;
+    t = |lam| + width and the point -lam - 1 unless the family sets its own."""
+
+    @property
+    def width(self) -> int:
+        return self.lam.length
+
+    @property
+    def t(self) -> Fraction:
+        return Fraction(self.lam.size + self.width)
+
+    def point(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(-p - 1) for p in self.lam.parts)
+
+    def admissible(self, surrogate_level: int = 6) -> AdmissibleReport:
+        return self._surrogate_nonnegative(surrogate_level)
+
+
 @dataclass(frozen=True)
-class TruncYoung(HarmonicFamily):
+class TruncYoung(_FiniteWidth):
     """Finite-width family: shifted Schur evaluation at a reflected point.
 
     Supported on diagrams with at most length(lam) rows; the evaluation
@@ -267,10 +294,6 @@ class TruncYoung(HarmonicFamily):
     def __post_init__(self):
         if self.lam.length < 2:
             raise FamilyError("truncated Young family needs length >= 2")
-
-    @property
-    def width(self) -> int:
-        return self.lam.length
 
     @property
     def t(self) -> Fraction:
@@ -297,9 +320,6 @@ class TruncYoung(HarmonicFamily):
         if mu.length > self.width:
             return Fraction(0)
         return self.value(mu) * (-1) ** mu.size / pochhammer(self.t, mu.size)
-
-    def admissible(self, surrogate_level: int = 6) -> AdmissibleReport:
-        return self._surrogate_nonnegative(surrogate_level)
 
     def spec_string(self) -> str:
         return f"trunc-young:lambda={self.lam}"
@@ -363,7 +383,7 @@ class GammaShaped(HarmonicFamily):
 
 
 @dataclass(frozen=True)
-class TruncKingman(HarmonicFamily):
+class TruncKingman(_FiniteWidth):
     """Finite-width family: factorial monomial evaluation at -lam - 1."""
 
     lam: Partition
@@ -374,17 +394,6 @@ class TruncKingman(HarmonicFamily):
         if self.lam.length < 1:
             raise FamilyError("truncated Kingman family needs a nonempty partition")
 
-    @property
-    def width(self) -> int:
-        return self.lam.length
-
-    @property
-    def t(self) -> Fraction:
-        return Fraction(self.lam.size + self.width)
-
-    def point(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(-p - 1) for p in self.lam.parts)
-
     def value(self, mu: Partition) -> Fraction:
         """m*_mu at the point; phi is (-1)^|mu| value / (t)_|mu| on the support."""
         return factorial_monomial_eval(mu, self.point())
@@ -394,15 +403,12 @@ class TruncKingman(HarmonicFamily):
             return Fraction(0)
         return self.value(mu) * (-1) ** mu.size / pochhammer(self.t, mu.size)
 
-    def admissible(self, surrogate_level: int = 6) -> AdmissibleReport:
-        return self._surrogate_nonnegative(surrogate_level)
-
     def spec_string(self) -> str:
         return f"trunc-kingman:lambda={self.lam}"
 
 
 @dataclass(frozen=True)
-class TruncSchur(HarmonicFamily):
+class TruncSchur(_FiniteWidth):
     """Finite-width strict family: factorial Schur P at -lam - 1, each mu read (past length 2
     as a Pfaffian) from one one-row list and one two-row table for the point.  A mu past the
     bound rebuilds both at max(twice the bound, mu_1 + mu_2); table entries do not depend on
@@ -416,17 +422,6 @@ class TruncSchur(HarmonicFamily):
     def __post_init__(self):
         if not self.lam.is_strict or self.lam.length < 1:
             raise FamilyError("truncated strict family needs a nonempty strict partition")
-
-    @property
-    def width(self) -> int:
-        return self.lam.length
-
-    @property
-    def t(self) -> Fraction:
-        return Fraction(self.lam.size + self.width)
-
-    def point(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(-p - 1) for p in self.lam.parts)
 
     def phi(self, mu: Partition) -> Fraction:
         if not mu.is_strict:
@@ -445,9 +440,6 @@ class TruncSchur(HarmonicFamily):
             table = pstar_two_row_table(one_row, bound)
             object.__setattr__(self, "pstar", (one_row, table))
         return pstar_pfaffian(mu, one_row, table)
-
-    def admissible(self, surrogate_level: int = 6) -> AdmissibleReport:
-        return self._surrogate_nonnegative(surrogate_level)
 
     def spec_string(self) -> str:
         return f"trunc-schur:lambda={self.lam}"
@@ -540,34 +532,35 @@ class HarmonicityReport:
 def check_harmonicity(family: HarmonicFamily, max_level: int) -> HarmonicityReport:
     """Verify the cover-sum identity exactly for all vertices below max_level.
 
-    One sweep up the graph: phi is evaluated once per vertex, one level
-    ahead of the vertices whose cover sums need it, and each edge weight
-    once.
+    One sweep up the graph evaluates phi once per vertex.  `integer_point`
+    brings each level's phi values to one denominator, and its dims and its
+    edge weights to one more each (1 but on the Jack graph), so the cover
+    sums compare and the level masses add in ints.  A Fraction forms only
+    for each level mass and for the two sides of a violation.
     """
     if max_level < 1:
         raise ValueError("max_level must be >= 1")
-    checked = 0
-    violations = []
-    values = []
-    masses = []
-    ahead = {EMPTY: family.phi(EMPTY)}
-    for n, rows in sweep(family.kind, max_level):
-        here, ahead = ahead, {}
-        mass = Fraction(0)
-        for mu, d, edges in rows:
-            lhs = here[mu]
-            rhs = Fraction(0)
-            for lam, w in edges:
-                if lam not in ahead:
-                    ahead[lam] = family.phi(lam)
-                rhs += w * ahead[lam]
-            if n < max_level:
-                checked += 1
-                if lhs != rhs:
+    checked, violations, values, masses = 0, [], [], []
+    below = None  # the rows of the level below, their phi numerators and denominator
+    for _, rows in sweep(family.kind, max_level):
+        phis = [family.phi(lam) for lam, _, _ in rows]
+        xs, q = integer_point(phis)
+        ds, dq = integer_point([d for _, d, _ in rows])
+        masses.append(Fraction(sum(map(mul, ds, xs)), dq * q))
+        if below:
+            lower, lower_xs, lower_q = below
+            at = {lam: x for (lam, _, _), x in zip(rows, xs)}
+            ws, wq = integer_point([w for _, _, edges in lower for _, w in edges])
+            ws = iter(ws)
+            for (mu, _, edges), x in zip(lower, lower_xs):
+                # phi(mu) = x / lower_q against the cover sum r / (wq q)
+                r = sum(w * at[lam] for (lam, _), w in zip(edges, ws))
+                if x * wq * q != r * lower_q:
+                    lhs, rhs = Fraction(x, lower_q), Fraction(r, wq * q)
                     violations.append(HarmonicityViolation(mu, lhs, rhs))
-            values.append((mu, lhs))
-            mass += d * lhs
-        masses.append(mass)
+            checked += len(lower)
+        values += [(lam, v) for (lam, _, _), v in zip(rows, phis)]
+        below = rows, xs, q
     return HarmonicityReport(
         family.spec_string(), max_level, checked, tuple(violations), tuple(values), tuple(masses)
     )
@@ -604,7 +597,9 @@ def lattice_level_sums(
     """One row (n, join, meet, phi_sum) per level |mu| < n <= top, from one
     sweep up from mu: the sums over level-n lam of dim(mu, lam) times the
     max, the min and the first of phi(lam), psi(lam).  By harmonicity the
-    last is phi(mu) at every level."""
+    last is phi(mu) at every level.  Each level's phi and psi values share
+    one denominator (`integer_point`) and its dims another (1 but on the
+    Jack graph), so the sums run in ints and each forms one Fraction."""
     if phi_fam.kind != psi_fam.kind:
         raise ValueError("families must live on the same graph")
     if mu.size >= top:
@@ -613,13 +608,14 @@ def lattice_level_sums(
     for n, rows in sweep(phi_fam.kind, top, start=mu):
         if n == mu.size:
             continue
-        join = meet = phi_sum = Fraction(0)
-        for lam, d, _ in rows:
-            a, b = phi_fam.phi(lam), psi_fam.phi(lam)
-            join += d * max(a, b)
-            meet += d * min(a, b)
-            phi_sum += d * a
-        out.append((n, join, meet, phi_sum))
+        lams = [lam for lam, _, _ in rows]
+        xs, q = integer_point([phi_fam.phi(lam) for lam in lams] + [psi_fam.phi(lam) for lam in lams])
+        ds, dq = integer_point([d for _, d, _ in rows])
+        pairs = list(zip(ds, xs, xs[len(lams) :]))
+        join = sum(d * max(a, b) for d, a, b in pairs)
+        meet = sum(d * min(a, b) for d, a, b in pairs)
+        phi_sum = sum(d * a for d, a, _ in pairs)
+        out.append((n, *(Fraction(s, dq * q) for s in (join, meet, phi_sum))))
     return out
 
 

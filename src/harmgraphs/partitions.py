@@ -166,14 +166,7 @@ class Partition:
 
     def up_covers(self, strict: bool = False) -> list["Partition"]:
         """All partitions one box above, in decreasing lexicographic order."""
-        parts = self.parts
-        grown = [
-            parts[:i] + (p + 1,) + parts[i + 1 :]
-            for i, p in enumerate(parts)
-            if i == 0 or parts[i - 1] > p
-        ]
-        grown.append(parts + (1,))
-        return [Partition._trusted(g) for g in grown if not strict or _is_strict(g)]
+        return [Partition._trusted(g) for _, g in _grown_rows(self.parts) if not strict or _is_strict(g)]
 
     def down_covers(self, strict: bool = False) -> list["Partition"]:
         """All partitions one box below, in decreasing lexicographic order."""
@@ -282,6 +275,15 @@ EMPTY = Partition()
 
 def _is_strict(parts: tuple[int, ...]) -> bool:
     return all(a > b for a, b in zip(parts, parts[1:]))
+
+
+def _grown_rows(parts: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
+    """(i, parts with row i grown by one box) for each row i (0-based) that can grow, a
+    new last row included: the covers one box above, decreasing lexicographic."""
+    ext = parts + (0,)
+    return [
+        (i, parts[:i] + (p + 1,) + parts[i + 1 :]) for i, p in enumerate(ext) if i == 0 or ext[i - 1] > p
+    ]
 
 
 def partitions_of(n: int, max_length: int | None = None, strict: bool = False) -> list[Partition]:

@@ -16,7 +16,9 @@ rational formulas at the point itself, where `boundary` evaluates one
 homogeneous integer form on the point's numerators, and the convergence loop
 is the one `boundary.convergence_experiment` runs on integers, at the points
 `embed_rows` and `embed_frobenius` give, with each level weight dim times phi
-rather than the face's own weight formula.
+rather than the face's own weight formula.  The harmonicity check and the
+lattice level sums run over the library's sweep one vertex at a time in
+`Fraction`s, where the library brings each level to one denominator.
 """
 
 from fractions import Fraction
@@ -33,7 +35,9 @@ from harmgraphs.exact import (
     integer_point,
     solve_linear,
 )
-from harmgraphs.graphs import top_level
+from harmgraphs.graphs import sweep, top_level
+from harmgraphs.harmonic import HarmonicityReport, HarmonicityViolation
+from harmgraphs.partitions import EMPTY
 from harmgraphs.interp import H_STAR, FunctionalSpec, h_star_values, jacobi_trudi, super_h_star_values
 from harmgraphs.series import poly_eval, poly_integral, poly_scale
 
@@ -492,3 +496,50 @@ def fraction_convergence_row(family, n, resolution, interior_fraction):
             exact = poly_eval(anti, lo + (i + 1) * width) - poly_eval(anti, lo + i * width)
             distance += abs(bins[i] - exact)
     return sum(w for _, w in weights), interior, max_err, distance
+
+
+def fraction_harmonicity(family, max_level):
+    """`check_harmonicity`'s report, each cover sum and level mass accumulated
+    in Fractions one vertex at a time."""
+    checked = 0
+    violations = []
+    values = []
+    masses = []
+    ahead = {EMPTY: family.phi(EMPTY)}
+    for n, rows in sweep(family.kind, max_level):
+        here, ahead = ahead, {}
+        mass = Fraction(0)
+        for mu, d, edges in rows:
+            lhs = here[mu]
+            rhs = Fraction(0)
+            for lam, w in edges:
+                if lam not in ahead:
+                    ahead[lam] = family.phi(lam)
+                rhs += w * ahead[lam]
+            if n < max_level:
+                checked += 1
+                if lhs != rhs:
+                    violations.append(HarmonicityViolation(mu, lhs, rhs))
+            values.append((mu, lhs))
+            mass += d * lhs
+        masses.append(mass)
+    return HarmonicityReport(
+        family.spec_string(), max_level, checked, tuple(violations), tuple(values), tuple(masses)
+    )
+
+
+def fraction_lattice_sums(phi_fam, psi_fam, mu, top):
+    """`lattice_level_sums`'s rows (n, join, meet, phi_sum), each sum accumulated
+    in Fractions one vertex at a time."""
+    out = []
+    for n, rows in sweep(phi_fam.kind, top, start=mu):
+        if n == mu.size:
+            continue
+        join = meet = phi_sum = Fraction(0)
+        for lam, d, _ in rows:
+            a, b = phi_fam.phi(lam), psi_fam.phi(lam)
+            join += d * max(a, b)
+            meet += d * min(a, b)
+            phi_sum += d * a
+        out.append((n, join, meet, phi_sum))
+    return out

@@ -146,6 +146,16 @@ GOLDEN = [
      "780682396b8b0e61f10f5c0794b4f3080be90d6aae67bce51d647725c2e53823"),
     ("dims --kind jack(3/2) --level 12", EXIT_OK,
      "26212a5fff1f80bfc4d9e89fd042b2deb617499c1ffa5758c308306ce6834c17"),
+    # the strict sweep, a length-capped jack sweep, a strict-family measure
+    # and an integer theta
+    ("dims --kind schur --level 14", EXIT_OK,
+     "ca6744db36d397b615e87cae45797bbc761a2602d1deb929f82df745652512ed"),
+    ("dims --kind jack(3) --level 9 --max-length 2", EXIT_OK,
+     "6dc89ef36e7aa71b896bb57d55f0896e6e381c245a225428c0c643a56c620a78"),
+    ("measure --family schur:t=1/2 --n 10", EXIT_OK,
+     "3081a174ec99c69a7597c4264fc17126632c0b8995a67e57abf8b604ce3afa9f"),
+    ("check-harmonic --family jack:e=1,t=1,theta=2 --levels 8", EXIT_OK,
+     "5447671fa627ede642f81af4490035d4fc605bec3e7b2edb2e76b347cc4a181a"),
     # Gauss's 2F1(a, b; c; 1) summed in mpmath, the one float path left
     ("verify gauss", EXIT_OK,
      "98babc224a7a8544535bb5402ffe3ede0aed19a64b5f87251025f44bb55e0574"),

@@ -19,6 +19,7 @@ from harmgraphs.graphs import (
     level,
     parse_kind,
     sweep,
+    top_level,
 )
 from harmgraphs.partitions import Partition, partitions_of, partitions_up_to
 
@@ -147,6 +148,19 @@ def test_sweep_from_a_vertex_within_a_bound():
     assert sorted(rows) == [3, 4, 5]
     assert [(lam, d) for lam, d, _ in rows[4]] == [(P([3, 1]), 1), (P([2, 2]), 1)]
     assert [(lam, d) for lam, d, _ in rows[5]] == [(P([3, 2]), 2)]
+
+
+def test_sweep_rejects_a_start_outside_its_graph_or_bound():
+    # a non-strict start on the strict graph is refused at once, even when
+    # the sweep never leaves the start's level
+    with pytest.raises(ValueError, match="strict"):
+        top_level(SCHUR, 4, start=P([2, 2]))
+    with pytest.raises(ValueError, match="strict"):
+        next(sweep(SCHUR, 6, start=P([2, 1, 1])))
+    with pytest.raises(ValueError, match="outside"):
+        next(sweep(YOUNG, 5, start=P([3]), within=P([2, 2])))
+    assert top_level(YOUNG, 4, start=P([2, 2])) == [(P([2, 2]), 1, [])]
+    assert top_level(SCHUR, 4, start=P([3, 1])) == [(P([3, 1]), 1, [])]
 
 
 def test_dim_closed_form_examples():

@@ -1,8 +1,11 @@
 """Property-based checks of the level sweep, the Jack weights, the
 interpolation-polynomial evaluators, the product-form one-row series, the
 truncated level weights, the exact Selberg integrals, the closed-form and
-the finite-width families on random admissible inputs."""
+the finite-width families on random admissible inputs, and the integer
+level sums of the harmonicity check and the lattice bounds against their
+Fraction loops."""
 
+from dataclasses import dataclass
 from fractions import Fraction as F
 from itertools import permutations
 from math import factorial
@@ -22,9 +25,21 @@ from harmgraphs.boundary import (
     young_density_constant,
 )
 from harmgraphs.exact import SingularMatrixError, pochhammer
-from harmgraphs.graphs import KINGMAN, SCHUR, YOUNG, dim, dim_closed_form, level, sweep
+from harmgraphs.graphs import (
+    KINGMAN,
+    SCHUR,
+    YOUNG,
+    covers_up,
+    dim,
+    dim_closed_form,
+    edge_multiplicity,
+    jack,
+    level,
+    sweep,
+)
 from harmgraphs.harmonic import (
     GammaShaped,
+    HarmonicFamily,
     JackZZ,
     KingmanTA,
     SchurT,
@@ -33,6 +48,7 @@ from harmgraphs.harmonic import (
     TruncYoung,
     YoungZZ,
     check_harmonicity,
+    lattice_level_sums,
 )
 from harmgraphs.interp import (
     H_STAR,
@@ -51,6 +67,8 @@ from harmgraphs.interp import (
 )
 from harmgraphs.partitions import Partition, partitions_of
 from oracles import (
+    fraction_harmonicity,
+    fraction_lattice_sums,
     functional_on_shifted_schur,
     schur_tableau,
     shifted_schur_bialternant,
@@ -570,3 +588,82 @@ def test_trunc_schur_table_serves_mu_in_any_order(lam, part_sets, order):
     for mu in mus:
         assert family.value(mu) == pstar_eval(mu, family.point())
     assert family == TruncSchur(lam) and hash(family) == hash(TruncSchur(lam))
+
+
+# ---------------------------------------------------------------------------
+# the sweep's edges, and the integer level sums against the Fraction loops
+# ---------------------------------------------------------------------------
+
+kinds = st.one_of(st.sampled_from([YOUNG, KINGMAN, SCHUR]), thetas.map(jack))
+
+
+@PROPERTY
+@given(kinds, nested_pairs(), st.booleans(), st.one_of(st.none(), st.integers(1, 4)), st.integers(0, 4))
+def test_sweep_edges_are_the_weighted_covers(kind, pair, bounded, max_length, extra):
+    start, within = pair
+    assume(start.is_strict or not kind.strict)
+    within = within if bounded else None
+    top = start.size + extra
+    for n, rows in sweep(kind, top, start, within, max_length):
+        for lam, _, edges in rows:
+            expected = [
+                (nu, edge_multiplicity(lam, nu, kind))
+                for nu in (covers_up(lam, kind) if n < top else ())
+                if (max_length is None or nu.length <= max_length)
+                and (within is None or within.contains(nu))
+            ]
+            assert edges == expected
+
+
+@dataclass(frozen=True)
+class ScaledAt(HarmonicFamily):
+    """`base` with phi scaled by `factor` at the one vertex `at`."""
+
+    base: HarmonicFamily
+    at: Partition
+    factor: F
+
+    @property
+    def kind(self):
+        return self.base.kind
+
+    def phi(self, mu):
+        value = self.base.phi(mu)
+        return value * self.factor if mu == self.at else value
+
+    def spec_string(self):
+        return f"{self.base} scaled by {self.factor} at {self.at}"
+
+
+@st.composite
+def closed_form_families(draw):
+    """One of the four closed-form families at legal random parameters, or a TruncYoung."""
+    which = draw(st.sampled_from(["young-zz", "jack", "kingman", "schur", "trunc-young"]))
+    if which == "young-zz":
+        return YoungZZ(draw(rationals), draw(rationals.filter(_legal_t)))
+    if which == "jack":
+        theta = draw(thetas)
+        zz = draw(rationals.filter(lambda zz: _legal_t(zz / theta)))
+        return JackZZ(draw(rationals), zz, theta)
+    if which == "kingman":
+        return KingmanTA(draw(rationals.filter(lambda t: _legal_t(t, allow_zero=True))), draw(rationals))
+    if which == "schur":
+        return SchurT(draw(rationals.filter(_legal_t)))
+    return TruncYoung(draw(nonempty.filter(lambda lam: lam.length >= 2)))
+
+
+@PROPERTY
+@given(closed_form_families(), st.integers(1, 6), st.data())
+def test_integer_level_sums_match_the_fraction_loops(family, levels, data):
+    # the family scaled at one vertex breaks harmonicity there (lhs) and at its
+    # down covers (rhs), unless phi vanishes at that vertex
+    vertices = [lam for n in range(levels + 1) for lam in level(n, family.kind)]
+    at = data.draw(st.sampled_from(vertices))
+    wrong = ScaledAt(family, at, data.draw(rationals.filter(lambda x: x != 1)))
+    assert check_harmonicity(family, levels) == fraction_harmonicity(family, levels)
+    report = check_harmonicity(wrong, levels)
+    assert report == fraction_harmonicity(wrong, levels)
+    assert bool(report.violations) == (family.phi(at) != 0)
+    mu = data.draw(st.sampled_from([lam for lam in vertices if lam.size < levels]))
+    for pair in ((family, wrong), (wrong, family)):
+        assert lattice_level_sums(*pair, mu, levels) == fraction_lattice_sums(*pair, mu, levels)
