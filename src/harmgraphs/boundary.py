@@ -18,7 +18,8 @@ needed here reduces to closed form on the standard simplex:
 
 That makes the μ = ∅ mass-one checks exact as well, not just the
 full-length alternant cases.  The truncated family and the density
-constant depend on λ alone, so `selberg_rows` builds them once per λ.
+constant depend on λ alone, so `selberg_rows` builds them once per λ; the
+kernel tables likewise clear a Thoma point once for every μ.
 
 Each face (young, kingman, schur, gamma) is one `Face` record in the
 `FACES` table, keyed by the `face` string of its truncated family: its
@@ -34,8 +35,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import permutations
-from math import comb, factorial, lcm, perm, prod
-from typing import Callable
+from math import comb, factorial, lcm, prod
+from typing import Callable, Sequence
 
 from .exact import as_rational, integer_det, integer_point, pochhammer, round_bits
 from .graphs import dim_closed_form, level
@@ -47,20 +48,9 @@ from .harmonic import (
     TruncYoung,
     level_measure,
 )
-from .interp import _permutation_sum, jacobi_trudi
+from .interp import complete_numerators, jacobi_trudi_det, permutation_sum
 from .partitions import Partition
-from .series import (
-    Poly,
-    exp_series,
-    geometric_series,
-    poly_add,
-    poly_eval,
-    poly_integral,
-    poly_mul,
-    poly_scale,
-    poly_sub,
-    series_mul,
-)
+from .series import Poly, poly_add, poly_eval, poly_integral, poly_mul, poly_scale, poly_sub
 
 
 # ---------------------------------------------------------------------------
@@ -435,38 +425,65 @@ def _gamma_selberg(lam: Partition, mus: list[Partition]):
 # boundary kernels
 # ---------------------------------------------------------------------------
 
-def young_h_series(omega: ThomaPoint, order: int) -> Poly:
-    """h_0 .. h_{order-1} at a finite-support point, from exp(gamma*u) *
-    prod(1 + beta_i u) / prod(1 - alpha_i u); truncation leaves the lower
-    coefficients unchanged, so order N + 1 serves every |mu| <= N."""
-    series: Poly = exp_series(omega.gamma, order)
-    for b in omega.beta:
-        series = series_mul(series, [Fraction(1), b], order)
-    for a in omega.alpha:
-        series = series_mul(series, geometric_series(a, order), order)
-    return series
+def young_kernel_table(
+    omega: ThomaPoint, shapes: Sequence[Partition]
+) -> tuple[dict[Partition, int], int, int]:
+    """Extreme-point kernels s_mu(omega) on the Young graph for every mu in shapes,
+    as (numerators, scale, constant): s_mu is numerators[mu] over constant * scale^|mu|,
+    so one level's kernels share one denominator.  Each is the Jacobi-Trudi determinant
+    in h_k, the coefficients of exp(gamma u) prod(1 + beta_i u) / prod(1 - alpha_i u).
+
+    At (alpha; beta; gamma) = (A; B; G)/Q, with P the integer series of
+    prod(1 + B_i u) / prod(1 - A_i u), h_k = sum_j G^j P_(k-j) / (j! Q^k).  With
+    F = N!, N the largest |mu|, h_k is the integer sum_j (F^k / j!) G^j P_(k-j)
+    over (F Q)^k, so each s_mu is one integer determinant over (F Q)^|mu|.
+    """
+    top = max((mu.size for mu in shapes), default=0)
+    (*xs, g), q = integer_point((*omega.alpha, *omega.beta, omega.gamma))
+    p = complete_numerators(xs[: len(omega.alpha)], top, xs[len(omega.alpha) :])
+    f = factorial(top)
+    h = [sum(f**k // factorial(j) * g**j * p[k - j] for j in range(k + 1)) for k in range(top + 1)]
+    columns = [h] * max((mu.length for mu in shapes), default=0)
+    return {mu: jacobi_trudi_det(mu, columns) for mu in shapes}, f * q, 1
+
+
+def kingman_kernel_table(
+    omega: ThomaPoint, shapes: Sequence[Partition]
+) -> tuple[dict[Partition, int], int, int]:
+    """Extended monomial kernels on the Kingman graph, as in `young_kernel_table`: the
+    sum over k <= r_1(mu) of gamma^k/k! m_nu(alpha), nu = mu less k parts 1.
+
+    At (alpha, gamma) = (X, G)/Q each term has degree |mu|, so with F = r!, r the
+    largest r_1(mu), the kernel is sum_k G^k (F/k!) m_nu(X) over F Q^|mu|; each
+    m_nu(X) is computed once.
+    """
+    if omega.beta:
+        raise ValueError("kingman boundary points carry no beta coordinates")
+    (*xs, g), q = integer_point((*omega.alpha, omega.gamma))
+    f = factorial(max((mu.multiplicity(1) for mu in shapes), default=0))
+    m: dict[tuple[int, ...], int] = {}
+    numerators = {}
+    for mu in shapes:
+        total = 0
+        for k in range(mu.multiplicity(1) + 1):
+            nu = mu.parts[: mu.length - k]  # the parts 1 come last
+            if nu not in m:
+                m[nu] = permutation_sum(Partition(nu), xs, pow)
+            total += g**k * (f // factorial(k)) * m[nu]
+        numerators[mu] = total
+    return numerators, q, f
 
 
 def young_kernel(mu: Partition, omega: ThomaPoint) -> Fraction:
-    """Extreme-point kernel on the Young graph at a finite-support point:
-    the Jacobi-Trudi determinant in the point's complete homogeneous values."""
-    return jacobi_trudi(mu, young_h_series(omega, mu.size + 1))
+    """The Young kernel of one mu: the one-mu case of `young_kernel_table`."""
+    numerators, scale, constant = young_kernel_table(omega, [mu])
+    return Fraction(numerators[mu], constant * scale**mu.size)
 
 
 def kingman_kernel(mu: Partition, omega: ThomaPoint) -> Fraction:
-    """Extended monomial kernel on the Kingman graph, the sum over k <= r_1(mu) of
-    gamma^k/k! m_nu(alpha), nu = mu less k parts 1: at (alpha, gamma) = (X, G)/Q
-    each term has degree |mu|, so it is sum G^k (r_1!/k!) m_nu(X) over r_1! Q^|mu|."""
-    if omega.beta:
-        raise ValueError("kingman boundary points carry no beta coordinates")
-    r1 = mu.multiplicity(1)
-    rest = [p for p in mu.parts if p != 1]
-    (*xs, g), q = integer_point((*omega.alpha, omega.gamma))
-    total = 0
-    for k in range(r1 + 1):
-        nu = Partition(rest + [1] * (r1 - k))
-        total += g**k * perm(r1, r1 - k) * _permutation_sum(nu, xs, pow)
-    return Fraction(total, factorial(r1) * q**mu.size)
+    """The Kingman kernel of one mu: the one-mu case of `kingman_kernel_table`."""
+    numerators, scale, constant = kingman_kernel_table(omega, [mu])
+    return Fraction(numerators[mu], constant * scale**mu.size)
 
 
 # ---------------------------------------------------------------------------
@@ -701,7 +718,7 @@ FACES: dict[str, Face] = {
     "kingman": Face(
         accepts=lambda lam: lam.length >= 1, needs="a nonempty partition",
         constant=kingman_density_constant, degree=lambda lam: lam.size,
-        density=lambda lam, xs: _permutation_sum(lam, xs, pow),  # m_lam
+        density=lambda lam, xs: permutation_sum(lam, xs, pow),  # m_lam
         level_weights=_kingman_weights, selberg=_kingman_selberg,
         sweep=(1, 2, 3), admits=lambda mu, s: mu.length <= s,
         # m_lam at (alpha_1, 1 - alpha_1)

@@ -16,6 +16,7 @@ import random
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import perm
 
 from . import __version__
 from .exact import (
@@ -26,8 +27,8 @@ from .exact import (
     det,
     format_bigfloat,
     format_rational,
+    integer_point,
     pfaffian,
-    pochhammer,
 )
 from .graphs import (
     KINGMAN,
@@ -52,26 +53,25 @@ from .harmonic import (
     parse_family,
 )
 from .interp import (
-    factorial_monomial_eval,
+    complete_numerators,
+    falling_power,
     gauss_2f1_check,
-    jacobi_trudi,
-    monomial_eval,
+    jacobi_trudi_det,
+    permutation_sum,
     pstar_one_row_values,
     pstar_pfaffian,
     pstar_two_row_table,
-    schur_eval,
     schur_t_functional,
-    shifted_schur_at_diagram,
-    shifted_schur_eval,
+    shifted_schur_columns,
 )
 from .boundary import (
     FACES,
     ThomaPoint,
     convergence_experiment,
     density_spec,
-    kingman_kernel,
+    kingman_kernel_table,
     selberg_rows,
-    young_h_series,
+    young_kernel_table,
 )
 from .partitions import Partition, partitions_of, partitions_up_to
 
@@ -321,16 +321,18 @@ def _suite_interpolation(args, report: Report) -> None:
         lam: _pstar_values([mu for mu in strict if mu.size >= lam.size], lam.parts)
         for lam in strict
     }
+    # s* at each diagram point from one column set, which serves every mu (s* is
+    # stable under zero padding); s* and m* there are integers
+    columns = {lam: shifted_schur_columns(lam.parts, 1, cap, cap) for lam in partitions_up_to(cap)}
+    falling = falling_power(1)
     for n in range(1, cap + 1):
         for mu in partitions_of(n):
             for m in range(n + 1):
                 for lam in partitions_of(m):
                     if lam == mu:
                         continue
-                    s_val = shifted_schur_at_diagram(mu, lam)
-                    m_val = factorial_monomial_eval(
-                        mu, tuple(Fraction(x) for x in lam.parts) or (Fraction(0),)
-                    )
+                    s_val = jacobi_trudi_det(mu, columns[lam])
+                    m_val = permutation_sum(mu, lam.parts, falling)
                     report.add(
                         "interpolation-vanishing",
                         f"s*/m* mu={mu} lambda={lam}",
@@ -368,45 +370,42 @@ def _suite_pieri(args, report: Report) -> None:
     cap = args.max_size
     shapes = partitions_up_to(cap + 1)
     strict_shapes = [lam for lam in shapes if lam.is_strict]
+    # every vertex of size <= cap with its up-edges, young and kingman side by side
+    levels = list(zip(sweep(YOUNG, cap + 1), sweep(KINGMAN, cap + 1)))[:-1]
     for trial in range(args.points):
         x = _random_point(rng, cap + 1)
-        p1 = sum(x, Fraction(0))
-        # each value is read once as a left side and again under every down-cover
-        s = {lam: schur_eval(lam, x) for lam in shapes}
-        m = {lam: monomial_eval(lam, x) for lam in shapes}
-        s_star = {lam: shifted_schur_eval(lam, x) for lam in shapes}
-        m_star = {lam: factorial_monomial_eval(lam, x) for lam in shapes}
+        xs, q = integer_point(x)
+        p1 = sum(xs)  # p_1(x) = p1 / q
+        # each value, an integer over q^|lam|, is read once as a left side and
+        # again under every down-cover; each point's h and s* columns serve every lam
+        h = [complete_numerators(xs, cap + 1)] * (cap + 1)
+        h_star = shifted_schur_columns(xs, q, cap + 1, cap + 1)
+        falling = falling_power(q)
+        s = {lam: jacobi_trudi_det(lam, h) for lam in shapes}
+        m = {lam: permutation_sum(lam, xs, pow) for lam in shapes}
+        s_star = {lam: jacobi_trudi_det(lam, h_star) for lam in shapes}
+        m_star = {lam: permutation_sum(lam, xs, falling) for lam in shapes}
         p_star = _pstar_values(strict_shapes, x)
-        for n in range(cap + 1):
-            for mu in partitions_of(n):
-                young_covers = covers_up(mu, YOUNG)
-                kingman_covers = [
-                    (edge_multiplicity(mu, lam, KINGMAN), lam) for lam in covers_up(mu, KINGMAN)
-                ]
-                lhs = s[mu] * p1
-                rhs = sum((s[lam] for lam in young_covers), Fraction(0))
-                report.add(
-                    "pieri-classical", f"schur mu={mu} point#{trial}", lhs, rhs, lhs == rhs
+        for (n, young_rows), (_, kingman_rows) in levels:
+            den = q ** (n + 1)  # both sides of each relation at level n
+            for (mu, _, young_covers), (_, _, kingman_covers) in zip(young_rows, kingman_rows):
+                sides = (
+                    ("pieri-classical", "schur", s[mu] * p1,
+                     sum(s[lam] for lam, _ in young_covers)),
+                    ("pieri-classical", "monomial", m[mu] * p1,
+                     sum(k * m[lam] for lam, k in kingman_covers)),
+                    ("pieri-interpolation", "s*", s_star[mu] * p1,
+                     n * q * s_star[mu] + sum(s_star[lam] for lam, _ in young_covers)),
+                    ("pieri-interpolation", "m*", m_star[mu] * p1,
+                     n * q * m_star[mu] + sum(k * m_star[lam] for lam, k in kingman_covers)),
                 )
-                lhs = m[mu] * p1
-                rhs = sum((k * m[lam] for k, lam in kingman_covers), Fraction(0))
-                report.add(
-                    "pieri-classical", f"monomial mu={mu} point#{trial}", lhs, rhs, lhs == rhs
-                )
-                lhs = s_star[mu] * p1
-                rhs = n * s_star[mu] + sum((s_star[lam] for lam in young_covers), Fraction(0))
-                report.add(
-                    "pieri-interpolation", f"s* mu={mu} point#{trial}", lhs, rhs, lhs == rhs
-                )
-                lhs = m_star[mu] * p1
-                rhs = n * m_star[mu] + sum(
-                    (k * m_star[lam] for k, lam in kingman_covers), Fraction(0)
-                )
-                report.add(
-                    "pieri-interpolation", f"m* mu={mu} point#{trial}", lhs, rhs, lhs == rhs
-                )
+                for check, name, lhs, rhs in sides:
+                    report.add(
+                        check, f"{name} mu={mu} point#{trial}",
+                        Fraction(lhs, den), Fraction(rhs, den), lhs == rhs,
+                    )
             for mu in partitions_of(n, strict=True):
-                lhs = p_star[mu] * p1
+                lhs = p_star[mu] * p1 / q
                 rhs = n * p_star[mu] + sum(
                     (p_star[lam] for lam in covers_up(mu, SCHUR)), Fraction(0)
                 )
@@ -431,18 +430,17 @@ def _suite_dimensions(args, report: Report) -> None:
 
 
 def _suite_dimension_ratio(args, report: Report) -> None:
+    """dim(mu, lam) / dim(lam) = s*_mu(lam) / n(n - 1)...(n - |mu| + 1) at n = |lam|,
+    s* read from one column set per diagram (s* is stable under zero padding)."""
     d0 = {lam: d for _, rows in sweep(YOUNG, args.lam_max) for lam, d, _ in rows}
+    columns = {lam: shifted_schur_columns(lam.parts, 1, args.mu_max, args.mu_max) for lam in d0}
     for nn in range(args.mu_max + 1):
         for mu in partitions_of(nn):
             for n_lam, rows in sweep(YOUNG, args.lam_max, start=mu):
                 dims = {lam: d for lam, d, _ in rows}
                 for lam in partitions_of(n_lam):
                     lhs = Fraction(dims.get(lam, 0), d0[lam])
-                    rhs = (
-                        (-1) ** nn
-                        * shifted_schur_at_diagram(mu, lam)
-                        / pochhammer(Fraction(-n_lam), nn)
-                    )
+                    rhs = Fraction(jacobi_trudi_det(mu, columns[lam]), perm(n_lam, nn))
                     report.add(
                         "dimension-ratio", f"mu={mu} lambda={lam}", lhs, rhs, lhs == rhs
                     )
@@ -535,31 +533,26 @@ def _suite_kernels(args, report: Report) -> None:
         alpha = tuple(sorted((a1, a2), reverse=True))
         points.append(ThomaPoint(alpha, (b1,) if b1 else ()))
     shapes = partitions_up_to(args.levels)
+    # every vertex below the top level with its weighted up-edges, shared by the points
+    levels = {kind: list(sweep(kind, args.levels))[:-1] for kind in (YOUNG, KINGMAN)}
     for idx, om in enumerate(points):
-        h = young_h_series(om, args.levels + 1)
-        young = {lam: jacobi_trudi(lam, h) for lam in shapes}
-        for n in range(args.levels):
-            for mu in partitions_of(n):
-                lhs = young[mu]
-                rhs = sum((young[lam] for lam in covers_up(mu, YOUNG)), Fraction(0))
-                report.add(
-                    "kernel-harmonicity", f"young point#{idx} mu={mu}", lhs, rhs, lhs == rhs
-                )
-        om_alpha = ThomaPoint(om.alpha)
-        kingman = {lam: kingman_kernel(lam, om_alpha) for lam in shapes}
-        for n in range(args.levels):
-            for mu in partitions_of(n):
-                lhs = kingman[mu]
-                rhs = sum(
-                    (
-                        edge_multiplicity(mu, lam, KINGMAN) * kingman[lam]
-                        for lam in covers_up(mu, KINGMAN)
-                    ),
-                    Fraction(0),
-                )
-                report.add(
-                    "kernel-harmonicity", f"kingman point#{idx} mu={mu}", lhs, rhs, lhs == rhs
-                )
+        tables = (
+            (YOUNG, young_kernel_table(om, shapes)),
+            (KINGMAN, kingman_kernel_table(ThomaPoint(om.alpha), shapes)),
+        )
+        # a level's kernels share the denominator c * scale^n, so each cover
+        # sum compares in ints and one Fraction forms per side
+        for kind, (nums, scale, c) in tables:
+            for n, rows in levels[kind]:
+                for mu, _, edges in rows:
+                    r = sum(w * nums[lam] for lam, w in edges)
+                    report.add(
+                        "kernel-harmonicity",
+                        f"{kind.name} point#{idx} mu={mu}",
+                        Fraction(nums[mu], c * scale**n),
+                        Fraction(r, c * scale ** (n + 1)),
+                        nums[mu] * scale == r,
+                    )
 
 
 def _suite_gauss(args, report: Report) -> None:

@@ -314,7 +314,7 @@ class TruncYoung(_FiniteWidth):
             xs = [int(x) for x in self.point()]
             columns = shifted_schur_columns(xs, 1, self.width, max(2 * reach, 8))
             object.__setattr__(self, "columns", columns)
-        return jacobi_trudi_det(mu, columns)
+        return Fraction(jacobi_trudi_det(mu, columns))
 
     def phi(self, mu: Partition) -> Fraction:
         if mu.length > self.width:
@@ -372,7 +372,7 @@ class GammaShaped(HarmonicFamily):
                 f"degree cap {self.degree_cap} exceeded at |mu| = {mu.size}; raise degree_cap"
             )
         n, t = mu.size, self.fc.size
-        d = jacobi_trudi_det(mu, self.columns).numerator  # integer columns: D over 1
+        d = jacobi_trudi_det(mu, self.columns)
         return Fraction((-1) ** n * d, prod(range(t, t + n)))
 
     def admissible(self, surrogate_level: int = 6) -> AdmissibleReport:

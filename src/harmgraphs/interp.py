@@ -8,11 +8,12 @@ factorial monomial (Kingman side) and factorial Schur P (strict side):
   values, at a point or under a multiplicative functional; the one-row
   generators h* by a running tableau sum, the product-form ones by one
   O(count) recurrence per factor, on integers when the factors are.  The
-  determinant is one integer determinant when its entries are integer
-  numerators, and it serves every s* value: diagram points, the reflected
-  points of the truncated Young family, the integer gamma columns and the
-  functionals.  The falling-factorial bialternant and the reverse-tableau
-  sums are test oracles;
+  determinant is always one integer determinant (a rational sequence is
+  graded onto integer numerators first), and it serves every s and s*
+  value: points, diagram points, the reflected points of the truncated
+  Young family, the integer gamma columns, the functionals and the Thoma
+  points of the kernels.  The falling-factorial bialternant and the
+  reverse-tableau sums are test oracles;
 * monomial and factorial monomial: one pass over the coordinates;
 * factorial Schur P: one-row series -> two-row table -> Pfaffian.  The
   one-row list and the table depend only on the source, so a caller that
@@ -21,7 +22,10 @@ factorial monomial (Kingman side) and factorial Schur P (strict side):
   as a Pfaffian.
 
 At a point x = X/Q (`exact.integer_point`) s, s*, m, m* and h* are graded
-values of the integer numerators X, with one Fraction formed per value.
+values of the integer numerators X, with one Fraction formed per value.  A
+caller that evaluates many mu at one point builds its h numerators
+(`complete_numerators`) or s* columns (`shifted_schur_columns`) once and
+reads each mu by `jacobi_trudi_det`, and m, m* by `permutation_sum`.
 
 A multiplicative functional is a list of generator values.  The
 generator-basis engine, which expands a target over products of h*
@@ -41,7 +45,6 @@ from .exact import (
     RationalMatrix,
     SingularMatrixError,
     as_rational,
-    det,
     integer_det,
     integer_point,
     invert_matrix,
@@ -77,68 +80,77 @@ def shifted_columns(h: Sequence, count: int, scale: int = 1) -> list[list]:
     return columns
 
 
-def jacobi_trudi_det(mu: Partition, columns: Sequence[Sequence], scale: int = 1) -> Fraction:
-    """det[c_j(mu_i - i + j)] over columns that reach index mu_1 + l(mu) - 1; entry (i, j) has
-    degree mu_i - i + j, so on numerators c_j(n) over scale^n the value is their det over
-    scale^|mu|."""
-    m = mu.length
+def jacobi_trudi_det(mu: Partition, columns: Sequence[Sequence[int]]) -> int:
+    """det[c_j(mu_i - i + j)] over integer columns that reach index mu_1 + l(mu) - 1, one
+    `integer_det`.  Entry (i, j) has degree mu_i - i + j, so on graded numerators c_j(n)
+    over Q^n the value is this determinant over Q^|mu|."""
     rows = [
-        [columns[j][k] if (k := p - i + j) >= 0 else 0 for j in range(m)]
+        [columns[j][k] if (k := p - i + j) >= 0 else 0 for j in range(mu.length)]
         for i, p in enumerate(mu.parts)
     ]
-    if all(type(v) is int for row in rows for v in row):
-        return Fraction(integer_det(rows), scale**mu.size)
-    return det(RationalMatrix(rows)) / scale**mu.size
+    return integer_det(rows)
 
 
-def jacobi_trudi(mu: Partition, h: Sequence, shifted: bool = False, scale: int = 1) -> Fraction:
-    """det[c_j(mu_i - i + j)] over h_0 = 1, h_1, ..., h_k with k >= |mu|, each h_n
-    given as itself or, graded, as a numerator over scale^n.
+def jacobi_trudi(mu: Partition, h: Sequence, shifted: bool = False) -> Fraction:
+    """det[c_j(mu_i - i + j)] over rational h_0 = 1, h_1, ..., h_k with k >= |mu|.
 
     Classical: every column c_j is h, giving s_mu.  Shifted: c_j = S^(j-1) h,
-    giving pi(s*_mu) when h_m = pi(h*_m) (Okounkov-Olshanski 1997).
+    giving pi(s*_mu) when h_m = pi(h*_m) (Okounkov-Olshanski 1997).  The
+    sequence is graded first: with Q the lcm of its denominators, h_n Q^n is
+    an integer, so the value is one integer determinant over Q^|mu|.
     """
-    columns = shifted_columns(h, mu.length, scale) if shifted else [h] * mu.length
-    return jacobi_trudi_det(mu, columns, scale)
+    if h[0] != 1:
+        raise ValueError("a Jacobi-Trudi sequence starts at h_0 = 1")
+    xs, q = integer_point(h[1:])
+    graded = [1] + [x * q**n for n, x in enumerate(xs)]  # h_(n+1) = X_n / Q
+    columns = shifted_columns(graded, mu.length, q) if shifted else [graded] * mu.length
+    return Fraction(jacobi_trudi_det(mu, columns), q**mu.size)
+
+
+def complete_numerators(xs: Sequence[int], count: int, ys: Sequence[int] = ()) -> list[int]:
+    """1, h_1, ..., h_count: the coefficients of prod(1 + y_j u) / prod(1 - x_i u) on
+    integers, the complete homogeneous h_k(X), or with ys the supersymmetric h_k(X / Y).
+    h_k has degree k, so at a point X/Q it is this numerator over Q^k."""
+    h = [1] + [0] * count
+    for y in ys:
+        for k in range(count, 0, -1):
+            h[k] += y * h[k - 1]
+    for x in xs:
+        for k in range(1, count + 1):
+            h[k] += x * h[k - 1]
+    return h
 
 
 def schur_eval(mu: Partition, x) -> Fraction:
     """Classical Schur polynomial s_mu at a finite point: Jacobi-Trudi in
-    the complete homogeneous h_k, accumulated one coordinate at a time on the
-    integer numerators X of x = X/Q, so s_mu(x) = s_mu(X)/Q^|mu|."""
+    the complete homogeneous h_k on the integer numerators X of x = X/Q,
+    so s_mu(x) = s_mu(X)/Q^|mu|, which is 0 past l(mu) > len(x) by itself."""
     xs, q = integer_point(x)
-    if mu.length > len(xs):
-        return Fraction(0)
-    h = [1] + [0] * mu.size
-    for xi in xs:
-        for k in range(1, len(h)):
-            h[k] += xi * h[k - 1]
-    return jacobi_trudi(mu, h, scale=q)
+    h = complete_numerators(xs, mu.size)
+    return Fraction(jacobi_trudi_det(mu, [h] * mu.length), q**mu.size)
 
 
 def monomial_eval(mu: Partition, x) -> Fraction:
     """Monomial symmetric polynomial m_mu at a finite point x = X/Q:
     m_mu(X)/Q^|mu| on the integer numerators."""
     xs, q = integer_point(x)
-    if mu.length > len(xs):
-        return Fraction(0)
-    return Fraction(_permutation_sum(mu, xs, pow), q**mu.size)
+    return Fraction(permutation_sum(mu, xs, pow), q**mu.size)
 
 
 def factorial_monomial_eval(mu: Partition, x) -> Fraction:
-    """Factorial monomial m*_mu: ordinary powers replaced by falling powers.
-
-    At x = X/Q a falling power x (x-1) ... (x-k+1) is the integer product of
-    X - jQ over j < k, over Q^k, so the value is one integer over Q^|mu|.
-    """
+    """Factorial monomial m*_mu: ordinary powers replaced by falling powers,
+    one integer over Q^|mu| at x = X/Q (`falling_power`)."""
     xs, q = integer_point(x)
-    if mu.length > len(xs):
-        return Fraction(0)
-    falling = lambda a, k: prod(range(a, a - k * q, -q))
-    return Fraction(_permutation_sum(mu, xs, falling), q**mu.size)
+    return Fraction(permutation_sum(mu, xs, falling_power(q)), q**mu.size)
 
 
-def _permutation_sum(mu: Partition, x: Sequence[int], power) -> int:
+def falling_power(q: int):
+    """The power m*_mu takes on numerators over Q: at x = X/Q the falling power
+    x (x-1) ... (x-k+1) is the integer product of X - jQ over j < k, over Q^k."""
+    return lambda a, k: prod(range(a, a - k * q, -q))
+
+
+def permutation_sum(mu: Partition, x: Sequence[int], power) -> int:
     """Sum over the distinct arrangements of mu's parts on the integer
     coordinates (zeros on the rest) of the product of power(x_i, part).
 
@@ -168,19 +180,19 @@ def _permutation_sum(mu: Partition, x: Sequence[int], power) -> int:
 
 def shifted_schur_eval(mu: Partition, x) -> Fraction:
     """Shifted Schur polynomial s*_mu at a finite point: the shifted
-    Jacobi-Trudi determinant in h*(x), valid at every rational point, in
-    its graded form on the numerators of h*(x) over powers of Q."""
+    Jacobi-Trudi determinant in h*(x), valid at every rational point (0 past
+    l(mu) > len(x)), in its graded form on the numerators of h*(x) over powers of Q."""
     xs, q = integer_point(x)
-    if mu.length > len(xs):
-        return Fraction(0)
     columns = shifted_schur_columns(xs, q, mu.length, mu.part(1) + mu.length - 1)
-    return jacobi_trudi_det(mu, columns, q)
+    return Fraction(jacobi_trudi_det(mu, columns), q**mu.size)
 
 
 def shifted_schur_columns(xs: Sequence[int], q: int, length: int, count: int) -> list[list[int]]:
     """S^0 h*, ..., S^(length-1) h* through h*_count at X/Q, on numerators over Q^n:
-    s*_mu(X/Q) is `jacobi_trudi_det(mu, columns, Q)` for every mu with l(mu) <= length
-    and mu_1 + l(mu) - 1 <= count, the highest index the determinant reads."""
+    s*_mu(X/Q) is `jacobi_trudi_det(mu, columns)` over Q^|mu| for every mu with
+    l(mu) <= length and mu_1 + l(mu) - 1 <= count, the highest index the determinant
+    reads.  s* is stable under zero padding, so the columns of a diagram at its own
+    length serve every mu, longer ones included."""
     return shifted_columns([1] + _h_star_numerators(xs, q, count), length, q)
 
 
@@ -522,10 +534,15 @@ def gauss_2f1_check(
 ) -> bool:
     """Partial sums of 2F1(a,b;c;1) against the Gamma-ratio closed form.
 
-    Requires c - a - b > 0 (convergence) and c not a nonpositive integer.
-    Terms are accumulated at the requested binary precision until they
-    fall three orders below the tolerance or the series terminates.
+    Requires c - a - b > 0 (convergence), c not a nonpositive integer, a
+    positive tolerance and a precision of at least one bit.  Terms are
+    accumulated at the requested binary precision until they fall three
+    orders below the tolerance or the series terminates.
     """
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    if precision < 1:
+        raise ValueError(f"precision must be at least 1 bit, got {precision}")
     # the closed form needs the Gamma function at rationals, the one float
     # the package computes; importing mpmath here spares every other start
     import mpmath

@@ -85,39 +85,6 @@ def poly_integral(p: Sequence[Fraction]) -> Poly:
 
 
 # ---------------------------------------------------------------------------
-# truncated power series (for the boundary kernel assembly)
-# ---------------------------------------------------------------------------
-
-def series_mul(a: Sequence[Fraction], b: Sequence[Fraction], order: int) -> Poly:
-    """Product of two power series kept to degree < order."""
-    out = [Fraction(0)] * order
-    for i, ca in enumerate(a[:order]):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b[: order - i]):
-            out[i + j] += ca * cb
-    return out
-
-
-def geometric_series(ratio, order: int) -> Poly:
-    """1/(1 - ratio*u) to degree < order."""
-    r = as_rational(ratio)
-    out = [Fraction(1)]
-    for _ in range(order - 1):
-        out.append(out[-1] * r)
-    return out
-
-
-def exp_series(coeff, order: int) -> Poly:
-    """exp(coeff*u) to degree < order, exact rational coefficients."""
-    c = as_rational(coeff)
-    out = [Fraction(1)]
-    for k in range(1, order):
-        out.append(out[-1] * c / k)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # factorial series
 # ---------------------------------------------------------------------------
 

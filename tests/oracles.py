@@ -9,7 +9,9 @@ The reverse-tableau sums and the bialternants for s and s* are the other
 classical formulas for the values the library takes by Jacobi-Trudi. The
 sampling extraction of factorial-series coefficients cross-checks the
 algebraic one, and the functionals packaged as h* values drive the shifted
-Jacobi-Trudi determinant and the generator-basis engine. The mpmath
+Jacobi-Trudi determinant and the generator-basis engine.  The Thoma
+h-series of the kernels is multiplied out as truncated Fraction power
+series, where the library builds one integer series per point. The mpmath
 conversions are the float layer `exact.round_bits` and
 `exact.format_bigfloat` reproduce in integers. The face densities are the
 rational formulas at the point itself, where `boundary` evaluates one
@@ -138,6 +140,44 @@ def fraction_shifted_schur(mu, x) -> Fraction:
     if mu.length > len(x):
         return Fraction(0)
     return fraction_jacobi_trudi(mu, [Fraction(1)] + fraction_h_star_values(x, mu.size), True)
+
+
+def series_mul(a, b, order: int) -> list[Fraction]:
+    """Product of two power series kept to degree < order."""
+    out = [Fraction(0)] * order
+    for i, ca in enumerate(a[:order]):
+        for j, cb in enumerate(b[: order - i]):
+            out[i + j] += ca * cb
+    return out
+
+
+def geometric_series(ratio, order: int) -> list[Fraction]:
+    """1/(1 - ratio*u) to degree < order."""
+    r = as_rational(ratio)
+    out = [Fraction(1)]
+    for _ in range(order - 1):
+        out.append(out[-1] * r)
+    return out
+
+
+def exp_series(coeff, order: int) -> list[Fraction]:
+    """exp(coeff*u) to degree < order."""
+    c = as_rational(coeff)
+    out = [Fraction(1)]
+    for k in range(1, order):
+        out.append(out[-1] * c / k)
+    return out
+
+
+def young_h_series(omega, order: int) -> list[Fraction]:
+    """h_0 .. h_(order-1) at a Thoma point, the series exp(gamma u) prod(1 + beta_i u)
+    / prod(1 - alpha_i u) multiplied out in Fractions, one factor at a time."""
+    series = exp_series(omega.gamma, order)
+    for b in omega.beta:
+        series = series_mul(series, [Fraction(1), b], order)
+    for a in omega.alpha:
+        series = series_mul(series, geometric_series(a, order), order)
+    return series
 
 
 def fraction_power(a, e):

@@ -12,7 +12,6 @@ from harmgraphs.boundary import (
     selberg_verify,
     simplex_monomial_integral,
     simplex_pair_integral,
-    young_h_series,
     young_kernel,
     _quotient_pfaffian,
 )
@@ -22,7 +21,13 @@ from harmgraphs.graphs import KINGMAN, YOUNG, covers_up, edge_multiplicity
 from harmgraphs.harmonic import GammaShaped, TruncKingman, TruncSchur, TruncYoung
 from harmgraphs.interp import jacobi_trudi
 from harmgraphs.partitions import Partition, partitions_of, partitions_up_to
-from oracles import dirichlet_integral, embed_frobenius, embed_rows, fraction_convergence_row
+from oracles import (
+    dirichlet_integral,
+    embed_frobenius,
+    embed_rows,
+    fraction_convergence_row,
+    young_h_series,
+)
 
 P = Partition
 

@@ -333,6 +333,10 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys):
          "family parameter 'e': malformed value 'x'"),
         (("phi", "--family", "trunc-young:lambda=2+x", "--mu", "1"),
          "family parameter 'lambda': malformed value '2+x'"),
+        # a tolerance or precision no partial sum can meet
+        *[(("verify", "gauss", "--tol", t), "tol must be positive") for t in ("0", "-1")],
+        *[(("verify", "gauss", "--precision", b), "precision must be at least 1")
+          for b in ("0", "-5")],
     ],
     ids=["pfaffian-size-1", "converge-negative-n", "converge-zero-n", "converge-zero-in-list",
          "converge-untruncated", "pieri-negative-size", "pieri-no-points", "kernels-zero-levels",
@@ -347,7 +351,9 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys):
          "integral-verify-kingman-above-cap", "density-malformed-at", "density-zero-denominator",
          "converge-malformed-n", "converge-malformed-interior", "family-unknown-key",
          "family-key-of-another-family", "family-repeated-key", "family-malformed-cap",
-         "family-zero-denominator", "family-malformed-rational", "family-malformed-partition"],
+         "family-zero-denominator", "family-malformed-rational", "family-malformed-partition",
+         "gauss-zero-tol", "gauss-negative-tol", "gauss-zero-precision",
+         "gauss-negative-precision"],
 )
 def test_out_of_domain_arguments_are_usage_errors(capsys, argv, message):
     code, out, err = run(capsys, *argv)

@@ -6,28 +6,48 @@ denominator; each is checked here against the one-operation-per-term
 rational points with mixed denominators and zero, negative and repeated
 coordinates.  The face densities at the embedded points nu/n are checked
 against s_lam V^2 and m_lam in Fraction, and on all four faces against the
-rational face formulas of the oracle.
+rational face formulas of the oracle.  The per-point tables the identity
+suites read (h numerators, s* columns, m and m* passes, the kernel tables at
+a Thoma point) are checked against the one-mu evaluators and the Fraction
+h-series.
 """
 
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from harmgraphs.boundary import ThomaPoint, density_spec, density_value, kingman_kernel
+from harmgraphs.boundary import (
+    ThomaPoint,
+    density_spec,
+    density_value,
+    kingman_kernel,
+    kingman_kernel_table,
+    young_kernel,
+    young_kernel_table,
+)
+from harmgraphs.exact import integer_point
 from harmgraphs.harmonic import GammaShaped
 from harmgraphs.interp import (
     H_STAR,
     FunctionalSpec,
+    complete_numerators,
+    diagram_point,
     factorial_monomial_eval,
+    falling_power,
     h_star_values,
     jacobi_trudi,
+    jacobi_trudi_det,
     monomial_eval,
+    permutation_sum,
     schur_eval,
+    shifted_schur_at_diagram,
+    shifted_schur_columns,
     shifted_schur_eval,
     super_h_star_values,
 )
-from harmgraphs.partitions import FrobeniusCoords, Partition, partitions_of
+from harmgraphs.partitions import FrobeniusCoords, Partition, partitions_of, partitions_up_to
 from oracles import (
     functional_on_shifted_schur,
     fraction_density,
@@ -41,6 +61,7 @@ from oracles import (
     fraction_vandermonde,
     schur_tableau,
     shifted_schur_tableau,
+    young_h_series,
 )
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
@@ -111,6 +132,38 @@ def test_monomials_match_the_fraction_pass(mu, x):
 
 
 @PROPERTY
+@given(points(min_length=1, max_length=6))
+@example((F(1, 2), F(1, 2)))  # fewer coordinates than the longest mu: those values are 0
+@example((F(0), F(-7, 12), F(7, 12), F(1, 7), F(5, 6), F(5, 6)))
+def test_one_table_per_point_reads_every_mu(x):
+    # the h numerators, s* columns and m, m* passes built once at the point serve every mu
+    xs, q = integer_point(x)
+    h = [complete_numerators(xs, 6)] * 6
+    h_star = shifted_schur_columns(xs, q, 6, 6)
+    for mu in partitions_up_to(6):
+        den = q**mu.size
+        assert F(jacobi_trudi_det(mu, h), den) == schur_eval(mu, x)
+        assert F(jacobi_trudi_det(mu, h_star), den) == shifted_schur_eval(mu, x)
+        assert F(permutation_sum(mu, xs, pow), den) == monomial_eval(mu, x)
+        assert F(permutation_sum(mu, xs, falling_power(q)), den) == factorial_monomial_eval(mu, x)
+
+
+@PROPERTY
+@given(st.integers(0, 7).flatmap(lambda n: st.sampled_from(partitions_of(n))), st.integers(0, 8))
+@example(P([3, 2, 1]), 8)
+@example(P(), 0)
+def test_one_column_set_per_diagram_serves_every_mu_at_any_padding(lam, pad):
+    # s* and m* are stable under zero padding: columns of the diagram padded to any
+    # length agree with the one-mu evaluators, which pad to the length of mu
+    xs = list(lam.parts) + [0] * pad
+    columns = shifted_schur_columns(xs, 1, 6, 6)
+    for mu in partitions_up_to(6):
+        assert jacobi_trudi_det(mu, columns) == shifted_schur_at_diagram(mu, lam)
+        point = diagram_point(lam, max(1, lam.length, mu.length))
+        assert permutation_sum(mu, xs, falling_power(1)) == factorial_monomial_eval(mu, point)
+
+
+@PROPERTY
 @given(points(), st.integers(0, 7))
 @example((), 3)
 @example((F(1, 2), F(1, 2)), 0)
@@ -129,6 +182,12 @@ def test_jacobi_trudi_at_fraction_values_matches_the_fraction_route(mu, x):
     h = [F(1)] + list(x) + [F(k, 5) for k in range(mu.size)]
     for shifted in (False, True):
         assert jacobi_trudi(mu, h, shifted) == fraction_jacobi_trudi(mu, h, shifted)
+
+
+def test_jacobi_trudi_needs_h0_equal_to_one():
+    # the grading h_n Q^n clears h_1, h_2, ... but would leave a fractional h_0 behind
+    with pytest.raises(ValueError, match="h_0 = 1"):
+        jacobi_trudi(P([1, 1]), [F(1, 2), F(1, 3), F(1, 4)])
 
 
 @PROPERTY
@@ -254,11 +313,8 @@ def thoma_alphas(draw):
     return ThomaPoint(tuple(a / scale for a in alpha))
 
 
-@PROPERTY
-@given(shapes, thoma_alphas())
-@example(P([1, 1, 1]), ThomaPoint(()))
-@example(P([3, 1, 1]), ThomaPoint((F(1, 2), F(1, 2))))
-def test_kingman_kernel_is_the_fraction_sum_over_removed_ones(mu, omega):
+def fraction_kingman_kernel(mu, omega):
+    """The sum over k <= r_1(mu) of gamma^k/k! m_nu(alpha), nu = mu less k parts 1, in Fraction."""
     r1 = mu.multiplicity(1)
     rest = [p for p in mu.parts if p != 1]
     expected = F(0)
@@ -268,4 +324,50 @@ def test_kingman_kernel_is_the_fraction_sum_over_removed_ones(mu, omega):
         for j in range(2, k + 1):
             weight /= j
         expected += weight * fraction_permutation_sum(nu, omega.alpha, fraction_power)
-    assert kingman_kernel(mu, omega) == expected
+    return expected
+
+
+@PROPERTY
+@given(shapes, thoma_alphas())
+@example(P([1, 1, 1]), ThomaPoint(()))
+@example(P([3, 1, 1]), ThomaPoint((F(1, 2), F(1, 2))))
+def test_kingman_kernel_is_the_fraction_sum_over_removed_ones(mu, omega):
+    assert kingman_kernel(mu, omega) == fraction_kingman_kernel(mu, omega)
+
+
+@st.composite
+def thoma_points(draw):
+    """alpha and beta of 0 to 3 and 0 to 2 nonnegative coordinates, zeros among them,
+    scaled so that gamma is 0, 1/2 or 2/3 of the total mass (1 when there is none)."""
+    alpha = sorted(draw(st.lists(coordinates.map(abs), max_size=3)), reverse=True)
+    beta = sorted(draw(st.lists(coordinates.map(abs), max_size=2)), reverse=True)
+    mass = sum(alpha + beta, F(0))
+    scale = mass * draw(st.sampled_from([1, 2, 3])) or 1
+    return ThomaPoint(tuple(a / scale for a in alpha), tuple(b / scale for b in beta))
+
+
+def kernel_value(table, mu):
+    numerators, scale, constant = table
+    return F(numerators[mu], constant * scale**mu.size)
+
+
+@PROPERTY
+@given(thoma_points())
+@example(ThomaPoint((F(1, 2), F(1, 3)), (F(1, 6),)))  # gamma = 0
+@example(ThomaPoint((F(1, 3), F(1, 4))))  # beta = ()
+@example(ThomaPoint((F(1, 2), F(0)), (F(1, 4),)))  # alpha_2 = 0
+@example(ThomaPoint(()))  # gamma = 1
+def test_kernel_tables_match_the_fraction_h_series(omega):
+    # one integer table per point against Jacobi-Trudi over the Fraction h-series,
+    # and its kingman twin (beta folded into gamma) against the Fraction sum
+    shapes = partitions_up_to(6)
+    h = young_h_series(omega, 7)
+    alpha_only = ThomaPoint(omega.alpha)
+    young = young_kernel_table(omega, shapes)
+    kingman = kingman_kernel_table(alpha_only, shapes)
+    for mu in shapes:
+        assert kernel_value(young, mu) == fraction_jacobi_trudi(mu, h)
+        assert kernel_value(kingman, mu) == fraction_kingman_kernel(mu, alpha_only)
+    # the one-mu case clears the point with F = |mu|! instead of 6!
+    for mu in (P([2, 1]), P([1, 1, 1, 1]), P([5, 1])):
+        assert young_kernel(mu, omega) == fraction_jacobi_trudi(mu, h)

@@ -156,6 +156,17 @@ GOLDEN = [
      "3081a174ec99c69a7597c4264fc17126632c0b8995a67e57abf8b604ce3afa9f"),
     ("check-harmonic --family jack:e=1,t=1,theta=2 --levels 8", EXIT_OK,
      "5447671fa627ede642f81af4490035d4fc605bec3e7b2edb2e76b347cc4a181a"),
+    # the identity suites outside the benchmark's pools: three kernel points
+    # at ten levels, two seven-coordinate Pieri points, the interpolation and
+    # dimension-ratio suites at other sizes
+    ("verify kernels --seed 3 --levels 10 --points 3", EXIT_OK,
+     "f5ac80a74578888faaa42b29a58497372456efe38eb3ffe0b45c1f5d73a3410e"),
+    ("verify pieri --seed 5 --max-size 7 --points 2", EXIT_OK,
+     "294086a7de7b99c8d56631cb2ed5717e098592080947d2e1fdace44bbc1cf6f8"),
+    ("verify interpolation --max-size 6", EXIT_OK,
+     "4bbc1b846093e38d7849ed32259fd43df7130cd038072e80c35bfaf3e66c42ab"),
+    ("verify dimension-ratio --mu-max 4 --lam-max 7", EXIT_OK,
+     "8477a476143172a4daff88c73375857f7948850abf0a99de86b9c3f14efe7282"),
     # Gauss's 2F1(a, b; c; 1) summed in mpmath, the one float path left
     ("verify gauss", EXIT_OK,
      "98babc224a7a8544535bb5402ffe3ede0aed19a64b5f87251025f44bb55e0574"),

@@ -508,3 +508,16 @@ def test_gauss_rejects_bad_parameters():
         gauss_2f1_check(F(1), F(1), F(3, 2))  # c - a - b <= 0
     with pytest.raises(ValueError):
         gauss_2f1_check(F(1, 2), F(1, 2), F(-2))  # c nonpositive integer
+
+
+@pytest.mark.parametrize("tol,precision,message", [
+    (0.0, 128, "tol must be positive"),
+    (-1.0, 128, "tol must be positive"),
+    (float("nan"), 128, "tol must be positive"),
+    (1e-20, 0, "precision must be at least 1"),
+    (1e-20, -5, "precision must be at least 1"),
+])
+def test_gauss_rejects_a_tolerance_or_precision_no_sum_can_meet(tol, precision, message):
+    # at tol <= 0 no partial sum could pass, and below one bit there is no precision
+    with pytest.raises(ValueError, match=message):
+        gauss_2f1_check(F(1, 2), F(1, 3), F(25), tol=tol, precision=precision)

@@ -3,18 +3,23 @@ from fractions import Fraction as F
 import pytest
 
 from harmgraphs.series import (
-    exp_series,
     factorial_series_from_rational,
-    geometric_series,
     poly_add,
     poly_eval,
     poly_integral,
     poly_mul,
     poly_shift,
     poly_sub,
+)
+from oracles import (
+    SeriesPoleError,
+    evaluate_factorial_series,
+    exp_series,
+    extract_series_coeffs,
+    falling_factorial,
+    geometric_series,
     series_mul,
 )
-from oracles import SeriesPoleError, evaluate_factorial_series, extract_series_coeffs, falling_factorial
 
 
 def test_poly_basic_ops():
