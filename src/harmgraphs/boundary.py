@@ -38,7 +38,7 @@ from itertools import permutations
 from math import comb, factorial, lcm, prod
 from typing import Callable, Sequence
 
-from .exact import as_rational, integer_det, integer_point, pochhammer, round_bits
+from .exact import as_rational, integer_det, integer_point, pochhammer, quotient_pfaffian, round_bits
 from .graphs import dim_closed_form, level
 from .harmonic import (
     GammaShaped,
@@ -150,13 +150,6 @@ def _alternant(xs, exponents) -> int:
     return integer_det([[x**e for e in exponents] for x in xs])
 
 
-def _quotient_pfaffian(values) -> Fraction:
-    """prod_{i<j} (v_i - v_j)/(v_i + v_j), the Pfaffian of the quotient matrix
-    bordered by ones when the size is odd: one Fraction, homogeneous of degree 0."""
-    pairs = [(a, b) for i, a in enumerate(values) for b in values[i + 1 :]]
-    return Fraction(prod(a - b for a, b in pairs), prod(a + b for a, b in pairs))
-
-
 def _cauchy(xs, ys) -> Fraction:
     """det[1/(x_i + y_j)] = V(x) V(y) / prod(x_i + y_j) by Cauchy's evaluation,
     homogeneous of degree -len(x); x_i + y_j = 0 raises ZeroDivisionError."""
@@ -164,8 +157,8 @@ def _cauchy(xs, ys) -> Fraction:
 
 
 def schur_density_constant(lam: Partition) -> Fraction:
-    pf = _quotient_pfaffian([p + 1 for p in lam.parts])  # (lam_i - lam_j)/(lam_i + lam_j + 2)
-    return factorial(lam.size + lam.length - 1) / (prod(map(factorial, lam.parts)) * pf)
+    num, den = quotient_pfaffian([p + 1 for p in lam.parts])  # (lam_i - lam_j)/(lam_i + lam_j + 2)
+    return Fraction(factorial(lam.size + lam.length - 1) * den, prod(map(factorial, lam.parts)) * num)
 
 
 def kingman_density_constant(lam: Partition) -> Fraction:
@@ -225,8 +218,9 @@ def density_value(spec: DensitySpec, point) -> Fraction:
 def _schur_density(lam: Partition, xs) -> Fraction:
     if len(set(xs)) != len(xs):
         raise ValueError("coordinate collision in a Pfaffian form")
-    # P_lam * Pf^2 = alternant * Pf since length(lam) = face length
-    return _alternant(xs, lam.parts) * _quotient_pfaffian(xs)
+    # P_lam * Pf^2 = alternant * Pf since length(lam) = face length; Pf is homogeneous of degree 0
+    num, den = quotient_pfaffian(xs)
+    return Fraction(_alternant(xs, lam.parts) * num, den)
 
 
 def _gamma_density(lam: Partition, xs, ys) -> Fraction:

@@ -58,9 +58,7 @@ from .interp import (
     gauss_2f1_check,
     jacobi_trudi_det,
     permutation_sum,
-    pstar_one_row_values,
-    pstar_pfaffian,
-    pstar_two_row_table,
+    pstar_values,
     schur_t_functional,
     shifted_schur_columns,
 )
@@ -318,7 +316,7 @@ def _suite_interpolation(args, report: Report) -> None:
     strict = partitions_up_to(cap, strict=True)
     # P* at each strict diagram point, for every strict mu at least as large
     p_star = {
-        lam: _pstar_values([mu for mu in strict if mu.size >= lam.size], lam.parts)
+        lam: pstar_values([mu for mu in strict if mu.size >= lam.size], lam.parts)
         for lam in strict
     }
     # s* at each diagram point from one column set, which serves every mu (s* is
@@ -385,7 +383,7 @@ def _suite_pieri(args, report: Report) -> None:
         m = {lam: permutation_sum(lam, xs, pow) for lam in shapes}
         s_star = {lam: jacobi_trudi_det(lam, h_star) for lam in shapes}
         m_star = {lam: permutation_sum(lam, xs, falling) for lam in shapes}
-        p_star = _pstar_values(strict_shapes, x)
+        p_star = pstar_values(strict_shapes, x)
         for (n, young_rows), (_, kingman_rows) in levels:
             den = q ** (n + 1)  # both sides of each relation at level n
             for (mu, _, young_covers), (_, _, kingman_covers) in zip(young_rows, kingman_rows):
@@ -477,14 +475,6 @@ def _selberg_sweep(graph: str, max_size: int) -> list[tuple[str, Partition, list
     return work
 
 
-def _pstar_values(shapes: list[Partition], source) -> dict[Partition, Fraction]:
-    """P* of each strict shape under one source, read from one one-row list and one table."""
-    bound = max((mu.part(1) + mu.part(2) for mu in shapes), default=0)
-    one_row = pstar_one_row_values(source, bound)
-    table = pstar_two_row_table(one_row, bound)
-    return {mu: pstar_pfaffian(mu, one_row, table) for mu in shapes}
-
-
 def _suite_staircase(args, report: Report) -> None:
     shapes = [mu for n in range(args.max_size + 1) for mu in partitions_of(n, strict=True)]
     for k in range(1, args.k_max + 1):
@@ -492,8 +482,8 @@ def _suite_staircase(args, report: Report) -> None:
         t = Fraction(-k * (k + 1), 2)
         spec = schur_t_functional(t, 2 * args.max_size + 4)
         point = tuple(Fraction(p) for p in stair.parts)
-        lhs_values = _pstar_values(shapes, spec)
-        rhs_values = _pstar_values(shapes, point)
+        lhs_values = pstar_values(shapes, spec)
+        rhs_values = pstar_values(shapes, point)
         for mu in shapes:
             lhs, rhs = lhs_values[mu], rhs_values[mu]
             report.add("staircase", f"t={t} staircase={stair} mu={mu}", lhs, rhs, lhs == rhs)

@@ -4,14 +4,14 @@ Everything downstream (partitions, graphs, interpolation polynomials,
 harmonic families, boundary integrals) reduces to arithmetic over Q.
 This module holds the shared primitives: rational parsing/formatting, a
 rational point as integer numerators over one denominator (`integer_point`),
-Pochhammer products, exact dense linear algebra (one
-determinant algorithm, fraction-free Bareiss elimination on integers; one
-Pfaffian algorithm, fraction-free skew elimination on integers; linear solve
-and inverse over `fractions.Fraction`), and the binary floats of the
-convergence reports as dyadic rationals: a rational rounded once to a bit
-precision (`round_bits`) and printed in mpmath's decimal layout from
-integers (`format_bigfloat`).  mpmath is loaded only by the Gauss summation
-check (`interp.gauss_2f1_check`).
+Pochhammer products, exact dense linear algebra (one determinant algorithm,
+fraction-free Bareiss elimination on integers; one Pfaffian algorithm,
+fraction-free skew elimination on integers, and Schur's quotient Pfaffian in
+closed form as one integer pair; linear solve and inverse over
+`fractions.Fraction`), and the binary floats of the convergence reports as
+dyadic rationals: a rational rounded once to a bit precision (`round_bits`)
+and printed in mpmath's decimal layout from integers (`format_bigfloat`).
+mpmath is loaded only by the Gauss summation check (`interp.gauss_2f1_check`).
 """
 
 from __future__ import annotations
@@ -209,6 +209,18 @@ def integer_pfaffian(rows: Sequence[Sequence[int]]) -> int:
                 a[j][i] = -row[j]
         prev = pq
     return sign * a[-2][-1] if n else 1
+
+
+def quotient_pfaffian(values: Sequence[int]) -> tuple[int, int]:
+    """prod_{i<j} (v_i - v_j) and prod_{i<j} (v_i + v_j) on integers: Schur's Pfaffian
+    Pf[(v_i - v_j)/(v_i + v_j)], bordered by ones when the size is odd, as one
+    numerator and one denominator."""
+    num = den = 1
+    for i, a in enumerate(values):
+        for b in values[i + 1 :]:
+            num *= a - b
+            den *= a + b
+    return num, den
 
 
 def _gauss_jordan(aug: list[list[Fraction]], n: int) -> None:

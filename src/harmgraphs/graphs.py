@@ -17,10 +17,10 @@ import io
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 from typing import Callable, Iterator
 
-from .exact import as_rational
+from .exact import as_rational, quotient_pfaffian
 from .partitions import EMPTY, Partition, _grown_rows, partitions_of
 
 
@@ -214,36 +214,18 @@ def dim(mu: Partition, lam: Partition, kind: GraphKind) -> int | Fraction:
 
 
 def dim_closed_form(lam: Partition, kind: GraphKind) -> Fraction:
-    """Closed-form total dimension; the Jack graph has none and is rejected."""
+    """Closed-form total dimension; the Jack graph has none and is rejected.  Young:
+    n!/(hook product); Kingman: n!/prod lam_i!; strict: that times Schur's quotient
+    Pfaffian prod_{i<j} (lam_i - lam_j)/(lam_i + lam_j)."""
     n = lam.size
     if kind.name == "young":
-        m = lam.length
-        denom = 1
-        for i in range(1, m + 1):
-            denom *= factorial(lam.part(i) + m - i)
-        prod = 1
-        for i in range(1, m + 1):
-            for j in range(i + 1, m + 1):
-                prod *= lam.part(i) - i - lam.part(j) + j
-        return Fraction(factorial(n) * prod, denom)
-    if kind.name == "kingman":
-        denom = 1
-        for p in lam.parts:
-            denom *= factorial(p)
-        return Fraction(factorial(n), denom)
-    if kind.name == "schur":
-        if not lam.is_strict:
-            raise ValueError("schur dimension needs a strict partition")
-        denom = 1
-        for p in lam.parts:
-            denom *= factorial(p)
-        out = Fraction(factorial(n), denom)
-        m = lam.length
-        for i in range(1, m + 1):
-            for j in range(i + 1, m + 1):
-                out *= Fraction(lam.part(i) - lam.part(j), lam.part(i) + lam.part(j))
-        return out
-    raise ValueError("no closed form for the jack graph; use the recursion")
+        return Fraction(factorial(n), lam.hook_product())
+    if kind.name not in ("kingman", "schur"):
+        raise ValueError("no closed form for the jack graph; use the recursion")
+    if kind.strict and not lam.is_strict:
+        raise ValueError("schur dimension needs a strict partition")
+    num, den = quotient_pfaffian(lam.parts) if kind.strict else (1, 1)
+    return Fraction(factorial(n) * num, prod(map(factorial, lam.parts)) * den)
 
 
 def dims_csv(n: int, kind: GraphKind, max_length: int | None = None) -> str:

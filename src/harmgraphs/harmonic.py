@@ -20,10 +20,11 @@ from .exact import as_rational, integer_point, pochhammer
 from .graphs import GraphKind, KINGMAN, SCHUR, YOUNG, jack, level, sweep, top_level
 from .interp import (
     _product_series,
-    factorial_monomial_eval,
+    falling_power,
     jacobi_trudi_det,
+    permutation_sum,
     pstar_closed_form,
-    pstar_one_row_values,
+    pstar_one_row_numerators,
     pstar_pfaffian,
     pstar_two_row_table,
     shifted_columns,
@@ -395,8 +396,8 @@ class TruncKingman(_FiniteWidth):
             raise FamilyError("truncated Kingman family needs a nonempty partition")
 
     def value(self, mu: Partition) -> Fraction:
-        """m*_mu at the point; phi is (-1)^|mu| value / (t)_|mu| on the support."""
-        return factorial_monomial_eval(mu, self.point())
+        """m*_mu at the integer point; phi is (-1)^|mu| value / (t)_|mu| on the support."""
+        return Fraction(permutation_sum(mu, [-p - 1 for p in self.lam.parts], falling_power(1)))
 
     def phi(self, mu: Partition) -> Fraction:
         if mu.length > self.width:
@@ -409,10 +410,11 @@ class TruncKingman(_FiniteWidth):
 
 @dataclass(frozen=True)
 class TruncSchur(_FiniteWidth):
-    """Finite-width strict family: factorial Schur P at -lam - 1, each mu read (past length 2
-    as a Pfaffian) from one one-row list and one two-row table for the point.  A mu past the
-    bound rebuilds both at max(twice the bound, mu_1 + mu_2); table entries do not depend on
-    the bound."""
+    """Finite-width strict family: factorial Schur P at the integer point -lam - 1, each mu
+    read (past length 2 as an integer Pfaffian) from the `interp` one-row numerators and
+    two-row table of the point, so P*_mu is that integer over 2^l(mu).  A mu past the bound
+    rebuilds both at max(twice the bound, mu_1 + mu_2); table entries do not depend on the
+    bound."""
 
     lam: Partition
     kind: GraphKind = field(default=SCHUR, init=False, repr=False, compare=False)
@@ -436,10 +438,10 @@ class TruncSchur(_FiniteWidth):
         one_row, table = self.pstar
         if need > len(one_row):
             bound = max(2 * len(one_row), need)
-            one_row = pstar_one_row_values(self.point(), bound)
-            table = pstar_two_row_table(one_row, bound)
+            one_row, _ = pstar_one_row_numerators(self.point(), bound)  # an integer point: Q = 1
+            table = pstar_two_row_table(one_row, 1, bound)
             object.__setattr__(self, "pstar", (one_row, table))
-        return pstar_pfaffian(mu, one_row, table)
+        return Fraction(pstar_pfaffian(mu, one_row, table), 2**mu.length)
 
     def spec_string(self) -> str:
         return f"trunc-schur:lambda={self.lam}"

@@ -15,17 +15,18 @@ factorial monomial (Kingman side) and factorial Schur P (strict side):
   points of the kernels.  The falling-factorial bialternant and the
   reverse-tableau sums are test oracles;
 * monomial and factorial monomial: one pass over the coordinates;
-* factorial Schur P: one-row series -> two-row table -> Pfaffian.  The
-  one-row list and the table depend only on the source, so a caller that
-  evaluates many mu at one point or functional builds them once and reads
-  each mu from them (`pstar_pfaffian`): lengths up to 2 directly, longer mu
-  as a Pfaffian.
+* factorial Schur P: one-row series -> two-row table -> Pfaffian, on integer
+  numerators D_m = 2 Q^m P*_(m) and T_(p,k) = 4 Q^(p+k) P*_(p,k); the integer
+  Pfaffian is Q^|mu| Q*_mu = 2^l(mu) Q^|mu| P*_mu.  `pstar_values` builds one
+  list and one table per point or functional for a set of shapes and reads
+  every mu from them: lengths up to 2 directly, longer mu as a Pfaffian.
 
-At a point x = X/Q (`exact.integer_point`) s, s*, m, m* and h* are graded
+At a point x = X/Q (`exact.integer_point`) s, s*, m, m*, h* and P* are graded
 values of the integer numerators X, with one Fraction formed per value.  A
 caller that evaluates many mu at one point builds its h numerators
-(`complete_numerators`) or s* columns (`shifted_schur_columns`) once and
-reads each mu by `jacobi_trudi_det`, and m, m* by `permutation_sum`.
+(`complete_numerators`), s* columns (`shifted_schur_columns`) or P* table
+once and reads each mu by `jacobi_trudi_det`, m and m* by `permutation_sum`,
+and P* by `pstar_pfaffian`.
 
 A multiplicative functional is a list of generator values.  The
 generator-basis engine, which expands a target over products of h*
@@ -46,9 +47,10 @@ from .exact import (
     SingularMatrixError,
     as_rational,
     integer_det,
+    integer_pfaffian,
     integer_point,
     invert_matrix,
-    pfaffian,
+    quotient_pfaffian,
 )
 from .partitions import Partition, partitions_up_to
 
@@ -205,19 +207,20 @@ def shifted_schur_at_diagram(mu: Partition, lam: Partition) -> Fraction:
 # one-row generating series
 # ---------------------------------------------------------------------------
 
-def _product_series(factors: Sequence[tuple], count: int) -> list:
+def _product_series(factors: Sequence[tuple], count: int, scale: int = 1) -> list:
     """g_1..g_count of prod (u + a)/(u - b) = 1 + sum g_m/(u falling m) over (a, b).
 
     From 1/((u falling m)(u - b)) = sum_k (b - m) falling k / (u falling (m + k + 1)),
     one factor is O(count): g'_n = g_n + (a + b) T_n, T_1 = 1, T_(n+1) = (b - n + 1) T_n + g_n.
-    The values are ints when every a and b is, and int zeros when there is no factor.
+    The values are ints when every a and b is, and int zeros when there is no factor.  On
+    numerators A, B over scale the shift n - 1 becomes (n - 1) scale, and G_n = scale^n g_n.
     """
     g = [0] * count
     for a, b in factors:
         t = 1
         for i, gi in enumerate(g):
             g[i] = gi + (a + b) * t
-            t = (b - i) * t + gi
+            t = (b - i * scale) * t + gi
     return g
 
 
@@ -258,20 +261,6 @@ def super_h_star_values(xs, ys, count: int) -> list[Fraction]:
     half = Fraction(1, 2)
     pairs = zip_longest(as_point(xs), as_point(ys), fillvalue=Fraction(0))
     return _product_series([(half + y, x - half) for x, y in pairs], count)
-
-
-def q_one_row_values(x, count: int) -> list[Fraction]:
-    """Doubled one-row values from the odd-power-sum generating product.
-
-    The product of (u + 1 + x_i)/(u + 1 - x_i), expanded by `_product_series`,
-    has coefficients equal to twice the factorial Schur P one-row values
-    (the doubled normalization carries the 2^length factor of the P/Q pair).
-    """
-    return [Fraction(v) for v in _product_series([(1 + xi, xi - 1) for xi in as_point(x)], count)]
-
-
-def pstar_one_row_values_from_point(x, count: int) -> list[Fraction]:
-    return [v / 2 for v in q_one_row_values(x, count)]
 
 
 # ---------------------------------------------------------------------------
@@ -336,100 +325,105 @@ def schur_t_functional(t, cap: int) -> FunctionalSpec:
 
 
 # ---------------------------------------------------------------------------
-# factorial Schur P pipeline: one-row -> two-row -> Pfaffian
+# factorial Schur P pipeline: one-row -> two-row -> Pfaffian, on integers
 # ---------------------------------------------------------------------------
 
-def pstar_one_row_values(source, n: int) -> list[Fraction]:
-    """One-row factorial Schur P values under a point or functional."""
+def pstar_one_row_numerators(source, count: int) -> tuple[list[int], int]:
+    """(D, Q) with D_m = 2 Q^m P*_(m) for m = 1..count, integers.
+
+    At a point x = X/Q the product of (u + 1 + x_i)/(u + 1 - x_i), whose coefficients
+    are 2 P*_(m) (Q*_(m), Ivanov's factorial Q-function), is expanded on the factors
+    (Q + X_i, X_i - Q) over Q.  A functional's values v_m give D_m = 2 v_m Q^m, Q the
+    lcm of their denominators.
+    """
     if isinstance(source, FunctionalSpec):
         if source.family != P_STAR:
             raise ValueError("functional must carry one-row P generator values")
-        if n > source.degree_cap:
+        if count > source.degree_cap:
             raise ValueError("functional does not carry enough generator values")
-        return list(source.values[:n])
-    return pstar_one_row_values_from_point(source, n)
+        xs, q = integer_point(source.values[:count])
+        return [2 * x * q ** (m - 1) for m, x in enumerate(xs, 1)], q
+    xs, q = integer_point(source)
+    return _product_series([(q + x, x - q) for x in xs], count, q), q
 
 
-def pstar_two_row_table(one_row: Sequence[Fraction], bound: int) -> dict[tuple[int, int], Fraction]:
-    """Two-row values for all p > q >= 1 with p + q <= bound.
+def pstar_one_row_values(source, n: int) -> list[Fraction]:
+    """One-row factorial Schur P values under a point or functional, D_m / (2 Q^m)."""
+    one_row, q = pstar_one_row_numerators(source, n)
+    return [Fraction(d, 2 * q**m) for m, d in enumerate(one_row, 1)]
 
-    Built by double induction from the one-row values: the q = 1 row
-    comes from the degree-lowering relation, higher q from the four-term
-    relation; `_two_row` extends the table antisymmetrically.  An entry
-    reads only entries of the same or lower p + q, so it does not depend
-    on the bound: a larger table extends a smaller one.
+
+def pstar_two_row_table(one_row: Sequence[int], q: int, bound: int) -> dict[tuple[int, int], int]:
+    """T_(p,k) = 4 Q^(p+k) P*_(p,k) for all p > k >= 1 with p + k <= bound, integers.
+
+    Built by double induction from the one-row numerators D: the k = 1 row
+    comes from the degree-lowering relation, fixed by interpolation vanishing at
+    the one-row diagram of size p + 1, higher k from the four-term relation.  An
+    entry reads only entries of the same or lower p + k, so it does not depend on
+    the bound: a larger table extends a smaller one.
     """
     if len(one_row) < bound:
         raise ValueError(f"need one-row values up to degree {bound}")
-    r = lambda m: one_row[m - 1]
-    table: dict[tuple[int, int], Fraction] = {}
-    # seed: the degree-lowering relation, fixed by interpolation vanishing
-    # at the one-row diagram of size p+1 (which forces the r(p+1) term)
+    d = lambda m: one_row[m - 1]
+    table: dict[tuple[int, int], int] = {}
     for p in range(2, bound):
-        table[(p, 1)] = r(p) * r(1) - p * r(p) - r(p + 1)
-    for q in range(2, bound):
-        for p in range(q + 1, bound - q + 1):
-            rhs = r(p) * r(q) - r(p + 1) * r(q - 1) - (p - q + 1) * r(p) * r(q - 1)
-            lower = _two_row(table, p + 1, q - 1) + (p + q - 1) * _two_row(table, p, q - 1)
-            table[(p, q)] = rhs - lower
+        table[(p, 1)] = d(p) * d(1) - 2 * p * q * d(p) - 2 * d(p + 1)
+    for k in range(2, bound):
+        for p in range(k + 1, bound - k + 1):
+            rhs = d(p) * d(k) - d(p + 1) * d(k - 1) - (p - k + 1) * q * d(p) * d(k - 1)
+            table[(p, k)] = rhs - table[(p + 1, k - 1)] - (p + k - 1) * q * table[(p, k - 1)]
     return table
 
 
-def _two_row(table: Mapping[tuple[int, int], Fraction], p: int, q: int) -> Fraction:
-    """The two-row value at (p, q) from a table holding p > q only."""
-    if p == q:
-        return Fraction(0)
-    return table[(p, q)] if p > q else -table[(q, p)]
+def pstar_pfaffian(mu: Partition, one_row: Sequence[int], table) -> int:
+    """Q^|mu| Q*_mu = 2^l(mu) Q^|mu| P*_mu of a strict partition, an integer, from one-row
+    numerators up to degree mu_1 and a two-row table up to mu_1 + mu_2.
 
-
-def pstar_pfaffian(mu: Partition, one_row: Sequence[Fraction], table) -> Fraction:
-    """Factorial Schur P value of a strict partition from one-row values up to
-    degree mu_1 and a two-row table up to mu_1 + mu_2.
-
-    Lengths up to 2 are read from the list and the table, which hold those
-    values by definition.  Longer mu take the Pfaffian of the two-row values;
-    odd lengths are bordered by the one-row values with a zero corner, the
-    classical padding convention validated against the closed product form.
+    Lengths up to 2 are read from the list and the table.  Longer mu take
+    `integer_pfaffian` of [T_(mu_i, mu_j)], extended antisymmetrically; odd lengths
+    are bordered by the D_(mu_i) with a zero corner.  Scaling row i by 2 Q^(mu_i)
+    takes the Pfaffian of the P* values to this integer.
     """
     if not mu.is_strict:
         raise ValueError("factorial Schur P needs a strict partition")
     parts = mu.parts
     if mu.length <= 1:
-        return one_row[parts[0] - 1] if parts else Fraction(1)
+        return one_row[parts[0] - 1] if parts else 1
     if mu.length == 2:
         return table[parts]
-    rows = [[_two_row(table, p, q) for q in parts] for p in parts]
+    rows = [[table[(p, r)] if p > r else -table[(r, p)] if p < r else 0 for r in parts] for p in parts]
     if mu.length % 2:
         rows = [row + [one_row[p - 1]] for row, p in zip(rows, parts)]
-        rows.append([-one_row[p - 1] for p in parts] + [Fraction(0)])
-    return pfaffian(RationalMatrix(rows))
+        rows.append([-one_row[p - 1] for p in parts] + [0])
+    return integer_pfaffian(rows)
+
+
+def pstar_values(shapes: Sequence[Partition], source) -> dict[Partition, Fraction]:
+    """P* of each strict shape under one point or functional: one one-row list and one
+    two-row table, sized by the largest mu_1 + mu_2, and each value one Fraction."""
+    bound = max((mu.part(1) + mu.part(2) for mu in shapes), default=0)
+    one_row, q = pstar_one_row_numerators(source, bound)
+    table = pstar_two_row_table(one_row, q, bound)
+    return {mu: Fraction(pstar_pfaffian(mu, one_row, table), 2**mu.length * q**mu.size) for mu in shapes}
 
 
 def pstar_eval(mu: Partition, source) -> Fraction:
-    """Factorial Schur P value of a strict partition under a point/functional:
-    the one-row values and the two-row table this mu needs, then the Pfaffian.
-    Callers that evaluate many mu at one source build the table once and call
-    `pstar_pfaffian`."""
-    bound = mu.part(1) + mu.part(2)
-    one_row = pstar_one_row_values(source, bound)
-    return pstar_pfaffian(mu, one_row, pstar_two_row_table(one_row, bound))
+    """Factorial Schur P value of a strict partition under a point/functional."""
+    return pstar_values([mu], source)[mu]
 
 
 def pstar_closed_form(t, mu: Partition) -> Fraction:
-    """Closed product for the t-functional on a factorial Schur P basis element."""
+    """Closed product for the t-functional on a factorial Schur P basis element:
+    (-1)^|mu| prod over boxes of (2t + (j-1)j) / (2^l prod mu_i!), times Schur's quotient
+    Pfaffian; with t = tp/tq each box is 2tp + (j-1)j tq over tq."""
     if not mu.is_strict:
         raise ValueError("needs a strict partition")
     t = as_rational(t)
     tp, tq = t.numerator, t.denominator
     parts = mu.parts
-    # (-1)^|mu| prod over boxes of (2t + (j-1)j) / (2^l prod mu_i!), times the
-    # prod over i < j of (mu_i - mu_j)/(mu_i + mu_j); each box is 2tp + (j-1)j tq over tq
-    num = prod(2 * tp + (j - 1) * j * tq for p in parts for j in range(1, p + 1))
-    den = 2 ** len(parts) * tq**mu.size * prod(map(factorial, parts))
-    for i, p in enumerate(parts):
-        for r in parts[i + 1 :]:
-            num *= p - r
-            den *= p + r
+    num, den = quotient_pfaffian(parts)
+    num *= prod(2 * tp + (j - 1) * j * tq for p in parts for j in range(1, p + 1))
+    den *= 2 ** len(parts) * tq**mu.size * prod(map(factorial, parts))
     return Fraction((-1) ** mu.size * num, den)
 
 

@@ -9,9 +9,12 @@ The reverse-tableau sums and the bialternants for s and s* are the other
 classical formulas for the values the library takes by Jacobi-Trudi. The
 sampling extraction of factorial-series coefficients cross-checks the
 algebraic one, and the functionals packaged as h* values drive the shifted
-Jacobi-Trudi determinant and the generator-basis engine.  The Thoma
-h-series of the kernels is multiplied out as truncated Fraction power
-series, where the library builds one integer series per point. The mpmath
+Jacobi-Trudi determinant and the generator-basis engine.  Factorial Schur P*
+is the Fraction pipeline the library runs on integer numerators: one-row
+values, the two-row table by its recurrences, and the first-row Pfaffian
+expansion.  The Thoma h-series of the kernels is multiplied out as truncated
+Fraction power series, where the library builds one integer series per
+point. The mpmath
 conversions are the float layer `exact.round_bits` and
 `exact.format_bigfloat` reproduce in integers. The face densities are the
 rational formulas at the point itself, where `boundary` evaluates one
@@ -40,7 +43,15 @@ from harmgraphs.exact import (
 from harmgraphs.graphs import sweep, top_level
 from harmgraphs.harmonic import HarmonicityReport, HarmonicityViolation
 from harmgraphs.partitions import EMPTY
-from harmgraphs.interp import H_STAR, FunctionalSpec, h_star_values, jacobi_trudi, super_h_star_values
+from harmgraphs.interp import (
+    H_STAR,
+    FunctionalSpec,
+    _product_series,
+    as_point,
+    h_star_values,
+    jacobi_trudi,
+    super_h_star_values,
+)
 from harmgraphs.series import poly_eval, poly_integral, poly_scale
 
 
@@ -341,6 +352,45 @@ def functional_on_shifted_schur(mu, spec: FunctionalSpec) -> Fraction:
     if spec.family != H_STAR:
         raise ValueError("shifted Schur values need an h-star functional")
     return jacobi_trudi(mu, [spec.g(m) for m in range(mu.size + 1)], shifted=True)
+
+
+def fraction_pstar_one_row(source, count: int) -> list[Fraction]:
+    """P*_(1..count) in Fraction: a functional's own values, or at the point itself half
+    the coefficients of prod (u + 1 + x_i)/(u + 1 - x_i)."""
+    if isinstance(source, FunctionalSpec):
+        return list(source.values[:count])
+    return [v / 2 for v in _product_series([(1 + x, x - 1) for x in as_point(source)], count)]
+
+
+def fraction_pstar_two_row_table(one_row, bound: int) -> dict[tuple[int, int], Fraction]:
+    """P*_(p,k) for p > k >= 1, p + k <= bound, by the degree-lowering and four-term
+    relations on the one-row values in Fraction."""
+    r = lambda m: one_row[m - 1]
+    table = {}
+    for p in range(2, bound):
+        table[(p, 1)] = r(p) * r(1) - p * r(p) - r(p + 1)
+    for k in range(2, bound):
+        for p in range(k + 1, bound - k + 1):
+            rhs = r(p) * r(k) - r(p + 1) * r(k - 1) - (p - k + 1) * r(p) * r(k - 1)
+            table[(p, k)] = rhs - table[(p + 1, k - 1)] - (p + k - 1) * table[(p, k - 1)]
+    return table
+
+
+def fraction_pstar(mu, source) -> Fraction:
+    """P*_mu by the Fraction pipeline: one-row values, the two-row table, and the
+    first-row expansion of the Pfaffian of the two-row values, bordered by the
+    one-row values with a zero corner at odd length."""
+    bound = mu.part(1) + mu.part(2)
+    one_row = fraction_pstar_one_row(source, bound)
+    table = fraction_pstar_two_row_table(one_row, bound)
+    parts = mu.parts
+    if mu.length <= 1:
+        return one_row[parts[0] - 1] if parts else Fraction(1)
+    rows = [[table.get((p, r), 0) - table.get((r, p), 0) for r in parts] for p in parts]
+    if mu.length % 2:
+        rows = [row + [one_row[p - 1]] for row, p in zip(rows, parts)]
+        rows.append([-one_row[p - 1] for p in parts] + [0])
+    return fraction_pfaffian(rows)
 
 
 class SeriesPoleError(ValueError):

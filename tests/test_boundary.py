@@ -13,10 +13,9 @@ from harmgraphs.boundary import (
     simplex_monomial_integral,
     simplex_pair_integral,
     young_kernel,
-    _quotient_pfaffian,
 )
 from harmgraphs.cli import _selberg_sweep
-from harmgraphs.exact import round_bits
+from harmgraphs.exact import quotient_pfaffian, round_bits
 from harmgraphs.graphs import KINGMAN, YOUNG, covers_up, edge_multiplicity
 from harmgraphs.harmonic import GammaShaped, TruncKingman, TruncSchur, TruncYoung
 from harmgraphs.interp import jacobi_trudi
@@ -125,10 +124,10 @@ def test_kingman_density_example():
 
 
 def test_quotient_pfaffian_is_exact_on_integers():
-    # (3 - 2)/(3 + 2) * (3 - 1)/(3 + 1) * (2 - 1)/(2 + 1)
-    for values, expected in [([], F(1)), ([3, 1], F(1, 2)), ([3, 2, 1], F(1, 30))]:
-        got = _quotient_pfaffian(values)
-        assert type(got) is F and got == expected
+    # (3 - 2)/(3 + 2) * (3 - 1)/(3 + 1) * (2 - 1)/(2 + 1), as one integer pair
+    for values, expected in [([], (1, 1)), ([3, 1], (2, 4)), ([3, 2, 1], (2, 60)), ([1, -1], (2, 0))]:
+        got = quotient_pfaffian(values)
+        assert all(type(v) is int for v in got) and got == expected
 
 
 def test_schur_density_collision_rejected():

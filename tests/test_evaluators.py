@@ -9,7 +9,8 @@ against s_lam V^2 and m_lam in Fraction, and on all four faces against the
 rational face formulas of the oracle.  The per-point tables the identity
 suites read (h numerators, s* columns, m and m* passes, the kernel tables at
 a Thoma point) are checked against the one-mu evaluators and the Fraction
-h-series.
+h-series.  The integer P* numerators (one-row, two-row and Pfaffian) are
+checked against the Fraction pipeline at points and under t-functionals.
 """
 
 from fractions import Fraction as F
@@ -41,7 +42,12 @@ from harmgraphs.interp import (
     jacobi_trudi_det,
     monomial_eval,
     permutation_sum,
+    pstar_one_row_numerators,
+    pstar_pfaffian,
+    pstar_two_row_table,
+    pstar_values,
     schur_eval,
+    schur_t_functional,
     shifted_schur_at_diagram,
     shifted_schur_columns,
     shifted_schur_eval,
@@ -56,6 +62,9 @@ from oracles import (
     fraction_jacobi_trudi,
     fraction_permutation_sum,
     fraction_power,
+    fraction_pstar,
+    fraction_pstar_one_row,
+    fraction_pstar_two_row_table,
     fraction_schur,
     fraction_shifted_schur,
     fraction_vandermonde,
@@ -197,6 +206,33 @@ def test_functional_on_shifted_schur_matches_the_fraction_route(mu, values):
     spec = FunctionalSpec(H_STAR, tuple(values))
     expected = fraction_jacobi_trudi(mu, (F(1),) + tuple(values), shifted=True)
     assert functional_on_shifted_schur(mu, spec) == expected
+
+
+strict_shapes = st.sets(st.integers(1, 9), max_size=5).map(lambda s: P(sorted(s, reverse=True)))
+pstar_sources = st.one_of(points(max_length=6), coordinates.map(lambda t: schur_t_functional(t, 18)))
+
+
+@PROPERTY
+@given(st.lists(strict_shapes, min_size=1, max_size=4), pstar_sources)
+@example([P([5, 4, 3, 2, 1]), P([9, 7, 1])], (F(0), F(-7, 12), F(7, 12), F(7, 12), F(1, 5)))
+@example([P([6, 4, 3, 1]), P([2])], (F(1, 2), F(1, 2), F(-3)))
+@example([P([5, 3, 2, 1]), P([8, 5])], schur_t_functional(F(-5, 3), 18))
+@example([P([3, 2, 1]), P()], ())
+def test_pstar_integers_match_the_fraction_pipeline(mus, source):
+    # one-row D_m / (2 Q^m), two-row T / (4 Q^(p+k)) and Pfaffian N / (2^l Q^|mu|)
+    # against the Fraction pipeline, strict mu up to length 5
+    bound = max(mu.part(1) + mu.part(2) for mu in mus)
+    one_row, q = pstar_one_row_numerators(source, bound)
+    fraction_one_row = fraction_pstar_one_row(source, bound)
+    assert [F(d, 2 * q**m) for m, d in enumerate(one_row, 1)] == fraction_one_row
+    table = pstar_two_row_table(one_row, q, bound)
+    expected = fraction_pstar_two_row_table(fraction_one_row, bound)
+    assert {k: F(v, 4 * q ** sum(k)) for k, v in table.items()} == expected
+    values = pstar_values(mus, source)
+    for mu in mus:
+        numerator = pstar_pfaffian(mu, one_row, table)
+        assert type(numerator) is int
+        assert F(numerator, 2**mu.length * q**mu.size) == values[mu] == fraction_pstar(mu, source)
 
 
 def split_diagonal_values(fc, cap):

@@ -133,6 +133,14 @@ GOLDEN = [
      "78980761bc250adf39954b644de5e4057036ffad2261651331d1a0c969dd8c8b"),
     ("verify selberg --graph schur --max-size 6", EXIT_OK,
      "190beb090655377ac8efa250d5594f532c2d2979a5d2e857489372bc11feebb3"),
+    # length-4 P* Pfaffians: at an integer point, at a rational point, and
+    # over the schur face's vertices (exit 1 only on the monotone row)
+    ("check-harmonic --family trunc-schur:lambda=5+3+2+1 --levels 12", EXIT_OK,
+     "b4b067fa23a5b230b836a4cd10cd64edc82b37e06ab4e8101da970157867aaf2"),
+    ("verify pieri --seed 11 --max-size 9 --points 1", EXIT_OK,
+     "12946cf7261a861edf2a0a23ba2d192aa3d1f44dcef5020b94788f05b805eb70"),
+    ("converge --family trunc-schur:lambda=3+1 --n 200,400", EXIT_CHECK_FAILED,
+     "557c97cb753e36f48461b1a5ae117444f5d4ecfe02dbd9f7461f7ac90857aabc"),
     # closed forms at negative e, non-integer theta and t = 0
     ("check-harmonic --family young-zz:e=-3/2,t=7/3 --levels 12", EXIT_OK,
      "a09ac69355ce25a9e30d3a23995557e6c2612a61e943498a6a574c76a3b71f90"),

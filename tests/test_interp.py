@@ -17,10 +17,9 @@ from harmgraphs.interp import (
     monomial_eval,
     pstar_closed_form,
     pstar_eval,
+    pstar_one_row_numerators,
     pstar_one_row_values,
-    pstar_one_row_values_from_point,
     pstar_two_row_table,
-    q_one_row_values,
     schur_eval,
     schur_t_functional,
     shifted_schur_at_diagram,
@@ -251,16 +250,19 @@ def test_super_values_empty_point():
 
 
 def test_q_one_row_doubling():
+    # D_m = Q^m 2 P*_(m): the doubled one-row values, integers over Q = 1 here
     x = (F(2), F(1))
-    assert q_one_row_values(x, 5) == [F(6), F(12), F(0), F(0), F(0)]
-    assert pstar_one_row_values_from_point(x, 5) == [F(3), F(6), F(0), F(0), F(0)]
+    assert pstar_one_row_numerators(x, 5) == ([6, 12, 0, 0, 0], 1)
+    assert pstar_one_row_values(x, 5) == [F(3), F(6), F(0), F(0), F(0)]
 
 
 def test_one_row_p_values_are_fractions():
-    # the one-row series is int-valued on int factors; halving an int 0 would give the float 0.0
+    # the numerators are ints; each value divides one by 2 Q^m, never to a float
     for x in ((), (2, 1), (F(2, 3), F(-1), F(0))):
-        for values in (q_one_row_values(x, 5), pstar_one_row_values_from_point(x, 5)):
-            assert len(values) == 5 and all(type(v) is F for v in values), (x, values)
+        one_row, q = pstar_one_row_numerators(x, 5)
+        assert all(type(d) is int for d in one_row) and type(q) is int
+        values = pstar_one_row_values(x, 5)
+        assert len(values) == 5 and all(type(v) is F for v in values), (x, values)
 
 
 # ---------------------------------------------------------------------------
@@ -286,12 +288,19 @@ def test_pstar_interpolation_vanishing():
     assert pstar_eval(P([2]), (F(1),)) == 0
 
 
+def two_row_values(source, count, bound):
+    """P*_(p,k) read from the integer table, T_(p,k) / (4 Q^(p+k))."""
+    one_row, q = pstar_one_row_numerators(source, count)
+    return {k: F(v, 4 * q ** sum(k)) for k, v in pstar_two_row_table(one_row, q, bound).items()}
+
+
 def test_pstar_antisymmetry_convention():
     # the table holds p > q only; pstar_eval extends it antisymmetrically
     point = (F(3), F(1))
-    table = pstar_two_row_table(pstar_one_row_values_from_point(point, 8), 8)
+    one_row, q = pstar_one_row_numerators(point, 8)
+    table = pstar_two_row_table(one_row, q, 8)
     assert table and all(p > q for p, q in table)
-    assert pstar_eval(P([3, 1]), point) == table[(3, 1)] != 0
+    assert pstar_eval(P([3, 1]), point) == F(table[(3, 1)], 4 * q**4) != 0
 
 
 def test_pstar_two_row_table_extends_to_a_larger_bound():
@@ -301,10 +310,9 @@ def test_pstar_two_row_table_extends_to_a_larger_bound():
     sources = [schur_t_functional(F(7, 3), 24), (F(-4), F(-2)), (F(5, 2), F(-1, 3), F(3))]
     sources += [tuple(F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(3)) for _ in range(3)]
     for source in sources:
-        one_row = pstar_one_row_values(source, 24)
         for b in range(13):
-            wide = pstar_two_row_table(one_row, 2 * b)
-            assert pstar_two_row_table(one_row, b) == {k: v for k, v in wide.items() if sum(k) <= b}
+            wide = two_row_values(source, 24, 2 * b)
+            assert two_row_values(source, 24, b) == {k: v for k, v in wide.items() if sum(k) <= b}
 
 
 def test_pstar_pipeline_matches_closed_form():
@@ -346,9 +354,7 @@ def test_staircase_two_row_consistency():
         t = F(-k * (k + 1), 2)
         spec = schur_t_functional(t, 16)
         point = tuple(F(p) for p in range(k, 0, -1))
-        fun_rows = pstar_one_row_values(spec, 12)
-        pt_rows = pstar_one_row_values(point, 12)
-        assert pstar_two_row_table(fun_rows, 12) == pstar_two_row_table(pt_rows, 12)
+        assert two_row_values(spec, 12, 12) == two_row_values(point, 12, 12)
 
 
 # ---------------------------------------------------------------------------
