@@ -4,6 +4,10 @@ Reports are deterministic (fixed ordering, seeded randomness, no
 timestamps): identical invocations produce byte-identical output.
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 usage or
 parameter error, 3 internal error (a singular or misshapen matrix).
+
+Each command and `verify` suite declares only the flags it reads, each
+number with its range (`_COMMANDS`, `_SUITES`); argparse names any other
+flag or value, and only checks across flags or of files are hand-written.
 """
 
 from __future__ import annotations
@@ -16,7 +20,8 @@ import random
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import perm
+from math import isfinite, perm
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .exact import (
@@ -145,14 +150,8 @@ def _encode(value) -> str:
 
 
 def _emit(report: Report, args) -> int:
-    fmt = getattr(args, "out", None) or "text"
-    if fmt == "json":
-        payload = report.to_json()
-    elif fmt == "csv":
-        payload = report.to_csv()
-    else:
-        payload = report.to_text()
-    output = getattr(args, "output", None)
+    fmt, output = args.out, args.output
+    payload = {"text": report.to_text, "json": report.to_json, "csv": report.to_csv}[fmt]()
     if output:
         try:
             with open(output, "w") as handle:
@@ -167,16 +166,33 @@ def _emit(report: Report, args) -> int:
     return EXIT_OK if report.failed == 0 else EXIT_CHECK_FAILED
 
 
-def _partition(text: str) -> Partition:
-    return Partition.parse(text)
-
-
-def _number(flag: str, text: str, parse=as_rational):
-    """One numeric field of a flag; a malformed field is a usage error naming the flag."""
+def _number(text: str, parse=as_rational):
+    """One numeric field of a flag; argparse names the flag of a malformed one."""
     try:
         return parse(text)
     except (ValueError, ZeroDivisionError):
-        raise ValueError(f"{flag}: malformed number {text!r}") from None
+        raise argparse.ArgumentTypeError(f"malformed number {text!r}") from None
+
+
+def _ranged(parse, ok, bound: str):
+    """An argparse `type`: one number that `parse` reads and `ok` accepts; `bound`
+    names those in the usage error and in the README's table of suite flags."""
+
+    def check(text: str):
+        value = _number(text, parse)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {text!r}")
+        return value
+
+    check.bound = bound
+    return check
+
+
+def _at_least(k: int):
+    return _ranged(int, lambda v: v >= k, f"an integer >= {k}")
+
+
+_POSITIVE = _ranged(float, lambda v: v > 0 and isfinite(v), "a positive finite number")
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +201,7 @@ def _number(flag: str, text: str, parse=as_rational):
 
 def cmd_phi(args) -> int:
     family = parse_family(args.family)
-    value = family.phi(_partition(args.mu))
+    value = family.phi(Partition.parse(args.mu))
     print(format_rational(value))
     return EXIT_OK
 
@@ -229,18 +245,16 @@ def _harmonicity_report(family: HarmonicFamily, levels: int) -> Report:
 
 def cmd_dims(args) -> int:
     kind = parse_kind(args.kind)
-    if args.max_length is not None and args.max_length < 0:
-        raise ValueError("--max-length must be >= 0")
     sys.stdout.write(dims_csv(args.level, kind, max_length=args.max_length))
     return EXIT_OK
 
 
 def cmd_density(args) -> int:
-    spec = density_spec(args.graph, _partition(getattr(args, "lambda")))
-    blocks, texts = FACES[args.graph].blocks, args.at.split(";")
-    if len(texts) != blocks:
-        raise ValueError(f"a {args.graph} point is {';'.join(('alpha', 'beta')[:blocks])}, got {args.at!r}")
-    point = tuple(tuple(_number("--at", s) for s in text.split(",")) for text in texts)
+    spec = density_spec(args.graph, Partition.parse(getattr(args, "lambda")))
+    blocks, point = FACES[args.graph].blocks, args.at
+    if len(point) != blocks:
+        layout = ";".join(("alpha", "beta")[:blocks])
+        raise ValueError(f"--at: a {args.graph} point is {layout} ({blocks} ';'-separated parts), got {len(point)}")
     if len(point) == 1:  # the alpha;beta points of the gamma face have no range check yet
         point = point[0]
         if any(a < 0 for a in point) or sum(point) > 1:
@@ -251,25 +265,18 @@ def cmd_density(args) -> int:
 
 def cmd_integral_verify(args) -> int:
     report = Report(command="integral-verify")
-    _add_selberg_rows(report, args.graph, _partition(getattr(args, "lambda")), [_partition(args.mu)])
+    lam, mu = Partition.parse(getattr(args, "lambda")), Partition.parse(args.mu)
+    _add_selberg_rows(report, args.graph, lam, [mu])
     return _emit(report, args)
 
 
 def cmd_converge(args) -> int:
     family = parse_family(args.family)
-    n_values = [_number("--n", s, int) for s in args.n.split(",")]
-    if min(n_values) < 1:
-        raise ValueError("every --n value must be at least 1")
-    if args.resolution < 1:
-        raise ValueError("--resolution must be at least 1")
-    interior = _number("--interior", args.interior)
-    if not 0 < interior < 1:
-        raise ValueError("--interior must lie strictly between 0 and 1")
     rep = convergence_experiment(
         family,
-        n_values,
+        args.n,
         resolution=args.resolution,
-        interior_fraction=interior,
+        interior_fraction=args.interior,
         ratio_tolerance=args.ratio_tol,
     )
     report = Report(command="converge")
@@ -306,9 +313,7 @@ def cmd_converge(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _suite_harmonicity(args, report: Report) -> None:
-    family = parse_family(args.family)
-    sub = _harmonicity_report(family, args.levels)
-    report.rows.extend(sub.rows)
+    report.rows.extend(_harmonicity_report(parse_family(args.family), args.levels).rows)
 
 
 def _suite_interpolation(args, report: Report) -> None:
@@ -360,10 +365,6 @@ def _random_point(rng: random.Random, size: int) -> tuple[Fraction, ...]:
 
 
 def _suite_pieri(args, report: Report) -> None:
-    if args.max_size < 0:
-        raise ValueError("the pieri suite needs --max-size >= 0")
-    if args.points < 1:
-        raise ValueError("the pieri suite needs --points >= 1")
     rng = random.Random(args.seed)
     cap = args.max_size
     shapes = partitions_up_to(cap + 1)
@@ -445,13 +446,13 @@ def _suite_dimension_ratio(args, report: Report) -> None:
 
 
 def _suite_selberg(args, report: Report) -> None:
-    faces = ", ".join(FACES)
-    if args.graph != "all" and args.graph not in FACES:
-        raise ValueError(f"unknown --graph {args.graph!r}; choose all or one of {faces}")
-    if getattr(args, "lam", None):
+    if args.lam is not None:
         if args.graph == "all":
+            faces = ", ".join(FACES)
             raise ValueError(f"a single identity (--lam) needs one face: pass --graph as one of {faces}")
-        work = [(args.graph, _partition(args.lam), [_partition(args.mu or "0")])]
+        work = [(args.graph, Partition.parse(args.lam), [Partition.parse(args.mu or "0")])]
+    elif args.mu is not None:
+        raise ValueError("--mu is the mu of a single identity: pass its lambda as --lam")
     else:
         work = _selberg_sweep(args.graph, args.max_size)
     for graph, lam, mus in work:
@@ -490,8 +491,6 @@ def _suite_staircase(args, report: Report) -> None:
 
 
 def _suite_pfaffian(args, report: Report) -> None:
-    if args.max_size < 2:
-        raise ValueError("the pfaffian suite needs --max-size >= 2")
     rng = random.Random(args.seed)
     for trial in range(args.points):
         size = 2 * rng.randint(1, args.max_size // 2)
@@ -510,10 +509,6 @@ def _suite_pfaffian(args, report: Report) -> None:
 
 
 def _suite_kernels(args, report: Report) -> None:
-    if args.levels < 1:
-        raise ValueError("the kernels suite needs --levels >= 1")
-    if args.points < 1:
-        raise ValueError("the kernels suite needs --points >= 1")
     rng = random.Random(args.seed)
     points = []
     for _ in range(args.points):
@@ -602,131 +597,135 @@ def _suite_lattice(args, report: Report) -> None:
             report.add("lattice-idempotent", f"mu={mu} n={n}", same, here, same == here)
 
 
-_SUITES = {
-    "harmonicity": _suite_harmonicity,
-    "interpolation": _suite_interpolation,
-    "pieri": _suite_pieri,
-    "dimensions": _suite_dimensions,
-    "dimension-ratio": _suite_dimension_ratio,
-    "selberg": _suite_selberg,
-    "staircase": _suite_staircase,
-    "pfaffian": _suite_pfaffian,
-    "kernels": _suite_kernels,
-    "gauss": _suite_gauss,
-    "degeneration": _suite_degeneration,
-    "lattice": _suite_lattice,
-}
-
-
-def cmd_verify(args) -> int:
-    if args.suite not in _SUITES:
-        print(f"unknown suite {args.suite!r}; available: {', '.join(sorted(_SUITES))}", file=sys.stderr)
-        return EXIT_USAGE
-    report = Report(command=f"verify {args.suite}")
-    _SUITES[args.suite](args, report)
-    if not report.rows:
-        raise ValueError(f"the {args.suite} suite admits no check in the given ranges")
-    return _emit(report, args)
-
-
 # ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_output_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out", choices=["text", "json", "csv"], default=None, help="report format")
-    p.add_argument("--output", default=None, help="write the report to this path")
+class _Command(NamedTuple):
+    run: Callable
+    flags: tuple  # (option strings, add_argument keywords) of each argument it reads
+    help: str | None = None
+    exclusive: tuple[str, ...] = ()  # flags that may not be given together
+
+
+def _flag(*names: str, **kwargs):
+    # a default is the text a user would type: argparse parses it like the flag,
+    # and a mutually exclusive group can tell an explicit value from it
+    return names, kwargs
+
+
+def _int(name: str, least: int, default: int):
+    return _flag(name, type=_at_least(least), default=str(default))
+
+
+def _add_flags(parser: argparse.ArgumentParser, flags, exclusive=()) -> argparse.ArgumentParser:
+    group = parser.add_mutually_exclusive_group() if exclusive else parser
+    for names, kwargs in flags:
+        (group if names[0] in exclusive else parser).add_argument(*names, **kwargs)
+    return parser
+
+
+_SEED, _POINTS = _flag("--seed", type=int, default="20240801"), _int("--points", 1, 5)
+_OUTPUT = (
+    _flag("--out", choices=["text", "json", "csv"], default="text", help="report format"),
+    _flag("--output", default=None, help="write the report to this path"),
+)
+
+_SUITES = {
+    "harmonicity": _Command(_suite_harmonicity, (
+        _flag("--family", default="young-zz:e=3,t=2"), _int("--levels", 1, 8))),
+    "interpolation": _Command(_suite_interpolation, (_int("--max-size", 1, 5),)),
+    "pieri": _Command(_suite_pieri, (_int("--max-size", 0, 5), _POINTS, _SEED)),
+    "dimensions": _Command(_suite_dimensions, (
+        _int("--max-size", 0, 5), _int("--strict-max-size", 0, 8))),
+    "dimension-ratio": _Command(_suite_dimension_ratio, (
+        _int("--mu-max", 0, 3), _int("--lam-max", 0, 6))),
+    "selberg": _Command(_suite_selberg, (
+        _flag("--graph", choices=["all", *FACES], default="all"),
+        _flag("--lam", "--lambda", dest="lam", default=None, help="single identity: lambda"),
+        _flag("--mu", default=None, help="single identity: mu (needs --lam)"),
+        _int("--max-size", 1, 5),
+        _flag("--workers", type=_at_least(1), default="1",
+              help="accepted for compatibility; suites run serially"),
+    ), exclusive=("--lam", "--max-size")),
+    "staircase": _Command(_suite_staircase, (_int("--max-size", 0, 5), _int("--k-max", 1, 3))),
+    "pfaffian": _Command(_suite_pfaffian, (_int("--max-size", 2, 5), _POINTS, _SEED)),
+    "kernels": _Command(_suite_kernels, (_int("--levels", 1, 8), _POINTS, _SEED)),
+    "gauss": _Command(_suite_gauss, (
+        _flag("--tol", type=_POSITIVE, default="1e-20"), _int("--precision", 1, 128))),
+    "degeneration": _Command(_suite_degeneration, (_int("--levels", 0, 8),)),
+    "lattice": _Command(_suite_lattice, (_int("--levels", 1, 8),)),
+}
+
+
+def cmd_verify(args) -> int:
+    # only the suite that runs has its parser built; no abbreviations, or --mu
+    # would pass for --mu-max
+    suite = _SUITES[args.suite]
+    parser = argparse.ArgumentParser(prog=f"harmgraphs verify {args.suite}", allow_abbrev=False)
+    suite_args = _add_flags(parser, suite.flags + _OUTPUT, suite.exclusive).parse_args(args.flags)
+    report = Report(command=f"verify {args.suite}")
+    suite.run(suite_args, report)
+    if not report.rows:
+        raise ValueError(f"the {args.suite} suite admits no check in the given ranges")
+    return _emit(report, suite_args)
+
+
+_FAMILY = _flag("--family", required=True)
+_PHI = (_FAMILY, _flag("--mu", required=True))
+_FACE = (_flag("--graph", required=True, choices=list(FACES)), _flag("--lambda", required=True))
+_COMMANDS = {
+    "phi": _Command(cmd_phi, _PHI, "evaluate a family at one partition"),
+    "eval": _Command(cmd_phi, (_flag("what", choices=["phi"]), *_PHI), "evaluate (alias surface: eval phi ...)"),
+    "measure": _Command(cmd_measure, (_FAMILY, _flag("--n", type=_at_least(0), required=True), *_OUTPUT),
+                        "level measure of a family"),
+    "check-harmonic": _Command(cmd_check_harmonic, (_FAMILY, _int("--levels", 1, 8), *_OUTPUT),
+                               "exact harmonicity/normalization/positivity"),
+    "dims": _Command(cmd_dims, (
+        _flag("--kind", required=True, help="young | jack(theta) | kingman | schur"),
+        _flag("--level", type=_at_least(0), required=True),
+        _flag("--max-length", type=_at_least(0), default=None),
+    ), "CSV dump of one level's dimensions"),
+    "density": _Command(cmd_density, (
+        *_FACE,
+        _flag("--at", type=lambda text: tuple(tuple(map(_number, b.split(","))) for b in text.split(";")),
+              required=True, help="comma-separated coordinates; gamma: alpha;beta"),
+    ), "evaluate a face density at a rational point"),
+    "integral-verify": _Command(cmd_integral_verify, (*_FACE, _flag("--mu", default="0"), *_OUTPUT),
+                                "one exact integral identity, both sides"),
+    "converge": _Command(cmd_converge, (
+        _FAMILY,
+        _flag("--n", type=lambda text: [_at_least(1)(n) for n in text.split(",")], required=True,
+              help="comma-separated level list"),
+        _int("--resolution", 1, 20),
+        _flag("--interior", type=_ranged(as_rational, lambda v: 0 < v < 1, "strictly between 0 and 1"),
+              default="1/5", help="interior separation fraction"),
+        _flag("--ratio-tol", type=_POSITIVE, default="0.05"),
+        *_OUTPUT,
+    ), "level measures against the limit density"),
+    "verify": _Command(cmd_verify, (
+        _flag("suite", choices=_SUITES),
+        _flag("flags", nargs=argparse.REMAINDER, help="the suite's flags: verify SUITE --help"),
+    ), "run a verification suite"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="harmgraphs",
-        description="Exact harmonic functions on multiplicative graded graphs",
-    )
+    description = "Exact harmonic functions on multiplicative graded graphs"
+    parser = argparse.ArgumentParser(prog="harmgraphs", description=description)
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("phi", help="evaluate a family at one partition")
-    p.add_argument("--family", required=True)
-    p.add_argument("--mu", required=True)
-    p.set_defaults(func=cmd_phi)
-
-    p = sub.add_parser("eval", help="evaluate (alias surface: eval phi ...)")
-    p.add_argument("what", choices=["phi"])
-    p.add_argument("--family", required=True)
-    p.add_argument("--mu", required=True)
-    p.set_defaults(func=cmd_phi)
-
-    p = sub.add_parser("measure", help="level measure of a family")
-    p.add_argument("--family", required=True)
-    p.add_argument("--n", type=int, required=True)
-    _add_output_options(p)
-    p.set_defaults(func=cmd_measure)
-
-    p = sub.add_parser("check-harmonic", help="exact harmonicity/normalization/positivity")
-    p.add_argument("--family", required=True)
-    p.add_argument("--levels", type=int, default=8)
-    _add_output_options(p)
-    p.set_defaults(func=cmd_check_harmonic)
-
-    p = sub.add_parser("dims", help="CSV dump of one level's dimensions")
-    p.add_argument("--kind", required=True, help="young | jack(theta) | kingman | schur")
-    p.add_argument("--level", type=int, required=True)
-    p.add_argument("--max-length", type=int, default=None)
-    p.set_defaults(func=cmd_dims)
-
-    p = sub.add_parser("density", help="evaluate a face density at a rational point")
-    p.add_argument("--graph", required=True, choices=list(FACES))
-    p.add_argument("--lambda", required=True)
-    p.add_argument("--at", required=True, help="comma-separated coordinates; gamma: alpha;beta")
-    p.set_defaults(func=cmd_density)
-
-    p = sub.add_parser("integral-verify", help="one exact integral identity, both sides")
-    p.add_argument("--graph", required=True, choices=list(FACES))
-    p.add_argument("--lambda", required=True)
-    p.add_argument("--mu", default="0")
-    _add_output_options(p)
-    p.set_defaults(func=cmd_integral_verify)
-
-    p = sub.add_parser("converge", help="level measures against the limit density")
-    p.add_argument("--family", required=True)
-    p.add_argument("--n", required=True, help="comma-separated level list")
-    p.add_argument("--resolution", type=int, default=20)
-    p.add_argument("--interior", default="1/5", help="interior separation fraction")
-    p.add_argument("--ratio-tol", type=float, default=0.05)
-    _add_output_options(p)
-    p.set_defaults(func=cmd_converge)
-
-    p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite", help=", ".join(sorted(_SUITES)))
-    p.add_argument("--family", default="young-zz:e=3,t=2")
-    p.add_argument("--levels", type=int, default=8)
-    p.add_argument("--max-size", type=int, default=5)
-    p.add_argument("--strict-max-size", type=int, default=8)
-    p.add_argument("--mu-max", type=int, default=3)
-    p.add_argument("--lam-max", type=int, default=6)
-    p.add_argument("--k-max", type=int, default=3)
-    p.add_argument("--graph", default="all")
-    p.add_argument("--lam", "--lambda", dest="lam", default=None, help="single identity: lambda")
-    p.add_argument("--mu", default=None, help="single identity: mu")
-    p.add_argument("--points", type=int, default=5)
-    p.add_argument("--seed", type=int, default=20240801)
-    p.add_argument("--tol", type=float, default=1e-20)
-    p.add_argument("--precision", type=int, default=128)
-    p.add_argument(
-        "--workers", type=int, default=1, help="accepted for compatibility; suites run serially"
-    )
-    _add_output_options(p)
-    p.set_defaults(func=cmd_verify)
-
+    for name, command in _COMMANDS.items():
+        _add_flags(sub.add_parser(name, help=command.help), command.flags).set_defaults(func=command.run)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # argparse's --help, --version or usage error
+        return exc.code
     except (SingularMatrixError, ShapeError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

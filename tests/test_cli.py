@@ -78,7 +78,43 @@ def test_verify_forbidden_parameter_is_usage_error(capsys):
 def test_verify_unknown_suite(capsys):
     code, _, err = run(capsys, "verify", "nonsense")
     assert code == EXIT_USAGE
-    assert "available" in err
+    assert "invalid choice: 'nonsense'" in err
+
+
+SUITE_FLAGS = {name for suite in cli._SUITES.values() for names, _ in suite.flags for name in names}
+
+
+@pytest.mark.parametrize("suite", cli._SUITES)
+def test_a_suite_accepts_only_the_flags_it_reads(capsys, suite):
+    declared = {name for names, _ in cli._SUITES[suite].flags for name in names}
+    for flag in sorted(SUITE_FLAGS - declared):
+        code, out, err = run(capsys, "verify", suite, flag, "1")
+        assert (code, out) == (EXIT_USAGE, ""), flag
+        assert f"unrecognized arguments: {flag} 1" in err
+    code, out, _ = run(capsys, "verify", suite, "--help")
+    assert code == EXIT_OK
+    assert out.startswith(f"usage: harmgraphs verify {suite} ")
+
+
+def _flag_cell(names, kwargs):
+    bound = getattr(kwargs.get("type"), "bound", None)
+    if "choices" in kwargs:
+        bound = "one of " + ", ".join(kwargs["choices"])
+    text = "/".join(f"`{n}`" for n in names) + f" {kwargs['default'] or 'none'}"
+    return f"{text} ({bound})" if bound else text
+
+
+def test_readme_suite_table_matches_the_declarations():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = {}
+    for line in readme.splitlines():
+        cells = line.strip("|").split(" | ")
+        if line.startswith("| `") and cells[0].strip(" `") in cli._SUITES:
+            rows[cells[0].strip(" `")] = cells[1].strip()
+    assert rows == {
+        name: "; ".join(_flag_cell(*flag) for flag in suite.flags)
+        for name, suite in cli._SUITES.items()
+    }
 
 
 def test_verify_selberg_single_instance(capsys):
@@ -271,29 +307,37 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv,message",
     [
-        (("verify", "pfaffian", "--max-size", "1"), "--max-size >= 2"),
+        (("verify", "pfaffian", "--max-size", "1"), "--max-size: must be an integer >= 2"),
         (("converge", "--family", "trunc-young:lambda=2+1", "--n", "-5"), "--n"),
         (("converge", "--family", "trunc-young:lambda=2+1", "--n", "0"), "--n"),
         (("converge", "--family", "trunc-young:lambda=2+1", "--n", "10,0"), "--n"),
         (("converge", "--family", "young-zz:e=1,t=1", "--n", "5"), "truncated family"),
-        (("verify", "pieri", "--max-size", "-1"), "--max-size >= 0"),
-        (("verify", "pieri", "--points", "0"), "--points >= 1"),
-        (("verify", "kernels", "--levels", "0"), "--levels >= 1"),
-        (("verify", "kernels", "--levels", "-3"), "--levels >= 1"),
-        (("verify", "kernels", "--points", "0"), "--points >= 1"),
+        (("verify", "pieri", "--max-size", "-1"), "--max-size: must be an integer >= 0"),
+        (("verify", "pieri", "--points", "0"), "--points: must be an integer >= 1"),
+        (("verify", "kernels", "--levels", "0"), "--levels: must be an integer >= 1"),
+        (("verify", "kernels", "--levels", "-3"), "--levels: must be an integer >= 1"),
+        (("verify", "kernels", "--points", "0"), "--points: must be an integer >= 1"),
         (("verify", "selberg", "--graph", "nope"), "--graph"),
         (("verify", "selberg", "--graph", "nope", "--lam", "2+1"), "--graph"),
         (("verify", "selberg", "--lam", "2+1"), "needs one face: pass --graph"),
+        # a flag the run would ignore
+        (("verify", "selberg", "--graph", "kingman", "--mu", "2"), "pass its lambda as --lam"),
+        (("verify", "selberg", "--graph", "young", "--lam", "2+1", "--max-size", "9"),
+         "--max-size: not allowed with argument --lam"),
+        (("verify", "dimension-ratio", "--graph", "kingman"), "unrecognized arguments: --graph"),
+        # suite flags follow the suite name
+        (("verify", "--seed", "7", "pieri"), "invalid choice"),
         # ranges that admit no check
-        (("verify", "pfaffian", "--points", "0"), "the pfaffian suite"),
-        (("verify", "interpolation", "--max-size", "-2"), "the interpolation suite"),
-        (("verify", "interpolation", "--max-size", "0"), "the interpolation suite"),
-        (("verify", "staircase", "--k-max", "0"), "the staircase suite"),
-        (("verify", "lattice", "--levels", "0"), "the lattice suite"),
-        (("verify", "dimension-ratio", "--mu-max", "-1"), "the dimension-ratio suite"),
-        (("verify", "degeneration", "--levels", "-1"), "the degeneration suite"),
+        (("verify", "pfaffian", "--points", "0"), "--points: must be an integer >= 1"),
+        (("verify", "interpolation", "--max-size", "-2"), "--max-size: must be an integer >= 1"),
+        (("verify", "interpolation", "--max-size", "0"), "--max-size: must be an integer >= 1"),
+        (("verify", "staircase", "--k-max", "0"), "--k-max: must be an integer >= 1"),
+        (("verify", "lattice", "--levels", "0"), "--levels: must be an integer >= 1"),
+        (("verify", "dimension-ratio", "--mu-max", "-1"), "--mu-max: must be an integer >= 0"),
+        (("verify", "degeneration", "--levels", "-1"), "--levels: must be an integer >= 0"),
         (("verify", "dimensions", "--max-size", "-1", "--strict-max-size", "-1"),
-         "the dimensions suite"),
+         "--max-size: must be an integer >= 0"),
+        (("verify", "selberg", "--graph", "schur", "--max-size", "1"), "the selberg suite"),
         (("converge", "--family", "trunc-young:lambda=2+1", "--n", "10", "--resolution", "0"),
          "--resolution"),
         (("converge", "--family", "trunc-young:lambda=2+1", "--n", "10", "--resolution", "-2"),
@@ -334,17 +378,25 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys):
         (("phi", "--family", "trunc-young:lambda=2+x", "--mu", "1"),
          "family parameter 'lambda': malformed value '2+x'"),
         # a tolerance or precision no partial sum can meet
-        *[(("verify", "gauss", "--tol", t), "tol must be positive") for t in ("0", "-1")],
-        *[(("verify", "gauss", "--precision", b), "precision must be at least 1")
-          for b in ("0", "-5")],
+        *[(("verify", "gauss", "--tol", t), "--tol: must be a positive finite number")
+          for t in ("0", "-1")],
+        *[(("verify", "gauss", "--precision", b), "--precision: must be an integer >= 1") for b in ("0", "-5")],
+        # a tolerance no ratio can meet, and levels below the start vertex
+        *[(("converge", "--family", "trunc-young:lambda=2+1", "--n", "10", "--ratio-tol", t),
+           "--ratio-tol: must be a positive finite number") for t in ("-1", "0", "nan", "inf")],
+        (("check-harmonic", "--family", "young-zz:e=1,t=1", "--levels", "0"), "--levels: must be an integer >= 1"),
+        (("measure", "--family", "young-zz:e=1,t=1", "--n", "-1"), "--n: must be an integer >= 0"),
+        (("dims", "--kind", "young", "--level", "-1"), "--level: must be an integer >= 0"),
     ],
     ids=["pfaffian-size-1", "converge-negative-n", "converge-zero-n", "converge-zero-in-list",
          "converge-untruncated", "pieri-negative-size", "pieri-no-points", "kernels-zero-levels",
          "kernels-negative-levels", "kernels-no-points", "selberg-unknown-graph",
          "selberg-unknown-graph-single", "selberg-single-without-graph",
-         "pfaffian-no-points", "interpolation-negative-size", "interpolation-zero-size",
+         "selberg-mu-without-lam", "selberg-lam-with-max-size", "dimension-ratio-graph",
+         "verify-flag-before-suite", "pfaffian-no-points", "interpolation-negative-size", "interpolation-zero-size",
          "staircase-zero-k", "lattice-zero-levels", "dimension-ratio-negative-mu",
-         "degeneration-negative-levels", "dimensions-negative-sizes", "converge-zero-resolution",
+         "degeneration-negative-levels", "dimensions-negative-sizes", "selberg-schur-size-1",
+         "converge-zero-resolution",
          "converge-negative-resolution", "converge-interior-3", "converge-interior-0",
          "converge-interior-negative", "converge-interior-1", "dims-negative-max-length",
          "phi-increasing-mu", "density-kingman-empty-lambda", "density-schur-empty-lambda",
@@ -353,7 +405,9 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys):
          "family-key-of-another-family", "family-repeated-key", "family-malformed-cap",
          "family-zero-denominator", "family-malformed-rational", "family-malformed-partition",
          "gauss-zero-tol", "gauss-negative-tol", "gauss-zero-precision",
-         "gauss-negative-precision"],
+         "gauss-negative-precision", "converge-negative-ratio-tol", "converge-zero-ratio-tol",
+         "converge-nan-ratio-tol", "converge-infinite-ratio-tol", "check-harmonic-zero-levels",
+         "measure-negative-n", "dims-negative-level"],
 )
 def test_out_of_domain_arguments_are_usage_errors(capsys, argv, message):
     code, out, err = run(capsys, *argv)

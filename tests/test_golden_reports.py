@@ -180,6 +180,23 @@ GOLDEN = [
      "98babc224a7a8544535bb5402ffe3ede0aed19a64b5f87251025f44bb55e0574"),
     ("verify gauss --precision 64 --tol 1e-15", EXIT_OK,
      "4b14e928ae47bff6b22e9984fd4d082794562e33319245e68f93c63df50f9b25"),
+    # every suite at its declared defaults
+    ("verify harmonicity", EXIT_OK,
+     "b32877ae7c299ea3942e54e98cc50866a3a8cd66f33a680ebbd2b4160eedc6e2"),
+    ("verify pieri", EXIT_OK,
+     "523f9f3059815e853f5eaf9b6666101f98e1920165c5d162b22a59373f408447"),
+    ("verify selberg", EXIT_OK,
+     "8f3f1c284a60ab59edc325e9f0fb3eb1e2c2f021fddedadf198581710e7ca3a3"),
+    ("verify staircase", EXIT_OK,
+     "b163c7a4d08aa6e334f228ead7a7c15ab6849dd92e5b6cce8406cb3aa6ef8c7a"),
+    ("verify pfaffian", EXIT_OK,
+     "48454b75873c6c638fc012079ec12fa3471a6e5723c78f5786fef8f5d2ebb35e"),
+    ("verify kernels", EXIT_OK,
+     "c905a5087a3aa2186df54e70d4470dc03aae731a43645818692d50420e2b75e9"),
+    ("verify degeneration", EXIT_OK,
+     "6a4c3031eddc51b1f90ff92e24a2954783badb2776ac389ca773dbceadab3a58"),
+    ("verify lattice", EXIT_OK,
+     "733373099ed3a281464a8689b67e81dfbad6670bd3612b8ebc34a1c14e585280"),
 ]
 
 
