@@ -31,12 +31,12 @@ F(X) / Q^degree(λ) at a point X/Q, F one form on the integer numerators, so
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import reduce
 from itertools import permutations
 from math import comb, factorial, lcm, prod
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .exact import as_rational, integer_det, integer_point, pochhammer, quotient_pfaffian, round_bits
 from .graphs import dim_closed_form, level
@@ -57,16 +57,14 @@ from .series import Poly, poly_add, poly_eval, poly_integral, poly_mul, poly_sca
 # boundary points
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ThomaPoint:
+class ThomaPoint(namedtuple("ThomaPoint", "alpha beta")):
     """A finite-support boundary point: two ordered nonnegative lists."""
 
-    alpha: tuple[Fraction, ...]
-    beta: tuple[Fraction, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        alpha = tuple(as_rational(a) for a in self.alpha)
-        beta = tuple(as_rational(b) for b in self.beta)
+    def __new__(cls, alpha, beta=()):
+        alpha = tuple(as_rational(a) for a in alpha)
+        beta = tuple(as_rational(b) for b in beta)
         for seq in (alpha, beta):
             if any(x < 0 for x in seq):
                 raise ValueError("coordinates must be nonnegative")
@@ -74,8 +72,7 @@ class ThomaPoint:
                 raise ValueError("coordinates must be nonincreasing")
         if sum(alpha) + sum(beta) > 1:
             raise ValueError("coordinate sums must not exceed 1")
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
+        return super().__new__(cls, alpha, beta)
 
     @property
     def gamma(self) -> Fraction:
@@ -172,8 +169,7 @@ def gamma_density_constant(lam: Partition) -> Fraction:
     return factorial(lam.size - 1) / (_cauchy([p + 1 for p in fc.p], fc.q) * hooks)
 
 
-@dataclass(frozen=True)
-class DensitySpec:
+class DensitySpec(NamedTuple):
     """A face density: graph tag, source partition, exact normalization."""
 
     graph: str
@@ -235,8 +231,7 @@ def _gamma_density(lam: Partition, xs, ys) -> Fraction:
 _EXPANSION_CAP = 5
 
 
-@dataclass(frozen=True)
-class SelbergResult:
+class SelbergResult(NamedTuple):
     graph: str
     lam: Partition
     mu: Partition
@@ -484,8 +479,7 @@ def kingman_kernel(mu: Partition, omega: ThomaPoint) -> Fraction:
 # convergence experiments
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConvergenceRow:
+class ConvergenceRow(NamedTuple):
     n: int
     support_size: int
     mass_is_one: bool
@@ -494,8 +488,7 @@ class ConvergenceRow:
     binned_distance: Fraction
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(NamedTuple):
     family: str
     rows: tuple[ConvergenceRow, ...]
     ratio_tolerance: float
@@ -677,8 +670,7 @@ def _young_polynomial(lam: Partition) -> Poly:
 # the face table
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Face:
+class Face(NamedTuple):
     """One boundary face, each per-face quantity a plain function.  A point has
     `blocks` coordinate tuples (alpha; or alpha, beta) of stat(lam) each, so the
     width is blocks * stat(lam).  The defaults describe a face of rows."""

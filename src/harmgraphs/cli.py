@@ -6,8 +6,9 @@ Exit codes: 0 all checks pass, 1 at least one check failed, 2 usage or
 parameter error, 3 internal error (a singular or misshapen matrix).
 
 Each command and `verify` suite declares only the flags it reads, each
-number with its range (`_COMMANDS`, `_SUITES`); argparse names any other
-flag or value, and only checks across flags or of files are hand-written.
+number with its range (`_COMMANDS`, `_SUITES`), and only the parser of the
+one that runs is built; argparse names any other flag or value, and only
+checks across flags or of files are hand-written.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import io
 import json
 import random
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isfinite, perm
 from typing import Callable, NamedTuple
@@ -86,10 +86,9 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 
-@dataclass
 class Report:
-    command: str
-    rows: list[dict] = field(default_factory=list)
+    def __init__(self, command: str):
+        self.command, self.rows = command, []
 
     def add(self, check: str, instance: str, lhs, rhs, ok: bool) -> None:
         self.rows.append(
@@ -602,10 +601,11 @@ def _suite_lattice(args, report: Report) -> None:
 # ---------------------------------------------------------------------------
 
 class _Command(NamedTuple):
-    run: Callable
+    run: Callable | None
     flags: tuple  # (option strings, add_argument keywords) of each argument it reads
     help: str | None = None
     exclusive: tuple[str, ...] = ()  # flags that may not be given together
+    named: str | None = None  # what its `_names` flags name ("command", "suite"); argv's rest follows
 
 
 def _flag(*names: str, **kwargs):
@@ -623,6 +623,27 @@ def _add_flags(parser: argparse.ArgumentParser, flags, exclusive=()) -> argparse
     for names, kwargs in flags:
         (group if names[0] in exclusive else parser).add_argument(*names, **kwargs)
     return parser
+
+
+def _parser(prog: str, command: _Command, **kwargs) -> argparse.ArgumentParser:
+    return _add_flags(argparse.ArgumentParser(prog=prog, **kwargs), command.flags, command.exclusive)
+
+
+def _names(what: str, table: dict) -> tuple:
+    """A `what` name from `table`, then the rest of argv, which only the parser of that
+    name reads: so only the parser of the command or suite that runs is built."""
+    help = f"the {what}'s flags, which {what.upper()} --help lists"
+    return _flag(what, choices=table), _flag("flags", nargs=argparse.REMAINDER, help=help)
+
+
+def _parse(parser: argparse.ArgumentParser, command: _Command, argv: list[str]) -> argparse.Namespace:
+    # argparse would take the value of a flag before the name for the name; help and
+    # version, or a prefix of them, are the parser's own
+    first = argv[0] if argv else ""
+    own = any(option.startswith(first) for option in ("-h", "--help", "--version"))
+    if command.named and first.startswith("-") and not own:
+        parser.error(f"{first}: flags follow the {command.named} name")
+    return parser.parse_args(argv)
 
 
 _SEED, _POINTS = _flag("--seed", type=int, default="20240801"), _int("--points", 1, 5)
@@ -659,11 +680,10 @@ _SUITES = {
 
 
 def cmd_verify(args) -> int:
-    # only the suite that runs has its parser built; no abbreviations, or --mu
-    # would pass for --mu-max
+    # no abbreviations, or --mu would pass for --mu-max
     suite = _SUITES[args.suite]
-    parser = argparse.ArgumentParser(prog=f"harmgraphs verify {args.suite}", allow_abbrev=False)
-    suite_args = _add_flags(parser, suite.flags + _OUTPUT, suite.exclusive).parse_args(args.flags)
+    parser = _parser(f"harmgraphs verify {args.suite}", suite, allow_abbrev=False)
+    suite_args = _add_flags(parser, _OUTPUT).parse_args(args.flags)
     report = Report(command=f"verify {args.suite}")
     suite.run(suite_args, report)
     if not report.rows:
@@ -703,27 +723,27 @@ _COMMANDS = {
         _flag("--ratio-tol", type=_POSITIVE, default="0.05"),
         *_OUTPUT,
     ), "level measures against the limit density"),
-    "verify": _Command(cmd_verify, (
-        _flag("suite", choices=_SUITES),
-        _flag("flags", nargs=argparse.REMAINDER, help="the suite's flags: verify SUITE --help"),
-    ), "run a verification suite"),
+    "verify": _Command(cmd_verify, _names("suite", _SUITES), "run a verification suite", named="suite"),
 }
+_TOP = _Command(None, (
+    _flag("--version", action="version", version=f"%(prog)s {__version__}"), *_names("command", _COMMANDS),
+), named="command")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    description = "Exact harmonic functions on multiplicative graded graphs"
-    parser = argparse.ArgumentParser(prog="harmgraphs", description=description)
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, command in _COMMANDS.items():
-        _add_flags(sub.add_parser(name, help=command.help), command.flags).set_defaults(func=command.run)
-    return parser
+    """The top level, which reads the command name; `main` builds that command's parser."""
+    listing = "".join(f"\n  {name:<17}{command.help}" for name, command in _COMMANDS.items())
+    return _parser(
+        "harmgraphs", _TOP, description="Exact harmonic functions on multiplicative graded graphs",
+        epilog="commands:" + listing, formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        return args.func(args)
+        args = _parse(build_parser(), _TOP, sys.argv[1:] if argv is None else argv)
+        command = _COMMANDS[args.command]
+        return command.run(_parse(_parser(f"harmgraphs {args.command}", command), command, args.flags))
     except SystemExit as exc:  # argparse's --help, --version or usage error
         return exc.code
     except (SingularMatrixError, ShapeError) as exc:

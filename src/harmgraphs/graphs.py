@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import csv
 import io
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 from fractions import Fraction
 from math import factorial, prod
 from typing import Callable, Iterator
@@ -24,22 +23,21 @@ from .exact import as_rational, quotient_pfaffian
 from .partitions import EMPTY, Partition, _grown_rows, partitions_of
 
 
-@dataclass(frozen=True)
-class GraphKind:
+class GraphKind(namedtuple("GraphKind", "name theta")):
     """One of the four graphs; Jack carries its deformation parameter."""
 
-    name: str
-    theta: Fraction | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.name not in ("young", "jack", "kingman", "schur"):
-            raise ValueError(f"unknown graph kind {self.name!r}")
-        if self.name == "jack":
-            if self.theta is None or as_rational(self.theta) <= 0:
+    def __new__(cls, name: str, theta: Fraction | None = None):
+        if name not in ("young", "jack", "kingman", "schur"):
+            raise ValueError(f"unknown graph kind {name!r}")
+        if name == "jack":
+            if theta is None or as_rational(theta) <= 0:
                 raise ValueError("jack graph needs theta > 0")
-            object.__setattr__(self, "theta", as_rational(self.theta))
-        elif self.theta is not None:
-            raise ValueError(f"{self.name} graph takes no parameter")
+            theta = as_rational(theta)
+        elif theta is not None:
+            raise ValueError(f"{name} graph takes no parameter")
+        return super().__new__(cls, name, theta)
 
     @property
     def strict(self) -> bool:

@@ -7,14 +7,16 @@ Four infinite families (two-parameter Young, its Jack deformation, the
 two-parameter Kingman family, the one-parameter strict family) evaluate
 through closed products; four truncated families route through the
 interpolation machinery and vanish outside a finite-width subgraph.
+A family is immutable, and equal and hashed by its type and spec string:
+by its parameters, never by the tables a truncated family fills on use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, prod
 from operator import mul
+from typing import NamedTuple
 
 from .exact import as_rational, integer_point, pochhammer
 from .graphs import GraphKind, KINGMAN, SCHUR, YOUNG, jack, level, sweep, top_level
@@ -50,8 +52,7 @@ def _reject_nonpositive_integer_t(t: Fraction, allow_zero: bool = False) -> None
         raise FamilyError(f"denominator parameter t = {t} hits a forbidden value")
 
 
-@dataclass(frozen=True)
-class AdmissibleReport:
+class AdmissibleReport(NamedTuple):
     ok: bool
     reason: str
     surrogate: bool = False
@@ -62,6 +63,18 @@ class HarmonicFamily:
 
     kind: GraphKind
     face: str | None = None  # the boundary face of a truncated family
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        return type(other) is type(self) and other.spec_string() == self.spec_string()
+
+    def __hash__(self):
+        return hash((type(self), self.spec_string()))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.spec_string()!r})"
 
     def phi(self, mu: Partition) -> Fraction:
         raise NotImplementedError
@@ -87,17 +100,14 @@ class HarmonicFamily:
         )
 
 
-@dataclass(frozen=True)
 class YoungZZ(HarmonicFamily):
     """Two-parameter family on the Young graph via e = z+z', t = zz'."""
 
-    e: Fraction
-    t: Fraction
-    kind: GraphKind = field(default=YOUNG, init=False, repr=False, compare=False)
+    kind = YOUNG
 
-    def __post_init__(self):
-        object.__setattr__(self, "e", as_rational(self.e))
-        object.__setattr__(self, "t", as_rational(self.t))
+    def __init__(self, e, t):
+        object.__setattr__(self, "e", as_rational(e))
+        object.__setattr__(self, "t", as_rational(t))
         _reject_nonpositive_integer_t(self.t)
 
     def phi(self, mu: Partition) -> Fraction:
@@ -134,18 +144,13 @@ class YoungZZ(HarmonicFamily):
         return f"young-zz:e={self.e},t={self.t}"
 
 
-@dataclass(frozen=True)
 class JackZZ(HarmonicFamily):
     """Deformed two-parameter family; zz is z*z', the scalar is t = zz/theta."""
 
-    e: Fraction
-    zz: Fraction
-    theta: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "e", as_rational(self.e))
-        object.__setattr__(self, "zz", as_rational(self.zz))
-        object.__setattr__(self, "theta", as_rational(self.theta))
+    def __init__(self, e, zz, theta):
+        object.__setattr__(self, "e", as_rational(e))
+        object.__setattr__(self, "zz", as_rational(zz))
+        object.__setattr__(self, "theta", as_rational(theta))
         if self.theta <= 0:
             raise FamilyError("theta must be > 0")
         _reject_nonpositive_integer_t(self.t)
@@ -183,17 +188,14 @@ class JackZZ(HarmonicFamily):
         return f"jack:e={self.e},t={self.zz},theta={self.theta}"
 
 
-@dataclass(frozen=True)
 class KingmanTA(HarmonicFamily):
     """Two-parameter partition-structure family on the Kingman graph."""
 
-    t: Fraction
-    alpha: Fraction
-    kind: GraphKind = field(default=KINGMAN, init=False, repr=False, compare=False)
+    kind = KINGMAN
 
-    def __post_init__(self):
-        object.__setattr__(self, "t", as_rational(self.t))
-        object.__setattr__(self, "alpha", as_rational(self.alpha))
+    def __init__(self, t, alpha):
+        object.__setattr__(self, "t", as_rational(t))
+        object.__setattr__(self, "alpha", as_rational(alpha))
         _reject_nonpositive_integer_t(self.t, allow_zero=True)
 
     def phi(self, mu: Partition) -> Fraction:
@@ -227,15 +229,13 @@ class KingmanTA(HarmonicFamily):
         return f"kingman:t={self.t},alpha={self.alpha}"
 
 
-@dataclass(frozen=True)
 class SchurT(HarmonicFamily):
     """One-parameter family on the graph of strict partitions."""
 
-    t: Fraction
-    kind: GraphKind = field(default=SCHUR, init=False, repr=False, compare=False)
+    kind = SCHUR
 
-    def __post_init__(self):
-        object.__setattr__(self, "t", as_rational(self.t))
+    def __init__(self, t):
+        object.__setattr__(self, "t", as_rational(t))
         _reject_nonpositive_integer_t(self.t)
 
     def phi(self, mu: Partition) -> Fraction:
@@ -277,7 +277,6 @@ class _FiniteWidth(HarmonicFamily):
         return self._surrogate_nonnegative(surrogate_level)
 
 
-@dataclass(frozen=True)
 class TruncYoung(_FiniteWidth):
     """Finite-width family: shifted Schur evaluation at a reflected point.
 
@@ -287,14 +286,13 @@ class TruncYoung(_FiniteWidth):
     some mu reads past them.
     """
 
-    lam: Partition
-    kind: GraphKind = field(default=YOUNG, init=False, repr=False, compare=False)
-    columns: list = field(default_factory=list, init=False, repr=False, compare=False)
-    face = "young"
+    kind, face = YOUNG, "young"
+    columns = ()
 
-    def __post_init__(self):
-        if self.lam.length < 2:
+    def __init__(self, lam: Partition):
+        if lam.length < 2:
             raise FamilyError("truncated Young family needs length >= 2")
+        object.__setattr__(self, "lam", lam)
 
     @property
     def t(self) -> Fraction:
@@ -326,7 +324,6 @@ class TruncYoung(_FiniteWidth):
         return f"trunc-young:lambda={self.lam}"
 
 
-@dataclass(frozen=True)
 class GammaShaped(HarmonicFamily):
     """Hook-bounded family driven by the two-alphabet generator values.
 
@@ -337,21 +334,18 @@ class GammaShaped(HarmonicFamily):
     family; phi(mu) is (-1)^|mu| D / (t)_|mu| for their integer determinant D.
     """
 
-    fc: FrobeniusCoords
-    degree_cap: int = 8
-    kind: GraphKind = field(default=YOUNG, init=False, repr=False, compare=False)
-    lam: Partition = field(init=False, repr=False, compare=False)  # the face partition
-    columns: list = field(init=False, repr=False, compare=False)
-    face = "gamma"
+    kind, face = YOUNG, "gamma"
 
-    def __post_init__(self):
-        object.__setattr__(self, "lam", self.fc.to_partition())
-        if self.fc.depth < 1:
+    def __init__(self, fc: FrobeniusCoords, degree_cap: int = 8):
+        if fc.depth < 1:
             raise FamilyError("gamma-shaped family needs depth >= 1")
-        if self.degree_cap < 1:
+        if degree_cap < 1:
             raise FamilyError("degree cap must be >= 1")
-        g = _product_series([(-q, -p - 1) for p, q in zip(self.fc.p, self.fc.q)], self.degree_cap)
-        object.__setattr__(self, "columns", shifted_columns([1, *g], self.degree_cap))
+        g = _product_series([(-q, -p - 1) for p, q in zip(fc.p, fc.q)], degree_cap)
+        object.__setattr__(self, "fc", fc)
+        object.__setattr__(self, "degree_cap", degree_cap)
+        object.__setattr__(self, "lam", fc.to_partition())  # the face partition
+        object.__setattr__(self, "columns", shifted_columns([1, *g], degree_cap))
 
     @staticmethod
     def from_partition(lam: Partition, degree_cap: int = 8) -> "GammaShaped":
@@ -383,17 +377,15 @@ class GammaShaped(HarmonicFamily):
         return f"gamma:lambda={self.lam},cap={self.degree_cap}"
 
 
-@dataclass(frozen=True)
 class TruncKingman(_FiniteWidth):
     """Finite-width family: factorial monomial evaluation at -lam - 1."""
 
-    lam: Partition
-    kind: GraphKind = field(default=KINGMAN, init=False, repr=False, compare=False)
-    face = "kingman"
+    kind, face = KINGMAN, "kingman"
 
-    def __post_init__(self):
-        if self.lam.length < 1:
+    def __init__(self, lam: Partition):
+        if lam.length < 1:
             raise FamilyError("truncated Kingman family needs a nonempty partition")
+        object.__setattr__(self, "lam", lam)
 
     def value(self, mu: Partition) -> Fraction:
         """m*_mu at the integer point; phi is (-1)^|mu| value / (t)_|mu| on the support."""
@@ -408,7 +400,6 @@ class TruncKingman(_FiniteWidth):
         return f"trunc-kingman:lambda={self.lam}"
 
 
-@dataclass(frozen=True)
 class TruncSchur(_FiniteWidth):
     """Finite-width strict family: factorial Schur P at the integer point -lam - 1, each mu
     read (past length 2 as an integer Pfaffian) from the `interp` one-row numerators and
@@ -416,14 +407,13 @@ class TruncSchur(_FiniteWidth):
     rebuilds both at max(twice the bound, mu_1 + mu_2); table entries do not depend on the
     bound."""
 
-    lam: Partition
-    kind: GraphKind = field(default=SCHUR, init=False, repr=False, compare=False)
-    pstar: tuple = field(default=((), {}), init=False, repr=False, compare=False)  # (one_row, table)
-    face = "schur"
+    kind, face = SCHUR, "schur"
+    pstar = ((), {})  # (one_row, table)
 
-    def __post_init__(self):
-        if not self.lam.is_strict or self.lam.length < 1:
+    def __init__(self, lam: Partition):
+        if not lam.is_strict or lam.length < 1:
             raise FamilyError("truncated strict family needs a nonempty strict partition")
+        object.__setattr__(self, "lam", lam)
 
     def phi(self, mu: Partition) -> Fraction:
         if not mu.is_strict:
@@ -507,15 +497,13 @@ def parse_family(spec: str) -> HarmonicFamily:
 # harmonicity, measures, lattice bounds
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HarmonicityViolation:
+class HarmonicityViolation(NamedTuple):
     mu: Partition
     lhs: Fraction
     rhs: Fraction
 
 
-@dataclass(frozen=True)
-class HarmonicityReport:
+class HarmonicityReport(NamedTuple):
     """Harmonicity below max_level; phi_values (level by level, dec-lex)
     and level_masses (total of dim * phi per level) run through max_level."""
 
@@ -568,8 +556,7 @@ def check_harmonicity(family: HarmonicFamily, max_level: int) -> HarmonicityRepo
     )
 
 
-@dataclass(frozen=True)
-class LevelMeasure:
+class LevelMeasure(NamedTuple):
     """The probability distribution dim * phi on one level."""
 
     n: int

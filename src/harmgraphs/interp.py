@@ -35,7 +35,7 @@ generators by one exact inverse per degree, is kept as a test oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
@@ -271,8 +271,7 @@ H_STAR = "h-star"
 P_STAR = "p-star-one-row"
 
 
-@dataclass(frozen=True)
-class FunctionalSpec:
+class FunctionalSpec(namedtuple("FunctionalSpec", "family values")):
     """A multiplicative functional given by its one-row generator values.
 
     `family` names the generator alphabet: h-star generates the shifted
@@ -280,13 +279,12 @@ class FunctionalSpec:
     The scalar t is minus the value on the degree-one generator.
     """
 
-    family: str
-    values: tuple[Fraction, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.family not in (H_STAR, P_STAR):
-            raise ValueError(f"unknown generator family {self.family!r}")
-        object.__setattr__(self, "values", tuple(as_rational(v) for v in self.values))
+    def __new__(cls, family: str, values):
+        if family not in (H_STAR, P_STAR):
+            raise ValueError(f"unknown generator family {family!r}")
+        return super().__new__(cls, family, tuple(as_rational(v) for v in values))
 
     @property
     def degree_cap(self) -> int:

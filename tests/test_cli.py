@@ -81,6 +81,13 @@ def test_verify_unknown_suite(capsys):
     assert "invalid choice: 'nonsense'" in err
 
 
+def test_help_lists_every_command(capsys):
+    code, out, _ = run(capsys, "--help")
+    assert code == EXIT_OK
+    listed = {line.split()[0]: line.split(None, 1)[1] for line in out.split("commands:\n")[1].splitlines()}
+    assert listed == {name: command.help for name, command in cli._COMMANDS.items()}
+
+
 SUITE_FLAGS = {name for suite in cli._SUITES.values() for names, _ in suite.flags for name in names}
 
 
@@ -326,7 +333,8 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys):
          "--max-size: not allowed with argument --lam"),
         (("verify", "dimension-ratio", "--graph", "kingman"), "unrecognized arguments: --graph"),
         # suite flags follow the suite name
-        (("verify", "--seed", "7", "pieri"), "invalid choice"),
+        (("verify", "--seed", "7", "pieri"), "--seed: flags follow the suite name"),
+        (("--levels", "3", "check-harmonic"), "--levels: flags follow the command name"),
         # ranges that admit no check
         (("verify", "pfaffian", "--points", "0"), "--points: must be an integer >= 1"),
         (("verify", "interpolation", "--max-size", "-2"), "--max-size: must be an integer >= 1"),
@@ -393,7 +401,7 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys):
          "kernels-negative-levels", "kernels-no-points", "selberg-unknown-graph",
          "selberg-unknown-graph-single", "selberg-single-without-graph",
          "selberg-mu-without-lam", "selberg-lam-with-max-size", "dimension-ratio-graph",
-         "verify-flag-before-suite", "pfaffian-no-points", "interpolation-negative-size", "interpolation-zero-size",
+         "verify-flag-before-suite", "flag-before-command", "pfaffian-no-points", "interpolation-negative-size", "interpolation-zero-size",
          "staircase-zero-k", "lattice-zero-levels", "dimension-ratio-negative-mu",
          "degeneration-negative-levels", "dimensions-negative-sizes", "selberg-schur-size-1",
          "converge-zero-resolution",
@@ -505,3 +513,19 @@ def test_converge_runs_without_loading_mpmath():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == [str(EXIT_CHECK_FAILED), "False"]
+
+
+def test_import_builds_no_dataclass():
+    # the records and values are named tuples and plain classes, so a cold start
+    # imports neither dataclasses nor the inspect (and ast, dis) it pulls in
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import harmgraphs.cli\n"
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

@@ -3,8 +3,9 @@ from fractions import Fraction as F
 import pytest
 
 from harmgraphs import cli
+from harmgraphs.boundary import ThomaPoint
 from harmgraphs.exact import pochhammer
-from harmgraphs.graphs import YOUNG, dim
+from harmgraphs.graphs import YOUNG, GraphKind, dim, jack
 from harmgraphs.harmonic import (
     FamilyError,
     GammaShaped,
@@ -20,7 +21,7 @@ from harmgraphs.harmonic import (
     level_measure,
     parse_family,
 )
-from harmgraphs.interp import pstar_closed_form
+from harmgraphs.interp import H_STAR, FunctionalSpec, pstar_closed_form
 from harmgraphs.partitions import Partition, partitions_of, partitions_up_to
 from oracles import functional_on_shifted_schur, young_zz_functional
 
@@ -297,25 +298,57 @@ def test_admissibility_regions():
 
 
 def test_family_spec_round_trip():
+    # each spec with one that differs in a single parameter
     specs = [
-        "young-zz:e=3,t=2",
-        "jack:e=3,t=2,theta=1/2",
-        "kingman:t=1,alpha=1/2",
-        "schur:t=3",
-        "trunc-young:lambda=2+1",
-        "trunc-kingman:lambda=1+1",
-        "trunc-schur:lambda=2+1",
-        "gamma:lambda=2+1,cap=8",
+        ("young-zz:e=3,t=2", "young-zz:e=3,t=5/2"),
+        ("jack:e=3,t=2,theta=1/2", "jack:e=3,t=2,theta=1"),
+        ("kingman:t=1,alpha=1/2", "kingman:t=1,alpha=1/3"),
+        ("schur:t=3", "schur:t=4"),
+        ("trunc-young:lambda=2+1", "trunc-young:lambda=3+1"),
+        ("trunc-kingman:lambda=1+1", "trunc-kingman:lambda=2+1"),
+        ("trunc-schur:lambda=2+1", "trunc-schur:lambda=3+1"),
+        ("gamma:lambda=2+1,cap=8", "gamma:lambda=2+1,cap=9"),
     ]
-    for text in specs:
-        fam = parse_family(text)
-        assert parse_family(fam.spec_string()).spec_string() == fam.spec_string()
+    families = [parse_family(text) for text, _ in specs]
+    assert len({type(fam) for fam in families}) == len(specs)
+    for fam, (_, other) in zip(families, specs):
+        again = parse_family(fam.spec_string())
+        assert again.spec_string() == fam.spec_string()
+        assert again == fam and hash(again) == hash(fam) and again is not fam
+        fam.phi(P([1]))  # a family that fills its cache on first use stays equal
+        assert again == fam and hash(again) == hash(fam)
+        assert parse_family(other) != fam
+        with pytest.raises(AttributeError):
+            fam.lam = P([5])
+    # the same parameter on another graph is another family
+    assert parse_family("trunc-young:lambda=2+1") != parse_family("trunc-kingman:lambda=2+1")
     with pytest.raises(FamilyError):
         parse_family("young-zz:e=3")
     with pytest.raises(FamilyError):
         parse_family("mystery:t=1")
     with pytest.raises(FamilyError):
         parse_family("young-zz:e=3,t=0")
+
+
+@pytest.mark.parametrize(
+    "make,other,attr",
+    [
+        (lambda: jack(F(1, 2)), lambda: jack(F(1, 3)), "theta"),
+        (lambda: GraphKind("kingman"), lambda: GraphKind("young"), "name"),
+        (lambda: ThomaPoint((F(1, 2),), (F(1, 4),)), lambda: ThomaPoint((F(1, 2),)), "beta"),
+        (lambda: FunctionalSpec(H_STAR, (1, F(1, 2))), lambda: FunctionalSpec(H_STAR, (1, 2)), "values"),
+        (lambda: level_measure(YoungZZ(F(3), F(2)), 3), lambda: level_measure(YoungZZ(F(3), F(2)), 2), "n"),
+    ],
+    ids=["graph-kind-jack", "graph-kind", "thoma-point", "functional-spec", "level-measure"],
+)
+def test_values_are_immutable_and_equal_by_value(make, other, attr):
+    a, b = make(), make()
+    assert a == b and hash(a) == hash(b) and a is not b
+    assert {a: 1}[b] == 1
+    assert other() != a
+    with pytest.raises(AttributeError):
+        setattr(a, attr, getattr(other(), attr))
+    assert a == b
 
 
 def test_lattice_bounds_monotone():
