@@ -100,6 +100,9 @@ class RationalMatrix:
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("RationalMatrix is immutable")
 
+    def __reduce__(self):  # pickle rebuilds through __init__, not past the guard
+        return type(self), (self.rows,)
+
     def __getitem__(self, ij):
         i, j = ij
         return self.rows[i][j]

@@ -4,9 +4,11 @@ A family packages exact parameters plus a phi(mu) evaluator.  phi is
 normalized to 1 at the empty partition, and harmonicity means the value
 at a vertex equals the multiplicity-weighted sum over its upper covers.
 Four infinite families (two-parameter Young, its Jack deformation, the
-two-parameter Kingman family, the one-parameter strict family) evaluate
-through closed products; four truncated families route through the
-interpolation machinery and vanish outside a finite-width subgraph.
+two-parameter Kingman family, the one-parameter strict family) are closed
+products over the boxes, read one level at a time (`level_phi`) from
+per-row tables and the sweep's dims; phi(mu) is that form at one vertex.
+Four truncated families route through the interpolation machinery and
+vanish outside a finite-width subgraph.
 A family is immutable, and equal and hashed by its type and spec string:
 by its parameters, never by the tables a truncated family fills on use.
 """
@@ -14,24 +16,23 @@ by its parameters, never by the tables a truncated family fills on use.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, prod
-from operator import mul
+from itertools import accumulate, islice
+from math import factorial, lcm, prod
+from operator import getitem, mul
 from typing import NamedTuple
 
 from .exact import as_rational, integer_point, pochhammer
-from .graphs import GraphKind, KINGMAN, SCHUR, YOUNG, jack, level, sweep, top_level
+from .graphs import GraphKind, KINGMAN, SCHUR, YOUNG, dim_closed_form, jack, sweep, top_level
 from .interp import (
     _product_series,
     falling_power,
     jacobi_trudi_det,
     permutation_sum,
-    pstar_closed_form,
     pstar_one_row_numerators,
     pstar_pfaffian,
     pstar_two_row_table,
     shifted_columns,
     shifted_schur_columns,
-    young_zz_closed_form,
 )
 from .partitions import EMPTY, FrobeniusCoords, Partition
 
@@ -40,11 +41,18 @@ class FamilyError(ValueError):
     """Invalid family parameters (forbidden scalar, wrong shape, ...)."""
 
 
-def _over_rising(num: int, den: int, t: Fraction, n: int) -> Fraction:
-    """num / (den (t)_n) as one Fraction, (t)_n being the integer product of
-    tp + k tq over k < n, over tq^n."""
+def _row_tables(a: int, b: int, d: int, n: int, p: int = 1, q: int = 1) -> list[list[int]]:
+    """Row i's products of a + c (b + c d) over its first m boxes, m <= n/(i + 1), at the
+    contents c = jq - pi (0-based): the box factors of the Young (p = q = 1) and Jack families."""
+    boxes = [range(-p * i, n // (i + 1) * q - p * i, q) for i in range(n)]
+    return [list(accumulate(map(lambda c: a + c * (b + c * d), cs), mul, initial=1)) for cs in boxes]
+
+
+def _over_rising(xs: list[int], den: int, t: Fraction, n: int, first: int = 0):
+    """(xs, q) for x / (den (tp + first tq) ... (tp + (n - 1) tq)), t = tp/tq, the sign in xs."""
     tp, tq = t.numerator, t.denominator
-    return Fraction(num * tq**n, den * prod(range(tp, tp + n * tq, tq)))
+    q = den * prod(range(tp + first * tq, tp + n * tq, tq))
+    return (xs, q) if q > 0 else ([-x for x in xs], -q)
 
 
 def _reject_nonpositive_integer_t(t: Fraction, allow_zero: bool = False) -> None:
@@ -77,7 +85,19 @@ class HarmonicFamily:
         return f"{type(self).__name__}({self.spec_string()!r})"
 
     def phi(self, mu: Partition) -> Fraction:
-        raise NotImplementedError
+        """The level form at the one vertex mu, with its dim in closed form (the Jack graph
+        has none, and JackZZ reads none); a family defines this or `level_phi`."""
+        if self.kind.strict and not mu.is_strict:
+            raise FamilyError("strict-graph family evaluated at a non-strict partition")
+        d = None if self.kind.name == "jack" else dim_closed_form(mu, self.kind).numerator
+        (x,), q = self.level_phi(mu.size, [(mu, d, ())])
+        return Fraction(x, q)
+
+    def level_phi(self, n: int, rows) -> tuple[list[int], int]:
+        """phi on a level of the sweep, its rows (lam, dim(lam), edges) with dims counted from the
+        empty partition, as integer numerators over one denominator q > 0: here the family's phi
+        values, made so.  The edges are not read."""
+        return integer_point([self.phi(lam) for lam, _, _ in rows])
 
     def admissible(self, surrogate_level: int = 6) -> AdmissibleReport:
         raise NotImplementedError
@@ -89,12 +109,11 @@ class HarmonicFamily:
         return self.spec_string()
 
     def _surrogate_nonnegative(self, surrogate_level: int) -> AdmissibleReport:
-        for n in range(surrogate_level + 1):
-            for lam in level(n, self.kind):
-                if self.phi(lam) < 0:
-                    return AdmissibleReport(
-                        False, f"surrogate: phi({lam}) < 0", surrogate=True
-                    )
+        for n, rows in sweep(self.kind, surrogate_level):
+            xs, _ = self.level_phi(n, rows)
+            for (lam, _, _), x in zip(rows, xs):
+                if x < 0:
+                    return AdmissibleReport(False, f"surrogate: phi({lam}) < 0", surrogate=True)
         return AdmissibleReport(
             True, f"surrogate: all phi >= 0 through level {surrogate_level}", surrogate=True
         )
@@ -110,9 +129,16 @@ class YoungZZ(HarmonicFamily):
         object.__setattr__(self, "t", as_rational(t))
         _reject_nonpositive_integer_t(self.t)
 
-    def phi(self, mu: Partition) -> Fraction:
-        value = young_zz_closed_form(self.e, self.t, mu)
-        return _over_rising((-1) ** mu.size * value.numerator, value.denominator, self.t, mu.size)
+    phi = HarmonicFamily.phi  # each family's own `phi`, where the tracer wraps it
+
+    def level_phi(self, n: int, rows) -> tuple[list[int], int]:
+        """phi(lam) is the product over the boxes of (t + c e + c^2)/hook, c the content, over
+        (t)_n.  With t = tp/tq, e = ep/eq a box gives the integer tq eq (t + c e + c^2), read from
+        row tables, and the hook product is n!/dim(lam), so the level is over n! eq^n tq^n (t)_n."""
+        (tp, tq), (ep, eq) = self.t.as_integer_ratio(), self.e.as_integer_ratio()
+        tables = _row_tables(tp * eq, ep * tq, tq * eq, n)
+        xs = [w * prod(map(getitem, tables, lam.parts)) for lam, w, _ in rows]
+        return _over_rising(xs, factorial(n) * eq**n, self.t, n)
 
     @staticmethod
     def params_admissible(e, t) -> AdmissibleReport:
@@ -163,23 +189,25 @@ class JackZZ(HarmonicFamily):
     def kind(self) -> GraphKind:
         return jack(self.theta)
 
-    def phi(self, mu: Partition) -> Fraction:
+    phi = HarmonicFamily.phi
+
+    def level_phi(self, n: int, rows) -> tuple[list[int], int]:
         """The product over the boxes of (zz + c e + c^2)/(arm + theta leg + theta),
-        c = (j - 1) - theta (i - 1), over (t)_|mu|.  With theta = p/q a box's
-        content is C/q for an integer C, so its factor is the integer
-        zp eq q^2 + C ep zq q + C^2 zq eq over (arm q + p (leg + 1)) zq eq q."""
-        p, q = self.theta.numerator, self.theta.denominator
-        zp, zq = self.zz.numerator, self.zz.denominator
-        ep, eq = self.e.numerator, self.e.denominator
-        a, b, d = zp * eq * q * q, ep * zq * q, zq * eq
-        cols = mu.conjugate().parts
-        num = den = 1
-        for i, row in enumerate(mu.parts):
-            for j in range(row):
-                c = j * q - p * i
-                num *= a + c * (b + c * d)
-                den *= (row - j - 1) * q + p * (cols[j] - i)
-        return _over_rising(num, den * (d * q) ** mu.size, self.t, mu.size)
+        c = (j - 1) - theta (i - 1), over (t)_n.  With theta = p/q, c = C/q for C = jq - pi
+        (0-based) and a box's factor is the integer zq eq q^2 (zz + c e + c^2), from row tables,
+        over (arm q + p (leg + 1)) zq eq q, taken per vertex: the dims give the other hook
+        product, dim(lam) prod (arm + 1 + theta leg) = n!.  The level is over the lcm of those."""
+        (p, q), (zp, zq) = self.theta.as_integer_ratio(), self.zz.as_integer_ratio()
+        ep, eq = self.e.as_integer_ratio()
+        tables = _row_tables(zp * eq * q * q, ep * zq * q, zq * eq, n, p, q)
+        nums, dens = [], []
+        for lam, _, _ in rows:
+            ps, cs = lam.parts, lam.conjugate().parts
+            nums.append(prod(map(getitem, tables, ps)))
+            dens.append(prod((r - j - 1) * q + p * (cs[j] - i) for i, r in enumerate(ps) for j in range(r)))
+        common, scale = lcm(*dens), self.t.denominator**n
+        xs = [x * scale * (common // den) for x, den in zip(nums, dens)]
+        return _over_rising(xs, common * (zq * eq * q) ** n, self.t, n)
 
     def admissible(self, surrogate_level: int = 6) -> AdmissibleReport:
         return self._surrogate_nonnegative(surrogate_level)
@@ -198,21 +226,24 @@ class KingmanTA(HarmonicFamily):
         object.__setattr__(self, "alpha", as_rational(alpha))
         _reject_nonpositive_integer_t(self.t, allow_zero=True)
 
-    def phi(self, mu: Partition) -> Fraction:
-        """prod over parts of (1 - alpha)_(p-1) over prod r_k! (r_k the
-        multiplicities), times (t + alpha) ... (t + (l-1) alpha) over
-        (t + 1) ... (t + n - 1): the common leading t of the scalar and of
-        (t)_n cancels, which is what makes t = 0 legal here.  With t = tp/tq
-        and alpha = ap/aq every factor is an integer over tq, aq or tq aq."""
-        if not mu.parts:
-            return Fraction(1)
-        tp, tq = self.t.numerator, self.t.denominator
-        ap, aq = self.alpha.numerator, self.alpha.denominator
-        n, l = mu.size, mu.length
-        num = prod(v * aq - ap for p in mu.parts for v in range(1, p))
-        num *= prod(tp * aq + i * ap * tq for i in range(1, l)) * tq ** (n - l)
-        den = prod(map(factorial, mu.multiplicities().values())) * aq ** (n - 1)
-        return Fraction(num, den * prod(range(tp + tq, tp + n * tq, tq)))
+    phi = HarmonicFamily.phi
+
+    def level_phi(self, n: int, rows) -> tuple[list[int], int]:
+        """prod over parts of (1 - alpha)_(p-1) over prod r_k! (r_k the multiplicities),
+        times (t + alpha) ... (t + (l-1) alpha) over (t + 1) ... (t + n - 1): the leading t
+        of the scalar and of (t)_n cancels, which makes t = 0 legal.  With t = tp/tq and
+        alpha = ap/aq, the products of tq (v aq - ap) (0 < v < p; n - l factors in all) and
+        of tp aq + i ap tq (0 < i < l) are tables, times n!/prod r_k!, over
+        n! aq^(n-1) tq^(n-1) (t + 1)_(n-1)."""
+        if not n:
+            return [1], 1
+        (tp, tq), (ap, aq) = self.t.as_integer_ratio(), self.alpha.as_integer_ratio()
+        parts_of = [0, *accumulate(range(tq * (aq - ap), tq * (n * aq - ap), tq * aq), mul, initial=1)]
+        lengths = [0, *accumulate([tp * aq + i * ap * tq for i in range(1, n)], mul, initial=1)]
+        fact, ps = factorial(n), [lam.parts for lam, _, _ in rows]
+        xs = [lengths[len(p)] * prod(map(parts_of.__getitem__, p)) * fact
+              // prod(map(factorial, map(p.count, set(p)))) for p in ps]
+        return _over_rising(xs, fact * aq ** (n - 1), self.t, n, first=1)
 
     @staticmethod
     def params_admissible(t, alpha) -> AdmissibleReport:
@@ -238,11 +269,16 @@ class SchurT(HarmonicFamily):
         object.__setattr__(self, "t", as_rational(t))
         _reject_nonpositive_integer_t(self.t)
 
-    def phi(self, mu: Partition) -> Fraction:
-        if not mu.is_strict:
-            raise FamilyError("strict-graph family evaluated at a non-strict partition")
-        value = pstar_closed_form(self.t, mu)
-        return _over_rising((-1) ** mu.size * value.numerator, value.denominator, self.t, mu.size)
+    phi = HarmonicFamily.phi
+
+    def level_phi(self, n: int, rows) -> tuple[list[int], int]:
+        """phi(lam) is the product over the boxes of 2t + (j - 1) j, j the column, over 2^l (t)_n,
+        times dim(lam)/n!.  With t = tp/tq a row of m boxes gives 2 U(m)/tq^m from one table,
+        U(m) = tp (2tp + 2tq) ... (2tp + (m - 1) m tq), so the level is over n! tq^n (t)_n."""
+        tp, tq = self.t.as_integer_ratio()
+        U = [1, *accumulate(map(lambda j: 2 * tp + (j - 1) * j * tq, range(2, n + 1)), mul, initial=tp)]
+        xs = [w * prod(map(U.__getitem__, lam.parts)) for lam, w, _ in rows]
+        return _over_rising(xs, factorial(n), self.t, n)
 
     @staticmethod
     def params_admissible(t) -> AdmissibleReport:
@@ -272,6 +308,14 @@ class _FiniteWidth(HarmonicFamily):
 
     def point(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(-p - 1) for p in self.lam.parts)
+
+    def phi(self, mu: Partition) -> Fraction:
+        """(-1)^|mu| value(mu) / (t)_|mu|, and 0 past the width."""
+        if self.kind.strict and not mu.is_strict:
+            raise FamilyError("strict-graph family evaluated at a non-strict partition")
+        if mu.length > self.width:
+            return Fraction(0)
+        return self.value(mu) * (-1) ** mu.size / pochhammer(self.t, mu.size)
 
     def admissible(self, surrogate_level: int = 6) -> AdmissibleReport:
         return self._surrogate_nonnegative(surrogate_level)
@@ -315,10 +359,7 @@ class TruncYoung(_FiniteWidth):
             object.__setattr__(self, "columns", columns)
         return Fraction(jacobi_trudi_det(mu, columns))
 
-    def phi(self, mu: Partition) -> Fraction:
-        if mu.length > self.width:
-            return Fraction(0)
-        return self.value(mu) * (-1) ** mu.size / pochhammer(self.t, mu.size)
+    phi = _FiniteWidth.phi
 
     def spec_string(self) -> str:
         return f"trunc-young:lambda={self.lam}"
@@ -391,10 +432,7 @@ class TruncKingman(_FiniteWidth):
         """m*_mu at the integer point; phi is (-1)^|mu| value / (t)_|mu| on the support."""
         return Fraction(permutation_sum(mu, [-p - 1 for p in self.lam.parts], falling_power(1)))
 
-    def phi(self, mu: Partition) -> Fraction:
-        if mu.length > self.width:
-            return Fraction(0)
-        return self.value(mu) * (-1) ** mu.size / pochhammer(self.t, mu.size)
+    phi = _FiniteWidth.phi
 
     def spec_string(self) -> str:
         return f"trunc-kingman:lambda={self.lam}"
@@ -415,12 +453,7 @@ class TruncSchur(_FiniteWidth):
             raise FamilyError("truncated strict family needs a nonempty strict partition")
         object.__setattr__(self, "lam", lam)
 
-    def phi(self, mu: Partition) -> Fraction:
-        if not mu.is_strict:
-            raise FamilyError("strict-graph family evaluated at a non-strict partition")
-        if mu.length > self.width:
-            return Fraction(0)
-        return self.value(mu) * (-1) ** mu.size / pochhammer(self.t, mu.size)
+    phi = _FiniteWidth.phi
 
     def value(self, mu: Partition) -> Fraction:
         """P*_mu at the point; phi is (-1)^|mu| value / (t)_|mu|."""
@@ -522,19 +555,18 @@ class HarmonicityReport(NamedTuple):
 def check_harmonicity(family: HarmonicFamily, max_level: int) -> HarmonicityReport:
     """Verify the cover-sum identity exactly for all vertices below max_level.
 
-    One sweep up the graph evaluates phi once per vertex.  `integer_point`
-    brings each level's phi values to one denominator, and its dims and its
-    edge weights to one more each (1 but on the Jack graph), so the cover
-    sums compare and the level masses add in ints.  A Fraction forms only
-    for each level mass and for the two sides of a violation.
+    One sweep up the graph; the family's level form reads each level's phi
+    once, as integer numerators over one denominator, and `integer_point` its
+    dims and edge weights over one more each (1 but on the Jack graph), so
+    cover sums compare and level masses add in ints.  A Fraction forms for
+    each reported phi, each level mass and the two sides of a violation.
     """
     if max_level < 1:
         raise ValueError("max_level must be >= 1")
     checked, violations, values, masses = 0, [], [], []
     below = None  # the rows of the level below, their phi numerators and denominator
-    for _, rows in sweep(family.kind, max_level):
-        phis = [family.phi(lam) for lam, _, _ in rows]
-        xs, q = integer_point(phis)
+    for n, rows in sweep(family.kind, max_level):
+        xs, q = family.level_phi(n, rows)
         ds, dq = integer_point([d for _, d, _ in rows])
         masses.append(Fraction(sum(map(mul, ds, xs)), dq * q))
         if below:
@@ -549,7 +581,7 @@ def check_harmonicity(family: HarmonicFamily, max_level: int) -> HarmonicityRepo
                     lhs, rhs = Fraction(x, lower_q), Fraction(r, wq * q)
                     violations.append(HarmonicityViolation(mu, lhs, rhs))
             checked += len(lower)
-        values += [(lam, v) for (lam, _, _), v in zip(rows, phis)]
+        values += [(lam, Fraction(x, q)) for (lam, _, _), x in zip(rows, xs)]
         below = rows, xs, q
     return HarmonicityReport(
         family.spec_string(), max_level, checked, tuple(violations), tuple(values), tuple(masses)
@@ -574,7 +606,8 @@ class LevelMeasure(NamedTuple):
 
 def level_measure(family: HarmonicFamily, n: int, max_length: int | None = None) -> LevelMeasure:
     rows = top_level(family.kind, n, max_length=max_length)
-    return LevelMeasure(n, tuple((lam, d * family.phi(lam)) for lam, d, _ in rows))
+    xs, q = family.level_phi(n, rows)  # a path to lam stays within l(lam) rows: dims are total
+    return LevelMeasure(n, tuple((lam, Fraction(d * x, q)) for (lam, d, _), x in zip(rows, xs)))
 
 
 def lattice_level_sums(
@@ -586,25 +619,29 @@ def lattice_level_sums(
     """One row (n, join, meet, phi_sum) per level |mu| < n <= top, from one
     sweep up from mu: the sums over level-n lam of dim(mu, lam) times the
     max, the min and the first of phi(lam), psi(lam).  By harmonicity the
-    last is phi(mu) at every level.  Each level's phi and psi values share
-    one denominator (`integer_point`) and its dims another (1 but on the
-    Jack graph), so the sums run in ints and each forms one Fraction."""
+    last is phi(mu) at every level.  Each family's level form reads a level
+    once, from its total dims (a sweep from the empty partition in lockstep
+    when mu is not), and the dims from mu share one more denominator (1 but
+    on the Jack graph), so the sums run in ints and each forms one Fraction."""
     if phi_fam.kind != psi_fam.kind:
         raise ValueError("families must live on the same graph")
     if mu.size >= top:
         raise ValueError("need |mu| < top")
     out = []
+    totals = islice(sweep(phi_fam.kind, top), mu.size, None) if mu.parts else None
     for n, rows in sweep(phi_fam.kind, top, start=mu):
+        whole = rows
+        if totals:  # the level's rows from the empty partition that contain mu, in order
+            whole = [row for row in next(totals)[1] if row[0].contains(mu)]
         if n == mu.size:
             continue
-        lams = [lam for lam, _, _ in rows]
-        xs, q = integer_point([phi_fam.phi(lam) for lam in lams] + [psi_fam.phi(lam) for lam in lams])
+        (xs, q), (ys, r) = phi_fam.level_phi(n, whole), psi_fam.level_phi(n, whole)
         ds, dq = integer_point([d for _, d, _ in rows])
-        pairs = list(zip(ds, xs, xs[len(lams) :]))
-        join = sum(d * max(a, b) for d, a, b in pairs)
-        meet = sum(d * min(a, b) for d, a, b in pairs)
-        phi_sum = sum(d * a for d, a, _ in pairs)
-        out.append((n, *(Fraction(s, dq * q) for s in (join, meet, phi_sum))))
+        join = meet = phi_sum = 0
+        for d, x, y in zip(ds, xs, ys):
+            a, b = x * r, y * q
+            join, meet, phi_sum = join + d * max(a, b), meet + d * min(a, b), phi_sum + d * a
+        out.append((n, *(Fraction(s, dq * q * r) for s in (join, meet, phi_sum))))
     return out
 
 

@@ -50,7 +50,6 @@ from .exact import (
     integer_pfaffian,
     integer_point,
     invert_matrix,
-    quotient_pfaffian,
 )
 from .partitions import Partition, partitions_up_to
 
@@ -410,21 +409,6 @@ def pstar_eval(mu: Partition, source) -> Fraction:
     return pstar_values([mu], source)[mu]
 
 
-def pstar_closed_form(t, mu: Partition) -> Fraction:
-    """Closed product for the t-functional on a factorial Schur P basis element:
-    (-1)^|mu| prod over boxes of (2t + (j-1)j) / (2^l prod mu_i!), times Schur's quotient
-    Pfaffian; with t = tp/tq each box is 2tp + (j-1)j tq over tq."""
-    if not mu.is_strict:
-        raise ValueError("needs a strict partition")
-    t = as_rational(t)
-    tp, tq = t.numerator, t.denominator
-    parts = mu.parts
-    num, den = quotient_pfaffian(parts)
-    num *= prod(2 * tp + (j - 1) * j * tq for p in parts for j in range(1, p + 1))
-    den *= 2 ** len(parts) * tq**mu.size * prod(map(factorial, parts))
-    return Fraction((-1) ** mu.size * num, den)
-
-
 # ---------------------------------------------------------------------------
 # generator-basis expansion and functional application (test oracle)
 # ---------------------------------------------------------------------------
@@ -497,19 +481,6 @@ def apply_functional(coeffs, spec: FunctionalSpec) -> Fraction:
             val *= spec.g(m)
         total += val
     return total
-
-
-def young_zz_closed_form(e, t, mu: Partition) -> Fraction:
-    """Closed product for the two-parameter functional on shifted Schur:
-    (-1)^|mu| times the product over the boxes of (t + c e + c^2)/hook, c the
-    content.  With t = tp/tq and e = ep/eq a box contributes the integer
-    tp eq + c ep tq + c^2 tq eq, and (tq eq)^|mu| is divided out once."""
-    e = as_rational(e)
-    t = as_rational(t)
-    tp, tq, ep, eq = t.numerator, t.denominator, e.numerator, e.denominator
-    a, b, d = tp * eq, ep * tq, tq * eq
-    num = prod(a + c * (b + c * d) for i, p in enumerate(mu.parts) for c in range(-i, p - i))
-    return Fraction((-1) ** mu.size * num, mu.hook_product() * d**mu.size)
 
 
 # ---------------------------------------------------------------------------

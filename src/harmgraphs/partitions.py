@@ -38,6 +38,9 @@ class Partition:
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("Partition is immutable")
 
+    def __reduce__(self):  # pickle rebuilds through __init__, not past the guard
+        return type(self), (self.parts,)
+
     # -- basic protocol --
 
     def __eq__(self, other):
@@ -224,6 +227,9 @@ class FrobeniusCoords:
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("FrobeniusCoords is immutable")
+
+    def __reduce__(self):
+        return type(self), (self.p, self.q)
 
     def __eq__(self, other):
         return (

@@ -23,7 +23,10 @@ is the one `boundary.convergence_experiment` runs on integers, at the points
 `embed_rows` and `embed_frobenius` give, with each level weight dim times phi
 rather than the face's own weight formula.  The harmonicity check and the
 lattice level sums run over the library's sweep one vertex at a time in
-`Fraction`s, where the library brings each level to one denominator.
+`Fraction`s, where the library brings each level to one denominator.  The
+closed products of the Young and strict families are taken one vertex at a
+time, with the hook product and Schur's quotient Pfaffian, where the library
+reads a level from row tables and the sweep's dims.
 """
 
 from fractions import Fraction
@@ -38,11 +41,12 @@ from harmgraphs.exact import (
     as_rational,
     integer_det,
     integer_point,
+    quotient_pfaffian,
     solve_linear,
 )
 from harmgraphs.graphs import sweep, top_level
 from harmgraphs.harmonic import HarmonicityReport, HarmonicityViolation
-from harmgraphs.partitions import EMPTY
+from harmgraphs.partitions import EMPTY, Partition
 from harmgraphs.interp import (
     H_STAR,
     FunctionalSpec,
@@ -633,3 +637,43 @@ def fraction_lattice_sums(phi_fam, psi_fam, mu, top):
             phi_sum += d * a
         out.append((n, join, meet, phi_sum))
     return out
+
+
+# ---------------------------------------------------------------------------
+# the closed products of the Young and strict families, one vertex at a time
+# ---------------------------------------------------------------------------
+
+def young_zz_closed_form(e, t, mu: Partition) -> Fraction:
+    """Closed product for the two-parameter functional on shifted Schur:
+    (-1)^|mu| times the product over the boxes of (t + c e + c^2)/hook, c the
+    content.  With t = tp/tq and e = ep/eq a box contributes the integer
+    tp eq + c ep tq + c^2 tq eq, and (tq eq)^|mu| is divided out once."""
+    e = as_rational(e)
+    t = as_rational(t)
+    tp, tq, ep, eq = t.numerator, t.denominator, e.numerator, e.denominator
+    a, b, d = tp * eq, ep * tq, tq * eq
+    num = prod(a + c * (b + c * d) for i, p in enumerate(mu.parts) for c in range(-i, p - i))
+    return Fraction((-1) ** mu.size * num, mu.hook_product() * d**mu.size)
+
+
+def pstar_closed_form(t, mu: Partition) -> Fraction:
+    """Closed product for the t-functional on a factorial Schur P basis element:
+    (-1)^|mu| prod over boxes of (2t + (j-1)j) / (2^l prod mu_i!), times Schur's quotient
+    Pfaffian; with t = tp/tq each box is 2tp + (j-1)j tq over tq."""
+    if not mu.is_strict:
+        raise ValueError("needs a strict partition")
+    t = as_rational(t)
+    tp, tq = t.numerator, t.denominator
+    parts = mu.parts
+    num, den = quotient_pfaffian(parts)
+    num *= prod(2 * tp + (j - 1) * j * tq for p in parts for j in range(1, p + 1))
+    den *= 2 ** len(parts) * tq**mu.size * prod(map(factorial, parts))
+    return Fraction((-1) ** mu.size * num, den)
+
+
+def closed_form_phi(value: Fraction, t, n: int) -> Fraction:
+    """phi = (-1)^n value / (t)_n of a family whose functional gives `value` at a size-n
+    vertex, as one Fraction: (t)_n is the integer product of tp + k tq over k < n, over tq^n."""
+    t = as_rational(t)
+    tp, tq = t.numerator, t.denominator
+    return Fraction((-1) ** n * value.numerator * tq**n, value.denominator * prod(range(tp, tp + n * tq, tq)))

@@ -40,14 +40,17 @@ from harmgraphs.harmonic import (
 from harmgraphs.interp import (
     factorial_monomial_eval,
     gauss_2f1_check,
-    pstar_closed_form,
     pstar_eval,
     schur_t_functional,
     shifted_schur_at_diagram,
-    young_zz_closed_form,
 )
 from harmgraphs.partitions import Partition, partitions_of, partitions_up_to
-from oracles import functional_on_shifted_schur, young_zz_functional
+from oracles import (
+    functional_on_shifted_schur,
+    pstar_closed_form,
+    young_zz_closed_form,
+    young_zz_functional,
+)
 
 P = Partition
 

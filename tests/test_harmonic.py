@@ -1,10 +1,11 @@
+import pickle
 from fractions import Fraction as F
 
 import pytest
 
 from harmgraphs import cli
 from harmgraphs.boundary import ThomaPoint
-from harmgraphs.exact import pochhammer
+from harmgraphs.exact import RationalMatrix, pochhammer
 from harmgraphs.graphs import YOUNG, GraphKind, dim, jack
 from harmgraphs.harmonic import (
     FamilyError,
@@ -18,12 +19,13 @@ from harmgraphs.harmonic import (
     YoungZZ,
     check_harmonicity,
     lattice_bound_approx,
+    lattice_level_sums,
     level_measure,
     parse_family,
 )
-from harmgraphs.interp import H_STAR, FunctionalSpec, pstar_closed_form
+from harmgraphs.interp import H_STAR, FunctionalSpec
 from harmgraphs.partitions import Partition, partitions_of, partitions_up_to
-from oracles import functional_on_shifted_schur, young_zz_functional
+from oracles import functional_on_shifted_schur, pstar_closed_form, young_zz_functional
 
 P = Partition
 
@@ -128,23 +130,25 @@ def test_harmonicity_detector_catches_corruption():
     fam = YoungZZ(F(3), F(2))
 
     class Corrupted(YoungZZ):
-        def phi(self, mu):
-            val = YoungZZ.phi(self, mu)
-            if mu == P([2]):
-                return val + 1
-            return val
+        def level_phi(self, n, rows):
+            xs, q = YoungZZ.level_phi(self, n, rows)
+            return [x + q if lam == P([2]) else x for (lam, _, _), x in zip(rows, xs)], q
 
     bad = Corrupted(F(3), F(2))
     report = check_harmonicity(bad, 4)
     assert not report.ok
-    violating = {v.mu for v in report.violations}
-    # the corrupted vertex shows up at its parents
-    assert P([1]) in violating
+    # the corrupted vertex shows up at its parent and at itself, and nowhere else
+    assert [v.mu for v in report.violations] == [P([1]), P([2])]
+    assert dict(report.phi_values)[P([2])] == fam.phi(P([2])) + 1
     assert check_harmonicity(fam, 4).ok
 
 
 class CountingYoungZZ(YoungZZ):
-    """Counts phi evaluations per vertex."""
+    """Records each level the level form reads, and each one-vertex phi."""
+
+    def level_phi(self, n, rows):
+        self.calls.append((n, [lam for lam, _, _ in rows]))
+        return YoungZZ.level_phi(self, n, rows)
 
     def phi(self, mu):
         self.calls.append(mu)
@@ -159,23 +163,24 @@ def counting_family(e=F(1), t=F(5, 4)):
 
 # levels 0..8 of the Young graph hold 67 vertices
 VERTICES_THROUGH_8 = sum(len(partitions_of(n)) for n in range(9))
+LEVELS_THROUGH_8 = [(n, partitions_of(n)) for n in range(9)]
 
 
-def test_check_harmonicity_evaluates_phi_once_per_vertex():
+def test_check_harmonicity_reads_the_level_form_once_per_level():
     fam = counting_family()
     report = check_harmonicity(fam, 8)
     assert report.ok and report.checked == VERTICES_THROUGH_8 - len(partitions_of(8))
-    assert len(fam.calls) == len(set(fam.calls)) == VERTICES_THROUGH_8 == 67
+    assert fam.calls == LEVELS_THROUGH_8  # and never phi at one vertex
     assert [mu for mu, _ in report.phi_values] == list(partitions_up_to(8))
     assert report.level_masses == (F(1),) * 9
 
 
-def test_check_harmonic_command_evaluates_phi_once_per_vertex(monkeypatch, capsys):
+def test_check_harmonic_command_reads_the_level_form_once_per_level(monkeypatch, capsys):
     fam = counting_family()
     monkeypatch.setattr(cli, "parse_family", lambda spec: fam)
     assert cli.main(["check-harmonic", "--family", "young-zz:e=1,t=5/4", "--levels", "8"]) == 0
     assert "summary: 120 passed, 0 failed" in capsys.readouterr().out
-    assert len(fam.calls) == len(set(fam.calls)) == 67
+    assert fam.calls == LEVELS_THROUGH_8
 
 
 def test_level_measures_normalize():
@@ -351,6 +356,25 @@ def test_values_are_immutable_and_equal_by_value(make, other, attr):
     assert a == b
 
 
+def test_values_families_and_reports_pickle():
+    # a worker process receives a family or sends a report back by pickle
+    values = [P([2, 1]), P(), P([3, 1]).frobenius(), RationalMatrix([[1, F(1, 2)], [F(-3), 4]])]
+    for value in values:
+        again = pickle.loads(pickle.dumps(value))
+        assert again == value and type(again) is type(value)
+        with pytest.raises(AttributeError):
+            again.parts = ()
+    fam = TruncYoung(P([2, 1]))
+    fam.phi(P([3, 1]))  # fills the family's Jacobi-Trudi columns
+    assert fam.columns
+    again = pickle.loads(pickle.dumps(fam))
+    assert again == fam and again.columns == fam.columns
+    assert [again.phi(mu) for mu in partitions_of(5)] == [fam.phi(mu) for mu in partitions_of(5)]
+    report = check_harmonicity(fam, 5)
+    assert pickle.loads(pickle.dumps(report)) == report
+    assert pickle.loads(pickle.dumps(GammaShaped.from_partition(P([2, 1])))).depth == 1
+
+
 def test_lattice_bounds_monotone():
     f1 = YoungZZ(F(1), F(5, 4))
     f2 = YoungZZ(F(5, 6), F(1, 6))
@@ -375,20 +399,41 @@ def test_lattice_same_family_is_identity():
             assert join == meet == fam.phi(mu)
 
 
-def test_lattice_evaluates_phi_once_per_family_per_vertex():
+def test_lattice_reads_the_level_form_once_per_family_per_level():
     phi_fam = counting_family()
     psi_fam = counting_family(F(5, 6), F(1, 6))
     mu = P([2, 1])
     rows = lattice_bound_approx(phi_fam, psi_fam, mu, 7)
-    above = [lam for n in range(4, 8) for lam in partitions_of(n) if lam.contains(mu)]
+    above = [(n, [lam for lam in partitions_of(n) if lam.contains(mu)]) for n in range(4, 8)]
     assert phi_fam.calls == psi_fam.calls == above
     assert [n for n, _, _ in rows] == [4, 5, 6, 7]
-    for n, join, meet in rows:
-        level = [lam for lam in above if lam.size == n]
+    for (n, join, meet), (_, level) in zip(rows, above):
         pairs = [(dim(mu, lam, YOUNG), YoungZZ.phi(phi_fam, lam), YoungZZ.phi(psi_fam, lam))
                  for lam in level]
         assert join == sum((d * max(a, b) for d, a, b in pairs), F(0))
         assert meet == sum((d * min(a, b) for d, a, b in pairs), F(0))
+
+
+def test_closed_form_sweeps_take_no_hook_product_or_conjugate(monkeypatch):
+    # the level forms read dims from the sweep and boxes from row tables
+    calls = []
+    for name in ("hook_product", "conjugate"):
+        original = getattr(Partition, name)
+        monkeypatch.setattr(
+            Partition, name, lambda self, original=original, name=name: calls.append(name) or original(self)
+        )
+    pairs = [
+        (YoungZZ(F(1), F(5, 4)), YoungZZ(F(5, 6), F(1, 6))),
+        (SchurT(F(3)), SchurT(F(-1, 2))),
+        (KingmanTA(F(1), F(1, 2)), KingmanTA(F(0), F(1, 3))),
+    ]
+    for fam, other in pairs:
+        assert check_harmonicity(fam, 8).ok
+        for mu in (P(), P([1]), P([2, 1])):
+            assert lattice_level_sums(fam, other, mu, 7)
+    assert calls == []
+    P([2, 1]).hook_product()  # the guard sees a call
+    assert calls == ["hook_product", "conjugate"]
 
 
 def test_lattice_rejects_bad_input():

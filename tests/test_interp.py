@@ -15,7 +15,6 @@ from harmgraphs.interp import (
     gauss_2f1_check,
     h_star_values,
     monomial_eval,
-    pstar_closed_form,
     pstar_eval,
     pstar_one_row_numerators,
     pstar_one_row_values,
@@ -26,18 +25,19 @@ from harmgraphs.interp import (
     shifted_schur_eval,
     shifted_schur_h_coeffs,
     super_h_star_values,
-    young_zz_closed_form,
 )
 from harmgraphs.partitions import Partition, partitions_of, partitions_up_to
 from oracles import (
     evaluation_functional,
     falling_factorial,
     functional_on_shifted_schur,
+    pstar_closed_form,
     schur_bialternant,
     schur_tableau,
     shifted_schur_bialternant,
     shifted_schur_tableau,
     super_evaluation_functional,
+    young_zz_closed_form,
     young_zz_functional,
 )
 

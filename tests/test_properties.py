@@ -57,22 +57,23 @@ from harmgraphs.interp import (
     apply_functional,
     factorial_monomial_eval,
     monomial_eval,
-    pstar_closed_form,
     pstar_eval,
     schur_eval,
     shifted_schur_at_diagram,
     shifted_schur_eval,
     shifted_schur_h_coeffs,
-    young_zz_closed_form,
 )
 from harmgraphs.partitions import Partition, partitions_of
 from oracles import (
+    closed_form_phi,
     fraction_harmonicity,
     fraction_lattice_sums,
     functional_on_shifted_schur,
+    pstar_closed_form,
     schur_tableau,
     shifted_schur_bialternant,
     shifted_schur_tableau,
+    young_zz_closed_form,
 )
 from harmgraphs.series import factorial_series_from_rational, poly_mul
 
@@ -503,6 +504,49 @@ def test_jack_phi_matches_the_box_product(e, zz, theta, mu):
 def test_kingman_phi_matches_the_box_product(t, alpha, mu):
     assume(_legal_t(t, allow_zero=True))
     assert KingmanTA(t, alpha).phi(mu) == _box_kingman_phi(t, alpha, mu)
+
+
+@st.composite
+def level_form_families(draw):
+    """One of the four closed-form families at legal parameters: t may be a negative
+    non-integer, Kingman's t may be 0, and theta is an integer or a fraction p/q."""
+    which = draw(st.sampled_from(["young-zz", "jack", "kingman", "schur"]))
+    if which == "young-zz":
+        return YoungZZ(draw(rationals), draw(rationals.filter(_legal_t)))
+    if which == "jack":
+        theta = draw(thetas)
+        return JackZZ(draw(rationals), draw(rationals.filter(lambda zz: _legal_t(zz / theta))), theta)
+    if which == "kingman":
+        legal = rationals.filter(lambda t: _legal_t(t, allow_zero=True))
+        return KingmanTA(draw(st.one_of(st.just(F(0)), legal)), draw(rationals))
+    return SchurT(draw(rationals.filter(_legal_t)))
+
+
+def _closed_product(family, mu):
+    """phi(mu) from the box products: the Young and strict closed forms kept as oracles,
+    and the Jack and Kingman products box by box."""
+    if isinstance(family, YoungZZ):
+        return closed_form_phi(young_zz_closed_form(family.e, family.t, mu), family.t, mu.size)
+    if isinstance(family, SchurT):
+        return closed_form_phi(pstar_closed_form(family.t, mu), family.t, mu.size)
+    if isinstance(family, JackZZ):
+        return _box_jack_phi(family.e, family.zz, family.theta, mu)
+    return _box_kingman_phi(family.t, family.alpha, mu)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(level_form_families())
+@example(YoungZZ(F(1, 3), F(-7, 2)))
+@example(SchurT(F(-5, 3)))
+@example(KingmanTA(F(0), F(1, 2)))
+@example(KingmanTA(F(0), F(-3, 2)))
+@example(JackZZ(F(1, 2), F(-9, 2), F(2, 3)))
+def test_level_form_matches_the_closed_product(family):
+    # every level through 10, on the family's own sweep and its total dims
+    for n, rows in sweep(family.kind, 10):
+        xs, q = family.level_phi(n, rows)
+        assert q > 0
+        assert [F(x, q) for x in xs] == [_closed_product(family, lam) for lam, _, _ in rows]
 
 
 # admissible parameters by construction: a conjugate pair (e^2 < 4t), and
