@@ -36,7 +36,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import permutations
 from math import comb, factorial, lcm, prod
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .exact import as_rational, integer_det, integer_point, pochhammer, quotient_pfaffian, round_bits
 from .graphs import dim_closed_form, level
@@ -48,7 +48,7 @@ from .harmonic import (
     TruncYoung,
     level_measure,
 )
-from .interp import complete_numerators, jacobi_trudi_det, permutation_sum
+from .interp import complete_numerators, jacobi_trudi_det, monomial_tables
 from .partitions import Partition
 from .series import Poly, poly_add, poly_eval, poly_integral, poly_mul, poly_scale, poly_sub
 
@@ -207,7 +207,7 @@ def density_value(spec: DensitySpec, point) -> Fraction:
         shape, given = (";".join(map(str, counts)) for counts in (want, got))
         raise ValueError(f"the {spec.graph} face has {shape} coordinates, got {given}")
     xs, q = integer_point(sum(blocks, ()))
-    form = face.density(spec.lam, *(xs[i : i + s] for i in range(0, len(xs), s)))
+    form = face.density(spec.lam)(*(xs[i : i + s] for i in range(0, len(xs), s)))
     return spec.constant * form / Fraction(q) ** face.degree(spec.lam)
 
 
@@ -219,9 +219,14 @@ def _schur_density(lam: Partition, xs) -> Fraction:
     return Fraction(_alternant(xs, lam.parts) * num, den)
 
 
-def _gamma_density(lam: Partition, xs, ys) -> Fraction:
+def _gamma_density(lam: Partition):
     fc = lam.frobenius()
-    return _alternant(xs, fc.p) * _alternant(ys, fc.q) * _cauchy(xs, ys)
+    return lambda xs, ys: _alternant(xs, fc.p) * _alternant(ys, fc.q) * _cauchy(xs, ys)
+
+
+def _kingman_density(lam: Partition):
+    table = monomial_tables([lam])  # one closure for every point
+    return lambda xs: table(xs, pow)[lam.parts]  # m_lam
 
 
 # ---------------------------------------------------------------------------
@@ -437,30 +442,24 @@ def young_kernel_table(
 
 
 def kingman_kernel_table(
-    omega: ThomaPoint, shapes: Sequence[Partition]
-) -> tuple[dict[Partition, int], int, int]:
-    """Extended monomial kernels on the Kingman graph, as in `young_kernel_table`: the
-    sum over k <= r_1(mu) of gamma^k/k! m_nu(alpha), nu = mu less k parts 1.
-
-    At (alpha, gamma) = (X, G)/Q each term has degree |mu|, so with F = r!, r the
-    largest r_1(mu), the kernel is sum_k G^k (F/k!) m_nu(X) over F Q^|mu|; each
-    m_nu(X) is computed once.
-    """
-    if omega.beta:
-        raise ValueError("kingman boundary points carry no beta coordinates")
-    (*xs, g), q = integer_point((*omega.alpha, omega.gamma))
+    omegas: Iterable[ThomaPoint], shapes: Sequence[Partition]
+) -> Iterator[tuple[dict[Partition, int], int, int]]:
+    """Extended monomial kernels on the Kingman graph, as in `young_kernel_table`, one table
+    per point of omegas: sum_k gamma^k/k! m_nu(alpha) over k <= r_1(mu), nu = mu less k parts
+    1.  At (alpha, gamma) = (X, G)/Q, with F = r! for r the largest r_1(mu), that is sum_k
+    G^k (F/k!) m_nu(X) over F Q^|mu|, each m_nu(X) read from the point's `monomial_tables` m."""
+    table = monomial_tables(shapes)
     f = factorial(max((mu.multiplicity(1) for mu in shapes), default=0))
-    m: dict[tuple[int, ...], int] = {}
-    numerators = {}
-    for mu in shapes:
-        total = 0
-        for k in range(mu.multiplicity(1) + 1):
-            nu = mu.parts[: mu.length - k]  # the parts 1 come last
-            if nu not in m:
-                m[nu] = permutation_sum(Partition(nu), xs, pow)
-            total += g**k * (f // factorial(k)) * m[nu]
-        numerators[mu] = total
-    return numerators, q, f
+    for omega in omegas:
+        if omega.beta:
+            raise ValueError("kingman boundary points carry no beta coordinates")
+        (*xs, g), q = integer_point((*omega.alpha, omega.gamma))
+        m = table(xs, pow)
+        numerators = {}
+        for mu in shapes:
+            ks = range(mu.multiplicity(1) + 1)  # the parts 1 come last
+            numerators[mu] = sum(g**k * (f // factorial(k)) * m[mu.parts[: mu.length - k]] for k in ks)
+        yield numerators, q, f
 
 
 def young_kernel(mu: Partition, omega: ThomaPoint) -> Fraction:
@@ -471,7 +470,7 @@ def young_kernel(mu: Partition, omega: ThomaPoint) -> Fraction:
 
 def kingman_kernel(mu: Partition, omega: ThomaPoint) -> Fraction:
     """The Kingman kernel of one mu: the one-mu case of `kingman_kernel_table`."""
-    numerators, scale, constant = kingman_kernel_table(omega, [mu])
+    [(numerators, scale, constant)] = kingman_kernel_table([omega], [mu])
     return Fraction(numerators[mu], constant * scale**mu.size)
 
 
@@ -532,6 +531,7 @@ def convergence_experiment(
         anti = poly_integral(poly_scale(face.polynomial(spec.lam), spec.constant))
         edges = [poly_eval(anti, Fraction(resolution + i, 2 * resolution)) for i in range(resolution + 1)]
         exact_bins = [right - left for left, right in zip(edges, edges[1:])]
+    form_at = face.density(spec.lam)
     rows = []
     for n in sorted(int(n) for n in n_values):
         scale, values = face.level_weights(family, n)
@@ -553,7 +553,7 @@ def convergence_experiment(
                 i = 2 * resolution * xs[0][0] // q - resolution
                 bins[min(i, resolution - 1)] += w
             if sum(map(len, blocks)) == l and _rows_separated(blocks, gap, interior_fraction.denominator):
-                form = face.density(spec.lam, *xs)
+                form = form_at(*xs)
                 if form > 0:
                     a = k.denominator * form.numerator
                     e = abs(k.numerator * w * form.denominator - a)
@@ -678,8 +678,8 @@ class Face(NamedTuple):
     accepts: Callable[[Partition], bool]  # lam has a density on the face; if not, ...
     needs: str  # ... the error says the face needs this
     constant: Callable[[Partition], Fraction]
-    # (lam, *integer blocks X) -> F(X), the density over its constant at X/Q times Q^degree(lam)
-    density: Callable[..., int | Fraction]
+    # lam -> (*integer blocks X -> F(X)), the density over its constant at X/Q times Q^degree(lam)
+    density: Callable[[Partition], Callable]
     degree: Callable[[Partition], int]  # F is homogeneous of this degree
     level_weights: Callable  # (family, n) -> (scale, [(nu, value)]), M_n(nu) = scale * value
     selberg: Callable  # (lam, mus) -> (family, normalized face integral of each mu)
@@ -696,7 +696,7 @@ FACES: dict[str, Face] = {
     "young": Face(
         accepts=lambda lam: lam.length >= 2, needs="length >= 2", constant=young_density_constant,
         # s_lam * V^2 = alternant * V, which also holds at coordinate collisions
-        density=lambda lam, xs: _alternant(xs, _plus_staircase(lam, len(xs))) * _vandermonde(xs),
+        density=lambda lam: lambda xs: _alternant(xs, _plus_staircase(lam, len(xs))) * _vandermonde(xs),
         degree=lambda lam: lam.size + lam.length * (lam.length - 1),
         level_weights=_young_weights, selberg=_young_selberg,
         sweep=(2, 3), admits=lambda mu, s: mu.length <= s, polynomial=_young_polynomial,
@@ -704,7 +704,7 @@ FACES: dict[str, Face] = {
     "kingman": Face(
         accepts=lambda lam: lam.length >= 1, needs="a nonempty partition",
         constant=kingman_density_constant, degree=lambda lam: lam.size,
-        density=lambda lam, xs: permutation_sum(lam, xs, pow),  # m_lam
+        density=_kingman_density,
         level_weights=_kingman_weights, selberg=_kingman_selberg,
         sweep=(1, 2, 3), admits=lambda mu, s: mu.length <= s,
         # m_lam at (alpha_1, 1 - alpha_1)
@@ -712,7 +712,8 @@ FACES: dict[str, Face] = {
     ),
     "schur": Face(
         accepts=lambda lam: lam.is_strict and lam.length >= 1, needs="a nonempty strict partition",
-        constant=schur_density_constant, density=_schur_density, degree=lambda lam: lam.size,
+        constant=schur_density_constant, degree=lambda lam: lam.size,
+        density=lambda lam: lambda xs: _schur_density(lam, xs),
         level_weights=_schur_weights, selberg=_schur_selberg,
         sweep=(2, 3), admits=lambda mu, s: mu.is_strict and mu.length == s,
     ),

@@ -62,7 +62,7 @@ from .interp import (
     falling_power,
     gauss_2f1_check,
     jacobi_trudi_det,
-    permutation_sum,
+    monomial_tables,
     pstar_values,
     schur_t_functional,
     shifted_schur_columns,
@@ -141,8 +141,6 @@ class Report:
 def _encode(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, Fraction):
-        return format_rational(value)
     if isinstance(value, bool):
         return str(value).lower()
     return str(value)
@@ -323,10 +321,11 @@ def _suite_interpolation(args, report: Report) -> None:
         lam: pstar_values([mu for mu in strict if mu.size >= lam.size], lam.parts)
         for lam in strict
     }
-    # s* at each diagram point from one column set, which serves every mu (s* is
-    # stable under zero padding); s* and m* there are integers
+    # s* and m* at each diagram point from one column set and one m* table, which
+    # serve every mu (both are stable under zero padding); there they are integers
     columns = {lam: shifted_schur_columns(lam.parts, 1, cap, cap) for lam in partitions_up_to(cap)}
-    falling = falling_power(1)
+    table = monomial_tables(columns)
+    m_star = {lam: table(lam.parts, falling_power(1)) for lam in columns}
     for n in range(1, cap + 1):
         for mu in partitions_of(n):
             for m in range(n + 1):
@@ -334,7 +333,7 @@ def _suite_interpolation(args, report: Report) -> None:
                     if lam == mu:
                         continue
                     s_val = jacobi_trudi_det(mu, columns[lam])
-                    m_val = permutation_sum(mu, lam.parts, falling)
+                    m_val = m_star[lam][mu.parts]
                     report.add(
                         "interpolation-vanishing",
                         f"s*/m* mu={mu} lambda={lam}",
@@ -370,19 +369,18 @@ def _suite_pieri(args, report: Report) -> None:
     strict_shapes = [lam for lam in shapes if lam.is_strict]
     # every vertex of size <= cap with its up-edges, young and kingman side by side
     levels = list(zip(sweep(YOUNG, cap + 1), sweep(KINGMAN, cap + 1)))[:-1]
+    table = monomial_tables(shapes)
     for trial in range(args.points):
         x = _random_point(rng, cap + 1)
         xs, q = integer_point(x)
         p1 = sum(xs)  # p_1(x) = p1 / q
-        # each value, an integer over q^|lam|, is read once as a left side and
-        # again under every down-cover; each point's h and s* columns serve every lam
+        # each value, an integer over q^|lam|, is read once as a left side and again
+        # under every down-cover; each point's h, s* columns, m and m* serve every lam
         h = [complete_numerators(xs, cap + 1)] * (cap + 1)
         h_star = shifted_schur_columns(xs, q, cap + 1, cap + 1)
-        falling = falling_power(q)
         s = {lam: jacobi_trudi_det(lam, h) for lam in shapes}
-        m = {lam: permutation_sum(lam, xs, pow) for lam in shapes}
         s_star = {lam: jacobi_trudi_det(lam, h_star) for lam in shapes}
-        m_star = {lam: permutation_sum(lam, xs, falling) for lam in shapes}
+        m, m_star = table(xs, pow), table(xs, falling_power(q))
         p_star = pstar_values(strict_shapes, x)
         for (n, young_rows), (_, kingman_rows) in levels:
             den = q ** (n + 1)  # both sides of each relation at level n
@@ -390,12 +388,12 @@ def _suite_pieri(args, report: Report) -> None:
                 sides = (
                     ("pieri-classical", "schur", s[mu] * p1,
                      sum(s[lam] for lam, _ in young_covers)),
-                    ("pieri-classical", "monomial", m[mu] * p1,
-                     sum(k * m[lam] for lam, k in kingman_covers)),
+                    ("pieri-classical", "monomial", m[mu.parts] * p1,
+                     sum(k * m[lam.parts] for lam, k in kingman_covers)),
                     ("pieri-interpolation", "s*", s_star[mu] * p1,
                      n * q * s_star[mu] + sum(s_star[lam] for lam, _ in young_covers)),
-                    ("pieri-interpolation", "m*", m_star[mu] * p1,
-                     n * q * m_star[mu] + sum(k * m_star[lam] for lam, k in kingman_covers)),
+                    ("pieri-interpolation", "m*", m_star[mu.parts] * p1,
+                     n * q * m_star[mu.parts] + sum(k * m_star[lam.parts] for lam, k in kingman_covers)),
                 )
                 for check, name, lhs, rhs in sides:
                     report.add(
@@ -519,11 +517,9 @@ def _suite_kernels(args, report: Report) -> None:
     shapes = partitions_up_to(args.levels)
     # every vertex below the top level with its weighted up-edges, shared by the points
     levels = {kind: list(sweep(kind, args.levels))[:-1] for kind in (YOUNG, KINGMAN)}
+    kingman = kingman_kernel_table([ThomaPoint(om.alpha) for om in points], shapes)
     for idx, om in enumerate(points):
-        tables = (
-            (YOUNG, young_kernel_table(om, shapes)),
-            (KINGMAN, kingman_kernel_table(ThomaPoint(om.alpha), shapes)),
-        )
+        tables = ((YOUNG, young_kernel_table(om, shapes)), (KINGMAN, next(kingman)))
         # a level's kernels share the denominator c * scale^n, so each cover
         # sum compares in ints and one Fraction forms per side
         for kind, (nums, scale, c) in tables:

@@ -27,14 +27,14 @@ from .interp import (
     _product_series,
     falling_power,
     jacobi_trudi_det,
-    permutation_sum,
+    monomial_tables,
     pstar_one_row_numerators,
     pstar_pfaffian,
     pstar_two_row_table,
     shifted_columns,
     shifted_schur_columns,
 )
-from .partitions import EMPTY, FrobeniusCoords, Partition
+from .partitions import EMPTY, FrobeniusCoords, Partition, partitions_of
 
 
 class FamilyError(ValueError):
@@ -298,6 +298,15 @@ class _FiniteWidth(HarmonicFamily):
     """A truncated family, supported on the diagrams of at most width = l(lam) rows;
     t = |lam| + width and the point -lam - 1 unless the family sets its own."""
 
+    tables = (-1, None)  # (bound, what build made at the integer point up to it)
+
+    def _tables(self, need, build):
+        """build(point, bound), rebuilt at max(twice the bound, need, 8) when need passes it."""
+        if need > self.tables[0]:
+            bound = max(2 * self.tables[0], need, 8)
+            object.__setattr__(self, "tables", (bound, build(self.point(), bound)))
+        return self.tables[1]
+
     @property
     def width(self) -> int:
         return self.lam.length
@@ -306,8 +315,8 @@ class _FiniteWidth(HarmonicFamily):
     def t(self) -> Fraction:
         return Fraction(self.lam.size + self.width)
 
-    def point(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(-p - 1) for p in self.lam.parts)
+    def point(self) -> tuple[int, ...]:
+        return tuple(-p - 1 for p in self.lam.parts)
 
     def phi(self, mu: Partition) -> Fraction:
         """(-1)^|mu| value(mu) / (t)_|mu|, and 0 past the width."""
@@ -325,13 +334,11 @@ class TruncYoung(_FiniteWidth):
     """Finite-width family: shifted Schur evaluation at a reflected point.
 
     Supported on diagrams with at most length(lam) rows; the evaluation
-    point has coordinates -lam_i - 2(l - i) - 1.  Its shifted Jacobi-Trudi
-    columns are built once per family, and rebuilt to twice the reach when
-    some mu reads past them.
+    point has coordinates -lam_i - 2(l - i) - 1.  Its tables are the shifted
+    Jacobi-Trudi columns, through h*_bound.
     """
 
     kind, face = YOUNG, "young"
-    columns = ()
 
     def __init__(self, lam: Partition):
         if lam.length < 2:
@@ -342,22 +349,17 @@ class TruncYoung(_FiniteWidth):
     def t(self) -> Fraction:
         return Fraction(self.lam.size + self.width**2)
 
-    def point(self) -> tuple[Fraction, ...]:
+    def point(self) -> tuple[int, ...]:
         l = self.width
-        return tuple(Fraction(-self.lam.part(i) - 2 * (l - i) - 1) for i in range(1, l + 1))
+        return tuple(-self.lam.part(i) - 2 * (l - i) - 1 for i in range(1, l + 1))
 
     def value(self, mu: Partition) -> Fraction:
         """s*_mu at the point by the shifted Jacobi-Trudi determinant, the one s*
         route, over the family's columns; phi is (-1)^|mu| value / (t)_|mu|."""
         if mu.length > self.width:
             return Fraction(0)
-        reach = mu.part(1) + mu.length - 1
-        columns = self.columns
-        if not columns or len(columns[0]) <= reach:
-            xs = [int(x) for x in self.point()]
-            columns = shifted_schur_columns(xs, 1, self.width, max(2 * reach, 8))
-            object.__setattr__(self, "columns", columns)
-        return Fraction(jacobi_trudi_det(mu, columns))
+        build = lambda xs, bound: shifted_schur_columns(xs, 1, self.width, bound)
+        return Fraction(jacobi_trudi_det(mu, self._tables(mu.part(1) + mu.length - 1, build)))
 
     phi = _FiniteWidth.phi
 
@@ -419,7 +421,8 @@ class GammaShaped(HarmonicFamily):
 
 
 class TruncKingman(_FiniteWidth):
-    """Finite-width family: factorial monomial evaluation at -lam - 1."""
+    """Finite-width family: factorial monomial evaluation at -lam - 1, read from one m*
+    table of the point over the partitions of at most width rows up to the bound."""
 
     kind, face = KINGMAN, "kingman"
 
@@ -429,8 +432,10 @@ class TruncKingman(_FiniteWidth):
         object.__setattr__(self, "lam", lam)
 
     def value(self, mu: Partition) -> Fraction:
-        """m*_mu at the integer point; phi is (-1)^|mu| value / (t)_|mu| on the support."""
-        return Fraction(permutation_sum(mu, [-p - 1 for p in self.lam.parts], falling_power(1)))
+        """m*_mu at the integer point, 0 past the width; phi is (-1)^|mu| value / (t)_|mu|."""
+        shapes = lambda bound: (nu for n in range(bound + 1) for nu in partitions_of(n, self.width))
+        build = lambda xs, bound: monomial_tables(shapes(bound))(xs, falling_power(1))
+        return Fraction(self._tables(mu.size, build).get(mu.parts, 0))
 
     phi = _FiniteWidth.phi
 
@@ -441,12 +446,10 @@ class TruncKingman(_FiniteWidth):
 class TruncSchur(_FiniteWidth):
     """Finite-width strict family: factorial Schur P at the integer point -lam - 1, each mu
     read (past length 2 as an integer Pfaffian) from the `interp` one-row numerators and
-    two-row table of the point, so P*_mu is that integer over 2^l(mu).  A mu past the bound
-    rebuilds both at max(twice the bound, mu_1 + mu_2); table entries do not depend on the
-    bound."""
+    two-row table of the point up to degree the bound, so P*_mu is that integer over
+    2^l(mu); table entries do not depend on the bound."""
 
     kind, face = SCHUR, "schur"
-    pstar = ((), {})  # (one_row, table)
 
     def __init__(self, lam: Partition):
         if not lam.is_strict or lam.length < 1:
@@ -457,14 +460,9 @@ class TruncSchur(_FiniteWidth):
 
     def value(self, mu: Partition) -> Fraction:
         """P*_mu at the point; phi is (-1)^|mu| value / (t)_|mu|."""
-        need = mu.part(1) + mu.part(2)
-        one_row, table = self.pstar
-        if need > len(one_row):
-            bound = max(2 * len(one_row), need)
-            one_row, _ = pstar_one_row_numerators(self.point(), bound)  # an integer point: Q = 1
-            table = pstar_two_row_table(one_row, 1, bound)
-            object.__setattr__(self, "pstar", (one_row, table))
-        return Fraction(pstar_pfaffian(mu, one_row, table), 2**mu.length)
+        # at an integer point (Q = 1): the one-row numerators, and the two-row table from them
+        build = lambda xs, n: (d := pstar_one_row_numerators(xs, n)[0], pstar_two_row_table(d, 1, n))
+        return Fraction(pstar_pfaffian(mu, *self._tables(mu.part(1) + mu.part(2), build)), 2**mu.length)
 
     def spec_string(self) -> str:
         return f"trunc-schur:lambda={self.lam}"

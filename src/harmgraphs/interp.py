@@ -14,7 +14,9 @@ factorial monomial (Kingman side) and factorial Schur P (strict side):
   Young family, the integer gamma columns, the functionals and the Thoma
   points of the kernels.  The falling-factorial bialternant and the
   reverse-tableau sums are test oracles;
-* monomial and factorial monomial: one pass over the coordinates;
+* monomial and factorial monomial: one pass over the coordinates fills a table of
+  every shape of a set and the partitions below it by removed parts
+  (`monomial_tables`), m with ordinary powers and m* with falling ones;
 * factorial Schur P: one-row series -> two-row table -> Pfaffian, on integer
   numerators D_m = 2 Q^m P*_(m) and T_(p,k) = 4 Q^(p+k) P*_(p,k); the integer
   Pfaffian is Q^|mu| Q*_mu = 2^l(mu) Q^|mu| P*_mu.  `pstar_values` builds one
@@ -25,8 +27,8 @@ At a point x = X/Q (`exact.integer_point`) s, s*, m, m*, h* and P* are graded
 values of the integer numerators X, with one Fraction formed per value.  A
 caller that evaluates many mu at one point builds its h numerators
 (`complete_numerators`), s* columns (`shifted_schur_columns`) or P* table
-once and reads each mu by `jacobi_trudi_det`, m and m* by `permutation_sum`,
-and P* by `pstar_pfaffian`.
+once and reads each mu by `jacobi_trudi_det`, m and m* from one table each of
+`monomial_tables` (its closure built once per shape set), and P* by `pstar_pfaffian`.
 
 A multiplicative functional is a list of generator values.  The
 generator-basis engine, which expands a target over products of h*
@@ -132,17 +134,17 @@ def schur_eval(mu: Partition, x) -> Fraction:
 
 
 def monomial_eval(mu: Partition, x) -> Fraction:
-    """Monomial symmetric polynomial m_mu at a finite point x = X/Q:
-    m_mu(X)/Q^|mu| on the integer numerators."""
+    """Monomial symmetric polynomial m_mu at a finite point x = X/Q: m_mu(X)/Q^|mu|
+    on the integer numerators, the one-mu case of `monomial_tables`."""
     xs, q = integer_point(x)
-    return Fraction(permutation_sum(mu, xs, pow), q**mu.size)
+    return Fraction(monomial_tables([mu])(xs, pow)[mu.parts], q**mu.size)
 
 
 def factorial_monomial_eval(mu: Partition, x) -> Fraction:
     """Factorial monomial m*_mu: ordinary powers replaced by falling powers,
     one integer over Q^|mu| at x = X/Q (`falling_power`)."""
     xs, q = integer_point(x)
-    return Fraction(permutation_sum(mu, xs, falling_power(q)), q**mu.size)
+    return Fraction(monomial_tables([mu])(xs, falling_power(q))[mu.parts], q**mu.size)
 
 
 def falling_power(q: int):
@@ -151,28 +153,31 @@ def falling_power(q: int):
     return lambda a, k: prod(range(a, a - k * q, -q))
 
 
-def permutation_sum(mu: Partition, x: Sequence[int], power) -> int:
-    """Sum over the distinct arrangements of mu's parts on the integer
-    coordinates (zeros on the rest) of the product of power(x_i, part).
+def monomial_tables(shapes):
+    """table(X, power): m_nu(X), or m*_nu with power `falling_power(Q)`, on integer
+    coordinates (zeros on the rest) and keyed by parts, for the shapes and every nu
+    reached from them by removing parts.  Each coordinate x, one pass, turns T[nu] into
+    T[nu] + sum_p T[nu less p] power(x, p) over the distinct parts p of nu, taking nu in
+    decreasing order so that each reads T[nu less p] before it moves; T[()] = 1."""
+    steps = {}
+    todo = [mu.parts for mu in shapes]
+    for nu in todo:
+        if nu not in steps:
+            steps[nu] = {p: nu[:i] + nu[i + 1 :] for i, p in enumerate(nu)}  # any copy of p: one nu
+            todo += steps[nu].values()
+    closure = sorted(steps.items(), reverse=True)  # nu less p sorts below nu
+    top = max(max(steps, default=()), default=0)  # the largest part heads the largest nu
 
-    One pass over the coordinates: the state is the tuple of multiplicities
-    of mu's distinct parts still to place, and each coordinate either takes
-    none of them or one, times power(x_i, part).  The sum is the value at
-    the all-zero state; each power is computed once per call.
-    """
-    mult = mu.multiplicities()
-    values = tuple(mult)
-    sums = {tuple(mult.values()): 1}
-    for xi in x:
-        pw = [power(xi, v) for v in values]
-        ahead = dict(sums)
-        for state, s in sums.items():
-            for k, r in enumerate(state):
-                if r:
-                    key = state[:k] + (r - 1,) + state[k + 1 :]
-                    ahead[key] = ahead.get(key, 0) + s * pw[k]
-        sums = ahead
-    return sums.get((0,) * len(values), 0)
+    def table(xs, power):
+        values = dict.fromkeys(steps, 0) | {(): 1}
+        for x in xs:
+            pw = [power(x, p) for p in range(top + 1)]
+            for nu, rests in closure:
+                for p, rest in rests.items():
+                    values[nu] += values[rest] * pw[p]
+        return values
+
+    return table
 
 
 # ---------------------------------------------------------------------------

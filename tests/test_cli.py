@@ -6,9 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from harmgraphs import cli, interp
+from harmgraphs import boundary, cli, harmonic, interp
 from harmgraphs.cli import EXIT_CHECK_FAILED, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 from harmgraphs.exact import ShapeError, SingularMatrixError
+from harmgraphs.partitions import partitions_of
 
 
 def run(capsys, *argv):
@@ -468,6 +469,49 @@ def test_gamma_family_never_calls_the_generator_basis_engine(monkeypatch, capsys
     )
     assert code == EXIT_OK
     assert "0 failed" in out
+
+
+def _count_monomial_tables(monkeypatch, module):
+    """Patch module's `monomial_tables` to count closures built and tables filled from them."""
+    counts = {"closures": 0, "tables": 0, "points": []}
+
+    def counted(shapes):
+        counts["closures"] += 1
+        table = interp.monomial_tables(shapes)
+
+        def fill(xs, power):
+            counts["tables"] += 1
+            counts["points"].append(tuple(xs))
+            return table(xs, power)
+
+        return fill
+
+    monkeypatch.setattr(module, "monomial_tables", counted)
+    return counts
+
+
+def test_pieri_fills_an_m_and_an_m_star_table_per_point_from_one_closure(monkeypatch, capsys):
+    counts = _count_monomial_tables(monkeypatch, cli)
+    code, out, _ = run(capsys, "verify", "pieri", "--points", "3", "--max-size", "4")
+    assert code == EXIT_OK and "0 failed" in out
+    assert counts["closures"] == 1 and counts["tables"] == 2 * 3
+
+
+def test_kernels_fill_one_m_table_per_point(monkeypatch, capsys):
+    counts = _count_monomial_tables(monkeypatch, boundary)
+    code, out, _ = run(capsys, "verify", "kernels", "--points", "4", "--levels", "5")
+    assert code == EXIT_OK and "0 failed" in out
+    assert counts["closures"] == 1 and counts["tables"] == 4
+
+
+def test_selberg_kingman_sweep_fills_one_table_per_family(monkeypatch, capsys):
+    # every face partition of size <= 6 and length 1 to 3 is one TruncKingman
+    counts = _count_monomial_tables(monkeypatch, harmonic)
+    code, out, _ = run(capsys, "verify", "selberg", "--graph", "kingman", "--max-size", "6")
+    assert code == EXIT_OK and "0 failed" in out
+    families = [lam for n in range(1, 7) for lam in partitions_of(n) if lam.length <= 3]
+    assert counts["closures"] == counts["tables"] == len(families) == 22
+    assert sorted(counts["points"]) == sorted(tuple(-p - 1 for p in lam.parts) for lam in families)
 
 
 @pytest.mark.parametrize(

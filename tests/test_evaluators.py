@@ -41,7 +41,7 @@ from harmgraphs.interp import (
     jacobi_trudi,
     jacobi_trudi_det,
     monomial_eval,
-    permutation_sum,
+    monomial_tables,
     pstar_one_row_numerators,
     pstar_pfaffian,
     pstar_two_row_table,
@@ -145,16 +145,18 @@ def test_monomials_match_the_fraction_pass(mu, x):
 @example((F(1, 2), F(1, 2)))  # fewer coordinates than the longest mu: those values are 0
 @example((F(0), F(-7, 12), F(7, 12), F(1, 7), F(5, 6), F(5, 6)))
 def test_one_table_per_point_reads_every_mu(x):
-    # the h numerators, s* columns and m, m* passes built once at the point serve every mu
+    # the h numerators, s* columns and m, m* tables built once at the point serve every mu
     xs, q = integer_point(x)
     h = [complete_numerators(xs, 6)] * 6
     h_star = shifted_schur_columns(xs, q, 6, 6)
+    table = monomial_tables(partitions_up_to(6))
+    m, m_star = table(xs, pow), table(xs, falling_power(q))
     for mu in partitions_up_to(6):
         den = q**mu.size
         assert F(jacobi_trudi_det(mu, h), den) == schur_eval(mu, x)
         assert F(jacobi_trudi_det(mu, h_star), den) == shifted_schur_eval(mu, x)
-        assert F(permutation_sum(mu, xs, pow), den) == monomial_eval(mu, x)
-        assert F(permutation_sum(mu, xs, falling_power(q)), den) == factorial_monomial_eval(mu, x)
+        assert F(m[mu.parts], den) == monomial_eval(mu, x)
+        assert F(m_star[mu.parts], den) == factorial_monomial_eval(mu, x)
 
 
 @PROPERTY
@@ -162,14 +164,15 @@ def test_one_table_per_point_reads_every_mu(x):
 @example(P([3, 2, 1]), 8)
 @example(P(), 0)
 def test_one_column_set_per_diagram_serves_every_mu_at_any_padding(lam, pad):
-    # s* and m* are stable under zero padding: columns of the diagram padded to any
-    # length agree with the one-mu evaluators, which pad to the length of mu
+    # s* and m* are stable under zero padding: columns and the m* table of the diagram
+    # padded to any length agree with the one-mu evaluators, which pad to the length of mu
     xs = list(lam.parts) + [0] * pad
     columns = shifted_schur_columns(xs, 1, 6, 6)
+    m_star = monomial_tables(partitions_up_to(6))(xs, falling_power(1))
     for mu in partitions_up_to(6):
         assert jacobi_trudi_det(mu, columns) == shifted_schur_at_diagram(mu, lam)
         point = diagram_point(lam, max(1, lam.length, mu.length))
-        assert permutation_sum(mu, xs, falling_power(1)) == factorial_monomial_eval(mu, point)
+        assert m_star[mu.parts] == factorial_monomial_eval(mu, point)
 
 
 @PROPERTY
@@ -400,7 +403,7 @@ def test_kernel_tables_match_the_fraction_h_series(omega):
     h = young_h_series(omega, 7)
     alpha_only = ThomaPoint(omega.alpha)
     young = young_kernel_table(omega, shapes)
-    kingman = kingman_kernel_table(alpha_only, shapes)
+    [kingman] = kingman_kernel_table([alpha_only], shapes)
     for mu in shapes:
         assert kernel_value(young, mu) == fraction_jacobi_trudi(mu, h)
         assert kernel_value(kingman, mu) == fraction_kingman_kernel(mu, alpha_only)

@@ -7,7 +7,7 @@ Fraction loops."""
 
 from dataclasses import dataclass
 from fractions import Fraction as F
-from itertools import permutations
+from itertools import combinations, permutations
 from math import factorial
 
 import pytest
@@ -56,7 +56,9 @@ from harmgraphs.interp import (
     _product_series,
     apply_functional,
     factorial_monomial_eval,
+    falling_power,
     monomial_eval,
+    monomial_tables,
     pstar_eval,
     schur_eval,
     shifted_schur_at_diagram,
@@ -66,8 +68,11 @@ from harmgraphs.interp import (
 from harmgraphs.partitions import Partition, partitions_of
 from oracles import (
     closed_form_phi,
+    fraction_falling,
     fraction_harmonicity,
     fraction_lattice_sums,
+    fraction_permutation_sum,
+    fraction_power,
     functional_on_shifted_schur,
     pstar_closed_form,
     schur_tableau,
@@ -253,6 +258,38 @@ def test_monomials_match_the_arrangement_sum(case):
     mu, x = case
     assert monomial_eval(mu, x) == _arrangement_sum(mu, x, lambda a, e: a**e)
     assert factorial_monomial_eval(mu, x) == _arrangement_sum(mu, x, _falling)
+
+
+def _removals(shapes):
+    """The shapes with every partition reached from them by removing parts, and ()."""
+    return {sub for mu in shapes for r in range(mu.length + 1) for sub in combinations(mu.parts, r)} | {()}
+
+
+@PROPERTY
+@given(
+    st.lists(st.integers(0, 7).flatmap(lambda n: st.sampled_from(partitions_of(n))), max_size=4),
+    st.lists(st.integers(-9, 9), max_size=4),
+    st.integers(1, 5),
+)
+@example([], [], 1)
+@example([Partition(), Partition([4, 1])], [-2, -2], 2)  # a repeated coordinate
+@example([Partition([2, 2, 1]), Partition([1, 1, 1, 1, 1])], [0, -4, 7], 3)  # longer than the point
+@example([Partition([3, 3, 1]), Partition([3, 1, 1])], [5, 0, 0, -1], 4)  # shared removals
+def test_monomial_tables_match_the_fraction_pass_and_the_arrangement_sum(shapes, xs, q):
+    # one closure of the shapes; m and m* of every partition in it at X/Q from two tables
+    table = monomial_tables(shapes)
+    m, m_star = table(xs, pow), table(xs, falling_power(q))
+    assert set(m) == set(m_star) == _removals(shapes)
+    x = [F(v, q) for v in xs]
+    for parts in m:
+        nu = Partition(parts)
+        values = F(m[parts], q**nu.size), F(m_star[parts], q**nu.size)
+        oracle = fraction_permutation_sum(nu, x, fraction_power), fraction_permutation_sum(nu, x, fraction_falling)
+        assert values == oracle
+        if nu.length <= len(x):
+            assert values == (_arrangement_sum(nu, x, lambda a, e: a**e), _arrangement_sum(nu, x, _falling))
+        else:
+            assert values == (0, 0)
 
 
 narrow = st.integers(1, 8).flatmap(
