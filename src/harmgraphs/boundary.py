@@ -26,7 +26,13 @@ Each face (young, kingman, schur, gamma) is one `Face` record in the
 λ check, width, density, vertex embedding, level weights, Selberg setup
 and sweep, and width-2 density polynomial.  A density is the constant times
 F(X) / Q^degree(λ) at a point X/Q, F one form on the integer numerators, so
-`convergence_experiment` needs one rational scale per level.
+`convergence_experiment` needs one rational scale per level.  A face's density
+takes a list of points in level order and returns their forms (`density_value`
+passes one).  On the young and kingman faces F and the level weights are
+polynomials of degree(λ) in ν, so `_along_runs` evaluates them only at the first
+degree(λ) + 1 points of each run ν, ν + e_l − e_(l−1), ... and carries them along
+the rest by forward differences; the convergence loop gathers a level's interior
+vertices first and asks for their forms once.
 """
 
 from __future__ import annotations
@@ -34,8 +40,9 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import reduce
-from itertools import permutations
+from itertools import accumulate, permutations
 from math import comb, factorial, lcm, prod
+from operator import add
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .exact import as_rational, integer_det, integer_point, pochhammer, quotient_pfaffian, round_bits
@@ -201,14 +208,48 @@ def density_value(spec: DensitySpec, point) -> Fraction:
     """
     face = FACES[spec.graph]
     blocks = [tuple(b) for b in ((point,) if face.blocks == 1 else point)]
-    s = getattr(spec.lam, face.stat)
-    want, got = [s] * face.blocks, [len(b) for b in blocks]
+    want, got = [getattr(spec.lam, face.stat)] * face.blocks, [len(b) for b in blocks]
     if got != want:
         shape, given = (";".join(map(str, counts)) for counts in (want, got))
         raise ValueError(f"the {spec.graph} face has {shape} coordinates, got {given}")
     xs, q = integer_point(sum(blocks, ()))
-    form = face.density(spec.lam)(*(xs[i : i + s] for i in range(0, len(xs), s)))
+    [form] = face.density(spec.lam)([xs])
     return spec.constant * form / Fraction(q) ** face.degree(spec.lam)
+
+
+def _along_runs(f: Callable, degree: int, points) -> list:
+    """f at each integer tuple in points, f of degree at most `degree` along every run:
+    consecutive points p, p + e_l - e_(l-1), equal but in their last two coordinates (so a
+    point has at least two, or the list one point).  f is evaluated at the first degree + 1
+    points of a run and at no other; forward differences carry it along the rest, one add
+    per degree per point."""
+    breaks = [
+        i for i, (p, r) in enumerate(zip(points, points[1:]), 1)
+        if p[-1] + 1 != r[-1] or p[-2] != r[-2] + 1 or p[:-2] != r[:-2]
+    ]
+    out = []
+    for start, end in zip([0, *breaks], [*breaks, len(points)]):
+        out += map(f, points[start : min(end, start + degree + 1)])
+        if end - start > degree + 1:
+            # Delta^(degree - k) f at the k-th of the last degree + 1 points, k = 0 .. degree
+            diagonal = out[-degree - 1 :]
+            for j in range(degree, 0, -1):
+                diagonal[:j] = [b - a for a, b in zip(diagonal, diagonal[1 : j + 1])]
+            for _ in range(end - start - degree - 1):
+                diagonal = list(accumulate(diagonal))
+                out.append(diagonal[-1])
+    return out
+
+
+def _young_density(lam: Partition):
+    a, degree = _plus_staircase(lam, lam.length), FACES["young"].degree(lam)
+    # s_lam * V^2 = alternant * V, which also holds at coordinate collisions
+    return lambda points: _along_runs(lambda xs: _alternant(xs, a) * _vandermonde(xs), degree, points)
+
+
+def _kingman_density(lam: Partition):
+    table = monomial_tables([lam])  # one closure for every point
+    return lambda points: _along_runs(lambda xs: table(xs, pow)[lam.parts], lam.size, points)  # m_lam
 
 
 def _schur_density(lam: Partition, xs) -> Fraction:
@@ -220,13 +261,8 @@ def _schur_density(lam: Partition, xs) -> Fraction:
 
 
 def _gamma_density(lam: Partition):
-    fc = lam.frobenius()
-    return lambda xs, ys: _alternant(xs, fc.p) * _alternant(ys, fc.q) * _cauchy(xs, ys)
-
-
-def _kingman_density(lam: Partition):
-    table = monomial_tables([lam])  # one closure for every point
-    return lambda xs: table(xs, pow)[lam.parts]  # m_lam
+    fc, d = lam.frobenius(), lam.depth  # a point is the alpha block, then the beta block
+    return lambda points: [_alternant(x[:d], fc.p) * _alternant(x[d:], fc.q) * _cauchy(x[:d], x[d:]) for x in points]
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +412,7 @@ def _kingman_selberg(lam: Partition, mus: list[Partition]):
         # symmetry each integrates against m_lam to the value mu_pad gives
         arranged = ([a + b for a, b in zip(mu_pad, e)] for e in arrangements)
         total = sum(map(simplex_monomial_integral, arranged))
-        return total / prod(factorial(mu_pad.count(v)) for v in set(mu_pad))
+        return total / _orders(mu_pad)
 
     return TruncKingman(lam), integral
 
@@ -531,7 +567,7 @@ def convergence_experiment(
         anti = poly_integral(poly_scale(face.polynomial(spec.lam), spec.constant))
         edges = [poly_eval(anti, Fraction(resolution + i, 2 * resolution)) for i in range(resolution + 1)]
         exact_bins = [right - left for left, right in zip(edges, edges[1:])]
-    form_at = face.density(spec.lam)
+    forms_at = face.density(spec.lam)
     rows = []
     for n in sorted(int(n) for n in n_values):
         scale, values = face.level_weights(family, n)
@@ -543,23 +579,26 @@ def convergence_experiment(
         # |ratio - 1| is kept as an integer numerator and denominator: the maximum is exact
         q = face.embed(support[0][0], n)[1]
         k = unit * n ** (l - 1) * Fraction(q) ** face.degree(spec.lam) / spec.constant
-        err, err_den = 0, 1
-        interior = 0
         bins = [0] * resolution
         gap = interior_fraction.numerator * n
+        inner, points = [], []  # the interior vertices' weights and points, in level order
         for nu, w in support:
             xs, _, blocks = face.embed(nu, n)
             if binned:
-                i = 2 * resolution * xs[0][0] // q - resolution
+                i = 2 * resolution * xs[0] // q - resolution
                 bins[min(i, resolution - 1)] += w
             if sum(map(len, blocks)) == l and _rows_separated(blocks, gap, interior_fraction.denominator):
-                form = form_at(*xs)
-                if form > 0:
-                    a = k.denominator * form.numerator
-                    e = abs(k.numerator * w * form.denominator - a)
-                    if e * err_den > err * a:
-                        err, err_den = e, a
-                    interior += 1
+                inner.append(w)
+                points.append(xs)
+        err, err_den = 0, 1
+        interior = 0
+        for w, form in zip(inner, forms_at(points)):
+            if form > 0:
+                a = k.denominator * form.numerator
+                e = abs(k.numerator * w * form.denominator - a)
+                if e * err_den > err * a:
+                    err, err_den = e, a
+                interior += 1
         distance = Fraction(0)
         if binned:
             distance = sum((abs(unit * c - b) for c, b in zip(bins, exact_bins)), Fraction(0))
@@ -583,11 +622,15 @@ def convergence_experiment(
 def _rows_separated(blocks, gap: int, q: int) -> bool:
     """Interior test for blocks that fill the face, at gap = p n for the fraction p/q:
     each block ends at an x with q x >= gap and has consecutive differences d with q d >= gap
-    (the density degenerates at coordinate collisions, so those carry no pointwise limit)."""
-    return all(
-        block and q * block[-1] >= gap and all(q * (a - b) >= gap for a, b in zip(block, block[1:]))
-        for block in blocks
-    )
+    (the density degenerates at coordinate collisions, so those carry no pointwise limit).
+    Plain loops: it runs once per vertex, and nested generators cost three times as much."""
+    for block in blocks:
+        if not block or q * block[-1] < gap:
+            return False
+        for a, b in zip(block, block[1:]):
+            if q * (a - b) < gap:
+                return False
+    return True
 
 
 # The level measure of a truncated family on its face, as a scale and one value per
@@ -595,13 +638,17 @@ def _rows_separated(blocks, gap: int, q: int) -> bool:
 # the rising factorial, V(x) = prod_{i<j} (x_i - x_j), l for the face width, and pad
 # nu with zeros to length l.
 
-def _level_constant(family: HarmonicFamily, n: int) -> Fraction:
-    """On the young and kingman faces t is a positive integer, so the
-    per-level constant c_n = n!/(t)_n = (t-1)!/(n+1)_(t-1) is a small
-    fraction and every weight is c_n times a small integer; no factorial
-    of n forms."""
-    t = int(family.t)
-    return factorial(t - 1) / pochhammer(n + 1, t - 1)
+def _level_runs(family: HarmonicFamily, n: int, weight: Callable) -> tuple[Fraction, Iterator]:
+    """c_n = n!/(t)_n, and (nu, the parts p of nu padded to length l, weight(p)) for each
+    level-n vertex nu of at most l rows, the weight a polynomial of the face degree in p,
+    carried along runs.  On the young and kingman faces t is a positive integer, so
+    c_n = (t-1)!/(n+1)_(t-1) is a small fraction and every weight is c_n times a small
+    integer; no factorial of n forms."""
+    t, l = int(family.t), family.width
+    vertices = level(n, family.kind, max_length=l)
+    points = [nu.parts + (0,) * (l - len(nu.parts)) for nu in vertices]
+    weights = _along_runs(weight, FACES[family.face].degree(family.lam), points)
+    return factorial(t - 1) / pochhammer(n + 1, t - 1), zip(vertices, points, weights)
 
 
 def _young_weights(family: TruncYoung, n: int) -> tuple[Fraction, list[tuple[Partition, int]]]:
@@ -611,25 +658,32 @@ def _young_weights(family: TruncYoung, n: int) -> tuple[Fraction, list[tuple[Par
     times dim(nu), column j divided by B_j!; the signs cancel to +1.
     The matrix entries over A_i! are the binomials C(A_i + B_j, A_i), so
     the scale is c_n / V(A) and each value an integer."""
-    a = _plus_staircase(family.lam, family.width)
-    values = []
-    for nu in level(n, family.kind, max_length=family.width):
-        b = _plus_staircase(nu, len(a))
-        weight = _vandermonde(b) * integer_det([[comb(ai + bj, ai) for bj in b] for ai in a])
-        values.append((nu, weight))
-    return _level_constant(family, n) / _vandermonde(a), values
+    l = family.width
+    a, staircase = _plus_staircase(family.lam, l), range(l - 1, -1, -1)
+
+    def weight(nu) -> int:
+        b = list(map(add, nu, staircase))
+        return _vandermonde(b) * integer_det([[comb(ai + bj, ai) for bj in b] for ai in a])
+
+    c, weights = _level_runs(family, n, weight)
+    return c / _vandermonde(a), [(nu, v) for nu, _, v in weights]
+
+
+def _orders(parts) -> int:
+    """prod_v r_v! over the multiplicities r_v of the values in parts."""
+    return 1 if len(set(parts)) == len(parts) else prod(factorial(parts.count(v)) for v in set(parts))
 
 
 def _kingman_weights(family: TruncKingman, n: int) -> tuple[Fraction, list[tuple[Partition, int]]]:
     """M_n(nu) = c_n sum_sigma prod_i (nu_sigma(i) + 1)_(lam_i) / lam_i!, over the
     distinct arrangements sigma of nu; each factor is the binomial C(lam_i + nu_sigma(i), lam_i),
-    so the scale is c_n and each value an integer."""
-    lam, values = family.lam, []
-    for nu in level(n, family.kind, max_length=family.width):
-        padded = nu.parts + (0,) * (lam.length - nu.length)
-        arranged = (zip(lam.parts, e) for e in set(permutations(padded)))
-        values.append((nu, sum(prod(comb(p + e, p) for p, e in pairs) for pairs in arranged)))
-    return _level_constant(family, n), values
+    so the scale is c_n and each value an integer.  Only the sum over all l! arrangements, which
+    counts each distinct one prod_v r_v! times, is a polynomial in nu: the runs carry it, and
+    each value is it over its own `_orders`, which changes along a run only at its ends."""
+    lam = family.lam
+    weight = lambda nu: sum(prod(comb(p + x, p) for p, x in zip(lam.parts, e)) for e in permutations(nu))
+    c, weights = _level_runs(family, n, weight)
+    return c, [(nu, v // _orders(p)) for nu, p, v in weights]
 
 
 def _schur_weights(family: TruncSchur, n: int) -> tuple[Fraction, list[tuple[Partition, Fraction]]]:
@@ -652,7 +706,7 @@ def _embed_hooks(nu: Partition, n: int):
     """The split-diagonal point ((2P + 1; 2Q + 1) over 2n), and the Frobenius
     coordinates as its blocks."""
     fc = nu.frobenius()
-    return [[2 * p + 1 for p in fc.p], [2 * q + 1 for q in fc.q]], 2 * n, [fc.p, fc.q]
+    return [2 * x + 1 for x in fc.p + fc.q], 2 * n, [fc.p, fc.q]
 
 
 def _width2_monomial(e1: int, e2: int) -> Poly:
@@ -678,25 +732,27 @@ class Face(NamedTuple):
     accepts: Callable[[Partition], bool]  # lam has a density on the face; if not, ...
     needs: str  # ... the error says the face needs this
     constant: Callable[[Partition], Fraction]
-    # lam -> (*integer blocks X -> F(X)), the density over its constant at X/Q times Q^degree(lam)
+    # lam -> (points -> [F(X) for each point X]), F(X) the density over its constant at X/Q times
+    # Q^degree(lam); a point X is the integer coordinates of its blocks in turn, the points in
+    # level order: young and kingman evaluate along runs, schur and gamma point by point
     density: Callable[[Partition], Callable]
-    degree: Callable[[Partition], int]  # F is homogeneous of this degree
+    degree: Callable[[Partition], int]  # F is homogeneous of this degree; on young and kingman,
+    # F and the level weights are polynomials of this degree along the runs of `_along_runs`
     level_weights: Callable  # (family, n) -> (scale, [(nu, value)]), M_n(nu) = scale * value
     selberg: Callable  # (lam, mus) -> (family, normalized face integral of each mu)
     sweep: tuple[int, ...]  # the Selberg sweep's values of stat(lam), ...
     admits: Callable[[Partition, int], bool]  # ... and each mu != () with an exact route at stat(lam)
     blocks: int = 1
     stat: str = "length"  # a Partition attribute
-    # (nu, n) -> (blocks X, level denominator Q, interior-test blocks), nu at X/Q; here nu/n
-    embed: Callable = lambda nu, n: ([nu.parts], n, [nu.parts])
+    # (nu, n) -> (point X, level denominator Q, interior-test blocks), nu at X/Q; here nu/n
+    embed: Callable = lambda nu, n: (nu.parts, n, [nu.parts])
     polynomial: Callable[[Partition], Poly] | None = None  # width-2 density over its constant
 
 
 FACES: dict[str, Face] = {
     "young": Face(
         accepts=lambda lam: lam.length >= 2, needs="length >= 2", constant=young_density_constant,
-        # s_lam * V^2 = alternant * V, which also holds at coordinate collisions
-        density=lambda lam: lambda xs: _alternant(xs, _plus_staircase(lam, len(xs))) * _vandermonde(xs),
+        density=_young_density,
         degree=lambda lam: lam.size + lam.length * (lam.length - 1),
         level_weights=_young_weights, selberg=_young_selberg,
         sweep=(2, 3), admits=lambda mu, s: mu.length <= s, polynomial=_young_polynomial,
@@ -713,7 +769,7 @@ FACES: dict[str, Face] = {
     "schur": Face(
         accepts=lambda lam: lam.is_strict and lam.length >= 1, needs="a nonempty strict partition",
         constant=schur_density_constant, degree=lambda lam: lam.size,
-        density=lambda lam: lambda xs: _schur_density(lam, xs),
+        density=lambda lam: lambda points: [_schur_density(lam, xs) for xs in points],
         level_weights=_schur_weights, selberg=_schur_selberg,
         sweep=(2, 3), admits=lambda mu, s: mu.is_strict and mu.length == s,
     ),

@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from harmgraphs import boundary
 from harmgraphs.boundary import (
     ConvergenceReport,
     ThomaPoint,
@@ -390,9 +391,11 @@ def test_convergence_trunc_kingman():
     [
         (TruncYoung(P([2, 1])), [4, 30], F(1, 5)),
         (TruncYoung(P([3, 2, 1])), [24], F(1, 5)),
+        (TruncYoung(P([2, 1, 1])), [60], F(1, 8)),
         (TruncKingman(P([2, 1])), [40, 41], F(1, 5)),
         (TruncKingman(P([2, 1, 1])), [30], F(1, 5)),
         (TruncKingman(P([2, 1, 1])), [100], F(1, 8)),
+        (TruncKingman(P([2, 2, 1])), [48], F(1, 8)),
         (TruncSchur(P([3, 1])), [20], F(1, 5)),
         (GammaShaped.from_partition(P([2, 1])), [5, 7], F(1, 5)),
         (GammaShaped.from_partition(P([3, 2, 2]), degree_cap=9), [8, 9], F(1, 5)),
@@ -408,6 +411,19 @@ def test_convergence_rows_match_the_fraction_loop(family, ns, gap):
         assert row.interior_points == interior
         assert row.max_ratio_error == round_bits(round_bits(err, 128), 53)
         assert row.binned_distance == round_bits(distance, 128)
+
+
+def test_convergence_evaluates_only_the_heads_of_runs(monkeypatch):
+    # width 2: each level is one run; its weights and its interior forms are read from
+    # the first degree + 1 points, plus one determinant for the density constant
+    calls = []
+    det = boundary.integer_det
+    monkeypatch.setattr(boundary, "integer_det", lambda m: calls.append(m) or det(m))
+    lam = P([3, 1])
+    rep = convergence_experiment(TruncYoung(lam), [400])
+    degree = boundary.FACES["young"].degree(lam)
+    assert rep.rows[0].interior_points > degree + 1
+    assert len(calls) <= 2 * (degree + 1) + 1
 
 
 def test_convergence_rejects_infinite_families():

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from harmgraphs.boundary import (
     FACES,
+    _along_runs,
     _factorial_det,
     _integrate_monomial_times_cauchy,
     _integrate_monomial_times_pfaffian,
@@ -299,9 +300,15 @@ narrow = st.integers(1, 8).flatmap(
 
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(st.sampled_from([TruncYoung, TruncKingman]), narrow, st.integers(1, 60))
+# runs longer than degree + 1, with coordinate collisions at their ends (kingman) or inside
+@example(TruncKingman, Partition([3, 1]), 40)
+@example(TruncKingman, Partition([3, 1]), 41)
+@example(TruncKingman, Partition([2, 2, 1]), 36)
+@example(TruncYoung, Partition([2, 1, 1]), 50)
+@example(TruncYoung, Partition([3, 2]), 64)
 def test_level_weights_match_dimension_times_value(family_type, lam, n):
-    # the young and kingman faces build each weight from small binomials
-    # and one constant per level; dim * value / (t)_n is the oracle
+    # the young and kingman faces build each weight from small binomials, carried along
+    # runs, and one constant per level; dim * value / (t)_n is the oracle
     assume(family_type is TruncKingman or lam.length >= 2)
     family = family_type(lam)
     scale = (-1) ** n / pochhammer(family.t, n)
@@ -311,6 +318,58 @@ def test_level_weights_match_dimension_times_value(family_type, lam, n):
     ]
     scale, values = FACES[family.face].level_weights(family, n)
     assert [(nu, scale * v) for nu, v in values] == expected
+
+
+@st.composite
+def runs_of_points(draw):
+    """(degree, coefficients, points): segments of 0 .. 3 (degree + 1) points p, p + e_l - e_(l-1),
+    ..., each joined to the one before by a continued run, a changed prefix (the last two
+    coordinates still stepping), another step, or a fresh start."""
+    degree, width = draw(st.integers(0, 8)), draw(st.integers(2, 4))
+    size = (degree + 1) * (degree + 2) // 2
+    coefficients = draw(st.lists(st.integers(-9, 9), min_size=size, max_size=size))
+    prefixes = st.lists(st.integers(0, 9), min_size=width - 2, max_size=width - 2).map(tuple)
+    points = []
+    for _ in range(draw(st.integers(1, 4))):
+        prefix, a, b = draw(prefixes), draw(st.integers(-20, 20)), draw(st.integers(-20, 20))
+        if points:
+            last, join = points[-1], draw(st.sampled_from(["run", "prefix", "step", "fresh"]))
+            steps = [(2, 2), (1, 2), (0, 1), (1, 0), (-1, -1)]
+            da, db = draw(st.sampled_from(steps)) if join == "step" else (1, 1)
+            if join != "fresh":
+                a, b = last[-2] - da, last[-1] + db
+            if join != "prefix" and join != "fresh":
+                prefix = last[:-2]
+            elif join == "prefix" and width > 2 and prefix == last[:-2]:
+                prefix = (prefix[0] + 1, *prefix[1:])
+        length = draw(st.integers(0, 3 * (degree + 1)))
+        points += [(*prefix, a - k, b + k) for k in range(length)]
+    return degree, coefficients, points
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(runs_of_points())
+@example((1, [1, 2, 3], [(0, 5, 0), (0, 4, 1), (0, 3, 2), (1, 2, 3), (1, 1, 4), (1, 0, 5)]))  # a prefix change
+@example((1, [1, 2, 3], [(5, 0), (4, 1), (3, 2), (3, 3), (2, 4), (1, 5)]))  # +1 in the last part only
+@example((2, [0, 1, 0, 0, 0, 1], [(9, 0), (8, 1), (7, 2), (6, 3), (4, 5), (3, 6), (2, 7)]))  # a double step
+@example((3, [1] * 10, []))
+def test_along_runs_matches_direct_evaluation(case):
+    degree, coefficients, points = case
+    terms = [(i, j) for i in range(degree + 1) for j in range(degree + 1 - i)]
+
+    def f(p):  # of degree <= degree in the last two coordinates; the prefix is fixed on a run
+        w = 1 + sum(p[:-2])
+        return w * sum(c * p[-2] ** i * p[-1] ** j for c, (i, j) in zip(coefficients, terms)) + w**3
+
+    seen = []
+    assert _along_runs(lambda p: seen.append(p) or f(p), degree, points) == [f(p) for p in points]
+    runs = []  # the maximal runs, each the first degree + 1 of its points evaluated
+    for p in points:
+        if runs and (*runs[-1][-1][:-2], runs[-1][-1][-2] - 1, runs[-1][-1][-1] + 1) == p:
+            runs[-1].append(p)
+        else:
+            runs.append([p])
+    assert seen == [p for run in runs for p in run[: degree + 1]]
 
 
 # ---------------------------------------------------------------------------
