@@ -372,16 +372,23 @@ def selberg_rows(graph: str, lam: Partition, mus: list[Partition]) -> list[Selbe
     is the normalized face integral, computed exactly: two alternants
     integrate to one determinant of factorials, and an alternant against
     a Pfaffian or Cauchy factor keeps only its identity term, since the
-    Dirichlet closed form is symmetric in the variables.  The family and
-    the density constant are built once.  Shapes without an exact route are rejected.
+    Dirichlet closed form is symmetric in the variables.  The family and the density
+    constant are built once, and the family's level form reads the mus of each size at
+    once, with no dims or edges.  Shapes without an exact route are rejected.
     """
     spec, face = density_spec(graph, lam), FACES[graph]
     s = getattr(lam, face.stat)
-    for mu in mus:
+    by_size: dict[int, list[int]] = {}  # the indices of the mus of each size
+    for i, mu in enumerate(mus):
         if mu.size and not face.admits(mu, s):
             raise ValueError(f"no exact route for mu = {mu} at lambda = {lam} on the {graph} face")
+        by_size.setdefault(mu.size, []).append(i)
     family, integral = face.selberg(lam, mus)
-    return [SelbergResult(graph, lam, mu, family.phi(mu), spec.constant * integral(mu)) for mu in mus]
+    phi = {}
+    for n, at in by_size.items():
+        xs, q = family.level_phi(n, [(mus[i], None, ()) for i in at])
+        phi.update((i, Fraction(x, q)) for i, x in zip(at, xs))
+    return [SelbergResult(graph, lam, mu, phi[i], spec.constant * integral(mu)) for i, mu in enumerate(mus)]
 
 
 def selberg_verify(graph: str, lam: Partition, mu: Partition) -> SelbergResult:
@@ -686,20 +693,12 @@ def _kingman_weights(family: TruncKingman, n: int) -> tuple[Fraction, list[tuple
     return c, [(nu, v // _orders(p)) for nu, p, v in weights]
 
 
-def _schur_weights(family: TruncSchur, n: int) -> tuple[Fraction, list[tuple[Partition, Fraction]]]:
-    """M_n(nu) = dim_closed_form(nu) value(nu) (-1)^n / (t)_n."""
+def _schur_weights(family: TruncSchur, n: int) -> tuple[Fraction, list[tuple[Partition, int]]]:
+    """M_n(nu) = dim_closed_form(nu) phi(nu), phi from the family's level form over 1/q."""
     vertices = level(n, family.kind, max_length=family.width)
-    values = [(nu, dim_closed_form(nu, family.kind) * family.value(nu)) for nu in vertices]
-    return (-1) ** n / pochhammer(family.t, n), values
-
-
-def _gamma_weights(family: GammaShaped, n: int) -> tuple[Fraction, list[tuple[Partition, Fraction]]]:
-    """The level measure, up to the family's degree cap."""
-    if n > family.degree_cap:
-        raise ValueError(
-            f"level {n} exceeds the family degree cap {family.degree_cap}; raise degree_cap"
-        )
-    return Fraction(1), list(level_measure(family, n).weights)
+    rows = [(nu, dim_closed_form(nu, family.kind).numerator, ()) for nu in vertices]
+    xs, q = family.level_phi(n, rows)
+    return Fraction(1, q), [(nu, d * x) for (nu, d, _), x in zip(rows, xs)]
 
 
 def _embed_hooks(nu: Partition, n: int):
@@ -777,7 +776,8 @@ FACES: dict[str, Face] = {
         accepts=lambda lam: lam.depth >= 1, needs="depth >= 1",
         # sum(p) + sum(q) - depth
         constant=gamma_density_constant, density=_gamma_density, degree=lambda lam: lam.size - 2 * lam.depth,
-        level_weights=_gamma_weights, selberg=_gamma_selberg,
+        # the level measure itself; past the degree cap the family's level form raises
+        level_weights=lambda family, n: (Fraction(1), level_measure(family, n).weights), selberg=_gamma_selberg,
         sweep=(1, 2), admits=lambda mu, s: mu.depth == s, blocks=2, stat="depth", embed=_embed_hooks,
     ),
 }

@@ -205,11 +205,15 @@ def cmd_phi(args) -> int:
 
 def cmd_measure(args) -> int:
     family = parse_family(args.family)
-    measure = level_measure(family, args.n)
+    if family.face:  # a truncated family: its face's level weights, one per vertex within the width
+        scale, values = FACES[family.face].level_weights(family, args.n)
+        weights = [(lam, scale * v) for lam, v in values]
+    else:
+        weights = level_measure(family, args.n).weights
     report = Report(command="measure")
-    for lam, weight in measure.weights:
+    for lam, weight in weights:
         report.add("measure", f"n={args.n} lambda={lam}", weight, None, True)
-    total = measure.total()
+    total = sum(w for _, w in weights)
     report.add("normalization", f"n={args.n} total", total, Fraction(1), total == 1)
     return _emit(report, args)
 

@@ -6,11 +6,12 @@ at a vertex equals the multiplicity-weighted sum over its upper covers.
 Four infinite families (two-parameter Young, its Jack deformation, the
 two-parameter Kingman family, the one-parameter strict family) are closed
 products over the boxes, read one level at a time (`level_phi`) from
-per-row tables and the sweep's dims; phi(mu) is that form at one vertex.
-Four truncated families route through the interpolation machinery and
-vanish outside a finite-width subgraph.
-A family is immutable, and equal and hashed by its type and spec string:
-by its parameters, never by the tables a truncated family fills on use.
+per-row tables and the sweep's dims.  Four truncated families vanish outside
+a finite-width (gamma: finite-depth) subgraph and read a level's phi from one
+integer table of their point, built for that level's vertices (gamma: once per
+family).  phi(mu) is a family's level form at one vertex.  A family is
+immutable, and equal and hashed by its type and spec string, that is by its
+parameters.
 """
 
 from __future__ import annotations
@@ -21,20 +22,18 @@ from math import factorial, lcm, prod
 from operator import getitem, mul
 from typing import NamedTuple
 
-from .exact import as_rational, integer_point, pochhammer
+from .exact import as_rational, integer_point
 from .graphs import GraphKind, KINGMAN, SCHUR, YOUNG, dim_closed_form, jack, sweep, top_level
 from .interp import (
     _product_series,
     falling_power,
     jacobi_trudi_det,
     monomial_tables,
-    pstar_one_row_numerators,
-    pstar_pfaffian,
-    pstar_two_row_table,
+    pstar_pfaffians,
     shifted_columns,
     shifted_schur_columns,
 )
-from .partitions import EMPTY, FrobeniusCoords, Partition, partitions_of
+from .partitions import EMPTY, FrobeniusCoords, Partition
 
 
 class FamilyError(ValueError):
@@ -86,7 +85,7 @@ class HarmonicFamily:
 
     def phi(self, mu: Partition) -> Fraction:
         """The level form at the one vertex mu, with its dim in closed form (the Jack graph
-        has none, and JackZZ reads none); a family defines this or `level_phi`."""
+        has none, and JackZZ reads none)."""
         if self.kind.strict and not mu.is_strict:
             raise FamilyError("strict-graph family evaluated at a non-strict partition")
         d = None if self.kind.name == "jack" else dim_closed_form(mu, self.kind).numerator
@@ -95,8 +94,8 @@ class HarmonicFamily:
 
     def level_phi(self, n: int, rows) -> tuple[list[int], int]:
         """phi on a level of the sweep, its rows (lam, dim(lam), edges) with dims counted from the
-        empty partition, as integer numerators over one denominator q > 0: here the family's phi
-        values, made so.  The edges are not read."""
+        empty partition, as integer numerators over one denominator q > 0; here the phi values of
+        a family that defines only `phi` (each family here has its own), made so."""
         return integer_point([self.phi(lam) for lam, _, _ in rows])
 
     def admissible(self, surrogate_level: int = 6) -> AdmissibleReport:
@@ -296,16 +295,8 @@ class SchurT(HarmonicFamily):
 
 class _FiniteWidth(HarmonicFamily):
     """A truncated family, supported on the diagrams of at most width = l(lam) rows;
-    t = |lam| + width and the point -lam - 1 unless the family sets its own."""
-
-    tables = (-1, None)  # (bound, what build made at the integer point up to it)
-
-    def _tables(self, need, build):
-        """build(point, bound), rebuilt at max(twice the bound, need, 8) when need passes it."""
-        if need > self.tables[0]:
-            bound = max(2 * self.tables[0], need, 8)
-            object.__setattr__(self, "tables", (bound, build(self.point(), bound)))
-        return self.tables[1]
+    t = |lam| + width and the point -lam - 1 unless the family sets its own.  phi(mu) is
+    (-1)^|mu| I_mu / (t)_|mu| for the family's interpolation polynomial I at the point."""
 
     @property
     def width(self) -> int:
@@ -318,25 +309,22 @@ class _FiniteWidth(HarmonicFamily):
     def point(self) -> tuple[int, ...]:
         return tuple(-p - 1 for p in self.lam.parts)
 
-    def phi(self, mu: Partition) -> Fraction:
-        """(-1)^|mu| value(mu) / (t)_|mu|, and 0 past the width."""
-        if self.kind.strict and not mu.is_strict:
-            raise FamilyError("strict-graph family evaluated at a non-strict partition")
-        if mu.length > self.width:
-            return Fraction(0)
-        return self.value(mu) * (-1) ** mu.size / pochhammer(self.t, mu.size)
+    def level_phi(self, n: int, rows) -> tuple[list[int], int]:
+        """(-1)^n I_mu / (t)_n on the rows, 0 past the width: `_interpolants` reads the rows
+        within the width, integers over one denominator, from one table of the point built
+        for exactly them.  Neither dims nor edges are read."""
+        width = self.width
+        values, den = self._interpolants([lam for lam, _, _ in rows if lam.length <= width])
+        values = iter(values)
+        xs = [next(values) if lam.length <= width else 0 for lam, _, _ in rows]
+        return _over_rising(xs, (-1) ** n * den, self.t, n)
 
     def admissible(self, surrogate_level: int = 6) -> AdmissibleReport:
         return self._surrogate_nonnegative(surrogate_level)
 
 
 class TruncYoung(_FiniteWidth):
-    """Finite-width family: shifted Schur evaluation at a reflected point.
-
-    Supported on diagrams with at most length(lam) rows; the evaluation
-    point has coordinates -lam_i - 2(l - i) - 1.  Its tables are the shifted
-    Jacobi-Trudi columns, through h*_bound.
-    """
+    """Finite-width family: shifted Schur evaluation at the reflected point -lam_i - 2(l - i) - 1."""
 
     kind, face = YOUNG, "young"
 
@@ -353,15 +341,14 @@ class TruncYoung(_FiniteWidth):
         l = self.width
         return tuple(-self.lam.part(i) - 2 * (l - i) - 1 for i in range(1, l + 1))
 
-    def value(self, mu: Partition) -> Fraction:
-        """s*_mu at the point by the shifted Jacobi-Trudi determinant, the one s*
-        route, over the family's columns; phi is (-1)^|mu| value / (t)_|mu|."""
-        if mu.length > self.width:
-            return Fraction(0)
-        build = lambda xs, bound: shifted_schur_columns(xs, 1, self.width, bound)
-        return Fraction(jacobi_trudi_det(mu, self._tables(mu.part(1) + mu.length - 1, build)))
+    phi, level_phi = HarmonicFamily.phi, _FiniteWidth.level_phi  # each family's own, as for `phi`
 
-    phi = _FiniteWidth.phi
+    def _interpolants(self, mus: list[Partition]) -> tuple[list[int], int]:
+        """s*_mu at the point, each a shifted Jacobi-Trudi determinant (the one s* route) over
+        the point's columns through max(mu_1 + l(mu) - 1), the highest index the mus read."""
+        count = max([0, *(mu.part(1) + mu.length - 1 for mu in mus)])
+        columns = shifted_schur_columns(self.point(), 1, self.width, count)
+        return [jacobi_trudi_det(mu, columns) for mu in mus], 1
 
     def spec_string(self) -> str:
         return f"trunc-young:lambda={self.lam}"
@@ -402,16 +389,17 @@ class GammaShaped(HarmonicFamily):
     def t(self) -> Fraction:
         return Fraction(self.fc.size)
 
-    def phi(self, mu: Partition) -> Fraction:
-        if mu.depth > self.depth:
-            return Fraction(0)
-        if mu.size > self.degree_cap:
-            raise FamilyError(
-                f"degree cap {self.degree_cap} exceeded at |mu| = {mu.size}; raise degree_cap"
-            )
-        n, t = mu.size, self.fc.size
-        d = jacobi_trudi_det(mu, self.columns)
-        return Fraction((-1) ** n * d, prod(range(t, t + n)))
+    phi = HarmonicFamily.phi
+
+    def level_phi(self, n: int, rows) -> tuple[list[int], int]:
+        """(-1)^n D / (t)_n on the rows, 0 past the depth; a level past the degree cap is a
+        FamilyError if it has a vertex within the depth.  Neither dims nor edges are read."""
+        depth, columns = self.depth, self.columns
+        within = [lam.depth <= depth for lam, _, _ in rows]
+        if n > self.degree_cap and any(within):
+            raise FamilyError(f"degree cap {self.degree_cap} exceeded at |mu| = {n}; raise degree_cap")
+        xs = [jacobi_trudi_det(lam, columns) if ok else 0 for (lam, _, _), ok in zip(rows, within)]
+        return _over_rising(xs, (-1) ** n, self.fc.size, n)
 
     def admissible(self, surrogate_level: int = 6) -> AdmissibleReport:
         return self._surrogate_nonnegative(min(surrogate_level, self.degree_cap))
@@ -421,8 +409,7 @@ class GammaShaped(HarmonicFamily):
 
 
 class TruncKingman(_FiniteWidth):
-    """Finite-width family: factorial monomial evaluation at -lam - 1, read from one m*
-    table of the point over the partitions of at most width rows up to the bound."""
+    """Finite-width family: factorial monomial evaluation at -lam - 1."""
 
     kind, face = KINGMAN, "kingman"
 
@@ -431,23 +418,19 @@ class TruncKingman(_FiniteWidth):
             raise FamilyError("truncated Kingman family needs a nonempty partition")
         object.__setattr__(self, "lam", lam)
 
-    def value(self, mu: Partition) -> Fraction:
-        """m*_mu at the integer point, 0 past the width; phi is (-1)^|mu| value / (t)_|mu|."""
-        shapes = lambda bound: (nu for n in range(bound + 1) for nu in partitions_of(n, self.width))
-        build = lambda xs, bound: monomial_tables(shapes(bound))(xs, falling_power(1))
-        return Fraction(self._tables(mu.size, build).get(mu.parts, 0))
+    phi, level_phi = HarmonicFamily.phi, _FiniteWidth.level_phi
 
-    phi = _FiniteWidth.phi
+    def _interpolants(self, mus: list[Partition]) -> tuple[list[int], int]:
+        """m*_mu at the point, from one table over the closure of the mus."""
+        table = monomial_tables(mus)(self.point(), falling_power(1))
+        return [table[mu.parts] for mu in mus], 1
 
     def spec_string(self) -> str:
         return f"trunc-kingman:lambda={self.lam}"
 
 
 class TruncSchur(_FiniteWidth):
-    """Finite-width strict family: factorial Schur P at the integer point -lam - 1, each mu
-    read (past length 2 as an integer Pfaffian) from the `interp` one-row numerators and
-    two-row table of the point up to degree the bound, so P*_mu is that integer over
-    2^l(mu); table entries do not depend on the bound."""
+    """Finite-width strict family: factorial Schur P at the integer point -lam - 1."""
 
     kind, face = SCHUR, "schur"
 
@@ -456,13 +439,14 @@ class TruncSchur(_FiniteWidth):
             raise FamilyError("truncated strict family needs a nonempty strict partition")
         object.__setattr__(self, "lam", lam)
 
-    phi = _FiniteWidth.phi
+    phi, level_phi = HarmonicFamily.phi, _FiniteWidth.level_phi
 
-    def value(self, mu: Partition) -> Fraction:
-        """P*_mu at the point; phi is (-1)^|mu| value / (t)_|mu|."""
-        # at an integer point (Q = 1): the one-row numerators, and the two-row table from them
-        build = lambda xs, n: (d := pstar_one_row_numerators(xs, n)[0], pstar_two_row_table(d, 1, n))
-        return Fraction(pstar_pfaffian(mu, *self._tables(mu.part(1) + mu.part(2), build)), 2**mu.length)
+    def _interpolants(self, mus: list[Partition]) -> tuple[list[int], int]:
+        """P*_mu at the point from one P* table through max(mu_1 + mu_2) (`pstar_pfaffians`, Q = 1
+        at an integer point): an integer over 2^l(mu), brought to one denominator 2^max(l(mu))."""
+        xs, _ = pstar_pfaffians(mus, self.point())
+        top = max([0, *(mu.length for mu in mus)])
+        return [x << top - mu.length for mu, x in zip(mus, xs)], 2**top
 
     def spec_string(self) -> str:
         return f"trunc-schur:lambda={self.lam}"

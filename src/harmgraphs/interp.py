@@ -19,7 +19,7 @@ factorial monomial (Kingman side) and factorial Schur P (strict side):
   (`monomial_tables`), m with ordinary powers and m* with falling ones;
 * factorial Schur P: one-row series -> two-row table -> Pfaffian, on integer
   numerators D_m = 2 Q^m P*_(m) and T_(p,k) = 4 Q^(p+k) P*_(p,k); the integer
-  Pfaffian is Q^|mu| Q*_mu = 2^l(mu) Q^|mu| P*_mu.  `pstar_values` builds one
+  Pfaffian is Q^|mu| Q*_mu = 2^l(mu) Q^|mu| P*_mu.  `pstar_pfaffians` builds one
   list and one table per point or functional for a set of shapes and reads
   every mu from them: lengths up to 2 directly, longer mu as a Pfaffian.
 
@@ -400,13 +400,20 @@ def pstar_pfaffian(mu: Partition, one_row: Sequence[int], table) -> int:
     return integer_pfaffian(rows)
 
 
-def pstar_values(shapes: Sequence[Partition], source) -> dict[Partition, Fraction]:
-    """P* of each strict shape under one point or functional: one one-row list and one
-    two-row table, sized by the largest mu_1 + mu_2, and each value one Fraction."""
+def pstar_pfaffians(shapes: Sequence[Partition], source) -> tuple[list[int], int]:
+    """([Q^|mu| Q*_mu for each strict shape], Q) under one point or functional, from one
+    one-row list and one two-row table sized by the largest mu_1 + mu_2: P*_mu is that
+    integer over 2^l(mu) Q^|mu|."""
     bound = max((mu.part(1) + mu.part(2) for mu in shapes), default=0)
     one_row, q = pstar_one_row_numerators(source, bound)
     table = pstar_two_row_table(one_row, q, bound)
-    return {mu: Fraction(pstar_pfaffian(mu, one_row, table), 2**mu.length * q**mu.size) for mu in shapes}
+    return [pstar_pfaffian(mu, one_row, table) for mu in shapes], q
+
+
+def pstar_values(shapes: Sequence[Partition], source) -> dict[Partition, Fraction]:
+    """P* of each strict shape under one point or functional (`pstar_pfaffians`), each one Fraction."""
+    xs, q = pstar_pfaffians(shapes, source)
+    return {mu: Fraction(x, 2**mu.length * q**mu.size) for mu, x in zip(shapes, xs)}
 
 
 def pstar_eval(mu: Partition, source) -> Fraction:

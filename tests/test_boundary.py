@@ -4,6 +4,7 @@ import pytest
 
 from harmgraphs import boundary
 from harmgraphs.boundary import (
+    FACES,
     ConvergenceReport,
     ThomaPoint,
     convergence_experiment,
@@ -18,7 +19,7 @@ from harmgraphs.boundary import (
 from harmgraphs.cli import _selberg_sweep
 from harmgraphs.exact import quotient_pfaffian, round_bits
 from harmgraphs.graphs import KINGMAN, YOUNG, covers_up, edge_multiplicity
-from harmgraphs.harmonic import GammaShaped, TruncKingman, TruncSchur, TruncYoung
+from harmgraphs.harmonic import GammaShaped, TruncKingman, TruncSchur, TruncYoung, level_measure
 from harmgraphs.interp import jacobi_trudi
 from harmgraphs.partitions import Partition, partitions_of, partitions_up_to
 from oracles import (
@@ -411,6 +412,28 @@ def test_convergence_rows_match_the_fraction_loop(family, ns, gap):
         assert row.interior_points == interior
         assert row.max_ratio_error == round_bits(round_bits(err, 128), 53)
         assert row.binned_distance == round_bits(distance, 128)
+
+
+@pytest.mark.parametrize(
+    "family,top",
+    [
+        (TruncYoung(P([2, 1, 1])), 30),
+        (TruncKingman(P([2, 1, 1])), 30),
+        (TruncSchur(P([3, 1])), 30),
+        (GammaShaped.from_partition(P([2, 1]), degree_cap=12), 12),
+    ],
+    ids=str,
+)
+def test_face_level_weights_are_the_nonzero_level_measure(family, top):
+    # `measure` prints a truncated family's face weights: the sweep within the width, one
+    # level form per level, is the oracle (the gamma face has no width, and keeps its zeros)
+    level_weights = FACES[family.face].level_weights
+    for n in range(top + 1):
+        scale, values = level_weights(family, n)
+        measure = level_measure(family, n, max_length=getattr(family, "width", None))
+        face = [(nu, scale * v) for nu, v in values]
+        assert [row for row in face if row[1]] == [row for row in measure.weights if row[1]]
+        assert all(w for _, w in face) or family.face == "gamma"
 
 
 def test_convergence_evaluates_only_the_heads_of_runs(monkeypatch):

@@ -504,14 +504,35 @@ def test_kernels_fill_one_m_table_per_point(monkeypatch, capsys):
     assert counts["closures"] == 1 and counts["tables"] == 4
 
 
-def test_selberg_kingman_sweep_fills_one_table_per_family(monkeypatch, capsys):
-    # every face partition of size <= 6 and length 1 to 3 is one TruncKingman
+def test_selberg_kingman_sweep_fills_one_table_per_family_and_size(monkeypatch, capsys):
+    # every face partition of size <= 6 and length 1 to 3 is one TruncKingman, whose level
+    # form reads its mus of each size 0 to 6 from one m* closure of them
     counts = _count_monomial_tables(monkeypatch, harmonic)
     code, out, _ = run(capsys, "verify", "selberg", "--graph", "kingman", "--max-size", "6")
     assert code == EXIT_OK and "0 failed" in out
     families = [lam for n in range(1, 7) for lam in partitions_of(n) if lam.length <= 3]
-    assert counts["closures"] == counts["tables"] == len(families) == 22
-    assert sorted(counts["points"]) == sorted(tuple(-p - 1 for p in lam.parts) for lam in families)
+    assert counts["closures"] == counts["tables"] == 7 * len(families) == 7 * 22
+    assert sorted(counts["points"]) == sorted(7 * [tuple(-p - 1 for p in lam.parts) for lam in families])
+
+
+def test_trunc_kingman_harmonicity_builds_one_closure_per_level(monkeypatch):
+    counts = _count_monomial_tables(monkeypatch, harmonic)
+    assert harmonic.check_harmonicity(harmonic.parse_family("trunc-kingman:lambda=2+1+1"), 8).ok
+    assert counts["closures"] == counts["tables"] == 9  # levels 0 to 8
+
+
+@pytest.mark.parametrize(
+    "family,n,rows", [("trunc-kingman:lambda=2+1+1", "60", 331), ("trunc-young:lambda=3+1", "2000", 1001)]
+)
+def test_truncated_measure_reads_its_face(family, n, rows):
+    # the face's level weights, one row per vertex within the width: the sweep over every
+    # partition of n ran out of memory at n = 60
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    argv = ["-m", "harmgraphs.cli", "measure", "--family", family, "--n", n]
+    out = subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == EXIT_OK, out.stderr
+    assert out.stdout.count(f"PASS  measure  n={n} lambda=") == rows and "0 failed" in out.stdout
 
 
 @pytest.mark.parametrize(

@@ -39,6 +39,16 @@ GOLDEN = [
      "834c354a1c9fcfc3d91a10389e5688eac434af6f1f6be264b6c8d2dae23e2ec9"),
     ("measure --family young-zz:e=1,t=5/4 --n 7", EXIT_OK,
      "9a9e17b0363402dd6fd62a992e0c741eba6b62dbfafe52516868c04a12d69973"),
+    # a truncated family's measure is its face's level weights, one row per vertex within the
+    # width (the gamma face's weights are the level measure itself, zeros past the depth kept)
+    ("measure --family trunc-young:lambda=2+1 --n 8", EXIT_OK,
+     "af0c68014afe6ac5f1ab19857e7355d0105aac44930a97059638b621c999614e"),
+    ("measure --family trunc-kingman:lambda=2+1+1 --n 8", EXIT_OK,
+     "394a789de5898ade9b630477ac8e83c838da913937018f867864d61b1f543c05"),
+    ("measure --family trunc-schur:lambda=3+1 --n 10", EXIT_OK,
+     "d5bb8b9c678f84bf5ba9745e326f5879f0946e713fec632b20fbe34821b86a17"),
+    ("measure --family gamma:lambda=2+1,cap=8 --n 8", EXIT_OK,
+     "031b09df9497c78785cdd761610ceacec71a0844fbbdd57570b27ab677aaeaf3"),
     ("dims --kind jack(1/2) --level 6", EXIT_OK,
      "eb8f0087342c8eb5536499f6a0a09533c05812766d3a75143a4eda85628b6535"),
     ("dims --kind kingman --level 7 --max-length 3", EXIT_OK,

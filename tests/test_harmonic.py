@@ -4,7 +4,8 @@ from fractions import Fraction as F
 import pytest
 
 from harmgraphs import cli
-from harmgraphs.boundary import ThomaPoint
+from harmgraphs import boundary
+from harmgraphs.boundary import FACES, ThomaPoint, convergence_experiment, selberg_rows
 from harmgraphs.exact import RationalMatrix, pochhammer
 from harmgraphs.graphs import YOUNG, GraphKind, dim, jack
 from harmgraphs.harmonic import (
@@ -366,19 +367,54 @@ def test_values_families_and_reports_pickle():
         assert again == value and type(again) is type(value)
         with pytest.raises(AttributeError):
             again.parts = ()
-    # the Jacobi-Trudi columns and the m* table a truncated family fills on use travel
-    # with it, and neither equality nor the hash sees them
+    # a truncated family travels as its parameters, and evaluates alike on the other side
     for fam in (TruncYoung(P([2, 1])), TruncKingman(P([2, 1]))):
-        fam.phi(P([3, 1]))
-        bound, tables = fam.tables
-        assert bound >= 4 and tables
         again = pickle.loads(pickle.dumps(fam))
-        assert again == fam and again.tables == fam.tables
-        assert again == type(fam)(fam.lam) and hash(again) == hash(type(fam)(fam.lam))
+        assert again == fam and again == type(fam)(fam.lam) and hash(again) == hash(type(fam)(fam.lam))
         assert [again.phi(mu) for mu in partitions_of(5)] == [fam.phi(mu) for mu in partitions_of(5)]
         report = check_harmonicity(fam, 5)
         assert pickle.loads(pickle.dumps(report)) == report
     assert pickle.loads(pickle.dumps(GammaShaped.from_partition(P([2, 1])))).depth == 1
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        TruncYoung(P([2, 1])),
+        TruncKingman(P([2, 1, 1])),
+        TruncSchur(P([3, 1])),
+        GammaShaped.from_partition(P([2, 1]), degree_cap=6),
+    ],
+    ids=str,
+)
+def test_families_carry_no_hidden_state(monkeypatch, family):
+    # a family is a value: evaluating it, checking it, integrating against it and sweeping its
+    # measure leave its attributes and its pickle as they were (the Selberg rows read this family)
+    face = FACES[family.face]
+    selberg = lambda lam, mus: (family, face.selberg(lam, mus)[1])
+    monkeypatch.setitem(boundary.FACES, family.face, face._replace(selberg=selberg))
+    s = getattr(family.lam, face.stat)
+    mus = [mu for mu in partitions_up_to(5) if not mu.size or face.admits(mu, s)]
+    before = dict(vars(family)), len(pickle.dumps(family))
+    family.phi(P([2, 1]))
+    assert check_harmonicity(family, 6).ok
+    assert all(row.equal for row in selberg_rows(family.face, family.lam, mus))
+    convergence_experiment(family, [5, 6])
+    assert (vars(family), len(pickle.dumps(family))) == before
+
+
+def test_gamma_level_form_keeps_the_depth_and_cap_rules():
+    # a vertex past the depth reads 0 at any level; a level past the cap raises only if it
+    # has a vertex within the depth, and a sweep past the cap raises at its first such level
+    family = GammaShaped.from_partition(P([2, 1]), degree_cap=3)
+    assert family.depth == 1
+    assert family.phi(P([2, 2])) == 0
+    assert family.level_phi(4, [(P([2, 2]), None, ()), (P([3, 3]), None, ())])[0] == [0, 0]
+    with pytest.raises(FamilyError, match=r"^degree cap 3 exceeded at \|mu\| = 4; raise degree_cap$"):
+        family.phi(P([3, 1]))
+    with pytest.raises(FamilyError, match=r"^degree cap 3 exceeded at \|mu\| = 4; raise degree_cap$"):
+        check_harmonicity(family, 4)
+    assert check_harmonicity(family, 3).ok
 
 
 def test_lattice_bounds_monotone():

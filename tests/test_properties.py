@@ -179,9 +179,12 @@ def truncated_young_shapes(draw):
 @given(truncated_young_shapes())
 def test_truncated_young_value_matches_the_bialternant(case):
     # the reflected point's shifted coordinates -lam_i - (l - i) - 1 are distinct
+    # and the level form, times (-1)^|mu| (t)_|mu|, is s*_mu there
     lam, mu = case
     family = TruncYoung(lam)
-    assert family.value(mu) == shifted_schur_bialternant(mu, family.point())
+    (x,), q = family.level_phi(mu.size, [(mu, None, ())])
+    value = F(x, q) * (-1) ** mu.size * pochhammer(family.t, mu.size)
+    assert value == shifted_schur_bialternant(mu, family.point())
 
 
 @PROPERTY
@@ -308,14 +311,12 @@ narrow = st.integers(1, 8).flatmap(
 @example(TruncYoung, Partition([3, 2]), 64)
 def test_level_weights_match_dimension_times_value(family_type, lam, n):
     # the young and kingman faces build each weight from small binomials, carried along
-    # runs, and one constant per level; dim * value / (t)_n is the oracle
+    # runs, and one constant per level; dim * phi, phi from the family's level form, is the oracle
     assume(family_type is TruncKingman or lam.length >= 2)
     family = family_type(lam)
-    scale = (-1) ** n / pochhammer(family.t, n)
-    expected = [
-        (nu, dim_closed_form(nu, family.kind) * family.value(nu) * scale)
-        for nu in level(n, family.kind, max_length=family.width)
-    ]
+    rows = [(nu, None, ()) for nu in level(n, family.kind, max_length=family.width)]
+    xs, q = family.level_phi(n, rows)
+    expected = [(nu, dim_closed_form(nu, family.kind) * F(x, q)) for (nu, _, _), x in zip(rows, xs)]
     scale, values = FACES[family.face].level_weights(family, n)
     assert [(nu, scale * v) for nu, v in values] == expected
 
@@ -719,14 +720,17 @@ def test_finite_family_is_harmonic_with_unit_mass(family):
     st.sampled_from(["drawn", "largest first", "smallest first"]),
 )
 def test_trunc_schur_table_serves_mu_in_any_order(lam, part_sets, order):
-    # one family rebuilds its table as the bound grows; each value must match
-    # a table built for that mu alone, and the table stays out of == and hash
+    # the level form reads any mix of mu from one table built for them all; each value must
+    # match a table built for that mu alone.  The table does not depend on the level n, which
+    # only brings the factor (-1)^n / (t)_n, undone here
     mus = [Partition(sorted(parts, reverse=True)) for parts in part_sets]
     if order != "drawn":
         mus.sort(key=lambda mu: mu.part(1) + mu.part(2), reverse=order == "largest first")
     family = TruncSchur(lam)
-    for mu in mus:
-        assert family.value(mu) == pstar_eval(mu, family.point())
+    n = max(mu.size for mu in mus)
+    xs, q = family.level_phi(n, [(mu, None, ()) for mu in mus])
+    factor = (-1) ** n * pochhammer(family.t, n)
+    assert [F(x, q) * factor for x in xs] == [pstar_eval(mu, family.point()) for mu in mus]
     assert family == TruncSchur(lam) and hash(family) == hash(TruncSchur(lam))
 
 

@@ -12,6 +12,8 @@ from pathlib import Path
 
 import pytest
 
+from harmgraphs import harmonic
+
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
@@ -37,3 +39,17 @@ def test_every_traced_name_resolves(where):
     for part in path:
         owner = getattr(owner, part)
     assert callable(vars(owner)[attr])
+
+
+def test_every_family_defines_its_own_level_form():
+    # the base `level_phi` reads phi one vertex at a time, for a family that defines only
+    # `phi`; each family here reads a level at once, and binds `phi` where the tracer wraps it
+    families = [
+        cls for name, cls in vars(harmonic).items()
+        if isinstance(cls, type) and issubclass(cls, harmonic.HarmonicFamily)
+        and cls is not harmonic.HarmonicFamily and not name.startswith("_")
+    ]
+    assert len(families) == 8
+    for cls in families:
+        assert {"phi", "level_phi"} <= vars(cls).keys(), cls.__name__
+        assert vars(cls)["level_phi"] is not harmonic.HarmonicFamily.level_phi, cls.__name__
