@@ -26,13 +26,16 @@ Each face (young, kingman, schur, gamma) is one `Face` record in the
 λ check, width, density, vertex embedding, level weights, Selberg setup
 and sweep, and width-2 density polynomial.  A density is the constant times
 F(X) / Q^degree(λ) at a point X/Q, F one form on the integer numerators, so
-`convergence_experiment` needs one rational scale per level.  A face's density
-takes a list of points in level order and returns their forms (`density_value`
-passes one).  On the young and kingman faces F and the level weights are
-polynomials of degree(λ) in ν, so `_along_runs` evaluates them only at the first
-degree(λ) + 1 points of each run ν, ν + e_l − e_(l−1), ... and carries them along
-the rest by forward differences; the convergence loop gathers a level's interior
-vertices first and asks for their forms once.
+`convergence_experiment` needs one rational scale per level.  A face's level
+weights are a stream of runs (start, length, diffs): the vertices start,
+start + e_l − e_(l−1), ..., and the forward differences of their values at
+start.  On the young and kingman faces a run is one prefix ν_1 ... ν_(l-2) of
+`partitions.level_runs`, and F and the level weight are polynomials of
+degree(λ) along it, so a level's mass and its width-2 bins are closed-form run
+sums, and the interior test, linear in the run index, selects one interval,
+the only place where weights and forms are walked vertex by vertex (the
+kingman face parts each run's first and last vertex off as runs of one).  On
+the schur and gamma faces each vertex is a run of one, read by the same loop.
 """
 
 from __future__ import annotations
@@ -40,9 +43,9 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate, permutations
-from math import comb, factorial, lcm, prod
-from operator import add
+from itertools import permutations
+from math import comb, factorial, prod
+from operator import add, mul, sub
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .exact import as_rational, integer_det, integer_point, pochhammer, quotient_pfaffian, round_bits
@@ -53,10 +56,9 @@ from .harmonic import (
     TruncKingman,
     TruncSchur,
     TruncYoung,
-    level_measure,
 )
 from .interp import complete_numerators, jacobi_trudi_det, monomial_tables
-from .partitions import Partition
+from .partitions import Partition, level_runs
 from .series import Poly, poly_add, poly_eval, poly_integral, poly_mul, poly_scale, poly_sub
 
 
@@ -213,43 +215,18 @@ def density_value(spec: DensitySpec, point) -> Fraction:
         shape, given = (";".join(map(str, counts)) for counts in (want, got))
         raise ValueError(f"the {spec.graph} face has {shape} coordinates, got {given}")
     xs, q = integer_point(sum(blocks, ()))
-    [form] = face.density(spec.lam)([xs])
-    return spec.constant * form / Fraction(q) ** face.degree(spec.lam)
-
-
-def _along_runs(f: Callable, degree: int, points) -> list:
-    """f at each integer tuple in points, f of degree at most `degree` along every run:
-    consecutive points p, p + e_l - e_(l-1), equal but in their last two coordinates (so a
-    point has at least two, or the list one point).  f is evaluated at the first degree + 1
-    points of a run and at no other; forward differences carry it along the rest, one add
-    per degree per point."""
-    breaks = [
-        i for i, (p, r) in enumerate(zip(points, points[1:]), 1)
-        if p[-1] + 1 != r[-1] or p[-2] != r[-2] + 1 or p[:-2] != r[:-2]
-    ]
-    out = []
-    for start, end in zip([0, *breaks], [*breaks, len(points)]):
-        out += map(f, points[start : min(end, start + degree + 1)])
-        if end - start > degree + 1:
-            # Delta^(degree - k) f at the k-th of the last degree + 1 points, k = 0 .. degree
-            diagonal = out[-degree - 1 :]
-            for j in range(degree, 0, -1):
-                diagonal[:j] = [b - a for a, b in zip(diagonal, diagonal[1 : j + 1])]
-            for _ in range(end - start - degree - 1):
-                diagonal = list(accumulate(diagonal))
-                out.append(diagonal[-1])
-    return out
+    return spec.constant * face.density(spec.lam)(xs) / Fraction(q) ** face.degree(spec.lam)
 
 
 def _young_density(lam: Partition):
-    a, degree = _plus_staircase(lam, lam.length), FACES["young"].degree(lam)
+    a = _plus_staircase(lam, lam.length)
     # s_lam * V^2 = alternant * V, which also holds at coordinate collisions
-    return lambda points: _along_runs(lambda xs: _alternant(xs, a) * _vandermonde(xs), degree, points)
+    return lambda xs: _alternant(xs, a) * _vandermonde(xs)
 
 
 def _kingman_density(lam: Partition):
     table = monomial_tables([lam])  # one closure for every point
-    return lambda points: _along_runs(lambda xs: table(xs, pow)[lam.parts], lam.size, points)  # m_lam
+    return lambda xs: table(xs, pow)[lam.parts]  # m_lam
 
 
 def _schur_density(lam: Partition, xs) -> Fraction:
@@ -262,7 +239,7 @@ def _schur_density(lam: Partition, xs) -> Fraction:
 
 def _gamma_density(lam: Partition):
     fc, d = lam.frobenius(), lam.depth  # a point is the alpha block, then the beta block
-    return lambda points: [_alternant(x[:d], fc.p) * _alternant(x[d:], fc.q) * _cauchy(x[:d], x[d:]) for x in points]
+    return lambda x: _alternant(x[:d], fc.p) * _alternant(x[d:], fc.q) * _cauchy(x[:d], x[d:])
 
 
 # ---------------------------------------------------------------------------
@@ -561,12 +538,16 @@ def convergence_experiment(
     separated by at least interior_fraction * n; near the diagonal the
     density degenerates (squared Vandermonde) and the pointwise ratio
     has no limit, so those vertices are excluded from the ratio check.
+    Each level is read as the face's runs, one at a time: the mass and the
+    bins are closed-form run sums, and only the interior interval of a run
+    is walked vertex by vertex.
     """
     if family.face is None:
         raise ValueError("convergence experiments need a truncated family")
     face = FACES[family.face]
     spec = density_spec(family.face, family.lam)
     l, interior_fraction = spec.face_dim, as_rational(interior_fraction)
+    degree, form = face.degree(spec.lam), face.density(spec.lam)
     # the binned distance integrates the density polynomial of a width-2 face
     # over the bins [(r + i)/2r, (r + i + 1)/2r) of alpha_1 in [1/2, 1]
     binned = l == 2 and face.polynomial is not None
@@ -574,46 +555,44 @@ def convergence_experiment(
         anti = poly_integral(poly_scale(face.polynomial(spec.lam), spec.constant))
         edges = [poly_eval(anti, Fraction(resolution + i, 2 * resolution)) for i in range(resolution + 1)]
         exact_bins = [right - left for left, right in zip(edges, edges[1:])]
-    forms_at = face.density(spec.lam)
     rows = []
     for n in sorted(int(n) for n in n_values):
-        scale, values = face.level_weights(family, n)
-        # M_n = unit * w on the support, each w an integer over one denominator
-        den = lcm(*(v.denominator for _, v in values))
-        support = [(nu, v.numerator * (den // v.denominator)) for nu, v in values if v]
-        unit = scale / den
-        # every vertex embeds over one q, so M_n n^(l-1) / density at X/q is k w / F(X);
-        # |ratio - 1| is kept as an integer numerator and denominator: the maximum is exact
-        q = face.embed(support[0][0], n)[1]
-        k = unit * n ** (l - 1) * Fraction(q) ** face.degree(spec.lam) / spec.constant
+        # M_n = scale * v on each vertex; every vertex embeds over one q, so
+        # M_n n^(l-1) / density at X/q is k v / F(X); |ratio - 1| is kept as an
+        # integer numerator and denominator: the maximum is exact
+        scale, runs = face.level_weights(family, n)
+        q = face.embed((), n)[1]
+        k = scale * n ** (l - 1) * Fraction(q) ** degree / spec.constant
+        gap = -(-interior_fraction.numerator * n // interior_fraction.denominator)  # the least x >= fraction * n
+        # bin i holds the vertices whose first coordinate x has lows[i] <= x < lows[i + 1]
+        lows = [-(-(resolution + i) * q // (2 * resolution)) for i in range(resolution)]
         bins = [0] * resolution
-        gap = interior_fraction.numerator * n
-        inner, points = [], []  # the interior vertices' weights and points, in level order
-        for nu, w in support:
-            xs, _, blocks = face.embed(nu, n)
-            if binned:
-                i = 2 * resolution * xs[0] // q - resolution
-                bins[min(i, resolution - 1)] += w
-            if sum(map(len, blocks)) == l and _rows_separated(blocks, gap, interior_fraction.denominator):
-                inner.append(w)
-                points.append(xs)
-        err, err_den = 0, 1
-        interior = 0
-        for w, form in zip(inner, forms_at(points)):
-            if form > 0:
-                a = k.denominator * form.numerator
-                e = abs(k.numerator * w * form.denominator - a)
-                if e * err_den > err * a:
-                    err, err_den = e, a
-                interior += 1
+        support = total = interior = err = 0
+        err_den = 1
+        for start, m, diffs in runs:
+            support += m if diffs[0] else 0  # a run carries mass at every vertex or at none
+            total += _run_sum(diffs, m)
+            xs, _, blocks = face.embed(start, n)
+            if binned:  # at width 2 the first coordinate is xs[0] - j: each bin is one interval of the run
+                sums = [_run_sum(diffs, min(max(xs[0] - x + 1, 0), m)) for x in lows] + [0]
+                bins = [c + a - b for c, a, b in zip(bins, sums, sums[1:])]
+            inner = _interior(blocks, gap, m) if sum(map(len, blocks)) == l else range(0)
+            forms = _differences(form(_step(xs, j)) for j in inner[: degree + 1])
+            for _, w, f in zip(inner, _walk(diffs, inner.start), _walk(forms, 0)):
+                if f > 0:
+                    a = k.denominator * f.numerator
+                    e = abs(k.numerator * w * f.denominator - a)
+                    if e * err_den > err * a:
+                        err, err_den = e, a
+                    interior += 1
         distance = Fraction(0)
         if binned:
-            distance = sum((abs(unit * c - b) for c, b in zip(bins, exact_bins)), Fraction(0))
+            distance = sum((abs(scale * c - b) for c, b in zip(bins, exact_bins)), Fraction(0))
         rows.append(
             ConvergenceRow(
                 n=n,
-                support_size=len(support),
-                mass_is_one=unit * sum(w for _, w in support) == 1,
+                support_size=support,
+                mass_is_one=scale * total == 1,
                 interior_points=interior,
                 # rounded to exact.DEFAULT_PRECISION bits (round_bits' default, the
                 # precision format_bigfloat tags) and then to 53: the ratio error the
@@ -626,39 +605,75 @@ def convergence_experiment(
     return ConvergenceReport(family.spec_string(), tuple(rows), ratio_tolerance)
 
 
-def _rows_separated(blocks, gap: int, q: int) -> bool:
-    """Interior test for blocks that fill the face, at gap = p n for the fraction p/q:
-    each block ends at an x with q x >= gap and has consecutive differences d with q d >= gap
-    (the density degenerates at coordinate collisions, so those carry no pointwise limit).
-    Plain loops: it runs once per vertex, and nested generators cost three times as much."""
-    for block in blocks:
-        if not block or q * block[-1] < gap:
-            return False
-        for a, b in zip(block, block[1:]):
-            if q * (a - b) < gap:
-                return False
-    return True
+def _step(p, j: int) -> tuple[int, ...]:
+    """The j-th vertex of the run from p: p + j (e_l - e_(l-1))."""
+    return (*p[:-2], p[-2] - j, p[-1] + j) if j else p
 
 
-# The level measure of a truncated family on its face, as a scale and one value per
-# level-n vertex of width at most l: M_n(nu) = scale * value.  Docstrings write (x)_k for
-# the rising factorial, V(x) = prod_{i<j} (x_i - x_j), l for the face width, and pad
-# nu with zeros to length l.
-
-def _level_runs(family: HarmonicFamily, n: int, weight: Callable) -> tuple[Fraction, Iterator]:
-    """c_n = n!/(t)_n, and (nu, the parts p of nu padded to length l, weight(p)) for each
-    level-n vertex nu of at most l rows, the weight a polynomial of the face degree in p,
-    carried along runs.  On the young and kingman faces t is a positive integer, so
-    c_n = (t-1)!/(n+1)_(t-1) is a small fraction and every weight is c_n times a small
-    integer; no factorial of n forms."""
-    t, l = int(family.t), family.width
-    vertices = level(n, family.kind, max_length=l)
-    points = [nu.parts + (0,) * (l - len(nu.parts)) for nu in vertices]
-    weights = _along_runs(weight, FACES[family.face].degree(family.lam), points)
-    return factorial(t - 1) / pochhammer(n + 1, t - 1), zip(vertices, points, weights)
+def _differences(values) -> list:
+    """Delta^k f(0) for k < len(values), from the values f(0), f(1), ...."""
+    out = list(values)
+    for k in range(1, len(out)):
+        out[k:] = map(sub, out[k:], out[k - 1 : -1])
+    return out
 
 
-def _young_weights(family: TruncYoung, n: int) -> tuple[Fraction, list[tuple[Partition, int]]]:
+def _jump(diffs, s: int) -> list:
+    """Delta^k f(s) = sum_i C(s, i) Delta^(k + i) f(0) for k < len(diffs): exact at every
+    s < len(diffs), and everywhere when f has degree below len(diffs)."""
+    binomials = [comb(s, i) for i in range(len(diffs))]
+    return [sum(map(mul, binomials, diffs[k:])) for k in range(len(diffs))]
+
+
+def _walk(diffs, s: int) -> Iterator:
+    """f(s), f(s + 1), ..., one add per difference per step."""
+    column = _jump(diffs, s)[::-1]  # Delta^K f(x) down to f(x), at the current x
+    while True:
+        yield column[-1]
+        column = [column[0], *map(add, column[1:], column)]  # Delta^i f(x + 1) = Delta^i f(x) + Delta^(i+1) f(x)
+
+
+def _run_sum(diffs, e: int) -> int:
+    """f(0) + ... + f(e - 1) = sum_k Delta^k f(0) C(e, k + 1)."""
+    return sum(d * comb(e, k) for k, d in enumerate(diffs, 1))
+
+
+def run_vertices(runs: Iterable[tuple]) -> Iterator[tuple[Partition, int]]:
+    """Each vertex of the runs, as a partition, with its value, in level order."""
+    for start, m, diffs in runs:
+        for j, v in zip(range(m), _walk(diffs, 0)):
+            yield Partition._trusted(tuple(filter(None, _step(start, j)))), v
+
+
+def _interior(blocks, gap: int, m: int) -> range:
+    """The indices j < m of a run at which each block ends at gap or above and falls by gap or
+    more from each coordinate to the next (the density degenerates at coordinate collisions, so
+    those carry no pointwise limit).  Along a run of more than one vertex, which has one block,
+    the last two coordinates move by -j and +j, so the last three falls (the last coordinate
+    falling to 0) move by j, -2j and j: one interval of j."""
+    falls = [x - y for block in blocks for x, y in zip(block, (*block[1:], 0))]
+    *fixed, a, b, c = gap, gap, gap, *falls
+    if min(fixed) < gap:
+        return range(0)
+    return range(max(0, gap - a, gap - c), min(m - 1, (b - gap) // 2) + 1)
+
+
+# The level measure of a truncated family on its face, as a scale and runs of values:
+# M_n(nu) = scale * v.  Docstrings write (x)_k for the rising factorial, V(x) = prod_{i<j}
+# (x_i - x_j), l for the face width, and pad nu with zeros to length l.
+
+def _level_runs(family: HarmonicFamily, n: int, weight: Callable, runs) -> tuple[Fraction, Iterator[tuple]]:
+    """c_n = n!/(t)_n, and a run (p, m, diffs) for each (p, m) of runs, the level-n vertices of
+    at most l rows: the differences of the weights, a polynomial of the face degree along the
+    run, at its first min(m, degree + 1) vertices.  On the young and kingman faces t is a
+    positive integer, so c_n = (t-1)!/(n+1)_(t-1) is a small fraction and every weight is c_n
+    times a small integer; no factorial of n forms."""
+    t, degree = int(family.t), FACES[family.face].degree(family.lam)
+    runs = ((p, m, _differences(weight(_step(p, j)) for j in range(min(m, degree + 1)))) for p, m in runs)
+    return factorial(t - 1) / pochhammer(n + 1, t - 1), runs
+
+
+def _young_weights(family: TruncYoung, n: int) -> tuple[Fraction, Iterator[tuple]]:
     """With A_i = lam_i + l - i and B_j = nu_j + l - j,
     M_n(nu) = c_n V(B) det[(B_j + 1)_(A_i)] / (V(A) prod_i A_i!),
     the falling-factorial bialternant of s* at the reflected point
@@ -672,8 +687,8 @@ def _young_weights(family: TruncYoung, n: int) -> tuple[Fraction, list[tuple[Par
         b = list(map(add, nu, staircase))
         return _vandermonde(b) * integer_det([[comb(ai + bj, ai) for bj in b] for ai in a])
 
-    c, weights = _level_runs(family, n, weight)
-    return c / _vandermonde(a), [(nu, v) for nu, _, v in weights]
+    c, runs = _level_runs(family, n, weight, level_runs(n, l))
+    return c / _vandermonde(a), runs
 
 
 def _orders(parts) -> int:
@@ -681,30 +696,43 @@ def _orders(parts) -> int:
     return 1 if len(set(parts)) == len(parts) else prod(factorial(parts.count(v)) for v in set(parts))
 
 
-def _kingman_weights(family: TruncKingman, n: int) -> tuple[Fraction, list[tuple[Partition, int]]]:
+def _kingman_weights(family: TruncKingman, n: int) -> tuple[Fraction, Iterator[tuple]]:
     """M_n(nu) = c_n sum_sigma prod_i (nu_sigma(i) + 1)_(lam_i) / lam_i!, over the
     distinct arrangements sigma of nu; each factor is the binomial C(lam_i + nu_sigma(i), lam_i),
     so the scale is c_n and each value an integer.  Only the sum over all l! arrangements, which
-    counts each distinct one prod_v r_v! times, is a polynomial in nu: the runs carry it, and
-    each value is it over its own `_orders`, which changes along a run only at its ends."""
+    counts each distinct one `_orders`(nu) times, is a polynomial in nu.  Inside a run the last
+    two parts are distinct, nonzero and below the prefix, so there `_orders` is the prefix's:
+    the first and the last vertex of each run, where it may not be, stand as runs of one."""
     lam = family.lam
-    weight = lambda nu: sum(prod(comb(p + x, p) for p, x in zip(lam.parts, e)) for e in permutations(nu))
-    c, weights = _level_runs(family, n, weight)
-    return c, [(nu, v // _orders(p)) for nu, p, v in weights]
+
+    def weight(nu) -> int:
+        return sum(prod(comb(p + x, p) for p, x in zip(lam.parts, e)) for e in permutations(nu)) // _orders(nu)
+
+    def runs():
+        for p, m in level_runs(n, family.width):
+            yield p, 1
+            if m > 2:
+                yield _step(p, 1), m - 2
+            if m > 1:
+                yield _step(p, m - 1), 1
+
+    return _level_runs(family, n, weight, runs())
 
 
-def _schur_weights(family: TruncSchur, n: int) -> tuple[Fraction, list[tuple[Partition, int]]]:
-    """M_n(nu) = dim_closed_form(nu) phi(nu), phi from the family's level form over 1/q."""
-    vertices = level(n, family.kind, max_length=family.width)
-    rows = [(nu, dim_closed_form(nu, family.kind).numerator, ()) for nu in vertices]
-    xs, q = family.level_phi(n, rows)
-    return Fraction(1, q), [(nu, d * x) for (nu, d, _), x in zip(rows, xs)]
+def _vertex_weights(family: HarmonicFamily, n: int) -> tuple[Fraction, Iterator[tuple]]:
+    """The schur and gamma faces: M_n(nu) = dim_closed_form(nu) phi(nu), phi from the family's
+    level form over 1/q, each vertex a run of one: the vertices of at most the width's rows, or
+    on the gamma face (no width) the whole level, its zeros past the depth kept."""
+    vertices = level(n, family.kind, max_length=getattr(family, "width", None))
+    xs, q = family.level_phi(n, [(nu, None, ()) for nu in vertices])
+    dims = (dim_closed_form(nu, family.kind).numerator for nu in vertices)
+    return Fraction(1, q), ((nu.parts, 1, [d * x]) for nu, d, x in zip(vertices, dims, xs))
 
 
-def _embed_hooks(nu: Partition, n: int):
+def _embed_hooks(parts, n: int):
     """The split-diagonal point ((2P + 1; 2Q + 1) over 2n), and the Frobenius
     coordinates as its blocks."""
-    fc = nu.frobenius()
+    fc = Partition(parts).frobenius()
     return [2 * x + 1 for x in fc.p + fc.q], 2 * n, [fc.p, fc.q]
 
 
@@ -731,20 +759,21 @@ class Face(NamedTuple):
     accepts: Callable[[Partition], bool]  # lam has a density on the face; if not, ...
     needs: str  # ... the error says the face needs this
     constant: Callable[[Partition], Fraction]
-    # lam -> (points -> [F(X) for each point X]), F(X) the density over its constant at X/Q times
-    # Q^degree(lam); a point X is the integer coordinates of its blocks in turn, the points in
-    # level order: young and kingman evaluate along runs, schur and gamma point by point
+    # lam -> (X -> F(X)), F(X) the density over its constant at X/Q times Q^degree(lam); a point X
+    # is the integer coordinates of its blocks in turn
     density: Callable[[Partition], Callable]
     degree: Callable[[Partition], int]  # F is homogeneous of this degree; on young and kingman,
-    # F and the level weights are polynomials of this degree along the runs of `_along_runs`
-    level_weights: Callable  # (family, n) -> (scale, [(nu, value)]), M_n(nu) = scale * value
+    # F and the level weights are polynomials of this degree along each run
+    # (family, n) -> (scale, runs), M_n = scale * v: each run (start, length, diffs) is the vertices
+    # `_step(start, j)`, j < length, with v(j) the polynomial of forward differences diffs at 0
+    level_weights: Callable
     selberg: Callable  # (lam, mus) -> (family, normalized face integral of each mu)
     sweep: tuple[int, ...]  # the Selberg sweep's values of stat(lam), ...
     admits: Callable[[Partition, int], bool]  # ... and each mu != () with an exact route at stat(lam)
     blocks: int = 1
     stat: str = "length"  # a Partition attribute
-    # (nu, n) -> (point X, level denominator Q, interior-test blocks), nu at X/Q; here nu/n
-    embed: Callable = lambda nu, n: (nu.parts, n, [nu.parts])
+    # (parts of nu, n) -> (point X, level denominator Q, interior-test blocks), nu at X/Q; here nu/n
+    embed: Callable = lambda p, n: (p, n, [p])
     polynomial: Callable[[Partition], Poly] | None = None  # width-2 density over its constant
 
 
@@ -768,16 +797,16 @@ FACES: dict[str, Face] = {
     "schur": Face(
         accepts=lambda lam: lam.is_strict and lam.length >= 1, needs="a nonempty strict partition",
         constant=schur_density_constant, degree=lambda lam: lam.size,
-        density=lambda lam: lambda points: [_schur_density(lam, xs) for xs in points],
-        level_weights=_schur_weights, selberg=_schur_selberg,
+        density=lambda lam: lambda xs: _schur_density(lam, xs),
+        level_weights=_vertex_weights, selberg=_schur_selberg,
         sweep=(2, 3), admits=lambda mu, s: mu.is_strict and mu.length == s,
     ),
     "gamma": Face(
         accepts=lambda lam: lam.depth >= 1, needs="depth >= 1",
         # sum(p) + sum(q) - depth
         constant=gamma_density_constant, density=_gamma_density, degree=lambda lam: lam.size - 2 * lam.depth,
-        # the level measure itself; past the degree cap the family's level form raises
-        level_weights=lambda family, n: (Fraction(1), level_measure(family, n).weights), selberg=_gamma_selberg,
+        # past the degree cap the family's level form raises
+        level_weights=_vertex_weights, selberg=_gamma_selberg,
         sweep=(1, 2), admits=lambda mu, s: mu.depth == s, blocks=2, stat="depth", embed=_embed_hooks,
     ),
 }

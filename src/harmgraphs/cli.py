@@ -73,6 +73,7 @@ from .boundary import (
     convergence_experiment,
     density_spec,
     kingman_kernel_table,
+    run_vertices,
     selberg_rows,
     young_kernel_table,
 )
@@ -206,8 +207,8 @@ def cmd_phi(args) -> int:
 def cmd_measure(args) -> int:
     family = parse_family(args.family)
     if family.face:  # a truncated family: its face's level weights, one per vertex within the width
-        scale, values = FACES[family.face].level_weights(family, args.n)
-        weights = [(lam, scale * v) for lam, v in values]
+        scale, runs = FACES[family.face].level_weights(family, args.n)
+        weights = [(lam, scale * v) for lam, v in run_vertices(runs)]
     else:
         weights = level_measure(family, args.n).weights
     report = Report(command="measure")

@@ -40,8 +40,9 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from itertools import zip_longest
+from itertools import accumulate, zip_longest
 from math import factorial, prod
+from operator import mul
 from typing import Mapping, Sequence
 
 from .exact import (
@@ -158,7 +159,9 @@ def monomial_tables(shapes):
     coordinates (zeros on the rest) and keyed by parts, for the shapes and every nu
     reached from them by removing parts.  Each coordinate x, one pass, turns T[nu] into
     T[nu] + sum_p T[nu less p] power(x, p) over the distinct parts p of nu, taking nu in
-    decreasing order so that each reads T[nu less p] before it moves; T[()] = 1."""
+    decreasing order so that each reads T[nu less p] before it moves; T[()] = 1.  A power
+    is x(x - c) ... (x - (p - 1)c), c = 0 for `pow` and Q for a falling power, so with
+    c = 1 - power(1, 2) each power is the one before times x - (p - 1)c."""
     steps = {}
     todo = [mu.parts for mu in shapes]
     for nu in todo:
@@ -170,8 +173,9 @@ def monomial_tables(shapes):
 
     def table(xs, power):
         values = dict.fromkeys(steps, 0) | {(): 1}
+        c = 1 - power(1, 2)
         for x in xs:
-            pw = [power(x, p) for p in range(top + 1)]
+            pw = list(accumulate((x - p * c for p in range(top)), mul, initial=1))
             for nu, rests in closure:
                 for p, rest in rests.items():
                     values[nu] += values[rest] * pw[p]

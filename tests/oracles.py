@@ -18,12 +18,14 @@ point. The mpmath
 conversions are the float layer `exact.round_bits` and
 `exact.format_bigfloat` reproduce in integers. The face densities are the
 rational formulas at the point itself, where `boundary` evaluates one
-homogeneous integer form on the point's numerators, and the convergence loop
-is the one `boundary.convergence_experiment` runs on integers, at the points
-`embed_rows` and `embed_frobenius` give, with each level weight dim times phi
-rather than the face's own weight formula.  The harmonicity check and the
-lattice level sums run over the library's sweep one vertex at a time in
-`Fraction`s, where the library brings each level to one denominator.  The
+homogeneous integer form on the point's numerators.  The convergence rows
+come twice, both over the listed level, vertex by vertex, where the library
+streams runs: in `Fraction`s at the points `embed_rows` and `embed_frobenius`
+give, and in integers, fast enough for n in the hundreds; both take each
+level weight as dim times phi rather than the face's own formula.  The
+harmonicity check and the lattice level sums run over the library's sweep
+one vertex at a time in `Fraction`s, where the library brings each level to
+one denominator.  The
 closed products of the Young and strict families are taken one vertex at a
 time, with the hook product and Schur's quotient Pfaffian, where the library
 reads a level from row tables and the sweep's dims.
@@ -34,7 +36,7 @@ from math import factorial, prod
 
 import mpmath
 
-from harmgraphs.boundary import FACES
+from harmgraphs.boundary import FACES, ConvergenceRow, density_spec
 from harmgraphs.exact import (
     RationalMatrix,
     SingularMatrixError,
@@ -42,9 +44,10 @@ from harmgraphs.exact import (
     integer_det,
     integer_point,
     quotient_pfaffian,
+    round_bits,
     solve_linear,
 )
-from harmgraphs.graphs import sweep, top_level
+from harmgraphs.graphs import dim_closed_form, level, sweep, top_level
 from harmgraphs.harmonic import HarmonicityReport, HarmonicityViolation
 from harmgraphs.partitions import EMPTY, Partition
 from harmgraphs.interp import (
@@ -590,6 +593,48 @@ def fraction_convergence_row(family, n, resolution, interior_fraction):
             exact = poly_eval(anti, lo + (i + 1) * width) - poly_eval(anti, lo + i * width)
             distance += abs(bins[i] - exact)
     return sum(w for _, w in weights), interior, max_err, distance
+
+
+def integer_convergence_row(family, n, resolution, interior_fraction):
+    """`convergence_experiment`'s row at level n by a list-based integer loop: the whole
+    level listed, each weight dim(nu) times phi from the family's level form over one
+    denominator, and every vertex embedded, binned, tested for the interior and compared with
+    its density form one at a time.  Fast enough for n in the hundreds, where the Fraction
+    loop is not."""
+    face, lam = FACES[family.face], family.lam
+    spec = density_spec(family.face, lam)
+    l, degree, form = spec.face_dim, face.degree(lam), face.density(lam)
+    vertices = level(n, family.kind, max_length=getattr(family, "width", None))
+    xs, den = family.level_phi(n, [(nu, None, ()) for nu in vertices])
+    support = [(nu, dim_closed_form(nu, family.kind).numerator * x) for nu, x in zip(vertices, xs) if x]
+    q = face.embed((), n)[1]
+    k = Fraction(n ** (l - 1) * q**degree, den) / spec.constant
+    binned = l == 2 and face.polynomial is not None
+    gap = interior_fraction * n
+    bins = [0] * resolution
+    err, err_den, interior = 0, 1, 0
+    for nu, w in support:
+        point, _, blocks = face.embed(nu.parts, n)
+        if binned:
+            i = 2 * resolution * point[0] // q - resolution
+            bins[min(i, resolution - 1)] += w
+        if sum(map(len, blocks)) == l and fraction_interior(blocks, gap):
+            f = form(point)
+            if f > 0:
+                a = k.denominator * f.numerator
+                e = abs(k.numerator * w * f.denominator - a)
+                if e * err_den > err * a:
+                    err, err_den = e, a
+                interior += 1
+    distance = Fraction(0)
+    if binned:
+        anti = poly_integral(poly_scale(face.polynomial(lam), spec.constant))
+        edges = [poly_eval(anti, Fraction(resolution + i, 2 * resolution)) for i in range(resolution + 1)]
+        distance = sum(abs(Fraction(c, den) - (b - a)) for c, a, b in zip(bins, edges, edges[1:]))
+    return ConvergenceRow(
+        n, len(support), sum(w for _, w in support) == den, interior,
+        round_bits(round_bits(Fraction(err, err_den)), 53), round_bits(Fraction(distance)),
+    )
 
 
 def fraction_harmonicity(family, max_level):

@@ -10,6 +10,7 @@ from harmgraphs.boundary import (
     convergence_experiment,
     density_spec,
     kingman_kernel,
+    run_vertices,
     selberg_rows,
     selberg_verify,
     simplex_monomial_integral,
@@ -27,6 +28,7 @@ from oracles import (
     embed_frobenius,
     embed_rows,
     fraction_convergence_row,
+    integer_convergence_row,
     young_h_series,
 )
 
@@ -429,11 +431,53 @@ def test_face_level_weights_are_the_nonzero_level_measure(family, top):
     # level form per level, is the oracle (the gamma face has no width, and keeps its zeros)
     level_weights = FACES[family.face].level_weights
     for n in range(top + 1):
-        scale, values = level_weights(family, n)
+        scale, runs = level_weights(family, n)
         measure = level_measure(family, n, max_length=getattr(family, "width", None))
-        face = [(nu, scale * v) for nu, v in values]
+        face = [(nu, scale * v) for nu, v in run_vertices(runs)]
         assert [row for row in face if row[1]] == [row for row in measure.weights if row[1]]
         assert all(w for _, w in face) or family.face == "gamma"
+
+
+@pytest.mark.parametrize(
+    "family,ns,gap",
+    [
+        (TruncYoung(P([2, 1, 1])), [300, 301], F(1, 8)),
+        (TruncYoung(P([3, 2])), [500, 999], F(1, 5)),
+        (TruncYoung(P([3, 2, 1])), [150], F(1, 7)),
+        (TruncKingman(P([2, 1, 1])), [200, 201], F(1, 8)),
+        (TruncKingman(P([2, 2])), [400, 401], F(1, 5)),
+        (TruncKingman(P([1, 1, 1])), [240], F(1, 6)),  # 240 = 6 * 40: one interior vertex in all
+        (TruncKingman(P([4])), [300], F(1, 5)),
+        (TruncYoung(P([2, 1, 1, 1])), [110], F(1, 14)),  # a prefix fall is tested at width 4
+        (TruncKingman(P([1, 1, 1, 1])), [110], F(1, 12)),
+        (TruncSchur(P([3, 1])), [60], F(1, 5)),
+        (GammaShaped.from_partition(P([2, 1]), degree_cap=12), [12], F(1, 5)),
+        (GammaShaped.from_partition(P([3, 2, 2]), degree_cap=16), [16], F(1, 16)),  # depth 2
+    ],
+    ids=str,
+)
+def test_streamed_rows_match_the_list_based_loop(family, ns, gap):
+    # the whole row, exactly, against the per-vertex integer loop over the listed level
+    rep = convergence_experiment(family, ns, resolution=13, interior_fraction=gap)
+    assert list(rep.rows) == [integer_convergence_row(family, n, 13, gap) for n in ns]
+
+
+@pytest.mark.parametrize(
+    "family",
+    [TruncYoung(P([2, 1])), TruncYoung(P([2, 1, 1])), TruncKingman(P([3])), TruncKingman(P([1, 1])),
+     TruncKingman(P([2, 2, 1]))],
+    ids=str,
+)
+def test_every_vertex_within_the_width_carries_mass(family):
+    # so a level's support is the sum of its run lengths
+    for n in range(61):
+        scale, runs = FACES[family.face].level_weights(family, n)
+        values = list(run_vertices(runs))
+        assert [nu for nu, _ in values] == partitions_of(n, max_length=family.width)
+        assert all(v > 0 for _, v in values) and scale > 0
+    rows = convergence_experiment(family, range(1, 61)).rows
+    sizes = [len(partitions_of(n, max_length=family.width)) for n in range(1, 61)]
+    assert [row.support_size for row in rows] == sizes
 
 
 def test_convergence_evaluates_only_the_heads_of_runs(monkeypatch):

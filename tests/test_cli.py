@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -533,6 +534,22 @@ def test_truncated_measure_reads_its_face(family, n, rows):
     out = subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True, timeout=60)
     assert out.returncode == EXIT_OK, out.stderr
     assert out.stdout.count(f"PASS  measure  n={n} lambda=") == rows and "0 failed" in out.stdout
+
+
+def test_width3_converge_runs_in_bounded_memory():
+    # each level is streamed as runs and none is held as a list: under a 200 MB address-space
+    # cap (on the child only) the level of 1 335 334 vertices at n = 4000 reaches its report
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    argv = ["-m", "harmgraphs.cli", "converge", "--family", "trunc-young:lambda=2+1+1", "--n", "4000"]
+    cap = lambda: resource.setrlimit(resource.RLIMIT_AS, (200 << 20, 200 << 20))
+    out = subprocess.run(
+        [sys.executable, *argv, "--interior", "1/8"], env=env, capture_output=True, text=True, timeout=120,
+        preexec_fn=cap,
+    )
+    assert "MemoryError" not in out.stderr
+    assert out.returncode == EXIT_OK, out.stderr
+    assert "interior=83834" in out.stdout and "0 failed" in out.stdout
 
 
 @pytest.mark.parametrize(

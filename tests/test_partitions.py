@@ -6,6 +6,7 @@ import pytest
 from harmgraphs.partitions import (
     FrobeniusCoords,
     Partition,
+    level_runs,
     partitions_of,
     partitions_up_to,
 )
@@ -150,6 +151,18 @@ def test_levels_decreasing_lexicographic():
         for strict in (False, True):
             seq = [p.parts for p in partitions_of(n, strict=strict)]
             assert seq == sorted(seq, reverse=True)
+
+
+def test_level_runs_expand_to_the_bounded_level():
+    # one run per prefix, each a nonempty interval of the (l-1)-th part, the runs and their
+    # vertices in decreasing lexicographic order, and nothing else
+    for l in range(1, 6):
+        for n in range(31):
+            runs = list(level_runs(n, l))
+            assert all(len(p) == l and m >= 1 for p, m in runs)
+            assert len({p[:-2] for p, _ in runs}) == len(runs)
+            steps = [(*p[:-2], p[-2] - j, p[-1] + j) if j else p for p, m in runs for j in range(m)]
+            assert [Partition(v) for v in steps] == partitions_of(n, max_length=l)
 
 
 def test_frobenius_examples():

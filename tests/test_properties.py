@@ -16,16 +16,21 @@ from hypothesis import strategies as st
 
 from harmgraphs.boundary import (
     FACES,
-    _along_runs,
+    _differences,
     _factorial_det,
     _integrate_monomial_times_cauchy,
     _integrate_monomial_times_pfaffian,
+    _jump,
+    _run_sum,
+    _walk,
+    convergence_experiment,
     kingman_density_constant,
+    run_vertices,
     selberg_verify,
     simplex_monomial_integral,
     young_density_constant,
 )
-from harmgraphs.exact import SingularMatrixError, pochhammer
+from harmgraphs.exact import SingularMatrixError, pochhammer, round_bits
 from harmgraphs.graphs import (
     KINGMAN,
     SCHUR,
@@ -69,6 +74,7 @@ from harmgraphs.interp import (
 from harmgraphs.partitions import Partition, partitions_of
 from oracles import (
     closed_form_phi,
+    fraction_convergence_row,
     fraction_falling,
     fraction_harmonicity,
     fraction_lattice_sums,
@@ -317,60 +323,66 @@ def test_level_weights_match_dimension_times_value(family_type, lam, n):
     rows = [(nu, None, ()) for nu in level(n, family.kind, max_length=family.width)]
     xs, q = family.level_phi(n, rows)
     expected = [(nu, dim_closed_form(nu, family.kind) * F(x, q)) for (nu, _, _), x in zip(rows, xs)]
-    scale, values = FACES[family.face].level_weights(family, n)
-    assert [(nu, scale * v) for nu, v in values] == expected
+    scale, runs = FACES[family.face].level_weights(family, n)
+    assert [(nu, scale * v) for nu, v in run_vertices(runs)] == expected
 
 
 @st.composite
-def runs_of_points(draw):
-    """(degree, coefficients, points): segments of 0 .. 3 (degree + 1) points p, p + e_l - e_(l-1),
-    ..., each joined to the one before by a continued run, a changed prefix (the last two
-    coordinates still stepping), another step, or a fresh start."""
-    degree, width = draw(st.integers(0, 8)), draw(st.integers(2, 4))
-    size = (degree + 1) * (degree + 2) // 2
-    coefficients = draw(st.lists(st.integers(-9, 9), min_size=size, max_size=size))
-    prefixes = st.lists(st.integers(0, 9), min_size=width - 2, max_size=width - 2).map(tuple)
-    points = []
-    for _ in range(draw(st.integers(1, 4))):
-        prefix, a, b = draw(prefixes), draw(st.integers(-20, 20)), draw(st.integers(-20, 20))
-        if points:
-            last, join = points[-1], draw(st.sampled_from(["run", "prefix", "step", "fresh"]))
-            steps = [(2, 2), (1, 2), (0, 1), (1, 0), (-1, -1)]
-            da, db = draw(st.sampled_from(steps)) if join == "step" else (1, 1)
-            if join != "fresh":
-                a, b = last[-2] - da, last[-1] + db
-            if join != "prefix" and join != "fresh":
-                prefix = last[:-2]
-            elif join == "prefix" and width > 2 and prefix == last[:-2]:
-                prefix = (prefix[0] + 1, *prefix[1:])
-        length = draw(st.integers(0, 3 * (degree + 1)))
-        points += [(*prefix, a - k, b + k) for k in range(length)]
-    return degree, coefficients, points
+def runs_of_values(draw):
+    """(f, run, s, e): a polynomial f of degree 0 .. 8, a run of 1 .. 3 (degree + 1) vertices
+    with f's differences at its first min(length, degree + 1), and an interval s <= e of it,
+    empty, of one index, or up to the whole run."""
+    degree = draw(st.integers(0, 8))
+    coefficients = draw(st.lists(st.integers(-9, 9), min_size=degree + 1, max_size=degree + 1))
+    f = lambda j: sum(c * j**i for i, c in enumerate(coefficients))
+    m = draw(st.integers(1, 3 * (degree + 1)))
+    s = draw(st.integers(0, m))
+    e = draw(st.integers(s, m))
+    return f, ((2 * m, 0), m, _differences(f(j) for j in range(min(m, degree + 1)))), s, e
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
-@given(runs_of_points())
-@example((1, [1, 2, 3], [(0, 5, 0), (0, 4, 1), (0, 3, 2), (1, 2, 3), (1, 1, 4), (1, 0, 5)]))  # a prefix change
-@example((1, [1, 2, 3], [(5, 0), (4, 1), (3, 2), (3, 3), (2, 4), (1, 5)]))  # +1 in the last part only
-@example((2, [0, 1, 0, 0, 0, 1], [(9, 0), (8, 1), (7, 2), (6, 3), (4, 5), (3, 6), (2, 7)]))  # a double step
-@example((3, [1] * 10, []))
-def test_along_runs_matches_direct_evaluation(case):
-    degree, coefficients, points = case
-    terms = [(i, j) for i in range(degree + 1) for j in range(degree + 1 - i)]
+@given(runs_of_values())
+def test_run_helpers_match_direct_evaluation(case):
+    # the differences at the run's head: the offset jump, the walk and the closed-form run
+    # sum each against f evaluated vertex by vertex
+    f, run, s, e = case
+    _, m, diffs = run
+    # a run shorter than degree + 1 knows f only on its own vertices; a longer one everywhere
+    past = len(diffs) if len(diffs) < m else 0
+    if past or s < m:
+        assert _jump(diffs, s)[: past or 1] == _differences(f(j) for j in range(s, s + (past or 1)))
+    walk = _walk(diffs, s)
+    assert [next(walk) for _ in range(e - s + past)] == [f(j) for j in range(s, e + past)]
+    assert _run_sum(diffs, e) == sum(map(f, range(e)))
+    assert list(run_vertices([run])) == [(Partition([2 * m - j, j]), f(j)) for j in range(m)]
 
-    def f(p):  # of degree <= degree in the last two coordinates; the prefix is fixed on a run
-        w = 1 + sum(p[:-2])
-        return w * sum(c * p[-2] ** i * p[-1] ** j for c, (i, j) in zip(coefficients, terms)) + w**3
 
-    seen = []
-    assert _along_runs(lambda p: seen.append(p) or f(p), degree, points) == [f(p) for p in points]
-    runs = []  # the maximal runs, each the first degree + 1 of its points evaluated
-    for p in points:
-        if runs and (*runs[-1][-1][:-2], runs[-1][-1][-2] - 1, runs[-1][-1][-1] + 1) == p:
-            runs[-1].append(p)
-        else:
-            runs.append([p])
-    assert seen == [p for run in runs for p in run[: degree + 1]]
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(
+    st.sampled_from([TruncYoung, TruncKingman]),
+    st.integers(2, 3).flatmap(lambda l: st.lists(st.integers(1, 3), min_size=l, max_size=l)),
+    st.integers(1, 60),
+    st.integers(2, 12).flatmap(lambda q: st.tuples(st.integers(1, q - 1), st.just(q))),
+    st.integers(1, 20),
+)
+@example(TruncYoung, [2, 1], 30, (1, 3), 20)  # one interior vertex, (20, 10)
+@example(TruncKingman, [2, 1, 1], 36, (1, 6), 7)  # one interior vertex, (18, 12, 6)
+@example(TruncYoung, [3, 1], 20, (1, 2), 4)  # no interior vertex
+@example(TruncKingman, [1, 1, 1], 2, (1, 4), 5)  # n below the width
+@example(TruncKingman, [2, 2, 1], 10, (1, 5), 3)  # the last run ends at (4, 3, 3)
+@example(TruncKingman, [2, 2], 40, (1, 5), 20)  # the run ends at (20, 20)
+def test_streamed_rows_match_the_fraction_loop(family_type, parts, n, fraction, resolution):
+    # young and kingman at widths 2 and 3, equal parts of lam included: every field of the
+    # streamed row against one Fraction operation per term over the listed level
+    family, gap = family_type(Partition(sorted(parts, reverse=True))), F(*fraction)
+    [row] = convergence_experiment(family, [n], resolution=resolution, interior_fraction=gap).rows
+    mass, interior, err, distance = fraction_convergence_row(family, n, resolution, gap)
+    assert row.support_size == len(partitions_of(n, max_length=family.width))
+    assert row.mass_is_one == (mass == 1)
+    assert row.interior_points == interior
+    assert row.max_ratio_error == round_bits(round_bits(err, 128), 53)
+    assert row.binned_distance == round_bits(distance, 128)
 
 
 # ---------------------------------------------------------------------------
