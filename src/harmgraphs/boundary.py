@@ -11,10 +11,10 @@ needed here reduces to closed form on the standard simplex:
   to its identity term: the rest of the signed sum is l! times one
   term, and two alternants integrate to Andreief's determinant
   l! det[(a_i + b_j)!] / (l + sum(a) + sum(b) - 1)!;
-* a leftover Cauchy determinant or quotient Pfaffian expands over
-  permutations/perfect matchings into terms whose denominators are
-  sums over *disjoint* variable pairs, and each such term integrates
-  exactly by a per-pair radial (Beta) reduction.
+* a monomial against the leftover quotient Pfaffian or Cauchy determinant
+  integrates by de Bruijn's formula (1955): each matching or permutation
+  term factors over its disjoint pairs over the same (N + sum(e) - 1)!, so
+  the integral is one Pfaffian or determinant of per-pair integrals.
 
 That makes the μ = ∅ mass-one checks exact as well, not just the
 full-length alternant cases.  The truncated family and the density
@@ -48,7 +48,8 @@ from math import comb, factorial, prod
 from operator import add, mul, sub
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .exact import as_rational, integer_det, integer_point, pochhammer, quotient_pfaffian, round_bits
+from .exact import RationalMatrix, as_rational, det, integer_det, integer_point, pfaffian, pochhammer
+from .exact import quotient_pfaffian, round_bits
 from .graphs import dim_closed_form, level
 from .harmonic import (
     GammaShaped,
@@ -93,33 +94,12 @@ class ThomaPoint(namedtuple("ThomaPoint", "alpha beta")):
 # ---------------------------------------------------------------------------
 
 def simplex_monomial_integral(exponents) -> Fraction:
-    """Unordered-simplex integral of a monomial over sum(x) = 1."""
-    return simplex_pair_integral(exponents, ())
-
-
-def simplex_pair_integral(exponents, pairs) -> Fraction:
-    """Unordered-simplex integral of a monomial over disjoint pair denominators.
-
-    Computes the integral of prod(x_i^e_i) / prod((x_a + x_b)) where the
-    pairs (a, b) are disjoint index pairs.  Radial reduction inside each
-    pair yields a Beta factor and a merged Dirichlet variable, giving
-
-        prod(e_i!) / ( prod(e_a + e_b + 1) * (N + sum(e) - P - 1)! )
-
-    with N variables and P pairs; with no pairs, the Dirichlet monomial integral.
-    """
+    """Unordered-simplex integral of a monomial over sum(x) = 1, by the Dirichlet
+    formula prod(e_i!) / (N + sum(e) - 1)!."""
     es = [int(e) for e in exponents]
     if any(e < 0 for e in es):
         raise ValueError("exponents must be >= 0")
-    seen: set[int] = set()
-    denom, order = 1, len(es) + sum(es) - 1
-    for a, b in pairs:
-        if a in seen or b in seen or a == b:
-            raise ValueError("pairs must be disjoint")
-        seen.update((a, b))
-        denom *= es[a] + es[b] + 1
-        order -= 1
-    return Fraction(prod(map(factorial, es)), denom * factorial(order))
+    return Fraction(prod(map(factorial, es)), factorial(len(es) + sum(es) - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -261,85 +241,24 @@ class SelbergResult(NamedTuple):
         return self.lhs == self.rhs
 
 
-def _check_cap(l: int) -> None:
-    """Bound the routes that expand permutations or perfect matchings."""
-    if l > _EXPANSION_CAP:
-        raise ValueError(
-            f"face dimension {l} exceeds the permutation-expansion cap {_EXPANSION_CAP}"
-        )
-
-
-def _perm_sign(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
-def _matchings(indices: list[int]):
-    """Perfect matchings with Pfaffian signs over an even index list."""
-    if not indices:
-        yield 1, []
-        return
-    first = indices[0]
-    for k in range(1, len(indices)):
-        partner = indices[k]
-        rest = indices[1:k] + indices[k + 1 :]
-        for sign, pairs in _matchings(rest):
-            yield sign * (-1) ** (k - 1), [(first, partner)] + pairs
-
-
 def _integrate_monomial_times_pfaffian(l: int, exponents) -> Fraction:
-    """Unordered integral of x^exponents times the quotient Pfaffian.
-
-    The Pfaffian of [(x_i - x_j)/(x_i + x_j)] (1-bordered if l is odd)
-    expands over matchings into disjoint-pair denominators; each term
-    then integrates in closed form.
-    """
-    size = l + (l % 2)
-    total = Fraction(0)
-    for msign, pairs in _matchings(list(range(size))):
-        real_pairs = [(a, b) for a, b in pairs if a < l and b < l]
-        # border pairs carry entry 1 and leave their real index unpaired
-        stack = [(Fraction(msign), list(exponents), 0)]
-        while stack:
-            coef, exps, idx = stack.pop()
-            if idx == len(real_pairs):
-                total += coef * simplex_pair_integral(exps, real_pairs)
-                continue
-            a, b = real_pairs[idx]
-            up = list(exps)
-            up[a] += 1
-            down = list(exps)
-            down[b] += 1
-            stack.append((coef, up, idx + 1))
-            stack.append((-coef, down, idx + 1))
-    return total
+    """Unordered integral of x^exponents times Pf[(x_i - x_j)/(x_i + x_j)] (1-bordered
+    if l is odd), by de Bruijn: a pair a, b of a matching integrates to
+    e_a! e_b! (e_a - e_b)/(e_a + e_b + 2) and a bordered index to e_a!, over the
+    (l + sum(e) - 1)! common to every matching, so the sum is one Pfaffian."""
+    e, f = list(exponents), [factorial(x) for x in exponents]
+    w = [[Fraction(f[i] * f[j] * (e[i] - e[j]), e[i] + e[j] + 2) for j in range(l)] for i in range(l)]
+    if l % 2:
+        w = [row + [fi] for row, fi in zip(w, f)] + [[-fi for fi in f] + [0]]
+    return pfaffian(RationalMatrix(w)) / factorial(l + sum(e) - 1)
 
 
 def _integrate_monomial_times_cauchy(p, q) -> Fraction:
-    """Unordered integral of x^p y^q times det[1/(x_i + y_j)] over 2d variables.
-
-    The Cauchy determinant expands over permutations into disjoint-pair
-    denominators; each term then integrates in closed form.
-    """
-    d = len(p)
-    exps = list(p) + list(q)
-    total = Fraction(0)
-    for perm in permutations(range(d)):
-        pairs = [(i, d + perm[i]) for i in range(d)]
-        total += _perm_sign(perm) * simplex_pair_integral(exps, pairs)
-    return total
+    """Unordered integral of x^p y^q times det[1/(x_i + y_j)] over 2d variables, by
+    de Bruijn: a pair x_i, y_j of a permutation integrates to p_i! q_j!/(p_i + q_j + 1),
+    over the (d + sum(p) + sum(q) - 1)! common to every permutation."""
+    rows = [[Fraction(factorial(a) * factorial(b), a + b + 1) for b in q] for a in p]
+    return det(RationalMatrix(rows)) / factorial(len(p) + sum(p) + sum(q) - 1)
 
 
 def selberg_rows(graph: str, lam: Partition, mus: list[Partition]) -> list[SelbergResult]:
@@ -349,9 +268,11 @@ def selberg_rows(graph: str, lam: Partition, mus: list[Partition]) -> list[Selbe
     is the normalized face integral, computed exactly: two alternants
     integrate to one determinant of factorials, and an alternant against
     a Pfaffian or Cauchy factor keeps only its identity term, since the
-    Dirichlet closed form is symmetric in the variables.  The family and the density
+    Dirichlet closed form is symmetric in the variables; that term is one
+    Pfaffian or determinant by de Bruijn's formula.  The family and the density
     constant are built once, and the family's level form reads the mus of each size at
-    once, with no dims or edges.  Shapes without an exact route are rejected.
+    once, with no dims or edges.  Shapes without an exact route are rejected, and
+    the kingman face is capped at length 5.
     """
     spec, face = density_spec(graph, lam), FACES[graph]
     s = getattr(lam, face.stat)
@@ -387,7 +308,8 @@ def _young_selberg(lam: Partition, mus: list[Partition]):
 
 def _kingman_selberg(lam: Partition, mus: list[Partition]):
     l = lam.length
-    _check_cap(l)
+    if l > _EXPANSION_CAP:  # the arrangement sum is a permanent, with no determinant form
+        raise ValueError(f"face dimension {l} exceeds the permutation-expansion cap {_EXPANSION_CAP}")
     arrangements = set(permutations(lam.parts))
 
     def integral(mu: Partition) -> Fraction:
@@ -408,8 +330,8 @@ def _schur_selberg(lam: Partition, mus: list[Partition]):
         if mu.length == l:
             # both alternants of full length; the squared Pfaffian cancels
             return _alternant_integral(mu.parts, lam.parts)
-        # mu = (): each term of alt_lam integrates against the Pfaffian like the first
-        _check_cap(l)
+        # mu = (): each term of alt_lam integrates against the Pfaffian like the first,
+        # and that one is a Pfaffian of pair integrals
         return _integrate_monomial_times_pfaffian(l, lam.parts)
 
     return TruncSchur(lam), integral
@@ -428,8 +350,8 @@ def _gamma_selberg(lam: Partition, mus: list[Partition]):
             size = sum(mf.p) + sum(mf.q) + sum(fc.p) + sum(fc.q)
             dets = _factorial_det(mf.p, fc.p) * _factorial_det(mf.q, fc.q)
             return Fraction(dets, factorial(2 * d + size - 1))
-        # mu = (): each term of either alternant integrates against the Cauchy factor like the first
-        _check_cap(d)
+        # mu = (): each term of either alternant integrates against the Cauchy factor like
+        # the first, and that one is a determinant of pair integrals
         return _integrate_monomial_times_cauchy(fc.p, fc.q)
 
     return family, integral

@@ -316,28 +316,22 @@ def _fill(rest: int, cap: int, slots: int, strict: bool) -> Iterator[tuple[int, 
 def level_runs(n: int, l: int) -> Iterator[tuple[tuple[int, ...], int]]:
     """The partitions of n of at most l >= 1 rows as runs, decreasing lexicographic: (p, m)
     for the m partitions p, p + e_l - e_(l-1), ..., p + (m - 1)(e_l - e_(l-1)), p the parts
-    padded with zeros to length l.  There is one run per prefix p_1 ... p_(l-2), listed by an
-    odometer: the last part of the prefix that can lose a box with the rest still fitting in
-    the rows from it on loses one, and the parts after it are refilled as large as they go."""
+    padded with zeros to length l.  There is one run per prefix p_1 ... p_(l-2), listed by
+    a recursion over the prefix: each part goes from the largest that fits down to the
+    smallest that leaves the rows after it no larger, and the last two rows are the run."""
     if l == 1:
         yield (n,), 1
         return
-    p, i, rest = [n] * (l - 1), 1, n  # p[0] = n caps p[1]; p[i:] is refilled from rest
-    while True:
-        for j in range(i, l - 1):
-            p[j] = min(p[j - 1], rest)
-            rest -= p[j]
-        a = min(p[-1], rest)
-        yield (*p[1:], a, rest - a), a - (rest + 1) // 2 + 1
-        for i in range(l - 2, 0, -1):
-            rest += p[i]
-            if (l - i + 1) * (p[i] - 1) >= rest:  # the l - i + 1 rows from p[i] on still hold rest
-                p[i] -= 1
-                rest -= p[i]
-                i += 1
-                break
-        else:
+
+    def runs(prefix, rest, cap, slots):
+        if slots == 2:
+            a = min(cap, rest)
+            yield (*prefix, a, rest - a), a - (rest + 1) // 2 + 1
             return
+        for first in range(min(rest, cap), -(-rest // slots) - 1, -1):
+            yield from runs((*prefix, first), rest - first, first, slots - 1)
+
+    yield from runs((), n, n, l)
 
 
 def partitions_up_to(n: int, strict: bool = False) -> list[Partition]:

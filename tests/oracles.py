@@ -18,7 +18,11 @@ point. The mpmath
 conversions are the float layer `exact.round_bits` and
 `exact.format_bigfloat` reproduce in integers. The face densities are the
 rational formulas at the point itself, where `boundary` evaluates one
-homogeneous integer form on the point's numerators.  The convergence rows
+homogeneous integer form on the point's numerators.  The μ = ∅ Selberg
+integrals against the quotient Pfaffian and the Cauchy determinant are
+expanded over perfect matchings and permutations into disjoint-pair simplex
+integrals, where the library takes one Pfaffian or determinant by de Bruijn's
+formula.  The convergence rows
 come twice, both over the listed level, vertex by vertex, where the library
 streams runs: in `Fraction`s at the points `embed_rows` and `embed_frobenius`
 give, and in integers, fast enough for n in the hundreds; both take each
@@ -32,6 +36,7 @@ reads a level from row tables and the sweep's dims.
 """
 
 from fractions import Fraction
+from itertools import permutations
 from math import factorial, prod
 
 import mpmath
@@ -487,6 +492,77 @@ def dirichlet_integral(kappas) -> Fraction:
     for k in ks:
         num *= factorial(k - 1)
     return Fraction(num, factorial(len(ks)) * factorial(sum(ks) - 1))
+
+
+def simplex_pair_integral(exponents, pairs) -> Fraction:
+    """Unordered-simplex integral of a monomial over disjoint pair denominators.
+
+    Computes the integral of prod(x_i^e_i) / prod((x_a + x_b)) where the
+    pairs (a, b) are disjoint index pairs.  Radial reduction inside each
+    pair yields a Beta factor and a merged Dirichlet variable, giving
+
+        prod(e_i!) / ( prod(e_a + e_b + 1) * (N + sum(e) - P - 1)! )
+
+    with N variables and P pairs; with no pairs, the Dirichlet monomial integral.
+    """
+    es = [int(e) for e in exponents]
+    if any(e < 0 for e in es):
+        raise ValueError("exponents must be >= 0")
+    seen: set[int] = set()
+    denom, order = 1, len(es) + sum(es) - 1
+    for a, b in pairs:
+        if a in seen or b in seen or a == b:
+            raise ValueError("pairs must be disjoint")
+        seen.update((a, b))
+        denom *= es[a] + es[b] + 1
+        order -= 1
+    return Fraction(prod(map(factorial, es)), denom * factorial(order))
+
+
+def _matchings(indices: list[int]):
+    """Perfect matchings with Pfaffian signs over an even index list."""
+    if not indices:
+        yield 1, []
+        return
+    first = indices[0]
+    for k in range(1, len(indices)):
+        rest = indices[1:k] + indices[k + 1 :]
+        for sign, pairs in _matchings(rest):
+            yield sign * (-1) ** (k - 1), [(first, indices[k])] + pairs
+
+
+def pfaffian_integral_by_matchings(l: int, exponents) -> Fraction:
+    """Unordered integral of x^exponents times Pf[(x_i - x_j)/(x_i + x_j)]
+    (1-bordered if l is odd), expanded over perfect matchings: each numerator
+    x_a - x_b splits into two monomials, and each term is a disjoint-pair integral."""
+    total = Fraction(0)
+    for msign, pairs in _matchings(list(range(l + l % 2))):
+        real_pairs = [(a, b) for a, b in pairs if b < l]  # a border pair carries entry 1
+        stack = [(Fraction(msign), list(exponents), 0)]
+        while stack:
+            coef, exps, idx = stack.pop()
+            if idx == len(real_pairs):
+                total += coef * simplex_pair_integral(exps, real_pairs)
+                continue
+            a, b = real_pairs[idx]
+            up, down = list(exps), list(exps)
+            up[a] += 1
+            down[b] += 1
+            stack.append((coef, up, idx + 1))
+            stack.append((-coef, down, idx + 1))
+    return total
+
+
+def cauchy_integral_by_permutations(p, q) -> Fraction:
+    """Unordered integral of x^p y^q times det[1/(x_i + y_j)] over 2d variables,
+    expanded over the d! permutations into disjoint-pair integrals."""
+    d = len(p)
+    exps = list(p) + list(q)
+    total = Fraction(0)
+    for perm in permutations(range(d)):
+        sign = (-1) ** sum(perm[i] > perm[j] for i in range(d) for j in range(i + 1, d))
+        total += sign * simplex_pair_integral(exps, [(i, d + perm[i]) for i in range(d)])
+    return total
 
 
 def to_bigfloat(value, precision: int) -> mpmath.mpf:

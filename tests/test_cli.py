@@ -451,10 +451,13 @@ def test_smallest_accepted_suites_run_checks(capsys, argv, rows):
         ("young", "7+6+5+4+3+2+1", "3+2+1"),
         ("schur", "7+5+4+3+2+1", "6+5+4+3+2+1"),
         ("gamma", "6+6+6+6+6+6", "7+6+6+6+6+6"),
+        # mu = (): one Pfaffian and one determinant by de Bruijn's formula
+        ("schur", "6+5+4+3+2+1", "0"),
+        ("gamma", "6+6+6+6+6+6", "0"),
     ],
 )
 def test_integral_verify_on_faces_wider_than_the_expansion_cap(capsys, graph, lam, mu):
-    # determinant routes: no permutation or matching is expanded
+    # determinant and Pfaffian routes: no permutation or matching is expanded
     code, out, _ = run(capsys, "integral-verify", "--graph", graph, "--lambda", lam, "--mu", mu)
     assert code == EXIT_OK
     assert out.endswith("summary: 1 passed, 0 failed\n")

@@ -113,6 +113,11 @@ GOLDEN = [
      "b067e98e9ee60351db9903beca7302d2710ab7a8a552b85af4ee1b6c6af2e46f"),
     ("integral-verify --graph gamma --lambda 3+2 --mu 2+2", EXIT_OK,
      "6cbe39a4d54c9d6624b65502ad0e053880da1e7255d9f8112509bd1ebee0b4d9"),
+    # mu = () past the face dimension 5 that bounds only the kingman face
+    ("integral-verify --graph schur --lambda 6+5+4+3+2+1", EXIT_OK,
+     "55e16a402d09033531e6d4f5ff28aaa43d1c2c65c94625e33a1d9b7487b3a34f"),
+    ("integral-verify --graph gamma --lambda 6+6+6+6+6+6", EXIT_OK,
+     "44e224d6809ab4901f997e9fa47485e36840144f99287442f20388005b878d9e"),
     # the pointwise ratio at n = 50 is still outside its 0.05 tolerance
     ("converge --family trunc-young:lambda=2+1 --n 50,100", EXIT_CHECK_FAILED,
      "9b3f940e1fcdbe418d21444889334a324db65b32dbc5fffe135a6e5962c6ca72"),

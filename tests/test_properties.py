@@ -73,6 +73,7 @@ from harmgraphs.interp import (
 )
 from harmgraphs.partitions import Partition, partitions_of
 from oracles import (
+    cauchy_integral_by_permutations,
     closed_form_phi,
     fraction_convergence_row,
     fraction_falling,
@@ -81,6 +82,7 @@ from oracles import (
     fraction_permutation_sum,
     fraction_power,
     functional_on_shifted_schur,
+    pfaffian_integral_by_matchings,
     pstar_closed_form,
     schur_tableau,
     shifted_schur_bialternant,
@@ -439,6 +441,26 @@ def test_cauchy_integral_keeps_one_term_per_alternant(pair):
         p, lambda x: _signed_sum(q, lambda y: _integrate_monomial_times_cauchy(x, y))
     )
     assert expanded == factorial(d) ** 2 * _integrate_monomial_times_cauchy(p, q)
+
+
+@PROPERTY
+@given(st.lists(st.integers(0, 4), min_size=1, max_size=5))
+@example([0])
+@example([2, 2, 0])
+@example([3, 3, 1, 0, 0])
+def test_pfaffian_integral_is_the_matching_expansion(e):
+    # de Bruijn's one Pfaffian against the sum over perfect matchings, odd l bordered
+    assert _integrate_monomial_times_pfaffian(len(e), e) == pfaffian_integral_by_matchings(len(e), e)
+
+
+@PROPERTY
+@given(exponent_pairs(max_length=4))
+@example(([0, 0], [0, 0]))
+@example(([2, 2, 1], [1, 0, 1]))
+def test_cauchy_integral_is_the_permutation_expansion(pair):
+    # de Bruijn's one determinant against the sum over the d! permutations
+    p, q = pair
+    assert _integrate_monomial_times_cauchy(p, q) == cauchy_integral_by_permutations(p, q)
 
 
 def _inside(lam):
