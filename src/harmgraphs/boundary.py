@@ -14,12 +14,21 @@ needed here reduces to closed form on the standard simplex:
 * a monomial against the leftover quotient Pfaffian or Cauchy determinant
   integrates by de Bruijn's formula (1955): each matching or permutation
   term factors over its disjoint pairs over the same (N + sum(e) - 1)!, so
-  the integral is one Pfaffian or determinant of per-pair integrals.
+  the integral is one Pfaffian or determinant of per-pair integrals;
+* m_mu against m_lam sums the Dirichlet values of mu + f over the
+  arrangements f of lam, and prod(mu_i + f_i)! = prod(mu_i!) prod (mu_i + 1)_(f_i),
+  so the sum is m_lam at mu + 1 in rising powers: one `monomial_tables`
+  closure of lam, prod(r_v + 1) entries filled in one pass per coordinate.
 
-That makes the μ = ∅ mass-one checks exact as well, not just the
-full-length alternant cases.  The truncated family and the density
-constant depend on λ alone, so `selberg_rows` builds them once per λ; the
-kernel tables likewise clear a Thoma point once for every μ.
+No face is capped, and each μ = ∅ mass-one row sets a density constant in
+closed form against the integral by another route: on young the product
+(|λ| + l² − 1)! / (prod A_i! V(A)), A = λ + δ, against Andreief's
+determinant; on kingman (|λ| + l − 1)! prod r_v! / prod λ_i! against the
+monomial table; on schur Schur's product (`quotient_pfaffian`) against de
+Bruijn's Pfaffian; on gamma Cauchy's product against de Bruijn's
+determinant.  The truncated family and the density constant depend on λ
+alone, so `selberg_rows` builds them once per λ; the kernel tables likewise
+clear a Thoma point once for every μ.
 
 Each face (young, kingman, schur, gamma) is one `Face` record in the
 `FACES` table, keyed by the `face` string of its truncated family: its
@@ -58,7 +67,7 @@ from .harmonic import (
     TruncSchur,
     TruncYoung,
 )
-from .interp import complete_numerators, jacobi_trudi_det, monomial_tables
+from .interp import complete_numerators, falling_power, jacobi_trudi_det, monomial_tables
 from .partitions import Partition, level_runs
 from .series import Poly, poly_add, poly_eval, poly_integral, poly_mul, poly_scale, poly_sub
 
@@ -90,19 +99,6 @@ class ThomaPoint(namedtuple("ThomaPoint", "alpha beta")):
 
 
 # ---------------------------------------------------------------------------
-# exact simplex integration
-# ---------------------------------------------------------------------------
-
-def simplex_monomial_integral(exponents) -> Fraction:
-    """Unordered-simplex integral of a monomial over sum(x) = 1, by the Dirichlet
-    formula prod(e_i!) / (N + sum(e) - 1)!."""
-    es = [int(e) for e in exponents]
-    if any(e < 0 for e in es):
-        raise ValueError("exponents must be >= 0")
-    return Fraction(prod(map(factorial, es)), factorial(len(es) + sum(es) - 1))
-
-
-# ---------------------------------------------------------------------------
 # densities on the faces
 # ---------------------------------------------------------------------------
 
@@ -117,18 +113,22 @@ def _plus_staircase(mu: Partition, l: int) -> list[int]:
     return [mu.part(i) + l - i for i in range(1, l + 1)]
 
 
-def young_density_constant(lam: Partition) -> Fraction:
-    l = lam.length
-    return Fraction(
-        factorial(lam.size + l * l - 1),
-        _factorial_det(_plus_staircase(lam, l), _plus_staircase(Partition(), l)),
-    )
-
-
 def _vandermonde(values) -> int:
     """prod_{i<j} (v_i - v_j) on integers."""
     n = len(values)
     return prod(values[i] - values[j] for i in range(n) for j in range(i + 1, n))
+
+
+def _orders(parts) -> int:
+    """prod_v r_v! over the multiplicities r_v of the values in parts."""
+    return 1 if len(set(parts)) == len(parts) else prod(factorial(parts.count(v)) for v in set(parts))
+
+
+def young_density_constant(lam: Partition) -> Fraction:
+    # with A = lam + delta, the mass det[(A_i + delta_j)!] is prod(A_i!) det[(A_i + 1)_(delta_j)],
+    # and that determinant is V(A)
+    a = _plus_staircase(lam, lam.length)
+    return Fraction(factorial(lam.size + lam.length**2 - 1), prod(map(factorial, a)) * _vandermonde(a))
 
 
 def _alternant(xs, exponents) -> int:
@@ -148,7 +148,7 @@ def schur_density_constant(lam: Partition) -> Fraction:
 
 
 def kingman_density_constant(lam: Partition) -> Fraction:
-    orders = prod(map(factorial, lam.multiplicities().values()))
+    orders = _orders(lam.parts)
     return Fraction(factorial(lam.size + lam.length - 1) * orders, prod(map(factorial, lam.parts)))
 
 
@@ -226,9 +226,6 @@ def _gamma_density(lam: Partition):
 # exact Selberg-type verification
 # ---------------------------------------------------------------------------
 
-_EXPANSION_CAP = 5
-
-
 class SelbergResult(NamedTuple):
     graph: str
     lam: Partition
@@ -269,10 +266,13 @@ def selberg_rows(graph: str, lam: Partition, mus: list[Partition]) -> list[Selbe
     integrate to one determinant of factorials, and an alternant against
     a Pfaffian or Cauchy factor keeps only its identity term, since the
     Dirichlet closed form is symmetric in the variables; that term is one
-    Pfaffian or determinant by de Bruijn's formula.  The family and the density
-    constant are built once, and the family's level form reads the mus of each size at
-    once, with no dims or edges.  Shapes without an exact route are rejected, and
-    the kingman face is capped at length 5.
+    Pfaffian or determinant by de Bruijn's formula.  On the kingman face m_mu
+    against m_lam is m_lam in rising powers at mu + 1, read from one monomial table
+    of lam.  So at mu = () each face checks its constant's closed product against an
+    elimination (young, schur, gamma) or that table (kingman).  The family and the
+    density constant are built once, and the family's level form reads the mus of
+    each size at once, with no dims or edges.  Shapes without an exact route are
+    rejected; no face is capped.
     """
     spec, face = density_spec(graph, lam), FACES[graph]
     s = getattr(lam, face.stat)
@@ -294,31 +294,37 @@ def selberg_verify(graph: str, lam: Partition, mu: Partition) -> SelbergResult:
     return selberg_rows(graph, lam, [mu])[0]
 
 
-def _alternant_integral(a, b) -> Fraction:
-    """Unordered simplex integral of alt_a * alt_b over l!, alt_e = det[x_i^e_j]."""
-    return Fraction(_factorial_det(a, b), factorial(len(a) + sum(a) + sum(b) - 1))
+def _alternant_integral(*pairs) -> Fraction:
+    """Unordered simplex integral of prod alt_a * alt_b over the pairs (a, b), each pair on
+    variables of its own, over l! per pair, alt_e = det[x_i^e_j]: by Andreief one
+    det[(a_i + b_j)!] per pair over the (N + sum of every exponent - 1)! common to them."""
+    size, dets = -1, 1
+    for a, b in pairs:
+        size += len(a) + sum(a) + sum(b)
+        dets *= _factorial_det(a, b)
+    return Fraction(dets, factorial(size))
 
 
 def _young_selberg(lam: Partition, mus: list[Partition]):
     l = lam.length
     a = _plus_staircase(lam, l)
-    integral = lambda mu: _alternant_integral(_plus_staircase(mu, l), a)
+    integral = lambda mu: _alternant_integral((_plus_staircase(mu, l), a))
     return TruncYoung(lam), integral
 
 
 def _kingman_selberg(lam: Partition, mus: list[Partition]):
     l = lam.length
-    if l > _EXPANSION_CAP:  # the arrangement sum is a permanent, with no determinant form
-        raise ValueError(f"face dimension {l} exceeds the permutation-expansion cap {_EXPANSION_CAP}")
-    arrangements = set(permutations(lam.parts))
+    table = monomial_tables([lam])  # one closure for every mu
 
     def integral(mu: Partition) -> Fraction:
         mu_pad = mu.parts + (0,) * (l - mu.length)
-        # m_mu sums x^e over the l!/prod(r_v!) arrangements e of mu_pad; by
-        # symmetry each integrates against m_lam to the value mu_pad gives
-        arranged = ([a + b for a, b in zip(mu_pad, e)] for e in arrangements)
-        total = sum(map(simplex_monomial_integral, arranged))
-        return total / _orders(mu_pad)
+        # m_mu sums x^e over the l!/prod(r_v!) arrangements e of mu_pad; by symmetry each
+        # integrates against m_lam to the value mu_pad gives, the Dirichlet values of mu_pad + f
+        # over the arrangements f of lam: prod(mu_i!) m_lam(mu_pad + 1) in rising powers over
+        # (l + |mu| + |lam| - 1)!
+        rising = table([m + 1 for m in mu_pad], falling_power(-1))[lam.parts]
+        order = factorial(l + mu.size + lam.size - 1) * _orders(mu_pad)
+        return Fraction(prod(map(factorial, mu.parts)) * rising, order)
 
     return TruncKingman(lam), integral
 
@@ -329,7 +335,7 @@ def _schur_selberg(lam: Partition, mus: list[Partition]):
     def integral(mu: Partition) -> Fraction:
         if mu.length == l:
             # both alternants of full length; the squared Pfaffian cancels
-            return _alternant_integral(mu.parts, lam.parts)
+            return _alternant_integral((mu.parts, lam.parts))
         # mu = (): each term of alt_lam integrates against the Pfaffian like the first,
         # and that one is a Pfaffian of pair integrals
         return _integrate_monomial_times_pfaffian(l, lam.parts)
@@ -347,9 +353,7 @@ def _gamma_selberg(lam: Partition, mus: list[Partition]):
         if mu.depth == d:
             # the Cauchy factors cancel; one alternant pair per coordinate block
             mf = mu.frobenius()
-            size = sum(mf.p) + sum(mf.q) + sum(fc.p) + sum(fc.q)
-            dets = _factorial_det(mf.p, fc.p) * _factorial_det(mf.q, fc.q)
-            return Fraction(dets, factorial(2 * d + size - 1))
+            return _alternant_integral((mf.p, fc.p), (mf.q, fc.q))
         # mu = (): each term of either alternant integrates against the Cauchy factor like
         # the first, and that one is a determinant of pair integrals
         return _integrate_monomial_times_cauchy(fc.p, fc.q)
@@ -499,7 +503,7 @@ def convergence_experiment(
                 sums = [_run_sum(diffs, min(max(xs[0] - x + 1, 0), m)) for x in lows] + [0]
                 bins = [c + a - b for c, a, b in zip(bins, sums, sums[1:])]
             inner = _interior(blocks, gap, m) if sum(map(len, blocks)) == l else range(0)
-            forms = _differences(form(_step(xs, j)) for j in inner[: degree + 1])
+            forms = _differences(form(_step(xs, j)) for j in inner[: len(diffs)])
             for _, w, f in zip(inner, _walk(diffs, inner.start), _walk(forms, 0)):
                 if f > 0:
                     a = k.denominator * f.numerator
@@ -611,11 +615,6 @@ def _young_weights(family: TruncYoung, n: int) -> tuple[Fraction, Iterator[tuple
 
     c, runs = _level_runs(family, n, weight, level_runs(n, l))
     return c / _vandermonde(a), runs
-
-
-def _orders(parts) -> int:
-    """prod_v r_v! over the multiplicities r_v of the values in parts."""
-    return 1 if len(set(parts)) == len(parts) else prod(factorial(parts.count(v)) for v in set(parts))
 
 
 def _kingman_weights(family: TruncKingman, n: int) -> tuple[Fraction, Iterator[tuple]]:

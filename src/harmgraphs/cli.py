@@ -193,6 +193,14 @@ def _at_least(k: int):
 _POSITIVE = _ranged(float, lambda v: v > 0 and isfinite(v), "a positive finite number")
 
 
+def _levels(text: str) -> list[int]:
+    """An argparse `type`: comma-separated distinct levels, each at least 1."""
+    ns = [_at_least(1)(n) for n in text.split(",")]
+    if len(set(ns)) < len(ns):
+        raise argparse.ArgumentTypeError(f"levels must be distinct, got {text!r}")
+    return ns
+
+
 # ---------------------------------------------------------------------------
 # plain evaluation commands
 # ---------------------------------------------------------------------------
@@ -717,8 +725,7 @@ _COMMANDS = {
                                 "one exact integral identity, both sides"),
     "converge": _Command(cmd_converge, (
         _FAMILY,
-        _flag("--n", type=lambda text: [_at_least(1)(n) for n in text.split(",")], required=True,
-              help="comma-separated level list"),
+        _flag("--n", type=_levels, required=True, help="comma-separated distinct levels"),
         _int("--resolution", 1, 20),
         _flag("--interior", type=_ranged(as_rational, lambda v: 0 < v < 1, "strictly between 0 and 1"),
               default="1/5", help="interior separation fraction"),

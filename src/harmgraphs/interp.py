@@ -6,8 +6,8 @@ factorial monomial (Kingman side) and factorial Schur P (strict side):
 
 * Schur and shifted Schur: one Jacobi-Trudi determinant in the one-row
   values, at a point or under a multiplicative functional; the one-row
-  generators h* by a running tableau sum, the product-form ones by one
-  O(count) recurrence per factor, on integers when the factors are.  The
+  generators h* and the other product-form series by one O(count)
+  recurrence per factor, on integers when the factors are.  The
   determinant is always one integer determinant (a rational sequence is
   graded onto integer numerators first), and it serves every s and s*
   value: points, diagram points, the reflected points of the truncated
@@ -203,7 +203,8 @@ def shifted_schur_columns(xs: Sequence[int], q: int, length: int, count: int) ->
     l(mu) <= length and mu_1 + l(mu) - 1 <= count, the highest index the determinant
     reads.  s* is stable under zero padding, so the columns of a diagram at its own
     length serve every mu, longer ones included."""
-    return shifted_columns([1] + _h_star_numerators(xs, q, count), length, q)
+    h = _product_series([(i * q, x - i * q) for i, x in enumerate(xs, 1)], count, q)
+    return shifted_columns([1, *h], length, q)
 
 
 def shifted_schur_at_diagram(mu: Partition, lam: Partition) -> Fraction:
@@ -233,29 +234,13 @@ def _product_series(factors: Sequence[tuple], count: int, scale: int = 1) -> lis
 
 
 def h_star_values(x, count: int) -> list[Fraction]:
-    """Values of the one-row shifted Schur generators h*_1..h*_count at x.
-
-    The one-row reverse-tableau sum: h*_m(x) sums, over the indices
-    k >= T_1 >= ... >= T_m >= 1, the product of (x_{T_j} - j + 1).  It is
-    accumulated over the last index on the numerators of x = X/Q, in
-    O(count * k) integer operations; the product form of the generating
-    series is the test oracle.
-    """
+    """Values of the one-row shifted Schur generators h*_1..h*_count at x: the coefficients
+    of prod_i (u + i)/(u + i - x_i) = 1 + sum_m h*_m/(u falling m).  At x = X/Q that is
+    the first of the `shifted_schur_columns`, h*_m an integer over Q^m; the one-row
+    reverse-tableau sum is the test oracle."""
     xs, q = integer_point(x)
-    return [Fraction(v, q**m) for m, v in enumerate(_h_star_numerators(xs, q, count), 1)]
-
-
-def _h_star_numerators(xs: Sequence[int], q: int, count: int) -> list[int]:
-    """Q^m h*_m(X/Q) for m = 1..count: each factor x_t - j becomes X_t - jQ."""
-    values = []
-    ending = [0] * len(xs)  # ending[t]: the sum over T_1..T_j with T_j = t
-    for j in range(count):
-        tail = 1 if j == 0 else 0
-        for t in reversed(range(len(xs))):
-            tail += ending[t]
-            ending[t] = (xs[t] - j * q) * tail
-        values.append(sum(ending))
-    return values
+    h = shifted_schur_columns(xs, q, 1, count)[0][1:]
+    return [Fraction(v, q**m) for m, v in enumerate(h, 1)]
 
 
 def super_h_star_values(xs, ys, count: int) -> list[Fraction]:

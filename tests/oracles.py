@@ -494,6 +494,15 @@ def dirichlet_integral(kappas) -> Fraction:
     return Fraction(num, factorial(len(ks)) * factorial(sum(ks) - 1))
 
 
+def simplex_monomial_integral(exponents) -> Fraction:
+    """Unordered-simplex integral of a monomial over sum(x) = 1, by the Dirichlet
+    formula prod(e_i!) / (N + sum(e) - 1)!."""
+    es = [int(e) for e in exponents]
+    if any(e < 0 for e in es):
+        raise ValueError("exponents must be >= 0")
+    return Fraction(prod(map(factorial, es)), factorial(len(es) + sum(es) - 1))
+
+
 def simplex_pair_integral(exponents, pairs) -> Fraction:
     """Unordered-simplex integral of a monomial over disjoint pair denominators.
 

@@ -13,7 +13,6 @@ from harmgraphs.boundary import (
     run_vertices,
     selberg_rows,
     selberg_verify,
-    simplex_monomial_integral,
     young_kernel,
 )
 from harmgraphs.cli import _selberg_sweep
@@ -28,6 +27,7 @@ from oracles import (
     embed_rows,
     fraction_convergence_row,
     integer_convergence_row,
+    simplex_monomial_integral,
     simplex_pair_integral,
     young_h_series,
 )
@@ -251,10 +251,10 @@ def test_selberg_rejects_unsupported_shapes():
         selberg_verify("young", P([2, 1]), P([1, 1, 1]))  # mu too long
     with pytest.raises(ValueError, match="no exact route"):
         selberg_verify("schur", P([3, 1]), P([1, 1]))  # mu not strict
-    # only the kingman arrangement sum, a permanent, is capped; the schur and gamma
-    # mu = () integrals are one Pfaffian and one determinant at any width
-    with pytest.raises(ValueError, match="permutation-expansion cap"):
-        selberg_verify("kingman", P([1] * 6), P([1]))
+    # no face is capped: the kingman integral is one monomial table of lam, and the schur
+    # and gamma mu = () integrals are one Pfaffian and one determinant, at any width
+    assert selberg_verify("kingman", P([1] * 6), P([1])).equal
+    assert selberg_verify("kingman", P([1] * 6), P()).equal
     assert selberg_verify("schur", P([6, 5, 4, 3, 2, 1]), P()).equal
     assert selberg_verify("gamma", P([6] * 6), P()).equal
     assert selberg_verify("young", P([6, 5, 4, 3, 2, 1]), P([1])).equal

@@ -363,13 +363,13 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys):
          "kingman face needs a nonempty partition"),
         (("density", "--graph", "schur", "--lambda", "0", "--at", "1/2"),
          "schur face needs a nonempty strict partition"),
-        # the kingman arrangements still expand l!/prod(r_v!) terms
-        (("integral-verify", "--graph", "kingman", "--lambda", "1+1+1+1+1+1"),
-         "face dimension 6 exceeds the permutation-expansion cap 5"),
         # a malformed number names its flag
         (("density", "--graph", "kingman", "--lambda", "2+1", "--at", "1/2,"), "--at"),
         (("density", "--graph", "kingman", "--lambda", "2+1", "--at", "1/0,1/2"), "--at"),
         (("converge", "--family", "trunc-young:lambda=2+1", "--n", "10,x"), "--n"),
+        # a repeated level would compare a distance with itself
+        (("converge", "--family", "trunc-young:lambda=2+1", "--n", "5,5"),
+         "argument --n: levels must be distinct, got '5,5'"),
         (("converge", "--family", "trunc-young:lambda=2+1", "--n", "10", "--interior", "x"),
          "--interior"),
         # a family parameter the family does not read, or reads twice, is named
@@ -410,8 +410,8 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys):
          "converge-negative-resolution", "converge-interior-3", "converge-interior-0",
          "converge-interior-negative", "converge-interior-1", "dims-negative-max-length",
          "phi-increasing-mu", "density-kingman-empty-lambda", "density-schur-empty-lambda",
-         "integral-verify-kingman-above-cap", "density-malformed-at", "density-zero-denominator",
-         "converge-malformed-n", "converge-malformed-interior", "family-unknown-key",
+         "density-malformed-at", "density-zero-denominator", "converge-malformed-n",
+         "converge-repeated-n", "converge-malformed-interior", "family-unknown-key",
          "family-key-of-another-family", "family-repeated-key", "family-malformed-cap",
          "family-zero-denominator", "family-malformed-rational", "family-malformed-partition",
          "gauss-zero-tol", "gauss-negative-tol", "gauss-zero-precision",
@@ -454,10 +454,14 @@ def test_smallest_accepted_suites_run_checks(capsys, argv, rows):
         # mu = (): one Pfaffian and one determinant by de Bruijn's formula
         ("schur", "6+5+4+3+2+1", "0"),
         ("gamma", "6+6+6+6+6+6", "0"),
+        # kingman: one rising-power monomial table of lambda, not its 6! or 7!/4! arrangements
+        ("kingman", "1+1+1+1+1+1", "0"),
+        ("kingman", "6+5+4+3+2+1", "2+1"),
+        ("kingman", "4+3+2+1+1+1+1", "3+1"),
     ],
 )
 def test_integral_verify_on_faces_wider_than_the_expansion_cap(capsys, graph, lam, mu):
-    # determinant and Pfaffian routes: no permutation or matching is expanded
+    # determinant, Pfaffian and table routes: no permutation or matching is expanded
     code, out, _ = run(capsys, "integral-verify", "--graph", graph, "--lambda", lam, "--mu", mu)
     assert code == EXIT_OK
     assert out.endswith("summary: 1 passed, 0 failed\n")

@@ -118,6 +118,11 @@ GOLDEN = [
      "55e16a402d09033531e6d4f5ff28aaa43d1c2c65c94625e33a1d9b7487b3a34f"),
     ("integral-verify --graph gamma --lambda 6+6+6+6+6+6", EXIT_OK,
      "44e224d6809ab4901f997e9fa47485e36840144f99287442f20388005b878d9e"),
+    # the kingman face past that dimension: one rising-power monomial table of lambda
+    ("integral-verify --graph kingman --lambda 1+1+1+1+1+1 --mu 2+1", EXIT_OK,
+     "b410c8db1a2477fb7dda3908385ca0fcbf767c3f916b4a02e9b6e4af5cce96b6"),
+    ("verify selberg --graph kingman --lam 4+3+2+1+1+1+1 --mu 3+1", EXIT_OK,
+     "28a0e95a99cc7af867993b4c64d0bb0cc08077ac41a478e802db254631202c9e"),
     # the pointwise ratio at n = 50 is still outside its 0.05 tolerance
     ("converge --family trunc-young:lambda=2+1 --n 50,100", EXIT_CHECK_FAILED,
      "9b3f940e1fcdbe418d21444889334a324db65b32dbc5fffe135a6e5962c6ca72"),
@@ -135,6 +140,9 @@ GOLDEN = [
     # binned distance there, so the monotone row fails
     ("converge --family gamma:lambda=2+1,cap=8 --n 4,6,8", EXIT_CHECK_FAILED,
      "8747741d1a96d96d3a87f23682876bd23198fdf4325fc15b6d57c6af159a0422"),
+    # lambda = (1): the face form has degree -1, and the hook measure is exactly uniform
+    ("converge --family gamma:lambda=1,cap=6 --n 3,5", EXIT_CHECK_FAILED,
+     "7fffb88ae500646adb2d06dd5c98efd014e9d831c24b870da2dc2b069d17e15a"),
     # the schur face keeps the dim_closed_form * value route
     ("converge --family trunc-schur:lambda=3+1 --n 20,40", EXIT_CHECK_FAILED,
      "166e4dff1272441de93a32c81a9ada560d2cdf1e1df149eced24dff49f3ce7ce"),
