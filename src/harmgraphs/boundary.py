@@ -17,8 +17,9 @@ needed here reduces to closed form on the standard simplex:
   the integral is one Pfaffian or determinant of per-pair integrals;
 * m_mu against m_lam sums the Dirichlet values of mu + f over the
   arrangements f of lam, and prod(mu_i + f_i)! = prod(mu_i!) prod (mu_i + 1)_(f_i),
-  so the sum is m_lam at mu + 1 in rising powers: one `monomial_tables`
-  closure of lam, prod(r_v + 1) entries filled in one pass per coordinate.
+  so the sum is m_lam at mu + 1 in rising powers, one `monomial_tables` closure
+  of lam (prod(r_v + 1) entries, one pass per coordinate); the kingman level
+  weight at nu is that same sum at nu over `_orders`(nu).
 
 No face is capped, and each μ = ∅ mass-one row sets a density constant in
 closed form against the integral by another route: on young the product
@@ -43,8 +44,9 @@ start.  On the young and kingman faces a run is one prefix ν_1 ... ν_(l-2) of
 degree(λ) along it, so a level's mass and its width-2 bins are closed-form run
 sums, and the interior test, linear in the run index, selects one interval,
 the only place where weights and forms are walked vertex by vertex (the
-kingman face parts each run's first and last vertex off as runs of one).  On
-the schur and gamma faces each vertex is a run of one, read by the same loop.
+kingman weight's `_orders`(nu) is the prefix's only inside a run, so that face
+parts each run's first and last vertex off as runs of one).  On the schur and
+gamma faces each vertex is a run of one, read by the same loop.
 """
 
 from __future__ import annotations
@@ -52,7 +54,6 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import reduce
-from itertools import permutations
 from math import comb, factorial, prod
 from operator import add, mul, sub
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -67,8 +68,8 @@ from .harmonic import (
     TruncSchur,
     TruncYoung,
 )
-from .interp import complete_numerators, falling_power, jacobi_trudi_det, monomial_tables
-from .partitions import Partition, level_runs
+from .interp import complete_numerators, jacobi_trudi_det, monomial_tables
+from .partitions import Partition, _orders, level_runs
 from .series import Poly, poly_add, poly_eval, poly_integral, poly_mul, poly_scale, poly_sub
 
 
@@ -117,11 +118,6 @@ def _vandermonde(values) -> int:
     """prod_{i<j} (v_i - v_j) on integers."""
     n = len(values)
     return prod(values[i] - values[j] for i in range(n) for j in range(i + 1, n))
-
-
-def _orders(parts) -> int:
-    """prod_v r_v! over the multiplicities r_v of the values in parts."""
-    return 1 if len(set(parts)) == len(parts) else prod(factorial(parts.count(v)) for v in set(parts))
 
 
 def young_density_constant(lam: Partition) -> Fraction:
@@ -206,7 +202,7 @@ def _young_density(lam: Partition):
 
 def _kingman_density(lam: Partition):
     table = monomial_tables([lam])  # one closure for every point
-    return lambda xs: table(xs, pow)[lam.parts]  # m_lam
+    return lambda xs: table(xs, 0)[lam.parts]  # m_lam
 
 
 def _schur_density(lam: Partition, xs) -> Fraction:
@@ -312,19 +308,25 @@ def _young_selberg(lam: Partition, mus: list[Partition]):
     return TruncYoung(lam), integral
 
 
+def _kingman_rising(lam: Partition) -> Callable[[Sequence[int]], int]:
+    """e -> m_lam(e + 1) in rising powers, prod_i (e_i + 1)_(f_i) summed over the arrangements f
+    of lam: the kingman face's Dirichlet sum, which its Selberg integral and level weights read,
+    from one `monomial_tables` closure of lam (prod(r_v + 1) entries, one pass per coordinate)."""
+    table = monomial_tables([lam])
+    return lambda e: table([x + 1 for x in e], -1)[lam.parts]
+
+
 def _kingman_selberg(lam: Partition, mus: list[Partition]):
     l = lam.length
-    table = monomial_tables([lam])  # one closure for every mu
+    rising = _kingman_rising(lam)  # one closure for every mu
 
     def integral(mu: Partition) -> Fraction:
         mu_pad = mu.parts + (0,) * (l - mu.length)
         # m_mu sums x^e over the l!/prod(r_v!) arrangements e of mu_pad; by symmetry each
-        # integrates against m_lam to the value mu_pad gives, the Dirichlet values of mu_pad + f
-        # over the arrangements f of lam: prod(mu_i!) m_lam(mu_pad + 1) in rising powers over
-        # (l + |mu| + |lam| - 1)!
-        rising = table([m + 1 for m in mu_pad], falling_power(-1))[lam.parts]
+        # integrates against m_lam to the value mu_pad gives: prod(mu_i!) m_lam(mu_pad + 1) in
+        # rising powers over (l + |mu| + |lam| - 1)!
         order = factorial(l + mu.size + lam.size - 1) * _orders(mu_pad)
-        return Fraction(prod(map(factorial, mu.parts)) * rising, order)
+        return Fraction(prod(map(factorial, mu.parts)) * rising(mu_pad), order)
 
     return TruncKingman(lam), integral
 
@@ -400,7 +402,7 @@ def kingman_kernel_table(
         if omega.beta:
             raise ValueError("kingman boundary points carry no beta coordinates")
         (*xs, g), q = integer_point((*omega.alpha, omega.gamma))
-        m = table(xs, pow)
+        m = table(xs, 0)
         numerators = {}
         for mu in shapes:
             ks = range(mu.multiplicity(1) + 1)  # the parts 1 come last
@@ -618,16 +620,17 @@ def _young_weights(family: TruncYoung, n: int) -> tuple[Fraction, Iterator[tuple
 
 
 def _kingman_weights(family: TruncKingman, n: int) -> tuple[Fraction, Iterator[tuple]]:
-    """M_n(nu) = c_n sum_sigma prod_i (nu_sigma(i) + 1)_(lam_i) / lam_i!, over the
-    distinct arrangements sigma of nu; each factor is the binomial C(lam_i + nu_sigma(i), lam_i),
-    so the scale is c_n and each value an integer.  Only the sum over all l! arrangements, which
-    counts each distinct one `_orders`(nu) times, is a polynomial in nu.  Inside a run the last
-    two parts are distinct, nonzero and below the prefix, so there `_orders` is the prefix's:
-    the first and the last vertex of each run, where it may not be, stand as runs of one."""
-    lam = family.lam
+    """M_n(nu) = c_n sum_sigma prod_i (nu_sigma(i) + 1)_(lam_i) / lam_i! over the distinct
+    arrangements sigma of nu, an integer times c_n.  The sum over all l! orderings, which counts
+    each arrangement `_orders`(nu) times, is prod r_v(lam)! m_lam(nu + 1) in rising powers over
+    prod lam_i!: the Selberg integral's Dirichlet sum (`_kingman_rising`), a polynomial.  Only inside
+    a run, whose last two parts are distinct, nonzero and below the prefix, is `_orders`(nu) the
+    prefix's, so each run's first and last vertex stand as runs of one."""
+    lam, rising = family.lam, _kingman_rising(family.lam)
+    orders, factorials = _orders(lam.parts), prod(map(factorial, lam.parts))
 
     def weight(nu) -> int:
-        return sum(prod(comb(p + x, p) for p, x in zip(lam.parts, e)) for e in permutations(nu)) // _orders(nu)
+        return orders * rising(nu) // (factorials * _orders(nu))
 
     def runs():
         for p, m in level_runs(n, family.width):
@@ -712,8 +715,8 @@ FACES: dict[str, Face] = {
         density=_kingman_density,
         level_weights=_kingman_weights, selberg=_kingman_selberg,
         sweep=(1, 2, 3), admits=lambda mu, s: mu.length <= s,
-        # m_lam at (alpha_1, 1 - alpha_1)
-        polynomial=lambda lam: reduce(poly_add, (_width2_monomial(*e) for e in set(permutations(lam.parts)))),
+        # m_lam at (alpha_1, 1 - alpha_1), the sum over the arrangements of lam's two parts
+        polynomial=lambda lam: reduce(poly_add, (_width2_monomial(*e) for e in {lam.parts, lam.parts[::-1]})),
     ),
     "schur": Face(
         accepts=lambda lam: lam.is_strict and lam.length >= 1, needs="a nonempty strict partition",

@@ -59,7 +59,6 @@ from .harmonic import (
 )
 from .interp import (
     complete_numerators,
-    falling_power,
     gauss_2f1_check,
     jacobi_trudi_det,
     monomial_tables,
@@ -254,8 +253,7 @@ def _harmonicity_report(family: HarmonicFamily, levels: int) -> Report:
 
 
 def cmd_dims(args) -> int:
-    kind = parse_kind(args.kind)
-    sys.stdout.write(dims_csv(args.level, kind, max_length=args.max_length))
+    sys.stdout.write(dims_csv(args.level, args.kind, max_length=args.max_length))
     return EXIT_OK
 
 
@@ -338,7 +336,7 @@ def _suite_interpolation(args, report: Report) -> None:
     # serve every mu (both are stable under zero padding); there they are integers
     columns = {lam: shifted_schur_columns(lam.parts, 1, cap, cap) for lam in partitions_up_to(cap)}
     table = monomial_tables(columns)
-    m_star = {lam: table(lam.parts, falling_power(1)) for lam in columns}
+    m_star = {lam: table(lam.parts, 1) for lam in columns}
     for n in range(1, cap + 1):
         for mu in partitions_of(n):
             for m in range(n + 1):
@@ -393,7 +391,7 @@ def _suite_pieri(args, report: Report) -> None:
         h_star = shifted_schur_columns(xs, q, cap + 1, cap + 1)
         s = {lam: jacobi_trudi_det(lam, h) for lam in shapes}
         s_star = {lam: jacobi_trudi_det(lam, h_star) for lam in shapes}
-        m, m_star = table(xs, pow), table(xs, falling_power(q))
+        m, m_star = table(xs, 0), table(xs, q)
         p_star = pstar_values(strict_shapes, x)
         for (n, young_rows), (_, kingman_rows) in levels:
             den = q ** (n + 1)  # both sides of each relation at level n
@@ -712,7 +710,7 @@ _COMMANDS = {
     "check-harmonic": _Command(cmd_check_harmonic, (_FAMILY, _int("--levels", 1, 8), *_OUTPUT),
                                "exact harmonicity/normalization/positivity"),
     "dims": _Command(cmd_dims, (
-        _flag("--kind", required=True, help="young | jack(theta) | kingman | schur"),
+        _flag("--kind", type=parse_kind, required=True, help="young | jack(theta) | kingman | schur"),
         _flag("--level", type=_at_least(0), required=True),
         _flag("--max-length", type=_at_least(0), default=None),
     ), "CSV dump of one level's dimensions"),

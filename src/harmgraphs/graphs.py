@@ -59,13 +59,14 @@ def jack(theta) -> GraphKind:
 
 
 def parse_kind(text: str) -> GraphKind:
+    """young | jack(theta) | kingman | schur; any other text raises ValueError."""
     text = text.strip().lower()
-    if text.startswith("jack"):
-        inner = text[4:].strip("():=")
-        if not inner:
-            raise ValueError("jack kind needs a theta, e.g. jack(1/2)")
-        return jack(inner)
-    return {"young": YOUNG, "kingman": KINGMAN, "schur": SCHUR}[text]
+    try:
+        if text.startswith("jack"):
+            return jack(text[4:].strip("():="))
+        return {"young": YOUNG, "kingman": KINGMAN, "schur": SCHUR}[text]
+    except (KeyError, ValueError, ZeroDivisionError):
+        raise ValueError(f"graph kind {text!r} is none of young, jack(theta > 0), kingman, schur") from None
 
 
 # ---------------------------------------------------------------------------

@@ -26,14 +26,13 @@ from .exact import as_rational, integer_point
 from .graphs import GraphKind, KINGMAN, SCHUR, YOUNG, dim_closed_form, jack, sweep, top_level
 from .interp import (
     _product_series,
-    falling_power,
     jacobi_trudi_det,
     monomial_tables,
     pstar_pfaffians,
     shifted_columns,
     shifted_schur_columns,
 )
-from .partitions import EMPTY, FrobeniusCoords, Partition
+from .partitions import EMPTY, FrobeniusCoords, Partition, _orders
 
 
 class FamilyError(ValueError):
@@ -240,8 +239,7 @@ class KingmanTA(HarmonicFamily):
         parts_of = [0, *accumulate(range(tq * (aq - ap), tq * (n * aq - ap), tq * aq), mul, initial=1)]
         lengths = [0, *accumulate([tp * aq + i * ap * tq for i in range(1, n)], mul, initial=1)]
         fact, ps = factorial(n), [lam.parts for lam, _, _ in rows]
-        xs = [lengths[len(p)] * prod(map(parts_of.__getitem__, p)) * fact
-              // prod(map(factorial, map(p.count, set(p)))) for p in ps]
+        xs = [lengths[len(p)] * prod(map(parts_of.__getitem__, p)) * fact // _orders(p) for p in ps]
         return _over_rising(xs, fact * aq ** (n - 1), self.t, n, first=1)
 
     @staticmethod
@@ -422,7 +420,7 @@ class TruncKingman(_FiniteWidth):
 
     def _interpolants(self, mus: list[Partition]) -> tuple[list[int], int]:
         """m*_mu at the point, from one table over the closure of the mus."""
-        table = monomial_tables(mus)(self.point(), falling_power(1))
+        table = monomial_tables(mus)(self.point(), 1)
         return [table[mu.parts] for mu in mus], 1
 
     def spec_string(self) -> str:

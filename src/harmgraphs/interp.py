@@ -16,7 +16,7 @@ factorial monomial (Kingman side) and factorial Schur P (strict side):
   reverse-tableau sums are test oracles;
 * monomial and factorial monomial: one pass over the coordinates fills a table of
   every shape of a set and the partitions below it by removed parts
-  (`monomial_tables`), m with ordinary powers and m* with falling ones;
+  (`monomial_tables`) in powers of an integer step c: m at c = 0, m* at Q, rising at -1;
 * factorial Schur P: one-row series -> two-row table -> Pfaffian, on integer
   numerators D_m = 2 Q^m P*_(m) and T_(p,k) = 4 Q^(p+k) P*_(p,k); the integer
   Pfaffian is Q^|mu| Q*_mu = 2^l(mu) Q^|mu| P*_mu.  `pstar_pfaffians` builds one
@@ -41,7 +41,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, zip_longest
-from math import factorial, prod
+from math import factorial
 from operator import mul
 from typing import Mapping, Sequence
 
@@ -138,30 +138,24 @@ def monomial_eval(mu: Partition, x) -> Fraction:
     """Monomial symmetric polynomial m_mu at a finite point x = X/Q: m_mu(X)/Q^|mu|
     on the integer numerators, the one-mu case of `monomial_tables`."""
     xs, q = integer_point(x)
-    return Fraction(monomial_tables([mu])(xs, pow)[mu.parts], q**mu.size)
+    return Fraction(monomial_tables([mu])(xs, 0)[mu.parts], q**mu.size)
 
 
 def factorial_monomial_eval(mu: Partition, x) -> Fraction:
-    """Factorial monomial m*_mu: ordinary powers replaced by falling powers,
-    one integer over Q^|mu| at x = X/Q (`falling_power`)."""
+    """Factorial monomial m*_mu: ordinary powers replaced by falling powers, at x = X/Q
+    the integer products of X - jQ over j < k, so one integer over Q^|mu| (step Q)."""
     xs, q = integer_point(x)
-    return Fraction(monomial_tables([mu])(xs, falling_power(q))[mu.parts], q**mu.size)
-
-
-def falling_power(q: int):
-    """The power m*_mu takes on numerators over Q: at x = X/Q the falling power
-    x (x-1) ... (x-k+1) is the integer product of X - jQ over j < k, over Q^k."""
-    return lambda a, k: prod(range(a, a - k * q, -q))
+    return Fraction(monomial_tables([mu])(xs, q)[mu.parts], q**mu.size)
 
 
 def monomial_tables(shapes):
-    """table(X, power): m_nu(X), or m*_nu with power `falling_power(Q)`, on integer
-    coordinates (zeros on the rest) and keyed by parts, for the shapes and every nu
-    reached from them by removing parts.  Each coordinate x, one pass, turns T[nu] into
-    T[nu] + sum_p T[nu less p] power(x, p) over the distinct parts p of nu, taking nu in
-    decreasing order so that each reads T[nu less p] before it moves; T[()] = 1.  A power
-    is x(x - c) ... (x - (p - 1)c), c = 0 for `pow` and Q for a falling power, so with
-    c = 1 - power(1, 2) each power is the one before times x - (p - 1)c."""
+    """table(X, c): m_nu on integer coordinates X (zeros on the rest) in the powers
+    x(x - c) ... (x - (p - 1)c) of an integer step c, keyed by parts, for the shapes and every
+    nu reached from them by removing parts: c = 0 gives m, c = Q the falling powers of m* at
+    X/Q (over Q^|nu|), c = -1 rising powers.  Each coordinate x, one pass, turns T[nu] into
+    T[nu] + sum_p T[nu less p] pw(p) over the distinct parts p of nu, each power pw(p) the one
+    before times x - (p - 1)c, taking nu in decreasing order so that each reads T[nu less p]
+    before it moves; T[()] = 1."""
     steps = {}
     todo = [mu.parts for mu in shapes]
     for nu in todo:
@@ -171,9 +165,8 @@ def monomial_tables(shapes):
     closure = sorted(steps.items(), reverse=True)  # nu less p sorts below nu
     top = max(max(steps, default=()), default=0)  # the largest part heads the largest nu
 
-    def table(xs, power):
+    def table(xs, c: int):
         values = dict.fromkeys(steps, 0) | {(): 1}
-        c = 1 - power(1, 2)
         for x in xs:
             pw = list(accumulate((x - p * c for p in range(top)), mul, initial=1))
             for nu, rests in closure:

@@ -8,7 +8,7 @@ decreasing lexicographic order so goldens stay deterministic.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
+from math import factorial, prod
 from typing import Iterator
 
 from .exact import as_rational
@@ -281,6 +281,11 @@ EMPTY = Partition()
 
 def _is_strict(parts: tuple[int, ...]) -> bool:
     return all(a > b for a, b in zip(parts, parts[1:]))
+
+
+def _orders(parts) -> int:
+    """prod_v r_v! over the multiplicities r_v of the values in parts."""
+    return 1 if len(set(parts)) == len(parts) else prod(factorial(parts.count(v)) for v in set(parts))
 
 
 def _grown_rows(parts: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:

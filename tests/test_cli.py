@@ -397,6 +397,9 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys):
         (("check-harmonic", "--family", "young-zz:e=1,t=1", "--levels", "0"), "--levels: must be an integer >= 1"),
         (("measure", "--family", "young-zz:e=1,t=1", "--n", "-1"), "--n: must be an integer >= 0"),
         (("dims", "--kind", "young", "--level", "-1"), "--level: must be an integer >= 0"),
+        # an unknown or malformed graph kind names its flag and the value
+        *[(("dims", "--kind", k, "--level", "3"), f"argument --kind: invalid parse_kind value: {k!r}")
+          for k in ("foo", "strict", "jack(1/0)", "jack(x)")],
     ],
     ids=["pfaffian-size-1", "converge-negative-n", "converge-zero-n", "converge-zero-in-list",
          "converge-untruncated", "pieri-negative-size", "pieri-no-points", "kernels-zero-levels",
@@ -417,7 +420,8 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys):
          "gauss-zero-tol", "gauss-negative-tol", "gauss-zero-precision",
          "gauss-negative-precision", "converge-negative-ratio-tol", "converge-zero-ratio-tol",
          "converge-nan-ratio-tol", "converge-infinite-ratio-tol", "check-harmonic-zero-levels",
-         "measure-negative-n", "dims-negative-level"],
+         "measure-negative-n", "dims-negative-level", "dims-unknown-kind", "dims-strict-kind",
+         "dims-jack-zero-denominator", "dims-jack-malformed-theta"],
 )
 def test_out_of_domain_arguments_are_usage_errors(capsys, argv, message):
     code, out, err = run(capsys, *argv)

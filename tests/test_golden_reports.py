@@ -136,6 +136,11 @@ GOLDEN = [
      "e4820891846667055ba520750d99c00bea84fbf1ced06fc766f46f9d8e9b0749"),
     ("converge --family trunc-kingman:lambda=2+1+1 --n 30,60,120", EXIT_CHECK_FAILED,
      "c867907948a53432162d170cc74b6c3522570786a280b485eec245c8f6df8b83"),
+    # a wide kingman face: each level weight one rising-power monomial table of lambda
+    ("measure --family trunc-kingman:lambda=1+1+1+1+1+1+1 --n 10", EXIT_OK,
+     "f36062359a8dd8f1817132d8500b535eaa524663161a23c5b53327bdafa29aad"),
+    ("converge --family trunc-kingman:lambda=2+1+1+1+1+1 --n 12,24", EXIT_CHECK_FAILED,
+     "e415b9f6d4462097e68a909e19a4df1b2025a1d150190ac0b9c3943504af310f"),
     # the gamma face embeds each vertex by its Frobenius coordinates; no
     # binned distance there, so the monotone row fails
     ("converge --family gamma:lambda=2+1,cap=8 --n 4,6,8", EXIT_CHECK_FAILED,

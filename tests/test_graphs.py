@@ -36,6 +36,10 @@ def test_kind_construction():
         GraphKind("jack", F(-1))
     with pytest.raises(ValueError):
         GraphKind("young", F(1))
+    # an unknown kind, a jack theta that is no positive rational: one ValueError naming the kinds
+    for text in ("foo", "strict", "jack", "jack(0)", "jack(1/0)", "jack(x)"):
+        with pytest.raises(ValueError, match="is none of young, jack"):
+            parse_kind(text)
 
 
 def test_covers_by_kind():

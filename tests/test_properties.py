@@ -61,7 +61,6 @@ from harmgraphs.interp import (
     _product_series,
     apply_functional,
     factorial_monomial_eval,
-    falling_power,
     monomial_eval,
     monomial_tables,
     pstar_eval,
@@ -288,10 +287,14 @@ def _removals(shapes):
 @example([Partition([2, 2, 1]), Partition([1, 1, 1, 1, 1])], [0, -4, 7], 3)  # longer than the point
 @example([Partition([3, 3, 1]), Partition([3, 1, 1])], [5, 0, 0, -1], 4)  # shared removals
 def test_monomial_tables_match_the_fraction_pass_and_the_arrangement_sum(shapes, xs, q):
-    # one closure of the shapes; m and m* of every partition in it at X/Q from two tables
+    # one closure of the shapes; m and m* of every partition in it at X/Q from two tables,
+    # and m at X in rising powers (step -1) from a third
     table = monomial_tables(shapes)
-    m, m_star = table(xs, pow), table(xs, falling_power(q))
-    assert set(m) == set(m_star) == _removals(shapes)
+    m, m_star, m_rising = table(xs, 0), table(xs, q), table(xs, -1)
+    assert set(m) == set(m_star) == set(m_rising) == _removals(shapes)
+    rising = lambda a, e: fraction_falling(a + e - 1, e)
+    for parts, value in m_rising.items():
+        assert value == fraction_permutation_sum(Partition(parts), [F(v) for v in xs], rising)
     x = [F(v, q) for v in xs]
     for parts in m:
         nu = Partition(parts)
@@ -317,6 +320,10 @@ narrow = st.integers(1, 8).flatmap(
 @example(TruncKingman, Partition([2, 2, 1]), 36)
 @example(TruncYoung, Partition([2, 1, 1]), 50)
 @example(TruncYoung, Partition([3, 2]), 64)
+# wider than `narrow` draws: the kingman face's rising-power table at widths 5 to 7
+@example(TruncKingman, Partition([2, 1, 1, 1, 1, 1]), 14)
+@example(TruncKingman, Partition([1] * 7), 10)
+@example(TruncKingman, Partition([5, 4, 3, 2, 1]), 18)
 def test_level_weights_match_dimension_times_value(family_type, lam, n):
     # the young and kingman faces build each weight from small binomials, carried along
     # runs, and one constant per level; dim * phi, phi from the family's level form, is the oracle
