@@ -49,7 +49,6 @@ from .graphs import (
 )
 from .harmonic import (
     FamilyError,
-    HarmonicFamily,
     JackZZ,
     YoungZZ,
     check_harmonicity,
@@ -163,20 +162,28 @@ def _emit(report: Report, args) -> int:
     return EXIT_OK if report.failed == 0 else EXIT_CHECK_FAILED
 
 
-def _number(text: str, parse=as_rational):
-    """One numeric field of a flag; argparse names the flag of a malformed one."""
-    try:
-        return parse(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"malformed number {text!r}") from None
+def _parsed(parse):
+    """An argparse `type` from a parser of a flag's text: argparse names the flag of a
+    value the parser refuses, with the parser's own message."""
+
+    def read(text: str):
+        try:
+            return parse(text)
+        except ZeroDivisionError:
+            raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from None
+        except ValueError as exc:  # FamilyError too
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return read
 
 
 def _ranged(parse, ok, bound: str):
     """An argparse `type`: one number that `parse` reads and `ok` accepts; `bound`
     names those in the usage error and in the README's table of suite flags."""
+    read = _parsed(parse)
 
     def check(text: str):
-        value = _number(text, parse)
+        value = read(text)
         if not ok(value):
             raise argparse.ArgumentTypeError(f"must be {bound}, got {text!r}")
         return value
@@ -205,14 +212,12 @@ def _levels(text: str) -> list[int]:
 # ---------------------------------------------------------------------------
 
 def cmd_phi(args) -> int:
-    family = parse_family(args.family)
-    value = family.phi(Partition.parse(args.mu))
-    print(format_rational(value))
+    print(format_rational(args.family.phi(args.mu)))
     return EXIT_OK
 
 
 def cmd_measure(args) -> int:
-    family = parse_family(args.family)
+    family = args.family
     if family.face:  # a truncated family: its face's level weights, one per vertex within the width
         scale, runs = FACES[family.face].level_weights(family, args.n)
         weights = [(lam, scale * v) for lam, v in run_vertices(runs)]
@@ -227,18 +232,12 @@ def cmd_measure(args) -> int:
 
 
 def cmd_check_harmonic(args) -> int:
-    family = parse_family(args.family)
-    report = _harmonicity_report(family, args.levels)
-    return _emit(report, args)
-
-
-def _harmonicity_report(family: HarmonicFamily, levels: int) -> Report:
     report = Report(command="check-harmonic")
-    spec = family.spec_string()
-    hc = check_harmonicity(family, levels)
+    spec = args.family.spec_string()
+    hc = check_harmonicity(args.family, args.levels)
     bad = {v.mu: v for v in hc.violations}
     for mu, _ in hc.phi_values:
-        if mu.size == levels:
+        if mu.size == args.levels:
             break
         v = bad.get(mu)
         if v is None:
@@ -249,7 +248,7 @@ def _harmonicity_report(family: HarmonicFamily, levels: int) -> Report:
         report.add("normalization", f"{spec} n={n}", total, Fraction(1), total == 1)
     for mu, val in hc.phi_values:
         report.add("positivity", f"{spec} phi({mu})", val, None, val >= 0)
-    return report
+    return _emit(report, args)
 
 
 def cmd_dims(args) -> int:
@@ -258,7 +257,7 @@ def cmd_dims(args) -> int:
 
 
 def cmd_density(args) -> int:
-    spec = density_spec(args.graph, Partition.parse(getattr(args, "lambda")))
+    spec = density_spec(args.graph, args.lam)
     blocks, point = FACES[args.graph].blocks, args.at
     if len(point) != blocks:
         layout = ";".join(("alpha", "beta")[:blocks])
@@ -273,13 +272,12 @@ def cmd_density(args) -> int:
 
 def cmd_integral_verify(args) -> int:
     report = Report(command="integral-verify")
-    lam, mu = Partition.parse(getattr(args, "lambda")), Partition.parse(args.mu)
-    _add_selberg_rows(report, args.graph, lam, [mu])
+    _add_selberg_rows(report, args.graph, args.lam, [args.mu])
     return _emit(report, args)
 
 
 def cmd_converge(args) -> int:
-    family = parse_family(args.family)
+    family = args.family
     rep = convergence_experiment(
         family,
         args.n,
@@ -319,10 +317,6 @@ def cmd_converge(args) -> int:
 # ---------------------------------------------------------------------------
 # verification suites
 # ---------------------------------------------------------------------------
-
-def _suite_harmonicity(args, report: Report) -> None:
-    report.rows.extend(_harmonicity_report(parse_family(args.family), args.levels).rows)
-
 
 def _suite_interpolation(args, report: Report) -> None:
     cap = args.max_size
@@ -454,34 +448,20 @@ def _suite_dimension_ratio(args, report: Report) -> None:
 
 
 def _suite_selberg(args, report: Report) -> None:
-    if args.lam is not None:
-        if args.graph == "all":
-            faces = ", ".join(FACES)
-            raise ValueError(f"a single identity (--lam) needs one face: pass --graph as one of {faces}")
-        work = [(args.graph, Partition.parse(args.lam), [Partition.parse(args.mu or "0")])]
-    elif args.mu is not None:
-        raise ValueError("--mu is the mu of a single identity: pass its lambda as --lam")
-    else:
-        work = _selberg_sweep(args.graph, args.max_size)
-    for graph, lam, mus in work:
-        _add_selberg_rows(report, graph, lam, mus)
+    shapes = [p for size in range(1, args.max_size + 1) for p in partitions_of(size)]
+    for name, face in FACES.items():
+        if args.graph not in ("all", name):
+            continue
+        for s in face.sweep:
+            mus = [Partition(), *(mu for mu in shapes if face.admits(mu, s))]
+            for lam in shapes:
+                if face.accepts(lam) and getattr(lam, face.stat) == s:
+                    _add_selberg_rows(report, name, lam, mus)
 
 
 def _add_selberg_rows(report: Report, graph: str, lam: Partition, mus: list[Partition]) -> None:
     for res in selberg_rows(graph, lam, mus):
         report.add(f"selberg-{res.graph}", f"lambda={res.lam} mu={res.mu}", res.lhs, res.rhs, res.equal)
-
-
-def _selberg_sweep(graph: str, max_size: int) -> list[tuple[str, Partition, list[Partition]]]:
-    work: list[tuple[str, Partition, list[Partition]]] = []
-    shapes = [p for size in range(1, max_size + 1) for p in partitions_of(size)]
-    for name, face in FACES.items():
-        if graph not in ("all", name):
-            continue
-        for s in face.sweep:
-            mus = [Partition(), *(mu for mu in shapes if face.admits(mu, s))]
-            work += [(name, lam, mus) for lam in shapes if face.accepts(lam) and getattr(lam, face.stat) == s]
-    return work
 
 
 def _suite_staircase(args, report: Report) -> None:
@@ -612,13 +592,11 @@ class _Command(NamedTuple):
     run: Callable | None
     flags: tuple  # (option strings, add_argument keywords) of each argument it reads
     help: str | None = None
-    exclusive: tuple[str, ...] = ()  # flags that may not be given together
     named: str | None = None  # what its `_names` flags name ("command", "suite"); argv's rest follows
 
 
 def _flag(*names: str, **kwargs):
-    # a default is the text a user would type: argparse parses it like the flag,
-    # and a mutually exclusive group can tell an explicit value from it
+    # a default is the text a user would type: argparse parses it like the flag
     return names, kwargs
 
 
@@ -626,15 +604,14 @@ def _int(name: str, least: int, default: int):
     return _flag(name, type=_at_least(least), default=str(default))
 
 
-def _add_flags(parser: argparse.ArgumentParser, flags, exclusive=()) -> argparse.ArgumentParser:
-    group = parser.add_mutually_exclusive_group() if exclusive else parser
+def _add_flags(parser: argparse.ArgumentParser, flags) -> argparse.ArgumentParser:
     for names, kwargs in flags:
-        (group if names[0] in exclusive else parser).add_argument(*names, **kwargs)
+        parser.add_argument(*names, **kwargs)
     return parser
 
 
 def _parser(prog: str, command: _Command, **kwargs) -> argparse.ArgumentParser:
-    return _add_flags(argparse.ArgumentParser(prog=prog, **kwargs), command.flags, command.exclusive)
+    return _add_flags(argparse.ArgumentParser(prog=prog, **kwargs), command.flags)
 
 
 def _names(what: str, table: dict) -> tuple:
@@ -661,8 +638,6 @@ _OUTPUT = (
 )
 
 _SUITES = {
-    "harmonicity": _Command(_suite_harmonicity, (
-        _flag("--family", default="young-zz:e=3,t=2"), _int("--levels", 1, 8))),
     "interpolation": _Command(_suite_interpolation, (_int("--max-size", 1, 5),)),
     "pieri": _Command(_suite_pieri, (_int("--max-size", 0, 5), _POINTS, _SEED)),
     "dimensions": _Command(_suite_dimensions, (
@@ -671,12 +646,10 @@ _SUITES = {
         _int("--mu-max", 0, 3), _int("--lam-max", 0, 6))),
     "selberg": _Command(_suite_selberg, (
         _flag("--graph", choices=["all", *FACES], default="all"),
-        _flag("--lam", "--lambda", dest="lam", default=None, help="single identity: lambda"),
-        _flag("--mu", default=None, help="single identity: mu (needs --lam)"),
         _int("--max-size", 1, 5),
         _flag("--workers", type=_at_least(1), default="1",
               help="accepted for compatibility; suites run serially"),
-    ), exclusive=("--lam", "--max-size")),
+    )),
     "staircase": _Command(_suite_staircase, (_int("--max-size", 0, 5), _int("--k-max", 1, 3))),
     "pfaffian": _Command(_suite_pfaffian, (_int("--max-size", 2, 5), _POINTS, _SEED)),
     "kernels": _Command(_suite_kernels, (_int("--levels", 1, 8), _POINTS, _SEED)),
@@ -699,28 +672,31 @@ def cmd_verify(args) -> int:
     return _emit(report, suite_args)
 
 
-_FAMILY = _flag("--family", required=True)
-_PHI = (_FAMILY, _flag("--mu", required=True))
-_FACE = (_flag("--graph", required=True, choices=list(FACES)), _flag("--lambda", required=True))
+# parse_family is looked up when a value is read, so a patched one is the one called
+_FAMILY = _flag("--family", type=_parsed(lambda text: parse_family(text)), required=True)
+_PARTITION = _parsed(Partition.parse)
+_FACE = (_flag("--graph", required=True, choices=list(FACES)),
+         _flag("--lambda", dest="lam", type=_PARTITION, required=True))
 _COMMANDS = {
-    "phi": _Command(cmd_phi, _PHI, "evaluate a family at one partition"),
-    "eval": _Command(cmd_phi, (_flag("what", choices=["phi"]), *_PHI), "evaluate (alias surface: eval phi ...)"),
+    "phi": _Command(cmd_phi, (_FAMILY, _flag("--mu", type=_PARTITION, required=True)),
+                    "evaluate a family at one partition"),
     "measure": _Command(cmd_measure, (_FAMILY, _flag("--n", type=_at_least(0), required=True), *_OUTPUT),
                         "level measure of a family"),
     "check-harmonic": _Command(cmd_check_harmonic, (_FAMILY, _int("--levels", 1, 8), *_OUTPUT),
                                "exact harmonicity/normalization/positivity"),
     "dims": _Command(cmd_dims, (
-        _flag("--kind", type=parse_kind, required=True, help="young | jack(theta) | kingman | schur"),
+        _flag("--kind", type=_parsed(parse_kind), required=True, help="young | jack(theta) | kingman | schur"),
         _flag("--level", type=_at_least(0), required=True),
         _flag("--max-length", type=_at_least(0), default=None),
     ), "CSV dump of one level's dimensions"),
     "density": _Command(cmd_density, (
         *_FACE,
-        _flag("--at", type=lambda text: tuple(tuple(map(_number, b.split(","))) for b in text.split(";")),
-              required=True, help="comma-separated coordinates; gamma: alpha;beta"),
+        _flag("--at", required=True, help="comma-separated coordinates; gamma: alpha;beta", type=_parsed(
+            lambda text: tuple(tuple(map(as_rational, b.split(","))) for b in text.split(";")))),
     ), "evaluate a face density at a rational point"),
-    "integral-verify": _Command(cmd_integral_verify, (*_FACE, _flag("--mu", default="0"), *_OUTPUT),
-                                "one exact integral identity, both sides"),
+    "integral-verify": _Command(cmd_integral_verify, (
+        *_FACE, _flag("--mu", type=_PARTITION, default="0"), *_OUTPUT,
+    ), "one exact integral identity, both sides"),
     "converge": _Command(cmd_converge, (
         _FAMILY,
         _flag("--n", type=_levels, required=True, help="comma-separated distinct levels"),

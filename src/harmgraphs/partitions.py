@@ -71,12 +71,8 @@ class Partition:
     def parse(text: str) -> "Partition":
         """Parse the text form '3+2+1' ('0' or '' is the empty partition)."""
         text = text.strip()
-        if text in ("", "0", "[]"):
+        if text in ("", "0"):
             return Partition()
-        if text.startswith("["):
-            body = text.strip("[]")
-            items = [s for s in body.split(",") if s.strip()]
-            return Partition(int(s) for s in items)
         return Partition(int(s) for s in text.split("+"))
 
     # -- sizes and shapes --

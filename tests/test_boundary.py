@@ -15,7 +15,6 @@ from harmgraphs.boundary import (
     selberg_verify,
     young_kernel,
 )
-from harmgraphs.cli import _selberg_sweep
 from harmgraphs.exact import quotient_pfaffian, round_bits
 from harmgraphs.graphs import KINGMAN, YOUNG, covers_up, edge_multiplicity
 from harmgraphs.harmonic import GammaShaped, TruncKingman, TruncSchur, TruncYoung, level_measure
@@ -234,12 +233,19 @@ def test_selberg_sweep_gamma():
 
 
 def test_selberg_rows_per_lambda_match_one_row_at_a_time():
-    # one family per lambda (for gamma with the cap of the largest mu)
-    # gives the values of one family per row
-    groups = _selberg_sweep("all", 5)
-    assert {face for face, _, _ in groups} == {"young", "kingman", "schur", "gamma"}
-    for face, lam, mus in groups:
-        assert selberg_rows(face, lam, mus) == [selberg_verify(face, lam, mu) for mu in mus]
+    # one family per lambda (for gamma with the cap of the largest mu) gives the values
+    # of one family per row, on the groups `verify selberg --max-size 5` reads
+    shapes = [p for p in partitions_up_to(5) if p.size]
+    for name, face in FACES.items():
+        groups = [
+            (lam, [P(), *(mu for mu in shapes if face.admits(mu, s))])
+            for s in face.sweep
+            for lam in shapes
+            if face.accepts(lam) and getattr(lam, face.stat) == s
+        ]
+        assert groups, name
+        for lam, mus in groups:
+            assert selberg_rows(name, lam, mus) == [selberg_verify(name, lam, mu) for mu in mus]
 
 
 def test_selberg_rejects_unsupported_shapes():

@@ -1,6 +1,8 @@
 import json
 import os
+import re
 import resource
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -25,14 +27,8 @@ def test_phi_command(capsys):
     assert out.strip() == "1"
 
 
-def test_eval_alias(capsys):
-    code, out, _ = run(capsys, "eval", "phi", "--family", "schur:t=3", "--mu", "2+1")
-    assert code == EXIT_OK
-    assert out.strip() == "1/5"
-
-
 def test_parameter_error_exits_2(capsys):
-    code, _, err = run(capsys, "eval", "phi", "--family", "young-zz:e=3,t=0", "--mu", "1")
+    code, _, err = run(capsys, "phi", "--family", "young-zz:e=3,t=0", "--mu", "1")
     assert code == EXIT_USAGE
     assert "forbidden" in err
 
@@ -62,19 +58,20 @@ def test_check_harmonic_passes(capsys):
     assert "summary:" in out and "0 failed" in out
 
 
-def test_verify_harmonicity_positivity_failure(capsys):
+def test_check_harmonic_positivity_failure(capsys):
     code, out, _ = run(
-        capsys, "verify", "harmonicity", "--family", "schur:t=-1/2", "--levels", "4"
+        capsys, "check-harmonic", "--family", "schur:t=-1/2", "--levels", "4"
     )
     assert code == EXIT_CHECK_FAILED
     assert "FAIL  positivity" in out
 
 
-def test_verify_forbidden_parameter_is_usage_error(capsys):
-    code, _, err = run(
-        capsys, "verify", "harmonicity", "--family", "schur:t=-1", "--levels", "4"
+def test_check_harmonic_forbidden_parameter_is_usage_error(capsys):
+    code, out, err = run(
+        capsys, "check-harmonic", "--family", "schur:t=-1", "--levels", "4"
     )
-    assert code == EXIT_USAGE
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "argument --family:" in err and "forbidden" in err
 
 
 def test_verify_unknown_suite(capsys):
@@ -126,14 +123,28 @@ def test_readme_suite_table_matches_the_declarations():
     }
 
 
-def test_verify_selberg_single_instance(capsys):
+def _readme_examples() -> list[list[str]]:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, re.M | re.S)
+    lines = [shlex.split(line, comments=True) for block in blocks for line in block.splitlines()]
+    return [argv[1:] for argv in lines if argv[:1] == ["harmgraphs"]]
+
+
+@pytest.mark.parametrize("argv", _readme_examples(), ids=" ".join)
+def test_readme_examples_run(capsys, argv):
+    # every example is a route that exists: it checks and reports, never a usage error
+    code, out, err = run(capsys, *argv)
+    assert code in (EXIT_OK, EXIT_CHECK_FAILED), err
+    assert out and not err
+
+
+def test_integral_verify_single_instance(capsys):
     code, out, _ = run(
         capsys,
-        "verify",
-        "selberg",
+        "integral-verify",
         "--graph",
         "kingman",
-        "--lam",
+        "--lambda",
         "1+1",
         "--mu",
         "2",
@@ -328,11 +339,10 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys):
         (("verify", "kernels", "--points", "0"), "--points: must be an integer >= 1"),
         (("verify", "selberg", "--graph", "nope"), "--graph"),
         (("verify", "selberg", "--graph", "nope", "--lam", "2+1"), "--graph"),
-        (("verify", "selberg", "--lam", "2+1"), "needs one face: pass --graph"),
-        # a flag the run would ignore
-        (("verify", "selberg", "--graph", "kingman", "--mu", "2"), "pass its lambda as --lam"),
-        (("verify", "selberg", "--graph", "young", "--lam", "2+1", "--max-size", "9"),
-         "--max-size: not allowed with argument --lam"),
+        # one route per check: phi, check-harmonic and integral-verify
+        (("verify", "selberg", "--graph", "young", "--lam", "2+1"), "unrecognized arguments: --lam"),
+        (("eval", "phi", "--family", "schur:t=3", "--mu", "2+1"), "invalid choice: 'eval'"),
+        (("verify", "harmonicity"), "invalid choice: 'harmonicity'"),
         (("verify", "dimension-ratio", "--graph", "kingman"), "unrecognized arguments: --graph"),
         # suite flags follow the suite name
         (("verify", "--seed", "7", "pieri"), "--seed: flags follow the suite name"),
@@ -398,14 +408,21 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys):
         (("measure", "--family", "young-zz:e=1,t=1", "--n", "-1"), "--n: must be an integer >= 0"),
         (("dims", "--kind", "young", "--level", "-1"), "--level: must be an integer >= 0"),
         # an unknown or malformed graph kind names its flag and the value
-        *[(("dims", "--kind", k, "--level", "3"), f"argument --kind: invalid parse_kind value: {k!r}")
+        *[(("dims", "--kind", k, "--level", "3"),
+           f"argument --kind: graph kind {k!r} is none of young, jack(theta > 0), kingman, schur")
           for k in ("foo", "strict", "jack(1/0)", "jack(x)")],
+        # a malformed partition or family spec names its flag
+        (("phi", "--family", "young-zz:e=1,t=1", "--mu", "abc"),
+         "argument --mu: invalid literal for int() with base 10: 'abc'"),
+        (("integral-verify", "--graph", "young", "--lambda", "2+x"),
+         "argument --lambda: invalid literal for int() with base 10: 'x'"),
+        (("phi", "--family", "nope", "--mu", "1"), "argument --family: unknown family 'nope'"),
     ],
     ids=["pfaffian-size-1", "converge-negative-n", "converge-zero-n", "converge-zero-in-list",
          "converge-untruncated", "pieri-negative-size", "pieri-no-points", "kernels-zero-levels",
          "kernels-negative-levels", "kernels-no-points", "selberg-unknown-graph",
-         "selberg-unknown-graph-single", "selberg-single-without-graph",
-         "selberg-mu-without-lam", "selberg-lam-with-max-size", "dimension-ratio-graph",
+         "selberg-unknown-graph-single", "selberg-lam-refused", "eval-refused",
+         "verify-harmonicity-refused", "dimension-ratio-graph",
          "verify-flag-before-suite", "flag-before-command", "pfaffian-no-points", "interpolation-negative-size", "interpolation-zero-size",
          "staircase-zero-k", "lattice-zero-levels", "dimension-ratio-negative-mu",
          "degeneration-negative-levels", "dimensions-negative-sizes", "selberg-schur-size-1",
@@ -421,7 +438,8 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys):
          "gauss-negative-precision", "converge-negative-ratio-tol", "converge-zero-ratio-tol",
          "converge-nan-ratio-tol", "converge-infinite-ratio-tol", "check-harmonic-zero-levels",
          "measure-negative-n", "dims-negative-level", "dims-unknown-kind", "dims-strict-kind",
-         "dims-jack-zero-denominator", "dims-jack-malformed-theta"],
+         "dims-jack-zero-denominator", "dims-jack-malformed-theta", "phi-malformed-mu",
+         "integral-verify-malformed-lambda", "phi-unknown-family"],
 )
 def test_out_of_domain_arguments_are_usage_errors(capsys, argv, message):
     code, out, err = run(capsys, *argv)

@@ -121,7 +121,7 @@ GOLDEN = [
     # the kingman face past that dimension: one rising-power monomial table of lambda
     ("integral-verify --graph kingman --lambda 1+1+1+1+1+1 --mu 2+1", EXIT_OK,
      "b410c8db1a2477fb7dda3908385ca0fcbf767c3f916b4a02e9b6e4af5cce96b6"),
-    ("verify selberg --graph kingman --lam 4+3+2+1+1+1+1 --mu 3+1", EXIT_OK,
+    ("integral-verify --graph kingman --lambda 4+3+2+1+1+1+1 --mu 3+1", EXIT_OK,
      "28a0e95a99cc7af867993b4c64d0bb0cc08077ac41a478e802db254631202c9e"),
     # the pointwise ratio at n = 50 is still outside its 0.05 tolerance
     ("converge --family trunc-young:lambda=2+1 --n 50,100", EXIT_CHECK_FAILED,
@@ -208,9 +208,10 @@ GOLDEN = [
      "98babc224a7a8544535bb5402ffe3ede0aed19a64b5f87251025f44bb55e0574"),
     ("verify gauss --precision 64 --tol 1e-15", EXIT_OK,
      "4b14e928ae47bff6b22e9984fd4d082794562e33319245e68f93c63df50f9b25"),
-    # every suite at its declared defaults
-    ("verify harmonicity", EXIT_OK,
+    # check-harmonic at its default level bound
+    ("check-harmonic --family young-zz:e=3,t=2 --levels 8", EXIT_OK,
      "b32877ae7c299ea3942e54e98cc50866a3a8cd66f33a680ebbd2b4160eedc6e2"),
+    # every suite at its declared defaults
     ("verify pieri", EXIT_OK,
      "523f9f3059815e853f5eaf9b6666101f98e1920165c5d162b22a59373f408447"),
     ("verify selberg", EXIT_OK,

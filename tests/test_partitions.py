@@ -30,7 +30,6 @@ def test_text_and_json_forms():
     assert str(P()) == "0"
     assert P.parse("3+2+1") == P([3, 2, 1])
     assert P.parse("0") == P()
-    assert P.parse("[3,2,1]") == P([3, 2, 1])
 
 
 def test_conjugate_involution_and_sizes():
