@@ -346,10 +346,9 @@ def _schur_selberg(lam: Partition, mus: list[Partition]):
 
 
 def _gamma_selberg(lam: Partition, mus: list[Partition]):
-    fc = lam.frobenius()
-    d = fc.depth
+    fc, d = lam.frobenius(), lam.depth
     # the generator values up to degree |mu| do not depend on the cap
-    family = GammaShaped(fc, degree_cap=max([1, *(mu.size for mu in mus)]))
+    family = GammaShaped(lam, degree_cap=max([1, *(mu.size for mu in mus)]))
 
     def integral(mu: Partition) -> Fraction:
         if mu.depth == d:
@@ -646,8 +645,8 @@ def _kingman_weights(family: TruncKingman, n: int) -> tuple[Fraction, Iterator[t
 def _vertex_weights(family: HarmonicFamily, n: int) -> tuple[Fraction, Iterator[tuple]]:
     """The schur and gamma faces: M_n(nu) = dim_closed_form(nu) phi(nu), phi from the family's
     level form over 1/q, each vertex a run of one: the vertices of at most the width's rows, or
-    on the gamma face (no width) the whole level, its zeros past the depth kept."""
-    vertices = level(n, family.kind, max_length=getattr(family, "width", None))
+    on the gamma face (width None) the whole level, its zeros past the depth kept."""
+    vertices = level(n, family.kind, max_length=family.width)
     xs, q = family.level_phi(n, [(nu, None, ()) for nu in vertices])
     dims = (dim_closed_form(nu, family.kind).numerator for nu in vertices)
     return Fraction(1, q), ((nu.parts, 1, [d * x]) for nu, d, x in zip(vertices, dims, xs))
@@ -731,6 +730,6 @@ FACES: dict[str, Face] = {
         constant=gamma_density_constant, density=_gamma_density, degree=lambda lam: lam.size - 2 * lam.depth,
         # past the degree cap the family's level form raises
         level_weights=_vertex_weights, selberg=_gamma_selberg,
-        sweep=(1, 2), admits=lambda mu, s: mu.depth == s, blocks=2, stat="depth", embed=_embed_hooks,
+        sweep=(1, 2), admits=lambda mu, s: mu.depth == s, blocks=2, stat=GammaShaped.stat, embed=_embed_hooks,
     ),
 }

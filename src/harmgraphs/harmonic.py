@@ -6,10 +6,11 @@ at a vertex equals the multiplicity-weighted sum over its upper covers.
 Four infinite families (two-parameter Young, its Jack deformation, the
 two-parameter Kingman family, the one-parameter strict family) are closed
 products over the boxes, read one level at a time (`level_phi`) from
-per-row tables and the sweep's dims.  Four truncated families vanish outside
-a finite-width (gamma: finite-depth) subgraph and read a level's phi from one
-integer table of their point, built for that level's vertices (gamma: once per
-family).  phi(mu) is a family's level form at one vertex.  A family is
+per-row tables and the sweep's dims.  Four truncated families share one level
+form (`_Truncated`): each vanishes past one statistic of its lam, the length
+(gamma: the depth), and reads a level's phi from one integer table of its
+point, built for that level's vertices (gamma: once per family, through its
+degree cap).  phi(mu) is a family's level form at one vertex.  A family is
 immutable, and equal and hashed by its type and spec string, that is by its
 parameters.
 """
@@ -32,7 +33,7 @@ from .interp import (
     shifted_columns,
     shifted_schur_columns,
 )
-from .partitions import EMPTY, FrobeniusCoords, Partition, _orders
+from .partitions import EMPTY, Partition, _orders
 
 
 class FamilyError(ValueError):
@@ -291,10 +292,13 @@ class SchurT(HarmonicFamily):
         return f"schur:t={self.t}"
 
 
-class _FiniteWidth(HarmonicFamily):
-    """A truncated family, supported on the diagrams of at most width = l(lam) rows;
-    t = |lam| + width and the point -lam - 1 unless the family sets its own.  phi(mu) is
-    (-1)^|mu| I_mu / (t)_|mu| for the family's interpolation polynomial I at the point."""
+class _Truncated(HarmonicFamily):
+    """A truncated family, supported on the diagrams mu with stat(mu) <= stat(lam): the rows
+    (l(mu) <= width = l(lam)), or on gamma the diagonal (depth); t = |lam| + width and the
+    point -lam - 1 unless the family sets its own.  phi(mu) is (-1)^|mu| I_mu / (t)_|mu| for
+    the family's interpolation polynomial I at the point."""
+
+    stat = "length"  # a Partition attribute
 
     @property
     def width(self) -> int:
@@ -308,20 +312,21 @@ class _FiniteWidth(HarmonicFamily):
         return tuple(-p - 1 for p in self.lam.parts)
 
     def level_phi(self, n: int, rows) -> tuple[list[int], int]:
-        """(-1)^n I_mu / (t)_n on the rows, 0 past the width: `_interpolants` reads the rows
-        within the width, integers over one denominator, from one table of the point built
-        for exactly them.  Neither dims nor edges are read."""
-        width = self.width
-        values, den = self._interpolants([lam for lam, _, _ in rows if lam.length <= width])
+        """(-1)^n I_mu / (t)_n on the rows, 0 past the support: `_interpolants` reads the rows
+        within it, integers over one denominator, from one table of the point built for
+        exactly them.  Neither dims nor edges are read."""
+        stat, bound = self.stat, getattr(self.lam, self.stat)
+        within = [getattr(lam, stat) <= bound for lam, _, _ in rows]
+        values, den = self._interpolants([lam for (lam, _, _), ok in zip(rows, within) if ok])
         values = iter(values)
-        xs = [next(values) if lam.length <= width else 0 for lam, _, _ in rows]
+        xs = [next(values) if ok else 0 for ok in within]
         return _over_rising(xs, (-1) ** n * den, self.t, n)
 
     def admissible(self, surrogate_level: int = 6) -> AdmissibleReport:
         return self._surrogate_nonnegative(surrogate_level)
 
 
-class TruncYoung(_FiniteWidth):
+class TruncYoung(_Truncated):
     """Finite-width family: shifted Schur evaluation at the reflected point -lam_i - 2(l - i) - 1."""
 
     kind, face = YOUNG, "young"
@@ -339,7 +344,7 @@ class TruncYoung(_FiniteWidth):
         l = self.width
         return tuple(-self.lam.part(i) - 2 * (l - i) - 1 for i in range(1, l + 1))
 
-    phi, level_phi = HarmonicFamily.phi, _FiniteWidth.level_phi  # each family's own, as for `phi`
+    phi, level_phi = HarmonicFamily.phi, _Truncated.level_phi  # each family's own, as for `phi`
 
     def _interpolants(self, mus: list[Partition]) -> tuple[list[int], int]:
         """s*_mu at the point, each a shifted Jacobi-Trudi determinant (the one s* route) over
@@ -352,52 +357,40 @@ class TruncYoung(_FiniteWidth):
         return f"trunc-young:lambda={self.lam}"
 
 
-class GammaShaped(HarmonicFamily):
+class GammaShaped(_Truncated):
     """Hook-bounded family driven by the two-alphabet generator values.
 
-    Supported on diagrams whose diagonal has at most depth(fc) boxes.  At the
-    reflected split-diagonal point (-p - 1/2; -q - 1/2) each factor of the
-    two-alphabet series is (u - q_i)/(u + p_i + 1), so the generator values g
-    and the shifted Jacobi-Trudi columns S^(j-1) g are integers, built once per
-    family; phi(mu) is (-1)^|mu| D / (t)_|mu| for their integer determinant D.
+    Supported on the diagrams of at most depth(lam) diagonal boxes, with t = |lam|.  At the
+    reflected split-diagonal point (-p - 1/2; -q - 1/2), (p | q) the Frobenius coordinates
+    of lam, each factor of the two-alphabet series is (u - q_i)/(u + p_i + 1), so the
+    generator values g and the shifted Jacobi-Trudi columns S^(j-1) g are integers, built
+    once per family through the degree cap; I_mu is their integer determinant.
     """
 
-    kind, face = YOUNG, "gamma"
+    kind, face, stat, width = YOUNG, "gamma", "depth", None
 
-    def __init__(self, fc: FrobeniusCoords, degree_cap: int = 8):
-        if fc.depth < 1:
+    def __init__(self, lam: Partition, degree_cap: int = 8):
+        if lam.depth < 1:
             raise FamilyError("gamma-shaped family needs depth >= 1")
         if degree_cap < 1:
-            raise FamilyError("degree cap must be >= 1")
-        g = _product_series([(-q, -p - 1) for p, q in zip(fc.p, fc.q)], degree_cap)
-        object.__setattr__(self, "fc", fc)
+            raise FamilyError(f"gamma parameter 'cap' must be a positive integer, not {degree_cap!r}")
+        g = _product_series([(-q, -p - 1) for p, q in zip(*lam.frobenius())], degree_cap)
+        object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "degree_cap", degree_cap)
-        object.__setattr__(self, "lam", fc.to_partition())  # the face partition
         object.__setattr__(self, "columns", shifted_columns([1, *g], degree_cap))
-
-    @staticmethod
-    def from_partition(lam: Partition, degree_cap: int = 8) -> "GammaShaped":
-        return GammaShaped(lam.frobenius(), degree_cap)
-
-    @property
-    def depth(self) -> int:
-        return self.fc.depth
 
     @property
     def t(self) -> Fraction:
-        return Fraction(self.fc.size)
+        return Fraction(self.lam.size)
 
-    phi = HarmonicFamily.phi
+    phi, level_phi = HarmonicFamily.phi, _Truncated.level_phi
 
-    def level_phi(self, n: int, rows) -> tuple[list[int], int]:
-        """(-1)^n D / (t)_n on the rows, 0 past the depth; a level past the degree cap is a
-        FamilyError if it has a vertex within the depth.  Neither dims nor edges are read."""
-        depth, columns = self.depth, self.columns
-        within = [lam.depth <= depth for lam, _, _ in rows]
-        if n > self.degree_cap and any(within):
-            raise FamilyError(f"degree cap {self.degree_cap} exceeded at |mu| = {n}; raise degree_cap")
-        xs = [jacobi_trudi_det(lam, columns) if ok else 0 for (lam, _, _), ok in zip(rows, within)]
-        return _over_rising(xs, (-1) ** n, self.fc.size, n)
+    def _interpolants(self, mus: list[Partition]) -> tuple[list[int], int]:
+        """The determinant at each mu; a level past the degree cap with a vertex within the
+        depth is a FamilyError."""
+        if mus and mus[0].size > self.degree_cap:
+            raise FamilyError(f"cap={self.degree_cap} exceeded at |mu| = {mus[0].size}; raise cap")
+        return [jacobi_trudi_det(mu, self.columns) for mu in mus], 1
 
     def admissible(self, surrogate_level: int = 6) -> AdmissibleReport:
         return self._surrogate_nonnegative(min(surrogate_level, self.degree_cap))
@@ -406,7 +399,7 @@ class GammaShaped(HarmonicFamily):
         return f"gamma:lambda={self.lam},cap={self.degree_cap}"
 
 
-class TruncKingman(_FiniteWidth):
+class TruncKingman(_Truncated):
     """Finite-width family: factorial monomial evaluation at -lam - 1."""
 
     kind, face = KINGMAN, "kingman"
@@ -416,7 +409,7 @@ class TruncKingman(_FiniteWidth):
             raise FamilyError("truncated Kingman family needs a nonempty partition")
         object.__setattr__(self, "lam", lam)
 
-    phi, level_phi = HarmonicFamily.phi, _FiniteWidth.level_phi
+    phi, level_phi = HarmonicFamily.phi, _Truncated.level_phi
 
     def _interpolants(self, mus: list[Partition]) -> tuple[list[int], int]:
         """m*_mu at the point, from one table over the closure of the mus."""
@@ -427,7 +420,7 @@ class TruncKingman(_FiniteWidth):
         return f"trunc-kingman:lambda={self.lam}"
 
 
-class TruncSchur(_FiniteWidth):
+class TruncSchur(_Truncated):
     """Finite-width strict family: factorial Schur P at the integer point -lam - 1."""
 
     kind, face = SCHUR, "schur"
@@ -437,7 +430,7 @@ class TruncSchur(_FiniteWidth):
             raise FamilyError("truncated strict family needs a nonempty strict partition")
         object.__setattr__(self, "lam", lam)
 
-    phi, level_phi = HarmonicFamily.phi, _FiniteWidth.level_phi
+    phi, level_phi = HarmonicFamily.phi, _Truncated.level_phi
 
     def _interpolants(self, mus: list[Partition]) -> tuple[list[int], int]:
         """P*_mu at the point from one P* table through max(mu_1 + mu_2) (`pstar_pfaffians`, Q = 1
@@ -492,7 +485,7 @@ def parse_family(spec: str) -> HarmonicFamily:
             cap = kv.pop("cap", "8")
             if not cap.isdecimal():
                 raise FamilyError(f"gamma parameter 'cap' must be a positive integer, not {cap!r}")
-            family = GammaShaped.from_partition(value("lambda", Partition.parse), int(cap))
+            family = GammaShaped(value("lambda", Partition.parse), int(cap))
         elif name == "trunc-kingman":
             family = TruncKingman(value("lambda", Partition.parse))
         elif name == "trunc-schur":

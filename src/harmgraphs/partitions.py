@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, prod
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .exact import as_rational
 
@@ -184,7 +184,7 @@ class Partition:
         d, conj = self.depth, self.conjugate().parts
         arms = tuple(part - i for i, part in enumerate(self.parts[:d], 1))
         legs = tuple(c - i for i, c in enumerate(conj[:d], 1))
-        return FrobeniusCoords._trusted(arms, legs)
+        return FrobeniusCoords(arms, legs)
 
     @property
     def depth(self) -> int:
@@ -195,81 +195,11 @@ class Partition:
         return d
 
 
-class FrobeniusCoords:
-    """Arm/leg lengths (p_1,...,p_d | q_1,...,q_d) along the diagonal."""
+class FrobeniusCoords(NamedTuple):
+    """Arm/leg lengths (p_1,...,p_d | q_1,...,q_d) along the diagonal; `Partition.frobenius` makes them."""
 
-    __slots__ = ("p", "q")
-
-    def __init__(self, p, q):
-        p = tuple(int(x) for x in p)
-        q = tuple(int(x) for x in q)
-        if len(p) != len(q):
-            raise ValueError("coordinate lists must have equal length")
-        for seq in (p, q):
-            if any(x < 0 for x in seq):
-                raise ValueError("coordinates must be >= 0")
-            if any(seq[i] <= seq[i + 1] for i in range(len(seq) - 1)):
-                raise ValueError("coordinates must strictly decrease")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-
-    @classmethod
-    def _trusted(cls, p: tuple[int, ...], q: tuple[int, ...]) -> "FrobeniusCoords":
-        """Coordinates from tuples already known to be equal-length, nonnegative, decreasing."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "p", p)
-        object.__setattr__(out, "q", q)
-        return out
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("FrobeniusCoords is immutable")
-
-    def __reduce__(self):
-        return type(self), (self.p, self.q)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FrobeniusCoords) and self.p == other.p and self.q == other.q
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.q))
-
-    def __repr__(self):
-        return f"FrobeniusCoords(p={list(self.p)}, q={list(self.q)})"
-
-    def __str__(self):
-        return "({}|{})".format(
-            ",".join(map(str, self.p)), ",".join(map(str, self.q))
-        )
-
-    @staticmethod
-    def parse(text: str) -> "FrobeniusCoords":
-        body = text.strip().strip("()")
-        left, _, right = body.partition("|")
-        p = [int(s) for s in left.split(",") if s.strip()]
-        q = [int(s) for s in right.split(",") if s.strip()]
-        return FrobeniusCoords(p, q)
-
-    @property
-    def depth(self) -> int:
-        return len(self.p)
-
-    @property
-    def size(self) -> int:
-        return sum(self.p) + sum(self.q) + len(self.p)
-
-    def to_partition(self) -> Partition:
-        d = len(self.p)
-        rows = []
-        conj_rows = [self.q[i] + (i + 1) for i in range(d)]
-        for i in range(d):
-            rows.append(self.p[i] + (i + 1))
-        # extend below the diagonal block using the column lengths
-        max_col = conj_rows[0] if conj_rows else 0
-        for i in range(d, max_col):
-            rows.append(sum(1 for c in conj_rows if c >= i + 1))
-        return Partition(rows)
+    p: tuple[int, ...]
+    q: tuple[int, ...]
 
 
 EMPTY = Partition()

@@ -371,7 +371,7 @@ def test_convergence_smoke_strict_and_hook_faces():
     # faces without a polynomial bin integral as well
     rep = convergence_experiment(TruncSchur(P([2, 1])), [6, 10])
     assert all(row.mass_is_one for row in rep.rows)
-    rep = convergence_experiment(GammaShaped.from_partition(P([2, 1])), [5, 7])
+    rep = convergence_experiment(GammaShaped(P([2, 1])), [5, 7])
     assert all(row.mass_is_one for row in rep.rows)
 
 
@@ -405,8 +405,8 @@ def test_convergence_trunc_kingman():
         (TruncKingman(P([2, 1, 1])), [100], F(1, 8)),
         (TruncKingman(P([2, 2, 1])), [48], F(1, 8)),
         (TruncSchur(P([3, 1])), [20], F(1, 5)),
-        (GammaShaped.from_partition(P([2, 1])), [5, 7], F(1, 5)),
-        (GammaShaped.from_partition(P([3, 2, 2]), degree_cap=9), [8, 9], F(1, 5)),
+        (GammaShaped(P([2, 1])), [5, 7], F(1, 5)),
+        (GammaShaped(P([3, 2, 2]), degree_cap=9), [8, 9], F(1, 5)),
     ],
     ids=str,
 )
@@ -427,7 +427,7 @@ def test_convergence_rows_match_the_fraction_loop(family, ns, gap):
         (TruncYoung(P([2, 1, 1])), 30),
         (TruncKingman(P([2, 1, 1])), 30),
         (TruncSchur(P([3, 1])), 30),
-        (GammaShaped.from_partition(P([2, 1]), degree_cap=12), 12),
+        (GammaShaped(P([2, 1]), degree_cap=12), 12),
     ],
     ids=str,
 )
@@ -456,8 +456,8 @@ def test_face_level_weights_are_the_nonzero_level_measure(family, top):
         (TruncYoung(P([2, 1, 1, 1])), [110], F(1, 14)),  # a prefix fall is tested at width 4
         (TruncKingman(P([1, 1, 1, 1])), [110], F(1, 12)),
         (TruncSchur(P([3, 1])), [60], F(1, 5)),
-        (GammaShaped.from_partition(P([2, 1]), degree_cap=12), [12], F(1, 5)),
-        (GammaShaped.from_partition(P([3, 2, 2]), degree_cap=16), [16], F(1, 16)),  # depth 2
+        (GammaShaped(P([2, 1]), degree_cap=12), [12], F(1, 5)),
+        (GammaShaped(P([3, 2, 2]), degree_cap=16), [16], F(1, 16)),  # depth 2
     ],
     ids=str,
 )

@@ -390,6 +390,11 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys):
         (("phi", "--family", "schur:t=2,t=3", "--mu", "1"), "family parameter 't' is given twice"),
         (("phi", "--family", "gamma:lambda=2+1,cap=x", "--mu", "1"),
          "gamma parameter 'cap' must be a positive integer, not 'x'"),
+        # the cap errors name the spec key
+        (("phi", "--family", "gamma:lambda=2+1,cap=0", "--mu", "1"),
+         "gamma parameter 'cap' must be a positive integer, not 0"),
+        (("check-harmonic", "--family", "gamma:lambda=2+1,cap=8", "--levels", "9"),
+         "cap=8 exceeded at |mu| = 9; raise cap"),
         # a malformed family value names its key
         (("phi", "--family", "jack:e=1,t=1,theta=1/0", "--mu", "1"),
          "family parameter 'theta': malformed value '1/0'"),
@@ -433,6 +438,7 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys):
          "density-malformed-at", "density-zero-denominator", "converge-malformed-n",
          "converge-repeated-n", "converge-malformed-interior", "family-unknown-key",
          "family-key-of-another-family", "family-repeated-key", "family-malformed-cap",
+         "family-zero-cap", "check-harmonic-past-the-cap",
          "family-zero-denominator", "family-malformed-rational", "family-malformed-partition",
          "gauss-zero-tol", "gauss-negative-tol", "gauss-zero-precision",
          "gauss-negative-precision", "converge-negative-ratio-tol", "converge-zero-ratio-tol",

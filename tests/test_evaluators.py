@@ -52,7 +52,7 @@ from harmgraphs.interp import (
     shifted_schur_eval,
     super_h_star_values,
 )
-from harmgraphs.partitions import FrobeniusCoords, Partition, partitions_of, partitions_up_to
+from harmgraphs.partitions import Partition, partitions_of, partitions_up_to
 from oracles import (
     functional_on_shifted_schur,
     fraction_density,
@@ -245,11 +245,11 @@ def split_diagonal_values(fc, cap):
 
 def test_gamma_shaped_phi_matches_the_fraction_route():
     for lam in (P([2, 1]), P([3, 2, 2]), P([1, 1]), P([4, 3, 3, 1])):
-        family = GammaShaped.from_partition(lam, degree_cap=8)
+        family = GammaShaped(lam, degree_cap=8)
         g = [F(1), *split_diagonal_values(lam.frobenius(), 8)]
         for n in range(9):
             for mu in partitions_of(n):
-                if mu.depth > family.depth:
+                if mu.depth > lam.depth:
                     continue
                 value = fraction_jacobi_trudi(mu, g, shifted=True) * (-1) ** n
                 for k in range(n):
@@ -257,16 +257,18 @@ def test_gamma_shaped_phi_matches_the_fraction_route():
                 assert family.phi(mu) == value, (lam, mu)
 
 
-frobenius_coords = st.integers(1, 3).flatmap(
-    lambda d: st.tuples(*[st.sets(st.integers(0, 6), min_size=d, max_size=d)] * 2)
-).map(lambda pq: FrobeniusCoords(sorted(pq[0], reverse=True), sorted(pq[1], reverse=True)))
+# partitions of depth 1 to 3, parts up to 13: the rows past the third are at most 3 boxes long
+gamma_lambdas = st.lists(st.integers(1, 13), min_size=1, max_size=13).map(
+    lambda parts: Partition([p if i < 3 else min(p, 3) for i, p in enumerate(sorted(parts, reverse=True))])
+)
 
 
 @PROPERTY
-@given(frobenius_coords, st.integers(1, 10))
-def test_gamma_shaped_columns_are_the_integer_series(fc, cap):
-    family = GammaShaped(fc, cap)
-    assert family.columns[0] == [1, *split_diagonal_values(fc, cap)]
+@given(gamma_lambdas, st.integers(1, 10))
+def test_gamma_shaped_columns_are_the_integer_series(lam, cap):
+    assert 1 <= lam.depth <= 3
+    family = GammaShaped(lam, cap)
+    assert family.columns[0] == [1, *split_diagonal_values(lam.frobenius(), cap)]
     assert all(type(v) is int for column in family.columns for v in column)
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from harmgraphs import cli
-from harmgraphs import boundary
+from harmgraphs import boundary, harmonic
 from harmgraphs.boundary import FACES, ThomaPoint, convergence_experiment, selberg_rows
 from harmgraphs.exact import RationalMatrix, pochhammer
 from harmgraphs.graphs import YOUNG, GraphKind, dim, jack
@@ -42,7 +42,7 @@ def test_phi_normalized_at_empty_and_one():
         KingmanTA(F(1), F(1, 2)),
         SchurT(F(3)),
         TruncYoung(P([2, 1])),
-        GammaShaped.from_partition(P([2, 1])),
+        GammaShaped(P([2, 1])),
         TruncKingman(P([1, 1])),
         TruncSchur(P([2, 1])),
     ]
@@ -123,8 +123,8 @@ def test_truncated_harmonicity():
     assert check_harmonicity(TruncYoung(P([2, 1])), 7).ok
     assert check_harmonicity(TruncKingman(P([2, 1])), 7).ok
     assert check_harmonicity(TruncSchur(P([2, 1])), 8).ok
-    assert check_harmonicity(GammaShaped.from_partition(P([2, 1])), 7).ok
-    assert check_harmonicity(GammaShaped.from_partition(P([2, 2])), 7).ok
+    assert check_harmonicity(GammaShaped(P([2, 1])), 7).ok
+    assert check_harmonicity(GammaShaped(P([2, 2])), 7).ok
 
 
 def test_harmonicity_detector_catches_corruption():
@@ -193,7 +193,7 @@ def test_level_measures_normalize():
         TruncYoung(P([2, 1])),
         TruncKingman(P([1, 1])),
         TruncSchur(P([2, 1])),
-        GammaShaped.from_partition(P([2, 1])),
+        GammaShaped(P([2, 1])),
     ]
     for fam in families:
         for n in range(1, 7):
@@ -232,14 +232,14 @@ def test_trunc_young_support():
 
 
 def test_gamma_support_is_bounded_depth():
-    fam = GammaShaped.from_partition(P([2, 1]))
+    fam = GammaShaped(P([2, 1]))
     measure = level_measure(fam, 5)
     assert all(lam.depth <= 1 for lam in measure.support())
     assert fam.phi(P([2, 2])) == 0
 
 
 def test_gamma_degree_cap_enforced():
-    fam = GammaShaped.from_partition(P([2, 1]), degree_cap=4)
+    fam = GammaShaped(P([2, 1]), degree_cap=4)
     with pytest.raises(FamilyError):
         fam.phi(P([5]))
 
@@ -374,7 +374,7 @@ def test_values_families_and_reports_pickle():
         assert [again.phi(mu) for mu in partitions_of(5)] == [fam.phi(mu) for mu in partitions_of(5)]
         report = check_harmonicity(fam, 5)
         assert pickle.loads(pickle.dumps(report)) == report
-    assert pickle.loads(pickle.dumps(GammaShaped.from_partition(P([2, 1])))).depth == 1
+    assert pickle.loads(pickle.dumps(GammaShaped(P([2, 1])))).lam.depth == 1
 
 
 @pytest.mark.parametrize(
@@ -383,7 +383,7 @@ def test_values_families_and_reports_pickle():
         TruncYoung(P([2, 1])),
         TruncKingman(P([2, 1, 1])),
         TruncSchur(P([3, 1])),
-        GammaShaped.from_partition(P([2, 1]), degree_cap=6),
+        GammaShaped(P([2, 1]), degree_cap=6),
     ],
     ids=str,
 )
@@ -403,16 +403,38 @@ def test_families_carry_no_hidden_state(monkeypatch, family):
     assert (vars(family), len(pickle.dumps(family))) == before
 
 
+@pytest.mark.parametrize(
+    "family,n",
+    [
+        (TruncYoung(P([2, 1])), 7),
+        (TruncKingman(P([2, 1, 1])), 7),
+        (TruncSchur(P([3, 1])), 7),
+        (GammaShaped(P([2, 1])), 7),  # depth 1: the rows of depth 2 read 0
+        (GammaShaped(P([3, 3, 1]), degree_cap=9), 9),  # depth 2: 3+3+3 reads 0
+    ],
+    ids=str,
+)
+def test_truncated_families_read_zero_exactly_past_their_support(family, n):
+    # the four truncated families share one level form, which reads the support from one
+    # statistic of lam: the length, or on gamma the depth
+    assert vars(type(family))["level_phi"] is harmonic._Truncated.level_phi
+    mus = partitions_of(n, strict=family.kind.strict)
+    xs, _ = family.level_phi(n, [(mu, None, ()) for mu in mus])
+    past = [getattr(mu, family.stat) > getattr(family.lam, family.stat) for mu in mus]
+    assert [x == 0 for x in xs] == past
+    assert any(past) and not all(past)
+
+
 def test_gamma_level_form_keeps_the_depth_and_cap_rules():
     # a vertex past the depth reads 0 at any level; a level past the cap raises only if it
     # has a vertex within the depth, and a sweep past the cap raises at its first such level
-    family = GammaShaped.from_partition(P([2, 1]), degree_cap=3)
-    assert family.depth == 1
+    family = GammaShaped(P([2, 1]), degree_cap=3)
+    assert family.lam.depth == 1
     assert family.phi(P([2, 2])) == 0
     assert family.level_phi(4, [(P([2, 2]), None, ()), (P([3, 3]), None, ())])[0] == [0, 0]
-    with pytest.raises(FamilyError, match=r"^degree cap 3 exceeded at \|mu\| = 4; raise degree_cap$"):
+    with pytest.raises(FamilyError, match=r"^cap=3 exceeded at \|mu\| = 4; raise cap$"):
         family.phi(P([3, 1]))
-    with pytest.raises(FamilyError, match=r"^degree cap 3 exceeded at \|mu\| = 4; raise degree_cap$"):
+    with pytest.raises(FamilyError, match=r"^cap=3 exceeded at \|mu\| = 4; raise cap$"):
         check_harmonicity(family, 4)
     assert check_harmonicity(family, 3).ok
 

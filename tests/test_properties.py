@@ -750,7 +750,7 @@ finite_families = st.one_of(
     nonempty.filter(lambda lam: lam.length >= 2).map(TruncYoung),
     nonempty.map(TruncKingman),
     nonempty.filter(lambda lam: lam.is_strict).map(TruncSchur),
-    nonempty.map(lambda lam: GammaShaped.from_partition(lam, FINITE_LEVELS)),
+    nonempty.map(lambda lam: GammaShaped(lam, FINITE_LEVELS)),
 )
 
 

@@ -4,6 +4,8 @@ import ast
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "src_size.py"
 spec = importlib.util.spec_from_file_location("src_size", TOOL)
 src_size = importlib.util.module_from_spec(spec)
@@ -46,3 +48,17 @@ def test_definition_table_lists_only_changed_definitions():
         ["m.C.g", "5", "8", "+3"],
         ["m.f", "0", "4", "+4"],
     ]
+
+
+@pytest.mark.parametrize("no_git", [False, True], ids=["no-such-revision", "no-git-on-path"])
+def test_a_revision_git_cannot_read_is_a_usage_error(capsys, monkeypatch, no_git):
+    # no such revision, no git checkout or no git at all: the usage line and one error line, exit 2
+    if no_git:
+        monkeypatch.setenv("PATH", "")
+    with pytest.raises(SystemExit) as stop:
+        src_size.main(["no-such-revision"])
+    out, err = capsys.readouterr()
+    assert stop.value.code == 2 and out == ""
+    usage, error = err.splitlines()
+    assert usage.startswith("usage: src_size") and error.startswith("src_size: error: ")
+    assert len(error) > len("src_size: error: ")

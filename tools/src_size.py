@@ -4,8 +4,10 @@
 
 Lines are physical lines, as `wc -l` counts them; nodes are the nodes `ast.walk`
 visits in the parsed module.  At a revision each module is read with `git show
-REV:path`, so nothing is checked out.  A module on one side only counts 0 on the
-other.  The last row of the first table holds the totals; the deltas are tree - REV.
+REV:path`, so nothing is checked out; a revision git cannot read (or no git
+checkout) is a usage error, git's message on one line.  A module on one side
+only counts 0 on the other.  The last row of the first table holds the totals;
+the deltas are tree - REV.
 The second table has one row per top-level function, class or method (module.name,
 module.Class.method) whose node count differs between REV and the tree, a
 definition on one side only counting 0 on the other; a class's count includes its
@@ -104,7 +106,11 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="src_size", description=__doc__.splitlines()[0])
     parser.add_argument("rev", nargs="?", default="HEAD", help="git revision to compare against")
     args = parser.parse_args(argv)
-    tree, base = tree_sources(), revision_sources(args.rev)
+    try:
+        base = revision_sources(args.rev)
+    except (OSError, subprocess.CalledProcessError) as exc:  # no git, no checkout, or no such revision
+        parser.error(" ".join((getattr(exc, "stderr", None) or str(exc)).split()))
+    tree = tree_sources()
     sys.stdout.write(table(tree, base, args.rev) + "\n" + definition_table(tree, base, args.rev))
     return 0
 
