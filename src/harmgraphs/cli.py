@@ -226,7 +226,8 @@ def cmd_measure(args) -> int:
     report = Report(command="measure")
     for lam, weight in weights:
         report.add("measure", f"n={args.n} lambda={lam}", weight, None, True)
-    total = sum(w for _, w in weights)
+    xs, q = integer_point([w for _, w in weights])
+    total = Fraction(sum(xs), q)
     report.add("normalization", f"n={args.n} total", total, Fraction(1), total == 1)
     return _emit(report, args)
 
@@ -387,7 +388,7 @@ def _suite_pieri(args, report: Report) -> None:
         s_star = {lam: jacobi_trudi_det(lam, h_star) for lam in shapes}
         m, m_star = table(xs, 0), table(xs, q)
         p_star = pstar_values(strict_shapes, x)
-        for (n, young_rows), (_, kingman_rows) in levels:
+        for (n, young_rows, _, _), (_, kingman_rows, _, _) in levels:
             den = q ** (n + 1)  # both sides of each relation at level n
             for (mu, _, young_covers), (_, _, kingman_covers) in zip(young_rows, kingman_rows):
                 sides = (
@@ -421,11 +422,11 @@ def _suite_dimensions(args, report: Report) -> None:
         report.add("dimension-oracle", f"{kind} {lam}", rec, closed, rec == closed)
 
     levels = zip(sweep(YOUNG, args.max_size), sweep(KINGMAN, args.max_size))
-    for (_, young_rows), (_, kingman_rows) in levels:
+    for (_, young_rows, _, _), (_, kingman_rows, _, _) in levels:
         for (lam, young_dim, _), (_, kingman_dim, _) in zip(young_rows, kingman_rows):
             check(YOUNG, lam, young_dim)
             check(KINGMAN, lam, kingman_dim)
-    for _, rows in sweep(SCHUR, args.strict_max_size):
+    for _, rows, _, _ in sweep(SCHUR, args.strict_max_size):
         for lam, rec, _ in rows:
             check(SCHUR, lam, rec)
 
@@ -433,11 +434,11 @@ def _suite_dimensions(args, report: Report) -> None:
 def _suite_dimension_ratio(args, report: Report) -> None:
     """dim(mu, lam) / dim(lam) = s*_mu(lam) / n(n - 1)...(n - |mu| + 1) at n = |lam|,
     s* read from one column set per diagram (s* is stable under zero padding)."""
-    d0 = {lam: d for _, rows in sweep(YOUNG, args.lam_max) for lam, d, _ in rows}
+    d0 = {lam: d for _, rows, _, _ in sweep(YOUNG, args.lam_max) for lam, d, _ in rows}
     columns = {lam: shifted_schur_columns(lam.parts, 1, args.mu_max, args.mu_max) for lam in d0}
     for nn in range(args.mu_max + 1):
         for mu in partitions_of(nn):
-            for n_lam, rows in sweep(YOUNG, args.lam_max, start=mu):
+            for n_lam, rows, _, _ in sweep(YOUNG, args.lam_max, start=mu):
                 dims = {lam: d for lam, d, _ in rows}
                 for lam in partitions_of(n_lam):
                     lhs = Fraction(dims.get(lam, 0), d0[lam])
@@ -514,7 +515,7 @@ def _suite_kernels(args, report: Report) -> None:
         # a level's kernels share the denominator c * scale^n, so each cover
         # sum compares in ints and one Fraction forms per side
         for kind, (nums, scale, c) in tables:
-            for n, rows in levels[kind]:
+            for n, rows, _, _ in levels[kind]:
                 for mu, _, edges in rows:
                     r = sum(w * nums[lam] for lam, w in edges)
                     report.add(
@@ -544,7 +545,7 @@ def _suite_gauss(args, report: Report) -> None:
 def _suite_degeneration(args, report: Report) -> None:
     y = YoungZZ(Fraction(3), Fraction(2))
     j = JackZZ(Fraction(3), Fraction(2), Fraction(1))
-    for n, rows in sweep(YOUNG, args.levels):  # the Jack graph at theta = 1
+    for n, rows, _, _ in sweep(YOUNG, args.levels):  # the Jack graph at theta = 1
         (js, jq), (ys, yq) = j.level_phi(n, rows), y.level_phi(n, rows)
         for (mu, _, _), a, b in zip(rows, js, ys):
             a, b = Fraction(a, jq), Fraction(b, yq)

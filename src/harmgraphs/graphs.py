@@ -6,8 +6,11 @@ multiplicity of the grown row, and the Jack deformation carries a
 product over the column of the new box, rational in its parameter and
 exact down to parameter 0.  Weighted path dimensions come from one level
 sweep that pushes dim(start, .) up the covers, holding two levels at a
-time and reading each weight from the row it grows; the closed forms
-serve as oracles where they exist.
+time and reading each weight from the row it grows, all in integers: a
+level's dims share one denominator and its edge weights another, both 1
+but on the Jack graph, where the weights' denominator is one product over
+the legs a box can have.  The closed forms serve as oracles: Young,
+Kingman and strict here, and the Jack hook formula in the tests.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import csv
 import io
 from collections import deque, namedtuple
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial, gcd, lcm, prod
 from typing import Callable, Iterator
 
 from .exact import as_rational, quotient_pfaffian
@@ -100,16 +103,18 @@ def _new_box(mu: Partition, lam: Partition) -> int:
     raise ValueError(f"{lam} does not cover {mu}")
 
 
-def _jack_row_weight(parts: tuple[int, ...], i: int, p: int, q: int) -> Fraction:
-    """The Jack weight at theta = p/q of the edge into `parts` that grows row i: every
-    factor times q is an integer, over rows 0 .. i - 1 of the new box's column."""
+def _jack_row_weight(parts: tuple[int, ...], i: int, p: int, q: int) -> tuple[int, int]:
+    """(num, den): the Jack weight num/den at theta = p/q of the edge into `parts` that grows
+    row i, a product over rows 0 .. i - 1 of the new box's column (`jack_weight`); each factor
+    times q is an integer, den's at arm a and leg l being F(a, l) = (a q + p (l + 1), or l + 1
+    at a = 0) times ((a + 1) q + p (l + 1))."""
     j = parts[i]
     num = den = 1
     for k in range(i):
         a, l = parts[k] - j, i - 1 - k
         num *= (a * q + p * (l + 2) if a else l + 2) * ((a + 1) * q + p * l)
         den *= (a * q + p * (l + 1) if a else l + 1) * ((a + 1) * q + p * (l + 1))
-    return Fraction(num, den)
+    return num, den
 
 
 def jack_weight(mu: Partition, lam: Partition, theta) -> Fraction:
@@ -124,26 +129,40 @@ def jack_weight(mu: Partition, lam: Partition, theta) -> Fraction:
     theta = as_rational(theta)
     if theta < 0:
         raise ValueError("jack weight needs theta >= 0")
-    return _jack_row_weight(lam.parts, i, theta.numerator, theta.denominator)
+    return Fraction(*_jack_row_weight(lam.parts, i, theta.numerator, theta.denominator))
 
 
-def _row_weight(kind: GraphKind) -> Callable[[tuple[int, ...], int], int | Fraction]:
-    """The weight of the edge into `parts` that grows row i (0-based), as a function of
-    (parts, i): 1, the count of the new part on Kingman, `jack_weight`'s product on Jack."""
+def _row_weight(kind: GraphKind, n: int) -> tuple[Callable, int]:
+    """(weight, wq) for the edges out of level n: weight(parts, i) is wq times the weight of the
+    edge into `parts` that grows row i (0-based), an integer.  wq = 1 and the weight is 1, or
+    on Kingman the count of the new part, except on the Jack graph.  There the edge growing row
+    i has one factor F(a, l) (`_jack_row_weight`) at each leg l < i <= n, of arm a <= n - 1 - l,
+    so its den divides wq, the product over l < n of the lcm of F(a, l) over those arms."""
     if kind.name == "jack":
         p, q = kind.theta.numerator, kind.theta.denominator
-        return lambda parts, i: _jack_row_weight(parts, i, p, q)
+        wq = prod(
+            lcm(*((a * q + p * m if a else m) * (a * q + q + p * m) for a in range(n + 1 - m)))
+            for m in range(1, n + 1)  # m = l + 1
+        )
+
+        def weight(parts, i):
+            num, den = _jack_row_weight(parts, i, p, q)
+            return wq * num // den
+
+        return weight, wq
     if kind.name == "kingman":
-        return lambda parts, i: parts.count(parts[i])
-    return lambda parts, i: 1
+        return (lambda parts, i: parts.count(parts[i])), 1
+    return (lambda parts, i: 1), 1
 
 
 def edge_multiplicity(mu: Partition, lam: Partition, kind: GraphKind) -> int | Fraction:
     """Weight of the edge mu -> lam, an int except on the Jack graph; rejects non-edges."""
+    if kind.name == "jack":
+        return jack_weight(mu, lam, kind.theta)
     i = _new_box(mu, lam)
     if kind.strict and not (mu.is_strict and lam.is_strict):
         raise ValueError("schur edges join strict partitions")
-    return _row_weight(kind)(lam.parts, i)
+    return _row_weight(kind, mu.size)[0](lam.parts, i)
 
 
 # ---------------------------------------------------------------------------
@@ -156,25 +175,28 @@ def sweep(
     start: Partition = EMPTY,
     within: Partition | None = None,
     max_length: int | None = None,
-) -> Iterator[tuple[int, list]]:
+) -> Iterator[tuple[int, list, int, int]]:
     """Push dim(start, .) up the graph one level at a time, holding two levels.
 
-    Yields (n, rows) for n = |start| .. top: each level-n vertex lam
-    reachable from start, in decreasing lexicographic order, as
-    (lam, dim(start, lam), edges), where edges lists the up-edges
-    (nu, weight) into level n + 1, each weight read from the row nu grows.
-    Vertices stay inside `within`, which must contain start, and at most
-    `max_length` rows long; on the strict graph start must be strict.
-    Dimensions are ints where the weights are (every graph but Jack).
+    Yields (n, rows, dq, wq) for n = |start| .. top, in integers: each level-n
+    vertex lam reachable from start, in decreasing lexicographic order, as
+    (lam, D, edges) with dim(start, lam) = D/dq, where edges lists the up-edges
+    (nu, W) into level n + 1 with weight W/wq, each read from the row nu grows.
+    dq = wq = 1 but on the Jack graph, whose dims are pushed over dq wq and
+    then brought to lowest terms by their gcd.  Vertices stay inside `within`,
+    which must contain start, and at most `max_length` rows long; on the
+    strict graph start must be strict.
     """
     if kind.strict and not start.is_strict:
         raise ValueError("schur graph vertices must be strict partitions")
     if within is not None and not within.contains(start):
         raise ValueError(f"the start vertex {start} lies outside {within}")
-    weight = _row_weight(kind)
-    length_cap = top if max_length is None else max_length
-    frontier = {start.parts: [start, 1]}  # parts -> [vertex, dim]
+    length_cap, strict = top if max_length is None else max_length, kind.strict
+    frontier, dq = {start.parts: [start, 1]}, 1  # parts -> [vertex, D]
+    weight, wq = _row_weight(kind, 0)
     for n in range(start.size, top + 1):
+        if kind.theta:  # the Jack weights vary with the level
+            weight, wq = _row_weight(kind, n)
         ahead: dict[tuple[int, ...], list] = {}
         rows = []
         for parts in sorted(frontier, reverse=True):
@@ -183,23 +205,28 @@ def sweep(
             for i, nu in _grown_rows(parts) if n < top else ():
                 if len(nu) > length_cap or (within is not None and nu[i] > within.part(i + 1)):
                     continue  # lam lies inside `within`, so only the grown row can leave it
-                if kind.strict and i and nu[i - 1] == nu[i]:
+                if strict and i and nu[i - 1] == nu[i]:
                     continue
                 w = weight(nu, i)
                 slot = ahead.get(nu) or ahead.setdefault(nu, [Partition._trusted(nu), 0])
                 slot[1] += d * w
                 edges.append((slot[0], w))
             rows.append((lam, d, edges))
-        yield n, rows
-        frontier = ahead
+        yield n, rows, dq, wq
+        frontier, dq = ahead, dq * wq
+        if dq > 1:
+            g = gcd(dq, *(slot[1] for slot in ahead.values()))
+            dq //= g
+            for slot in ahead.values():
+                slot[1] //= g
 
 
-def top_level(kind: GraphKind, top: int, start: Partition = EMPTY, **restrict) -> list:
-    """The rows of the last level of `sweep(kind, top, start, **restrict)`."""
+def top_level(kind: GraphKind, top: int, start: Partition = EMPTY, **restrict) -> tuple[list, int]:
+    """(rows, dq) of the last level of `sweep(kind, top, start, **restrict)`."""
     if top < start.size:
         raise ValueError("the top level lies below the start vertex")
-    ((_, rows),) = deque(sweep(kind, top, start, **restrict), maxlen=1)
-    return rows
+    ((_, rows, dq, _),) = deque(sweep(kind, top, start, **restrict), maxlen=1)
+    return rows, dq
 
 
 def dim(mu: Partition, lam: Partition, kind: GraphKind) -> int | Fraction:
@@ -208,14 +235,14 @@ def dim(mu: Partition, lam: Partition, kind: GraphKind) -> int | Fraction:
         raise ValueError("schur graph vertices must be strict partitions")
     if not lam.contains(mu):
         return 0
-    ((_, d, _),) = top_level(kind, lam.size, start=mu, within=lam)
-    return d
+    (((_, d, _),), dq) = top_level(kind, lam.size, start=mu, within=lam)
+    return Fraction(d, dq) if kind.name == "jack" and lam != mu else d
 
 
 def dim_closed_form(lam: Partition, kind: GraphKind) -> Fraction:
-    """Closed-form total dimension; the Jack graph has none and is rejected.  Young:
-    n!/(hook product); Kingman: n!/prod lam_i!; strict: that times Schur's quotient
-    Pfaffian prod_{i<j} (lam_i - lam_j)/(lam_i + lam_j)."""
+    """Closed-form total dimension.  Young: n!/(hook product); Kingman: n!/prod lam_i!;
+    strict: that times Schur's quotient Pfaffian prod_{i<j} (lam_i - lam_j)/(lam_i + lam_j).
+    The Jack graph's, n!/prod (arm + 1 + theta leg), is a test oracle; here it is rejected."""
     n = lam.size
     if kind.name == "young":
         return Fraction(factorial(n), lam.hook_product())
@@ -228,10 +255,11 @@ def dim_closed_form(lam: Partition, kind: GraphKind) -> Fraction:
 
 
 def dims_csv(n: int, kind: GraphKind, max_length: int | None = None) -> str:
-    """CSV dump 'level,partition,dim' for one level (exact p/q strings)."""
+    """CSV dump 'level,partition,dim' for one level (exact p/q strings, one Fraction per row)."""
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["level", "partition", "dim"])
-    for lam, d, _ in top_level(kind, n, max_length=max_length):
-        writer.writerow([n, str(lam), str(d)])
+    rows, dq = top_level(kind, n, max_length=max_length)
+    for lam, d, _ in rows:
+        writer.writerow([n, str(lam), str(Fraction(d, dq))])
     return buf.getvalue()

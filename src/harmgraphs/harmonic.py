@@ -54,9 +54,11 @@ def _over_rising(xs: list[int], den: int, t: Fraction, n: int, first: int = 0):
     return (xs, q) if q > 0 else ([-x for x in xs], -q)
 
 
-def _reject_nonpositive_integer_t(t: Fraction, allow_zero: bool = False) -> None:
+def _reject_nonpositive_integer_t(
+    t: Fraction, allow_zero: bool = False, name: str = "denominator parameter t"
+) -> None:
     if t.denominator == 1 and (t < 0 or (t == 0 and not allow_zero)):
-        raise FamilyError(f"denominator parameter t = {t} hits a forbidden value")
+        raise FamilyError(f"{name} = {t} hits a forbidden value")
 
 
 class AdmissibleReport(NamedTuple):
@@ -84,8 +86,8 @@ class HarmonicFamily:
         return f"{type(self).__name__}({self.spec_string()!r})"
 
     def phi(self, mu: Partition) -> Fraction:
-        """The level form at the one vertex mu, with its dim in closed form (the Jack graph
-        has none, and JackZZ reads none)."""
+        """The level form at the one vertex mu, with its dim in closed form (none on the Jack
+        graph, whose closed form is a test oracle, and JackZZ reads none)."""
         if self.kind.strict and not mu.is_strict:
             raise FamilyError("strict-graph family evaluated at a non-strict partition")
         d = None if self.kind.name == "jack" else dim_closed_form(mu, self.kind).numerator
@@ -93,9 +95,10 @@ class HarmonicFamily:
         return Fraction(x, q)
 
     def level_phi(self, n: int, rows) -> tuple[list[int], int]:
-        """phi on a level of the sweep, its rows (lam, dim(lam), edges) with dims counted from the
+        """phi on a level of the sweep, its rows (lam, D, edges) with dims D/dq counted from the
         empty partition, as integer numerators over one denominator q > 0; here the phi values of
-        a family that defines only `phi` (each family here has its own), made so."""
+        a family that defines only `phi` (each family here has its own), made so.  YoungZZ and
+        SchurT read D as dim(lam), on graphs where dq = 1; no other family reads D."""
         return integer_point([self.phi(lam) for lam, _, _ in rows])
 
     def admissible(self, surrogate_level: int = 6) -> AdmissibleReport:
@@ -108,7 +111,7 @@ class HarmonicFamily:
         return self.spec_string()
 
     def _surrogate_nonnegative(self, surrogate_level: int) -> AdmissibleReport:
-        for n, rows in sweep(self.kind, surrogate_level):
+        for n, rows, _, _ in sweep(self.kind, surrogate_level):
             xs, _ = self.level_phi(n, rows)
             for (lam, _, _), x in zip(rows, xs):
                 if x < 0:
@@ -178,7 +181,7 @@ class JackZZ(HarmonicFamily):
         object.__setattr__(self, "theta", as_rational(theta))
         if self.theta <= 0:
             raise FamilyError("theta must be > 0")
-        _reject_nonpositive_integer_t(self.t)
+        _reject_nonpositive_integer_t(self.t, name=f"t = {self.zz}, theta = {self.theta}: the ratio t/theta")
 
     @property
     def t(self) -> Fraction:
@@ -528,34 +531,32 @@ class HarmonicityReport(NamedTuple):
 def check_harmonicity(family: HarmonicFamily, max_level: int) -> HarmonicityReport:
     """Verify the cover-sum identity exactly for all vertices below max_level.
 
-    One sweep up the graph; the family's level form reads each level's phi
-    once, as integer numerators over one denominator, and `integer_point` its
-    dims and edge weights over one more each (1 but on the Jack graph), so
-    cover sums compare and level masses add in ints.  A Fraction forms for
-    each reported phi, each level mass and the two sides of a violation.
+    One sweep up the graph, which gives each level's dims and edge weights
+    as integers over one denominator each (1 but on the Jack graph); the
+    family's level form reads each level's phi once, as integer numerators
+    over one more, so cover sums compare and level masses add in ints.  A
+    Fraction forms for each reported phi, each level mass and the two sides
+    of a violation.
     """
     if max_level < 1:
         raise ValueError("max_level must be >= 1")
     checked, violations, values, masses = 0, [], [], []
-    below = None  # the rows of the level below, their phi numerators and denominator
-    for n, rows in sweep(family.kind, max_level):
+    below = None  # the rows of the level below, their phi numerators and the two denominators
+    for n, rows, dq, wq in sweep(family.kind, max_level):
         xs, q = family.level_phi(n, rows)
-        ds, dq = integer_point([d for _, d, _ in rows])
-        masses.append(Fraction(sum(map(mul, ds, xs)), dq * q))
+        masses.append(Fraction(sum(d * x for (_, d, _), x in zip(rows, xs)), dq * q))
         if below:
-            lower, lower_xs, lower_q = below
+            lower, lower_xs, lower_q, lower_wq = below
             at = {lam: x for (lam, _, _), x in zip(rows, xs)}
-            ws, wq = integer_point([w for _, _, edges in lower for _, w in edges])
-            ws = iter(ws)
             for (mu, _, edges), x in zip(lower, lower_xs):
-                # phi(mu) = x / lower_q against the cover sum r / (wq q)
-                r = sum(w * at[lam] for (lam, _), w in zip(edges, ws))
-                if x * wq * q != r * lower_q:
-                    lhs, rhs = Fraction(x, lower_q), Fraction(r, wq * q)
+                # phi(mu) = x / lower_q against the cover sum r / (lower_wq q)
+                r = sum(w * at[lam] for lam, w in edges)
+                if x * lower_wq * q != r * lower_q:
+                    lhs, rhs = Fraction(x, lower_q), Fraction(r, lower_wq * q)
                     violations.append(HarmonicityViolation(mu, lhs, rhs))
             checked += len(lower)
         values += [(lam, Fraction(x, q)) for (lam, _, _), x in zip(rows, xs)]
-        below = rows, xs, q
+        below = rows, xs, q, wq
     return HarmonicityReport(
         family.spec_string(), max_level, checked, tuple(violations), tuple(values), tuple(masses)
     )
@@ -578,9 +579,9 @@ class LevelMeasure(NamedTuple):
 
 
 def level_measure(family: HarmonicFamily, n: int, max_length: int | None = None) -> LevelMeasure:
-    rows = top_level(family.kind, n, max_length=max_length)
+    rows, dq = top_level(family.kind, n, max_length=max_length)
     xs, q = family.level_phi(n, rows)  # a path to lam stays within l(lam) rows: dims are total
-    return LevelMeasure(n, tuple((lam, Fraction(d * x, q)) for (lam, d, _), x in zip(rows, xs)))
+    return LevelMeasure(n, tuple((lam, Fraction(d * x, q * dq)) for (lam, d, _), x in zip(rows, xs)))
 
 
 def lattice_level_sums(
@@ -594,24 +595,24 @@ def lattice_level_sums(
     max, the min and the first of phi(lam), psi(lam).  By harmonicity the
     last is phi(mu) at every level.  Each family's level form reads a level
     once, from its total dims (a sweep from the empty partition in lockstep
-    when mu is not), and the dims from mu share one more denominator (1 but
-    on the Jack graph), so the sums run in ints and each forms one Fraction."""
+    when mu is not), and the sweep from mu gives its dims over one more
+    denominator (1 but on the Jack graph), so the sums run in ints and each
+    forms one Fraction."""
     if phi_fam.kind != psi_fam.kind:
         raise ValueError("families must live on the same graph")
     if mu.size >= top:
         raise ValueError("need |mu| < top")
     out = []
     totals = islice(sweep(phi_fam.kind, top), mu.size, None) if mu.parts else None
-    for n, rows in sweep(phi_fam.kind, top, start=mu):
+    for n, rows, dq, _ in sweep(phi_fam.kind, top, start=mu):
         whole = rows
         if totals:  # the level's rows from the empty partition that contain mu, in order
             whole = [row for row in next(totals)[1] if row[0].contains(mu)]
         if n == mu.size:
             continue
         (xs, q), (ys, r) = phi_fam.level_phi(n, whole), psi_fam.level_phi(n, whole)
-        ds, dq = integer_point([d for _, d, _ in rows])
         join = meet = phi_sum = 0
-        for d, x, y in zip(ds, xs, ys):
+        for (_, d, _), x, y in zip(rows, xs, ys):
             a, b = x * r, y * q
             join, meet, phi_sum = join + d * max(a, b), meet + d * min(a, b), phi_sum + d * a
         out.append((n, *(Fraction(s, dq * q * r) for s in (join, meet, phi_sum))))

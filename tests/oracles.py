@@ -27,9 +27,10 @@ come twice, both over the listed level, vertex by vertex, where the library
 streams runs: in `Fraction`s at the points `embed_rows` and `embed_frobenius`
 give, and in integers, fast enough for n in the hundreds; both take each
 level weight as dim times phi rather than the face's own formula.  The
-harmonicity check and the lattice level sums run over the library's sweep
-one vertex at a time in `Fraction`s, where the library brings each level to
-one denominator.  The
+level sweep pushes each dim up one edge at a time in `Fraction`s, and the
+Jack dims also come from their hook formula, where the library brings each
+level's dims and weights to one denominator.  The harmonicity check and the lattice level sums run over that
+sweep one vertex at a time in `Fraction`s.  The
 closed products of the Young and strict families are taken one vertex at a
 time, with the hook product and Schur's quotient Pfaffian, where the library
 reads a level from row tables and the sweep's dims.
@@ -52,9 +53,9 @@ from harmgraphs.exact import (
     round_bits,
     solve_linear,
 )
-from harmgraphs.graphs import dim_closed_form, level, sweep, top_level
+from harmgraphs.graphs import _jack_row_weight, dim_closed_form, level, top_level
 from harmgraphs.harmonic import HarmonicityReport, HarmonicityViolation
-from harmgraphs.partitions import EMPTY, Partition
+from harmgraphs.partitions import EMPTY, Partition, _grown_rows
 from harmgraphs.interp import (
     H_STAR,
     FunctionalSpec,
@@ -650,8 +651,8 @@ def fraction_convergence_row(family, n, resolution, interior_fraction):
     from the sweep up the family's graph (within its width: a path only adds rows)."""
     face, lam = FACES[family.face], family.lam
     l = face.blocks * getattr(lam, face.stat)
-    rows = top_level(family.kind, n, max_length=getattr(family, "width", None))
-    weights = [(nu, d * family.phi(nu)) for nu, d, _ in rows]
+    rows, dq = top_level(family.kind, n, max_length=getattr(family, "width", None))
+    weights = [(nu, Fraction(d, dq) * family.phi(nu)) for nu, d, _ in rows]
     binned = l == 2 and face.polynomial is not None
     lo, width = Fraction(1, 2), Fraction(1, 2 * resolution)
     bins = [Fraction(0)] * resolution
@@ -722,6 +723,55 @@ def integer_convergence_row(family, n, resolution, interior_fraction):
     )
 
 
+def fraction_row_weight(kind):
+    """The weight of the edge into `parts` that grows row i (0-based), as a function of
+    (parts, i): 1, the count of the new part on Kingman, `jack_weight`'s product as a Fraction
+    on Jack."""
+    if kind.name == "jack":
+        p, q = kind.theta.numerator, kind.theta.denominator
+        return lambda parts, i: Fraction(*_jack_row_weight(parts, i, p, q))
+    if kind.name == "kingman":
+        return lambda parts, i: parts.count(parts[i])
+    return lambda parts, i: 1
+
+
+def fraction_sweep(kind, top, start=EMPTY, within=None, max_length=None):
+    """`graphs.sweep`'s levels as (n, rows), the dims and the edge weights as values, each
+    dim pushed up by one multiply and one add per edge (Fractions on the Jack graph)."""
+    weight = fraction_row_weight(kind)
+    length_cap = top if max_length is None else max_length
+    frontier = {start.parts: [start, 1]}  # parts -> [vertex, dim]
+    for n in range(start.size, top + 1):
+        ahead = {}
+        rows = []
+        for parts in sorted(frontier, reverse=True):
+            lam, d = frontier[parts]
+            edges = []
+            for i, nu in _grown_rows(parts) if n < top else ():
+                if len(nu) > length_cap or (within is not None and nu[i] > within.part(i + 1)):
+                    continue
+                if kind.strict and i and nu[i - 1] == nu[i]:
+                    continue
+                w = weight(nu, i)
+                slot = ahead.get(nu) or ahead.setdefault(nu, [Partition(nu), 0])
+                slot[1] += d * w
+                edges.append((slot[0], w))
+            rows.append((lam, d, edges))
+        yield n, rows
+        frontier = ahead
+
+
+def jack_hook_dim(lam: Partition, theta) -> Fraction:
+    """The Jack graph's dim(lam) from the empty partition by its hook formula:
+    n! over the product over the boxes of arm + 1 + theta leg."""
+    theta = as_rational(theta)
+    cols = lam.conjugate().parts
+    hooks = [
+        r - j + 1 + theta * (cols[j - 1] - i) for i, r in enumerate(lam.parts, 1) for j in range(1, r + 1)
+    ]
+    return Fraction(factorial(lam.size)) / prod(hooks)
+
+
 def fraction_harmonicity(family, max_level):
     """`check_harmonicity`'s report, each cover sum and level mass accumulated
     in Fractions one vertex at a time."""
@@ -730,7 +780,7 @@ def fraction_harmonicity(family, max_level):
     values = []
     masses = []
     ahead = {EMPTY: family.phi(EMPTY)}
-    for n, rows in sweep(family.kind, max_level):
+    for n, rows in fraction_sweep(family.kind, max_level):
         here, ahead = ahead, {}
         mass = Fraction(0)
         for mu, d, edges in rows:
@@ -756,7 +806,7 @@ def fraction_lattice_sums(phi_fam, psi_fam, mu, top):
     """`lattice_level_sums`'s rows (n, join, meet, phi_sum), each sum accumulated
     in Fractions one vertex at a time."""
     out = []
-    for n, rows in sweep(phi_fam.kind, top, start=mu):
+    for n, rows in fraction_sweep(phi_fam.kind, top, start=mu):
         if n == mu.size:
             continue
         join = meet = phi_sum = Fraction(0)

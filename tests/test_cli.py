@@ -398,6 +398,9 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys):
         # a malformed family value names its key
         (("phi", "--family", "jack:e=1,t=1,theta=1/0", "--mu", "1"),
          "family parameter 'theta': malformed value '1/0'"),
+        # the Jack family refuses t/theta, and names what was typed
+        (("check-harmonic", "--family", "jack:e=1,t=-2,theta=2", "--levels", "3"),
+         "argument --family: t = -2, theta = 2: the ratio t/theta = -1 hits a forbidden value"),
         (("phi", "--family", "young-zz:e=x,t=2", "--mu", "1"),
          "family parameter 'e': malformed value 'x'"),
         (("phi", "--family", "trunc-young:lambda=2+x", "--mu", "1"),
@@ -439,7 +442,8 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys):
          "converge-repeated-n", "converge-malformed-interior", "family-unknown-key",
          "family-key-of-another-family", "family-repeated-key", "family-malformed-cap",
          "family-zero-cap", "check-harmonic-past-the-cap",
-         "family-zero-denominator", "family-malformed-rational", "family-malformed-partition",
+         "family-zero-denominator", "jack-forbidden-ratio", "family-malformed-rational",
+         "family-malformed-partition",
          "gauss-zero-tol", "gauss-negative-tol", "gauss-zero-precision",
          "gauss-negative-precision", "converge-negative-ratio-tol", "converge-zero-ratio-tol",
          "converge-nan-ratio-tol", "converge-infinite-ratio-tol", "check-harmonic-zero-levels",

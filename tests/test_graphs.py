@@ -129,26 +129,36 @@ def test_dim_rejects_non_strict_schur_vertices():
 
 def test_sweep_levels_match_level_enumeration():
     for kind in (YOUNG, SCHUR, jack(F(1, 2))):
-        seen = [n for n, _ in sweep(kind, 7)]
+        seen = [n for n, *_ in sweep(kind, 7)]
         assert seen == list(range(8))
-        for n, rows in sweep(kind, 7):
+        for n, rows, _, _ in sweep(kind, 7):
             assert [lam for lam, _, _ in rows] == level(n, kind)
-    for n, rows in sweep(KINGMAN, 8, max_length=2):
+    for n, rows, _, _ in sweep(KINGMAN, 8, max_length=2):
         assert [lam for lam, _, _ in rows] == level(n, KINGMAN, max_length=2)
 
 
 def test_sweep_edges_carry_the_edge_weights():
     kind = jack(F(2, 3))
-    for n, rows in sweep(kind, 5):
+    for n, rows, _, wq in sweep(kind, 5):
         for mu, _, edges in rows:
             expected = [] if n == 5 else covers_up(mu, kind)
             assert [nu for nu, _ in edges] == expected
             for nu, w in edges:
-                assert w == edge_multiplicity(mu, nu, kind)
+                assert F(w, wq) == edge_multiplicity(mu, nu, kind)
+
+
+def test_sweep_yields_integers_on_every_graph():
+    for kind in (YOUNG, KINGMAN, SCHUR, jack(F(1, 2)), jack(F(7, 3))):
+        for start, within in ((P(), None), (P([1]), P([4, 3, 1]))):
+            for _, rows, dq, wq in sweep(kind, 8, start, within):
+                assert type(dq) is type(wq) is int
+                assert all(type(d) is int and all(type(w) is int for _, w in edges) for _, d, edges in rows)
 
 
 def test_sweep_from_a_vertex_within_a_bound():
-    rows = dict(sweep(YOUNG, 5, start=P([2, 1]), within=P([3, 2])))
+    levels = list(sweep(YOUNG, 5, start=P([2, 1]), within=P([3, 2])))
+    assert all(dq == wq == 1 for _, _, dq, wq in levels)
+    rows = {n: level_rows for n, level_rows, _, _ in levels}
     assert sorted(rows) == [3, 4, 5]
     assert [(lam, d) for lam, d, _ in rows[4]] == [(P([3, 1]), 1), (P([2, 2]), 1)]
     assert [(lam, d) for lam, d, _ in rows[5]] == [(P([3, 2]), 2)]
@@ -163,8 +173,8 @@ def test_sweep_rejects_a_start_outside_its_graph_or_bound():
         next(sweep(SCHUR, 6, start=P([2, 1, 1])))
     with pytest.raises(ValueError, match="outside"):
         next(sweep(YOUNG, 5, start=P([3]), within=P([2, 2])))
-    assert top_level(YOUNG, 4, start=P([2, 2])) == [(P([2, 2]), 1, [])]
-    assert top_level(SCHUR, 4, start=P([3, 1])) == [(P([3, 1]), 1, [])]
+    assert top_level(YOUNG, 4, start=P([2, 2])) == ([(P([2, 2]), 1, [])], 1)
+    assert top_level(SCHUR, 4, start=P([3, 1])) == ([(P([3, 1]), 1, [])], 1)
 
 
 def test_dim_closed_form_examples():

@@ -79,7 +79,9 @@ from oracles import (
     fraction_lattice_sums,
     fraction_permutation_sum,
     fraction_power,
+    fraction_sweep,
     functional_on_shifted_schur,
+    jack_hook_dim,
     pfaffian_integral_by_matchings,
     pstar_closed_form,
     schur_tableau,
@@ -125,7 +127,8 @@ def test_strict_dim_matches_closed_form(lam):
 @PROPERTY
 @given(st.sampled_from([YOUNG, KINGMAN, SCHUR]), st.integers(0, 8))
 def test_full_sweep_matches_closed_form(kind, top):
-    for _, level_rows in sweep(kind, top):
+    for _, level_rows, dq, _ in sweep(kind, top):
+        assert dq == 1
         for lam, d, _ in level_rows:
             assert d == dim_closed_form(lam, kind)
 
@@ -689,7 +692,7 @@ def _closed_product(family, mu):
 @example(JackZZ(F(1, 2), F(-9, 2), F(2, 3)))
 def test_level_form_matches_the_closed_product(family):
     # every level through 10, on the family's own sweep and its total dims
-    for n, rows in sweep(family.kind, 10):
+    for n, rows, _, _ in sweep(family.kind, 10):
         xs, q = family.level_phi(n, rows)
         assert q > 0
         assert [F(x, q) for x in xs] == [_closed_product(family, lam) for lam, _, _ in rows]
@@ -797,7 +800,7 @@ def test_sweep_edges_are_the_weighted_covers(kind, pair, bounded, max_length, ex
     assume(start.is_strict or not kind.strict)
     within = within if bounded else None
     top = start.size + extra
-    for n, rows in sweep(kind, top, start, within, max_length):
+    for n, rows, _, wq in sweep(kind, top, start, within, max_length):
         for lam, _, edges in rows:
             expected = [
                 (nu, edge_multiplicity(lam, nu, kind))
@@ -805,7 +808,31 @@ def test_sweep_edges_are_the_weighted_covers(kind, pair, bounded, max_length, ex
                 if (max_length is None or nu.length <= max_length)
                 and (within is None or within.contains(nu))
             ]
-            assert edges == expected
+            assert [(nu, F(w, wq)) for nu, w in edges] == expected
+
+
+small_thetas = st.builds(F, st.integers(1, 5), st.integers(1, 5))
+
+
+@PROPERTY
+@given(
+    st.one_of(st.sampled_from([YOUNG, KINGMAN, SCHUR]), small_thetas.map(jack)),
+    nested_pairs(), st.booleans(), st.one_of(st.none(), st.integers(1, 4)), st.integers(0, 5),
+)
+@example(jack(F(2, 5)), (Partition(), Partition()), False, None, 9)
+def test_integer_sweep_matches_the_fraction_loop(kind, pair, bounded, max_length, extra):
+    # D/dq and W/wq against one Fraction multiply and add per edge, dq = wq = 1 off the Jack
+    # graph, and the Jack dims from the empty partition against the hook formula
+    start, within = pair
+    assume(start.is_strict or not kind.strict)
+    within = within if bounded else None
+    top = start.size + extra
+    args = kind, top, start, within, max_length
+    for (_, rows, dq, wq), (_, expected) in zip(sweep(*args), fraction_sweep(*args), strict=True):
+        assert kind.name == "jack" or dq == wq == 1
+        assert [(lam, F(d, dq), [(nu, F(w, wq)) for nu, w in edges]) for lam, d, edges in rows] == expected
+        if kind.name == "jack" and not start.parts:
+            assert [F(d, dq) for _, d, _ in rows] == [jack_hook_dim(lam, kind.theta) for lam, _, _ in rows]
 
 
 @dataclass(frozen=True)
