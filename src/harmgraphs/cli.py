@@ -106,7 +106,7 @@ class Report:
 
     @property
     def failed(self) -> int:
-        return sum(1 for r in self.rows if not r["ok"])
+        return len(self.rows) - self.passed
 
     def to_json(self) -> str:
         doc = {
@@ -121,17 +121,14 @@ class Report:
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=["check", "instance", "lhs", "rhs", "ok"])
         writer.writeheader()
-        for row in self.rows:
-            writer.writerow(row)
+        writer.writerows(self.rows)
         return buf.getvalue()
 
     def to_text(self) -> str:
         lines = []
         for row in self.rows:
             mark = "PASS" if row["ok"] else "FAIL"
-            detail = ""
-            if row["lhs"] != "" or row["rhs"] != "":
-                detail = f"  lhs={row['lhs']} rhs={row['rhs']}"
+            detail = f"  lhs={row['lhs']} rhs={row['rhs']}" if row["lhs"] or row["rhs"] else ""
             lines.append(f"{mark}  {row['check']}  {row['instance']}{detail}")
         lines.append(f"summary: {self.passed} passed, {self.failed} failed")
         return "\n".join(lines) + "\n"
@@ -236,15 +233,11 @@ def cmd_check_harmonic(args) -> int:
     report = Report(command="check-harmonic")
     spec = args.family.spec_string()
     hc = check_harmonicity(args.family, args.levels)
-    bad = {v.mu: v for v in hc.violations}
+    bad = {v.mu: (v.lhs, v.rhs) for v in hc.violations}
     for mu, _ in hc.phi_values:
         if mu.size == args.levels:
             break
-        v = bad.get(mu)
-        if v is None:
-            report.add("harmonicity", f"{spec} mu={mu}", None, None, True)
-        else:
-            report.add("harmonicity", f"{spec} mu={mu}", v.lhs, v.rhs, False)
+        report.add("harmonicity", f"{spec} mu={mu}", *bad.get(mu, (None, None)), mu not in bad)
     for n, total in enumerate(hc.level_masses[1:], start=1):
         report.add("normalization", f"{spec} n={n}", total, Fraction(1), total == 1)
     for mu, val in hc.phi_values:

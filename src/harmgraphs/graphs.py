@@ -19,7 +19,7 @@ import csv
 import io
 from collections import deque, namedtuple
 from fractions import Fraction
-from math import factorial, gcd, lcm, prod
+from math import factorial, gcd, prod
 from typing import Callable, Iterator
 
 from .exact import as_rational, quotient_pfaffian
@@ -106,8 +106,8 @@ def _new_box(mu: Partition, lam: Partition) -> int:
 def _jack_row_weight(parts: tuple[int, ...], i: int, p: int, q: int) -> tuple[int, int]:
     """(num, den): the Jack weight num/den at theta = p/q of the edge into `parts` that grows
     row i, a product over rows 0 .. i - 1 of the new box's column (`jack_weight`); each factor
-    times q is an integer, den's at arm a and leg l being F(a, l) = (a q + p (l + 1), or l + 1
-    at a = 0) times ((a + 1) q + p (l + 1))."""
+    times q is an integer.  With m = leg + 1 and T(a) = a q + p m, den's factor at arm a is
+    T(a) T(a + 1), or m T(1) at a = 0."""
     j = parts[i]
     num = den = 1
     for k in range(i):
@@ -133,17 +133,14 @@ def jack_weight(mu: Partition, lam: Partition, theta) -> Fraction:
 
 
 def _row_weight(kind: GraphKind, n: int) -> tuple[Callable, int]:
-    """(weight, wq) for the edges out of level n: weight(parts, i) is wq times the weight of the
-    edge into `parts` that grows row i (0-based), an integer.  wq = 1 and the weight is 1, or
-    on Kingman the count of the new part, except on the Jack graph.  There the edge growing row
-    i has one factor F(a, l) (`_jack_row_weight`) at each leg l < i <= n, of arm a <= n - 1 - l,
-    so its den divides wq, the product over l < n of the lcm of F(a, l) over those arms."""
-    if kind.name == "jack":
+    """(weight, wq) for the edges out of levels 0 .. n: weight(parts, i) is wq times the weight
+    of the edge into `parts` that grows row i (0-based), an integer.  wq = 1 and the weight is 1,
+    or on Kingman the count of the new part, except on the Jack graph.  There an edge out of a
+    level up to n has one den factor (`_jack_row_weight`) at each leg m - 1 < n, of arm at most
+    n - m, so it divides m T(1) ... T(n + 1 - m), and wq is the product of those over m."""
+    if kind.theta:
         p, q = kind.theta.numerator, kind.theta.denominator
-        wq = prod(
-            lcm(*((a * q + p * m if a else m) * (a * q + q + p * m) for a in range(n + 1 - m)))
-            for m in range(1, n + 1)  # m = l + 1
-        )
+        wq = prod(m * prod(a * q + p * m for a in range(1, n + 2 - m)) for m in range(1, n + 1))
 
         def weight(parts, i):
             num, den = _jack_row_weight(parts, i, p, q)
@@ -157,12 +154,12 @@ def _row_weight(kind: GraphKind, n: int) -> tuple[Callable, int]:
 
 def edge_multiplicity(mu: Partition, lam: Partition, kind: GraphKind) -> int | Fraction:
     """Weight of the edge mu -> lam, an int except on the Jack graph; rejects non-edges."""
-    if kind.name == "jack":
+    if kind.theta:
         return jack_weight(mu, lam, kind.theta)
     i = _new_box(mu, lam)
     if kind.strict and not (mu.is_strict and lam.is_strict):
         raise ValueError("schur edges join strict partitions")
-    return _row_weight(kind, mu.size)[0](lam.parts, i)
+    return _row_weight(kind, 0)[0](lam.parts, i)
 
 
 # ---------------------------------------------------------------------------
@@ -182,10 +179,10 @@ def sweep(
     vertex lam reachable from start, in decreasing lexicographic order, as
     (lam, D, edges) with dim(start, lam) = D/dq, where edges lists the up-edges
     (nu, W) into level n + 1 with weight W/wq, each read from the row nu grows.
-    dq = wq = 1 but on the Jack graph, whose dims are pushed over dq wq and
-    then brought to lowest terms by their gcd.  Vertices stay inside `within`,
-    which must contain start, and at most `max_length` rows long; on the
-    strict graph start must be strict.
+    dq = wq = 1 but on the Jack graph, where one wq serves every level and
+    the dims are pushed over dq wq, then brought to lowest terms by their
+    gcd.  Vertices stay inside `within`, which must contain start, and at
+    most `max_length` rows long; on the strict graph start must be strict.
     """
     if kind.strict and not start.is_strict:
         raise ValueError("schur graph vertices must be strict partitions")
@@ -193,10 +190,8 @@ def sweep(
         raise ValueError(f"the start vertex {start} lies outside {within}")
     length_cap, strict = top if max_length is None else max_length, kind.strict
     frontier, dq = {start.parts: [start, 1]}, 1  # parts -> [vertex, D]
-    weight, wq = _row_weight(kind, 0)
+    weight, wq = _row_weight(kind, top - 1)
     for n in range(start.size, top + 1):
-        if kind.theta:  # the Jack weights vary with the level
-            weight, wq = _row_weight(kind, n)
         ahead: dict[tuple[int, ...], list] = {}
         rows = []
         for parts in sorted(frontier, reverse=True):
@@ -236,7 +231,7 @@ def dim(mu: Partition, lam: Partition, kind: GraphKind) -> int | Fraction:
     if not lam.contains(mu):
         return 0
     (((_, d, _),), dq) = top_level(kind, lam.size, start=mu, within=lam)
-    return Fraction(d, dq) if kind.name == "jack" and lam != mu else d
+    return Fraction(d, dq) if kind.theta and lam != mu else d
 
 
 def dim_closed_form(lam: Partition, kind: GraphKind) -> Fraction:
@@ -260,6 +255,5 @@ def dims_csv(n: int, kind: GraphKind, max_length: int | None = None) -> str:
     writer = csv.writer(buf)
     writer.writerow(["level", "partition", "dim"])
     rows, dq = top_level(kind, n, max_length=max_length)
-    for lam, d, _ in rows:
-        writer.writerow([n, str(lam), str(Fraction(d, dq))])
+    writer.writerows([n, lam, Fraction(d, dq)] for lam, d, _ in rows)
     return buf.getvalue()

@@ -54,11 +54,9 @@ def _over_rising(xs: list[int], den: int, t: Fraction, n: int, first: int = 0):
     return (xs, q) if q > 0 else ([-x for x in xs], -q)
 
 
-def _reject_nonpositive_integer_t(
-    t: Fraction, allow_zero: bool = False, name: str = "denominator parameter t"
-) -> None:
+def _reject_nonpositive_integer_t(t: Fraction, allow_zero: bool = False) -> None:
     if t.denominator == 1 and (t < 0 or (t == 0 and not allow_zero)):
-        raise FamilyError(f"{name} = {t} hits a forbidden value")
+        raise FamilyError(f"denominator parameter t = {t} hits a forbidden value")
 
 
 class AdmissibleReport(NamedTuple):
@@ -181,7 +179,8 @@ class JackZZ(HarmonicFamily):
         object.__setattr__(self, "theta", as_rational(theta))
         if self.theta <= 0:
             raise FamilyError("theta must be > 0")
-        _reject_nonpositive_integer_t(self.t, name=f"t = {self.zz}, theta = {self.theta}: the ratio t/theta")
+        if self.t.denominator == 1 and self.t <= 0:
+            raise FamilyError(f"t = {self.zz}, theta = {self.theta}: the ratio t/theta = {self.t} hits a forbidden value")
 
     @property
     def t(self) -> Fraction:
@@ -541,22 +540,22 @@ def check_harmonicity(family: HarmonicFamily, max_level: int) -> HarmonicityRepo
     if max_level < 1:
         raise ValueError("max_level must be >= 1")
     checked, violations, values, masses = 0, [], [], []
-    below = None  # the rows of the level below, their phi numerators and the two denominators
+    below = None  # the rows of the level below, their phi numerators and denominator
     for n, rows, dq, wq in sweep(family.kind, max_level):
         xs, q = family.level_phi(n, rows)
         masses.append(Fraction(sum(d * x for (_, d, _), x in zip(rows, xs)), dq * q))
         if below:
-            lower, lower_xs, lower_q, lower_wq = below
+            lower, lower_xs, lower_q = below
             at = {lam: x for (lam, _, _), x in zip(rows, xs)}
             for (mu, _, edges), x in zip(lower, lower_xs):
-                # phi(mu) = x / lower_q against the cover sum r / (lower_wq q)
+                # phi(mu) = x / lower_q against the cover sum r / (wq q), one wq per sweep
                 r = sum(w * at[lam] for lam, w in edges)
-                if x * lower_wq * q != r * lower_q:
-                    lhs, rhs = Fraction(x, lower_q), Fraction(r, lower_wq * q)
+                if x * wq * q != r * lower_q:
+                    lhs, rhs = Fraction(x, lower_q), Fraction(r, wq * q)
                     violations.append(HarmonicityViolation(mu, lhs, rhs))
             checked += len(lower)
         values += [(lam, Fraction(x, q)) for (lam, _, _), x in zip(rows, xs)]
-        below = rows, xs, q, wq
+        below = rows, xs, q
     return HarmonicityReport(
         family.spec_string(), max_level, checked, tuple(violations), tuple(values), tuple(masses)
     )

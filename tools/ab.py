@@ -1,6 +1,6 @@
 """Time `harmgraphs` command lines at a git revision and in the working tree, in one process.
 
-    python tools/ab.py REV ARGV [ARGV ...] [--calls N]
+    python tools/ab.py REV ARGV [ARGV ...]
     python tools/ab.py 0ae4a93 "dims --kind young --level 3" "verify lattice --levels 12"
 
 Each ARGV is one quoted command line, split as a shell would.  REV's `src/harmgraphs` is
@@ -8,7 +8,7 @@ read with `git show REV:path`, as `tools/src_size.py` reads it, and the working 
 disk; each is compiled from memory and imported under its own package name
 (`harmgraphs_rev`, `harmgraphs_tree`), so both sides share one interpreter and a drift of
 the host between runs falls out of their ratio.  Per argv, one untimed call on each side
-fills the caches, then N pairs (default 40) of `cli.main` calls, each after a full garbage
+fills the caches, then CALLS = 40 pairs of `cli.main` calls, each after a full garbage
 collection, alternate which side runs first.  One row per argv: each side's minimum, the
 median over the pairs of tree time / REV time, and whether every call on both sides gave
 the same exit code and report sha256.  The exit code is 0 when every argv's reports match,
@@ -36,6 +36,8 @@ from pathlib import Path
 _spec = importlib.util.spec_from_file_location("src_size", Path(__file__).with_name("src_size.py"))
 src_size = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(src_size)
+
+CALLS = 40  # timed pairs per argv
 
 
 class SourcePackage(importlib.abc.MetaPathFinder, importlib.abc.Loader):
@@ -75,13 +77,13 @@ def call(cli, argv: list[str]) -> tuple[float, tuple[int, str]]:
     return seconds, (code, hashlib.sha256(out.getvalue().encode()).hexdigest())
 
 
-def compare(rev_cli, tree_cli, argv: list[str], calls: int) -> tuple[float, float, float, bool]:
+def compare(rev_cli, tree_cli, argv: list[str]) -> tuple[float, float, float, bool]:
     """(REV's minimum, the tree's minimum, the median tree/REV ratio, whether every outcome
-    matches) over `calls` alternating pairs, after one untimed call on each side."""
+    matches) over CALLS alternating pairs, after one untimed call on each side."""
     sides = (rev_cli, tree_cli)
     outcomes = {call(cli, argv)[1] for cli in sides}
     times: tuple[list[float], list[float]] = ([], [])
-    for k in range(calls):
+    for k in range(CALLS):
         for s in (0, 1) if k % 2 == 0 else (1, 0):
             seconds, outcome = call(sides[s], argv)
             times[s].append(seconds)
@@ -94,10 +96,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="ab", description=__doc__.splitlines()[0])
     parser.add_argument("rev", help="git revision to compare against")
     parser.add_argument("argvs", nargs="+", metavar="ARGV", help="one quoted harmgraphs command line")
-    parser.add_argument("--calls", type=int, default=40, help="timed pairs per argv (default 40)")
     args = parser.parse_args(argv)
-    if args.calls < 1:
-        parser.error("--calls must be at least 1")
     try:
         base = src_size.revision_sources(args.rev)
     except (OSError, subprocess.CalledProcessError) as exc:  # no git, no checkout, or no such revision
@@ -107,7 +106,7 @@ def main(argv=None) -> int:
     cells = [["argv", f"{args.rev} min ms", "tree min ms", "median tree/rev", "same report"]]
     same = True
     for line in args.argvs:
-        rev_min, tree_min, ratio, match = compare(rev_cli, tree_cli, shlex.split(line), args.calls)
+        rev_min, tree_min, ratio, match = compare(rev_cli, tree_cli, shlex.split(line))
         times = (f"{rev_min * 1e3:.3f}", f"{tree_min * 1e3:.3f}", f"{ratio:.3f}")
         cells.append([line, *times, "yes" if match else "no"])
         same = same and match
