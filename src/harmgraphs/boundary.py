@@ -32,9 +32,10 @@ alone, so `selberg_rows` builds them once per λ; the kernel tables likewise
 clear a Thoma point once for every μ.
 
 Each face (young, kingman, schur, gamma) is one `Face` record in the
-`FACES` table, keyed by the `face` string of its truncated family: its
-λ check, width, density, vertex embedding, level weights, Selberg setup
-and sweep, and width-2 density polynomial.  A density is the constant times
+`FACES` table, keyed by the `face` string of its truncated family: that
+family, whose λ check and statistic it reads, and the face's density,
+vertex embedding, level weights, Selberg setup and sweep, and width-2
+density polynomial.  A density is the constant times
 F(X) / Q^degree(λ) at a point X/Q, F one form on the integer numerators, so
 `convergence_experiment` needs one rational scale per level.  A face's level
 weights are a stream of runs (start, length, diffs): the vertices start,
@@ -170,9 +171,9 @@ def density_spec(graph: str, lam: Partition) -> DensitySpec:
     if graph not in FACES:
         raise ValueError(f"unknown graph {graph!r}")
     face = FACES[graph]
-    if not face.accepts(lam):
-        raise ValueError(f"{graph} face needs {face.needs}")
-    return DensitySpec(graph, lam, face.constant(lam), face.blocks * getattr(lam, face.stat))
+    if not face.family.accepts(lam):
+        raise ValueError(f"{graph} face needs {face.family.needs}")
+    return DensitySpec(graph, lam, face.constant(lam), face.blocks * getattr(lam, face.family.stat))
 
 
 def density_value(spec: DensitySpec, point) -> Fraction:
@@ -186,7 +187,7 @@ def density_value(spec: DensitySpec, point) -> Fraction:
     """
     face = FACES[spec.graph]
     blocks = [tuple(b) for b in ((point,) if face.blocks == 1 else point)]
-    want, got = [getattr(spec.lam, face.stat)] * face.blocks, [len(b) for b in blocks]
+    want, got = [getattr(spec.lam, face.family.stat)] * face.blocks, [len(b) for b in blocks]
     if got != want:
         shape, given = (";".join(map(str, counts)) for counts in (want, got))
         raise ValueError(f"the {spec.graph} face has {shape} coordinates, got {given}")
@@ -271,7 +272,7 @@ def selberg_rows(graph: str, lam: Partition, mus: list[Partition]) -> list[Selbe
     rejected; no face is capped.
     """
     spec, face = density_spec(graph, lam), FACES[graph]
-    s = getattr(lam, face.stat)
+    s = getattr(lam, face.family.stat)
     by_size: dict[int, list[int]] = {}  # the indices of the mus of each size
     for i, mu in enumerate(mus):
         if mu.size and not face.admits(mu, s):
@@ -675,12 +676,13 @@ def _young_polynomial(lam: Partition) -> Poly:
 # ---------------------------------------------------------------------------
 
 class Face(NamedTuple):
-    """One boundary face, each per-face quantity a plain function.  A point has
-    `blocks` coordinate tuples (alpha; or alpha, beta) of stat(lam) each, so the
-    width is blocks * stat(lam).  The defaults describe a face of rows."""
+    """One boundary face, each per-face quantity a plain function, and its truncated family,
+    whose declaration the face reads: the lam the family `accepts` has a density on the face,
+    and any other is refused with what the family `needs`.  A point has `blocks` coordinate
+    tuples (alpha; or alpha, beta) of the family's stat(lam) each, so the width is
+    blocks * stat(lam).  The defaults describe a face of rows."""
 
-    accepts: Callable[[Partition], bool]  # lam has a density on the face; if not, ...
-    needs: str  # ... the error says the face needs this
+    family: type[HarmonicFamily]  # a truncated family
     constant: Callable[[Partition], Fraction]
     # lam -> (X -> F(X)), F(X) the density over its constant at X/Q times Q^degree(lam); a point X
     # is the integer coordinates of its blocks in turn
@@ -694,7 +696,6 @@ class Face(NamedTuple):
     sweep: tuple[int, ...]  # the Selberg sweep's values of stat(lam), ...
     admits: Callable[[Partition, int], bool]  # ... and each mu != () with an exact route at stat(lam)
     blocks: int = 1
-    stat: str = "length"  # a Partition attribute
     # (parts of nu, n) -> (point X, level denominator Q, interior-test blocks), nu at X/Q; here nu/n
     embed: Callable = lambda p, n: (p, n, [p])
     polynomial: Callable[[Partition], Poly] | None = None  # width-2 density over its constant
@@ -702,15 +703,13 @@ class Face(NamedTuple):
 
 FACES: dict[str, Face] = {
     "young": Face(
-        accepts=lambda lam: lam.length >= 2, needs="length >= 2", constant=young_density_constant,
-        density=_young_density,
+        family=TruncYoung, constant=young_density_constant, density=_young_density,
         degree=lambda lam: lam.size + lam.length * (lam.length - 1),
         level_weights=_young_weights, selberg=_young_selberg,
         sweep=(2, 3), admits=lambda mu, s: mu.length <= s, polynomial=_young_polynomial,
     ),
     "kingman": Face(
-        accepts=lambda lam: lam.length >= 1, needs="a nonempty partition",
-        constant=kingman_density_constant, degree=lambda lam: lam.size,
+        family=TruncKingman, constant=kingman_density_constant, degree=lambda lam: lam.size,
         density=_kingman_density,
         level_weights=_kingman_weights, selberg=_kingman_selberg,
         sweep=(1, 2, 3), admits=lambda mu, s: mu.length <= s,
@@ -718,18 +717,17 @@ FACES: dict[str, Face] = {
         polynomial=lambda lam: reduce(poly_add, (_width2_monomial(*e) for e in {lam.parts, lam.parts[::-1]})),
     ),
     "schur": Face(
-        accepts=lambda lam: lam.is_strict and lam.length >= 1, needs="a nonempty strict partition",
-        constant=schur_density_constant, degree=lambda lam: lam.size,
+        family=TruncSchur, constant=schur_density_constant, degree=lambda lam: lam.size,
         density=lambda lam: lambda xs: _schur_density(lam, xs),
         level_weights=_vertex_weights, selberg=_schur_selberg,
         sweep=(2, 3), admits=lambda mu, s: mu.is_strict and mu.length == s,
     ),
     "gamma": Face(
-        accepts=lambda lam: lam.depth >= 1, needs="depth >= 1",
+        family=GammaShaped,
         # sum(p) + sum(q) - depth
         constant=gamma_density_constant, density=_gamma_density, degree=lambda lam: lam.size - 2 * lam.depth,
         # past the degree cap the family's level form raises
         level_weights=_vertex_weights, selberg=_gamma_selberg,
-        sweep=(1, 2), admits=lambda mu, s: mu.depth == s, blocks=2, stat=GammaShaped.stat, embed=_embed_hooks,
+        sweep=(1, 2), admits=lambda mu, s: mu.depth == s, blocks=2, embed=_embed_hooks,
     ),
 }

@@ -42,7 +42,6 @@ from .graphs import (
     covers_up,
     dim_closed_form,
     dims_csv,
-    edge_multiplicity,
     jack_weight,
     parse_kind,
     sweep,
@@ -449,7 +448,7 @@ def _suite_selberg(args, report: Report) -> None:
         for s in face.sweep:
             mus = [Partition(), *(mu for mu in shapes if face.admits(mu, s))]
             for lam in shapes:
-                if face.accepts(lam) and getattr(lam, face.stat) == s:
+                if face.family.accepts(lam) and getattr(lam, face.family.stat) == s:
                     _add_selberg_rows(report, name, lam, mus)
 
 
@@ -543,17 +542,12 @@ def _suite_degeneration(args, report: Report) -> None:
         for (mu, _, _), a, b in zip(rows, js, ys):
             a, b = Fraction(a, jq), Fraction(b, yq)
             report.add("jack-young-degeneration", f"mu={mu}", a, b, a == b)
-    for n in range(args.levels + 1):
-        for mu in partitions_of(n):
-            for lam in covers_up(mu, YOUNG):
+    for _, rows, _, _ in sweep(KINGMAN, args.levels + 1):  # the edges out of levels 0 .. levels
+        for mu, _, edges in rows:
+            for lam, kappa0 in edges:
                 at_zero = jack_weight(mu, lam, 0)
-                kappa0 = edge_multiplicity(mu, lam, KINGMAN)
                 report.add(
-                    "jack-kingman-degeneration",
-                    f"{mu} -> {lam}",
-                    at_zero,
-                    kappa0,
-                    at_zero == kappa0,
+                    "jack-kingman-degeneration", f"{mu} -> {lam}", at_zero, kappa0, at_zero == kappa0
                 )
 
 

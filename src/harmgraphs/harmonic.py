@@ -12,7 +12,11 @@ form (`_Truncated`): each vanishes past one statistic of its lam, the length
 point, built for that level's vertices (gamma: once per family, through its
 degree cap).  phi(mu) is a family's level form at one vertex.  A family is
 immutable, and equal and hashed by its type and spec string, that is by its
-parameters.
+parameters.  Each family class declares its spec once: its `name` and its
+`spec_keys`, the (key, attribute) pairs in spec order, which are also its
+constructor's arguments; `spec_string` prints them and `parse_family` reads
+them through the one `FAMILIES` table.  A truncated family also declares the
+lam it `accepts` and what it `needs` of lam, which its boundary face reads.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from fractions import Fraction
 from itertools import accumulate, islice
 from math import factorial, lcm, prod
 from operator import getitem, mul
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .exact import as_rational, integer_point
 from .graphs import GraphKind, KINGMAN, SCHUR, YOUNG, dim_closed_form, jack, sweep, top_level
@@ -66,10 +70,17 @@ class AdmissibleReport(NamedTuple):
 
 
 class HarmonicFamily:
-    """Interface: a graph kind, an exact phi, and an admissibility verdict."""
+    """Interface: a graph kind, an exact phi, an admissibility verdict, and the spec: its
+    `name` and `spec_keys`, the (key, attribute) pairs in spec order."""
 
     kind: GraphKind
+    name: str
+    spec_keys: tuple[tuple[str, str], ...]
     face: str | None = None  # the boundary face of a truncated family
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.phi, cls.level_phi = cls.phi, cls.level_phi  # each family's own, where the tracer wraps them
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -103,17 +114,17 @@ class HarmonicFamily:
         raise NotImplementedError
 
     def spec_string(self) -> str:
-        raise NotImplementedError
+        return f"{self.name}:" + ",".join(f"{key}={getattr(self, attr)}" for key, attr in self.spec_keys)
 
     def __str__(self):
         return self.spec_string()
 
     def _surrogate_nonnegative(self, surrogate_level: int) -> AdmissibleReport:
-        for n, rows, _, _ in sweep(self.kind, surrogate_level):
-            xs, _ = self.level_phi(n, rows)
-            for (lam, _, _), x in zip(rows, xs):
-                if x < 0:
-                    return AdmissibleReport(False, f"surrogate: phi({lam}) < 0", surrogate=True)
+        """The first negative phi in level order through surrogate_level, read from
+        `check_harmonicity`'s phi values; a level below 1 is its ValueError."""
+        for lam, value in check_harmonicity(self, surrogate_level).phi_values:
+            if value < 0:
+                return AdmissibleReport(False, f"surrogate: phi({lam}) < 0", surrogate=True)
         return AdmissibleReport(
             True, f"surrogate: all phi >= 0 through level {surrogate_level}", surrogate=True
         )
@@ -122,14 +133,12 @@ class HarmonicFamily:
 class YoungZZ(HarmonicFamily):
     """Two-parameter family on the Young graph via e = z+z', t = zz'."""
 
-    kind = YOUNG
+    kind, name, spec_keys = YOUNG, "young-zz", (("e", "e"), ("t", "t"))
 
     def __init__(self, e, t):
         object.__setattr__(self, "e", as_rational(e))
         object.__setattr__(self, "t", as_rational(t))
         _reject_nonpositive_integer_t(self.t)
-
-    phi = HarmonicFamily.phi  # each family's own `phi`, where the tracer wraps it
 
     def level_phi(self, n: int, rows) -> tuple[list[int], int]:
         """phi(lam) is the product over the boxes of (t + c e + c^2)/hook, c the content, over
@@ -166,12 +175,11 @@ class YoungZZ(HarmonicFamily):
     def admissible(self, surrogate_level: int = 6) -> AdmissibleReport:
         return self.params_admissible(self.e, self.t)
 
-    def spec_string(self) -> str:
-        return f"young-zz:e={self.e},t={self.t}"
-
 
 class JackZZ(HarmonicFamily):
     """Deformed two-parameter family; zz is z*z', the scalar is t = zz/theta."""
+
+    name, spec_keys = "jack", (("e", "e"), ("t", "zz"), ("theta", "theta"))
 
     def __init__(self, e, zz, theta):
         object.__setattr__(self, "e", as_rational(e))
@@ -189,8 +197,6 @@ class JackZZ(HarmonicFamily):
     @property
     def kind(self) -> GraphKind:
         return jack(self.theta)
-
-    phi = HarmonicFamily.phi
 
     def level_phi(self, n: int, rows) -> tuple[list[int], int]:
         """The product over the boxes of (zz + c e + c^2)/(arm + theta leg + theta),
@@ -213,21 +219,16 @@ class JackZZ(HarmonicFamily):
     def admissible(self, surrogate_level: int = 6) -> AdmissibleReport:
         return self._surrogate_nonnegative(surrogate_level)
 
-    def spec_string(self) -> str:
-        return f"jack:e={self.e},t={self.zz},theta={self.theta}"
-
 
 class KingmanTA(HarmonicFamily):
     """Two-parameter partition-structure family on the Kingman graph."""
 
-    kind = KINGMAN
+    kind, name, spec_keys = KINGMAN, "kingman", (("t", "t"), ("alpha", "alpha"))
 
     def __init__(self, t, alpha):
         object.__setattr__(self, "t", as_rational(t))
         object.__setattr__(self, "alpha", as_rational(alpha))
         _reject_nonpositive_integer_t(self.t, allow_zero=True)
-
-    phi = HarmonicFamily.phi
 
     def level_phi(self, n: int, rows) -> tuple[list[int], int]:
         """prod over parts of (1 - alpha)_(p-1) over prod r_k! (r_k the multiplicities),
@@ -256,20 +257,15 @@ class KingmanTA(HarmonicFamily):
     def admissible(self, surrogate_level: int = 6) -> AdmissibleReport:
         return self.params_admissible(self.t, self.alpha)
 
-    def spec_string(self) -> str:
-        return f"kingman:t={self.t},alpha={self.alpha}"
-
 
 class SchurT(HarmonicFamily):
     """One-parameter family on the graph of strict partitions."""
 
-    kind = SCHUR
+    kind, name, spec_keys = SCHUR, "schur", (("t", "t"),)
 
     def __init__(self, t):
         object.__setattr__(self, "t", as_rational(t))
         _reject_nonpositive_integer_t(self.t)
-
-    phi = HarmonicFamily.phi
 
     def level_phi(self, n: int, rows) -> tuple[list[int], int]:
         """phi(lam) is the product over the boxes of 2t + (j - 1) j, j the column, over 2^l (t)_n,
@@ -290,17 +286,23 @@ class SchurT(HarmonicFamily):
     def admissible(self, surrogate_level: int = 6) -> AdmissibleReport:
         return self.params_admissible(self.t)
 
-    def spec_string(self) -> str:
-        return f"schur:t={self.t}"
-
 
 class _Truncated(HarmonicFamily):
     """A truncated family, supported on the diagrams mu with stat(mu) <= stat(lam): the rows
     (l(mu) <= width = l(lam)), or on gamma the diagonal (depth); t = |lam| + width and the
     point -lam - 1 unless the family sets its own.  phi(mu) is (-1)^|mu| I_mu / (t)_|mu| for
-    the family's interpolation polynomial I at the point."""
+    the family's interpolation polynomial I at the point.  Each family declares the lam it
+    `accepts` and what it `needs` of lam: the constructor refuses any other lam, and the
+    family's boundary face reads the same two, and `stat`, for its densities."""
 
-    stat = "length"  # a Partition attribute
+    spec_keys, stat = (("lambda", "lam"),), "length"  # stat: a Partition attribute
+    accepts: Callable[[Partition], bool]
+    needs: str
+
+    def __init__(self, lam: Partition):
+        if not self.accepts(lam):
+            raise FamilyError(f"family {self.name!r} needs {self.needs}, got lambda = {lam}")
+        object.__setattr__(self, "lam", lam)
 
     @property
     def width(self) -> int:
@@ -331,12 +333,11 @@ class _Truncated(HarmonicFamily):
 class TruncYoung(_Truncated):
     """Finite-width family: shifted Schur evaluation at the reflected point -lam_i - 2(l - i) - 1."""
 
-    kind, face = YOUNG, "young"
+    kind, face, name, needs = YOUNG, "young", "trunc-young", "length >= 2"
 
-    def __init__(self, lam: Partition):
-        if lam.length < 2:
-            raise FamilyError("truncated Young family needs length >= 2")
-        object.__setattr__(self, "lam", lam)
+    @staticmethod
+    def accepts(lam: Partition) -> bool:
+        return lam.length >= 2
 
     @property
     def t(self) -> Fraction:
@@ -346,17 +347,12 @@ class TruncYoung(_Truncated):
         l = self.width
         return tuple(-self.lam.part(i) - 2 * (l - i) - 1 for i in range(1, l + 1))
 
-    phi, level_phi = HarmonicFamily.phi, _Truncated.level_phi  # each family's own, as for `phi`
-
     def _interpolants(self, mus: list[Partition]) -> tuple[list[int], int]:
         """s*_mu at the point, each a shifted Jacobi-Trudi determinant (the one s* route) over
         the point's columns through max(mu_1 + l(mu) - 1), the highest index the mus read."""
         count = max([0, *(mu.part(1) + mu.length - 1 for mu in mus)])
         columns = shifted_schur_columns(self.point(), 1, self.width, count)
         return [jacobi_trudi_det(mu, columns) for mu in mus], 1
-
-    def spec_string(self) -> str:
-        return f"trunc-young:lambda={self.lam}"
 
 
 class GammaShaped(_Truncated):
@@ -370,22 +366,23 @@ class GammaShaped(_Truncated):
     """
 
     kind, face, stat, width = YOUNG, "gamma", "depth", None
+    name, spec_keys, needs = "gamma", (("lambda", "lam"), ("cap", "degree_cap")), "depth >= 1"
+
+    @staticmethod
+    def accepts(lam: Partition) -> bool:
+        return lam.depth >= 1
 
     def __init__(self, lam: Partition, degree_cap: int = 8):
-        if lam.depth < 1:
-            raise FamilyError("gamma-shaped family needs depth >= 1")
-        if degree_cap < 1:
+        super().__init__(lam)
+        if not isinstance(degree_cap, int) or degree_cap < 1:
             raise FamilyError(f"gamma parameter 'cap' must be a positive integer, not {degree_cap!r}")
         g = _product_series([(-q, -p - 1) for p, q in zip(*lam.frobenius())], degree_cap)
-        object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "degree_cap", degree_cap)
         object.__setattr__(self, "columns", shifted_columns([1, *g], degree_cap))
 
     @property
     def t(self) -> Fraction:
         return Fraction(self.lam.size)
-
-    phi, level_phi = HarmonicFamily.phi, _Truncated.level_phi
 
     def _interpolants(self, mus: list[Partition]) -> tuple[list[int], int]:
         """The determinant at each mu; a level past the degree cap with a vertex within the
@@ -397,42 +394,30 @@ class GammaShaped(_Truncated):
     def admissible(self, surrogate_level: int = 6) -> AdmissibleReport:
         return self._surrogate_nonnegative(min(surrogate_level, self.degree_cap))
 
-    def spec_string(self) -> str:
-        return f"gamma:lambda={self.lam},cap={self.degree_cap}"
-
 
 class TruncKingman(_Truncated):
     """Finite-width family: factorial monomial evaluation at -lam - 1."""
 
-    kind, face = KINGMAN, "kingman"
+    kind, face, name, needs = KINGMAN, "kingman", "trunc-kingman", "a nonempty partition"
 
-    def __init__(self, lam: Partition):
-        if lam.length < 1:
-            raise FamilyError("truncated Kingman family needs a nonempty partition")
-        object.__setattr__(self, "lam", lam)
-
-    phi, level_phi = HarmonicFamily.phi, _Truncated.level_phi
+    @staticmethod
+    def accepts(lam: Partition) -> bool:
+        return lam.length >= 1
 
     def _interpolants(self, mus: list[Partition]) -> tuple[list[int], int]:
         """m*_mu at the point, from one table over the closure of the mus."""
         table = monomial_tables(mus)(self.point(), 1)
         return [table[mu.parts] for mu in mus], 1
 
-    def spec_string(self) -> str:
-        return f"trunc-kingman:lambda={self.lam}"
-
 
 class TruncSchur(_Truncated):
     """Finite-width strict family: factorial Schur P at the integer point -lam - 1."""
 
-    kind, face = SCHUR, "schur"
+    kind, face, name, needs = SCHUR, "schur", "trunc-schur", "a nonempty strict partition"
 
-    def __init__(self, lam: Partition):
-        if not lam.is_strict or lam.length < 1:
-            raise FamilyError("truncated strict family needs a nonempty strict partition")
-        object.__setattr__(self, "lam", lam)
-
-    phi, level_phi = HarmonicFamily.phi, _Truncated.level_phi
+    @staticmethod
+    def accepts(lam: Partition) -> bool:
+        return lam.is_strict and lam.length >= 1
 
     def _interpolants(self, mus: list[Partition]) -> tuple[list[int], int]:
         """P*_mu at the point from one P* table through max(mu_1 + mu_2) (`pstar_pfaffians`, Q = 1
@@ -441,17 +426,25 @@ class TruncSchur(_Truncated):
         top = max([0, *(mu.length for mu in mus)])
         return [x << top - mu.length for mu, x in zip(mus, xs)], 2**top
 
-    def spec_string(self) -> str:
-        return f"trunc-schur:lambda={self.lam}"
-
 
 # ---------------------------------------------------------------------------
 # family-spec strings
 # ---------------------------------------------------------------------------
 
+FAMILIES: dict[str, type[HarmonicFamily]] = {
+    cls.name: cls
+    for cls in (YoungZZ, JackZZ, KingmanTA, SchurT, TruncYoung, TruncKingman, TruncSchur, GammaShaped)
+}
+
+# a spec value is a rational but for these keys; gamma's cap passes any text that is not
+# decimal digits on, for the constructor to refuse
+_READERS = {"lambda": Partition.parse, "cap": lambda text: int(text) if text.isdecimal() else text}
+
+
 def parse_family(spec: str) -> HarmonicFamily:
-    """Parse compact family strings like 'young-zz:e=3,t=2' or 'schur:t=3'.  An unknown,
-    repeated or malformed parameter is a FamilyError."""
+    """Parse compact family strings like 'young-zz:e=3,t=2' or 'schur:t=3': the family's
+    `spec_keys` in order, gamma's cap 8 if absent.  An unknown, repeated, missing or malformed
+    parameter is a FamilyError."""
     name, _, body = spec.strip().partition(":")
     name = name.strip().lower()
     kv: dict[str, str] = {}
@@ -464,38 +457,18 @@ def parse_family(spec: str) -> HarmonicFamily:
             if key in kv:
                 raise FamilyError(f"family parameter {key!r} is given twice")
             kv[key] = value.strip()
-
-    def value(key: str, parse=as_rational):
-        text = kv.pop(key)
+    if name not in FAMILIES:
+        raise FamilyError(f"unknown family {name!r}")
+    args = []
+    for key, _ in FAMILIES[name].spec_keys:
+        text = kv.pop(key, "8" if key == "cap" else None)
+        if text is None:
+            raise FamilyError(f"family {name!r} is missing parameter {key!r}")
         try:
-            return parse(text)
+            args.append(_READERS.get(key, as_rational)(text))
         except (ValueError, ZeroDivisionError) as exc:
             raise FamilyError(f"family parameter {key!r}: malformed value {text!r} ({exc})") from None
-
-    try:
-        if name == "young-zz":
-            family = YoungZZ(value("e"), value("t"))
-        elif name == "jack":
-            family = JackZZ(value("e"), value("t"), value("theta"))
-        elif name == "kingman":
-            family = KingmanTA(value("t"), value("alpha"))
-        elif name == "schur":
-            family = SchurT(value("t"))
-        elif name == "trunc-young":
-            family = TruncYoung(value("lambda", Partition.parse))
-        elif name == "gamma":
-            cap = kv.pop("cap", "8")
-            if not cap.isdecimal():
-                raise FamilyError(f"gamma parameter 'cap' must be a positive integer, not {cap!r}")
-            family = GammaShaped(value("lambda", Partition.parse), int(cap))
-        elif name == "trunc-kingman":
-            family = TruncKingman(value("lambda", Partition.parse))
-        elif name == "trunc-schur":
-            family = TruncSchur(value("lambda", Partition.parse))
-        else:
-            raise FamilyError(f"unknown family {name!r}")
-    except KeyError as exc:
-        raise FamilyError(f"family {name!r} is missing parameter {exc}") from None
+    family = FAMILIES[name](*args)
     if kv:
         raise FamilyError(f"family {name!r} has no parameter {', '.join(map(repr, kv))}")
     return family

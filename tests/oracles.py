@@ -650,7 +650,7 @@ def fraction_convergence_row(family, n, resolution, interior_fraction):
     embed_frobenius gives.  The level weights are dim(nu) phi(nu), the dimensions
     from the sweep up the family's graph (within its width: a path only adds rows)."""
     face, lam = FACES[family.face], family.lam
-    l = face.blocks * getattr(lam, face.stat)
+    l = face.blocks * getattr(lam, family.stat)
     rows, dq = top_level(family.kind, n, max_length=getattr(family, "width", None))
     weights = [(nu, Fraction(d, dq) * family.phi(nu)) for nu, d, _ in rows]
     binned = l == 2 and face.polynomial is not None

@@ -24,11 +24,12 @@ def test_one_argv_against_head_gives_one_row_with_matching_reports(capsys, monke
     assert ab.main(["HEAD", "dims --kind young --level 3"]) == 0
     header, row = capsys.readouterr().out.splitlines()
     assert header.split() == [
-        "argv", "HEAD", "min", "ms", "tree", "min", "ms", "median", "tree/rev", "same", "report"
+        "argv", "HEAD", "min", "ms", "tree", "min", "ms", "median", "tree/rev", "quartiles", "same", "report"
     ]
     assert row.startswith("dims --kind young --level 3 ")
-    *_, rev_min, tree_min, ratio, same = row.split()
-    assert min(map(float, (rev_min, tree_min, ratio))) > 0
+    *_, rev_min, tree_min, ratio, quartiles, same = row.split()
+    low, high = map(float, quartiles.split("-"))
+    assert min(map(float, (rev_min, tree_min, ratio))) > 0 and low <= float(ratio) <= high
     assert same == "yes"
 
 

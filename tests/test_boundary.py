@@ -241,7 +241,7 @@ def test_selberg_rows_per_lambda_match_one_row_at_a_time():
             (lam, [P(), *(mu for mu in shapes if face.admits(mu, s))])
             for s in face.sweep
             for lam in shapes
-            if face.accepts(lam) and getattr(lam, face.stat) == s
+            if face.family.accepts(lam) and getattr(lam, face.family.stat) == s
         ]
         assert groups, name
         for lam, mus in groups:

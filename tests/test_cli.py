@@ -12,7 +12,7 @@ import pytest
 from harmgraphs import boundary, cli, harmonic, interp
 from harmgraphs.cli import EXIT_CHECK_FAILED, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 from harmgraphs.exact import ShapeError, SingularMatrixError
-from harmgraphs.partitions import partitions_of
+from harmgraphs.partitions import Partition, partitions_of, partitions_up_to
 
 
 def run(capsys, *argv):
@@ -121,6 +121,17 @@ def test_readme_suite_table_matches_the_declarations():
         name: "; ".join(_flag_cell(*flag) for flag in suite.flags)
         for name, suite in cli._SUITES.items()
     }
+
+
+def test_readme_family_spec_names_match_the_declarations():
+    # each family's spec name and keys in order, as `FAMILIES` declares them; gamma's cap is optional
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (sentence,) = [p for p in readme.split("\n\n") if p.startswith("Family spec names: ")]
+    specs = [
+        f"{name}:" + ",".join(f"{key}=..." for key, _ in family.spec_keys)
+        for name, family in harmonic.FAMILIES.items()
+    ]
+    assert re.findall(r"`([^`]*)`", sentence) == [s.replace(",cap=...", "[,cap=...]") for s in specs]
 
 
 def _readme_examples() -> list[list[str]]:
@@ -368,11 +379,15 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys):
         (("dims", "--kind", "young", "--level", "3", "--max-length", "-1"), "--max-length"),
         (("phi", "--family", "young-zz:e=1,t=2", "--mu", "2+3"),
          "parts must be nonincreasing: (2, 3)"),
-        # the face checks lambda as its truncated family does
         (("density", "--graph", "kingman", "--lambda", "0", "--at", "1/2"),
          "kingman face needs a nonempty partition"),
         (("density", "--graph", "schur", "--lambda", "0", "--at", "1/2"),
          "schur face needs a nonempty strict partition"),
+        # a truncated family refuses lambda with its spec name, what it needs and the lambda given
+        (("phi", "--family", "trunc-young:lambda=3", "--mu", "1"),
+         "argument --family: family 'trunc-young' needs length >= 2, got lambda = 3"),
+        (("phi", "--family", "gamma:lambda=0", "--mu", "1"),
+         "argument --family: family 'gamma' needs depth >= 1, got lambda = 0"),
         # a malformed number names its flag
         (("density", "--graph", "kingman", "--lambda", "2+1", "--at", "1/2,"), "--at"),
         (("density", "--graph", "kingman", "--lambda", "2+1", "--at", "1/0,1/2"), "--at"),
@@ -438,6 +453,7 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys):
          "converge-negative-resolution", "converge-interior-3", "converge-interior-0",
          "converge-interior-negative", "converge-interior-1", "dims-negative-max-length",
          "phi-increasing-mu", "density-kingman-empty-lambda", "density-schur-empty-lambda",
+         "trunc-young-refused-lambda", "gamma-refused-lambda",
          "density-malformed-at", "density-zero-denominator", "converge-malformed-n",
          "converge-repeated-n", "converge-malformed-interior", "family-unknown-key",
          "family-key-of-another-family", "family-repeated-key", "family-malformed-cap",
@@ -456,6 +472,30 @@ def test_out_of_domain_arguments_are_usage_errors(capsys, argv, message):
     assert code == EXIT_USAGE
     assert out == ""
     assert message in err
+
+
+def _refusal(build, lam: Partition) -> str | None:
+    try:
+        build(lam)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("name", list(boundary.FACES))
+def test_a_face_refuses_lambda_as_its_truncated_family_does(name):
+    # the face reads its family's declaration: the same lambdas are refused, both naming `needs`
+    family = boundary.FACES[name].family
+    assert family.face == name
+    refused = 0
+    for lam in partitions_up_to(6):
+        by_face = _refusal(lambda lam: boundary.density_spec(name, lam), lam)
+        by_family = _refusal(family, lam)
+        assert (by_face is None) == (by_family is None), lam
+        if by_face:
+            assert family.needs in by_face and family.needs in by_family
+            refused += 1
+    assert refused
 
 
 @pytest.mark.parametrize(

@@ -314,9 +314,13 @@ def test_family_spec_round_trip():
         ("trunc-kingman:lambda=1+1", "trunc-kingman:lambda=2+1"),
         ("trunc-schur:lambda=2+1", "trunc-schur:lambda=3+1"),
         ("gamma:lambda=2+1,cap=8", "gamma:lambda=2+1,cap=9"),
+        ("gamma:lambda=2+1", "gamma:lambda=3+1"),
     ]
     families = [parse_family(text) for text, _ in specs]
-    assert len({type(fam) for fam in families}) == len(specs)
+    assert {type(fam) for fam in families} == set(harmonic.FAMILIES.values())
+    # a spec prints every key in order, gamma's default cap too
+    printed = [text for text, _ in specs[:-1]] + ["gamma:lambda=2+1,cap=8"]
+    assert [fam.spec_string() for fam in families] == printed
     for fam, (_, other) in zip(families, specs):
         again = parse_family(fam.spec_string())
         assert again.spec_string() == fam.spec_string()
@@ -393,7 +397,7 @@ def test_families_carry_no_hidden_state(monkeypatch, family):
     face = FACES[family.face]
     selberg = lambda lam, mus: (family, face.selberg(lam, mus)[1])
     monkeypatch.setitem(boundary.FACES, family.face, face._replace(selberg=selberg))
-    s = getattr(family.lam, face.stat)
+    s = getattr(family.lam, family.stat)
     mus = [mu for mu in partitions_up_to(5) if not mu.size or face.admits(mu, s)]
     before = dict(vars(family)), len(pickle.dumps(family))
     family.phi(P([2, 1]))

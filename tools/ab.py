@@ -10,8 +10,9 @@ disk; each is compiled from memory and imported under its own package name
 the host between runs falls out of their ratio.  Per argv, one untimed call on each side
 fills the caches, then CALLS = 40 pairs of `cli.main` calls, each after a full garbage
 collection, alternate which side runs first.  One row per argv: each side's minimum, the
-median over the pairs of tree time / REV time, and whether every call on both sides gave
-the same exit code and report sha256.  The exit code is 0 when every argv's reports match,
+median over the pairs of tree time / REV time and its lower and upper quartile (a median
+inside the spread between pairs tells no change from the host's drift), and whether every
+call on both sides gave the same exit code and report sha256.  The exit code is 0 when every argv's reports match,
 else 1; a revision git cannot read (or no git checkout) is a usage error, git's message on
 one line.
 """
@@ -77,9 +78,10 @@ def call(cli, argv: list[str]) -> tuple[float, tuple[int, str]]:
     return seconds, (code, hashlib.sha256(out.getvalue().encode()).hexdigest())
 
 
-def compare(rev_cli, tree_cli, argv: list[str]) -> tuple[float, float, float, bool]:
-    """(REV's minimum, the tree's minimum, the median tree/REV ratio, whether every outcome
-    matches) over CALLS alternating pairs, after one untimed call on each side."""
+def compare(rev_cli, tree_cli, argv: list[str]) -> tuple[float, float, list[float], bool]:
+    """(REV's minimum, the tree's minimum, the lower quartile, median and upper quartile of the
+    tree/REV ratios, whether every outcome matches) over CALLS alternating pairs, after one
+    untimed call on each side."""
     sides = (rev_cli, tree_cli)
     outcomes = {call(cli, argv)[1] for cli in sides}
     times: tuple[list[float], list[float]] = ([], [])
@@ -88,8 +90,8 @@ def compare(rev_cli, tree_cli, argv: list[str]) -> tuple[float, float, float, bo
             seconds, outcome = call(sides[s], argv)
             times[s].append(seconds)
             outcomes.add(outcome)
-    ratio = statistics.median(t / r for r, t in zip(*times))
-    return min(times[0]), min(times[1]), ratio, len(outcomes) == 1
+    ratios = statistics.quantiles([t / r for r, t in zip(*times)], n=4)
+    return min(times[0]), min(times[1]), ratios, len(outcomes) == 1
 
 
 def main(argv=None) -> int:
@@ -103,11 +105,11 @@ def main(argv=None) -> int:
         parser.error(" ".join((getattr(exc, "stderr", None) or str(exc)).split()))
     rev_cli = SourcePackage("harmgraphs_rev", base, args.rev).cli()
     tree_cli = SourcePackage("harmgraphs_tree", src_size.tree_sources(), "tree").cli()
-    cells = [["argv", f"{args.rev} min ms", "tree min ms", "median tree/rev", "same report"]]
+    cells = [["argv", f"{args.rev} min ms", "tree min ms", "median tree/rev", "quartiles", "same report"]]
     same = True
     for line in args.argvs:
-        rev_min, tree_min, ratio, match = compare(rev_cli, tree_cli, shlex.split(line))
-        times = (f"{rev_min * 1e3:.3f}", f"{tree_min * 1e3:.3f}", f"{ratio:.3f}")
+        rev_min, tree_min, (low, ratio, high), match = compare(rev_cli, tree_cli, shlex.split(line))
+        times = (f"{rev_min * 1e3:.3f}", f"{tree_min * 1e3:.3f}", f"{ratio:.3f}", f"{low:.3f}-{high:.3f}")
         cells.append([line, *times, "yes" if match else "no"])
         same = same and match
     sys.stdout.write(src_size._format(cells))
