@@ -75,62 +75,7 @@ from .boundary import (
 
 __version__ = "0.1.0"
 
+# the names imported above from the package's modules
 __all__ = [
-    "RationalMatrix",
-    "ShapeError",
-    "SingularMatrixError",
-    "as_rational",
-    "det",
-    "format_rational",
-    "parse_rational",
-    "pfaffian",
-    "pochhammer",
-    "solve_linear",
-    "FrobeniusCoords",
-    "Partition",
-    "partitions_of",
-    "GraphKind",
-    "KINGMAN",
-    "SCHUR",
-    "YOUNG",
-    "covers_up",
-    "dim",
-    "dim_closed_form",
-    "edge_multiplicity",
-    "jack",
-    "level",
-    "sweep",
-    "FunctionalSpec",
-    "apply_functional",
-    "express_in_generator_basis",
-    "factorial_monomial_eval",
-    "gauss_2f1_check",
-    "jacobi_trudi",
-    "monomial_eval",
-    "pstar_eval",
-    "pstar_one_row_values",
-    "schur_eval",
-    "shifted_schur_eval",
-    "super_h_star_values",
-    "FamilyError",
-    "GammaShaped",
-    "HarmonicFamily",
-    "JackZZ",
-    "KingmanTA",
-    "SchurT",
-    "TruncKingman",
-    "TruncSchur",
-    "TruncYoung",
-    "YoungZZ",
-    "check_harmonicity",
-    "lattice_bound_approx",
-    "level_measure",
-    "parse_family",
-    "DensitySpec",
-    "ThomaPoint",
-    "convergence_experiment",
-    "density_spec",
-    "kingman_kernel",
-    "selberg_verify",
-    "young_kernel",
+    name for name, value in globals().items() if getattr(value, "__module__", "").startswith(f"{__name__}.")
 ]

@@ -454,7 +454,7 @@ def convergence_experiment(
     family: HarmonicFamily,
     n_values,
     resolution: int = 20,
-    interior_fraction: Fraction = Fraction(1, 4),
+    interior_fraction: Fraction = Fraction(1, 5),
     ratio_tolerance: float = 0.05,
 ) -> ConvergenceReport:
     """Compare exact level measures against the limiting face density.
@@ -677,10 +677,11 @@ def _young_polynomial(lam: Partition) -> Poly:
 
 class Face(NamedTuple):
     """One boundary face, each per-face quantity a plain function, and its truncated family,
-    whose declaration the face reads: the lam the family `accepts` has a density on the face,
-    and any other is refused with what the family `needs`.  A point has `blocks` coordinate
-    tuples (alpha; or alpha, beta) of the family's stat(lam) each, so the width is
-    blocks * stat(lam).  The defaults describe a face of rows."""
+    whose declaration the face reads: the family's `face` is the face's name, its key in
+    `FACES`; the lam the family `accepts` has a density on the face, and any other is refused
+    with what the family `needs`.  A point has `blocks` coordinate tuples (alpha; or alpha,
+    beta) of the family's stat(lam) each, so the width is blocks * stat(lam).  The defaults
+    describe a face of rows."""
 
     family: type[HarmonicFamily]  # a truncated family
     constant: Callable[[Partition], Fraction]
@@ -701,14 +702,14 @@ class Face(NamedTuple):
     polynomial: Callable[[Partition], Poly] | None = None  # width-2 density over its constant
 
 
-FACES: dict[str, Face] = {
-    "young": Face(
+FACES: dict[str, Face] = {face.family.face: face for face in (
+    Face(
         family=TruncYoung, constant=young_density_constant, density=_young_density,
         degree=lambda lam: lam.size + lam.length * (lam.length - 1),
         level_weights=_young_weights, selberg=_young_selberg,
         sweep=(2, 3), admits=lambda mu, s: mu.length <= s, polynomial=_young_polynomial,
     ),
-    "kingman": Face(
+    Face(
         family=TruncKingman, constant=kingman_density_constant, degree=lambda lam: lam.size,
         density=_kingman_density,
         level_weights=_kingman_weights, selberg=_kingman_selberg,
@@ -716,13 +717,13 @@ FACES: dict[str, Face] = {
         # m_lam at (alpha_1, 1 - alpha_1), the sum over the arrangements of lam's two parts
         polynomial=lambda lam: reduce(poly_add, (_width2_monomial(*e) for e in {lam.parts, lam.parts[::-1]})),
     ),
-    "schur": Face(
+    Face(
         family=TruncSchur, constant=schur_density_constant, degree=lambda lam: lam.size,
         density=lambda lam: lambda xs: _schur_density(lam, xs),
         level_weights=_vertex_weights, selberg=_schur_selberg,
         sweep=(2, 3), admits=lambda mu, s: mu.is_strict and mu.length == s,
     ),
-    "gamma": Face(
+    Face(
         family=GammaShaped,
         # sum(p) + sum(q) - depth
         constant=gamma_density_constant, density=_gamma_density, degree=lambda lam: lam.size - 2 * lam.depth,
@@ -730,4 +731,4 @@ FACES: dict[str, Face] = {
         level_weights=_vertex_weights, selberg=_gamma_selberg,
         sweep=(1, 2), admits=lambda mu, s: mu.depth == s, blocks=2, embed=_embed_hooks,
     ),
-}
+)}

@@ -47,7 +47,6 @@ from .graphs import (
     sweep,
 )
 from .harmonic import (
-    FamilyError,
     JackZZ,
     YoungZZ,
     check_harmonicity,
@@ -167,7 +166,7 @@ def _parsed(parse):
             return parse(text)
         except ZeroDivisionError:
             raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from None
-        except ValueError as exc:  # FamilyError too
+        except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
 
     return read
@@ -688,7 +687,7 @@ _COMMANDS = {
     "converge": _Command(cmd_converge, (
         _FAMILY,
         _flag("--n", type=_levels, required=True, help="comma-separated distinct levels"),
-        _int("--resolution", 1, 20),
+        _int("--resolution", 2, 20),
         _flag("--interior", type=_ranged(as_rational, lambda v: 0 < v < 1, "strictly between 0 and 1"),
               default="1/5", help="interior separation fraction"),
         _flag("--ratio-tol", type=_POSITIVE, default="0.05"),
@@ -720,7 +719,7 @@ def main(argv=None) -> int:
     except (SingularMatrixError, ShapeError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (FamilyError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

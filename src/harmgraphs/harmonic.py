@@ -12,11 +12,16 @@ form (`_Truncated`): each vanishes past one statistic of its lam, the length
 point, built for that level's vertices (gamma: once per family, through its
 degree cap).  phi(mu) is a family's level form at one vertex.  A family is
 immutable, and equal and hashed by its type and spec string, that is by its
-parameters.  Each family class declares its spec once: its `name` and its
-`spec_keys`, the (key, attribute) pairs in spec order, which are also its
+parameters.  Each family class declares its data, and the base classes hold
+the rules that read it.  Every family declares its spec once: its `name` and
+its `spec_keys`, the (key, attribute) pairs in spec order, which are also its
 constructor's arguments; `spec_string` prints them and `parse_family` reads
-them through the one `FAMILIES` table.  A truncated family also declares the
-lam it `accepts` and what it `needs` of lam, which its boundary face reads.
+them through the one `FAMILIES` table.  A closed-form family declares its
+nonnegativity region, `params_admissible`, and `admissible` reads it at the
+spec values; any other family gets the surrogate, the sign of phi through a
+level.  A truncated family declares its boundary `face`, the `least`
+statistic of lam it accepts and what it `needs` of lam in words; `accepts`,
+which its constructor and its face both call, reads the first.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from fractions import Fraction
 from itertools import accumulate, islice
 from math import factorial, lcm, prod
 from operator import getitem, mul
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .exact import as_rational, integer_point
 from .graphs import GraphKind, KINGMAN, SCHUR, YOUNG, dim_closed_form, jack, sweep, top_level
@@ -70,13 +75,16 @@ class AdmissibleReport(NamedTuple):
 
 
 class HarmonicFamily:
-    """Interface: a graph kind, an exact phi, an admissibility verdict, and the spec: its
-    `name` and `spec_keys`, the (key, attribute) pairs in spec order."""
+    """Interface: a graph kind, an exact phi, and the spec: its `name` and `spec_keys`, the
+    (key, attribute) pairs in spec order.  A closed-form family also declares its
+    nonnegativity region, `params_admissible` of its spec values, which `admissible` reads;
+    any other family is judged by the surrogate."""
 
     kind: GraphKind
     name: str
     spec_keys: tuple[tuple[str, str], ...]
     face: str | None = None  # the boundary face of a truncated family
+    params_admissible = None  # a closed-form family's region, a staticmethod
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -111,23 +119,24 @@ class HarmonicFamily:
         return integer_point([self.phi(lam) for lam, _, _ in rows])
 
     def admissible(self, surrogate_level: int = 6) -> AdmissibleReport:
-        raise NotImplementedError
-
-    def spec_string(self) -> str:
-        return f"{self.name}:" + ",".join(f"{key}={getattr(self, attr)}" for key, attr in self.spec_keys)
-
-    def __str__(self):
-        return self.spec_string()
-
-    def _surrogate_nonnegative(self, surrogate_level: int) -> AdmissibleReport:
-        """The first negative phi in level order through surrogate_level, read from
-        `check_harmonicity`'s phi values; a level below 1 is its ValueError."""
+        """The family's closed-form region `params_admissible` at its spec values, where it
+        declares one; else the surrogate, the first negative phi in level order through
+        surrogate_level, read from `check_harmonicity`'s phi values (a level below 1 is its
+        ValueError)."""
+        if self.params_admissible:
+            return self.params_admissible(*(getattr(self, attr) for _, attr in self.spec_keys))
         for lam, value in check_harmonicity(self, surrogate_level).phi_values:
             if value < 0:
                 return AdmissibleReport(False, f"surrogate: phi({lam}) < 0", surrogate=True)
         return AdmissibleReport(
             True, f"surrogate: all phi >= 0 through level {surrogate_level}", surrogate=True
         )
+
+    def spec_string(self) -> str:
+        return f"{self.name}:" + ",".join(f"{key}={getattr(self, attr)}" for key, attr in self.spec_keys)
+
+    def __str__(self):
+        return self.spec_string()
 
 
 class YoungZZ(HarmonicFamily):
@@ -172,9 +181,6 @@ class YoungZZ(HarmonicFamily):
             return AdmissibleReport(True, f"real pair inside ({m}, {m + 1})")
         return AdmissibleReport(False, "real roots not inside an open unit interval")
 
-    def admissible(self, surrogate_level: int = 6) -> AdmissibleReport:
-        return self.params_admissible(self.e, self.t)
-
 
 class JackZZ(HarmonicFamily):
     """Deformed two-parameter family; zz is z*z', the scalar is t = zz/theta."""
@@ -216,9 +222,6 @@ class JackZZ(HarmonicFamily):
         xs = [x * scale * (common // den) for x, den in zip(nums, dens)]
         return _over_rising(xs, common * (zq * eq * q) ** n, self.t, n)
 
-    def admissible(self, surrogate_level: int = 6) -> AdmissibleReport:
-        return self._surrogate_nonnegative(surrogate_level)
-
 
 class KingmanTA(HarmonicFamily):
     """Two-parameter partition-structure family on the Kingman graph."""
@@ -254,9 +257,6 @@ class KingmanTA(HarmonicFamily):
             return AdmissibleReport(True, "0 <= alpha < 1 and t > -alpha")
         return AdmissibleReport(False, "outside 0 <= alpha < 1, t > -alpha")
 
-    def admissible(self, surrogate_level: int = 6) -> AdmissibleReport:
-        return self.params_admissible(self.t, self.alpha)
-
 
 class SchurT(HarmonicFamily):
     """One-parameter family on the graph of strict partitions."""
@@ -283,21 +283,22 @@ class SchurT(HarmonicFamily):
             return AdmissibleReport(True, "t > 0")
         return AdmissibleReport(False, "t <= 0")
 
-    def admissible(self, surrogate_level: int = 6) -> AdmissibleReport:
-        return self.params_admissible(self.t)
-
 
 class _Truncated(HarmonicFamily):
     """A truncated family, supported on the diagrams mu with stat(mu) <= stat(lam): the rows
     (l(mu) <= width = l(lam)), or on gamma the diagonal (depth); t = |lam| + width and the
     point -lam - 1 unless the family sets its own.  phi(mu) is (-1)^|mu| I_mu / (t)_|mu| for
-    the family's interpolation polynomial I at the point.  Each family declares the lam it
-    `accepts` and what it `needs` of lam: the constructor refuses any other lam, and the
-    family's boundary face reads the same two, and `stat`, for its densities."""
+    the family's interpolation polynomial I at the point.  Each family declares the `least`
+    stat(lam) it accepts (on the strict graph lam is strict too), and what it `needs` of lam
+    in words: the constructor refuses any lam that `accepts` does not, and the family's
+    boundary face reads `accepts`, `needs` and `stat` for its densities."""
 
-    spec_keys, stat = (("lambda", "lam"),), "length"  # stat: a Partition attribute
-    accepts: Callable[[Partition], bool]
+    spec_keys, stat, least = (("lambda", "lam"),), "length", 1  # stat: a Partition attribute
     needs: str
+
+    @classmethod
+    def accepts(cls, lam: Partition) -> bool:
+        return getattr(lam, cls.stat) >= cls.least and (not cls.kind.strict or lam.is_strict)
 
     def __init__(self, lam: Partition):
         if not self.accepts(lam):
@@ -326,18 +327,11 @@ class _Truncated(HarmonicFamily):
         xs = [next(values) if ok else 0 for ok in within]
         return _over_rising(xs, (-1) ** n * den, self.t, n)
 
-    def admissible(self, surrogate_level: int = 6) -> AdmissibleReport:
-        return self._surrogate_nonnegative(surrogate_level)
-
 
 class TruncYoung(_Truncated):
     """Finite-width family: shifted Schur evaluation at the reflected point -lam_i - 2(l - i) - 1."""
 
-    kind, face, name, needs = YOUNG, "young", "trunc-young", "length >= 2"
-
-    @staticmethod
-    def accepts(lam: Partition) -> bool:
-        return lam.length >= 2
+    kind, face, name, needs, least = YOUNG, "young", "trunc-young", "length >= 2", 2
 
     @property
     def t(self) -> Fraction:
@@ -368,10 +362,6 @@ class GammaShaped(_Truncated):
     kind, face, stat, width = YOUNG, "gamma", "depth", None
     name, spec_keys, needs = "gamma", (("lambda", "lam"), ("cap", "degree_cap")), "depth >= 1"
 
-    @staticmethod
-    def accepts(lam: Partition) -> bool:
-        return lam.depth >= 1
-
     def __init__(self, lam: Partition, degree_cap: int = 8):
         super().__init__(lam)
         if not isinstance(degree_cap, int) or degree_cap < 1:
@@ -392,17 +382,13 @@ class GammaShaped(_Truncated):
         return [jacobi_trudi_det(mu, self.columns) for mu in mus], 1
 
     def admissible(self, surrogate_level: int = 6) -> AdmissibleReport:
-        return self._surrogate_nonnegative(min(surrogate_level, self.degree_cap))
+        return super().admissible(min(surrogate_level, self.degree_cap))
 
 
 class TruncKingman(_Truncated):
     """Finite-width family: factorial monomial evaluation at -lam - 1."""
 
     kind, face, name, needs = KINGMAN, "kingman", "trunc-kingman", "a nonempty partition"
-
-    @staticmethod
-    def accepts(lam: Partition) -> bool:
-        return lam.length >= 1
 
     def _interpolants(self, mus: list[Partition]) -> tuple[list[int], int]:
         """m*_mu at the point, from one table over the closure of the mus."""
@@ -414,10 +400,6 @@ class TruncSchur(_Truncated):
     """Finite-width strict family: factorial Schur P at the integer point -lam - 1."""
 
     kind, face, name, needs = SCHUR, "schur", "trunc-schur", "a nonempty strict partition"
-
-    @staticmethod
-    def accepts(lam: Partition) -> bool:
-        return lam.is_strict and lam.length >= 1
 
     def _interpolants(self, mus: list[Partition]) -> tuple[list[int], int]:
         """P*_mu at the point from one P* table through max(mu_1 + mu_2) (`pstar_pfaffians`, Q = 1

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import re
@@ -373,6 +374,9 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys):
          "--resolution"),
         (("converge", "--family", "trunc-young:lambda=2+1", "--n", "10", "--resolution", "-2"),
          "--resolution"),
+        # one bin over [1/2, 1] holds the whole mass: its distance is 0 at every level
+        (("converge", "--family", "trunc-young:lambda=2+1", "--n", "10", "--resolution", "1"),
+         "--resolution: must be an integer >= 2"),
         # a separation fraction outside (0, 1) selects no vertex or every vertex
         *[(("converge", "--family", "trunc-young:lambda=2+1", "--n", "10", "--interior", f),
            "--interior") for f in ("3", "0", "-1", "1")],
@@ -450,7 +454,8 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys):
          "staircase-zero-k", "lattice-zero-levels", "dimension-ratio-negative-mu",
          "degeneration-negative-levels", "dimensions-negative-sizes", "selberg-schur-size-1",
          "converge-zero-resolution",
-         "converge-negative-resolution", "converge-interior-3", "converge-interior-0",
+         "converge-negative-resolution", "converge-one-resolution", "converge-interior-3",
+         "converge-interior-0",
          "converge-interior-negative", "converge-interior-1", "dims-negative-max-length",
          "phi-increasing-mu", "density-kingman-empty-lambda", "density-schur-empty-lambda",
          "trunc-young-refused-lambda", "gamma-refused-lambda",
@@ -482,11 +487,27 @@ def _refusal(build, lam: Partition) -> str | None:
     return None
 
 
+def test_faces_are_the_truncated_families():
+    # one face for each truncated family, and no other face
+    truncated = [cls for cls in harmonic.FAMILIES.values() if issubclass(cls, harmonic._Truncated)]
+    faces = sorted(face.family.name for face in boundary.FACES.values())
+    assert faces == sorted(cls.name for cls in truncated)
+
+
+def test_converge_flag_defaults_are_the_library_defaults():
+    args = cli._parser("converge", cli._COMMANDS["converge"]).parse_args(
+        ["--family", "trunc-young:lambda=2+1", "--n", "10"]
+    )
+    library = inspect.signature(boundary.convergence_experiment).parameters
+    assert (args.resolution, args.interior, args.ratio_tol) == tuple(
+        library[name].default for name in ("resolution", "interior_fraction", "ratio_tolerance")
+    )
+
+
 @pytest.mark.parametrize("name", list(boundary.FACES))
 def test_a_face_refuses_lambda_as_its_truncated_family_does(name):
     # the face reads its family's declaration: the same lambdas are refused, both naming `needs`
     family = boundary.FACES[name].family
-    assert family.face == name
     refused = 0
     for lam in partitions_up_to(6):
         by_face = _refusal(lambda lam: boundary.density_spec(name, lam), lam)

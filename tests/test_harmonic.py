@@ -9,6 +9,7 @@ from harmgraphs.boundary import FACES, ThomaPoint, convergence_experiment, selbe
 from harmgraphs.exact import RationalMatrix, pochhammer
 from harmgraphs.graphs import YOUNG, GraphKind, dim, jack
 from harmgraphs.harmonic import (
+    AdmissibleReport,
     FamilyError,
     GammaShaped,
     JackZZ,
@@ -301,6 +302,50 @@ def test_admissibility_regions():
     assert not SchurT.params_admissible(F(-1)).ok
     surrogate = JackZZ(F(1), F(5, 4), F(1, 2)).admissible(surrogate_level=4)
     assert surrogate.ok and surrogate.surrogate
+
+
+def test_admissible_reads_the_region_or_the_surrogate():
+    # one instance of each family, each report as before the rule moved to the base class
+    surrogate, capped = (f"surrogate: all phi >= 0 through level {n}" for n in (6, 3))
+    reports = {
+        "young-zz:e=1,t=5/4": AdmissibleReport(True, "conjugate nonreal pair"),
+        "kingman:t=1,alpha=-1/2": AdmissibleReport(False, "outside 0 <= alpha < 1, t > -alpha"),
+        "schur:t=3": AdmissibleReport(True, "t > 0"),
+        "jack:e=1,t=-1/2,theta=2": AdmissibleReport(False, "surrogate: phi(2+2) < 0", surrogate=True),
+        "trunc-young:lambda=2+1": AdmissibleReport(True, surrogate, surrogate=True),
+        "trunc-kingman:lambda=2+1": AdmissibleReport(True, surrogate, surrogate=True),
+        "trunc-schur:lambda=2+1": AdmissibleReport(True, surrogate, surrogate=True),
+        "gamma:lambda=2+1": AdmissibleReport(True, surrogate, surrogate=True),
+        # the surrogate stops at the degree cap, below its default level, and does not raise
+        "gamma:lambda=2+1,cap=3": AdmissibleReport(True, capped, surrogate=True),
+    }
+    families = {spec: parse_family(spec) for spec in reports}
+    assert {type(family) for family in families.values()} == set(harmonic.FAMILIES.values())
+    for spec, family in families.items():
+        assert family.admissible() == reports[spec], spec
+    # a closed-form family's region, read at its spec values in spec order
+    regions = [
+        YoungZZ.params_admissible(F(1), F(5, 4)),
+        KingmanTA.params_admissible(F(1), F(-1, 2)),
+        SchurT.params_admissible(F(3)),
+    ]
+    assert regions == list(reports.values())[:3]
+    assert not any(region.surrogate for region in regions)
+
+
+def test_truncated_families_accept_the_lambda_they_declare():
+    # `accepts` is the base class's rule, stat(lam) >= least, strict on the strict graph
+    predicates = {
+        TruncYoung: lambda lam: lam.length >= 2,
+        TruncKingman: lambda lam: lam.length >= 1,
+        TruncSchur: lambda lam: lam.is_strict and lam.length >= 1,
+        GammaShaped: lambda lam: lam.depth >= 1,
+    }
+    truncated = {cls for cls in harmonic.FAMILIES.values() if issubclass(cls, harmonic._Truncated)}
+    assert set(predicates) == truncated
+    for lam in partitions_up_to(7):
+        for cls, accepts in predicates.items():
+            assert cls.accepts(lam) == accepts(lam), (cls.name, lam)
 
 
 def test_family_spec_round_trip():

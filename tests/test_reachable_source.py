@@ -59,3 +59,14 @@ def test_every_source_definition_is_reached():
         todo += [d for name in definitions[key] for d in by_name.get(name, ())]
     orphans = sorted(f"{module}.{name}" for module, name in definitions.keys() - reached)
     assert orphans == []
+
+
+def test_the_package_exports_exactly_the_names_it_imports():
+    # `__all__` is derived from the module's globals: a stray import would join it
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    imported = [
+        alias.asname or alias.name
+        for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    ]
+    assert harmgraphs.__all__ == imported
