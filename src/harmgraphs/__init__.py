@@ -42,10 +42,8 @@ from .interp import (
     jacobi_trudi,
     monomial_eval,
     pstar_eval,
-    pstar_one_row_values,
     schur_eval,
     shifted_schur_eval,
-    super_h_star_values,
 )
 from .harmonic import (
     FamilyError,

@@ -461,7 +461,8 @@ def convergence_experiment(
 
     For each n: checks the exact unit mass, the pointwise ratio
     measure * n^(face_dim - 1) / density on interior vertices, and a
-    binned total-variation-style distance on width-2 faces.  Interior
+    binned total-variation-style distance on width-2 faces, over
+    `resolution` >= 2 bins.  Interior
     means every row at least interior_fraction * n and consecutive rows
     separated by at least interior_fraction * n; near the diagonal the
     density degenerates (squared Vandermonde) and the pointwise ratio
@@ -472,6 +473,8 @@ def convergence_experiment(
     """
     if family.face is None:
         raise ValueError("convergence experiments need a truncated family")
+    if resolution < 2:
+        raise ValueError(f"resolution must be at least 2, got {resolution}")
     face = FACES[family.face]
     spec = density_spec(family.face, family.lam)
     l, interior_fraction = spec.face_dim, as_rational(interior_fraction)

@@ -269,9 +269,8 @@ def cmd_integral_verify(args) -> int:
 
 
 def cmd_converge(args) -> int:
-    family = args.family
     rep = convergence_experiment(
-        family,
+        args.family,
         args.n,
         resolution=args.resolution,
         interior_fraction=args.interior,
@@ -280,25 +279,25 @@ def cmd_converge(args) -> int:
     report = Report(command="converge")
     for row in rep.rows:
         report.add(
-            "convergence-mass", f"{family.spec_string()} n={row.n}", Fraction(1), None, row.mass_is_one
+            "convergence-mass", f"{rep.family} n={row.n}", Fraction(1), None, row.mass_is_one
         )
         report.add(
             "convergence-ratio",
-            f"{family.spec_string()} n={row.n} interior={row.interior_points}",
+            f"{rep.family} n={row.n} interior={row.interior_points}",
             format_bigfloat(row.max_ratio_error),
             f"tol={rep.ratio_tolerance}",
             rep.ratio_ok(row),
         )
         report.add(
             "convergence-distance",
-            f"{family.spec_string()} n={row.n} bins={args.resolution}",
+            f"{rep.family} n={row.n} bins={args.resolution}",
             format_bigfloat(row.binned_distance),
             None,
             True,
         )
     report.add(
         "convergence-monotone",
-        f"{family.spec_string()} n={','.join(str(r.n) for r in rep.rows)}",
+        f"{rep.family} n={','.join(str(r.n) for r in rep.rows)}",
         None,
         None,
         rep.distances_decreasing,

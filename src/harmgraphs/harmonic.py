@@ -32,7 +32,7 @@ from math import factorial, lcm, prod
 from operator import getitem, mul
 from typing import NamedTuple
 
-from .exact import as_rational, integer_point
+from .exact import as_rational
 from .graphs import GraphKind, KINGMAN, SCHUR, YOUNG, dim_closed_form, jack, sweep, top_level
 from .interp import (
     _product_series,
@@ -42,7 +42,7 @@ from .interp import (
     shifted_columns,
     shifted_schur_columns,
 )
-from .partitions import EMPTY, Partition, _orders
+from .partitions import Partition, _orders
 
 
 class FamilyError(ValueError):
@@ -78,7 +78,12 @@ class HarmonicFamily:
     """Interface: a graph kind, an exact phi, and the spec: its `name` and `spec_keys`, the
     (key, attribute) pairs in spec order.  A closed-form family also declares its
     nonnegativity region, `params_admissible` of its spec values, which `admissible` reads;
-    any other family is judged by the surrogate."""
+    any other family is judged by the surrogate.
+
+    Each family defines its level form `level_phi(n, rows)`: phi on a level of the sweep, its
+    rows (lam, D, edges) with dims D/dq counted from the empty partition, as integer numerators
+    over one denominator q > 0.  YoungZZ and SchurT read D as dim(lam), on graphs where dq = 1;
+    no other family reads D.  `phi` is the level form at one vertex."""
 
     kind: GraphKind
     name: str
@@ -110,13 +115,6 @@ class HarmonicFamily:
         d = None if self.kind.name == "jack" else dim_closed_form(mu, self.kind).numerator
         (x,), q = self.level_phi(mu.size, [(mu, d, ())])
         return Fraction(x, q)
-
-    def level_phi(self, n: int, rows) -> tuple[list[int], int]:
-        """phi on a level of the sweep, its rows (lam, D, edges) with dims D/dq counted from the
-        empty partition, as integer numerators over one denominator q > 0; here the phi values of
-        a family that defines only `phi` (each family here has its own), made so.  YoungZZ and
-        SchurT read D as dim(lam), on graphs where dq = 1; no other family reads D."""
-        return integer_point([self.phi(lam) for lam, _, _ in rows])
 
     def admissible(self, surrogate_level: int = 6) -> AdmissibleReport:
         """The family's closed-form region `params_admissible` at its spec values, where it
@@ -525,15 +523,9 @@ class LevelMeasure(NamedTuple):
     def total(self) -> Fraction:
         return sum((w for _, w in self.weights), Fraction(0))
 
-    def as_dict(self) -> dict[Partition, Fraction]:
-        return dict(self.weights)
 
-    def support(self) -> list[Partition]:
-        return [p for p, w in self.weights if w != 0]
-
-
-def level_measure(family: HarmonicFamily, n: int, max_length: int | None = None) -> LevelMeasure:
-    rows, dq = top_level(family.kind, n, max_length=max_length)
+def level_measure(family: HarmonicFamily, n: int) -> LevelMeasure:
+    rows, dq = top_level(family.kind, n)
     xs, q = family.level_phi(n, rows)  # a path to lam stays within l(lam) rows: dims are total
     return LevelMeasure(n, tuple((lam, Fraction(d * x, q * dq)) for (lam, d, _), x in zip(rows, xs)))
 

@@ -32,7 +32,9 @@ once and reads each mu by `jacobi_trudi_det`, m and m* from one table each of
 
 A multiplicative functional is a list of generator values.  The
 generator-basis engine, which expands a target over products of h*
-generators by one exact inverse per degree, is kept as a test oracle.
+generators by one exact inverse per degree, is not reached from the
+CLI: it stays in the package only because the benchmark's tracer wraps its
+functions, until the benchmark traces the code the CLI runs (see ROADMAP).
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, zip_longest
+from itertools import accumulate
 from math import factorial
 from operator import mul
 from typing import Mapping, Sequence
@@ -57,10 +59,6 @@ from .exact import (
 from .partitions import Partition, partitions_up_to
 
 Point = tuple[Fraction, ...]
-
-
-def as_point(values) -> Point:
-    return tuple(as_rational(v) for v in values)
 
 
 def diagram_point(lam: Partition, length: int | None = None) -> Point:
@@ -236,19 +234,6 @@ def h_star_values(x, count: int) -> list[Fraction]:
     return [Fraction(v, q**m) for m, v in enumerate(h, 1)]
 
 
-def super_h_star_values(xs, ys, count: int) -> list[Fraction]:
-    """Generator values under the two-alphabet (super) realization.
-
-    The series is the product of (u + 1/2 + y_i)/(u + 1/2 - x_i) over the
-    zero-padded support, expanded by `_product_series`.  At the split-diagonal
-    point of a diagram it reproduces the diagram's h* values, pinning the 1/2
-    shift; at the reflected point it is the reference for `GammaShaped`.
-    """
-    half = Fraction(1, 2)
-    pairs = zip_longest(as_point(xs), as_point(ys), fillvalue=Fraction(0))
-    return _product_series([(half + y, x - half) for x, y in pairs], count)
-
-
 # ---------------------------------------------------------------------------
 # multiplicative functionals
 # ---------------------------------------------------------------------------
@@ -331,12 +316,6 @@ def pstar_one_row_numerators(source, count: int) -> tuple[list[int], int]:
     return _product_series([(q + x, x - q) for x in xs], count, q), q
 
 
-def pstar_one_row_values(source, n: int) -> list[Fraction]:
-    """One-row factorial Schur P values under a point or functional, D_m / (2 Q^m)."""
-    one_row, q = pstar_one_row_numerators(source, n)
-    return [Fraction(d, 2 * q**m) for m, d in enumerate(one_row, 1)]
-
-
 def pstar_two_row_table(one_row: Sequence[int], q: int, bound: int) -> dict[tuple[int, int], int]:
     """T_(p,k) = 4 Q^(p+k) P*_(p,k) for all p > k >= 1 with p + k <= bound, integers.
 
@@ -404,7 +383,7 @@ def pstar_eval(mu: Partition, source) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# generator-basis expansion and functional application (test oracle)
+# generator-basis expansion and functional application (traced by the benchmark)
 # ---------------------------------------------------------------------------
 
 class SingularBasisError(SingularMatrixError):
@@ -481,20 +460,23 @@ def apply_functional(coeffs, spec: FunctionalSpec) -> Fraction:
 # hypergeometric summation check (high precision, not exact)
 # ---------------------------------------------------------------------------
 
+GAUSS_MAX_TERMS = 200_000
+
+
 def gauss_2f1_check(
     a,
     b,
     c,
     tol: float = 1e-20,
     precision: int = 128,
-    max_terms: int = 200_000,
 ) -> bool:
     """Partial sums of 2F1(a,b;c;1) against the Gamma-ratio closed form.
 
     Requires c - a - b > 0 (convergence), c not a nonpositive integer, a
     positive tolerance and a precision of at least one bit.  Terms are
     accumulated at the requested binary precision until they fall three
-    orders below the tolerance or the series terminates.
+    orders below the tolerance, the series terminates, or GAUSS_MAX_TERMS
+    terms are summed.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -519,7 +501,7 @@ def gauss_2f1_check(
         total = mpmath.mpf(1)
         m = 0
         cutoff = mpmath.mpf(tol) / 1000
-        while m < max_terms:
+        while m < GAUSS_MAX_TERMS:
             ratio_num = (a + m) * (b + m)
             ratio_den = (c + m) * (m + 1)
             term = term * mpmath.mpf(ratio_num.numerator) / mpmath.mpf(ratio_num.denominator)

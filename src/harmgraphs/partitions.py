@@ -1,4 +1,4 @@
-"""Partitions, strict partitions, Frobenius coordinates and box statistics.
+"""Partitions, strict partitions, Frobenius coordinates and the hook product.
 
 Partitions are immutable value objects (no trailing zeros ever stored)
 with structural equality; every enumeration in the package is emitted in
@@ -7,11 +7,8 @@ decreasing lexicographic order so goldens stay deterministic.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import factorial, prod
 from typing import Iterator, NamedTuple
-
-from .exact import as_rational
 
 
 class Partition:
@@ -100,12 +97,6 @@ class Partition:
         """Number of parts equal to k."""
         return sum(1 for p in self.parts if p == k)
 
-    def multiplicities(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for p in self.parts:
-            out[p] = out.get(p, 0) + 1
-        return out
-
     @property
     def is_strict(self) -> bool:
         return _is_strict(self.parts)
@@ -117,66 +108,16 @@ class Partition:
 
     # -- boxes --
 
-    def boxes(self) -> Iterator[tuple[int, int]]:
-        """Yield the cells (i, j), 1-based, row by row."""
-        for i, p in enumerate(self.parts, start=1):
-            for j in range(1, p + 1):
-                yield (i, j)
-
-    def arm(self, i: int, j: int) -> int:
-        return self.parts[i - 1] - j
-
-    def leg(self, i: int, j: int) -> int:
-        """Number of rows below row i whose length is at least j."""
-        k = i
-        while k < len(self.parts) and self.parts[k] >= j:
-            k += 1
-        return k - i
-
-    @staticmethod
-    def content(i: int, j: int) -> int:
-        return j - i
-
-    @staticmethod
-    def theta_content(i: int, j: int, theta) -> Fraction:
-        """(j-1) - theta*(i-1); equals the ordinary content at theta = 1."""
-        return Fraction(j - 1) - as_rational(theta) * (i - 1)
-
-    def hook(self, i: int, j: int) -> int:
-        return self.arm(i, j) + self.leg(i, j) + 1
-
     def hook_product(self) -> int:
         """The product of all hook lengths, the columns read from the conjugate once."""
         cols = self.conjugate().parts
         return prod(p - j + cols[j] - i - 1 for i, p in enumerate(self.parts) for j in range(p))
-
-    def shifted_boxes(self) -> Iterator[tuple[int, int]]:
-        """Cells of the shifted diagram (row i shifted right by i-1 columns).
-
-        Only meaningful for strict partitions.
-        """
-        if not self.is_strict:
-            raise ValueError("shifted diagram needs a strict partition")
-        for i, p in enumerate(self.parts, start=1):
-            for j in range(i, i + p):
-                yield (i, j)
 
     # -- covers --
 
     def up_covers(self, strict: bool = False) -> list["Partition"]:
         """All partitions one box above, in decreasing lexicographic order."""
         return [Partition._trusted(g) for _, g in _grown_rows(self.parts) if not strict or _is_strict(g)]
-
-    def down_covers(self, strict: bool = False) -> list["Partition"]:
-        """All partitions one box below, in decreasing lexicographic order."""
-        parts = self.parts
-        last = len(parts) - 1
-        shrunk = [
-            parts[:i] + (p - 1,) + parts[i + 1 :] if p > 1 else parts[:i]
-            for i, p in reversed(list(enumerate(parts)))
-            if i == last or parts[i + 1] < p
-        ]
-        return [Partition._trusted(g) for g in shrunk if not strict or _is_strict(g)]
 
     # -- Frobenius coordinates --
 

@@ -33,11 +33,15 @@ level's dims and weights to one denominator.  The harmonicity check and the latt
 sweep one vertex at a time in `Fraction`s.  The
 closed products of the Young and strict families are taken one vertex at a
 time, with the hook product and Schur's quotient Pfaffian, where the library
-reads a level from row tables and the sweep's dims.
+reads a level from row tables and the sweep's dims.  The box statistics
+(cells, contents, hooks, multiplicities and the shifted diagram) serve the
+box-by-box closed products, and the two-alphabet h* series the gamma
+reference, where the library has no per-box route.
 """
 
 from fractions import Fraction
-from itertools import permutations
+from collections import Counter
+from itertools import permutations, zip_longest
 from math import factorial, prod
 
 import mpmath
@@ -56,16 +60,32 @@ from harmgraphs.exact import (
 from harmgraphs.graphs import _jack_row_weight, dim_closed_form, level, top_level
 from harmgraphs.harmonic import HarmonicityReport, HarmonicityViolation
 from harmgraphs.partitions import EMPTY, Partition, _grown_rows
-from harmgraphs.interp import (
-    H_STAR,
-    FunctionalSpec,
-    _product_series,
-    as_point,
-    h_star_values,
-    jacobi_trudi,
-    super_h_star_values,
-)
+from harmgraphs.interp import H_STAR, FunctionalSpec, _product_series, h_star_values, jacobi_trudi
 from harmgraphs.series import poly_eval, poly_integral, poly_scale
+
+
+def boxes(mu) -> list[tuple[int, int]]:
+    """The cells (i, j) of mu, 1-based, row by row."""
+    return [(i, j) for i, p in enumerate(mu.parts, 1) for j in range(1, p + 1)]
+
+
+def shifted_boxes(mu) -> list[tuple[int, int]]:
+    """The cells of the shifted diagram of a strict mu, row i moved right by i - 1 columns."""
+    return [(i, j) for i, p in enumerate(mu.parts, 1) for j in range(i, i + p)]
+
+
+def content(i: int, j: int) -> int:
+    return j - i
+
+
+def hook(mu, i: int, j: int) -> int:
+    """arm + leg + 1 at the cell (i, j): the cells right of it and below it, and itself."""
+    return mu.part(i) - j + mu.conjugate().part(j) - i + 1
+
+
+def multiplicities(mu) -> Counter:
+    """Each part of mu, with the number of times it occurs."""
+    return Counter(mu.parts)
 
 
 def falling_factorial(a, k: int) -> Fraction:
@@ -221,7 +241,7 @@ def fraction_permutation_sum(mu, x, power) -> Fraction:
     the coordinates keyed by the multiplicities still to place."""
     if mu.length > len(x):
         return Fraction(0)
-    mult = mu.multiplicities()
+    mult = multiplicities(mu)
     values = tuple(mult)
     sums = {tuple(mult.values()): Fraction(1)}
     for xi in x:
@@ -284,7 +304,7 @@ def schur_tableau(mu, x) -> Fraction:
     total = Fraction(0)
     for filling in reverse_tableaux(mu, len(x)):
         term = Fraction(1)
-        for (i, j) in mu.boxes():
+        for (i, j) in boxes(mu):
             term *= x[filling[i - 1][j - 1] - 1]
         total += term
     return total
@@ -295,7 +315,7 @@ def shifted_schur_tableau(mu, x) -> Fraction:
     total = Fraction(0)
     for filling in reverse_tableaux(mu, len(x)):
         term = Fraction(1)
-        for (i, j) in mu.boxes():
+        for (i, j) in boxes(mu):
             term *= x[filling[i - 1][j - 1] - 1] - (j - i)
         total += term
     return total
@@ -355,6 +375,17 @@ def evaluation_functional(x, cap: int) -> FunctionalSpec:
     return FunctionalSpec(H_STAR, tuple(h_star_values(x, cap)))
 
 
+def super_h_star_values(xs, ys, count: int) -> list[Fraction]:
+    """Generator values under the two-alphabet (super) realization: the product of
+    (u + 1/2 + y_i)/(u + 1/2 - x_i) over the zero-padded support, expanded by
+    `_product_series`.  At the split-diagonal point of a diagram it reproduces the
+    diagram's h* values, pinning the 1/2 shift; at the reflected point it is the
+    reference for `GammaShaped`."""
+    half = Fraction(1, 2)
+    pairs = zip_longest(map(as_rational, xs), map(as_rational, ys), fillvalue=Fraction(0))
+    return _product_series([(half + y, x - half) for x, y in pairs], count)
+
+
 def super_evaluation_functional(xs, ys, cap: int) -> FunctionalSpec:
     """The two-alphabet series at (xs; ys), packaged as h*-generator values."""
     return FunctionalSpec(H_STAR, tuple(super_h_star_values(xs, ys, cap)))
@@ -372,7 +403,7 @@ def fraction_pstar_one_row(source, count: int) -> list[Fraction]:
     the coefficients of prod (u + 1 + x_i)/(u + 1 - x_i)."""
     if isinstance(source, FunctionalSpec):
         return list(source.values[:count])
-    return [v / 2 for v in _product_series([(1 + x, x - 1) for x in as_point(source)], count)]
+    return [v / 2 for v in _product_series([(1 + x, x - 1) for x in map(as_rational, source)], count)]
 
 
 def fraction_pstar_two_row_table(one_row, bound: int) -> dict[tuple[int, int], Fraction]:

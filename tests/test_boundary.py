@@ -16,8 +16,8 @@ from harmgraphs.boundary import (
     young_kernel,
 )
 from harmgraphs.exact import quotient_pfaffian, round_bits
-from harmgraphs.graphs import KINGMAN, YOUNG, covers_up, edge_multiplicity
-from harmgraphs.harmonic import GammaShaped, TruncKingman, TruncSchur, TruncYoung, level_measure
+from harmgraphs.graphs import KINGMAN, YOUNG, covers_up, edge_multiplicity, sweep
+from harmgraphs.harmonic import GammaShaped, TruncKingman, TruncSchur, TruncYoung
 from harmgraphs.interp import jacobi_trudi
 from harmgraphs.partitions import Partition, partitions_of, partitions_up_to
 from oracles import (
@@ -435,11 +435,12 @@ def test_face_level_weights_are_the_nonzero_level_measure(family, top):
     # `measure` prints a truncated family's face weights: the sweep within the width, one
     # level form per level, is the oracle (the gamma face has no width, and keeps its zeros)
     level_weights = FACES[family.face].level_weights
-    for n in range(top + 1):
+    for n, rows, dq, _ in sweep(family.kind, top, max_length=getattr(family, "width", None)):
         scale, runs = level_weights(family, n)
-        measure = level_measure(family, n, max_length=getattr(family, "width", None))
+        xs, q = family.level_phi(n, rows)
+        measure = [(nu, F(d * x, dq * q)) for (nu, d, _), x in zip(rows, xs)]
         face = [(nu, scale * v) for nu, v in run_vertices(runs)]
-        assert [row for row in face if row[1]] == [row for row in measure.weights if row[1]]
+        assert [row for row in face if row[1]] == [row for row in measure if row[1]]
         assert all(w for _, w in face) or family.face == "gamma"
 
 
@@ -503,3 +504,10 @@ def test_convergence_rejects_infinite_families():
 
     with pytest.raises(ValueError):
         convergence_experiment(YoungZZ(F(3), F(2)), [10])
+
+
+@pytest.mark.parametrize("resolution", [1, 0, -3])
+def test_convergence_rejects_fewer_than_two_bins(resolution):
+    # one bin made every binned distance 0, and none divided by zero in the bin edges
+    with pytest.raises(ValueError, match=f"resolution must be at least 2, got {resolution}"):
+        convergence_experiment(TruncYoung(P([2, 1])), [500, 1000], resolution=resolution)

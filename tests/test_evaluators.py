@@ -50,7 +50,6 @@ from harmgraphs.interp import (
     shifted_schur_at_diagram,
     shifted_schur_columns,
     shifted_schur_eval,
-    super_h_star_values,
 )
 from harmgraphs.partitions import Partition, partitions_of, partitions_up_to
 from oracles import (
@@ -69,6 +68,7 @@ from oracles import (
     fraction_vandermonde,
     schur_tableau,
     shifted_schur_tableau,
+    super_h_star_values,
     young_h_series,
 )
 

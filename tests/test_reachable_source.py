@@ -1,10 +1,14 @@
-"""Every top-level definition in `src/` is reached from a root: the CLI's `main`,
-a name the benchmark tracer wraps, or a name the package exports.  A reference
-kept only for the tests belongs in `tests/oracles.py`, not in the library.
+"""Every top-level definition in `src/`, and every method of a class there, is reached
+from a root: the CLI's `main`, a name the benchmark tracer wraps, or a name the
+package exports.  A reference kept only for the tests belongs in `tests/oracles.py`,
+not in the library.
 
-Reachability is by name: a reached definition reaches every top-level
-definition, in any module, whose name it mentions as a name or an attribute.
-That over-approximates the call graph, so a failure is a real orphan.
+Reachability is by name: a reached definition reaches every definition, in any
+module, whose name it mentions as a name or an attribute.  A class's statement
+mentions everything in its body, its methods included, and each of its methods
+other than the dunders (which Python calls by protocol) is a definition of its own,
+looked up by the method's name.  That over-approximates the call graph, so a
+failure is a real orphan.
 """
 
 import ast
@@ -15,14 +19,21 @@ from test_tracing_targets import WHERE
 
 SRC = Path(harmgraphs.__file__).resolve().parent
 
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
-def _definitions():
-    """(module, name) -> the names its top-level statement mentions."""
+
+def _mentions(node) -> set[str]:
+    names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+    return names | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+
+
+def _definitions(sources):
+    """(module, qualified name) -> (the name it is looked up by, the names its statement
+    mentions), for the module sources by name."""
     out = {}
-    for path in sorted(SRC.glob("*.py")):
-        module = path.stem
-        for node in ast.parse(path.read_text()).body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+    for module, text in sources.items():
+        for node in ast.parse(text).body:
+            if isinstance(node, (*_FUNCTIONS, ast.ClassDef)):
                 names = [node.name]
             elif isinstance(node, ast.Assign):
                 names = [t.id for t in node.targets if isinstance(t, ast.Name)]
@@ -30,35 +41,66 @@ def _definitions():
                 names = [node.target.id]
             else:
                 continue
-            mentions = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
-            mentions |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+            mentions = _mentions(node)
             for name in names:
-                out[(module, name)] = mentions
+                out[(module, name)] = name, mentions
+            if isinstance(node, ast.ClassDef):
+                for member in node.body:
+                    if isinstance(member, _FUNCTIONS) and not member.name.startswith("__"):
+                        out[(module, f"{node.name}.{member.name}")] = member.name, _mentions(member)
     return out
+
+
+def _orphans(sources, roots) -> list[str]:
+    definitions = _definitions(sources)
+    by_name = {}
+    for key, (name, _) in definitions.items():
+        by_name.setdefault(name, []).append(key)
+    reached, todo = set(), [d for root in roots for d in by_name.get(root, ())]
+    while todo:
+        key = todo.pop()
+        if key in reached:
+            continue
+        reached.add(key)
+        todo += [d for name in definitions[key][1] for d in by_name.get(name, ())]
+    return sorted(f"{module}.{name}" for module, name in definitions.keys() - reached)
 
 
 def _roots():
     yield "main"
     yield "__all__"
     for where in WHERE:
-        yield where.partition(":")[2].split(".")[0]
+        yield from where.partition(":")[2].split(".")  # a traced method roots its class and itself
     yield from harmgraphs.__all__
 
 
 def test_every_source_definition_is_reached():
-    definitions = _definitions()
-    by_name = {}
-    for module, name in definitions:
-        by_name.setdefault(name, []).append((module, name))
-    reached, todo = set(), [d for root in _roots() for d in by_name.get(root, ())]
-    while todo:
-        key = todo.pop()
-        if key in reached:
-            continue
-        reached.add(key)
-        todo += [d for name in definitions[key] for d in by_name.get(name, ())]
-    orphans = sorted(f"{module}.{name}" for module, name in definitions.keys() - reached)
-    assert orphans == []
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert _orphans(sources, list(_roots())) == []
+
+
+def test_a_method_only_the_tests_call_is_an_orphan():
+    source = '''
+class Shape:
+    def __len__(self):
+        return self.rows()
+
+    def rows(self):
+        return 1
+
+    @property
+    def size(self):
+        return 2
+
+    def spare(self):
+        return 3
+
+
+def main():
+    return len(Shape()) + Shape().size
+'''
+    assert _orphans({"m": source}, ["main"]) == ["m.Shape.spare"]
+    assert _orphans({"m": source}, ["main", "spare"]) == []
 
 
 def test_the_package_exports_exactly_the_names_it_imports():

@@ -42,8 +42,8 @@ def test_every_traced_name_resolves(where):
 
 
 def test_every_family_defines_its_own_level_form():
-    # the base `level_phi` reads phi one vertex at a time, for a family that defines only
-    # `phi`; each family here reads a level at once, and binds `phi` where the tracer wraps it
+    # the base has no `level_phi`, so a family class without one fails as it is created;
+    # each family binds `phi` and `level_phi` where the tracer wraps them
     families = [
         cls for name, cls in vars(harmonic).items()
         if isinstance(cls, type) and issubclass(cls, harmonic.HarmonicFamily)
@@ -52,4 +52,3 @@ def test_every_family_defines_its_own_level_form():
     assert len(families) == 8
     for cls in families:
         assert {"phi", "level_phi"} <= vars(cls).keys(), cls.__name__
-        assert vars(cls)["level_phi"] is not harmonic.HarmonicFamily.level_phi, cls.__name__
